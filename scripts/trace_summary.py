@@ -2,14 +2,17 @@
 """Summarize a Chrome trace-event JSON produced by --trace-out.
 
 Prints a top-10 table of spans aggregated by name (total duration, call
-count, mean), plus the trace extent. With --gate, also sanity-checks the
-trace: the longest single span (the tool's root span) must cover at least
-80% of the trace extent — i.e. total traced time ~= wall time within 20%.
+count, mean), plus the trace extent. With --self, the table ranks span names
+by exclusive time instead: each span's duration minus its direct children on
+the same thread, i.e. the time no nested span accounts for. With --gate,
+also sanity-checks the trace: the longest single span (the tool's root span)
+must cover at least 80% of the trace extent — i.e. total traced time ~= wall
+time within 20%.
 CI runs the gate over the four engine-smoke traces so a refactor that
 silently drops instrumentation (or leaves the root span dangling) fails
 the bench-regression job rather than producing hollow traces.
 
-Usage: trace_summary.py [--gate] [--top N] TRACE.json
+Usage: trace_summary.py [--gate] [--self] [--top N] TRACE.json
 """
 
 import argparse
@@ -53,10 +56,52 @@ def summarize(events):
     return rows, extent
 
 
+def self_times(events):
+    """Exclusive time per span name: duration minus direct same-thread children.
+
+    Spans on one thread nest by containment (RAII scopes), so a per-thread
+    stack ordered by start time (longest first on ties) finds each span's
+    parent. Returns rows (name, self_us, total_us, count) by self time.
+    """
+    by_thread = defaultdict(list)
+    for e in events:
+        if e.get("ph") == "X":
+            by_thread[(e.get("pid"), e.get("tid"))].append(e)
+    totals = defaultdict(lambda: [0.0, 0.0, 0])  # name -> [self_us, total_us, count]
+
+    def close(frame):
+        _, name, dur, child_us = frame
+        row = totals[name]
+        row[0] += max(dur - child_us, 0.0)
+        row[1] += dur
+        row[2] += 1
+
+    for spans in by_thread.values():
+        spans.sort(key=lambda e: (float(e.get("ts", 0)), -float(e.get("dur", 0))))
+        stack = []  # frames: [end_us, name, dur_us, child_us]
+        for e in spans:
+            ts = float(e.get("ts", 0))
+            dur = float(e.get("dur", 0))
+            while stack and stack[-1][0] <= ts:
+                close(stack.pop())
+            if stack:
+                stack[-1][3] += dur
+            stack.append([ts + dur, e.get("name", "?"), dur, 0.0])
+        while stack:
+            close(stack.pop())
+    return sorted(((name, s, t, c) for name, (s, t, c) in totals.items()),
+                  key=lambda r: -r[1])
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("trace", help="Chrome trace-event JSON file")
     ap.add_argument("--top", type=int, default=10, help="rows to print (default 10)")
+    ap.add_argument(
+        "--self",
+        action="store_true",
+        help="rank spans by exclusive time (duration minus same-thread children)",
+    )
     ap.add_argument(
         "--gate",
         action="store_true",
@@ -75,7 +120,11 @@ def main():
     instants = sum(1 for e in events if e.get("ph") == "i")
     print(f"{args.trace}: {spans} spans, {instants} instants, "
           f"extent {extent / 1e6:.4f}s")
-    if rows:
+    if rows and args.self:
+        print(f"{'span':<28} {'self_ms':>10} {'total_ms':>10} {'count':>7}")
+        for name, self_us, total, count in self_times(events)[: args.top]:
+            print(f"{name:<28} {self_us / 1e3:>10.3f} {total / 1e3:>10.3f} {count:>7}")
+    elif rows:
         print(f"{'span':<28} {'total_ms':>10} {'count':>7} {'mean_ms':>9} {'max_ms':>9}")
         for name, total, count, mx in rows[: args.top]:
             print(f"{name:<28} {total / 1e3:>10.3f} {count:>7} "

@@ -303,8 +303,9 @@ namespace {
 Hash128 portable_query_key(const Subgraph& sg, const rtlil::SigMap& sigmap, SigBit ctrl,
                            const std::vector<std::pair<SigBit, bool>>& known,
                            uint64_t salt) {
-  // Visit cells in name order: SubgraphScratch's cell order is hash-table
-  // noise, and the key must not depend on it. Names are unique per module.
+  // Visit cells in name order: SubgraphScratch's cell order follows the
+  // index's adjacency lists, and the key must not depend on it. Names are
+  // unique per module.
   std::vector<const Cell*> cells(sg.cells.begin(), sg.cells.end());
   std::sort(cells.begin(), cells.end(),
             [](const Cell* a, const Cell* b) { return a->name() < b->name(); });

@@ -50,9 +50,8 @@ Subgraph SubgraphScratch::extract(const rtlil::Module& module, const NetlistInde
   (void)module;
   Subgraph out;
 
-  depth_.clear();
-  queue_.clear();
-  seeds_.clear();
+  in_ball_.clear();
+  next_.clear();
   kept_.clear();
   bitq_.clear();
   seen_bits_.clear();
@@ -61,45 +60,19 @@ Subgraph SubgraphScratch::extract(const rtlil::Module& module, const NetlistInde
 
   // --- stage 1: undirected ball of radius k around target + known ---------
   // ("all logical gates within a specified distance k from the control port")
-  combinational_adjacent_cells(index, target, seeds_);
+  std::vector<Cell*>& ball = out.ball;
+  combinational_adjacent_cells(index, target, next_);
   for (const SigBit& kb : known)
-    combinational_adjacent_cells(index, kb, seeds_);
-  for (Cell* c : seeds_) {
-    if (depth_.emplace(c, 0).second)
-      queue_.push_back(c);
-  }
-  while (!queue_.empty()) {
-    Cell* c = queue_.front();
-    queue_.pop_front();
-    const int d = depth_[c];
-    if (d >= options.depth)
-      continue;
-    next_.clear();
-    for (int pi = 0; pi < rtlil::kPortCount; ++pi) {
-      const Port p = static_cast<Port>(pi);
-      if (!c->has_port(p))
-        continue;
-      for (const SigBit& raw : c->port(p)) {
-        const SigBit bit = index.sigmap()(raw);
-        if (bit.is_wire())
-          combinational_adjacent_cells(index, bit, next_);
-      }
-    }
-    for (Cell* n : next_) {
-      if (depth_.emplace(n, d + 1).second)
-        queue_.push_back(n);
-    }
-  }
-  out.gates_before_filter = depth_.size();
+    combinational_adjacent_cells(index, kb, next_);
+  for (Cell* c : next_)
+    if (in_ball_.insert(c->id()))
+      ball.push_back(c);
+  rtlil::grow_combinational_ball(index, ball, in_ball_, options.depth, next_);
   // The ball is the decision's *support*: the walker only ever shrinks cell
   // ports, so a later query with the same target/known re-derives the same
   // answer unless some ball cell was mutated or removed in between. Callers
   // caching decisions key their invalidation on exactly this set.
-  out.ball.reserve(depth_.size());
-  for (const auto& [cell, d] : depth_) {
-    (void)d;
-    out.ball.push_back(cell);
-  }
+  out.gates_before_filter = ball.size();
 
   // --- stage 2: Theorem II.1 relevance filter ------------------------------
   // A signal can constrain or be constrained by {target} ∪ known only through
@@ -109,47 +82,45 @@ Subgraph SubgraphScratch::extract(const rtlil::Module& module, const NetlistInde
   // ball is dismissed (paper: "the method can dismiss about 80% gates").
   if (options.relevance_filter) {
     auto push_bit = [&](const SigBit& b) {
-      if (b.is_wire() && seen_bits_.insert(b).second)
+      if (b.is_wire() && seen_bits_.insert(static_cast<uint32_t>(rtlil::bit_id(b))))
         bitq_.push_back(b);
     };
     push_bit(target);
     for (const SigBit& kb : known)
       push_bit(kb);
-    while (!bitq_.empty()) {
-      const SigBit bit = bitq_.front();
-      bitq_.pop_front();
+    for (size_t head = 0; head < bitq_.size(); ++head) {
+      const SigBit bit = bitq_[head];
       Cell* d = index.driver(bit);
       if (!d || d->type() == CellType::Dff)
         continue;
-      if (!depth_.count(d))
+      if (!in_ball_.contains(d->id()))
         continue; // outside the ball: becomes a boundary input
-      if (!kept_.insert(d).second)
+      if (!kept_.insert(d->id()))
         continue;
+      out.cells.push_back(d);
       for (Port p : d->input_ports())
         for (const SigBit& raw : d->port(p))
           push_bit(index.sigmap()(raw));
     }
   } else {
-    for (const auto& [cell, d] : depth_) {
-      (void)d;
-      kept_.insert(cell);
-    }
+    out.cells = ball;
   }
-
-  out.cells.assign(kept_.begin(), kept_.end());
 
   // --- boundary: bits read inside but not driven inside --------------------
   for (Cell* c : out.cells)
     for (const SigBit& raw : c->port(c->output_port())) {
       const SigBit bit = index.sigmap()(raw);
       if (bit.is_wire())
-        driven_.insert(bit);
+        driven_.insert(static_cast<uint32_t>(rtlil::bit_id(bit)));
     }
   for (Cell* c : out.cells)
     for (Port p : c->input_ports())
       for (const SigBit& raw : c->port(p)) {
         const SigBit bit = index.sigmap()(raw);
-        if (bit.is_wire() && !driven_.count(bit) && boundary_.insert(bit).second)
+        if (!bit.is_wire())
+          continue;
+        const auto id = static_cast<uint32_t>(rtlil::bit_id(bit));
+        if (!driven_.contains(id) && boundary_.insert(id))
           out.boundary.push_back(bit);
       }
   return out;

@@ -8,13 +8,11 @@
 // are excluded so the sub-graph stays a DAG.
 #pragma once
 
+#include "rtlil/id_set.hpp"
 #include "rtlil/module.hpp"
 #include "rtlil/topo.hpp"
 #include "util/hashing.hpp"
 
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace smartly::core {
@@ -51,12 +49,11 @@ Subgraph extract_subgraph(const rtlil::Module& module, const rtlil::NetlistIndex
                           rtlil::SigBit target, const std::vector<rtlil::SigBit>& known,
                           const SubgraphOptions& options);
 
-/// Reusable scratch space for extract_subgraph: clears hash-table buckets
-/// instead of reallocating them. The §II oracle issues thousands of
-/// extractions per module; per-query container construction is measurable.
-/// Produces a Subgraph whose cell *set*, boundary set, and counters are
-/// identical to extract_subgraph's (vector order may differ — no consumer
-/// depends on it).
+/// Reusable scratch space for extract_subgraph: id-keyed sets (Cell::id(),
+/// rtlil::bit_id) cleared per query, so their memory follows the largest ball
+/// seen rather than the module — the §II engine keeps one scratch per region
+/// oracle. Produces the same Subgraph as extract_subgraph (`ball` and `cells`
+/// in BFS discovery order).
 class SubgraphScratch {
 public:
   Subgraph extract(const rtlil::Module& module, const rtlil::NetlistIndex& index,
@@ -64,15 +61,13 @@ public:
                    const SubgraphOptions& options);
 
 private:
-  std::unordered_map<rtlil::Cell*, int> depth_;
-  std::deque<rtlil::Cell*> queue_;
-  std::vector<rtlil::Cell*> seeds_;
+  rtlil::IdSet in_ball_; ///< cell ids
   std::vector<rtlil::Cell*> next_;
-  std::unordered_set<rtlil::Cell*> kept_;
-  std::deque<rtlil::SigBit> bitq_;
-  std::unordered_set<rtlil::SigBit> seen_bits_;
-  std::unordered_set<rtlil::SigBit> driven_;
-  std::unordered_set<rtlil::SigBit> boundary_;
+  rtlil::IdSet kept_; ///< cell ids
+  std::vector<rtlil::SigBit> bitq_;
+  rtlil::IdSet seen_bits_; ///< bit ids
+  rtlil::IdSet driven_;    ///< bit ids
+  rtlil::IdSet boundary_;  ///< bit ids
 };
 
 } // namespace smartly::core

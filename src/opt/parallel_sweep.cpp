@@ -7,8 +7,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
 #include <deque>
 #include <stdexcept>
 #include <unordered_set>
@@ -121,12 +119,6 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
   index.sigmap().flatten();
   oracles_.clear();
 
-  const bool debug_timing = std::getenv("SMARTLY_SWEEP_DEBUG") != nullptr;
-  auto now = [] { return std::chrono::steady_clock::now(); };
-  auto secs = [](std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  };
-
   const auto stable_order = stable_cell_order(module_);
   const MuxtreeForest forest = muxtree_forest(module_, index);
   const RegionPartition partition =
@@ -203,7 +195,6 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
     ++stats.walker.iterations;
     const obs::Span iter_span("sweep", "sweep.iteration", "iter",
                               static_cast<uint64_t>(iter + 1));
-    auto t_iter = now();
 
     std::vector<RegionState*> work;
     std::vector<uint64_t> work_units; ///< stable region ids, parallel to work
@@ -245,7 +236,6 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
     // Parallel phase: the module and index are frozen except for in-place
     // input-port shrinks of each region's own tree cells, which no other
     // region's read closure can reach (see region_partition.hpp).
-    auto t_walk = now();
     std::vector<Slot> slots(work.size());
     bool faulted = false;
     try {
@@ -286,91 +276,90 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
       halt_engine(util::BudgetKind::Fault);
       break;
     }
-    const double walk_secs = secs(t_walk);
 
     // Barrier: aggregate and apply in canonical region order, so the
     // module's connection list, cell removals, and statistics are identical
     // for every thread count.
-    auto t_apply = now();
     bool any_change = false;
     // Both sides of every applied connect, in sweep-time *and* post-apply
     // canonicalization: the nets through which one region's edits can reach
     // another (foreign mux cells are excluded from every extraction ball by
     // the partition invariant, and foreign non-mux cells never change).
     std::unordered_set<SigBit> merge_bits;
-    for (size_t i = 0; i < work.size(); ++i) {
-      ++stats.region_walks;
-      accumulate(stats.walker, slots[i].stats);
-      if (trace)
-        trace->entries.insert(trace->entries.end(), slots[i].trace.entries.begin(),
-                              slots[i].trace.entries.end());
-      if (slots[i].journal.empty()) {
-        work[i]->dirty = false;
-        continue;
-      }
-      any_change = true;
-      // A region that edited anything re-runs: its own connects/constants can
-      // enable further decisions, exactly like the serial fixpoint.
-      work[i]->dirty = true;
-      for (const auto& [lhs, rhs] : slots[i].journal.connects)
-        for (const auto* spec : {&lhs, &rhs})
-          for (const SigBit& raw : *spec) {
+    {
+      const obs::Span apply_span("sweep", "sweep.apply");
+      for (size_t i = 0; i < work.size(); ++i) {
+        ++stats.region_walks;
+        accumulate(stats.walker, slots[i].stats);
+        if (trace)
+          trace->entries.insert(trace->entries.end(), slots[i].trace.entries.begin(),
+                                slots[i].trace.entries.end());
+        if (slots[i].journal.empty()) {
+          work[i]->dirty = false;
+          continue;
+        }
+        any_change = true;
+        // A region that edited anything re-runs: its own connects/constants can
+        // enable further decisions, exactly like the serial fixpoint.
+        work[i]->dirty = true;
+        for (const auto& [lhs, rhs] : slots[i].journal.connects)
+          for (const auto* spec : {&lhs, &rhs})
+            for (const SigBit& raw : *spec) {
+              const SigBit bit = index.sigmap()(raw);
+              if (bit.is_wire())
+                merge_bits.insert(bit); // sweep-time representative
+            }
+        for (Cell* c : slots[i].journal.removed) {
+          for (const SigBit& raw : c->port(c->output_port())) {
             const SigBit bit = index.sigmap()(raw);
             if (bit.is_wire())
-              merge_bits.insert(bit); // sweep-time representative
+              rewired_bits.push_back(bit);
           }
-      for (Cell* c : slots[i].journal.removed) {
-        for (const SigBit& raw : c->port(c->output_port())) {
-          const SigBit bit = index.sigmap()(raw);
-          if (bit.is_wire())
-            rewired_bits.push_back(bit);
+          region_of.erase(c);
         }
-        region_of.erase(c);
+        if (!slots[i].journal.removed.empty()) {
+          std::unordered_set<Cell*> dead(slots[i].journal.removed.begin(),
+                                         slots[i].journal.removed.end());
+          auto& cells = work[i]->tree_cells;
+          cells.erase(std::remove_if(cells.begin(), cells.end(),
+                                     [&](Cell* c) { return dead.count(c) != 0; }),
+                      cells.end());
+        }
+        apply_sweep_journal(module_, index, slots[i].journal, /*finalize=*/false);
       }
-      if (!slots[i].journal.removed.empty()) {
-        std::unordered_set<Cell*> dead(slots[i].journal.removed.begin(),
-                                       slots[i].journal.removed.end());
-        auto& cells = work[i]->tree_cells;
-        cells.erase(std::remove_if(cells.begin(), cells.end(),
-                                   [&](Cell* c) { return dead.count(c) != 0; }),
-                    cells.end());
+      if (any_change) {
+        index.compact_topo();
+        index.sigmap().flatten();
+        std::vector<SigBit> post;
+        post.reserve(merge_bits.size());
+        for (const SigBit& b : merge_bits)
+          post.push_back(index.sigmap()(b)); // post-apply representative
+        merge_bits.insert(post.begin(), post.end());
       }
-      apply_sweep_journal(module_, index, slots[i].journal, /*finalize=*/false);
     }
-    if (any_change) {
-      index.compact_topo();
-      index.sigmap().flatten();
-    } else {
+    if (!any_change)
       break;
-    }
-    {
-      std::vector<SigBit> post;
-      post.reserve(merge_bits.size());
-      for (const SigBit& b : merge_bits)
-        post.push_back(index.sigmap()(b)); // post-apply representative
-      merge_bits.insert(post.begin(), post.end());
-    }
-    const double apply_secs = secs(t_apply);
 
     // Re-derive the muxtree forest only inside regions that edited anything:
     // tree edges never cross region boundaries, and an empty-journal region's
     // parent relation cannot have changed (its cells' output readers can only
     // gain/lose entries through its own connects/removals — a foreign mux
     // adjacent enough to matter would have merged regions at partition time).
-    auto t_forest = now();
-    for (size_t i = 0; i < work.size(); ++i) {
-      if (slots[i].journal.empty())
-        continue;
-      RegionState& r = *work[i];
-      r.roots.clear();
-      for (Cell* c : r.tree_cells)
-        if (!unique_mux_parent(index, c))
-          r.roots.push_back(c);
-      std::sort(r.roots.begin(), r.roots.end(), [&](Cell* a, Cell* b) {
-        return stable_order.at(a) < stable_order.at(b);
-      });
+    {
+      const obs::Span forest_span("sweep", "sweep.forest");
+      for (size_t i = 0; i < work.size(); ++i) {
+        if (slots[i].journal.empty())
+          continue;
+        RegionState& r = *work[i];
+        r.roots.clear();
+        for (Cell* c : r.tree_cells)
+          if (!unique_mux_parent(index, c))
+            r.roots.push_back(c);
+        std::sort(r.roots.begin(), r.roots.end(), [&](Cell* a, Cell* b) {
+          return stable_order.at(a) < stable_order.at(b);
+        });
+      }
     }
-    const double forest_secs = secs(t_forest);
 
     // Cross-region dirty propagation: a region whose closure reads one of
     // the merged nets must re-run, and — since the merge can extend its
@@ -378,7 +367,7 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
     // recomputed (parallel batch) and rechecked for new overlaps. Everything
     // else was already marked dirty by its own journal; shrink-only edits
     // cannot grow a closure, so their stale closure_bits stay conservative.
-    auto t_dirty = now();
+    const obs::Span dirty_span("sweep", "sweep.dirty");
     std::vector<size_t> flagged;
     for (size_t i = 0; i < regions.size(); ++i) {
       RegionState& r = regions[i];
@@ -464,12 +453,6 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
         if (r.alive && !r.tree_cells.empty())
           r.dirty = true;
     }
-    if (debug_timing)
-      std::fprintf(stderr,
-                   "sweep iter %zu: walks %zu, walk %.4fs, apply %.4fs, forest %.4fs, "
-                   "dirty %.4fs (flagged %zu), total %.4fs\n",
-                   iter, work.size(), walk_secs, apply_secs, forest_secs, secs(t_dirty),
-                   flagged.size(), secs(t_iter));
   }
 
   // Barrier-time totals: each is a pure function of the deterministic stats

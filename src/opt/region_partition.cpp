@@ -1,9 +1,8 @@
 #include "opt/region_partition.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace smartly::opt {
 
@@ -48,8 +47,8 @@ struct UnionFind {
 
 std::vector<Cell*> cells_within_radius(const NetlistIndex& index,
                                        const std::vector<SigBit>& seeds, int radius) {
-  std::unordered_map<Cell*, int> depth;
-  std::deque<Cell*> queue;
+  rtlil::IdSet seen; // cell ids
+  std::vector<Cell*> out;
   std::vector<Cell*> scratch;
   for (const SigBit& b : seeds) {
     if (!b.is_wire())
@@ -57,36 +56,11 @@ std::vector<Cell*> cells_within_radius(const NetlistIndex& index,
     scratch.clear();
     combinational_adjacent_cells(index, index.sigmap()(b), scratch);
     for (Cell* c : scratch)
-      if (depth.emplace(c, 1).second)
-        queue.push_back(c);
+      if (seen.insert(c->id()))
+        out.push_back(c);
   }
-  while (!queue.empty()) {
-    Cell* c = queue.front();
-    queue.pop_front();
-    const int d = depth[c];
-    if (d >= radius)
-      continue;
-    scratch.clear();
-    for (int pi = 0; pi < rtlil::kPortCount; ++pi) {
-      const Port p = static_cast<Port>(pi);
-      if (!c->has_port(p))
-        continue;
-      for (const SigBit& raw : c->port(p)) {
-        const SigBit bit = index.sigmap()(raw);
-        if (bit.is_wire())
-          combinational_adjacent_cells(index, bit, scratch);
-      }
-    }
-    for (Cell* n : scratch)
-      if (depth.emplace(n, d + 1).second)
-        queue.push_back(n);
-  }
-  std::vector<Cell*> out;
-  out.reserve(depth.size());
-  for (const auto& [cell, d] : depth) {
-    (void)d;
-    out.push_back(cell);
-  }
+  // The seeds' neighbours are distance 1.
+  rtlil::grow_combinational_ball(index, out, seen, radius - 1, scratch);
   return out;
 }
 
@@ -109,34 +83,34 @@ std::vector<Cell*> region_read_closure(const NetlistIndex& index,
       }
     }
   }
-  std::unordered_set<Cell*> closure;
   // Oracle balls: extraction seeds cells adjacent to ctrl/known (depth 0)
   // and expands to distance k, i.e. k+1 cell layers from the select bits.
-  for (Cell* c : cells_within_radius(index, select_bits, ball_radius + 1))
-    closure.insert(c);
+  std::vector<Cell*> closure = cells_within_radius(index, select_bits, ball_radius + 1);
+  rtlil::IdSet seen; // cell ids
+  for (const Cell* c : closure)
+    seen.insert(c->id());
   // Walker reads: parent/child checks touch the 1-neighbourhood of every
   // tree bit (and read the S ports of mux readers found there).
   for (Cell* c : cells_within_radius(index, all_bits, 1))
-    closure.insert(c);
-  return std::vector<Cell*>(closure.begin(), closure.end());
+    if (seen.insert(c->id()))
+      closure.push_back(c);
+  return closure;
 }
 
 RegionPartition partition_regions(const rtlil::Module& module, const NetlistIndex& index,
                                   const MuxtreeForest& forest, int ball_radius) {
-  (void)module;
   RegionPartition out;
   const size_t n_trees = forest.roots.size();
   out.trees = n_trees;
   if (n_trees == 0)
     return out;
 
-  // Tree membership: chase parent chains (acyclic: data edges of a DAG).
-  std::unordered_map<const Cell*, size_t> tree_of;
-  std::unordered_map<const Cell*, size_t> root_id;
-  for (size_t i = 0; i < n_trees; ++i) {
-    root_id.emplace(forest.roots[i], i);
-    tree_of.emplace(forest.roots[i], i);
-  }
+  // Tree membership by cell id: chase parent chains (acyclic: data edges of
+  // a DAG).
+  constexpr size_t kNoTree = SIZE_MAX;
+  std::vector<size_t> tree_of(module.cell_id_bound(), kNoTree);
+  for (size_t i = 0; i < n_trees; ++i)
+    tree_of[forest.roots[i]->id()] = i;
   std::vector<std::vector<Cell*>> tree_cells(n_trees);
   for (size_t i = 0; i < n_trees; ++i)
     tree_cells[i].push_back(forest.roots[i]);
@@ -145,13 +119,13 @@ RegionPartition partition_regions(const rtlil::Module& module, const NetlistInde
     (void)parent;
     Cell* c = cell;
     chain.clear();
-    while (!tree_of.count(c)) {
+    while (tree_of[c->id()] == kNoTree) {
       chain.push_back(c);
       c = forest.parent.at(c);
     }
-    const size_t t = tree_of.at(c);
+    const size_t t = tree_of[c->id()];
     for (Cell* link : chain) {
-      tree_of.emplace(link, t);
+      tree_of[link->id()] = t;
       tree_cells[t].push_back(link);
     }
   }
@@ -162,9 +136,9 @@ RegionPartition partition_regions(const rtlil::Module& module, const NetlistInde
   for (size_t t = 0; t < n_trees; ++t) {
     tree_closures[t] = region_read_closure(index, tree_cells[t], ball_radius);
     for (Cell* c : tree_closures[t]) {
-      auto it = tree_of.find(c);
-      if (it != tree_of.end() && it->second != t)
-        out.merged_edges += uf.unite(t, it->second) ? 1 : 0;
+      const size_t other = tree_of[c->id()];
+      if (other != kNoTree && other != t)
+        out.merged_edges += uf.unite(t, other) ? 1 : 0;
     }
   }
 
@@ -172,25 +146,25 @@ RegionPartition partition_regions(const rtlil::Module& module, const NetlistInde
   // (forest.roots is in module cell order), so grouping by representative and
   // sorting by min tree id yields a schedule-independent ordering.
   std::unordered_map<size_t, size_t> rep_to_region;
-  std::vector<std::unordered_set<Cell*>> closure_sets;
+  std::vector<rtlil::IdSet> closure_seen; // cell ids per region
   for (size_t t = 0; t < n_trees; ++t) {
     const size_t rep = uf.find(t);
     auto [it, inserted] = rep_to_region.try_emplace(rep, out.regions.size());
     if (inserted) {
       out.regions.emplace_back();
-      closure_sets.emplace_back();
+      out.closures.emplace_back();
+      closure_seen.emplace_back();
     }
     Region& region = out.regions[it->second];
     region.roots.push_back(forest.roots[t]);
     region.tree_cells.insert(region.tree_cells.end(), tree_cells[t].begin(),
                              tree_cells[t].end());
-    closure_sets[it->second].insert(tree_closures[t].begin(), tree_closures[t].end());
+    for (Cell* c : tree_closures[t])
+      if (closure_seen[it->second].insert(c->id()))
+        out.closures[it->second].push_back(c);
   }
   // rep_to_region assigns region ids in ascending first-tree order and trees
   // ascend by first-root module index, so regions are already canonical.
-  out.closures.reserve(closure_sets.size());
-  for (const auto& s : closure_sets)
-    out.closures.emplace_back(s.begin(), s.end());
   return out;
 }
 

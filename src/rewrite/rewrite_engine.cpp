@@ -236,12 +236,16 @@ bool better_candidate(const BitCandidate& a, const BitCandidate& b) {
 /// Predicted-dead fanin cone of `root` (the RTLIL MFFC): cells none of whose
 /// output bits reach an output port or a reader outside the dying set. The
 /// cone is bounded (depth/size) and stops at `keep_alive` (leaf and reuse
-/// drivers the replacement keeps reading) and `excluded` (cells an earlier
-/// plan already claimed or counted). Removal is left to opt_clean; this set
-/// only feeds the gain accounting, so a miss costs quality, not correctness.
+/// drivers the replacement keeps reading) and at the cells of the
+/// `claimed` and `counted` sets (roots an earlier plan already claimed, cells
+/// it already counted). The sets are read in place: they grow over a round,
+/// so copying them per root would make the round quadratic. Removal is left
+/// to opt_clean; this set only feeds the gain accounting, so a miss costs
+/// quality, not correctness.
 std::vector<Cell*> predicted_mffc(const rtlil::NetlistIndex& index, Cell* root,
                                   const std::unordered_set<Cell*>& keep_alive,
-                                  const std::unordered_set<Cell*>& excluded) {
+                                  const std::unordered_set<Cell*>& claimed,
+                                  const std::unordered_set<Cell*>& counted) {
   constexpr size_t kMaxCone = 64;
   constexpr int kMaxDepth = 6;
   std::vector<Cell*> cone;
@@ -258,7 +262,7 @@ std::vector<Cell*> predicted_mffc(const rtlil::NetlistIndex& index, Cell* root,
             continue;
           Cell* d = index.driver(b);
           if (!d || d->type() == CellType::Dff || seen.count(d) || keep_alive.count(d) ||
-              excluded.count(d))
+              claimed.count(d) || counted.count(d))
             continue;
           seen.insert(d);
           cone.push_back(d);
@@ -704,7 +708,7 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
           reserve.push_back(static_cast<uint32_t>(pos));
       };
       add_claim(work.cell);
-      for (Cell* c : predicted_mffc(index, work.cell, boundary, {}))
+      for (Cell* c : predicted_mffc(index, work.cell, boundary, {}, {}))
         add_claim(c);
       for (Cell* c : boundary)
         add_claim(c);
@@ -973,9 +977,8 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
             if (Cell* d = index.driver(bit))
               keep_alive.insert(d);
       }
-      std::unordered_set<Cell*> excluded(claimed);
-      excluded.insert(counted_dead.begin(), counted_dead.end());
-      const std::vector<Cell*> dead = predicted_mffc(index, root, keep_alive, excluded);
+      const std::vector<Cell*> dead =
+          predicted_mffc(index, root, keep_alive, claimed, counted_dead);
       const long gain = 1 + static_cast<long>(dead.size()) - static_cast<long>(new_cells);
       // Cell-neutral commits must still shrink the AIG (the paper's area
       // metric): the summed per-bit estimates gate out pure churn.

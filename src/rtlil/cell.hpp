@@ -70,11 +70,18 @@ struct CellParams {
 
 class Cell {
 public:
-  Cell(Module* module, std::string name, CellType type)
-      : module_(module), name_(std::move(name)), type_(type) {}
+  /// Id of a cell built outside Module::add_cell (a detached probe): past
+  /// every dense per-cell table, so index lookups treat it as unknown.
+  static constexpr uint32_t kDetachedId = UINT32_MAX;
+
+  Cell(Module* module, std::string name, CellType type, uint32_t id = kDetachedId)
+      : module_(module), name_(std::move(name)), type_(type), id_(id) {}
 
   Module* module() const noexcept { return module_; }
   const std::string& name() const noexcept { return name_; }
+  /// Dense module-wide id, assigned by Module::add_cell and never reused
+  /// within the module: the index of the cell's slot in per-cell tables.
+  uint32_t id() const noexcept { return id_; }
   CellType type() const noexcept { return type_; }
   void set_type(CellType t) noexcept { type_ = t; }
 
@@ -105,6 +112,7 @@ private:
   Module* module_;
   std::string name_;
   CellType type_;
+  uint32_t id_;
   CellParams params_;
   std::array<SigSpec, kPortCount> ports_;
   std::array<bool, kPortCount> connected_{};

@@ -13,7 +13,10 @@ Wire* Module::add_wire(const std::string& name, int width) {
     throw std::invalid_argument("wire width must be >= 0");
   if (wire_by_name_.count(name))
     throw std::invalid_argument(str_format("duplicate wire name: %s", name.c_str()));
-  wires_.push_back(std::make_unique<Wire>(this, name, width));
+  if (static_cast<uint64_t>(width) > UINT32_MAX - next_bit_id_)
+    throw std::length_error(str_format("wire %s: module bit ids exhausted", name.c_str()));
+  wires_.push_back(std::make_unique<Wire>(this, name, width, next_bit_id_));
+  next_bit_id_ += static_cast<uint32_t>(width);
   Wire* w = wires_.back().get();
   wire_by_name_.emplace(w->name(), w);
   return w;
@@ -59,7 +62,7 @@ Cell* Module::add_cell(CellType type, const std::string& name) {
   std::string cname = name.empty() ? unique_name(cell_type_name(type)) : name;
   if (cell_by_name_.count(cname))
     throw std::invalid_argument(str_format("duplicate cell name: %s", cname.c_str()));
-  cells_.push_back(std::make_unique<Cell>(this, cname, type));
+  cells_.push_back(std::make_unique<Cell>(this, cname, type, next_cell_id_++));
   Cell* c = cells_.back().get();
   cell_by_name_.emplace(c->name(), c);
   return c;

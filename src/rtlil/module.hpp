@@ -17,12 +17,15 @@ class Design;
 /// A named bundle of bits. Ports are wires flagged input/output.
 class Wire {
 public:
-  Wire(Module* module, std::string name, int width)
-      : module_(module), name_(std::move(name)), width_(width) {}
+  Wire(Module* module, std::string name, int width, uint32_t bit_base)
+      : module_(module), name_(std::move(name)), width_(width), bit_base_(bit_base) {}
 
   Module* module() const noexcept { return module_; }
   const std::string& name() const noexcept { return name_; }
   int width() const noexcept { return width_; }
+  /// Module-wide id of bit 0; bit i has id bit_base() + i (see bit_id).
+  /// Assigned by Module::add_wire and never reused within the module.
+  uint32_t bit_base() const noexcept { return bit_base_; }
 
   bool port_input = false;
   bool port_output = false;
@@ -33,7 +36,14 @@ private:
   Module* module_;
   std::string name_;
   int width_;
+  uint32_t bit_base_;
 };
+
+/// Dense module-wide id of a wire bit: the index of its slot in per-bit
+/// tables (SigMap, NetlistIndex). Unique within the bit's module only.
+inline size_t bit_id(const SigBit& bit) {
+  return static_cast<size_t>(bit.wire->bit_base()) + static_cast<size_t>(bit.offset);
+}
 
 /// One hardware module: wires + cells + alias connections.
 class Module {
@@ -67,6 +77,13 @@ public:
   Cell* cell(const std::string& name) const;
   const std::vector<std::unique_ptr<Cell>>& cells() const noexcept { return cells_; }
   size_t cell_count() const noexcept { return cells_.size(); }
+
+  /// One past the largest bit id / Cell::id() handed out so far, removed
+  /// wires and cells included: the size of a dense table that covers every
+  /// current wire bit / cell.
+  size_t bit_id_bound() const noexcept { return next_bit_id_; }
+  size_t cell_id_bound() const noexcept { return next_cell_id_; }
+
   void remove_cell(Cell* cell);
   void remove_cells(const std::vector<Cell*>& dead);
 
@@ -143,6 +160,8 @@ private:
   std::vector<std::pair<SigSpec, SigSpec>> connections_;
   std::vector<Wire*> ports_;
   uint64_t name_counter_ = 0;
+  uint32_t next_bit_id_ = 0;
+  uint32_t next_cell_id_ = 0;
 };
 
 /// A set of modules (we only ever optimize one at a time, but the container

@@ -5,6 +5,13 @@
 // union-find over SigBits that returns a canonical representative
 // (constants win over wires so `sigmap(x)` of a tied-off bit is the constant).
 //
+// Layout: parents live in a flat table indexed by the module's dense bit ids
+// (rtlil::bit_id), grown only up to the largest id add() has linked, plus
+// one slot per constant State. A bit with no slot — never aliased, created
+// after the last add(), or a bit of another module — is its own
+// representative. A default-constructed map adopts the module of the first
+// wire bit add() sees.
+//
 // Concurrency contract: after flatten(), every stored parent points directly
 // at its class representative, so find() takes the write-free fast path and
 // the map may be read from many threads at once. add() (and the compressing
@@ -16,14 +23,15 @@
 
 #include "rtlil/module.hpp"
 
-#include <unordered_map>
+#include <array>
+#include <stdexcept>
 
 namespace smartly::rtlil {
 
 class SigMap {
 public:
   SigMap() = default;
-  explicit SigMap(const Module& module) {
+  explicit SigMap(const Module& module) : module_(&module) {
     for (const auto& [lhs, rhs] : module.connections())
       add(lhs, rhs);
   }
@@ -36,6 +44,8 @@ public:
   }
 
   void add(SigBit a, SigBit b) {
+    adopt(a);
+    adopt(b);
     a = find(a);
     b = find(b);
     if (a == b)
@@ -43,9 +53,9 @@ public:
     // Prefer a constant representative; otherwise keep `b` (the rhs/driver
     // side) canonical so chains collapse toward drivers.
     if (a.is_const())
-      parent_[b] = a;
+      link(b, a);
     else
-      parent_[a] = b;
+      link(a, b);
   }
 
   SigBit operator()(SigBit bit) const { return find(bit); }
@@ -59,45 +69,97 @@ public:
 
   /// Point every stored parent directly at its representative. Afterwards
   /// find() never writes, making concurrent lookups race-free until the next
-  /// add(). Values are only overwritten in place (no insertion), so the loop
-  /// cannot invalidate its own iterator.
+  /// add().
   void flatten() const {
-    for (auto& [bit, par] : parent_) {
-      (void)bit;
+    const auto flatten_slot = [this](SigBit& par) {
+      if (!linked(par))
+        return;
       SigBit root = par;
-      for (auto it = parent_.find(root); it != parent_.end(); it = parent_.find(root))
-        root = it->second;
+      while (const SigBit* next = parent_slot(root))
+        root = *next;
       par = root;
-    }
+    };
+    for (SigBit& par : parent_)
+      flatten_slot(par);
+    for (SigBit& par : const_parent_)
+      flatten_slot(par);
   }
 
 private:
+  /// Stored parents are never the "unlinked" marker: constants are stored
+  /// with offset 0, so a constant with offset -1 cannot occur.
+  static SigBit unlinked() {
+    SigBit b;
+    b.offset = -1;
+    return b;
+  }
+  static bool linked(const SigBit& par) { return par.wire != nullptr || par.offset >= 0; }
+
+  /// The bit's stored parent, or nullptr when it is its own representative.
+  SigBit* parent_slot(const SigBit& bit) const {
+    SigBit* par;
+    if (bit.is_const()) {
+      par = &const_parent_[static_cast<size_t>(bit.data)];
+    } else {
+      if (bit.wire->module() != module_)
+        return nullptr;
+      const size_t id = bit_id(bit);
+      if (id >= parent_.size())
+        return nullptr;
+      par = &parent_[id];
+    }
+    return linked(*par) ? par : nullptr;
+  }
+
+  void adopt(const SigBit& bit) {
+    if (!bit.is_wire())
+      return;
+    if (module_ == nullptr)
+      module_ = bit.wire->module();
+    else if (bit.wire->module() != module_)
+      throw std::invalid_argument("SigMap::add: bit of another module");
+  }
+
+  void link(const SigBit& child, const SigBit& parent) {
+    const SigBit par = parent.is_const() ? SigBit(parent.data) : parent;
+    if (child.is_const()) {
+      const_parent_[static_cast<size_t>(child.data)] = par;
+      return;
+    }
+    const size_t id = bit_id(child);
+    if (id >= parent_.size())
+      parent_.resize(id + 1, unlinked());
+    parent_[id] = par;
+  }
+
   SigBit find(SigBit bit) const {
-    auto it = parent_.find(bit);
-    if (it == parent_.end())
+    const SigBit* par = parent_slot(bit);
+    if (par == nullptr)
       return bit;
-    SigBit root = it->second;
-    auto next = parent_.find(root);
-    if (next == parent_.end())
+    SigBit root = *par;
+    const SigBit* next = parent_slot(root);
+    if (next == nullptr)
       return root; // already flat: no write (concurrent-read fast path)
     do {
-      root = next->second;
-      next = parent_.find(root);
-    } while (next != parent_.end());
+      root = *next;
+      next = parent_slot(root);
+    } while (next != nullptr);
     // Compress the chain. Only reached when add() created a multi-hop chain
     // since the last flatten(), i.e. in single-threaded phases.
     SigBit cur = bit;
     while (true) {
-      auto link = parent_.find(cur);
-      if (link->second == root)
+      SigBit* slot = parent_slot(cur);
+      if (*slot == root)
         break;
-      cur = link->second;
-      link->second = root;
+      cur = *slot;
+      *slot = root;
     }
     return root;
   }
 
-  mutable std::unordered_map<SigBit, SigBit> parent_;
+  const Module* module_ = nullptr;
+  mutable std::vector<SigBit> parent_; ///< by bit id; unlinked() = representative
+  mutable std::array<SigBit, 4> const_parent_{unlinked(), unlinked(), unlinked(), unlinked()};
 };
 
 } // namespace smartly::rtlil

@@ -1,10 +1,10 @@
 // Netlist indices: driver map, fanout counts, topological cell order.
 #pragma once
 
+#include "rtlil/id_set.hpp"
 #include "rtlil/module.hpp"
 #include "rtlil/sigmap.hpp"
 
-#include <unordered_map>
 #include <vector>
 
 namespace smartly::rtlil {
@@ -20,6 +20,14 @@ class NetlistIndex;
 /// holds only while both sides use this exact definition.
 void combinational_adjacent_cells(const NetlistIndex& index, const SigBit& bit,
                                   std::vector<Cell*>& out);
+
+/// Grow `ball` by `layers` breadth-first steps of combinational_adjacent_cells
+/// over every port bit of its cells, appending newly reached cells in
+/// discovery order. `seen` holds the ids of the cells already in `ball`;
+/// `scratch` is a caller-owned buffer. Shared by extraction and partitioning
+/// for the same reason as the adjacency relation itself.
+void grow_combinational_ball(const NetlistIndex& index, std::vector<Cell*>& ball, IdSet& seen,
+                             int layers, std::vector<Cell*>& scratch);
 
 /// True when an incrementally maintained index still equals a from-scratch
 /// rebuild of `module`: per-bit driver / reader multiset / fanout /
@@ -37,9 +45,20 @@ bool index_consistent(const Module& module, const NetlistIndex& index);
 /// muxtree sweep engines apply their journals through it so the index is
 /// never rebuilt from scratch between iterations.
 ///
+/// Layout: flat tables indexed by the module's dense ids (rtlil::bit_id,
+/// Cell::id()) — per bit a driver pointer, a 4-byte slot into a pool of
+/// per-net reader lists, and an output-port flag; per cell its topo position
+/// and the read bits to retract. Queries about a bit or cell the tables do
+/// not cover (another module's, or one created after the build and not yet
+/// registered through add_cell/add_alias) answer as for an unindexed net:
+/// nullptr / empty / 0 / false / -1. Constants are never driven or read;
+/// they carry an output-port flag only when a port bit's class became
+/// constant.
+///
 /// Concurrency: all query methods are const and, provided `sigmap().flatten()`
 /// has run since the last mutation, safe to call from many threads at once.
-/// The maintenance methods are single-threaded (barrier-phase only).
+/// The maintenance methods are single-threaded (barrier-phase only), and
+/// invalidate references returned by readers().
 class NetlistIndex {
 public:
   explicit NetlistIndex(const Module& module);
@@ -71,8 +90,8 @@ public:
   /// Positions are stable (never renumbered) across incremental updates, so
   /// only their relative order is meaningful after a removal.
   int topo_position(const Cell* cell) const {
-    auto it = topo_pos_.find(cell);
-    return it == topo_pos_.end() ? -1 : it->second;
+    const size_t id = cell->id();
+    return cell->module() == module_ && id < topo_pos_.size() ? topo_pos_[id] : -1;
   }
 
   /// One past the largest stored topo position. Directly after a rebuild or
@@ -127,22 +146,51 @@ public:
   void compact_topo();
 
 private:
+  static constexpr size_t kNoSlot = SIZE_MAX;
+  /// Table slot of a canonical wire bit of this module, or kNoSlot when the
+  /// per-bit tables do not cover it.
+  size_t bit_slot(const SigBit& bit) const {
+    if (!bit.is_wire() || bit.wire->module() != module_)
+      return kNoSlot;
+    const size_t id = bit_id(bit);
+    return id < driver_.size() ? id : kNoSlot;
+  }
+  /// bit_slot for a bit about to be written: grows the per-bit tables to
+  /// cover every current wire of the module.
+  size_t grow_bit_slot(const SigBit& bit);
+  size_t grow_cell_slot(const Cell* cell);
+  const std::vector<Cell*>& readers_of(const SigBit& canonical) const;
+  bool output_port_of(const SigBit& canonical) const;
+  void set_output_port(const SigBit& canonical, bool on);
+  /// Pool slot of a fresh, empty reader list.
+  uint32_t new_reader_list();
   void index_cell_reads(Cell* cell);
   void erase_cell_reads(Cell* cell);
 
+  const Module* module_;
   SigMap sigmap_;
-  std::unordered_map<SigBit, Cell*> driver_;
-  std::unordered_map<SigBit, std::vector<Cell*>> readers_;
-  std::unordered_map<SigBit, bool> output_port_bits_;
+  // Per bit id.
+  std::vector<Cell*> driver_;
+  std::vector<uint32_t> reader_slot_; ///< into reader_lists_; 0 = no readers
+  std::vector<uint8_t> output_port_;
+  /// Reader lists of the read nets. Slot 0 stays empty (the answer for
+  /// every unread net); freed slots are recycled through free_lists_.
+  std::vector<std::vector<Cell*>> reader_lists_;
+  std::vector<uint32_t> free_lists_;
+  uint8_t const_output_port_ = 0; ///< bit per State: a port class became that constant
+  // Per cell id.
   /// Canonical-at-insertion read bits per cell, one entry per (port, bit
   /// position) — the exact multiset of reader entries to retract when the
   /// cell mutates or disappears. Keys are re-canonicalized at erase time so
   /// alias merges in between are harmless.
-  std::unordered_map<const Cell*, std::vector<SigBit>> cell_reads_;
+  std::vector<std::vector<SigBit>> cell_reads_;
+  std::vector<int> topo_pos_; ///< -1 = not in the order
   std::vector<Cell*> topo_;
-  std::unordered_map<const Cell*, int> topo_pos_;
+  /// Cell::id() of each topo_ entry: compact_topo filters removed cells
+  /// without touching them (they may already be destroyed).
+  std::vector<uint32_t> topo_ids_;
+  size_t topo_live_ = 0;        ///< cells with a position
   bool topo_needs_sort_ = false; ///< an add_cell broke topo_'s position order
-  std::vector<Cell*> empty_;
 };
 
 } // namespace smartly::rtlil

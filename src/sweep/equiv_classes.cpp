@@ -75,9 +75,9 @@ void EquivClasses::bind(const rtlil::Module& module, const rtlil::NetlistIndex& 
   }
 }
 
-uint64_t EquivClasses::fill_bit(const SigBit& bit, size_t pattern_index) const {
+uint64_t EquivClasses::fill_bit(uint64_t bit_hash, size_t pattern_index) const {
   return hash_mix(hash_combine(options_.seed ^ 0xf111f111f111f111ULL,
-                               hash_combine(stable_bit_hash(bit), pattern_index))) &
+                               hash_combine(bit_hash, pattern_index))) &
          1;
 }
 
@@ -91,10 +91,11 @@ std::vector<EquivClass> EquivClasses::compute(util::ThreadPool* pool) {
   // changes once its 64 lanes are filled. Both are cached per bit across
   // rounds (the cache is keyed by module bit, so it survives re-blasts);
   // only the final partial cex batch is re-rendered, since its padded lanes
-  // fill in as the pool grows.
-  const auto render_batch = [&](const SigBit& bit, size_t w) {
+  // fill in as the pool grows. `bit_hash` is stable_bit_hash(bit), hashed
+  // once per input bit per call.
+  const auto render_batch = [&](const SigBit& bit, uint64_t bit_hash, size_t w) {
     if (w < options_.sim_words) {
-      Rng rng(hash_combine(hash_combine(options_.seed, stable_bit_hash(bit)), w));
+      Rng rng(hash_combine(hash_combine(options_.seed, bit_hash), w));
       return rng.next();
     }
     uint64_t word = 0;
@@ -103,9 +104,9 @@ std::vector<EquivClass> EquivClasses::compute(util::ThreadPool* pool) {
       uint64_t v;
       if (idx < cex_.size()) {
         auto it = cex_[idx].find(bit);
-        v = it != cex_[idx].end() ? (it->second ? 1 : 0) : fill_bit(bit, idx);
+        v = it != cex_[idx].end() ? (it->second ? 1 : 0) : fill_bit(bit_hash, idx);
       } else {
-        v = fill_bit(bit, idx); // pad lanes beyond the pool deterministically
+        v = fill_bit(bit_hash, idx); // pad lanes beyond the pool deterministically
       }
       word |= v << lane;
     }
@@ -120,11 +121,12 @@ std::vector<EquivClass> EquivClasses::compute(util::ThreadPool* pool) {
     const SigBit& bit = input_bits_[i];
     if (!bit.is_wire())
       continue; // unmapped input (defensive): patterns stay 0
+    const uint64_t bit_hash = stable_bit_hash(bit);
     std::vector<uint64_t>& cached = word_cache_[bit];
     while (cached.size() < cacheable)
-      cached.push_back(render_batch(bit, cached.size()));
+      cached.push_back(render_batch(bit, bit_hash, cached.size()));
     for (size_t w = 0; w < n_batches; ++w)
-      batch_inputs[w][i] = w < cacheable ? cached[w] : render_batch(bit, w);
+      batch_inputs[w][i] = w < cacheable ? cached[w] : render_batch(bit, bit_hash, w);
   }
 
   const sim::SignatureTable table = sim::simulate_signatures(blast_.aig, batch_inputs, pool);

@@ -103,7 +103,8 @@ public:
   size_t candidate_bits() const noexcept { return candidate_bits_; }
 
 private:
-  uint64_t fill_bit(const rtlil::SigBit& bit, size_t pattern_index) const;
+  /// Pad-lane value of an input bit, given its stable_bit_hash.
+  uint64_t fill_bit(uint64_t bit_hash, size_t pattern_index) const;
 
   EquivClassOptions options_;
   const rtlil::Module* module_ = nullptr;

@@ -86,6 +86,56 @@ TEST(SigMapTest, ConstantsWinAsRepresentatives) {
   EXPECT_EQ(sm(SigBit(a, 0)).data, State::S1);
 }
 
+TEST(SigMapTest, DefaultConstructedIsIdentityUntilFirstAdd) {
+  Design d;
+  Module* m = d.add_module("top");
+  Wire* a = m->add_wire("a", 1);
+  Wire* b = m->add_wire("b", 1);
+  SigMap sm;
+  EXPECT_EQ(sm(SigBit(a, 0)), SigBit(a, 0));
+  EXPECT_EQ(sm(SigBit(State::S1)), SigBit(State::S1));
+  sm.add(SigBit(b, 0), SigBit(a, 0)); // adopts the module of its bits
+  EXPECT_EQ(sm(SigBit(b, 0)), SigBit(a, 0));
+  Design other;
+  Wire* x = other.add_module("other")->add_wire("x", 1);
+  EXPECT_THROW(sm.add(SigBit(x, 0), SigBit(a, 0)), std::invalid_argument);
+}
+
+TEST(SigMapTest, ForeignAndLateBitsAreTheirOwnRepresentatives) {
+  Design d;
+  Module* m = d.add_module("top");
+  Wire* a = m->add_wire("a", 1);
+  Wire* b = m->add_wire("b", 1);
+  m->connect(SigSpec(b), SigSpec(a));
+  // Another module's bit with b's id: ids are per module, so it must not
+  // pick up b's alias.
+  Module* m2 = d.add_module("other");
+  m2->add_wire("p", 1);
+  Wire* q = m2->add_wire("q", 1);
+  ASSERT_EQ(q->bit_base(), b->bit_base());
+  const SigMap sm(*m);
+  EXPECT_EQ(sm(SigBit(b, 0)), SigBit(a, 0));
+  EXPECT_EQ(sm(SigBit(q, 0)), SigBit(q, 0));
+  Wire* late = m->add_wire("late", 1); // past the parent table
+  EXPECT_EQ(sm(SigBit(late, 0)), SigBit(late, 0));
+}
+
+TEST(SigMapTest, ConstantKeysChainLikeWireKeys) {
+  // A class tied to two constants merges them; the lhs constant wins, and
+  // every later lookup of the other constant follows it.
+  Design d;
+  Module* m = d.add_module("top");
+  Wire* a = m->add_wire("a", 1);
+  m->connect(SigSpec(a), SigSpec(State::S0));
+  m->connect(SigSpec(a), SigSpec(State::S1));
+  SigMap sm(*m);
+  EXPECT_EQ(sm(SigBit(a, 0)), SigBit(State::S0));
+  EXPECT_EQ(sm(SigBit(State::S1)), SigBit(State::S0));
+  sm.flatten();
+  EXPECT_EQ(sm(SigBit(State::S1)), SigBit(State::S0));
+  EXPECT_EQ(sm(SigBit(State::Sx)), SigBit(State::Sx));
+}
+
 TEST(NetlistIndexTest, DriversReadersAndTopo) {
   Design d;
   Module* m = d.add_module("top");
@@ -140,6 +190,174 @@ TEST(NetlistIndexTest, CombinationalCycleThrows) {
   c2->set_port(Port::Y, SigSpec(a));
   c2->infer_widths();
   EXPECT_THROW(NetlistIndex idx(*m), std::logic_error);
+}
+
+TEST(NetlistIndexTest, ForeignBitsAndCellsAreUnknown) {
+  // Both modules number bits and cells from 0, so every foreign query below
+  // hits an id the index does hold for its own module.
+  Design d;
+  Module* m = d.add_module("top");
+  Wire* a = m->add_wire("a", 1);
+  m->set_port_input(a);
+  Wire* y = m->add_wire("y", 1);
+  m->set_port_output(y);
+  m->connect(SigSpec(y), m->Not(SigSpec(a)));
+  Module* m2 = d.add_module("other");
+  Wire* a2 = m2->add_wire("a2", 1);
+  Wire* y2 = m2->add_wire("y2", 1);
+  m2->set_port_output(y2);
+  const SigSpec n2 = m2->Not(SigSpec(a2));
+  m2->connect(SigSpec(y2), n2);
+
+  const NetlistIndex idx(*m);
+  ASSERT_NE(idx.driver(SigBit(y, 0)), nullptr);
+  for (const auto& w : m2->wires()) {
+    const SigBit bit(w.get(), 0);
+    EXPECT_EQ(idx.driver(bit), nullptr) << w->name();
+    EXPECT_TRUE(idx.readers(bit).empty()) << w->name();
+    EXPECT_EQ(idx.fanout(bit), 0) << w->name();
+    EXPECT_FALSE(idx.drives_output_port(bit)) << w->name();
+  }
+  EXPECT_EQ(idx.topo_position(m2->cells().front().get()), -1);
+}
+
+TEST(NetlistIndexTest, LateWiresAndCellsAppearOnceRegistered) {
+  Design d;
+  Module* m = d.add_module("top");
+  Wire* a = m->add_wire("a", 1);
+  m->set_port_input(a);
+  const SigSpec n1 = m->Not(SigSpec(a));
+  NetlistIndex idx(*m);
+  const int first_pos = idx.topo_position(idx.driver(n1[0]));
+  ASSERT_EQ(first_pos, 0);
+
+  // Created after the build: unknown to the index until registered.
+  Wire* w = m->add_wire("w", 1);
+  Cell* late = m->add_cell(CellType::Not);
+  late->set_port(Port::A, n1);
+  late->set_port(Port::Y, SigSpec(w));
+  late->infer_widths();
+  EXPECT_EQ(idx.driver(SigBit(w, 0)), nullptr);
+  EXPECT_EQ(idx.topo_position(late), -1);
+  EXPECT_TRUE(idx.readers(n1[0]).empty());
+  idx.add_cell(late, first_pos + 1);
+  EXPECT_EQ(idx.driver(SigBit(w, 0)), late);
+  EXPECT_EQ(idx.topo_position(late), first_pos + 1);
+  ASSERT_EQ(idx.readers(n1[0]).size(), 1u);
+  EXPECT_EQ(idx.readers(n1[0])[0], late);
+
+  // A late output-port wire aliased onto the late net.
+  Wire* y = m->add_wire("y", 1);
+  m->set_port_output(y);
+  EXPECT_EQ(idx.driver(SigBit(y, 0)), nullptr);
+  m->connect(SigSpec(y), SigSpec(w));
+  idx.add_alias(SigSpec(y), SigSpec(w));
+  EXPECT_EQ(idx.driver(SigBit(y, 0)), late);
+  idx.compact_topo();
+  ASSERT_EQ(idx.topo_order().size(), 2u);
+  EXPECT_EQ(idx.topo_order()[1], late);
+  // The port flag of a wire marked after the build is the one thing a
+  // rebuild sees that the maintenance API never registered.
+  EXPECT_FALSE(idx.drives_output_port(SigBit(y, 0)));
+  EXPECT_TRUE(NetlistIndex(*m).drives_output_port(SigBit(y, 0)));
+}
+
+TEST(NetlistIndexTest, OutputPortFlagMovesOntoConstantRepresentative) {
+  Design d;
+  Module* m = d.add_module("top");
+  Wire* y = m->add_wire("y", 1);
+  m->set_port_output(y);
+  Wire* t = m->add_wire("t", 1);
+  m->connect(SigSpec(y), SigSpec(t));
+  NetlistIndex idx(*m);
+  EXPECT_TRUE(idx.drives_output_port(SigBit(t, 0)));
+  EXPECT_FALSE(idx.drives_output_port(SigBit(State::S0)));
+
+  m->connect(SigSpec(t), SigSpec(State::S0));
+  idx.add_alias(SigSpec(t), SigSpec(State::S0));
+  EXPECT_EQ(idx.sigmap()(SigBit(y, 0)), SigBit(State::S0));
+  EXPECT_TRUE(idx.drives_output_port(SigBit(State::S0)));
+  EXPECT_TRUE(idx.drives_output_port(SigBit(y, 0)));
+  EXPECT_FALSE(idx.drives_output_port(SigBit(State::S1)));
+  EXPECT_EQ(idx.fanout(SigBit(State::S0)), 1);
+  EXPECT_TRUE(NetlistIndex(*m).drives_output_port(SigBit(State::S0)));
+  EXPECT_TRUE(index_consistent(*m, idx));
+}
+
+TEST(NetlistIndexTest, IdsStayUniqueAfterRemoveCells) {
+  Design d;
+  Module* m = d.add_module("top");
+  Wire* a = m->add_wire("a", 4);
+  Cell* c0 = m->add_cell(CellType::Not);
+  Cell* c1 = m->add_cell(CellType::Not);
+  Cell* c2 = m->add_cell(CellType::Not);
+  EXPECT_EQ(c0->id(), 0u);
+  EXPECT_EQ(c2->id(), 2u);
+  const uint32_t removed = c1->id();
+  m->remove_cells({c1});
+  Cell* c3 = m->add_cell(CellType::Not);
+  EXPECT_NE(c3->id(), removed);
+  EXPECT_EQ(c3->id(), 3u);
+  EXPECT_EQ(m->cell_id_bound(), 4u);
+
+  Wire* b = m->add_wire("b", 2);
+  EXPECT_EQ(a->bit_base(), 0u);
+  EXPECT_EQ(b->bit_base(), 4u);
+  m->remove_wire(b);
+  Wire* c = m->add_wire("c", 1);
+  EXPECT_EQ(c->bit_base(), 6u);
+  EXPECT_EQ(m->bit_id_bound(), 7u);
+}
+
+TEST(NetlistIndexTest, ConsistentAfterRemoveAliasAddCompact) {
+  // y = ~~a, z = ~a: drop the outer inverter, alias its output onto a, then
+  // insert two inverters in its freed position. The removed cell is destroyed
+  // before compact_topo, and a new cell may reuse its memory: the index must
+  // drop it by id, never by address.
+  Design d;
+  Module* m = d.add_module("top");
+  Wire* a = m->add_wire("a", 1);
+  m->set_port_input(a);
+  const SigSpec n1 = m->Not(SigSpec(a));
+  const SigSpec n2 = m->Not(n1);
+  Wire* y = m->add_wire("y", 1);
+  m->set_port_output(y);
+  m->connect(SigSpec(y), n2);
+  Wire* z = m->add_wire("z", 1);
+  m->set_port_output(z);
+  m->connect(SigSpec(z), n1);
+  NetlistIndex idx(*m);
+  Cell* inv1 = idx.driver(n1[0]);
+  Cell* inv2 = idx.driver(n2[0]);
+  const int pos1 = idx.topo_position(inv1);
+  const int pos2 = idx.topo_position(inv2);
+
+  idx.remove_cell(inv2);
+  m->remove_cells({inv2});
+  m->connect(n2, SigSpec(a));
+  idx.add_alias(n2, SigSpec(a));
+  EXPECT_TRUE(idx.drives_output_port(SigBit(a, 0)));
+
+  Wire* w = m->add_wire("w", 1);
+  Cell* late = m->add_cell(CellType::Not);
+  late->set_port(Port::A, n1);
+  late->set_port(Port::Y, SigSpec(w));
+  late->infer_widths();
+  idx.add_cell(late, pos2);
+  Wire* v = m->add_wire("v", 1);
+  Cell* late2 = m->add_cell(CellType::Not);
+  late2->set_port(Port::A, SigSpec(w));
+  late2->set_port(Port::Y, SigSpec(v));
+  late2->infer_widths();
+  idx.add_cell(late2, pos2);
+  idx.compact_topo();
+
+  EXPECT_TRUE(index_consistent(*m, idx));
+  ASSERT_EQ(idx.topo_order().size(), 3u);
+  EXPECT_LT(pos1, pos2);
+  EXPECT_EQ(idx.topo_order()[0], inv1);
+  EXPECT_EQ(idx.topo_order()[1], late);
+  EXPECT_EQ(idx.topo_order()[2], late2);
 }
 
 TEST(CloneDesign, DeepCopyIsIndependentAndIdentical) {
