@@ -150,9 +150,10 @@ std::string json_row(const Row& r) {
 //
 // The classic suite above answers "does rewriting shrink real circuits"; at
 // its sizes the per-round fixed costs dominate and thread-scaling curves are
-// flat. This mode answers "does the barrier-free reservation pipeline scale":
-// it generates the scale_random / scale_industrial families (benchgen/scale)
-// at a target AIG-node budget, runs the rewrite engine alone (no frontend, no
+// flat. This mode answers "does the engine scale with threads" (parallel
+// root evaluation, serial canonical commit loop): it generates the
+// scale_random / scale_industrial families (benchgen/scale) at a target
+// AIG-node budget, runs the rewrite engine alone (no frontend, no
 // fraig, no CEC — a SAT sweep at this size would dwarf the engine under test)
 // once per thread count, and emits the BENCH_rewrite_scaling.json schema with
 // a per-row "scaling" curve shaped like bench_pass's. Byte-identity across

@@ -622,10 +622,10 @@ int main(int argc, char** argv) {
     util::RecoveryStats recovery = std::move(st.recovery);
     recovery += tool_rctx.stats;
 
+    const size_t optimized = aig::aig_area(top);
     std::printf("module %s: AIG area %zu -> %zu (%.2f%% reduction)\n", top.name().c_str(),
-                original, aig::aig_area(top),
-                original ? 100.0 * (double(original) - double(aig::aig_area(top))) /
-                               double(original)
+                original, optimized,
+                original ? 100.0 * (double(original) - double(optimized)) / double(original)
                          : 0.0);
 
     if (stats && flow == "smartly") {

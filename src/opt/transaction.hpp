@@ -25,14 +25,14 @@
 // failures: they are PR 6's sound degradation, the stage's partial output
 // is kept, and no rollback happens.
 //
-// Quiescence contract with the barrier-free rewrite pipeline: although
-// rewrite workers evaluate roots without a round barrier, every module
-// mutation goes through the commit sequencer's journal, which is applied
-// only at round boundaries after the worker pool has joined — including on
-// faulted rounds, where the journal holds the canonical prefix that
-// committed before the poison point. A StageTransaction snapshot (entry or
-// paranoid CEC) therefore always observes a quiescent netlist: fully
-// pre-round or fully post-round, never a half-applied one.
+// Quiescence contract with the rewrite engine: its workers only evaluate
+// and never touch the module; every module mutation happens in the serial
+// commit loop after the evaluation batch has joined, and the round's
+// journal is applied to the index before the round returns — including on
+// faulted rounds, where it holds the canonical prefix that committed before
+// the fault. A StageTransaction snapshot (entry or paranoid CEC) therefore
+// always observes a quiescent netlist: fully pre-round or fully post-round,
+// never a half-applied one.
 #pragma once
 
 #include "rtlil/module.hpp"

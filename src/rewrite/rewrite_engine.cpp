@@ -6,7 +6,6 @@
 #include "opt/muxtree_walker.hpp" // SweepJournal + apply_sweep_journal
 #include "rewrite/cut_enum.hpp"
 #include "rewrite/npn.hpp"
-#include "rewrite/reservation.hpp"
 #include "rewrite/rewrite_lib.hpp"
 #include "rtlil/topo.hpp"
 #include "sim/packed_sim.hpp"
@@ -14,13 +13,9 @@
 #include "util/fault.hpp"
 #include "util/thread_pool.hpp"
 
-#include <algorithm>
 #include <array>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -106,8 +101,9 @@ aig::Lit probe_mux(const aig::Aig& g, aig::Lit s, aig::Lit t, aig::Lit e) {
 // --- per-round evaluation structures ---------------------------------------
 
 /// Best module bit for one (AIG node, polarity): a bit whose value equals
-/// the literal. Rank = (wire creation order, offset), so the choice is a
-/// pure function of the module, never of hash-map iteration order.
+/// the literal. Rank = rtlil::bit_id (wire creation order, then offset), so
+/// the choice is a pure function of the module, never of hash-map iteration
+/// order.
 struct Anchor {
   SigBit bit;
   uint64_t rank = 0;
@@ -380,9 +376,6 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
   const NpnTable& npn = NpnTable::instance();
   const RewriteLibrary& library = RewriteLibrary::instance();
   std::unordered_set<uint16_t> classes_seen;
-  // Per-cell reservation claims, persistent across rounds: begin_round bumps
-  // the epoch, which logically frees every claim of the previous round.
-  ClaimTable claims;
 
   util::ResourceGuard* guard = options.guard;
   if (guard != nullptr)
@@ -438,23 +431,15 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
     for (size_t i = 0; i < blast.aig.num_outputs(); ++i)
       ++nfan[aig::lit_node(blast.aig.output(static_cast<int>(i)))];
 
-    // Wire creation order: the deterministic tie-break rank behind anchor
-    // selection and group keys (bit hashes are pointer-based and would leak
-    // allocator layout into the result).
-    std::unordered_map<const rtlil::Wire*, uint64_t> wire_order;
-    wire_order.reserve(module.wires().size());
-    for (const auto& w : module.wires())
-      wire_order.emplace(w.get(), wire_order.size());
-    const auto bit_rank = [&](const SigBit& b) {
-      return (wire_order.at(b.wire) << 16) | static_cast<uint64_t>(b.offset & 0xffff);
-    };
-
-    // Anchors: AIG node + polarity -> best module bit.
+    // Anchors: AIG node + polarity -> best module bit. The dense bit id is
+    // the deterministic tie-break rank here and in the group keys below (bit
+    // hashes are pointer-based and would leak allocator layout into the
+    // result).
     std::vector<std::array<Anchor, 2>> anchors(blast.aig.num_nodes());
     for (const auto& entry : blast.bits) {
       Anchor& slot = anchors[aig::lit_node(entry.second)]
                             [aig::lit_compl(entry.second) ? 1 : 0];
-      const uint64_t rank = bit_rank(entry.first);
+      const uint64_t rank = rtlil::bit_id(entry.first);
       if (!slot.valid || rank < slot.rank)
         slot = {entry.first, rank, true};
     }
@@ -499,64 +484,41 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
     }
     stats.roots_evaluated += roots.size();
 
-    // --- barrier-free pipelined evaluation + commit -------------------------
+    // --- parallel evaluation, then one canonical commit loop ----------------
     //
-    // Workers evaluate roots in parallel exactly as before, but instead of
-    // waiting for every evaluation to finish and then committing behind a
-    // round barrier, each worker reserves its candidate's MFFC (plus the
-    // boundary fanout frontier the replacement keeps reading) in the atomic
-    // claim table and deposits the result into a CommitSequencer that drains
-    // commits in canonical root order the moment the frontier allows. All
-    // commit *decisions* and all module mutation happen inside the
-    // sequencer's critical section, in exactly the order the old sequential
-    // commit loop used — reservations only steer scheduling (losers release
-    // and requeue until the winning root resolves), so netlists, stats, and
-    // decision traces stay byte-identical at every thread count.
-    //
-    // Claim ownership is tie-broken by canonical root order: a root that
-    // finds a cell held by a lower-ordered root releases everything and
-    // requeues (it would lose the commit-time revalidation anyway if that
-    // root commits); a cell held by a higher-ordered root is stolen. Dead
-    // tombstones left by committed roots never force a requeue — the
-    // sequencer's deterministic revalidation is the authority, the claim
-    // table only an early, cheap approximation of it.
+    // Workers evaluate every root in parallel against the frozen round-start
+    // state (index, blast, cuts, anchors); each writes only its own slot of
+    // `evals`. Then one serial loop commits the roots in canonical order:
+    // every commit decision and every module mutation happens there, so
+    // netlists, stats and decision traces are byte-identical at every thread
+    // count.
 
     // Structural-key map over the round-start module (the notion shared with
     // opt_merge and the fraig pre-merge): planned cells fold onto existing
-    // twins instead of duplicating them. Built before the pipeline starts;
-    // the sequencer maintains it as commits materialize cells.
+    // twins instead of duplicating them. The commit loop maintains it as
+    // commits materialize cells.
     std::unordered_map<Hash128, Cell*, Hash128Hasher> struct_map;
     struct_map.reserve(module.cell_count());
     for (const auto& cptr : module.cells())
       if (cptr->type() != CellType::Dff)
         struct_map.emplace(sweep::cell_structural_key(*cptr, index.sigmap()), cptr.get());
 
-    claims.begin_round(index.topo_position_bound());
+    std::vector<RootEval> evals(roots.size());
 
-    struct RootSlot {
-      RootEval eval;
-      bool evaluated = false;        ///< evaluation ran (it runs exactly once)
-      uint32_t retries = 0;          ///< reservation attempts so far
-      std::vector<uint32_t> reserve; ///< claim slots: root + MFFC + frontier
-    };
-    std::vector<RootSlot> slots(roots.size());
-
-    // Round-scoped commit state, owned by the sequencer's critical section:
-    // only commit_root below touches any of it.
+    // Round-scoped commit state: only commit_root below touches any of it.
     std::unordered_set<Cell*> claimed;           // roots committed for removal
     std::unordered_set<Cell*> counted_dead;      // MFFC cells already credited
     std::unordered_map<Cell*, int> new_cell_pos; // cells materialized this round
     opt::SweepJournal journal;
     size_t positive_commits = 0, total_commits = 0, round_skipped = 0;
-    const bool debug = std::getenv("SMARTLY_REWRITE_DEBUG") != nullptr;
 
     const auto evaluate_root = [&](size_t ri) {
       const RootWork& work = roots[ri];
-      RootEval& eval = slots[ri].eval;
+      RootEval& eval = evals[ri];
       // Mid-phase halts come only from deadline/cancel — deterministic
       // budgets arm the sticky flag at the round barrier above, and the
-      // "rewrite.eval" fault point fires in the commit sequencer, in
-      // canonical order, so the same roots fault at every thread count.
+      // "rewrite.eval" fault point fires in the commit loop, in canonical
+      // order, so the same roots fault at every thread count.
       if (guard != nullptr && guard->poll()) {
         eval.skipped = true;
         return;
@@ -609,7 +571,7 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
 
           // Optimistic DAG-sharing: compose each op's AIG literal from
           // strash probes; an anchored wireable bit of the right polarity is
-          // a reuse credit (validated again at the sequential barrier).
+          // a reuse credit (validated again in the commit loop).
           const GateProgram& prog = *cand.prog;
           std::vector<aig::Lit> op_lits(prog.ops.size(), aig::kNoLit);
           cand.op_reuse.assign(prog.ops.size(), SigBit());
@@ -683,78 +645,36 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
         }
         eval.bits[j] = std::move(best);
       }
-      if (!eval.complete)
-        return;
-
-      // Reservation set: the root, its predicted MFFC (approximated against
-      // the round-start netlist — the sequencer recomputes it against the
-      // true commit-time overlays), and the boundary fanout frontier (the
-      // leaf and reuse drivers the replacement keeps reading). Claim slots
-      // are round-start topo positions, dense in [0, topo_position_bound).
-      std::unordered_set<Cell*> boundary;
-      for (const BitCandidate& cand : eval.bits) {
-        for (size_t li = 0; li < cand.nleaves; ++li)
-          if (Cell* d = index.driver(cand.leaves[li].bit))
-            boundary.insert(d);
-        for (const SigBit& bit : cand.op_reuse)
-          if (bit.is_wire())
-            if (Cell* d = index.driver(bit))
-              boundary.insert(d);
-      }
-      std::vector<uint32_t>& reserve = slots[ri].reserve;
-      const auto add_claim = [&](Cell* c) {
-        const int pos = index.topo_position(c);
-        if (pos >= 0)
-          reserve.push_back(static_cast<uint32_t>(pos));
-      };
-      add_claim(work.cell);
-      for (Cell* c : predicted_mffc(index, work.cell, boundary, {}, {}))
-        add_claim(c);
-      for (Cell* c : boundary)
-        add_claim(c);
-      std::sort(reserve.begin(), reserve.end());
-      reserve.erase(std::unique(reserve.begin(), reserve.end()), reserve.end());
     };
-    // Commit one root inside the sequencer's critical section. Runs for
-    // every deposited root in strictly canonical order; every decision below
-    // reads only sequencer-owned overlays and round-start snapshots, never
-    // claim-table state, so the result is a pure function of the module.
+    // Commit one root. Runs for every root in strictly canonical order; every
+    // decision below reads only the commit loop's overlays and round-start
+    // snapshots, so the result is a pure function of the module.
     const auto commit_root = [&](size_t ri) {
       const RootWork& work = roots[ri];
-      RootSlot& slot = slots[ri];
-      RootEval& eval = slot.eval;
+      RootEval& eval = evals[ri];
       Cell* root = work.cell;
-      const uint32_t owner = static_cast<uint32_t>(ri);
       stats.candidates += eval.candidates;
       // Deterministic fault point: one "rewrite.eval" event per root, fired
       // here in canonical order instead of from the parallel evaluation
       // tasks, so event-counter plans hit the same root — and leave the same
-      // committed prefix — at every thread count. A throw propagates out of
-      // the depositing worker and poisons the sequencer.
+      // committed prefix — at every thread count. A throw ends the loop.
       if (!eval.skipped && util::fault_unknown("rewrite.eval", root_unit_id(work)))
         eval.skipped = true;
       if (eval.skipped) {
         ++round_skipped;
-        claims.release(owner, slot.reserve);
         return;
       }
       if (eval.complete)
         for (const BitCandidate& c : eval.bits)
           classes_seen.insert(c.npn_class);
-      if (debug)
-        std::fprintf(stderr, "root %s (%s): complete=%d claimed=%d dead=%d\n",
-                     root->name().c_str(), rtlil::cell_type_name(root->type()),
-                     (int)eval.complete, (int)claimed.count(root),
-                     (int)counted_dead.count(root));
-      if (!eval.complete || claimed.count(root) || counted_dead.count(root)) {
-        claims.release(owner, slot.reserve);
+      if (!eval.complete || claimed.count(root) || counted_dead.count(root))
         return;
-      }
       const int root_pos = index.topo_position(root);
 
-      // Re-validate against this barrier's claims: a bit whose driver was
-      // already credited as dead must not be read (its death is priced into
-      // an earlier gain), and a barrier-new driver must sit before the root.
+      // Re-validate against this round's earlier commits: a bit whose driver
+      // was already credited as dead must not be read (its death is priced
+      // into an earlier gain), and a round-new driver must sit before the
+      // root.
       const auto driver_valid = [&](Cell* d) {
         if (!d || d->type() == CellType::Dff)
           return true;
@@ -767,11 +687,8 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
       bool rejected = false;
       for (BitCandidate& cand : eval.bits) {
         for (size_t li = 0; li < cand.nleaves && !rejected; ++li)
-          if (!driver_valid(index.driver(cand.leaves[li].bit))) {
-            if (debug)
-              std::fprintf(stderr, "  reject: leaf %zu of tt=%04x\n", li, cand.tt);
+          if (!driver_valid(index.driver(cand.leaves[li].bit)))
             rejected = true;
-          }
         if (rejected)
           break;
         for (size_t k = 0; k < cand.op_reuse.size(); ++k) {
@@ -782,10 +699,8 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
           }
         }
       }
-      if (rejected) {
-        claims.release(owner, slot.reserve);
+      if (rejected)
         return; // the next round re-evaluates against the updated netlist
-      }
 
       // Group the output bits: members sharing (program, reuse pattern, mux
       // selects) become one wide cell per non-reused op. std::map keys keep
@@ -807,12 +722,12 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
           if (op.type != CellType::Mux)
             continue;
           if (op.s.kind == GateOperand::Leaf) {
-            key.push_back(bit_rank(cand.leaves[op.s.index].bit));
+            key.push_back(rtlil::bit_id(cand.leaves[op.s.index].bit));
           } else if (op.s.kind == GateOperand::Node) {
             const uint8_t support = tt_support(cand.prog->ops[op.s.index].tt);
             for (uint8_t v = 0; v < 4; ++v)
               if (support & (1u << v))
-                key.push_back(bit_rank(cand.leaves[v].bit));
+                key.push_back(rtlil::bit_id(cand.leaves[v].bit));
           }
         }
         GroupPlan& group = groups[std::move(key)];
@@ -922,9 +837,6 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
               if (twin == root) {
                 // The plan reproduces the root's own structure: a no-op
                 // rewrite that would only churn names. Abort.
-                if (debug)
-                  std::fprintf(stderr, "  abort: op %zu of tt=%04x reproduces root\n",
-                               k, first.tt);
                 abort_plan = true;
                 break;
               }
@@ -962,7 +874,6 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
       }
       if (abort_plan) {
         ++stats.plans_noop;
-        claims.release(owner, slot.reserve);
         return;
       }
 
@@ -985,12 +896,8 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
       long plan_gain_est = 0;
       for (const BitCandidate& cand : eval.bits)
         plan_gain_est += cand.gain_est;
-      if (debug)
-        std::fprintf(stderr, "  plan: gain=%ld (dead=%zu new=%zu) est=%ld\n", gain,
-                     dead.size(), new_cells, plan_gain_est);
       if (gain < 0 || (gain == 0 && !(options.zero_gain && plan_gain_est > 0))) {
         ++stats.plans_rejected;
-        claims.release(owner, slot.reserve);
         return;
       }
 
@@ -1038,8 +945,8 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
       journal.removed.push_back(root);
       journal.connects.emplace_back(lhs, rhs);
 
-      // Per-commit gain histogram: fed inside the sequencer's critical
-      // section, in canonical root order, from deterministic plan accounting.
+      // Per-commit gain histogram: fed from the commit loop, in canonical
+      // root order, from deterministic plan accounting.
       static obs::Histogram& h_gain = obs::histogram("rewrite.gain");
       h_gain.observe(static_cast<uint64_t>(gain));
       claimed.insert(root);
@@ -1054,64 +961,24 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
       stats.gates_reused += reused_ops;
       stats.cells_shared += shared_ops;
       stats.predicted_dead += dead.size();
-
-      // Settle claims: the committed root and its credited-dead cone become
-      // Dead tombstones for the rest of the round; the boundary frontier is
-      // released for later roots to claim.
-      std::vector<uint32_t> dead_slots;
-      const auto add_dead = [&](Cell* c) {
-        const int pos = index.topo_position(c);
-        if (pos >= 0)
-          dead_slots.push_back(static_cast<uint32_t>(pos));
-      };
-      add_dead(root);
-      for (Cell* c : dead)
-        add_dead(c);
-      claims.settle(owner, slot.reserve, dead_slots);
     };
 
-    CommitSequencer sequencer(roots.size(), commit_root);
-    static obs::Counter& m_conflicts = obs::counter("rewrite.reservation_conflicts");
-    // Past this many lost reservations a task deposits claimless: claims are
-    // advisory and the sequencer revalidates every commit, so correctness
-    // (and byte-identity) never depend on holding them — the cap only bounds
-    // spinning behind a slow-to-resolve lower-ordered root. Kept small: on
-    // dense million-node graphs a contended root can otherwise burn its
-    // whole worker on retries (observed ~30 retries/root on the scale
-    // families with a 256 cap), starving real evaluation work.
-    constexpr uint32_t kMaxReserveRetries = 4;
-
+    {
+      const obs::Span s("rewrite", "rewrite.eval_phase", "roots",
+                        static_cast<uint64_t>(roots.size()));
+      pool.run_batch(roots.size(), [&](int, size_t ri) { evaluate_root(ri); });
+    }
     bool faulted = false;
     try {
-      const obs::Span pipe_span("rewrite", "rewrite.pipeline", "roots",
-                                static_cast<uint64_t>(roots.size()));
-      pool.run_requeue_batch(roots.size(), [&](int, size_t ri) {
-        RootSlot& slot = slots[ri];
-        if (!slot.evaluated) {
-          evaluate_root(ri);
-          slot.evaluated = true;
-        }
-        if (slot.eval.complete && !slot.eval.skipped && !slot.reserve.empty() &&
-            slot.retries < kMaxReserveRetries) {
-          if (claims.acquire(static_cast<uint32_t>(ri), slot.reserve) ==
-              ClaimTable::Acquire::Conflict) {
-            // A lower-ordered root holds part of this candidate's cone; it
-            // resolves (commits or releases) strictly earlier in canonical
-            // order, so drain the worker's other local work first and retry.
-            m_conflicts.add();
-            ++slot.retries;
-            std::this_thread::yield();
-            return util::ThreadPool::TaskVerdict::Requeue;
-          }
-        }
-        sequencer.deposit(ri);
-        return util::ThreadPool::TaskVerdict::Done;
-      });
+      const obs::Span s("rewrite", "rewrite.commit_phase", "roots",
+                        static_cast<uint64_t>(roots.size()));
+      for (size_t ri = 0; ri < roots.size(); ++ri)
+        commit_root(ri);
     } catch (const util::FaultInjected& e) {
-      // The "rewrite.eval" fault point fires inside the sequencer in
-      // canonical order, so the committed prefix — already materialized and
-      // journaled — is identical at every thread count. Injected faults are
-      // absorbed; real errors keep propagating.
+      // The "rewrite.eval" fault point fires in the commit loop in canonical
+      // order, so the committed prefix — already materialized and journaled —
+      // is identical at every thread count. Injected faults are absorbed;
+      // real errors keep propagating.
       faulted = true;
       if (guard != nullptr)
         guard->note_fault(e.site().c_str(), e.unit());

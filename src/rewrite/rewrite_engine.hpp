@@ -31,14 +31,13 @@
 // all sharing credits. Cells the gain predicts dead are left for the stage's
 // opt_clean — a wrong prediction costs quality, never correctness.
 //
-// Determinism: root evaluation runs barrier-free on a work-stealing pool —
-// workers reserve each root's MFFC in the shared ClaimTable (advisory,
-// canonical-order tie-break; losers requeue) and deposit results into a
-// CommitSequencer reorder buffer that drains strictly in canonical
-// module-cell order, performing selection, gain accounting and journal
-// commits inside its critical section (rewrite/reservation.hpp). Netlist
-// bytes and all statistics except threads_used and the schedule-dependent
-// reservation_conflicts counter are bit-identical for every thread count.
+// Determinism: each round evaluates every root in parallel on a
+// work-stealing pool, reading only the frozen round-start state, then one
+// serial loop commits the roots in canonical module-cell order — selection,
+// gain accounting and journal writes all happen there. An injected fault in
+// that loop leaves the canonical prefix before it committed. Netlist bytes
+// and all statistics except threads_used are bit-identical for every thread
+// count.
 #pragma once
 
 #include "rtlil/module.hpp"

@@ -94,16 +94,6 @@ public:
     return cell->module() == module_ && id < topo_pos_.size() ? topo_pos_[id] : -1;
   }
 
-  /// One past the largest stored topo position. Directly after a rebuild or
-  /// a compact_topo() the positions are exactly [0, bound), so this is the
-  /// size for dense per-cell side tables indexed by topo_position — the
-  /// rewrite engine's atomic claim words (rewrite/reservation.hpp) are sized
-  /// this way at every round barrier. Between maintenance calls the bound
-  /// stays valid for cells that existed at the barrier (removals leave gaps,
-  /// they never grow positions); cells added mid-round report -1 until the
-  /// journal is applied and must be tracked by the caller's own overlay.
-  size_t topo_position_bound() const noexcept { return topo_.size(); }
-
   // --- incremental maintenance (sweep-barrier journal application) ---------
   //
   // The muxtree walkers only ever *shrink* the netlist: input ports lose

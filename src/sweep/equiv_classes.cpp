@@ -34,25 +34,17 @@ void EquivClasses::bind(const rtlil::Module& module, const rtlil::NetlistIndex& 
   index_ = &index;
   blast_ = aig::aigmap(module, index);
 
-  wire_order_.clear();
-  uint64_t order = 0;
-  for (const auto& w : module.wires())
-    wire_order_.emplace(w.get(), order++);
-
   // Reverse map: AIG input node -> module bit. Several bits can carry the
   // same plain input literal (a cell output strash-folds onto an input, e.g.
   // y = a & a), and blast_.bits iterates in pointer-hash order — so the
   // winner must be chosen deterministically: prefer the true free bit (no
-  // combinational driver), then the lowest wire-order rank. Patterns are
-  // seeded from the winner's name; a pointer-dependent choice would breach
-  // the cross-clone determinism contract.
+  // combinational driver), then the lowest bit id (wire creation order).
+  // Patterns are seeded from the winner's name; a pointer-dependent choice
+  // would breach the cross-clone determinism contract.
   input_bits_.assign(blast_.aig.num_inputs(), SigBit());
   input_node_index_.clear();
   for (size_t i = 0; i < blast_.aig.num_inputs(); ++i)
     input_node_index_.emplace(blast_.aig.inputs()[i], i);
-  const auto rank = [&](const SigBit& bit) {
-    return (wire_order_.at(bit.wire) << 20) | (static_cast<uint64_t>(bit.offset) & 0xfffffULL);
-  };
   const auto is_free = [&](const SigBit& bit) {
     const rtlil::Cell* driver = index.driver(bit);
     return !driver || driver->type() == rtlil::CellType::Dff;
@@ -70,7 +62,7 @@ void EquivClasses::bind(const rtlil::Module& module, const rtlil::NetlistIndex& 
     }
     const bool bit_free = is_free(bit);
     const bool slot_free = is_free(slot);
-    if (bit_free != slot_free ? bit_free : rank(bit) < rank(slot))
+    if (bit_free != slot_free ? bit_free : rtlil::bit_id(bit) < rtlil::bit_id(slot))
       slot = bit;
   }
 }
@@ -154,8 +146,7 @@ std::vector<EquivClass> EquivClasses::compute(util::ThreadPool* pool) {
       m.driver = driver;
       m.topo_pos = index_->topo_position(driver);
     }
-    m.rank = (wire_order_.at(bit.wire) << 20) |
-             (static_cast<uint64_t>(bit.offset) & 0xfffffULL);
+    m.rank = rtlil::bit_id(bit);
 
     m.inverted = (table.lit_word(lit, 0) & 1) != 0;
     Hash128 key{0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL};

@@ -53,7 +53,7 @@ struct EquivMember {
   /// representative but are never merged away.
   rtlil::Cell* driver = nullptr;
   int topo_pos = -1; ///< driver's topo position; -1 for free bits
-  uint64_t rank = 0; ///< stable tie-break: (wire creation order, offset)
+  uint64_t rank = 0; ///< stable tie-break: rtlil::bit_id (wire creation order)
 };
 
 struct EquivClass {
@@ -112,7 +112,6 @@ private:
   aig::AigMap blast_;
   std::vector<rtlil::SigBit> input_bits_;
   std::unordered_map<uint32_t, size_t> input_node_index_;
-  std::unordered_map<const rtlil::Wire*, uint64_t> wire_order_;
   size_t candidate_bits_ = 0;
 
   std::vector<std::unordered_map<rtlil::SigBit, bool>> cex_;

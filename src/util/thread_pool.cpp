@@ -80,35 +80,20 @@ void ThreadPool::work_until_batch_done(int worker) {
     // differs. A popped-but-unexecuted task pins its run_batch in the wait
     // below, so the pointer read here is never dangling.
     const std::function<void(int, size_t)>* fn;
-    const std::function<TaskVerdict(int, size_t)>* rfn;
     bool skip;
     {
       std::lock_guard<std::mutex> lock(batch_mutex_);
       fn = batch_fn_;
-      rfn = requeue_fn_;
       skip = batch_error_ != nullptr; // a task already threw: drain, don't run
     }
     std::exception_ptr err = nullptr;
-    bool requeue = false;
     if (!skip) {
       tasks_run_counter().add();
       try {
-        if (rfn != nullptr)
-          requeue = (*rfn)(worker, task) == TaskVerdict::Requeue;
-        else
-          (*fn)(worker, task);
+        (*fn)(worker, task);
       } catch (...) {
         err = std::current_exception();
       }
-    }
-    if (requeue) {
-      // Back onto the *front* of this worker's own deque: the owner pops the
-      // back, so local work drains first and thieves see the conflicted task
-      // earliest. tasks_remaining_ is untouched — the task is still pending.
-      WorkerQueue& q = *queues_[static_cast<size_t>(worker)];
-      std::lock_guard<std::mutex> qlock(q.mutex);
-      q.tasks.push_front(task);
-      continue;
     }
     std::lock_guard<std::mutex> lock(batch_mutex_);
     if (err != nullptr && (batch_error_ == nullptr || task < batch_error_task_)) {
@@ -160,51 +145,6 @@ void ThreadPool::run_batch(size_t n, const std::function<void(int, size_t)>& fn)
   std::unique_lock<std::mutex> lock(batch_mutex_);
   batch_done_.wait(lock, [&] { return tasks_remaining_ == 0; });
   batch_fn_ = nullptr;
-  if (batch_error_ != nullptr) {
-    std::exception_ptr err = batch_error_;
-    batch_error_ = nullptr;
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
-}
-
-void ThreadPool::run_requeue_batch(size_t n,
-                                   const std::function<TaskVerdict(int, size_t)>& fn) {
-  if (n == 0)
-    return;
-  if (threads_ == 1) {
-    // Degenerate path mirrors the parallel scheduling order exactly: seeding
-    // pushes to the back, the owner pops its own back (LIFO), and a requeue
-    // goes to the front so it drains after all other local work.
-    std::deque<size_t> pending;
-    for (size_t i = 0; i < n; ++i)
-      pending.push_back(i);
-    while (!pending.empty()) {
-      const size_t task = pending.back();
-      pending.pop_back();
-      tasks_run_counter().add();
-      if (fn(0, task) == TaskVerdict::Requeue)
-        pending.push_front(task);
-    }
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(batch_mutex_);
-    requeue_fn_ = &fn;
-    batch_error_ = nullptr;
-    tasks_remaining_ = n;
-    for (size_t i = 0; i < n; ++i) {
-      WorkerQueue& q = *queues_[i % static_cast<size_t>(threads_)];
-      std::lock_guard<std::mutex> qlock(q.mutex);
-      q.tasks.push_back(i);
-    }
-    ++batch_epoch_;
-  }
-  batch_start_.notify_all();
-  work_until_batch_done(0);
-  std::unique_lock<std::mutex> lock(batch_mutex_);
-  batch_done_.wait(lock, [&] { return tasks_remaining_ == 0; });
-  requeue_fn_ = nullptr;
   if (batch_error_ != nullptr) {
     std::exception_ptr err = batch_error_;
     batch_error_ = nullptr;

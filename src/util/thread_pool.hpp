@@ -46,22 +46,6 @@ public:
   /// best-effort tiebreak: exact choice can depend on scheduling).
   void run_batch(size_t n, const std::function<void(int, size_t)>& fn);
 
-  /// A task's verdict in a requeue batch: Done retires it, Requeue puts it
-  /// back onto the *front* of the executing worker's own deque — the end its
-  /// owner pops last and thieves steal first — so a conflicted task drains
-  /// after the worker's other local work instead of spinning hot.
-  enum class TaskVerdict : uint8_t { Done, Requeue };
-
-  /// run_batch with requeue-on-conflict work items: `fn` may return
-  /// TaskVerdict::Requeue to have the task re-executed later in the same
-  /// batch. The batch completes when every task has returned Done. Callers
-  /// must guarantee a requeued task eventually returns Done (the rewrite
-  /// engine's reservation protocol does: conflicts resolve in canonical-order
-  /// priority, so the lowest-order pending task never requeues forever).
-  /// Exception semantics match run_batch; a task that threw is retired, and
-  /// tasks drained after a batch error are retired without running.
-  void run_requeue_batch(size_t n, const std::function<TaskVerdict(int, size_t)>& fn);
-
 private:
   struct WorkerQueue {
     std::deque<size_t> tasks;
@@ -81,7 +65,6 @@ private:
   std::condition_variable batch_start_;
   std::condition_variable batch_done_;
   const std::function<void(int, size_t)>* batch_fn_ = nullptr;
-  const std::function<TaskVerdict(int, size_t)>* requeue_fn_ = nullptr;
   size_t batch_epoch_ = 0;
   size_t tasks_remaining_ = 0;
   std::exception_ptr batch_error_ = nullptr;

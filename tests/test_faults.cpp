@@ -13,6 +13,9 @@
 //   * deterministic budgets (solver conflicts): the halt must land at the
 //     same barrier on every thread count, preserving byte-identical netlists
 //     and statistics for 1/2/4/8 workers;
+//   * rewrite under seeded fault schedules: its fault point fires in the
+//     canonical commit loop, so netlists and statistics are byte-identical
+//     for 1/2/4/8 workers under every schedule;
 //   * CancelToken / deadline / pre-halted guards: sound degradation, with
 //     the ResourceReport recording what happened.
 //
@@ -217,6 +220,44 @@ TEST(FaultInjection, RewriteMidRoundThrowLeavesIndexConsistent) {
       }
       opt::opt_clean(top);
       expect_equivalent(*golden->top(), top, "rewrite mid-batch throw");
+    }
+  }
+}
+
+// --- fault schedules: thread-count byte-identity ----------------------------
+
+TEST(FaultInjection, RewriteByteIdenticalAcrossThreadCountsUnderFaultSchedules) {
+  for (uint64_t s = 1; s <= 10; ++s) {
+    const uint64_t seed = seed_offset() + s;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::string src = benchgen::random_verilog(seed, 6);
+
+    std::string first_netlist;
+    rewrite::RewriteStats first_stats;
+    bool have_first = false;
+    for (const int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      auto design = verilog::read_verilog(src);
+      rewrite::RewriteOptions options;
+      options.threads = threads;
+      options.check_index = true; // index must equal a rebuild even after halts
+      rewrite::RewriteStats stats;
+      {
+        // Forced Unknowns skip roots and injected throws end a round's
+        // commit loop; both fire in canonical root order, so every thread
+        // count must take the identical schedule.
+        util::FaultScope scope(mixed_plan(seed, "rewrite"));
+        stats = rewrite::rewrite_sweep(*design->top(), options);
+      }
+      const std::string netlist = backend::write_rtlil(*design->top());
+      if (!have_first) {
+        first_netlist = netlist;
+        first_stats = stats;
+        have_first = true;
+      } else {
+        EXPECT_EQ(netlist, first_netlist);
+        EXPECT_TRUE(rewrite::same_work(stats, first_stats)); // incl. halted, skipped_roots
+      }
     }
   }
 }

@@ -438,13 +438,12 @@ TEST(ObsProfile, AccumulatesRepeatedStagesInFirstSeenOrder) {
 // --- determinism across thread counts with tracing on ---------------------
 
 /// Engine counters published from the deterministic Stats structs must be
-/// identical at every thread count; pool.* and the rewrite engine's
-/// reservation-conflict count are scheduling-dependent by design and
-/// excluded (the README documents the split).
+/// identical at every thread count; pool.* is scheduling-dependent by
+/// design and excluded (the README documents the split).
 std::map<std::string, uint64_t> deterministic_counters() {
   std::map<std::string, uint64_t> out;
   for (const auto& [name, value] : obs::Registry::global().snapshot())
-    if (name.compare(0, 5, "pool.") != 0 && name != "rewrite.reservation_conflicts")
+    if (name.compare(0, 5, "pool.") != 0)
       out.emplace(name, value);
   return out;
 }

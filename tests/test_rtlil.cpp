@@ -360,6 +360,23 @@ TEST(NetlistIndexTest, ConsistentAfterRemoveAliasAddCompact) {
   EXPECT_EQ(idx.topo_order()[2], late2);
 }
 
+namespace {
+
+/// Bit ids follow wires() order: every bit of a wire ranks below every bit
+/// of the wires after it. The rewrite anchors and group keys and the fraig
+/// member order rank bits by rtlil::bit_id on the strength of this.
+void expect_bit_ids_ascend_along_wires(const Module& m) {
+  for (size_t i = 1; i < m.wires().size(); ++i) {
+    const Wire& prev = *m.wires()[i - 1];
+    const Wire& next = *m.wires()[i];
+    EXPECT_LT(prev.bit_base(), next.bit_base()) << next.name();
+    EXPECT_LE(prev.bit_base() + static_cast<uint32_t>(prev.width()), next.bit_base())
+        << next.name();
+  }
+}
+
+} // namespace
+
 TEST(CloneDesign, DeepCopyIsIndependentAndIdentical) {
   Design d;
   Module* m = d.add_module("top");
@@ -368,6 +385,11 @@ TEST(CloneDesign, DeepCopyIsIndependentAndIdentical) {
   Wire* y = m->add_wire("y", 4);
   m->set_port_output(y);
   m->connect(SigSpec(y), m->Not(SigSpec(a)));
+  // Retire a wire from the middle of wires(): its ids are not reused.
+  Wire* tmp = m->add_wire("tmp", 3);
+  m->add_wire("late", 2);
+  m->remove_wire(tmp);
+  expect_bit_ids_ascend_along_wires(*m);
 
   auto copy = clone_design(d);
   Module* cm = copy->top();
@@ -375,9 +397,15 @@ TEST(CloneDesign, DeepCopyIsIndependentAndIdentical) {
   EXPECT_EQ(cm->cell_count(), m->cell_count());
   EXPECT_EQ(cm->wires().size(), m->wires().size());
   EXPECT_EQ(dump_module(*cm), dump_module(*m));
+  expect_bit_ids_ascend_along_wires(*cm);
   // Mutating the copy leaves the original intact.
   cm->add_wire("extra", 1);
   EXPECT_FALSE(m->has_wire("extra"));
+
+  // Rollback re-adds the wires in order, above the ids already issued.
+  restore_module(*m, *cm);
+  EXPECT_EQ(dump_module(*m), dump_module(*cm));
+  expect_bit_ids_ascend_along_wires(*m);
 }
 
 TEST(Stats, CountsCellKinds) {

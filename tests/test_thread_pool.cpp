@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 namespace {
@@ -81,88 +80,6 @@ TEST(ThreadPoolBatches, PoolIsReusableAfterAThrowingBatch) {
 TEST(ThreadPoolBatches, EmptyBatchIsANoOp) {
   ThreadPool pool(3);
   pool.run_batch(0, [&](int, size_t) { FAIL() << "no task should run"; });
-}
-
-using smartly::util::ThreadPool;
-using TaskVerdict = ThreadPool::TaskVerdict;
-
-TEST(ThreadPoolRequeue, EveryTaskEventuallyRetiresOnceDone) {
-  // Each task requeues a task-dependent number of times before returning
-  // Done; the batch must not complete until every task has retired.
-  for (int threads : {1, 4}) {
-    ThreadPool pool(threads);
-    constexpr size_t kTasks = 64;
-    std::vector<std::atomic<int>> attempts(kTasks);
-    pool.run_requeue_batch(kTasks, [&](int, size_t task) {
-      const int seen = attempts[task].fetch_add(1, std::memory_order_relaxed) + 1;
-      return seen <= static_cast<int>(task % 4) ? TaskVerdict::Requeue
-                                                : TaskVerdict::Done;
-    });
-    for (size_t i = 0; i < kTasks; ++i)
-      EXPECT_EQ(attempts[i].load(), static_cast<int>(i % 4) + 1) << "task " << i;
-  }
-}
-
-TEST(ThreadPoolRequeue, SingleThreadRequeueDrainsAfterLocalWork) {
-  // With one thread the scheduling is fully deterministic: seeding pushes
-  // back, the owner pops the back, and a requeued task goes to the front —
-  // so a task that requeues once reruns only after all other tasks retired.
-  ThreadPool pool(1);
-  std::vector<size_t> retire_order;
-  bool requeued = false;
-  pool.run_requeue_batch(5, [&](int, size_t task) {
-    if (task == 4 && !requeued) {
-      requeued = true;
-      return TaskVerdict::Requeue;
-    }
-    retire_order.push_back(task);
-    return TaskVerdict::Done;
-  });
-  // LIFO drain of 0..4 starts at 4 (requeued), then 3,2,1,0, then 4 again.
-  const std::vector<size_t> want = {3, 2, 1, 0, 4};
-  EXPECT_EQ(retire_order, want);
-}
-
-TEST(ThreadPoolRequeue, RequeueBatchPropagatesExceptionsAndStaysUsable) {
-  ThreadPool pool(2);
-  std::atomic<int> attempts{0};
-  EXPECT_THROW(pool.run_requeue_batch(8,
-                                      [&](int, size_t task) {
-                                        attempts.fetch_add(1, std::memory_order_relaxed);
-                                        if (task == 2)
-                                          throw std::runtime_error("task 2 failed");
-                                        return TaskVerdict::Done;
-                                      }),
-               std::runtime_error);
-
-  std::atomic<size_t> ran{0};
-  pool.run_requeue_batch(8, [&](int, size_t) {
-    ran.fetch_add(1, std::memory_order_relaxed);
-    return TaskVerdict::Done;
-  });
-  EXPECT_EQ(ran.load(), 8u);
-}
-
-TEST(ThreadPoolRequeue, ConflictStyleRequeueResolvesAcrossWorkers) {
-  // Model the reservation protocol's shape: a "blocked" task requeues until
-  // a flag set by another task appears. The lowest task sets the flag, so
-  // progress is guaranteed — exactly the invariant run_requeue_batch asks
-  // its callers for.
-  ThreadPool pool(4);
-  std::atomic<bool> unblocked{false};
-  std::vector<std::atomic<int>> retires(32);
-  pool.run_requeue_batch(32, [&](int, size_t task) {
-    if (task == 0) {
-      unblocked.store(true, std::memory_order_release);
-    } else if (task % 5 == 0 && !unblocked.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-      return TaskVerdict::Requeue;
-    }
-    retires[task].fetch_add(1, std::memory_order_relaxed);
-    return TaskVerdict::Done;
-  });
-  for (size_t i = 0; i < retires.size(); ++i)
-    EXPECT_EQ(retires[i].load(), 1) << "task " << i;
 }
 
 } // namespace
