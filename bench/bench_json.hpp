@@ -1,7 +1,5 @@
 // Shared helpers for the bench_* executables — timing, ratios, circuit
-// filtering, design preparation, and BENCH_*.json emission. Extracted from
-// the blocks bench_oracle.cpp and bench_pass.cpp used to duplicate;
-// bench_sweep.cpp builds on the same kit.
+// filtering, design preparation, and BENCH_*.json emission.
 #pragma once
 
 #include "benchgen/public_bench.hpp"
@@ -150,7 +148,6 @@ inline std::string resource_json(const util::ResourceReport& r) {
       .put("conflicts", static_cast<unsigned long long>(r.conflicts))
       .put("propagations", static_cast<unsigned long long>(r.propagations))
       .put("skipped_solves", static_cast<unsigned long long>(r.skipped_solves))
-      .put("skipped_merges", static_cast<unsigned long long>(r.skipped_merges))
       .put("skipped_rewrites", static_cast<unsigned long long>(r.skipped_rewrites))
       .put("skipped_regions", static_cast<unsigned long long>(r.skipped_regions))
       .put("halted_engines", static_cast<unsigned long long>(r.halted_engines));

@@ -12,8 +12,10 @@
 //   --threads  comma-separated worker counts (default 1,2,4,8).
 //
 // Arms per circuit (all on clones of the same pre-optimized design):
-//   * serial     — the PR-2 engine: optimize_muxtrees + one IncrementalOracle
-//                  (single-threaded reference for decisions_match).
+//   * serial     — optimize_muxtrees + one InferenceOracle: the
+//                  walk-everything fixpoint, single-threaded reference for
+//                  decisions_match. Its oracle query count is the
+//                  circuit's `queries` (summed into total.queries).
 //   * threads=T  — the parallel deterministic sweep engine.
 // decisions_match compares canonical traces (schedule-/replay-insensitive);
 // netlist_deterministic / stats_deterministic require byte-identical
@@ -22,7 +24,6 @@
 #include "bench_json.hpp"
 #include "benchgen/industrial.hpp"
 #include "benchgen/public_bench.hpp"
-#include "core/incremental_oracle.hpp"
 #include "core/sat_redundancy.hpp"
 
 #include <chrono>
@@ -78,11 +79,11 @@ Row run_circuit(const benchgen::BenchCircuit& circuit, const std::vector<int>& t
   row.name = circuit.name;
   const auto prepared = benchjson::prepare_muxtree_design(circuit.verilog);
 
-  // Serial reference (PR-2 engine).
+  // Serial reference: the walk-everything fixpoint.
   opt::DecisionTrace serial_trace;
   {
     const auto design = rtlil::clone_design(*prepared);
-    core::IncrementalOracle oracle;
+    core::InferenceOracle oracle({});
     const auto t0 = std::chrono::steady_clock::now();
     const opt::MuxtreeStats ws =
         opt::optimize_muxtrees(*design->top(), oracle, &serial_trace);
@@ -242,9 +243,11 @@ int main(int argc, char** argv) {
   }
 
   double total_serial = 0, total_1t = 0, total_max = 0;
+  size_t total_queries = 0;
   int max_threads = 0;
   bool ok = true;
   for (const Row& r : rows) {
+    total_queries += r.queries;
     total_serial += r.serial_seconds;
     total_1t += anchor_seconds(r);
     total_max += r.scaling.back().seconds;
@@ -260,10 +263,10 @@ int main(int argc, char** argv) {
                 std::thread::hardware_concurrency());
     for (size_t i = 0; i < rows.size(); ++i)
       print_json_row(rows[i], i + 1 == rows.size());
-    std::printf("  ],\n  \"total\": {\"serial_seconds\": %.4f, \"seconds_1t\": %.4f, "
-                "\"seconds_%dt\": %.4f, \"speedup_%dt_vs_1t\": %.3f},\n"
+    std::printf("  ],\n  \"total\": {\"queries\": %zu, \"serial_seconds\": %.4f, "
+                "\"seconds_1t\": %.4f, \"seconds_%dt\": %.4f, \"speedup_%dt_vs_1t\": %.3f},\n"
                 "  \"resource\": %s,\n  \"obs\": %s\n}\n",
-                total_serial, total_1t, max_threads, total_max, max_threads,
+                total_queries, total_serial, total_1t, max_threads, total_max, max_threads,
                 ratio(total_1t, total_max),
                 benchjson::resource_json(guard.report()).c_str(),
                 benchjson::obs_json(profile).c_str());

@@ -672,10 +672,9 @@ int main(int argc, char** argv) {
                   rr.halted() ? ", halted by " : "",
                   rr.halted() ? util::budget_kind_name(rr.tripped) : "");
       if (rr.halted())
-        std::printf("  resource: %llu solves, %llu merges, %llu rewrites, %llu regions "
+        std::printf("  resource: %llu solves, %llu rewrites, %llu regions "
                     "skipped after the halt (%llu engines stopped early)\n",
                     static_cast<unsigned long long>(rr.skipped_solves),
-                    static_cast<unsigned long long>(rr.skipped_merges),
                     static_cast<unsigned long long>(rr.skipped_rewrites),
                     static_cast<unsigned long long>(rr.skipped_regions),
                     static_cast<unsigned long long>(rr.halted_engines));

@@ -2,38 +2,14 @@
 
 namespace smartly::aig {
 
-void CnfEncoder::encode(const Aig& aig) { encode_impl(aig, nullptr); }
-
-void CnfEncoder::encode(const Aig& aig, sat::Lit activation) { encode_impl(aig, &activation); }
-
-void CnfEncoder::encode_impl(const Aig& aig, const sat::Lit* activation) {
+void CnfEncoder::encode(const Aig& aig) {
   vars_.clear();
   vars_.reserve(aig.num_nodes());
   for (size_t n = 0; n < aig.num_nodes(); ++n)
     vars_.push_back(solver_.new_var());
 
-  const sat::Lit nact = activation ? ~*activation : sat::lit_undef;
-  auto add1 = [&](sat::Lit a) {
-    if (activation)
-      solver_.add_clause(nact, a);
-    else
-      solver_.add_clause(a);
-  };
-  auto add2 = [&](sat::Lit a, sat::Lit b) {
-    if (activation)
-      solver_.add_clause(nact, a, b);
-    else
-      solver_.add_clause(a, b);
-  };
-  auto add3 = [&](sat::Lit a, sat::Lit b, sat::Lit c) {
-    if (activation)
-      solver_.add_clause(std::vector<sat::Lit>{nact, a, b, c});
-    else
-      solver_.add_clause(a, b, c);
-  };
-
   // Node 0 is constant false.
-  add1(sat::mk_lit(vars_[0], true));
+  solver_.add_clause(sat::mk_lit(vars_[0], true));
 
   for (uint32_t n = 1; n < aig.num_nodes(); ++n) {
     if (!aig.is_and(n))
@@ -42,9 +18,9 @@ void CnfEncoder::encode_impl(const Aig& aig, const sat::Lit* activation) {
     const sat::Lit a = lit(aig.fanin0(n));
     const sat::Lit b = lit(aig.fanin1(n));
     // y -> a, y -> b, (a & b) -> y
-    add2(~y, a);
-    add2(~y, b);
-    add3(y, ~a, ~b);
+    solver_.add_clause(~y, a);
+    solver_.add_clause(~y, b);
+    solver_.add_clause(y, ~a, ~b);
   }
 }
 

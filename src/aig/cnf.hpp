@@ -10,14 +10,8 @@
 namespace smartly::aig {
 
 /// Encodes every node of an AIG as one SAT variable with the standard
-/// three-clause AND encoding. Reusable for incremental queries: encode once,
-/// then solve under assumptions on `lit(...)`.
-///
-/// The activation-literal overload tags every clause with ¬act, turning the
-/// encoding into a *clause group*: the clauses are inert unless `act` is
-/// assumed true, and the whole group is retired for good by adding the unit
-/// clause ¬act. This is how the incremental oracle keeps many cone encodings
-/// alive in one persistent solver and drops the ones its caches invalidate.
+/// three-clause AND encoding: encode once, then solve under assumptions on
+/// `lit(...)`.
 class CnfEncoder {
 public:
   explicit CnfEncoder(sat::Solver& solver) : solver_(solver) {}
@@ -25,24 +19,14 @@ public:
   /// Encode the whole graph (idempotent per encoder instance).
   void encode(const Aig& aig);
 
-  /// Encode as a clause group guarded by `activation` (assume it true to
-  /// activate the group; add ¬activation as a unit clause to retire it).
-  void encode(const Aig& aig, sat::Lit activation);
-
   /// SAT literal corresponding to an AIG literal.
   sat::Lit lit(Lit aig_lit) const {
     return sat::mk_lit(vars_.at(lit_node(aig_lit)), lit_compl(aig_lit));
   }
 
-  /// AIG node -> solver variable, for callers that outlive the encoder
-  /// (clause groups in a persistent solver snapshot this mapping).
-  const std::vector<sat::Var>& vars() const noexcept { return vars_; }
-
   sat::Solver& solver() noexcept { return solver_; }
 
 private:
-  void encode_impl(const Aig& aig, const sat::Lit* activation);
-
   sat::Solver& solver_;
   std::vector<sat::Var> vars_;
 };

@@ -11,16 +11,8 @@ using rtlil::SigBit;
 using rtlil::SigSpec;
 using rtlil::State;
 
-void InferenceEngine::reset(const std::vector<Cell*>& cells, const rtlil::SigMap& sigmap) {
-  // clear() keeps each container's buckets/capacity — the whole point of
-  // reusing the engine across queries.
-  sigmap_ = &sigmap;
-  cells_ = cells;
-  touching_.clear();
-  values_.clear();
-  worklist_.clear();
-  in_worklist_.clear();
-  contradiction_ = false;
+InferenceEngine::InferenceEngine(const std::vector<Cell*>& cells, const rtlil::SigMap& sigmap)
+    : sigmap_(&sigmap), cells_(cells) {
   for (Cell* c : cells_) {
     for (int pi = 0; pi < rtlil::kPortCount; ++pi) {
       const Port p = static_cast<Port>(pi);

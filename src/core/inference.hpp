@@ -24,19 +24,8 @@ namespace smartly::core {
 
 class InferenceEngine {
 public:
-  /// An empty engine; call reset() before use.
-  InferenceEngine() = default;
-
   /// `cells` is the sub-graph; `sigmap` must be the module's canonicalizer.
-  InferenceEngine(const std::vector<rtlil::Cell*>& cells, const rtlil::SigMap& sigmap) {
-    reset(cells, sigmap);
-  }
-
-  /// Re-target the engine at a new sub-graph, clearing all derived state
-  /// (`values_`, `worklist_`, `touching_`) without releasing the hash-table
-  /// allocations. Lets an oracle keep one engine per module instead of
-  /// constructing one per query — construction cost is pure malloc traffic.
-  void reset(const std::vector<rtlil::Cell*>& cells, const rtlil::SigMap& sigmap);
+  InferenceEngine(const std::vector<rtlil::Cell*>& cells, const rtlil::SigMap& sigmap);
 
   /// Seed a known value (canonical bit). Returns false on contradiction.
   bool assume(rtlil::SigBit bit, bool value);

@@ -11,12 +11,15 @@
 #include "core/subgraph.hpp"
 #include "opt/muxtree_walker.hpp"
 #include "opt/parallel_sweep.hpp"
+#include "util/hashing.hpp"
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 namespace smartly::core {
 
-/// Cross-process decision memo consulted by IncrementalOracle (service warm
+/// Cross-process decision memo consulted by InferenceOracle (service warm
 /// cache). Keys are *portable* canonical fingerprints of (cone structure,
 /// target role, known-value assignment) — pure functions of content, no
 /// pointers or process-local state — so an entry written by one daemon run
@@ -24,18 +27,16 @@ namespace smartly::core {
 /// made on an isomorphic cone under the same constraints and oracle options.
 /// Only verdicts that are deterministic functions of the salted cone are
 /// ever inserted: Zero/One/DeadPath always, and Unknown only when proven
-/// not-forced (exhaustive simulation found no forcing, or both polarities
-/// were shown satisfiable). A guard-halt, fault-injected, or
-/// budget-exhausted Unknown could resolve on a retry and is never inserted.
+/// not-forced or out of scope (exhaustive simulation found no forcing, both
+/// SAT polarities were satisfiable, the cone exceeds sat_max_inputs, use_sat
+/// is off, or the target lies outside the cone). A guard-halt,
+/// fault-injected, or budget-exhausted Unknown could resolve on a retry and
+/// is never inserted.
 ///
 /// Implementations must be thread-safe: the parallel sweep engine's
-/// per-region oracles share one memo across workers.
-///
-/// Lockstep caveat: the from-scratch InferenceOracle never consults a memo,
-/// so memo-enabled runs extend the documented budget-edge exception — a hit
-/// can resolve a query whose fresh recomputation would exhaust the per-query
-/// conflict budget into Unknown. The differential gates (bench_oracle) run
-/// memo-less.
+/// per-worker oracles share one memo. A hit can resolve a query whose fresh
+/// recomputation would exhaust the per-query conflict budget into Unknown,
+/// so memo-enabled runs are reproducible only for a given memo content.
 class PortableDecisionMemo {
 public:
   virtual ~PortableDecisionMemo() = default;
@@ -51,18 +52,19 @@ struct SatRedundancyOptions {
   int64_t sat_conflict_budget = 20000; ///< per-query conflict cap (Unknown above)
   bool use_inference = true;    ///< Table I rules (ablatable)
   bool use_sat = true;          ///< sim/SAT stage (ablatable; inference-only otherwise)
-  /// Optional run-wide resource governor (not owned). Both oracles charge
-  /// their solver work here and answer Unknown without solving once a halt
-  /// is observed — identically, preserving the decide() lockstep contract.
+  /// Optional run-wide resource governor (not owned). The oracle charges its
+  /// solver work here and answers Unknown without solving once a halt is
+  /// observed.
   util::ResourceGuard* guard = nullptr;
   /// Units the recovery layer has quarantined (not owned; frozen during the
   /// run). Control bits whose bit_unit_id is quarantined under "oracle.solve"
-  /// are answered Unknown at the top of decide() in both oracles (lockstep);
-  /// sat_redundancy_parallel also forwards the set to the sweep engine for
-  /// its "sweep.region"/"sweep.iteration" filters.
+  /// are answered Unknown at the top of decide(); sat_redundancy_parallel
+  /// also forwards the set to the sweep engine for its
+  /// "sweep.region"/"sweep.iteration" filters. smartly_pass replaces it with
+  /// its own recovery set while recovery is on.
   const util::QuarantineSet* quarantine = nullptr;
-  /// Optional persistent cross-job decision memo (not owned; thread-safe).
-  /// Consulted only by IncrementalOracle; see PortableDecisionMemo.
+  /// Optional persistent cross-job decision memo (not owned; thread-safe);
+  /// see PortableDecisionMemo.
   PortableDecisionMemo* memo = nullptr;
 };
 
@@ -82,16 +84,19 @@ struct SatRedundancyStats {
   size_t skipped_halt = 0;     ///< queries answered Unknown after a halt, unsolved
   size_t skipped_quarantine = 0; ///< queries answered Unknown for a quarantined target
   uint64_t solver_conflicts = 0;
-  size_t portable_hits = 0;    ///< persistent-memo hits (IncrementalOracle only)
+  size_t portable_hits = 0;    ///< persistent-memo hits
   size_t portable_misses = 0;  ///< memo consultations that fell through
   size_t portable_inserts = 0; ///< definitive verdicts recorded into the memo
   opt::MuxtreeStats walker;  ///< removal statistics from the shared walker
 };
 
-/// The oracle itself (exposed for unit tests and micro-benchmarks).
+/// The §II oracle: syntactic lookup, then (after sub-graph extraction and
+/// the optional memo lookup) Table I inference, then simulation or SAT. It
+/// keeps nothing between queries except its statistics, so every verdict is
+/// a function of the query and the module alone.
 class InferenceOracle final : public opt::MuxtreeOracle {
 public:
-  explicit InferenceOracle(const SatRedundancyOptions& options) : options_(options) {}
+  explicit InferenceOracle(const SatRedundancyOptions& options);
 
   /// Legacy entry: builds a private NetlistIndex (direct oracle users).
   void begin_module(rtlil::Module& module) override;
@@ -103,13 +108,21 @@ public:
   const SatRedundancyStats& stats() const noexcept { return stats_; }
 
 private:
+  /// Stages 3-4 on an extracted, non-empty sub-graph under the path
+  /// condition in known_sorted_. Sets `*definitive` when an Unknown verdict
+  /// is a pure function of the salted cone (and so may enter the memo).
+  opt::CtrlDecision decide_cone(rtlil::SigBit ctrl, const Subgraph& sg, uint64_t unit,
+                                bool* definitive);
+
   SatRedundancyOptions options_;
   SatRedundancyStats stats_;
+  uint64_t memo_salt_ = 0; ///< decision-affecting options, folded into memo keys
   rtlil::Module* module_ = nullptr;
   const rtlil::NetlistIndex* index_ = nullptr;
   std::unique_ptr<rtlil::NetlistIndex> owned_index_;
   SubgraphScratch scratch_;
-  std::vector<rtlil::SigBit> known_bits_;
+  std::vector<std::pair<rtlil::SigBit, bool>> known_sorted_; ///< per-query scratch
+  std::vector<rtlil::SigBit> known_bits_;                     ///< its bits
 };
 
 /// Run the full §II pass on a module (walker + oracle). Pair with
@@ -118,8 +131,8 @@ SatRedundancyStats sat_redundancy(rtlil::Module& module,
                                   const SatRedundancyOptions& options = {});
 
 /// §II pass over the parallel deterministic sweep engine: region-partitioned
-/// walks with one thread-local IncrementalOracle per worker (each reset at
-/// region boundaries, so results are bit-identical for every thread count).
+/// walks with one InferenceOracle per pool worker (stateless between
+/// queries, so results are bit-identical for every thread count).
 /// threads = 0 picks one worker per hardware thread. max_iterations >= 0
 /// caps the sweep's fixpoint iterations (the recovery layer's bisection
 /// probes use it); -1 keeps the engine default.

@@ -56,7 +56,9 @@ SmartlyStats smartly_pass(rtlil::Module& module, const SmartlyOptions& options) 
   SatRedundancyOptions sat_opts = options.sat;
   if (gp != nullptr && sat_opts.guard == nullptr)
     sat_opts.guard = gp;
-  if (rp != nullptr && sat_opts.quarantine == nullptr)
+  // With recovery on, the stage's own quarantine set is the one its retries
+  // fill, so it replaces any caller set (as in opt::fraig_stage).
+  if (rp != nullptr)
     sat_opts.quarantine = &rctx.quarantine;
 
   // The guard the transaction driver must watch is the one the engines

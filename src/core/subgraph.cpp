@@ -17,33 +17,6 @@ using rtlil::SigBit;
 // so extraction and partitioning share one definition.
 using rtlil::combinational_adjacent_cells;
 
-uint64_t cell_content_hash(const rtlil::Cell& cell, const rtlil::SigMap& sigmap) {
-  uint64_t h = hash_mix(0x5eedc0de ^ static_cast<uint64_t>(cell.type()));
-  const auto& p = cell.params();
-  h = hash_combine(h, static_cast<uint64_t>(p.a_width));
-  h = hash_combine(h, static_cast<uint64_t>(p.b_width));
-  h = hash_combine(h, static_cast<uint64_t>(p.y_width));
-  h = hash_combine(h, static_cast<uint64_t>(p.width));
-  h = hash_combine(h, static_cast<uint64_t>(p.s_width));
-  h = hash_combine(h, static_cast<uint64_t>(p.a_signed) * 2 + static_cast<uint64_t>(p.b_signed));
-  for (int pi = 0; pi < rtlil::kPortCount; ++pi) {
-    const Port port = static_cast<Port>(pi);
-    if (!cell.has_port(port))
-      continue;
-    h = hash_combine(h, 0x1000u + static_cast<uint64_t>(pi));
-    for (const SigBit& raw : cell.port(port))
-      h = hash_combine(h, sigmap(raw).hash());
-  }
-  return h;
-}
-
-Hash128 Subgraph::fingerprint(const rtlil::SigMap& sigmap) const {
-  Hash128 fp = hash128_combine({}, cells.size());
-  for (const Cell* c : cells)
-    hash128_mix_unordered(fp, cell_content_hash(*c, sigmap));
-  return fp;
-}
-
 Subgraph SubgraphScratch::extract(const rtlil::Module& module, const NetlistIndex& index,
                                   SigBit target, const std::vector<SigBit>& known,
                                   const SubgraphOptions& options) {
@@ -51,28 +24,22 @@ Subgraph SubgraphScratch::extract(const rtlil::Module& module, const NetlistInde
   Subgraph out;
 
   in_ball_.clear();
+  ball_.clear();
   next_.clear();
   kept_.clear();
   bitq_.clear();
   seen_bits_.clear();
-  driven_.clear();
-  boundary_.clear();
 
   // --- stage 1: undirected ball of radius k around target + known ---------
   // ("all logical gates within a specified distance k from the control port")
-  std::vector<Cell*>& ball = out.ball;
   combinational_adjacent_cells(index, target, next_);
   for (const SigBit& kb : known)
     combinational_adjacent_cells(index, kb, next_);
   for (Cell* c : next_)
     if (in_ball_.insert(c->id()))
-      ball.push_back(c);
-  rtlil::grow_combinational_ball(index, ball, in_ball_, options.depth, next_);
-  // The ball is the decision's *support*: the walker only ever shrinks cell
-  // ports, so a later query with the same target/known re-derives the same
-  // answer unless some ball cell was mutated or removed in between. Callers
-  // caching decisions key their invalidation on exactly this set.
-  out.gates_before_filter = ball.size();
+      ball_.push_back(c);
+  rtlil::grow_combinational_ball(index, ball_, in_ball_, options.depth, next_);
+  out.gates_before_filter = ball_.size();
 
   // --- stage 2: Theorem II.1 relevance filter ------------------------------
   // A signal can constrain or be constrained by {target} ∪ known only through
@@ -103,26 +70,8 @@ Subgraph SubgraphScratch::extract(const rtlil::Module& module, const NetlistInde
           push_bit(index.sigmap()(raw));
     }
   } else {
-    out.cells = ball;
+    out.cells = ball_;
   }
-
-  // --- boundary: bits read inside but not driven inside --------------------
-  for (Cell* c : out.cells)
-    for (const SigBit& raw : c->port(c->output_port())) {
-      const SigBit bit = index.sigmap()(raw);
-      if (bit.is_wire())
-        driven_.insert(static_cast<uint32_t>(rtlil::bit_id(bit)));
-    }
-  for (Cell* c : out.cells)
-    for (Port p : c->input_ports())
-      for (const SigBit& raw : c->port(p)) {
-        const SigBit bit = index.sigmap()(raw);
-        if (!bit.is_wire())
-          continue;
-        const auto id = static_cast<uint32_t>(rtlil::bit_id(bit));
-        if (!driven_.contains(id) && boundary_.insert(id))
-          out.boundary.push_back(bit);
-      }
   return out;
 }
 

@@ -11,7 +11,6 @@
 #include "rtlil/id_set.hpp"
 #include "rtlil/module.hpp"
 #include "rtlil/topo.hpp"
-#include "util/hashing.hpp"
 
 #include <vector>
 
@@ -25,23 +24,9 @@ struct SubgraphOptions {
 };
 
 struct Subgraph {
-  std::vector<rtlil::Cell*> cells;           ///< combinational, topo-closed subset
-  std::vector<rtlil::SigBit> boundary;       ///< canonical bits read but not driven inside
-  std::vector<rtlil::Cell*> ball;            ///< the full distance-k BFS ball
-  size_t gates_before_filter = 0;            ///< cells gathered by the distance-k BFS (= ball size)
-
-  /// Order-insensitive structural fingerprint of the cell set: cell types,
-  /// parameters, and every port's canonical bits. Two sub-graphs fingerprint
-  /// equal iff they contain content-identical cells over the same wires, so
-  /// the fingerprint content-addresses derived artifacts (AIG encodings, CNF
-  /// clause groups) across queries — no explicit invalidation needed: a
-  /// mutated cell changes its content and therefore the key.
-  Hash128 fingerprint(const rtlil::SigMap& sigmap) const;
+  std::vector<rtlil::Cell*> cells; ///< combinational, topo-closed subset
+  size_t gates_before_filter = 0;  ///< cells gathered by the distance-k BFS (the ball)
 };
-
-/// Structural hash of one cell under `sigmap` (type, params, canonical bits
-/// of every connected port, outputs included).
-uint64_t cell_content_hash(const rtlil::Cell& cell, const rtlil::SigMap& sigmap);
 
 /// Extract the sub-graph around `target` (a control-port bit) and the
 /// already-known signals. All bits must be canonical w.r.t. `index.sigmap()`.
@@ -51,9 +36,9 @@ Subgraph extract_subgraph(const rtlil::Module& module, const rtlil::NetlistIndex
 
 /// Reusable scratch space for extract_subgraph: id-keyed sets (Cell::id(),
 /// rtlil::bit_id) cleared per query, so their memory follows the largest ball
-/// seen rather than the module — the §II engine keeps one scratch per region
-/// oracle. Produces the same Subgraph as extract_subgraph (`ball` and `cells`
-/// in BFS discovery order).
+/// seen rather than the module — the §II engine keeps one scratch per
+/// oracle. Produces the same Subgraph as extract_subgraph (`cells` in BFS
+/// discovery order).
 class SubgraphScratch {
 public:
   Subgraph extract(const rtlil::Module& module, const rtlil::NetlistIndex& index,
@@ -62,12 +47,11 @@ public:
 
 private:
   rtlil::IdSet in_ball_; ///< cell ids
+  std::vector<rtlil::Cell*> ball_;
   std::vector<rtlil::Cell*> next_;
   rtlil::IdSet kept_; ///< cell ids
   std::vector<rtlil::SigBit> bitq_;
   rtlil::IdSet seen_bits_; ///< bit ids
-  rtlil::IdSet driven_;    ///< bit ids
-  rtlil::IdSet boundary_;  ///< bit ids
 };
 
 } // namespace smartly::core

@@ -160,7 +160,6 @@ private:
   void journal_mutated(Cell* c) {
     if (mutated_.insert(c).second)
       journal_.mutated.push_back(c);
-    oracle_.notify_cell_mutated(c);
     changed_ = true;
   }
 
@@ -256,7 +255,6 @@ private:
         journal_.connects.emplace_back(c->port(Port::Y), kept);
         removed_.insert(c);
         journal_.removed.push_back(c);
-        oracle_.notify_cell_removed(c);
         ++stats_.mux_collapsed;
         changed_ = true;
         descend_branches(c, known, {{kept, &known}}); // no new constraint
@@ -348,7 +346,6 @@ private:
       journal_.connects.emplace_back(c->port(Port::Y), new_a);
       removed_.insert(c);
       journal_.removed.push_back(c);
-      oracle_.notify_cell_removed(c);
     } else {
       c->set_port(Port::A, new_a);
       c->set_port(Port::B, new_b);

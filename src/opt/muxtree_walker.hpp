@@ -65,24 +65,6 @@ public:
   /// Decide the value of `ctrl` (a canonical SigBit) given the path
   /// conditions in `known` (canonical bits -> value).
   virtual CtrlDecision decide(rtlil::SigBit ctrl, const KnownMap& known) = 0;
-
-  /// Mutation notifications. The walker calls notify_cell_mutated immediately
-  /// after rewriting a cell's ports/params mid-sweep, and notify_cell_removed
-  /// when it schedules a cell for removal (the cell stays in the module until
-  /// the sweep's journal is applied at the barrier). Incremental oracles use
-  /// these to invalidate caches and retire solver clause groups; the
-  /// from-scratch oracles ignore them.
-  virtual void notify_cell_mutated(rtlil::Cell* cell) { (void)cell; }
-  virtual void notify_cell_removed(rtlil::Cell* cell) { (void)cell; }
-
-  /// Parallel-engine notification: cells *outside* this oracle's walks were
-  /// removed and the given (sweep-time canonical) nets rewired at a barrier.
-  /// An oracle whose caches can read such nets as cone boundary inputs must
-  /// invalidate the dependent entries — the cross-region analogue of the
-  /// invalidation notify_cell_removed triggers for the oracle's own sweeps.
-  virtual void notify_external_rewire(const std::vector<rtlil::SigBit>& bits) {
-    (void)bits;
-  }
 };
 
 /// Baseline oracle: a control bit is decided only when it is literally one

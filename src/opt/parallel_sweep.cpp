@@ -36,7 +36,6 @@ struct RegionState {
   /// cross-region dirty test is pure hash lookups — no per-barrier BFS.
   /// Conservative between recomputes: local edits only shrink the closure.
   std::unordered_set<SigBit> closure_bits;
-  MuxtreeOracle* oracle = nullptr;
   bool dirty = true;
   bool alive = true;
   /// Barrier scratch: closure recompute flagged / overlap results.
@@ -131,6 +130,8 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
                                   std::max<size_t>(partition.regions.size(), 1));
   util::ThreadPool pool(width);
   stats.threads_used = pool.size();
+  for (int w = 0; w < pool.size(); ++w)
+    oracles_.push_back(options_.make_oracle());
 
   std::vector<RegionState> regions(partition.regions.size());
   std::unordered_map<const Cell*, size_t> region_of; // mux tree cell -> region id
@@ -171,11 +172,10 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
       guard->note_skipped_regions(abandoned);
   };
 
-  std::vector<SigBit> rewired_bits; ///< removed output classes of the last barrier
   for (size_t iter = 0; iter < options_.max_iterations; ++iter) {
-    // Iteration barrier: deterministic budgets (charged by the region
-    // oracles) arm the sticky halt flag only here, so the same budget stops
-    // the sweep at the same iteration for every thread count.
+    // Iteration barrier: deterministic budgets (charged by the oracles) arm
+    // the sticky halt flag only here, so the same budget stops the sweep at
+    // the same iteration for every thread count.
     if (guard != nullptr && guard->checkpoint()) {
       halt_engine(util::BudgetKind::None);
       break;
@@ -219,27 +219,13 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
     if (work.empty())
       break;
 
-    // Oracle creation and cross-region invalidation stay on this thread:
-    // oracles_ grows here, and the rewired-net notification mirrors, for
-    // other regions' removals, what the oracle's own begin_module flush does
-    // for its own (see IncrementalOracle::notify_external_rewire).
-    for (RegionState* r : work) {
-      if (!r->oracle) {
-        oracles_.push_back(options_.make_oracle());
-        r->oracle = oracles_.back().get();
-      }
-      if (!rewired_bits.empty())
-        r->oracle->notify_external_rewire(rewired_bits);
-    }
-    rewired_bits.clear();
-
     // Parallel phase: the module and index are frozen except for in-place
     // input-port shrinks of each region's own tree cells, which no other
     // region's read closure can reach (see region_partition.hpp).
     std::vector<Slot> slots(work.size());
     bool faulted = false;
     try {
-      pool.run_batch(work.size(), [&](int, size_t i) {
+      pool.run_batch(work.size(), [&](int worker, size_t i) {
         RegionState& r = *work[i];
         // Mid-phase halts only come from deadline/cancel/faults; a skipped
         // region keeps an empty journal and is marked clean at the barrier
@@ -248,9 +234,10 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
             util::fault_unknown("sweep.region", work_units[i]))
           return;
         const obs::Span region_span("sweep", "sweep.region", "region", work_units[i]);
-        r.oracle->begin_module(module_, index);
+        MuxtreeOracle& oracle = *oracles_[static_cast<size_t>(worker)];
+        oracle.begin_module(module_, index);
         Slot& slot = slots[i];
-        MuxtreeWalker walker(index, *r.oracle, slot.stats, slot.journal,
+        MuxtreeWalker walker(index, oracle, slot.stats, slot.journal,
                              trace ? &slot.trace : nullptr, static_cast<uint32_t>(iter));
         for (Cell* root : r.roots)
           walker.walk_root(root, stable_order.at(root));
@@ -309,14 +296,8 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
               if (bit.is_wire())
                 merge_bits.insert(bit); // sweep-time representative
             }
-        for (Cell* c : slots[i].journal.removed) {
-          for (const SigBit& raw : c->port(c->output_port())) {
-            const SigBit bit = index.sigmap()(raw);
-            if (bit.is_wire())
-              rewired_bits.push_back(bit);
-          }
+        for (Cell* c : slots[i].journal.removed)
           region_of.erase(c);
-        }
         if (!slots[i].journal.removed.empty()) {
           std::unordered_set<Cell*> dead(slots[i].journal.removed.begin(),
                                          slots[i].journal.removed.end());
@@ -395,9 +376,7 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
           refresh_closure(regions[self], self, index, region_of, options_.ball_radius);
     });
 
-    // Serial merge pass, ascending region id (deterministic). Merges are
-    // rare; merged regions start from a fresh oracle, which re-derives
-    // rather than re-uses — identical either way.
+    // Serial merge pass, ascending region id (deterministic); merges are rare.
     std::deque<size_t> recheck;
     for (size_t i = 0; i < regions.size(); ++i)
       if (regions[i].alive && regions[i].recompute && !regions[i].overlaps.empty())
@@ -433,25 +412,16 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
         victim.roots.clear();
         victim.tree_cells.clear();
         victim.closure_bits.clear();
-        victim.oracle = nullptr; // retired oracle stays in oracles_ for stats
         ++stats.region_merges;
       }
       std::sort(into.roots.begin(), into.roots.end(), [&](Cell* a, Cell* b) {
         return stable_order.at(a) < stable_order.at(b);
       });
-      into.oracle = nullptr; // constituents' caches cannot be merged
       into.dirty = true;
       // The union's closure needs its own overlap pass (rare path: serial).
       into.overlaps = refresh_closure(into, target, index, region_of, options_.ball_radius);
       if (!into.overlaps.empty())
         recheck.push_back(target);
-    }
-    if (!options_.requeue_dirty_only) {
-      // Walk-everything fixpoint (differential/debug mode): clean-region
-      // walks are pure no-op replays, so this cannot change the result.
-      for (RegionState& r : regions)
-        if (r.alive && !r.tree_cells.empty())
-          r.dirty = true;
     }
   }
 

@@ -1,20 +1,19 @@
-// Parallel deterministic sweep engine (ISSUE 3 tentpole).
+// Parallel deterministic sweep engine.
 //
 // Muxtrees with disjoint read closures are independent optimization
 // problems. The engine partitions the module into regions once
 // (region_partition.hpp), then iterates to fixpoint:
-//   1. dirty regions are dispatched to a work-stealing pool; each region
-//      owns a persistent oracle (state travels with the region, not the
-//      worker, so decisions depend only on region content — never on the
-//      thread count or which worker got which region — while cross-iteration
-//      caches keep paying off) and records its edits into a private
-//      SweepJournal;
+//   1. dirty regions are dispatched to a work-stealing pool; each pool worker
+//      owns one oracle, built up front (oracles keep no state between
+//      queries, so decisions depend only on region content — never on the
+//      thread count or which worker got which region), and each region
+//      records its edits into a private SweepJournal;
 //   2. at the barrier, journals are applied in canonical region order and
 //      the shared NetlistIndex is updated incrementally from them;
 //   3. regions whose trees lie within the oracle ball radius of a changed
 //      net are re-queued; their read closures are recomputed on the updated
 //      index (an applied connect can extend a closure by one hop), and
-//      regions whose closures now overlap are merged (fresh oracle).
+//      regions whose closures now overlap are merged.
 // The resulting netlist, statistics, and decision traces are bit-identical
 // for every thread count.
 #pragma once
@@ -36,18 +35,14 @@ struct ParallelSweepOptions {
   /// >= the oracle's sub-graph extraction distance k (SubgraphOptions::depth).
   int ball_radius = 4;
   size_t max_iterations = kMaxSweepIterations; ///< keep equal to the serial cap
-  /// Re-queue only regions near a change for the next iteration. Walking a
-  /// clean region is a pure no-op replay, so disabling this cannot change
-  /// the result — it only mirrors the serial engine's walk-everything
-  /// fixpoint (used by the differential benches).
-  bool requeue_dirty_only = true;
-  /// Factory for per-region oracles, called lazily at first dispatch (and
-  /// again when regions merge).
+  /// Factory for the per-worker oracles, called once per pool worker when
+  /// the run starts. The oracles must keep no state between decide() calls
+  /// that could change a verdict.
   std::function<std::unique_ptr<MuxtreeOracle>()> make_oracle;
   /// Optional run-wide resource governor (not owned). Deterministic budgets
-  /// are evaluated at iteration barriers against what the region oracles
-  /// charged; on halt the remaining dirty regions are skipped and the
-  /// already-applied journals stand (each edit is individually proven).
+  /// are evaluated at iteration barriers against what the oracles charged;
+  /// on halt the remaining dirty regions are skipped and the already-applied
+  /// journals stand (each edit is individually proven).
   util::ResourceGuard* guard = nullptr;
   /// Units the recovery layer has quarantined (not owned; frozen during the
   /// run). Regions whose stable id (the minimum bit_unit_id over their roots'
@@ -80,9 +75,8 @@ public:
   /// (tagged iteration + root) for differential testing.
   ParallelSweepStats run(DecisionTrace* trace = nullptr);
 
-  /// Every oracle the run created (active regions plus oracles retired by
-  /// region merges). Valid until destruction; callers aggregate
-  /// oracle-specific statistics from these after run().
+  /// The run's oracles, one per pool worker. Valid until destruction;
+  /// callers aggregate oracle-specific statistics from these after run().
   const std::vector<std::unique_ptr<MuxtreeOracle>>& oracles() const noexcept {
     return oracles_;
   }

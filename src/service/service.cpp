@@ -30,8 +30,7 @@ constexpr const char* kJobSite = "service.job";
 /// DAG-aware rewrite -> fraig) with transactional in-job recovery. One
 /// flow configuration for every job, summarized in result manifests.
 core::SmartlyOptions job_flow_options(const ServiceOptions& service,
-                                      core::PortableDecisionMemo* memo,
-                                      const util::QuarantineSet* quarantine) {
+                                      core::PortableDecisionMemo* memo) {
   core::SmartlyOptions o;
   o.enable_rewrite = true;
   // Jobs are the unit of parallelism (one pool task each); the engines run
@@ -39,7 +38,6 @@ core::SmartlyOptions job_flow_options(const ServiceOptions& service,
   // anyway — this only avoids pool-inside-pool oversubscription.
   o.threads = 1;
   o.sat.memo = memo;
-  o.sat.quarantine = quarantine;
   o.budgets = service.budgets;
   o.recovery.enabled = true;
   return o;
@@ -206,8 +204,7 @@ void OptService::run_job(const std::string& name, int attempt) {
       rtlil::Module& top = *design->top();
       const size_t cells_before = top.cells().size();
 
-      const core::SmartlyOptions flow =
-          job_flow_options(options_, &memo_, &quarantine_);
+      const core::SmartlyOptions flow = job_flow_options(options_, &memo_);
       const core::SmartlyStats flow_stats = core::smartly_flow(top, flow);
 
       result_verilog = backend::write_verilog(top);

@@ -24,7 +24,7 @@ uint8_t encode_decision(CtrlDecision d) {
   case CtrlDecision::Unknown: break;
   }
   // Proven not-forced. The oracle only inserts Unknown when it is a pure
-  // function of the salted cone (see IncrementalOracle::finish); storing it
+  // function of the salted cone (see InferenceOracle::decide); storing it
   // lets warm runs skip the both-polarity SAT protocol, the most expensive
   // query outcome there is.
   return 4;

@@ -2,14 +2,15 @@
 //
 // Three cache layers survive restarts:
 //
-//   * OracleMemo — the cross-job decision memo IncrementalOracle consults
-//     through core::PortableDecisionMemo. Keys are canonical cone
-//     fingerprints (see portable_query_key in incremental_oracle.cpp), so an
+//   * OracleMemo — the cross-job decision memo core::InferenceOracle
+//     consults through core::PortableDecisionMemo. Keys are canonical cone
+//     fingerprints (see portable_query_key in core/sat_redundancy.cpp), so an
 //     entry recorded by one daemon run answers isomorphic queries in the
 //     next. Only verdicts that are deterministic functions of the salted
 //     cone are stored: Zero/One/DeadPath always, Unknown only when proven
-//     not-forced (exhaustive sim, or both polarities SAT) — never when a
-//     budget, guard halt, or fault injection cut the query short.
+//     not-forced or out of scope (exhaustive sim, both polarities SAT, an
+//     over-threshold cone) — never when a budget, guard halt, or fault
+//     injection cut the query short.
 //
 //   * RewriteLibrary programs — the min-cost gate programs the cut-rewriting
 //     engine synthesizes per truth table. Pure functions of the truth table;
@@ -52,7 +53,7 @@ constexpr uint32_t kWarmCacheVersion = 1;
 class ResultCache;
 
 /// Thread-safe PortableDecisionMemo shared by every job the daemon runs
-/// (the parallel sweep's per-region oracles all point here).
+/// (the parallel sweep's per-worker oracles all point here).
 class OracleMemo final : public core::PortableDecisionMemo {
 public:
   bool lookup(const Hash128& key, opt::CtrlDecision* out) const override;

@@ -45,76 +45,12 @@ SimResult exhaustive_forced_ex(const aig::Aig& aig,
     }
   }
 
-  std::vector<uint64_t> local_values;
-  std::vector<uint64_t>& values = options.scratch ? *options.scratch : local_values;
-
-  bool seen0 = false, seen1 = false, any = false;
-  std::vector<uint64_t> input_words(n_inputs, 0);
-
-  auto capture = [&](std::vector<uint8_t>& w, int lane) {
-    if (!options.capture_witnesses)
-      return;
-    w.resize(n_inputs);
-    for (size_t i = 0; i < n_inputs; ++i)
-      w[i] = static_cast<uint8_t>((input_words[i] >> lane) & 1);
-  };
-
-  // --- stage 0: replay recycled candidate patterns, 64 per batch -----------
-  // Each candidate is *verified* against the current cone and constraints, so
-  // a both-polarity hit is a genuine pair of witnesses: the target is not
-  // forced, and neither enumeration nor SAT has anything left to prove.
-  if (options.recycled) {
-    const auto& cands = *options.recycled;
-    for (size_t base = 0; base < cands.size() && !(seen0 && seen1); base += 64) {
-      const size_t chunk = std::min<size_t>(64, cands.size() - base);
-      for (size_t i = 0; i < n_inputs; ++i)
-        input_words[i] = 0;
-      for (size_t lane = 0; lane < chunk; ++lane) {
-        const std::vector<uint8_t>& cand = cands[base + lane];
-        const size_t n = std::min(cand.size(), n_inputs);
-        for (size_t i = 0; i < n; ++i)
-          if (cand[i])
-            input_words[i] |= uint64_t(1) << lane;
-      }
-      aig.simulate_into(input_words, values);
-
-      uint64_t valid = chunk == 64 ? ~uint64_t(0) : (uint64_t(1) << chunk) - 1;
-      // Direct input constraints are checked too (replay does not pre-force
-      // inputs): a candidate disagreeing with a fixing is simply invalid.
-      for (const auto& [lit, val] : constraints) {
-        const uint64_t v = aig::Aig::sim_lit(values, lit);
-        valid &= val ? v : ~v;
-      }
-      if (!valid)
-        continue;
-      any = true;
-      res.patterns_recycled += static_cast<size_t>(__builtin_popcountll(valid));
-      const uint64_t t = aig::Aig::sim_lit(values, target);
-      if ((t & valid) && !seen1) {
-        seen1 = true;
-        res.has_witness1 = true;
-        capture(res.witness1, __builtin_ctzll(t & valid));
-      }
-      if ((~t & valid) && !seen0) {
-        seen0 = true;
-        res.has_witness0 = true;
-        capture(res.witness0, __builtin_ctzll(~t & valid));
-      }
-    }
-    if (seen0 && seen1) {
-      res.forced = Forced::None;
-      res.recycled_decisive = true;
-      res.early_exit = true;
-      return res;
-    }
-  }
-
   std::vector<size_t> free_inputs;
   for (size_t i = 0; i < n_inputs; ++i)
     if (fixed[i] < 0)
       free_inputs.push_back(i);
-  if (!options.enumerate || static_cast<int>(free_inputs.size()) > options.max_free_inputs) {
-    res.forced = Forced::None; // give-up / replay-only: not an exhaustive verdict
+  if (static_cast<int>(free_inputs.size()) > options.max_free_inputs) {
+    res.forced = Forced::None; // give-up: not an exhaustive verdict
     return res;
   }
 
@@ -122,8 +58,11 @@ SimResult exhaustive_forced_ex(const aig::Aig& aig,
   const uint64_t n_patterns = uint64_t(1) << k;
   const uint64_t n_words = (n_patterns + 63) / 64;
 
+  std::vector<uint64_t> input_words(n_inputs, 0);
   for (size_t i = 0; i < n_inputs; ++i)
     input_words[i] = fixed[i] == 1 ? ~uint64_t(0) : 0;
+  std::vector<uint64_t> values;
+  bool seen0 = false, seen1 = false, any = false;
 
   for (uint64_t w = 0; w < n_words; ++w) {
     const uint64_t base = w * 64;
@@ -148,16 +87,8 @@ SimResult exhaustive_forced_ex(const aig::Aig& aig,
       continue;
     any = true;
     const uint64_t t = aig::Aig::sim_lit(values, target);
-    if ((t & valid) && !seen1) {
-      seen1 = true;
-      res.has_witness1 = true;
-      capture(res.witness1, __builtin_ctzll(t & valid));
-    }
-    if ((~t & valid) && !seen0) {
-      seen0 = true;
-      res.has_witness0 = true;
-      capture(res.witness0, __builtin_ctzll(~t & valid));
-    }
+    seen1 = seen1 || (t & valid) != 0;
+    seen0 = seen0 || (~t & valid) != 0;
     if (seen0 && seen1) {
       // Both polarities witnessed: the remaining patterns cannot change the
       // verdict, so stop the sweep here instead of enumerating all 2^k.

@@ -8,15 +8,9 @@
 // dependencies between control signals are honoured), and reports whether
 // the target signal is forced.
 //
-// The extended entry point additionally supports the incremental oracle:
-// *recycled patterns* — satisfying assignments harvested from earlier
-// queries — are replayed first as counterexample candidates. A replayed
-// pattern is verified against the current constraints by simulation, so
-// recycling can only ever prove Forced::None early (both polarities
-// witnessed); it cannot flip a decision. The sweep itself terminates as soon
-// as both target polarities have been observed rather than enumerating all
-// 2^k assignments; `SimResult::early_exit` surfaces that event to the
-// oracle's `sim_filter_half` counter.
+// The sweep terminates as soon as both target polarities have been observed
+// rather than enumerating all 2^k assignments; `SimResult::early_exit`
+// surfaces that event to the oracle's `sim_filter_half` counter.
 #pragma once
 
 #include "aig/aig.hpp"
@@ -40,51 +34,21 @@ enum class Forced {
 
 struct SimOptions {
   int max_free_inputs = 14; ///< give up (Forced::None) above 2^14 patterns
-
-  /// Candidate assignments replayed before enumeration: one value per AIG
-  /// input, in `Aig::inputs()` order. Typically witnesses from earlier
-  /// queries over a structurally related cone.
-  const std::vector<std::vector<uint8_t>>* recycled = nullptr;
-
-  /// When false, only the recycled candidates are evaluated — the exhaustive
-  /// sweep is skipped. Used for SAT-sized cones, where a recycled witness
-  /// pair proves Forced::None without any solver call.
-  bool enumerate = true;
-
-  /// Optional reusable node-value buffer (see Aig::simulate_into).
-  std::vector<uint64_t>* scratch = nullptr;
-
-  /// Record witness assignments (SimResult::witness0/1). Off by default:
-  /// capture costs an allocation per observed polarity, which matters on the
-  /// hot small-cone path where nobody reads the witnesses.
-  bool capture_witnesses = false;
 };
 
 struct SimResult {
   Forced forced = Forced::None;
   /// Every consistent assignment was examined (the verdict is exhaustive,
-  /// not a give-up). False when free inputs exceed max_free_inputs, when
-  /// enumeration was disabled, or when the sweep exited early on None.
+  /// not a give-up). False when free inputs exceed max_free_inputs or when
+  /// the sweep exited early on None.
   bool exhausted = false;
   /// The sweep stopped before its last word because both target polarities
   /// had been observed ("half sweep" — surfaced as sim_filter_half).
   bool early_exit = false;
-  /// Recycled candidates found consistent with the current constraints.
-  size_t patterns_recycled = 0;
-  /// Recycled candidates alone proved Forced::None (no enumeration needed).
-  bool recycled_decisive = false;
-  /// A verified assignment observing target=0 / target=1 exists. The flags
-  /// are always maintained (callers use them to skip SAT calls whose outcome
-  /// they already witness); the witness *vectors* are only filled when
-  /// SimOptions::capture_witnesses is set.
-  bool has_witness0 = false;
-  bool has_witness1 = false;
-  std::vector<uint8_t> witness0;
-  std::vector<uint8_t> witness1;
 };
 
 /// Decide whether `target` is forced under `constraints` (pairs of AIG
-/// literal and required value), with pattern recycling and accounting.
+/// literal and required value), with early-exit accounting.
 SimResult exhaustive_forced_ex(const aig::Aig& aig,
                                const std::vector<std::pair<aig::Lit, bool>>& constraints,
                                aig::Lit target, const SimOptions& options);

@@ -18,11 +18,10 @@
 //               NetlistIndex incremental-maintenance API.
 //
 // Determinism: class proof tasks run on a work-stealing pool, but each class
-// owns its solver (state is a function of class content alone, as the
-// parallel sweep engine's per-region oracles), results land in
-// slot-per-class outputs, and all module mutation happens at single-threaded
-// barriers in canonical order — netlist bytes and statistics are
-// bit-identical for every thread count.
+// owns its solver (state is a function of class content alone), results
+// land in slot-per-class outputs, and all module mutation happens at
+// single-threaded barriers in canonical order — netlist bytes and statistics
+// are bit-identical for every thread count.
 //
 // Correctness bar: merges are only committed on an UNSAT proof over the full
 // fanin cones, and every caller-facing flow CECs the result

@@ -103,7 +103,6 @@ ResourceReport ResourceGuard::report() const {
   r.conflicts = conflicts_.load(std::memory_order_relaxed);
   r.propagations = propagations_.load(std::memory_order_relaxed);
   r.skipped_solves = skipped_solves_.load(std::memory_order_relaxed);
-  r.skipped_merges = skipped_merges_.load(std::memory_order_relaxed);
   r.skipped_rewrites = skipped_rewrites_.load(std::memory_order_relaxed);
   r.skipped_regions = skipped_regions_.load(std::memory_order_relaxed);
   r.halted_engines = halted_engines_.load(std::memory_order_relaxed);

@@ -66,7 +66,6 @@ struct ResourceReport {
   uint64_t conflicts = 0;
   uint64_t propagations = 0;
   uint64_t skipped_solves = 0;   ///< SAT queries answered Unknown without solving
-  uint64_t skipped_merges = 0;   ///< fraig merges abandoned after the halt
   uint64_t skipped_rewrites = 0; ///< rewrite candidates abandoned after the halt
   uint64_t skipped_regions = 0;  ///< sweep regions left unvisited after the halt
   uint64_t halted_engines = 0;   ///< engines that observed the halt and stopped early
@@ -101,9 +100,6 @@ public:
   }
   void note_skipped_solves(uint64_t n = 1) noexcept {
     skipped_solves_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void note_skipped_merges(uint64_t n) noexcept {
-    skipped_merges_.fetch_add(n, std::memory_order_relaxed);
   }
   void note_skipped_rewrites(uint64_t n) noexcept {
     skipped_rewrites_.fetch_add(n, std::memory_order_relaxed);
@@ -171,7 +167,6 @@ private:
   std::atomic<uint64_t> conflicts_{0};
   std::atomic<uint64_t> propagations_{0};
   std::atomic<uint64_t> skipped_solves_{0};
-  std::atomic<uint64_t> skipped_merges_{0};
   std::atomic<uint64_t> skipped_rewrites_{0};
   std::atomic<uint64_t> skipped_regions_{0};
   std::atomic<uint64_t> halted_engines_{0};

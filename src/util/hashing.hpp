@@ -19,11 +19,11 @@ inline uint64_t hash_combine(uint64_t seed, uint64_t v) noexcept {
   return hash_mix(seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2)));
 }
 
-/// 128-bit fingerprint for content-addressed caches (cone/sub-graph caches in
-/// the incremental oracle). Two independently-seeded 64-bit streams: with ~2^5
-/// cached entries per module a single 64-bit key would already be fine, but
-/// the oracle treats fingerprint equality as structural identity (no stored
-/// key to compare against), so collision probability must be negligible.
+/// 128-bit fingerprint for content-addressed caches (the §II decision memo,
+/// fraig's structural keys, the service result cache). Two
+/// independently-seeded 64-bit streams: the caches treat fingerprint
+/// equality as identity (no stored key to compare against), so collision
+/// probability must be negligible.
 struct Hash128 {
   uint64_t lo = 0;
   uint64_t hi = 0;

@@ -128,7 +128,7 @@ TEST(FaultInjection, ParallelSweepSchedulesTerminateAndStayEquivalent) {
     const auto golden = rtlil::clone_design(*design);
     {
       // Hits both the sweep engine's own sites (sweep.region /
-      // sweep.iteration) and the per-region oracles' oracle.solve: an
+      // sweep.iteration) and the per-worker oracles' oracle.solve: an
       // oracle throw mid-walk exercises the journal-recovery path.
       util::FaultPlan plan = mixed_plan(seed, "");
       util::FaultScope scope(plan);

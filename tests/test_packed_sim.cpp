@@ -1,6 +1,6 @@
 // Exhaustive packed simulation (sim::exhaustive_forced): the §II "few free
 // inputs" decision engine. Forced/contradiction semantics, constraint
-// filtering, and the free-input ceiling.
+// filtering, the free-input ceiling, and exhaustive_forced_ex's early exit.
 #include "aig/aig.hpp"
 #include "sim/packed_sim.hpp"
 
@@ -167,3 +167,51 @@ TEST_P(PackedSimVsBruteForce, MatchesNaiveEnumeration) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PackedSimVsBruteForce, ::testing::Range<uint64_t>(1, 50));
+
+// --- exhaustive_forced_ex ----------------------------------------------------
+
+namespace {
+
+/// y = s ? a : b over fresh AIG inputs; returns (aig, s, a, b, y).
+struct MuxAig {
+  Aig g;
+  Lit s, a, b, y;
+  MuxAig() {
+    s = g.add_input("s");
+    a = g.add_input("a");
+    b = g.add_input("b");
+    y = g.mux_(s, a, b);
+    g.add_output(y, "y");
+  }
+};
+
+} // namespace
+
+TEST(ExhaustiveForcedEx, MatchesLegacyWrapperOnAllVerdicts) {
+  MuxAig m;
+  // Forced one: s=1, a=1.
+  EXPECT_EQ(sim::exhaustive_forced(m.g, {{m.s, true}, {m.a, true}}, m.y),
+            sim::Forced::One);
+  // Contradiction: y constrained both ways via internal literal.
+  EXPECT_EQ(sim::exhaustive_forced(m.g, {{m.y, true}, {m.y, false}}, m.y),
+            sim::Forced::Contradiction);
+  // Unconstrained: None.
+  EXPECT_EQ(sim::exhaustive_forced(m.g, {}, m.y), sim::Forced::None);
+}
+
+TEST(ExhaustiveForcedEx, EarlyExitSurfacedForNonForcedTargets) {
+  // 7 free inputs -> 2 words of 64 patterns; an OR tree is 0 only on the
+  // all-zero pattern (word 0), so both polarities appear in the first word
+  // and the sweep must stop before word 2.
+  Aig g;
+  Lit acc = aig::kFalse;
+  for (int i = 0; i < 7; ++i)
+    acc = g.or_(acc, g.add_input());
+  g.add_output(acc, "y");
+
+  sim::SimOptions opts;
+  const sim::SimResult r = sim::exhaustive_forced_ex(g, {}, acc, opts);
+  EXPECT_EQ(r.forced, sim::Forced::None);
+  EXPECT_TRUE(r.early_exit);
+  EXPECT_FALSE(r.exhausted);
+}

@@ -6,7 +6,6 @@
 #include "benchgen/public_bench.hpp"
 #include "benchgen/random_circuit.hpp"
 #include "cec/cec.hpp"
-#include "core/incremental_oracle.hpp"
 #include "core/sat_redundancy.hpp"
 #include "core/smartly_pass.hpp"
 #include "opt/parallel_sweep.hpp"
@@ -110,7 +109,7 @@ TEST(ParallelSweep, DecisionsMatchSerialEngine) {
     auto serial_design = rtlil::clone_design(*golden);
     opt::coarse_opt(*serial_design->top());
     opt::DecisionTrace serial_trace;
-    core::IncrementalOracle oracle;
+    core::InferenceOracle oracle({});
     opt::optimize_muxtrees(*serial_design->top(), oracle, &serial_trace);
 
     for (int threads : {1, 3}) {
@@ -133,9 +132,13 @@ TEST(ParallelSweep, EquivalentAndSameRemovalsAsSerial) {
 
   auto parallel_design = rtlil::clone_design(*golden);
   opt::coarse_opt(*parallel_design->top());
+  opt::ParallelSweepStats sweep;
   const core::SatRedundancyStats parallel =
-      core::sat_redundancy_parallel(*parallel_design->top(), {}, 4);
+      core::sat_redundancy_parallel(*parallel_design->top(), {}, 4, nullptr, &sweep);
 
+  // The serial engine re-walks every tree each sweep; the parallel engine
+  // re-queues only regions near a change and must still remove the same.
+  EXPECT_GT(sweep.regions_skipped_clean, 0u);
   EXPECT_EQ(parallel.walker.mux_collapsed, serial.walker.mux_collapsed);
   EXPECT_EQ(parallel.walker.pmux_branches_removed, serial.walker.pmux_branches_removed);
   EXPECT_EQ(parallel.walker.data_bits_replaced, serial.walker.data_bits_replaced);
@@ -185,7 +188,7 @@ TEST(ParallelSweep, IncrementalIndexMatchesRebuildAfterSweep) {
 
   rtlil::NetlistIndex incremental(top);
   incremental.sigmap().flatten();
-  core::IncrementalOracle oracle;
+  core::InferenceOracle oracle({});
   opt::MuxtreeStats stats;
   size_t sweeps = 0;
   for (size_t iter = 0; iter < 16; ++iter) {
@@ -228,34 +231,14 @@ TEST(ParallelSweep, IncrementalIndexMatchesRebuildAfterSweep) {
   }
 }
 
-TEST(ParallelSweep, WalkEverythingModeChangesNothingButTheSkips) {
-  // requeue_dirty_only=false mirrors the serial walk-everything fixpoint;
-  // clean-region walks are no-op replays, so the netlist must be identical.
-  const auto golden = load(benchgen::public_suite().front().verilog);
-  auto dirty_only = rtlil::clone_design(*golden);
-  opt::coarse_opt(*dirty_only->top());
-  auto walk_all = rtlil::clone_design(*golden);
-  opt::coarse_opt(*walk_all->top());
-
-  opt::ParallelSweepOptions po;
-  po.threads = 2;
-  po.make_oracle = [] { return std::make_unique<core::IncrementalOracle>(); };
-  const opt::ParallelSweepStats fast = opt::parallel_sweep(*dirty_only->top(), po);
-  po.requeue_dirty_only = false;
-  const opt::ParallelSweepStats full = opt::parallel_sweep(*walk_all->top(), po);
-
-  EXPECT_EQ(backend::write_rtlil(*dirty_only->top()), backend::write_rtlil(*walk_all->top()));
-  EXPECT_EQ(full.regions_skipped_clean, 0u);
-  EXPECT_GE(full.region_walks, fast.region_walks);
-  EXPECT_GT(fast.regions_skipped_clean, 0u);
-}
-
 TEST(ParallelSweep, EmptyAndMuxFreeModules) {
   rtlil::Design d;
   rtlil::Module* m = d.add_module("empty");
   opt::ParallelSweepOptions po;
   po.threads = 4;
-  po.make_oracle = [] { return std::make_unique<core::IncrementalOracle>(); };
+  po.make_oracle = [] {
+    return std::make_unique<core::InferenceOracle>(core::SatRedundancyOptions{});
+  };
   const opt::ParallelSweepStats stats = opt::parallel_sweep(*m, po);
   EXPECT_EQ(stats.regions, 0u);
   EXPECT_EQ(stats.region_walks, 0u);

@@ -557,3 +557,42 @@ TEST(RecoverySchedules, QuarantineIdenticalAcrossThreadCounts) {
     }
   }
 }
+
+// --- caller-provided quarantine sets -----------------------------------------
+
+TEST(RecoverySchedules, CallerQuarantineSetKeepsStageQuarantine) {
+  // A caller's sat.quarantine (the service passes its job-level set) must
+  // not replace the pass's own set when recovery is on: a faulting §II unit
+  // has to be quarantined where the sweep and the oracle look, or every
+  // retry re-faults and the stage is skipped.
+  const util::QuarantineSet external; // holds nothing a §II site reads
+  for (const bool oracle_sites : {false, true}) {
+    const char* filter = oracle_sites ? "oracle.solve" : "sweep";
+    uint64_t skipped_own = 0, skipped_external = 0;
+    for (uint64_t seed = 1; seed <= 10; ++seed) {
+      SCOPED_TRACE(std::string(filter) + " seed " + std::to_string(seed));
+      const std::string src = benchgen::random_verilog(seed, 6);
+      std::string netlists[2];
+      for (const bool with_external : {false, true}) {
+        auto design = verilog::read_verilog(src);
+        core::SmartlyOptions options;
+        options.threads = 2;
+        options.recovery.enabled = true;
+        if (oracle_sites)
+          options.sat.sim_max_inputs = 0; // queries must reach oracle.solve
+        if (with_external)
+          options.sat.quarantine = &external;
+        core::SmartlyStats stats;
+        {
+          util::FaultScope scope(unit_plan(seed, filter));
+          stats = core::smartly_flow(*design->top(), options);
+        }
+        (with_external ? skipped_external : skipped_own) += stats.recovery.stages_skipped;
+        netlists[with_external ? 1 : 0] = backend::write_rtlil(*design->top());
+      }
+      EXPECT_EQ(netlists[0], netlists[1]);
+    }
+    EXPECT_EQ(skipped_own, 0u) << filter;
+    EXPECT_EQ(skipped_external, skipped_own) << filter;
+  }
+}
