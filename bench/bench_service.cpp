@@ -18,8 +18,8 @@
 //   cold   fresh spool, empty cache: the reference run. Its done/ tree is
 //          the golden result set and its throughput the cold baseline.
 //   warm   fresh spool, but the cold run's warm-cache snapshot is installed
-//          first. Gates: hit rate strictly above cold (the memo must
-//          actually serve) and throughput at or above cold.
+//          first. Gates: result-cache hit rate strictly above cold and
+//          throughput above cold.
 //   crash  fresh spool, same jobs, then a kill-and-restart gauntlet driven
 //          by the daemon's deterministic crash hooks in fork()ed children:
 //          run 1 dies (_exit 137) after a third of the jobs with the other
@@ -60,8 +60,8 @@ struct JobSet {
 };
 
 /// Mutated benchgen variants: every job is a distinct mutation seed of its
-/// family, so the cold run pays full price per job while the warm run's
-/// snapshot answers the isomorphic cones the families share.
+/// family, so the cold run pays full price per job while the warm run
+/// replays every result from the cold run's snapshot.
 JobSet make_jobs(size_t count) {
   JobSet set;
   char name[64];
@@ -161,13 +161,11 @@ size_t count_loss_events(const service::SpoolPaths& golden, const service::Spool
   return losses;
 }
 
-/// Combined warm-cache hit rate across both persistent layers: whole-job
-/// result replays and oracle-memo hits, over every lookup either layer saw.
-/// Deterministic — hits depend on cache content, never on timing.
+/// Result-cache hit rate: whole-job replays over all jobs that reached the
+/// cache. Deterministic — hits depend on cache content, never on timing.
 double hit_rate(const service::ServiceStats& s) {
-  const uint64_t hits = s.result_hits + s.memo_hits;
-  const uint64_t total = hits + s.result_misses + s.memo_misses;
-  return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
+  const uint64_t total = s.result_hits + s.result_misses;
+  return total == 0 ? 0.0 : static_cast<double>(s.result_hits) / static_cast<double>(total);
 }
 
 std::string phase_json(const char* name, size_t jobs, const PhaseResult& r) {
@@ -176,9 +174,6 @@ std::string phase_json(const char* name, size_t jobs, const PhaseResult& r) {
       .put("jobs", jobs)
       .putf("seconds", r.seconds)
       .putf("jobs_per_second", r.seconds > 0 ? double(jobs) / r.seconds : 0.0)
-      .put("memo_hits", r.stats.memo_hits)
-      .put("memo_misses", r.stats.memo_misses)
-      .put("memo_inserts", r.stats.memo_inserts)
       .put("result_hits", r.stats.result_hits)
       .put("result_misses", r.stats.result_misses)
       .putf("hit_rate", hit_rate(r.stats))

@@ -15,8 +15,8 @@
 //  * scale_industrial  — replicated datapath tiles (and/xor halves re-merged
 //    by muxes, same-control redundancy, or-of-ands decompositions) drawing
 //    operands from the sliding window; deliberately redundant structure of
-//    the kind DAG-aware rewriting exploits, so commits — and therefore
-//    reservation conflicts — actually happen at scale.
+//    the kind DAG-aware rewriting exploits, so commits actually happen at
+//    scale.
 //
 // Generation is a pure function of (seed, spec): byte-identical modules on
 // every run and platform, which the bench-scaling CI job relies on when it

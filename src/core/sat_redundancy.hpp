@@ -11,39 +11,12 @@
 #include "core/subgraph.hpp"
 #include "opt/muxtree_walker.hpp"
 #include "opt/parallel_sweep.hpp"
-#include "util/hashing.hpp"
 
 #include <memory>
 #include <utility>
 #include <vector>
 
 namespace smartly::core {
-
-/// Cross-process decision memo consulted by InferenceOracle (service warm
-/// cache). Keys are *portable* canonical fingerprints of (cone structure,
-/// target role, known-value assignment) — pure functions of content, no
-/// pointers or process-local state — so an entry written by one daemon run
-/// is sound in the next: a hit replays a decision the full pipeline provably
-/// made on an isomorphic cone under the same constraints and oracle options.
-/// Only verdicts that are deterministic functions of the salted cone are
-/// ever inserted: Zero/One/DeadPath always, and Unknown only when proven
-/// not-forced or out of scope (exhaustive simulation found no forcing, both
-/// SAT polarities were satisfiable, the cone exceeds sat_max_inputs, use_sat
-/// is off, or the target lies outside the cone). A guard-halt,
-/// fault-injected, or budget-exhausted Unknown could resolve on a retry and
-/// is never inserted.
-///
-/// Implementations must be thread-safe: the parallel sweep engine's
-/// per-worker oracles share one memo. A hit can resolve a query whose fresh
-/// recomputation would exhaust the per-query conflict budget into Unknown,
-/// so memo-enabled runs are reproducible only for a given memo content.
-class PortableDecisionMemo {
-public:
-  virtual ~PortableDecisionMemo() = default;
-  /// Returns true and fills `*out` on a hit.
-  virtual bool lookup(const Hash128& key, opt::CtrlDecision* out) const = 0;
-  virtual void insert(const Hash128& key, opt::CtrlDecision decision) = 0;
-};
 
 struct SatRedundancyOptions {
   SubgraphOptions subgraph;     ///< distance k and relevance filter toggle
@@ -63,9 +36,6 @@ struct SatRedundancyOptions {
   /// "sweep.region"/"sweep.iteration" filters. smartly_pass replaces it with
   /// its own recovery set while recovery is on.
   const util::QuarantineSet* quarantine = nullptr;
-  /// Optional persistent cross-job decision memo (not owned; thread-safe);
-  /// see PortableDecisionMemo.
-  PortableDecisionMemo* memo = nullptr;
 };
 
 struct SatRedundancyStats {
@@ -84,19 +54,16 @@ struct SatRedundancyStats {
   size_t skipped_halt = 0;     ///< queries answered Unknown after a halt, unsolved
   size_t skipped_quarantine = 0; ///< queries answered Unknown for a quarantined target
   uint64_t solver_conflicts = 0;
-  size_t portable_hits = 0;    ///< persistent-memo hits
-  size_t portable_misses = 0;  ///< memo consultations that fell through
-  size_t portable_inserts = 0; ///< definitive verdicts recorded into the memo
   opt::MuxtreeStats walker;  ///< removal statistics from the shared walker
 };
 
-/// The §II oracle: syntactic lookup, then (after sub-graph extraction and
-/// the optional memo lookup) Table I inference, then simulation or SAT. It
-/// keeps nothing between queries except its statistics, so every verdict is
-/// a function of the query and the module alone.
+/// The §II oracle: syntactic lookup, then sub-graph extraction, Table I
+/// inference, then simulation or SAT. It keeps nothing between queries
+/// except its statistics, so every verdict is a function of the query and
+/// the module alone.
 class InferenceOracle final : public opt::MuxtreeOracle {
 public:
-  explicit InferenceOracle(const SatRedundancyOptions& options);
+  explicit InferenceOracle(const SatRedundancyOptions& options) : options_(options) {}
 
   /// Legacy entry: builds a private NetlistIndex (direct oracle users).
   void begin_module(rtlil::Module& module) override;
@@ -109,14 +76,11 @@ public:
 
 private:
   /// Stages 3-4 on an extracted, non-empty sub-graph under the path
-  /// condition in known_sorted_. Sets `*definitive` when an Unknown verdict
-  /// is a pure function of the salted cone (and so may enter the memo).
-  opt::CtrlDecision decide_cone(rtlil::SigBit ctrl, const Subgraph& sg, uint64_t unit,
-                                bool* definitive);
+  /// condition in known_sorted_.
+  opt::CtrlDecision decide_cone(rtlil::SigBit ctrl, const Subgraph& sg, uint64_t unit);
 
   SatRedundancyOptions options_;
   SatRedundancyStats stats_;
-  uint64_t memo_salt_ = 0; ///< decision-affecting options, folded into memo keys
   rtlil::Module* module_ = nullptr;
   const rtlil::NetlistIndex* index_ = nullptr;
   std::unique_ptr<rtlil::NetlistIndex> owned_index_;

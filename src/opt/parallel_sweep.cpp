@@ -156,12 +156,8 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
   };
 
   util::ResourceGuard* guard = options_.guard;
-  const auto halt_engine = [&](util::BudgetKind why) {
-    if (guard != nullptr) {
-      if (why != util::BudgetKind::None)
-        guard->halt(why);
-      guard->note_halted_engine();
-    }
+  // After a halt: record it and count the dirty regions left unvisited.
+  const auto halt_engine = [&] {
     stats.halted = 1;
     size_t abandoned = 0;
     for (const RegionState& r : regions)
@@ -173,23 +169,15 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
   };
 
   for (size_t iter = 0; iter < options_.max_iterations; ++iter) {
-    // Iteration barrier: deterministic budgets (charged by the oracles) arm
-    // the sticky halt flag only here, so the same budget stops the sweep at
-    // the same iteration for every thread count.
-    if (guard != nullptr && guard->checkpoint()) {
-      halt_engine(util::BudgetKind::None);
-      break;
-    }
-    if (options_.quarantine != nullptr &&
-        options_.quarantine->contains("sweep.iteration", iter + 1)) {
-      // A previously faulting iteration: skip it, keep iterating.
+    // Budgets are charged by the oracles; there is no growth cap here.
+    const util::RoundEntry entry = util::enter_round(guard, options_.quarantine,
+                                                     "sweep.iteration", iter + 1, 0);
+    if (entry == util::RoundEntry::Skip) {
       ++stats.quarantined;
       continue;
     }
-    if (util::fault_point("sweep.iteration", iter + 1) != util::FaultAction::None) {
-      if (guard != nullptr)
-        guard->note_fault("sweep.iteration", iter + 1);
-      halt_engine(util::BudgetKind::Fault);
+    if (entry == util::RoundEntry::Halt) {
+      halt_engine();
       break;
     }
     ++stats.walker.iterations;
@@ -249,8 +237,7 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
       // canonical region order to restore index consistency, then stop.
       // Only injected faults are absorbed; real errors keep propagating.
       faulted = true;
-      if (guard != nullptr)
-        guard->note_fault(e.site().c_str(), e.unit());
+      util::halt_on_fault(guard, e);
     }
     if (faulted) {
       for (size_t i = 0; i < work.size(); ++i) {
@@ -260,7 +247,7 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
       }
       index.compact_topo();
       index.sigmap().flatten();
-      halt_engine(util::BudgetKind::Fault);
+      halt_engine();
       break;
     }
 

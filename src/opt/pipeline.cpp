@@ -10,51 +10,47 @@
 
 namespace smartly::opt {
 
-sweep::FraigStats fraig_stage(rtlil::Module& module, const sweep::FraigOptions& options,
-                              RecoveryContext* recovery) {
-  const obs::Span span("pipeline", "opt.fraig_stage");
-  sweep::FraigStats stats;
-  sweep::FraigOptions opts = options;
+namespace {
+
+/// One protected run of a round-based engine (fraig_sweep, rewrite_sweep)
+/// followed by opt_clean. A bisection probe (max_rounds >= 0) caps the
+/// rounds and detaches the shared guard so probe work never charges the
+/// run's real budgets. A skipped stage reports zero stats: the module holds
+/// the pre-stage image.
+template <typename Stats, typename Options>
+Stats run_round_stage(rtlil::Module& module, const char* stage, const Options& options,
+                      RecoveryContext* recovery, Stats (*engine)(rtlil::Module&, const Options&)) {
+  Stats stats;
+  Options opts = options;
   if (recovery != nullptr)
     opts.quarantine = &recovery->quarantine;
   const StageBody body = [&](rtlil::Module& m, int max_rounds) {
-    sweep::FraigOptions run = opts;
+    Options run = opts;
     if (max_rounds >= 0) {
-      // Bisection probe: cap the rounds and detach the shared guard so probe
-      // work never charges the run's real budgets.
       run.max_rounds = std::min(run.max_rounds, static_cast<size_t>(max_rounds));
       run.guard = nullptr;
     }
-    stats = sweep::fraig_sweep(m, run); // overwrite: retries must not accumulate
+    stats = engine(m, run); // overwrite: retries must not accumulate
     opt_clean(m);
   };
-  const StageOutcome out = run_protected_stage(module, "fraig", recovery, opts.guard, body);
-  if (!out.committed)
-    stats = sweep::FraigStats{}; // skipped: module holds the pre-stage image
+  if (!run_protected_stage(module, stage, recovery, opts.guard, body).committed)
+    stats = Stats{};
   return stats;
+}
+
+} // namespace
+
+sweep::FraigStats fraig_stage(rtlil::Module& module, const sweep::FraigOptions& options,
+                              RecoveryContext* recovery) {
+  const obs::Span span("pipeline", "opt.fraig_stage");
+  return run_round_stage(module, "fraig", options, recovery, &sweep::fraig_sweep);
 }
 
 rewrite::RewriteStats rewrite_stage(rtlil::Module& module,
                                     const rewrite::RewriteOptions& options,
                                     RecoveryContext* recovery) {
   const obs::Span span("pipeline", "opt.rewrite_stage");
-  rewrite::RewriteStats stats;
-  rewrite::RewriteOptions opts = options;
-  if (recovery != nullptr)
-    opts.quarantine = &recovery->quarantine;
-  const StageBody body = [&](rtlil::Module& m, int max_rounds) {
-    rewrite::RewriteOptions run = opts;
-    if (max_rounds >= 0) {
-      run.max_rounds = std::min(run.max_rounds, static_cast<size_t>(max_rounds));
-      run.guard = nullptr;
-    }
-    stats = rewrite::rewrite_sweep(m, run); // overwrite: retries must not accumulate
-    opt_clean(m);
-  };
-  const StageOutcome out = run_protected_stage(module, "rewrite", recovery, opts.guard, body);
-  if (!out.committed)
-    stats = rewrite::RewriteStats{}; // skipped: module holds the pre-stage image
-  return stats;
+  return run_round_stage(module, "rewrite", options, recovery, &rewrite::rewrite_sweep);
 }
 
 DeepOptStats fraig_rewrite_loop(rtlil::Module& module, const DeepOptOptions& options) {

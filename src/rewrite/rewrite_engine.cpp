@@ -382,25 +382,14 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
     guard->set_growth_baseline(module.cell_count());
 
   for (size_t round = 0; round < options.max_rounds; ++round) {
-    // Round barrier: deterministic budgets (incl. the growth cap against the
-    // post-commit cell count) arm the sticky halt flag only here.
-    if (guard != nullptr && guard->checkpoint(module.cell_count())) {
-      ++stats.halted;
-      guard->note_halted_engine();
-      break;
-    }
-    if (options.quarantine != nullptr &&
-        options.quarantine->contains("rewrite.round", round + 1)) {
-      // A previously faulting round: skip it, keep iterating.
+    // The growth cap is checked against the post-commit cell count.
+    const util::RoundEntry entry = util::enter_round(guard, options.quarantine, "rewrite.round",
+                                                     round + 1, module.cell_count());
+    if (entry == util::RoundEntry::Skip) {
       ++stats.quarantined;
       continue;
     }
-    if (util::fault_point("rewrite.round", round + 1) != util::FaultAction::None) {
-      if (guard != nullptr) {
-        guard->halt(util::BudgetKind::Fault);
-        guard->note_fault("rewrite.round", round + 1);
-        guard->note_halted_engine();
-      }
+    if (entry == util::RoundEntry::Halt) {
       ++stats.halted;
       break;
     }
@@ -980,8 +969,7 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
       // is identical at every thread count. Injected faults are absorbed;
       // real errors keep propagating.
       faulted = true;
-      if (guard != nullptr)
-        guard->note_fault(e.site().c_str(), e.unit());
+      util::halt_on_fault(guard, e);
     }
 
     if (!faulted) {
@@ -997,10 +985,6 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
       journal.clear();
     }
     if (faulted) {
-      if (guard != nullptr) {
-        guard->halt(util::BudgetKind::Fault);
-        guard->note_halted_engine();
-      }
       ++stats.halted;
       break;
     }

@@ -268,9 +268,7 @@ struct RewriteLibrary::Impl {
       return *it->second;
     auto prog = std::make_unique<GateProgram>();
     prog->tt = tt;
-    for (uint8_t v = 0; v < 4; ++v)
-      if (cofactor(tt, v, 0) != cofactor(tt, v, 1))
-        prog->support |= static_cast<uint8_t>(1u << v);
+    prog->support = tt_support(tt);
     std::unordered_map<TruthTable, GateOperand> done;
     prog->out = emit(tt, *prog, done);
     return *programs.emplace(tt, std::move(prog)).first->second;
@@ -293,96 +291,6 @@ const RewriteLibrary& RewriteLibrary::instance() {
 const GateProgram& RewriteLibrary::program(TruthTable tt) const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   return impl_->build(tt);
-}
-
-namespace {
-
-/// Structural + semantic validation of an imported program. Checks exactly
-/// what build() guarantees: topological operand order, in-range indices, the
-/// declared support, and — decisively — that evaluating the DAG over the
-/// leaf projections reproduces the declared truth table. A program passing
-/// this check is a correct implementation of its function no matter where
-/// the bytes came from.
-bool program_valid(const GateProgram& p) {
-  if (p.ops.size() > 64)
-    return false; // far above max_cost(): structurally implausible
-  auto operand_ok = [&](const GateOperand& o, size_t op_index) {
-    switch (o.kind) {
-    case GateOperand::Const0:
-    case GateOperand::Const1: return true;
-    case GateOperand::Leaf: return o.index < 4;
-    case GateOperand::Node: return o.index < op_index;
-    }
-    return false;
-  };
-  for (size_t i = 0; i < p.ops.size(); ++i) {
-    const GateOp& op = p.ops[i];
-    switch (op.type) {
-    case CellType::Not:
-    case CellType::And:
-    case CellType::Or:
-    case CellType::Xor:
-    case CellType::Mux: break;
-    default: return false;
-    }
-    if (!operand_ok(op.a, i) || !operand_ok(op.b, i) || !operand_ok(op.s, i))
-      return false;
-  }
-  if (!operand_ok(p.out, p.ops.size()))
-    return false;
-  if (p.support != tt_support(p.tt))
-    return false;
-  return eval_program(p, kProjection) == p.tt;
-}
-
-} // namespace
-
-std::vector<GateProgram> RewriteLibrary::export_programs() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  std::vector<GateProgram> out;
-  out.reserve(impl_->programs.size());
-  for (const auto& [tt, prog] : impl_->programs) {
-    (void)tt;
-    out.push_back(*prog);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const GateProgram& a, const GateProgram& b) { return a.tt < b.tt; });
-  return out;
-}
-
-size_t RewriteLibrary::import_programs(const std::vector<GateProgram>& programs,
-                                       size_t* rejected) const {
-  size_t installed = 0;
-  size_t bad = 0;
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  for (const GateProgram& p : programs) {
-    if (!program_valid(p)) {
-      ++bad;
-      continue;
-    }
-    if (impl_->programs.count(p.tt) != 0)
-      continue; // built-ins and earlier imports win: lookups stay deterministic
-    impl_->programs.emplace(p.tt, std::make_unique<GateProgram>(p));
-    ++installed;
-  }
-  if (rejected != nullptr)
-    *rejected = bad;
-  return installed;
-}
-
-size_t RewriteLibrary::memo_size() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->programs.size();
-}
-
-uint64_t RewriteLibrary::fingerprint() const {
-  uint64_t h = 0x726c6962u; // "rlib"
-  for (const TruthTable rep : NpnTable::instance().representatives()) {
-    const GateProgram& p = program(rep); // takes the lock per call
-    h = h * 0x100000001b3ull + rep;
-    h = h * 0x100000001b3ull + p.ops.size();
-  }
-  return h;
 }
 
 size_t RewriteLibrary::max_cost() const {

@@ -66,7 +66,7 @@ inline size_t program_cost(const GateProgram& p) { return p.ops.size(); }
 /// Mask of the leaves `tt` depends on.
 uint8_t tt_support(TruthTable tt);
 
-/// Evaluate a program over explicit leaf tables (tests, engine validation).
+/// Evaluate a program over explicit leaf tables (the tests check programs with it).
 TruthTable eval_program(const GateProgram& p, const TruthTable leaves[4]);
 
 class RewriteLibrary {
@@ -82,31 +82,6 @@ public:
   /// Worst-case gate count over all 65536 functions (a Shannon tree over
   /// four variables bounds it by 7; the decomposition forms push it lower).
   size_t max_cost() const;
-
-  /// Snapshot of every memoized program, sorted by truth table (stable bytes
-  /// for the service's persistent cache). Thread-safe copy.
-  std::vector<GateProgram> export_programs() const;
-
-  /// Install previously exported programs into the memo so a warm service
-  /// start skips re-synthesizing them. Every candidate is semantically
-  /// validated (eval_program over the leaf projections must reproduce its
-  /// truth table, support/operand wiring must be well-formed) — a snapshot is
-  /// *evidence*, never trusted — and invalid or already-memoized entries are
-  /// skipped. Returns the number actually installed; `*rejected` (optional)
-  /// counts the candidates that failed validation.
-  size_t import_programs(const std::vector<GateProgram>& programs,
-                         size_t* rejected = nullptr) const;
-
-  /// Number of memoized programs (222 NPN representatives after construction;
-  /// grows toward 65536 as cut functions are requested).
-  size_t memo_size() const;
-
-  /// Fingerprint of the built-in library generation: folds the NPN class
-  /// representatives and their program costs. Snapshots recorded under a
-  /// different fingerprint (older decomposition rules, different rep set)
-  /// are rejected wholesale by the cache loader instead of mixing stale
-  /// structures into a new library.
-  uint64_t fingerprint() const;
 
 private:
   RewriteLibrary();

@@ -29,15 +29,13 @@ constexpr const char* kJobSite = "service.job";
 /// The per-job flow: the full deep-optimization convergence loop (fraig ->
 /// DAG-aware rewrite -> fraig) with transactional in-job recovery. One
 /// flow configuration for every job, summarized in result manifests.
-core::SmartlyOptions job_flow_options(const ServiceOptions& service,
-                                      core::PortableDecisionMemo* memo) {
+core::SmartlyOptions job_flow_options(const ServiceOptions& service) {
   core::SmartlyOptions o;
   o.enable_rewrite = true;
   // Jobs are the unit of parallelism (one pool task each); the engines run
   // single-threaded inside a job. Engine output is thread-count independent
   // anyway — this only avoids pool-inside-pool oversubscription.
   o.threads = 1;
-  o.sat.memo = memo;
   o.budgets = service.budgets;
   o.recovery.enabled = true;
   return o;
@@ -79,7 +77,7 @@ bool OptService::startup(std::string* error) {
   if (!journal_.open(paths_.journal_path(), error))
     return false;
 
-  load_warm_cache(paths_.warm_cache_path(), &memo_, &results_, &stats_.warm);
+  load_warm_cache(paths_.warm_cache_path(), &results_, &stats_.warm);
   return true;
 }
 
@@ -204,12 +202,12 @@ void OptService::run_job(const std::string& name, int attempt) {
       rtlil::Module& top = *design->top();
       const size_t cells_before = top.cells().size();
 
-      const core::SmartlyOptions flow = job_flow_options(options_, &memo_);
+      const core::SmartlyOptions flow = job_flow_options(options_);
       const core::SmartlyStats flow_stats = core::smartly_flow(top, flow);
 
       result_verilog = backend::write_verilog(top);
       // Deterministic fields only: an interrupted-and-restarted run must
-      // publish byte-identical results, and memo hit counts or timings
+      // publish byte-identical results, and cache hit counts or timings
       // legitimately differ between runs (those live in service_stats.json).
       // The job= line is prepended at publish so the tail stays name-free
       // and the result cache can serve identical sources under any name.
@@ -221,9 +219,6 @@ void OptService::run_job(const std::string& name, int attempt) {
       manifest_tail = m.str();
 
       std::lock_guard<std::mutex> lock(mutex_);
-      stats_.memo_hits += flow_stats.sat.portable_hits;
-      stats_.memo_misses += flow_stats.sat.portable_misses;
-      stats_.memo_inserts += flow_stats.sat.portable_inserts;
       stats_.recovered_stages += flow_stats.recovery.rollbacks;
       ok = true;
     } catch (const verilog::ParseError& e) {
@@ -329,13 +324,13 @@ void OptService::flush_snapshot() {
     // planting a torn snapshot *at the final path*, then dying. The next
     // startup must quarantine it aside and cold-rebuild.
     const std::string sealed =
-        seal_snapshot(kWarmCacheVersion, serialize_warm_cache(memo_, results_));
+        seal_snapshot(kWarmCacheVersion, serialize_warm_cache(results_));
     std::ofstream torn(paths_.warm_cache_path(), std::ios::binary | std::ios::trunc);
     torn.write(sealed.data(), static_cast<std::streamsize>(sealed.size() / 2));
     torn.flush();
     _exit(137);
   }
-  if (save_warm_cache(paths_.warm_cache_path(), memo_, results_, nullptr))
+  if (save_warm_cache(paths_.warm_cache_path(), results_, nullptr))
     ++stats_.snapshots_written;
 }
 
@@ -350,10 +345,6 @@ void OptService::write_stats_file() {
   j << "  \"job_retries\": " << stats_.job_retries << ",\n";
   j << "  \"poll_cycles\": " << stats_.poll_cycles << ",\n";
   j << "  \"snapshots_written\": " << stats_.snapshots_written << ",\n";
-  j << "  \"memo_hits\": " << stats_.memo_hits << ",\n";
-  j << "  \"memo_misses\": " << stats_.memo_misses << ",\n";
-  j << "  \"memo_inserts\": " << stats_.memo_inserts << ",\n";
-  j << "  \"memo_entries\": " << memo_.size() << ",\n";
   j << "  \"result_hits\": " << stats_.result_hits << ",\n";
   j << "  \"result_misses\": " << stats_.result_misses << ",\n";
   j << "  \"result_entries\": " << results_.size() << ",\n";
@@ -363,8 +354,6 @@ void OptService::write_stats_file() {
   j << "  \"warm_loaded\": " << (stats_.warm.loaded ? 1 : 0) << ",\n";
   j << "  \"warm_corrupt_quarantined\": " << (stats_.warm.corrupt_quarantined ? 1 : 0)
     << ",\n";
-  j << "  \"warm_oracle_entries\": " << stats_.warm.oracle_entries << ",\n";
-  j << "  \"warm_rewrite_programs\": " << stats_.warm.rewrite_programs << ",\n";
   j << "  \"warm_result_entries\": " << stats_.warm.result_entries << ",\n";
   j << "  \"warm_rejected_records\": " << stats_.warm.rejected_records << "\n";
   j << "}\n";
@@ -384,8 +373,6 @@ void OptService::write_stats_file() {
   obs::gauge("service.job_retries").set(stats_.job_retries);
   obs::gauge("service.poll_cycles").set(stats_.poll_cycles);
   obs::gauge("service.snapshots_written").set(stats_.snapshots_written);
-  obs::gauge("service.memo_hits").set(stats_.memo_hits);
-  obs::gauge("service.memo_misses").set(stats_.memo_misses);
   obs::gauge("service.result_cache_hits").set(stats_.result_hits);
   obs::gauge("service.result_cache_misses").set(stats_.result_misses);
   obs::gauge("service.recovered_stages").set(stats_.recovered_stages);
@@ -407,9 +394,9 @@ int OptService::run() {
     ++stats_.poll_cycles;
     const size_t ran = run_cycle();
 
-    if (ran > 0 && memo_.size() + results_.size() != snapshot_inserts_) {
+    if (ran > 0 && results_.size() != snapshot_entries_) {
       flush_snapshot();
-      snapshot_inserts_ = memo_.size() + results_.size();
+      snapshot_entries_ = results_.size();
     }
     write_stats_file();
 

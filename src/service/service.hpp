@@ -11,11 +11,11 @@
 //      daemon down `crash_threshold` times — with a repro bundle, so the
 //      crash loop is broken *and* debuggable.
 //
-//   2. Persistent warm caches (service/warm_cache.hpp): the oracle decision
-//      memo, the rewrite-program library, and the whole-job result cache
-//      serialize into a checksummed snapshot after each batch. A truncated
-//      or corrupt snapshot is moved aside and the caches cold-rebuild —
-//      corruption costs warmth, never correctness, and is never fatal.
+//   2. Persistent warm cache (service/warm_cache.hpp): the whole-job result
+//      cache serializes into a checksummed snapshot after each batch that
+//      added results. A truncated, corrupt or other-version snapshot is
+//      moved aside and the cache cold-rebuilds — corruption costs warmth,
+//      never correctness, and is never fatal.
 //
 //   3. Overload + lifecycle: each poll cycle admits at most `queue_max`
 //      jobs; backlog beyond that is shed with an explicit response in
@@ -25,9 +25,10 @@
 //
 // Every result is deterministic: jobs run single-threaded on top of the
 // engines' thread-count-independent guarantees, manifests carry no
-// timestamps, and the memo only replays definitive verdicts — so a run
-// interrupted by kill -9 and restarted produces the byte-identical result
-// set of an uninterrupted run (tests/test_service.cpp asserts this).
+// timestamps, and no state but the result cache (which replays stored
+// bytes) crosses jobs — so a run interrupted by kill -9 and restarted
+// produces the byte-identical result set of an uninterrupted run
+// (tests/test_service.cpp asserts this).
 #pragma once
 
 #include "service/journal.hpp"
@@ -73,7 +74,8 @@ struct ServiceStats {
   uint64_t job_retries = 0;
   uint64_t poll_cycles = 0;
   uint64_t snapshots_written = 0;
-  uint64_t memo_hits = 0;       ///< oracle portable-memo hits across all jobs
+  // Always 0 (there is no decision memo); flowbench, frozen with BENCHMARK.json, reads them.
+  uint64_t memo_hits = 0;
   uint64_t memo_misses = 0;
   uint64_t memo_inserts = 0;
   uint64_t result_hits = 0;     ///< whole-job replays from the result cache
@@ -109,14 +111,13 @@ private:
   SpoolPaths paths_;
   ServiceOptions options_;
   ServiceStats stats_;
-  OracleMemo memo_;
   ResultCache results_;
   JobJournal journal_;
   util::QuarantineSet quarantine_;
   std::map<std::string, int> claims_; ///< per-job claim count (journal + this run)
   std::mutex mutex_; ///< serializes journal appends + stats from workers
   std::atomic<uint64_t> completed_this_run_{0}; ///< drives crash_after_jobs
-  size_t snapshot_inserts_ = 0; ///< memo inserts at the last snapshot flush
+  size_t snapshot_entries_ = 0; ///< result-cache size at the last snapshot flush
 };
 
 } // namespace smartly::service

@@ -59,7 +59,7 @@ bool store_snapshot_file(const std::string& path, uint32_t version, const std::s
 bool load_snapshot_file(const std::string& path, uint32_t expected_version, std::string* payload,
                         std::string* error, bool* quarantined_aside = nullptr);
 
-// --- little-endian payload builders/readers (shared by the cache codecs) ---
+// --- little-endian payload writers/readers (the warm-cache codec) ---------
 
 inline void put_u8(std::string& out, uint8_t v) { out.push_back(static_cast<char>(v)); }
 

@@ -512,26 +512,13 @@ FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options) {
 
   bool module_changed = true; // the module only mutates inside commit_merges
   for (size_t round = 0; round < options.max_rounds; ++round) {
-    // Round barrier: the only place deterministic budgets arm the halt flag,
-    // so the same budget trips at the same round for every thread count.
-    if (guard != nullptr && guard->checkpoint(module.cells().size())) {
-      ++stats.halted;
-      guard->note_halted_engine();
-      break;
-    }
-    if (options.quarantine != nullptr &&
-        options.quarantine->contains("fraig.round", round + 1)) {
-      // A previously faulting round: skip it, keep iterating.
+    const util::RoundEntry entry = util::enter_round(guard, options.quarantine, "fraig.round",
+                                                     round + 1, module.cells().size());
+    if (entry == util::RoundEntry::Skip) {
       ++stats.quarantined;
       continue;
     }
-    if (util::fault_point("fraig.round", round + 1) != util::FaultAction::None) {
-      // Injected round fault: halt as a tripped budget would.
-      if (guard != nullptr) {
-        guard->halt(util::BudgetKind::Fault);
-        guard->note_fault("fraig.round", round + 1);
-        guard->note_halted_engine();
-      }
+    if (entry == util::RoundEntry::Halt) {
       ++stats.halted;
       break;
     }
@@ -567,7 +554,6 @@ FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options) {
                                  class_unit_id(classes[i]));
       outcomes[i] = prove_class(classes[i], eq, options, settled);
     };
-    bool faulted = false;
     try {
       if (pool.size() > 1 && classes.size() > 1)
         pool.run_batch(classes.size(), [&](int, size_t i) { task(i); });
@@ -579,15 +565,7 @@ FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options) {
       // outcomes wholesale leaves module and index exactly as the last
       // barrier committed them. Only injected faults are absorbed; real
       // errors keep propagating.
-      faulted = true;
-      if (guard != nullptr)
-        guard->note_fault(e.site().c_str(), e.unit());
-    }
-    if (faulted) {
-      if (guard != nullptr) {
-        guard->halt(util::BudgetKind::Fault);
-        guard->note_halted_engine();
-      }
+      util::halt_on_fault(guard, e);
       ++stats.halted;
       break;
     }

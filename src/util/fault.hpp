@@ -16,11 +16,11 @@
 // exact schedules only for single-threaded ones.
 //
 // `unit_keyed` plans trade the event counter for hash(seed, site, unit),
-// where the unit id is a stable content/name hash of the work item (fraig:
-// class representative, rewrite: root cell, sweep: region, oracle: subgraph
-// fingerprint). The same units then fault on every thread count and in every
-// re-run — the property the recovery layer's quarantine determinism and
-// repro bundles are built on.
+// where the unit id is a stable name hash of the work item (fraig: class
+// representative, rewrite: the root's first canonical output bit, sweep:
+// region, oracle: the target control bit's bit_unit_id). The same units then
+// fault on every thread count and in every re-run — the property the
+// recovery layer's quarantine determinism and repro bundles are built on.
 #pragma once
 
 #include <cstdint>

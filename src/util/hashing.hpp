@@ -19,8 +19,8 @@ inline uint64_t hash_combine(uint64_t seed, uint64_t v) noexcept {
   return hash_mix(seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2)));
 }
 
-/// 128-bit fingerprint for content-addressed caches (the §II decision memo,
-/// fraig's structural keys, the service result cache). Two
+/// 128-bit fingerprint for content-addressed tables (fraig's structural and
+/// signature keys, opt_merge, the service result cache). Two
 /// independently-seeded 64-bit streams: the caches treat fingerprint
 /// equality as identity (no stored key to compare against), so collision
 /// probability must be negligible.

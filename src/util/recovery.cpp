@@ -1,6 +1,7 @@
 #include "util/recovery.hpp"
 
 #include "util/atomic_file.hpp"
+#include "util/budget.hpp"
 
 #include <algorithm>
 #include <cstdio>
@@ -70,6 +71,29 @@ QuarantineSet QuarantineSet::parse(const std::string& text) {
     set.add(site, static_cast<uint64_t>(unit));
   }
   return set;
+}
+
+RoundEntry enter_round(ResourceGuard* guard, const QuarantineSet* quarantine, const char* site,
+                       uint64_t round, uint64_t cells) {
+  if (guard != nullptr && guard->checkpoint(cells)) {
+    guard->note_halted_engine();
+    return RoundEntry::Halt;
+  }
+  if (quarantine != nullptr && quarantine->contains(site, round))
+    return RoundEntry::Skip; // a previously faulting round: skip it, keep iterating
+  if (fault_point(site, round) != FaultAction::None) {
+    halt_on_fault(guard, FaultInjected(site, round));
+    return RoundEntry::Halt;
+  }
+  return RoundEntry::Run;
+}
+
+void halt_on_fault(ResourceGuard* guard, const FaultInjected& e) {
+  if (guard == nullptr)
+    return;
+  guard->note_fault(e.site().c_str(), e.unit());
+  guard->halt(BudgetKind::Fault);
+  guard->note_halted_engine();
 }
 
 RecoveryStats& RecoveryStats::operator+=(const RecoveryStats& o) {

@@ -1,5 +1,5 @@
-// Recovery-layer data model: quarantine sets, recovery options/stats, and
-// failure repro bundles.
+// Recovery-layer data model: quarantine sets, the engines' shared round
+// barrier, recovery options/stats, and failure repro bundles.
 //
 // A QuarantineSet names the work units the engines must skip: each entry is
 // an injection-site prefix plus the stable 64-bit unit id of the offending
@@ -61,6 +61,25 @@ public:
 private:
   std::vector<std::pair<std::string, uint64_t>> entries_; ///< sorted
 };
+
+class ResourceGuard;
+
+/// What a round loop does after its barrier.
+enum class RoundEntry { Run, Skip, Halt };
+
+/// The barrier the fraig, rewrite and §II sweep loops run single-threaded
+/// before each 1-based round: the guard checkpoint (the only place
+/// deterministic budgets trip; `cells` feeds the growth budget, 0 skips it),
+/// then Skip for a round quarantined under `site`, then the round's fault
+/// point, which halts as a tripped budget would. On Halt the guard has noted
+/// the halted engine; the caller counts it and leaves the loop.
+RoundEntry enter_round(ResourceGuard* guard, const QuarantineSet* quarantine, const char* site,
+                       uint64_t round, uint64_t cells);
+
+/// Halt tail for an injected fault absorbed inside a round: records the
+/// fault (first report wins), trips the guard with BudgetKind::Fault and
+/// notes the halted engine. No-op without a guard.
+void halt_on_fault(ResourceGuard* guard, const FaultInjected& e);
 
 /// Knobs for the transactional stage driver.
 struct RecoveryOptions {

@@ -17,7 +17,10 @@
 //     canonical commit loop, so netlists and statistics are byte-identical
 //     for 1/2/4/8 workers under every schedule;
 //   * CancelToken / deadline / pre-halted guards: sound degradation, with
-//     the ResourceReport recording what happened.
+//     the ResourceReport recording what happened;
+//   * the round barrier the fraig, rewrite and §II sweep loops share:
+//     quarantined rounds are skipped, a round fault or a spent budget halts
+//     before any round runs, identically for all three engines.
 //
 // Wall-clock deadlines are the one documented nondeterministic halt source;
 // the deadline test therefore asserts only soundness, never schedules.
@@ -33,12 +36,14 @@
 #include "sweep/fraig_engine.hpp"
 #include "util/budget.hpp"
 #include "util/fault.hpp"
+#include "util/recovery.hpp"
 #include "verilog/elaborate.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 
 using namespace smartly;
@@ -415,6 +420,128 @@ TEST(ResourceBudgets, GrowthBudgetStopsRewriteExpansion) {
   rewrite::rewrite_sweep(top, options);
   opt::opt_clean(top);
   expect_equivalent(*golden->top(), top, "rewrite under zero growth cap");
+}
+
+// --- the shared round barrier: one table over all three round loops ---------
+
+namespace {
+
+/// What an engine's round loop reports.
+struct BarrierRun {
+  size_t rounds = 0;
+  size_t quarantined = 0;
+  size_t halted = 0;
+};
+
+/// One round-based engine: the site its barrier checks before each round,
+/// and a two-thread run under an optional guard and quarantine set.
+struct BarrierEngine {
+  const char* site;
+  BarrierRun (*run)(Module&, util::ResourceGuard*, const util::QuarantineSet*);
+};
+
+BarrierRun run_fraig(Module& m, util::ResourceGuard* guard, const util::QuarantineSet* q) {
+  sweep::FraigOptions o;
+  o.threads = 2;
+  o.guard = guard;
+  o.quarantine = q;
+  o.check_index = true;
+  const sweep::FraigStats s = sweep::fraig_sweep(m, o);
+  return {s.rounds, s.quarantined, s.halted};
+}
+
+BarrierRun run_rewrite(Module& m, util::ResourceGuard* guard, const util::QuarantineSet* q) {
+  rewrite::RewriteOptions o;
+  o.threads = 2;
+  o.guard = guard;
+  o.quarantine = q;
+  o.check_index = true;
+  const rewrite::RewriteStats s = rewrite::rewrite_sweep(m, o);
+  return {s.rounds, s.quarantined, s.halted};
+}
+
+BarrierRun run_sat_sweep(Module& m, util::ResourceGuard* guard, const util::QuarantineSet* q) {
+  core::SatRedundancyOptions o;
+  o.guard = guard;
+  o.quarantine = q;
+  opt::ParallelSweepStats s;
+  core::sat_redundancy_parallel(m, o, /*threads=*/2, nullptr, &s);
+  return {s.walker.iterations, s.quarantined, s.halted};
+}
+
+const BarrierEngine kBarrierEngines[] = {
+    {"fraig.round", run_fraig},
+    {"rewrite.round", run_rewrite},
+    {"sweep.iteration", run_sat_sweep},
+};
+
+/// A small design with muxtrees (§II), equivalent nets (fraig) and
+/// rewritable cuts (rewrite), as smartly_flow would hand them over.
+std::unique_ptr<rtlil::Design> barrier_design() {
+  auto design = verilog::read_verilog(benchgen::random_verilog(3, 6));
+  opt::coarse_opt(*design->top());
+  return design;
+}
+
+} // namespace
+
+TEST(RoundBarrier, QuarantinedFirstRoundIsSkipped) {
+  for (const BarrierEngine& engine : kBarrierEngines) {
+    SCOPED_TRACE(engine.site);
+    auto design = barrier_design();
+    const auto golden = rtlil::clone_design(*design);
+    util::QuarantineSet quarantine;
+    quarantine.add(engine.site, 1);
+    const BarrierRun r = engine.run(*design->top(), nullptr, &quarantine);
+    EXPECT_EQ(r.quarantined, 1u);
+    EXPECT_EQ(r.halted, 0u);
+    EXPECT_GE(r.rounds, 1u); // skipped round 1, kept iterating
+    opt::opt_clean(*design->top());
+    expect_equivalent(*golden->top(), *design->top(), engine.site);
+  }
+}
+
+TEST(RoundBarrier, RoundFaultHaltsBeforeTheFirstRound) {
+  for (const BarrierEngine& engine : kBarrierEngines) {
+    SCOPED_TRACE(engine.site);
+    auto design = barrier_design();
+    const auto golden = rtlil::clone_design(*design);
+    util::ResourceGuard guard;
+    BarrierRun r;
+    {
+      util::FaultPlan plan;
+      plan.throw_after = 1; // fire on the first round event
+      plan.site_filter = engine.site;
+      util::FaultScope scope(plan);
+      r = engine.run(*design->top(), &guard, nullptr);
+    }
+    EXPECT_EQ(r.halted, 1u);
+    EXPECT_EQ(r.rounds, 0u);
+    EXPECT_EQ(guard.tripped(), util::BudgetKind::Fault);
+    const util::FaultReport fault = guard.fault_report();
+    EXPECT_TRUE(fault.valid);
+    EXPECT_EQ(fault.site, engine.site);
+    EXPECT_EQ(fault.unit, 1u);
+    EXPECT_EQ(guard.report().halted_engines, 1u);
+    opt::opt_clean(*design->top());
+    expect_equivalent(*golden->top(), *design->top(), engine.site);
+  }
+}
+
+TEST(RoundBarrier, SpentBudgetHaltsAtTheFirstBarrier) {
+  for (const BarrierEngine& engine : kBarrierEngines) {
+    SCOPED_TRACE(engine.site);
+    auto design = barrier_design();
+    util::ResourceBudgets budgets;
+    budgets.solver_conflicts = 0;
+    util::ResourceGuard guard(budgets);
+    guard.charge_conflicts(1); // spent before the engine starts
+    const BarrierRun r = engine.run(*design->top(), &guard, nullptr);
+    EXPECT_EQ(r.halted, 1u);
+    EXPECT_EQ(r.rounds, 0u);
+    EXPECT_EQ(guard.tripped(), util::BudgetKind::Conflicts);
+    EXPECT_EQ(guard.report().halted_engines, 1u);
+  }
 }
 
 /// Custom main so the seed offset is also reachable as a CLI flag

@@ -1,23 +1,15 @@
 // SAT-based redundancy elimination (§II): the InferenceOracle's decision
 // stages (syntactic / inference / simulation / SAT), the full pass on the
-// paper's Figure 1-3 shapes, budget/threshold behaviour, and the contract of
-// the cross-job decision memo.
+// paper's Figure 1-3 shapes, and budget/threshold behaviour.
 #include "aig/aigmap.hpp"
-#include "backend/write_rtlil.hpp"
-#include "benchgen/public_bench.hpp"
 #include "cec/cec.hpp"
 #include "core/sat_redundancy.hpp"
 #include "opt/opt_clean.hpp"
 #include "opt/opt_expr.hpp"
-#include "opt/pipeline.hpp"
 #include "rtlil/module.hpp"
-#include "util/fault.hpp"
 #include "verilog/elaborate.hpp"
 
 #include <gtest/gtest.h>
-
-#include <mutex>
-#include <unordered_map>
 
 using namespace smartly;
 using core::InferenceOracle;
@@ -277,121 +269,4 @@ TEST(SatRedundancyPass, StatsAccounting) {
   EXPECT_GT(stats.queries, 0u);
   EXPECT_GT(stats.walker.mux_collapsed, 0u);
   EXPECT_GE(stats.gates_seen, stats.gates_kept);
-}
-
-// --- cross-job decision memo -------------------------------------------------
-
-namespace {
-
-/// The simplest thread-safe PortableDecisionMemo: a locked hash map. A
-/// frozen memo ignores inserts, so every hit it serves was recorded earlier.
-class MapMemo final : public core::PortableDecisionMemo {
-public:
-  bool lookup(const Hash128& key, CtrlDecision* out) const override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(key);
-    if (it == entries_.end())
-      return false;
-    *out = it->second;
-    return true;
-  }
-  void insert(const Hash128& key, CtrlDecision decision) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!frozen_)
-      entries_[key] = decision;
-  }
-  void freeze() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    frozen_ = true;
-  }
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
-  }
-
-private:
-  mutable std::mutex mutex_;
-  std::unordered_map<Hash128, CtrlDecision, Hash128Hasher> entries_;
-  bool frozen_ = false;
-};
-
-/// wb_conmax after coarse_opt: its §II pass makes SAT decisions once
-/// inference and simulation are turned off.
-std::unique_ptr<Design> memo_design() {
-  for (const auto& c : benchgen::public_suite())
-    if (c.name == "wb_conmax") {
-      auto d = verilog::read_verilog(c.verilog);
-      opt::coarse_opt(*d->top());
-      return d;
-    }
-  return nullptr;
-}
-
-struct MemoRun {
-  std::string netlist;
-  core::SatRedundancyStats stats;
-};
-
-/// One §II sweep on a fresh copy of `golden`.
-MemoRun sweep_copy(const Design& golden, const SatRedundancyOptions& opts) {
-  auto d = rtlil::clone_design(golden);
-  MemoRun r;
-  r.stats = core::sat_redundancy_parallel(*d->top(), opts, /*threads=*/1);
-  r.netlist = backend::write_rtlil(*d->top());
-  return r;
-}
-
-} // namespace
-
-TEST(DecisionMemo, WarmRunHitsAndMatchesMemoLessRun) {
-  const auto golden = memo_design();
-  ASSERT_NE(golden, nullptr);
-  const MemoRun plain = sweep_copy(*golden, {});
-
-  MapMemo memo;
-  SatRedundancyOptions opts;
-  opts.memo = &memo;
-  const MemoRun cold = sweep_copy(*golden, opts);
-  EXPECT_EQ(cold.netlist, plain.netlist);
-  EXPECT_GT(cold.stats.portable_inserts, 0u);
-  EXPECT_EQ(memo.size(), cold.stats.portable_inserts);
-
-  memo.freeze();
-  const MemoRun warm = sweep_copy(*golden, opts);
-  EXPECT_GT(warm.stats.portable_hits, 0u);
-  EXPECT_EQ(warm.netlist, plain.netlist);
-
-  // A different simulation threshold is a different salt: nothing the cold
-  // run recorded matches.
-  SatRedundancyOptions other = opts;
-  other.sim_max_inputs = opts.sim_max_inputs - 4;
-  const MemoRun salted = sweep_copy(*golden, other);
-  EXPECT_EQ(salted.stats.portable_hits, 0u);
-  EXPECT_GT(salted.stats.portable_misses, 0u);
-}
-
-TEST(DecisionMemo, FaultedUnknownsNeverEnterTheMemo) {
-  const auto golden = memo_design();
-  ASSERT_NE(golden, nullptr);
-  SatRedundancyOptions opts;
-  opts.use_inference = false;
-  opts.sim_max_inputs = 0; // every query that gets past stage 2 reaches SAT
-  const MemoRun plain = sweep_copy(*golden, opts);
-  ASSERT_GT(plain.stats.decided_sat, 0u) << "the design must exercise the SAT stage";
-
-  MapMemo memo;
-  opts.memo = &memo;
-  {
-    // Every SAT-stage query is answered Unknown without solving. Those
-    // Unknowns would resolve on a retry, so none may be memoized.
-    util::FaultPlan plan;
-    plan.unknown_permille = 1000;
-    plan.site_filter = "oracle.solve";
-    util::FaultScope scope(plan);
-    const MemoRun faulted = sweep_copy(*golden, opts);
-    EXPECT_GT(faulted.stats.skipped_halt, 0u);
-    EXPECT_EQ(faulted.stats.decided_sat, 0u);
-  }
-  const MemoRun after = sweep_copy(*golden, opts);
-  EXPECT_EQ(after.netlist, plain.netlist);
 }

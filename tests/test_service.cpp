@@ -5,7 +5,6 @@
 // write-ahead journal replays claims/done/quarantine records through torn
 // and malformed lines, and OptService itself survives kill-style _exit()
 // mid-burst and mid-snapshot-write with a byte-identical result set.
-#include "rewrite/rewrite_lib.hpp"
 #include "service/service.hpp"
 #include "service/snapshot.hpp"
 #include "util/atomic_file.hpp"
@@ -280,23 +279,6 @@ TEST(Journal, CompactKeepsOnlyLiveRecords) {
 
 // --- warm caches ------------------------------------------------------------
 
-TEST(WarmCache, OracleMemoStoresEveryDefinitiveVerdict) {
-  OracleMemo memo;
-  using opt::CtrlDecision;
-  memo.insert({1, 1}, CtrlDecision::Zero);
-  memo.insert({2, 2}, CtrlDecision::One);
-  memo.insert({3, 3}, CtrlDecision::DeadPath);
-  memo.insert({4, 4}, CtrlDecision::Unknown); // proven not-forced is memoizable
-  EXPECT_EQ(memo.size(), 4u);
-
-  CtrlDecision d;
-  ASSERT_TRUE(memo.lookup({4, 4}, &d));
-  EXPECT_EQ(d, CtrlDecision::Unknown);
-  ASSERT_TRUE(memo.lookup({1, 1}, &d));
-  EXPECT_EQ(d, CtrlDecision::Zero);
-  EXPECT_FALSE(memo.lookup({5, 5}, &d));
-}
-
 TEST(WarmCache, ResultCacheDegradesToMissWhenFull) {
   ResultCache cache;
   for (size_t i = 0; i < kResultCacheMax; ++i)
@@ -319,37 +301,31 @@ TEST(WarmCache, JobResultKeySeparatesSourcesAndGenerations) {
   EXPECT_FALSE(a == job_result_key(shifted));
 }
 
-TEST(WarmCache, SerializeLoadRoundTripsAllThreeLayers) {
+TEST(WarmCache, SerializeLoadRoundTripsTheResultCache) {
   const std::string dir = fresh_dir("warm-rt");
   fs::create_directories(dir);
   const std::string path = dir + "/warm_cache.snap";
 
-  OracleMemo memo;
-  memo.insert({10, 20}, opt::CtrlDecision::One);
-  memo.insert({30, 40}, opt::CtrlDecision::Unknown);
   ResultCache results;
   results.insert(job_result_key(kRedundantMux),
                  {"module top(y); output y; endmodule\n", "status=ok\ncells.before=3\n"});
+  results.insert(job_result_key(kSameOperandMux), {"module top; endmodule\n", "status=ok\n"});
 
   // Stable bytes: serializing twice must be byte-identical (the recovery
   // tests compare snapshot files across daemon runs).
-  EXPECT_EQ(serialize_warm_cache(memo, results), serialize_warm_cache(memo, results));
+  EXPECT_EQ(serialize_warm_cache(results), serialize_warm_cache(results));
 
   std::string error;
-  ASSERT_TRUE(save_warm_cache(path, memo, results, &error)) << error;
+  ASSERT_TRUE(save_warm_cache(path, results, &error)) << error;
 
-  OracleMemo memo2;
   ResultCache results2;
   WarmCacheLoadStats stats;
-  ASSERT_TRUE(load_warm_cache(path, &memo2, &results2, &stats)) << stats.error;
+  ASSERT_TRUE(load_warm_cache(path, &results2, &stats)) << stats.error;
   EXPECT_TRUE(stats.loaded);
-  EXPECT_EQ(stats.oracle_entries, 2u);
-  EXPECT_EQ(stats.result_entries, 1u);
+  EXPECT_EQ(stats.result_entries, 2u);
   EXPECT_EQ(stats.rejected_records, 0u);
+  EXPECT_EQ(serialize_warm_cache(results2), serialize_warm_cache(results));
 
-  opt::CtrlDecision d;
-  ASSERT_TRUE(memo2.lookup({30, 40}, &d));
-  EXPECT_EQ(d, opt::CtrlDecision::Unknown);
   ResultCache::Entry e;
   ASSERT_TRUE(results2.lookup(job_result_key(kRedundantMux), &e));
   EXPECT_EQ(e.verilog, "module top(y); output y; endmodule\n");
@@ -357,72 +333,71 @@ TEST(WarmCache, SerializeLoadRoundTripsAllThreeLayers) {
   fs::remove_all(dir);
 }
 
+/// Appends one result record in the snapshot's layout (key hi first).
+void put_result(std::string& payload, const Hash128& key, const std::string& verilog,
+                const std::string& manifest_tail) {
+  put_u64(payload, key.hi);
+  put_u64(payload, key.lo);
+  put_u32(payload, static_cast<uint32_t>(verilog.size()));
+  payload += verilog;
+  put_u32(payload, static_cast<uint32_t>(manifest_tail.size()));
+  payload += manifest_tail;
+}
+
 TEST(WarmCache, LoadRejectsInvalidRecordsKeepsTheRest) {
   const std::string dir = fresh_dir("warm-reject");
   fs::create_directories(dir);
   const std::string path = dir + "/warm_cache.snap";
 
-  // Hand-build a payload: one valid oracle entry, one with a garbage
-  // decision byte, no programs, one result entry with an empty netlist.
+  // Hand-build a payload: one result with an empty netlist (a broken
+  // writer: reject it), then one valid result.
   std::string payload;
-  put_u64(payload, rewrite::RewriteLibrary::instance().fingerprint());
   put_u32(payload, 2);
-  put_u64(payload, 222); // key.hi (the codec writes hi first)
-  put_u64(payload, 111); // key.lo
-  put_u8(payload, 2);    // One
-  put_u64(payload, 444);
-  put_u64(payload, 333);
-  put_u8(payload, 9); // garbage decision: must be rejected, not misread
-  put_u32(payload, 0); // programs
-  put_u32(payload, 1); // results
-  put_u64(payload, 555);
-  put_u64(payload, 666);
-  put_u32(payload, 0); // empty verilog blob: a broken writer, reject
-  put_u32(payload, 4);
-  payload += "tail";
+  put_result(payload, {555, 666}, "", "tail");
+  put_result(payload, {111, 222}, "module top; endmodule\n", "status=ok\n");
 
   std::string error;
   ASSERT_TRUE(store_snapshot_file(path, kWarmCacheVersion, payload, &error)) << error;
 
-  OracleMemo memo;
   ResultCache results;
   WarmCacheLoadStats stats;
-  ASSERT_TRUE(load_warm_cache(path, &memo, &results, &stats));
-  EXPECT_EQ(stats.oracle_entries, 1u);
-  EXPECT_EQ(stats.result_entries, 0u);
-  EXPECT_EQ(stats.rejected_records, 2u);
+  ASSERT_TRUE(load_warm_cache(path, &results, &stats));
+  EXPECT_TRUE(stats.error.empty()) << stats.error;
+  EXPECT_EQ(stats.result_entries, 1u);
+  EXPECT_EQ(stats.rejected_records, 1u);
 
-  opt::CtrlDecision d;
-  EXPECT_TRUE(memo.lookup({111, 222}, &d));
-  EXPECT_FALSE(memo.lookup({333, 444}, &d));
+  ResultCache::Entry e;
+  EXPECT_TRUE(results.lookup({111, 222}, &e));
+  EXPECT_FALSE(results.lookup({555, 666}, &e));
   fs::remove_all(dir);
 }
 
-TEST(WarmCache, LoadSurvivesInternallyInconsistentPayload) {
+TEST(WarmCache, LoadSurvivesTruncatedPayload) {
   const std::string dir = fresh_dir("warm-truncated");
   fs::create_directories(dir);
   const std::string path = dir + "/warm_cache.snap";
 
-  // Claims two oracle entries but carries only one: the checksum passes
+  // Claims three results but carries one and a half: the checksum passes
   // (the file was sealed this way) yet the records must not parse past the
   // end. The loader keeps what it applied and reports the damage.
   std::string payload;
-  put_u64(payload, rewrite::RewriteLibrary::instance().fingerprint());
-  put_u32(payload, 2);
-  put_u64(payload, 1);
-  put_u64(payload, 2);
-  put_u8(payload, 1);
+  put_u32(payload, 3);
+  put_result(payload, {1, 2}, "module top; endmodule\n", "status=ok\n");
+  put_u64(payload, 3);
+  put_u64(payload, 4);
+  put_u32(payload, 1000); // a blob length that overruns the payload
+  payload += "module";
 
   std::string error;
   ASSERT_TRUE(store_snapshot_file(path, kWarmCacheVersion, payload, &error)) << error;
 
-  OracleMemo memo;
   ResultCache results;
   WarmCacheLoadStats stats;
-  ASSERT_TRUE(load_warm_cache(path, &memo, &results, &stats));
+  ASSERT_TRUE(load_warm_cache(path, &results, &stats));
   EXPECT_FALSE(stats.error.empty());
-  EXPECT_GE(stats.rejected_records, 1u);
-  EXPECT_EQ(stats.oracle_entries, 1u);
+  EXPECT_EQ(stats.rejected_records, 1u);
+  EXPECT_EQ(stats.result_entries, 1u);
+  EXPECT_EQ(results.size(), 1u);
   fs::remove_all(dir);
 }
 
@@ -551,6 +526,37 @@ TEST(OptServiceEndToEnd, TornSnapshotIsQuarantinedAndColdRebuilt) {
   EXPECT_TRUE(load_snapshot_file(paths.warm_cache_path(), kWarmCacheVersion, &payload, &error))
       << error;
   fs::remove_all(paths.root);
+}
+
+TEST(OptServiceEndToEnd, VersionOneSnapshotIsMovedAsideAndColdRebuilt) {
+  const SpoolPaths fresh = SpoolPaths::at(fresh_dir("upgrade-fresh"));
+  submit_standard_jobs(fresh);
+  OptService fresh_daemon(fresh.root, drain_options());
+  ASSERT_EQ(fresh_daemon.run(), 0);
+
+  // A well-formed version-1 snapshot (rewrite-library fingerprint, empty
+  // decision memo, no programs, then the results) holding a result no run
+  // of this build publishes. It must be moved aside, never served.
+  const SpoolPaths upgraded = SpoolPaths::at(fresh_dir("upgrade"));
+  submit_standard_jobs(upgraded);
+  std::string v1;
+  put_u64(v1, 0); // fingerprint
+  put_u32(v1, 0); // decision-memo entries
+  put_u32(v1, 0); // rewrite programs
+  put_u32(v1, 1); // results
+  put_result(v1, job_result_key(kRedundantMux), "module stale; endmodule\n", "status=ok\n");
+  std::string error;
+  ASSERT_TRUE(store_snapshot_file(upgraded.warm_cache_path(), 1, v1, &error)) << error;
+
+  OptService daemon(upgraded.root, drain_options());
+  ASSERT_EQ(daemon.run(), 0);
+  EXPECT_FALSE(daemon.stats().warm.loaded);
+  EXPECT_TRUE(daemon.stats().warm.corrupt_quarantined);
+  EXPECT_TRUE(fs::exists(upgraded.warm_cache_path() + ".corrupt"));
+  EXPECT_EQ(daemon.stats().result_hits, 0u);
+  EXPECT_EQ(read_done_tree(upgraded), read_done_tree(fresh));
+  fs::remove_all(fresh.root);
+  fs::remove_all(upgraded.root);
 }
 
 TEST(OptServiceEndToEnd, CrashLoopingJobIsQuarantinedWithReproBundle) {
