@@ -1,25 +1,24 @@
-// Parallel sweep engine benchmark: whole-pass wall clock vs thread count,
-// emitting the BENCH_pass.json schema (per-circuit scaling curves plus the
-// determinism differentials the engine guarantees).
+// §II region sweep benchmark: the walk-everything serial reference against
+// the region sweep engine, emitting the BENCH_pass.json schema.
 //
-//   ./bench_pass [--smoke] [--json] [--filter <substr>] [--threads <csv>]
+//   ./bench_pass [--smoke] [--json] [--filter <substr>] [--trace-out FILE]
 //
-//   --smoke    two small circuits, threads {1,2} — the tier-2 CTest target.
-//              Exits nonzero if decisions diverge from the serial engine or
-//              the netlist/stats differ across thread counts.
+//   --smoke    two small circuits — the tier-2 CTest target. Exits nonzero
+//              if decisions diverge from the serial reference or two fresh
+//              clones give different netlists or stats.
 //   --json     print the JSON document to stdout (human table otherwise).
 //   --filter   run only circuits whose name contains <substr>.
-//   --threads  comma-separated worker counts (default 1,2,4,8).
 //
 // Arms per circuit (all on clones of the same pre-optimized design):
-//   * serial     — optimize_muxtrees + one InferenceOracle: the
-//                  walk-everything fixpoint, single-threaded reference for
-//                  decisions_match. Its oracle query count is the
-//                  circuit's `queries` (summed into total.queries).
-//   * threads=T  — the parallel deterministic sweep engine.
-// decisions_match compares canonical traces (schedule-/replay-insensitive);
+//   * serial  — optimize_muxtrees + one InferenceOracle: the walk-everything
+//               fixpoint, the reference for decisions_match. Its oracle
+//               query count is the circuit's `queries` (summed into
+//               total.queries).
+//   * region  — the region sweep engine (sat_redundancy_parallel), timed on
+//               one clone and rerun on a second.
+// decisions_match compares canonical traces (replay-insensitive);
 // netlist_deterministic / stats_deterministic require byte-identical
-// write_rtlil output and identical stats for every T.
+// write_rtlil output and identical stats from the two clones.
 #include "backend/write_rtlil.hpp"
 #include "bench_json.hpp"
 #include "benchgen/industrial.hpp"
@@ -40,22 +39,15 @@ using benchjson::seconds_since;
 
 namespace {
 
-struct ScalingPoint {
-  int threads = 0;
-  double seconds = 0;
-  opt::ParallelSweepStats sweep;
-  bool decisions_match = false;
-};
-
 struct Row {
   std::string name;
   size_t queries = 0;
   double serial_seconds = 0;
-  std::vector<ScalingPoint> scaling;
-  size_t regions = 0;
-  size_t largest_region_trees = 0;
-  bool netlist_deterministic = true;
-  bool stats_deterministic = true;
+  double seconds = 0; ///< region engine
+  opt::ParallelSweepStats sweep;
+  bool decisions_match = false;
+  bool netlist_deterministic = false;
+  bool stats_deterministic = false;
 };
 
 bool same_stats(const core::SatRedundancyStats& a, const core::SatRedundancyStats& b) {
@@ -73,8 +65,7 @@ bool same_stats(const core::SatRedundancyStats& a, const core::SatRedundancyStat
          a.walker.iterations == b.walker.iterations;
 }
 
-Row run_circuit(const benchgen::BenchCircuit& circuit, const std::vector<int>& thread_counts,
-                util::ResourceGuard& guard) {
+Row run_circuit(const benchgen::BenchCircuit& circuit, util::ResourceGuard& guard) {
   Row row;
   row.name = circuit.name;
   const auto prepared = benchjson::prepare_muxtree_design(circuit.verilog);
@@ -90,70 +81,38 @@ Row run_circuit(const benchgen::BenchCircuit& circuit, const std::vector<int>& t
     row.serial_seconds = seconds_since(t0);
     row.queries = ws.oracle_queries;
   }
-  const std::vector<uint64_t> serial_canonical = opt::canonical_trace(serial_trace);
 
-  std::string first_netlist;
-  core::SatRedundancyStats first_stats;
-  for (size_t i = 0; i < thread_counts.size(); ++i) {
-    const int threads = thread_counts[i];
-    const auto design = rtlil::clone_design(*prepared);
-    ScalingPoint point;
-    point.threads = threads;
-    opt::DecisionTrace trace;
-    core::SatRedundancyOptions sat_options;
-    sat_options.guard = &guard; // unlimited: charges totals for the resource block
-    const auto t0 = std::chrono::steady_clock::now();
-    const core::SatRedundancyStats stats = core::sat_redundancy_parallel(
-        *design->top(), sat_options, threads, &trace, &point.sweep);
-    point.seconds = seconds_since(t0);
-    point.decisions_match = opt::canonical_trace(trace) == serial_canonical;
+  // Region engine on two clones alive at once: the first is timed and traced.
+  const auto design = rtlil::clone_design(*prepared);
+  const auto twin = rtlil::clone_design(*prepared);
+  core::SatRedundancyOptions sat_options;
+  sat_options.guard = &guard; // unlimited: charges totals for the resource block
+  opt::DecisionTrace trace;
+  const auto t0 = std::chrono::steady_clock::now();
+  const core::SatRedundancyStats stats =
+      core::sat_redundancy_parallel(*design->top(), sat_options, 1, &trace, &row.sweep);
+  row.seconds = seconds_since(t0);
+  row.decisions_match = opt::canonical_trace(trace) == opt::canonical_trace(serial_trace);
 
-    const std::string netlist = backend::write_rtlil(*design->top());
-    if (i == 0) {
-      first_netlist = netlist;
-      first_stats = stats;
-      row.regions = point.sweep.regions;
-      row.largest_region_trees = point.sweep.largest_region_trees;
-    } else {
-      row.netlist_deterministic = row.netlist_deterministic && netlist == first_netlist;
-      row.stats_deterministic = row.stats_deterministic && same_stats(stats, first_stats);
-    }
-    row.scaling.push_back(point);
-  }
+  const core::SatRedundancyStats twin_stats =
+      core::sat_redundancy_parallel(*twin->top(), sat_options, 1);
+  row.netlist_deterministic =
+      backend::write_rtlil(*design->top()) == backend::write_rtlil(*twin->top());
+  row.stats_deterministic = same_stats(stats, twin_stats);
   return row;
 }
 
-/// speedup_vs_1t anchors on the threads==1 point when the user's --threads
-/// list has one, falling back to the first point otherwise.
-double anchor_seconds(const Row& r) {
-  for (const ScalingPoint& p : r.scaling)
-    if (p.threads == 1)
-      return p.seconds;
-  return r.scaling.empty() ? 0 : r.scaling.front().seconds;
-}
-
 void print_json_row(const Row& r, bool last) {
-  const double t1 = anchor_seconds(r);
-  std::vector<std::string> points;
-  points.reserve(r.scaling.size());
-  for (const ScalingPoint& p : r.scaling) {
-    benchjson::JsonObject sp;
-    sp.put("threads", p.threads)
-        .putf("seconds", p.seconds)
-        .putf("speedup_vs_1t", ratio(t1, p.seconds), 3)
-        .putf("speedup_vs_serial", ratio(r.serial_seconds, p.seconds), 3)
-        .put("region_walks", p.sweep.region_walks)
-        .put("regions_skipped_clean", p.sweep.regions_skipped_clean)
-        .put("decisions_match", p.decisions_match);
-    points.push_back(sp.str());
-  }
   benchjson::JsonObject o;
   o.put("name", r.name)
       .put("queries", r.queries)
-      .put("regions", r.regions)
-      .put("largest_region_trees", r.largest_region_trees)
+      .put("regions", r.sweep.regions)
       .putf("serial_seconds", r.serial_seconds)
-      .put_raw("scaling", benchjson::json_array(points))
+      .putf("seconds", r.seconds)
+      .putf("speedup_vs_serial", ratio(r.serial_seconds, r.seconds), 3)
+      .put("region_walks", r.sweep.region_walks)
+      .put("regions_skipped_clean", r.sweep.regions_skipped_clean)
+      .put("decisions_match", r.decisions_match)
       .put("netlist_deterministic", r.netlist_deterministic)
       .put("stats_deterministic", r.stats_deterministic);
   std::printf("    %s%s\n", o.str().c_str(), last ? "" : ",");
@@ -164,38 +123,27 @@ void print_json_row(const Row& r, bool last) {
 int main(int argc, char** argv) {
   bool smoke = false, json = false;
   std::string filter, trace_path;
-  std::vector<int> thread_counts;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0)
       smoke = true;
     else if (std::strcmp(argv[i], "--json") == 0)
       json = true;
-    else if (std::strcmp(argv[i], "--filter") == 0 || std::strcmp(argv[i], "--threads") == 0 ||
-             std::strcmp(argv[i], "--trace-out") == 0) {
+    else if (std::strcmp(argv[i], "--filter") == 0 || std::strcmp(argv[i], "--trace-out") == 0) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "bench_pass: %s requires a value\n", argv[i]);
         return 2;
       }
-      if (std::strcmp(argv[i], "--filter") == 0) {
-        filter = argv[++i];
-        continue;
-      }
-      if (std::strcmp(argv[i], "--trace-out") == 0) {
-        trace_path = argv[++i];
-        continue;
-      }
-      thread_counts = benchjson::parse_thread_counts(argv[++i], "bench_pass");
+      std::string& value = std::strcmp(argv[i], "--filter") == 0 ? filter : trace_path;
+      value = argv[++i];
     } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
       std::printf("usage: bench_pass [--smoke] [--json] [--filter <substr>] "
-                  "[--threads <csv, default 1,2,4,8>] [--trace-out FILE]\n");
+                  "[--trace-out FILE]\n");
       return 0;
     } else {
       std::fprintf(stderr, "bench_pass: unknown option '%s' (try --help)\n", argv[i]);
       return 2;
     }
   }
-  if (thread_counts.empty())
-    thread_counts = smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
 
   std::vector<benchgen::BenchCircuit> circuits;
   if (smoke) {
@@ -224,37 +172,26 @@ int main(int argc, char** argv) {
     {
       const auto stage = profile.scope(c.name);
       const obs::Span span("bench", c.name);
-      rows.push_back(run_circuit(c, thread_counts, guard));
+      rows.push_back(run_circuit(c, guard));
     }
     if (!json) {
       const Row& r = rows.back();
-      std::printf("%-16s %5zu queries  %4zu regions (max %zu trees)  serial %.4fs ",
-                  r.name.c_str(), r.queries, r.regions, r.largest_region_trees,
-                  r.serial_seconds);
-      for (const ScalingPoint& p : r.scaling)
-        std::printf(" %dt %.4fs (%.2fx)", p.threads, p.seconds,
-                    ratio(anchor_seconds(r), p.seconds));
-      bool match = true;
-      for (const ScalingPoint& p : r.scaling)
-        match = match && p.decisions_match;
-      std::printf("  match %s det %s\n", match ? "yes" : "NO",
+      std::printf("%-16s %5zu queries  %4zu regions  serial %.4fs  region %.4fs (%.2fx)  "
+                  "match %s det %s\n",
+                  r.name.c_str(), r.queries, r.sweep.regions, r.serial_seconds, r.seconds,
+                  ratio(r.serial_seconds, r.seconds), r.decisions_match ? "yes" : "NO",
                   r.netlist_deterministic && r.stats_deterministic ? "yes" : "NO");
     }
   }
 
-  double total_serial = 0, total_1t = 0, total_max = 0;
+  double total_serial = 0, total_seconds = 0;
   size_t total_queries = 0;
-  int max_threads = 0;
   bool ok = true;
   for (const Row& r : rows) {
     total_queries += r.queries;
     total_serial += r.serial_seconds;
-    total_1t += anchor_seconds(r);
-    total_max += r.scaling.back().seconds;
-    max_threads = r.scaling.back().threads;
-    ok = ok && r.netlist_deterministic && r.stats_deterministic;
-    for (const ScalingPoint& p : r.scaling)
-      ok = ok && p.decisions_match;
+    total_seconds += r.seconds;
+    ok = ok && r.decisions_match && r.netlist_deterministic && r.stats_deterministic;
   }
 
   if (json) {
@@ -264,20 +201,19 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < rows.size(); ++i)
       print_json_row(rows[i], i + 1 == rows.size());
     std::printf("  ],\n  \"total\": {\"queries\": %zu, \"serial_seconds\": %.4f, "
-                "\"seconds_1t\": %.4f, \"seconds_%dt\": %.4f, \"speedup_%dt_vs_1t\": %.3f},\n"
+                "\"seconds\": %.4f, \"speedup_vs_serial\": %.3f},\n"
                 "  \"resource\": %s,\n  \"obs\": %s\n}\n",
-                total_queries, total_serial, total_1t, max_threads, total_max, max_threads,
-                ratio(total_1t, total_max),
+                total_queries, total_serial, total_seconds, ratio(total_serial, total_seconds),
                 benchjson::resource_json(guard.report()).c_str(),
                 benchjson::obs_json(profile).c_str());
   } else {
-    std::printf("\nTotal: serial %.4fs, 1t %.4fs, %dt %.4fs (%.2fx vs 1t)\n", total_serial,
-                total_1t, max_threads, total_max, ratio(total_1t, total_max));
+    std::printf("\nTotal: serial %.4fs, region %.4fs (%.2fx)\n", total_serial, total_seconds,
+                ratio(total_serial, total_seconds));
   }
 
   if (!ok) {
-    std::fprintf(stderr, "FAIL: parallel sweep diverged from the serial engine "
-                         "or across thread counts\n");
+    std::fprintf(stderr, "FAIL: the region sweep diverged from the serial reference "
+                         "or between two clones\n");
     return 1;
   }
   return 0;

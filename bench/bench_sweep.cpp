@@ -1,23 +1,22 @@
 // SAT-sweeping (fraig) engine benchmark: cell counts vs smartly_pass alone,
-// SAT/refinement statistics, CEC verification, and thread-count determinism,
-// emitting the BENCH_sweep.json schema.
+// SAT/refinement statistics, CEC verification, and determinism, emitting the
+// BENCH_sweep.json schema.
 //
-//   ./bench_sweep [--smoke] [--json] [--filter <substr>] [--threads <csv>]
+//   ./bench_sweep [--smoke] [--json] [--filter <substr>] [--trace-out FILE]
 //
-//   --smoke    small circuit subset, threads {1,2} — the tier-2 CTest target.
-//              Exits nonzero if any fraiged netlist fails CEC, any circuit is
-//              non-deterministic across thread counts, or no benchmark family
-//              shows a strict cell reduction over smartly_pass alone.
+//   --smoke    small circuit subset — the tier-2 CTest target. Exits nonzero
+//              if any fraiged netlist fails CEC, any circuit gives different
+//              results on two fresh clones, or no benchmark family shows a
+//              strict cell reduction over smartly_pass alone.
 //   --json     print the JSON document to stdout (human table otherwise).
 //   --filter   run only circuits whose name contains <substr>.
-//   --threads  comma-separated worker counts (default 1,2,4,8).
 //
 // Flow per circuit (three families: public, industrial, random):
 //   1. elaborate, keep a golden clone for CEC;
 //   2. smartly_flow (the full muxtree pipeline) -> cells_smartly;
-//   3. for every thread count: clone the smartly result, fraig_stage ->
-//      cells_fraig. All fraiged netlists must be byte-identical and their
-//      statistics equal; the first one is CEC'd against the golden design.
+//   3. fraig_stage on two clones of the smartly result -> cells_fraig. Both
+//      fraiged netlists must be byte-identical and their statistics equal;
+//      the first one is timed and CEC'd against the golden design.
 #include "aig/aigmap.hpp"
 #include "backend/write_rtlil.hpp"
 #include "bench_json.hpp"
@@ -50,15 +49,14 @@ struct Row {
   std::string name, family;
   size_t cells_original = 0, cells_smartly = 0, cells_fraig = 0;
   size_t aig_smartly = 0, aig_fraig = 0;
-  double smartly_seconds = 0, fraig_seconds = 0; ///< fraig at the first thread count
+  double smartly_seconds = 0, fraig_seconds = 0;
   sweep::FraigStats fraig;
   bool cec_ok = false;
-  bool deterministic = true;
+  bool deterministic = false;
   bool reduced = false; ///< strictly fewer cells than smartly_pass alone
 };
 
-Row run_circuit(const benchgen::BenchCircuit& circuit, const std::vector<int>& thread_counts,
-                util::ResourceGuard& guard) {
+Row run_circuit(const benchgen::BenchCircuit& circuit, util::ResourceGuard& guard) {
   Row row;
   row.name = circuit.name;
   row.family = family_of(circuit.name);
@@ -73,28 +71,22 @@ Row run_circuit(const benchgen::BenchCircuit& circuit, const std::vector<int>& t
   row.cells_smartly = smartly_design->top()->cell_count();
   row.aig_smartly = aig::aig_area(*smartly_design->top());
 
-  std::string first_netlist;
-  for (size_t i = 0; i < thread_counts.size(); ++i) {
-    const auto design = rtlil::clone_design(*smartly_design);
-    sweep::FraigOptions options;
-    options.threads = thread_counts[i];
-    options.guard = &guard; // unlimited: charges totals for the resource block
-    t0 = std::chrono::steady_clock::now();
-    const sweep::FraigStats stats = opt::fraig_stage(*design->top(), options);
-    const double seconds = seconds_since(t0);
-    const std::string netlist = backend::write_rtlil(*design->top());
-    if (i == 0) {
-      row.fraig = stats;
-      row.fraig_seconds = seconds;
-      first_netlist = netlist;
-      row.cells_fraig = design->top()->cell_count();
-      row.aig_fraig = aig::aig_area(*design->top());
-      row.cec_ok = cec::check_equivalence(*golden->top(), *design->top()).equivalent;
-    } else {
-      row.deterministic = row.deterministic && netlist == first_netlist &&
-                          sweep::same_work(stats, row.fraig);
-    }
-  }
+  // Two clones alive at once: the first is timed and CEC'd.
+  const auto design = rtlil::clone_design(*smartly_design);
+  const auto twin = rtlil::clone_design(*smartly_design);
+  sweep::FraigOptions options;
+  options.guard = &guard; // unlimited: charges totals for the resource block
+  t0 = std::chrono::steady_clock::now();
+  row.fraig = opt::fraig_stage(*design->top(), options);
+  row.fraig_seconds = seconds_since(t0);
+  row.cells_fraig = design->top()->cell_count();
+  row.aig_fraig = aig::aig_area(*design->top());
+  row.cec_ok = cec::check_equivalence(*golden->top(), *design->top()).equivalent;
+
+  const sweep::FraigStats twin_stats = opt::fraig_stage(*twin->top(), options);
+  row.deterministic =
+      backend::write_rtlil(*twin->top()) == backend::write_rtlil(*design->top()) &&
+      sweep::same_work(twin_stats, row.fraig);
   row.reduced = row.cells_fraig < row.cells_smartly;
   return row;
 }
@@ -135,7 +127,6 @@ std::string json_row(const Row& r) {
 int main(int argc, char** argv) {
   bool smoke = false, json = false;
   std::string filter, trace_path;
-  std::vector<int> thread_counts;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0)
       smoke = true;
@@ -147,12 +138,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       filter = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "bench_sweep: --threads requires a value\n");
-        return 2;
-      }
-      thread_counts = benchjson::parse_thread_counts(argv[++i], "bench_sweep");
     } else if (std::strcmp(argv[i], "--trace-out") == 0) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "bench_sweep: --trace-out requires a value\n");
@@ -161,13 +146,12 @@ int main(int argc, char** argv) {
       trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
       std::printf(
-          "usage: bench_sweep [--smoke] [--json] [--filter <substr>] "
-          "[--threads <csv, default 1,2,4,8>] [--trace-out FILE]\n"
+          "usage: bench_sweep [--smoke] [--json] [--filter <substr>] [--trace-out FILE]\n"
           "\n"
           "SAT-sweeping (fraig) engine benchmark over the public + industrial +\n"
           "random circuit families (BENCH_sweep.json schema). Every fraiged\n"
-          "netlist is CEC-verified and must be byte-identical across thread\n"
-          "counts; at least one family must show a strict cell reduction over\n"
+          "netlist is CEC-verified and must be byte-identical on two fresh\n"
+          "clones; at least one family must show a strict cell reduction over\n"
           "smartly_pass alone.\n");
       return 0;
     } else {
@@ -175,9 +159,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (thread_counts.empty())
-    thread_counts = smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
-
   // Work list: the three generator families (family derived from the name).
   std::vector<benchgen::BenchCircuit> circuits;
   {
@@ -212,7 +193,7 @@ int main(int argc, char** argv) {
     {
       const auto stage = profile.scope(circuit.name);
       const obs::Span span("bench", circuit.name);
-      rows.push_back(run_circuit(circuit, thread_counts, guard));
+      rows.push_back(run_circuit(circuit, guard));
     }
     if (!json) {
       const Row& r = rows.back();
@@ -291,7 +272,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!det_all) {
-    std::fprintf(stderr, "FAIL: fraig diverged across thread counts\n");
+    std::fprintf(stderr, "FAIL: fraig diverged between two clones\n");
     return 1;
   }
   // The family gate is a suite-level acceptance criterion; a --filter subset

@@ -5,8 +5,9 @@
 //     --flow yosys|smartly|original   optimization flow (default smartly)
 //     --no-sat                        disable §II SAT-based elimination
 //     --no-rebuild                    disable §III muxtree restructuring
-//     --threads N                     §II sweep workers (0 = hw threads; output
-//                                     is bit-identical for every value)
+//     --threads N                     rewrite evaluation workers, and job workers
+//                                     with --serve (0 = hw threads; output is
+//                                     bit-identical for every value)
 //     --fraig                         SAT-sweeping stage after the flow (merges
 //                                     duplicate/complement/constant cones)
 //     --fraig-pre                     SAT-sweeping stage before the flow
@@ -244,7 +245,7 @@ int replay_bundle(const std::string& dir) {
       core::SatRedundancyOptions o;
       o.guard = &guard;
       o.quarantine = &quarantine;
-      core::sat_redundancy_parallel(top, o, /*threads=*/0);
+      core::sat_redundancy_parallel(top, o, 1);
       opt::opt_expr(top);
       opt::opt_clean(top);
     } else if (b.stage == "rebuild") {
@@ -574,7 +575,6 @@ int main(int argc, char** argv) {
     opt::RecoveryContext* trp = options.recovery.enabled ? &tool_rctx : nullptr;
 
     sweep::FraigOptions fraig_options;
-    fraig_options.threads = options.threads;
     if (guarded)
       fraig_options.guard = &guard;
     sweep::FraigStats fraig_st;

@@ -49,8 +49,9 @@ be machine-dependent. Most gated metrics today are deterministic by
 construction (seeded generators, thread-count-invariant engines).
 
 Thread-scaling gate: a bench whose CHECKS entry names a ``scaling`` spec
-(today: ``rewrite_scaling``, ``pass``) carries per-circuit
-``scaling: [{threads, seconds, speedup_vs_1t}, ...]`` curves. When the
+(today only ``rewrite_scaling``: rewrite is the one engine with a thread
+pool) carries per-circuit ``scaling: [{threads, seconds, speedup_vs_1t},
+...]`` curves. When the
 baseline file provides ``min_speedup_4t`` for that bench, the *minimum*
 4-thread ``speedup_vs_1t`` across its circuits must reach
 ``value * (1 - tolerance)`` — a bigger-is-better gate, unlike the area
@@ -301,9 +302,8 @@ CHECKS = {
     # walk-everything reference, so a change that makes the section II walk
     # ask more questions for the same result shows up here.
     "pass": {
-        "row_flags": ["netlist_deterministic", "stats_deterministic"],
+        "row_flags": ["decisions_match", "netlist_deterministic", "stats_deterministic"],
         "metrics": {"total_queries": ["total", "queries"]},
-        "scaling": True,
     },
     "sweep": {
         "flags": [["total", "cec_all"], ["total", "deterministic_all"]],

@@ -215,47 +215,22 @@ SatRedundancyStats sat_redundancy(rtlil::Module& module, const SatRedundancyOpti
 }
 
 SatRedundancyStats sat_redundancy_parallel(rtlil::Module& module,
-                                           const SatRedundancyOptions& options, int threads,
+                                           const SatRedundancyOptions& options, int,
                                            opt::DecisionTrace* trace,
                                            opt::ParallelSweepStats* sweep_out,
                                            int max_iterations) {
   opt::ParallelSweepOptions po;
-  po.threads = threads;
   po.ball_radius = options.subgraph.depth;
   po.guard = options.guard;
   po.quarantine = options.quarantine;
   if (max_iterations >= 0)
     po.max_iterations = std::min(po.max_iterations, static_cast<size_t>(max_iterations));
-  po.make_oracle = [&options]() -> std::unique_ptr<opt::MuxtreeOracle> {
-    return std::make_unique<InferenceOracle>(options);
-  };
 
-  opt::ParallelSweepEngine engine(module, po);
-  const opt::ParallelSweepStats sweep = engine.run(trace);
+  InferenceOracle oracle(options);
+  const opt::ParallelSweepStats sweep = opt::parallel_sweep(module, oracle, po, trace);
   if (sweep_out)
     *sweep_out = sweep;
-
-  // The oracles keep nothing between queries but their counters, so the sum
-  // over workers is the same for every thread count and schedule.
-  SatRedundancyStats stats;
-  for (const auto& oracle : engine.oracles()) {
-    const auto& os = static_cast<const InferenceOracle&>(*oracle).stats();
-    stats.queries += os.queries;
-    stats.decided_syntactic += os.decided_syntactic;
-    stats.decided_inference += os.decided_inference;
-    stats.decided_sim += os.decided_sim;
-    stats.decided_sat += os.decided_sat;
-    stats.dead_paths += os.dead_paths;
-    stats.skipped_too_large += os.skipped_too_large;
-    stats.gates_seen += os.gates_seen;
-    stats.gates_kept += os.gates_kept;
-    stats.sim_filter_kills += os.sim_filter_kills;
-    stats.sim_filter_half += os.sim_filter_half;
-    stats.sat_calls += os.sat_calls;
-    stats.skipped_halt += os.skipped_halt;
-    stats.skipped_quarantine += os.skipped_quarantine;
-    stats.solver_conflicts += os.solver_conflicts;
-  }
+  SatRedundancyStats stats = oracle.stats();
   stats.walker = sweep.walker;
   return stats;
 }

@@ -94,15 +94,13 @@ private:
 SatRedundancyStats sat_redundancy(rtlil::Module& module,
                                   const SatRedundancyOptions& options = {});
 
-/// §II pass over the parallel deterministic sweep engine: region-partitioned
-/// walks with one InferenceOracle per pool worker (stateless between
-/// queries, so results are bit-identical for every thread count).
-/// threads = 0 picks one worker per hardware thread. max_iterations >= 0
-/// caps the sweep's fixpoint iterations (the recovery layer's bisection
-/// probes use it); -1 keeps the engine default.
+/// §II pass over the region sweep engine (opt/parallel_sweep.hpp) with one
+/// InferenceOracle, on the calling thread. max_iterations >= 0 caps the
+/// sweep's fixpoint iterations (the recovery layer's bisection probes use
+/// it); -1 keeps the engine default.
 SatRedundancyStats sat_redundancy_parallel(rtlil::Module& module,
                                            const SatRedundancyOptions& options,
-                                           int threads,
+                                           int /*unused; the frozen flowbench passes threads*/,
                                            opt::DecisionTrace* trace = nullptr,
                                            opt::ParallelSweepStats* sweep_out = nullptr,
                                            int max_iterations = -1);

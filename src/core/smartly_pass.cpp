@@ -83,8 +83,7 @@ SmartlyStats smartly_pass(rtlil::Module& module, const SmartlyOptions& options) 
           SatRedundancyOptions run = sat_opts;
           if (cap >= 0)
             run.guard = nullptr; // bisection probes never charge the run's budgets
-          stats.sat = sat_redundancy_parallel(m, run, options.threads,
-                                              /*trace=*/nullptr, &stats.sweep, cap);
+          stats.sat = sat_redundancy_parallel(m, run, 1, /*trace=*/nullptr, &stats.sweep, cap);
           opt::opt_expr(m);
           opt::opt_clean(m);
         });
@@ -112,7 +111,6 @@ SmartlyStats smartly_pass(rtlil::Module& module, const SmartlyOptions& options) 
     // rewrite pairs to convergence, closing fraig included.
     opt::DeepOptOptions deep;
     deep.fraig = options.fraig;
-    deep.fraig.threads = options.threads;
     deep.rewrite = options.rewrite;
     deep.rewrite.threads = options.threads;
     deep.recovery = rp;
@@ -127,7 +125,6 @@ SmartlyStats smartly_pass(rtlil::Module& module, const SmartlyOptions& options) 
     stats.rewrite = ds.rewrite;
   } else if (options.enable_fraig) {
     sweep::FraigOptions fraig = options.fraig;
-    fraig.threads = options.threads;
     if (gp != nullptr && fraig.guard == nullptr)
       fraig.guard = gp;
     stats.fraig = opt::fraig_stage(module, fraig, rp);

@@ -29,14 +29,13 @@ struct SmartlyOptions {
   /// the NPN replacement library, and the surrounding fraig stages harvest
   /// the merges it exposes. Subsumes enable_fraig when set.
   bool enable_rewrite = false;
-  /// Worker threads for the §II parallel sweep engine, the fraig engine and
-  /// the rewrite engine (0 = one per hardware thread). All engines are
-  /// deterministic: netlist output and statistics are bit-identical for
-  /// every value of this knob.
+  /// Worker threads for the rewrite engine's root evaluation (0 = one per
+  /// hardware thread); every other stage runs on the calling thread. Netlist
+  /// output and statistics are bit-identical for every value of this knob.
   int threads = 0;
   SatRedundancyOptions sat;
   MuxRestructureOptions rebuild;
-  sweep::FraigOptions fraig;         ///< fraig.threads is overridden by `threads`
+  sweep::FraigOptions fraig;
   rewrite::RewriteOptions rewrite;   ///< rewrite.threads is overridden by `threads`
   /// Run-wide resource budgets (conflicts/propagations/growth/deadline). When
   /// any is set — or `cancel` is non-null — the pass constructs one
@@ -59,8 +58,7 @@ struct SmartlyOptions {
 struct SmartlyStats {
   SatRedundancyStats sat;
   MuxRestructureStats rebuild;
-  /// §II sweep-engine detail (regions, dispatches). threads_used reflects
-  /// the machine and is the one field excluded from determinism checks.
+  /// §II sweep-engine detail (regions, walks, merges).
   opt::ParallelSweepStats sweep;
   sweep::FraigStats fraig;        ///< zeros unless enable_fraig/enable_rewrite
   rewrite::RewriteStats rewrite;  ///< zeros unless enable_rewrite

@@ -18,12 +18,12 @@
 //     (never rebuilt from scratch between iterations).
 //   * MuxtreeWalker     — one root at a time, with all structural edits
 //     deferred into a caller-owned SweepJournal. This is the unit the
-//     parallel sweep engine (opt/parallel_sweep.hpp) dispatches per region:
-//     during a walk the module is only mutated through in-place input-port
-//     shrinks of the walked tree's own cells, so walks over trees with
-//     disjoint read-closures are race-free.
+//     region sweep engine (opt/parallel_sweep.hpp) runs per region: during a
+//     walk the module is only mutated through in-place input-port shrinks of
+//     the walked tree's own cells, so walks over trees with disjoint
+//     read-closures never see each other's edits.
 //   * muxtree_forest / apply_sweep_journal — the partition and barrier halves,
-//     shared by the serial and parallel drivers so both produce identical
+//     shared by the serial and region drivers so both produce identical
 //     netlists.
 #pragma once
 
@@ -122,7 +122,7 @@ struct SweepJournal {
 };
 
 /// Optional record of every oracle decision a walk made, for differential
-/// testing between the serial and parallel engines. Entries are appended in
+/// testing between the serial and region engines. Entries are appended in
 /// walk order and tagged with the walked root (its position in the module's
 /// cell list — stable across design clones) and the sweep iteration.
 struct DecisionTrace {
@@ -140,7 +140,7 @@ uint64_t trace_hash(const rtlil::SigBit& ctrl, CtrlDecision d);
 /// Reduce a trace to a schedule- and replay-insensitive form: per-root block
 /// sequences (one block per iteration the root was walked) with consecutive
 /// duplicate blocks dropped, concatenated in root order. A serial engine that
-/// re-walks every tree each sweep and a parallel engine that re-queues only
+/// re-walks every tree each sweep and a region engine that re-queues only
 /// dirty regions reduce to the same canonical trace iff they made the same
 /// productive decisions.
 std::vector<uint64_t> canonical_trace(const DecisionTrace& trace);
@@ -158,11 +158,11 @@ MuxtreeForest muxtree_forest(const rtlil::Module& module, const rtlil::NetlistIn
 
 /// The unique mux/pmux cell reading all of `c`'s output bits through a data
 /// port (single fanout, no output-port escape), or nullptr — the tree-edge
-/// relation muxtree_forest is built from. Exposed so the parallel engine can
+/// relation muxtree_forest is built from. Exposed so the region engine can
 /// re-derive one region's forest without rescanning the module.
 rtlil::Cell* unique_mux_parent(const rtlil::NetlistIndex& index, rtlil::Cell* c);
 
-/// Fixpoint cap shared by the serial walker and the parallel sweep engine —
+/// Fixpoint cap shared by the serial walker and the region sweep engine —
 /// they must agree or the two engines could stop after different sweep
 /// counts on a pathological design, breaking the bit-identical guarantee.
 inline constexpr size_t kMaxSweepIterations = 16;

@@ -3,12 +3,9 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/fault.hpp"
-#include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 #include <algorithm>
 #include <deque>
-#include <stdexcept>
 #include <unordered_set>
 
 namespace smartly::opt {
@@ -20,14 +17,6 @@ using rtlil::SigBit;
 
 namespace {
 
-void accumulate(MuxtreeStats& into, const MuxtreeStats& from) {
-  into.mux_collapsed += from.mux_collapsed;
-  into.pmux_branches_removed += from.pmux_branches_removed;
-  into.data_bits_replaced += from.data_bits_replaced;
-  into.oracle_queries += from.oracle_queries;
-  // iterations counted by the engine loop, not per region walk
-}
-
 struct RegionState {
   std::vector<Cell*> roots;      ///< stable_order ascending
   std::vector<Cell*> tree_cells; ///< membership queries only (unordered)
@@ -38,8 +27,7 @@ struct RegionState {
   std::unordered_set<SigBit> closure_bits;
   bool dirty = true;
   bool alive = true;
-  /// Barrier scratch: closure recompute flagged / overlap results.
-  bool recompute = false;
+  /// Barrier scratch: foreign regions a recomputed closure reaches.
   std::vector<size_t> overlaps;
 };
 
@@ -81,7 +69,7 @@ std::vector<size_t> refresh_closure(RegionState& r, size_t self, const NetlistIn
 
 /// Stable id of a region: the minimum bit_unit_id over its roots' first
 /// output bits. Name-based (raw bits, not sigmap representatives) and
-/// min-reduced, so the id is independent of root order, thread count, and a
+/// min-reduced, so the id is independent of root order and of a
 /// write_verilog round-trip — the recovery layer quarantines regions under
 /// it ("sweep.region"), and unit-keyed fault plans key on it.
 uint64_t region_unit_id(const std::vector<Cell*>& roots) {
@@ -101,61 +89,38 @@ uint64_t region_unit_id(const std::vector<Cell*>& roots) {
 
 } // namespace
 
-ParallelSweepEngine::ParallelSweepEngine(rtlil::Module& module,
-                                         const ParallelSweepOptions& options)
-    : module_(module), options_(options) {
-  if (!options_.make_oracle)
-    throw std::logic_error("ParallelSweepEngine: make_oracle factory is required");
-}
-
-ParallelSweepEngine::~ParallelSweepEngine() = default;
-
-ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
+ParallelSweepStats parallel_sweep(rtlil::Module& module, MuxtreeOracle& oracle,
+                                  const ParallelSweepOptions& options, DecisionTrace* trace) {
   const obs::Span engine_span("sweep", "sweep.run", "cells",
-                              static_cast<uint64_t>(module_.cells().size()));
+                              static_cast<uint64_t>(module.cells().size()));
   ParallelSweepStats stats;
-  NetlistIndex index(module_);
+  NetlistIndex index(module);
   index.sigmap().flatten();
-  oracles_.clear();
+  oracle.begin_module(module, index);
 
-  const auto stable_order = stable_cell_order(module_);
-  const MuxtreeForest forest = muxtree_forest(module_, index);
+  const auto stable_order = stable_cell_order(module);
+  const MuxtreeForest forest = muxtree_forest(module, index);
   const RegionPartition partition =
-      partition_regions(module_, index, forest, options_.ball_radius);
+      partition_regions(module, index, forest, options.ball_radius);
   stats.regions = partition.regions.size();
-
-  // More workers than regions can ever run is pure spawn/join overhead (a
-  // design with many small modules pays it once per module).
-  const int width = std::min<int>(util::resolve_thread_count(options_.threads),
-                                  std::max<size_t>(partition.regions.size(), 1));
-  util::ThreadPool pool(width);
-  stats.threads_used = pool.size();
-  for (int w = 0; w < pool.size(); ++w)
-    oracles_.push_back(options_.make_oracle());
 
   std::vector<RegionState> regions(partition.regions.size());
   std::unordered_map<const Cell*, size_t> region_of; // mux tree cell -> region id
   for (size_t i = 0; i < partition.regions.size(); ++i) {
     regions[i].roots = partition.regions[i].roots;
     regions[i].tree_cells = partition.regions[i].tree_cells;
-    stats.largest_region_trees =
-        std::max(stats.largest_region_trees, partition.regions[i].roots.size());
+    // Initial closure bits from the closure the partitioner already walked.
+    regions[i].closure_bits = closure_bit_set(index, partition.closures[i]);
     for (Cell* c : regions[i].tree_cells)
       region_of.emplace(c, i);
   }
-  // Initial closure-bit sets from the closures the partitioner already
-  // walked; one parallel task per region.
-  pool.run_batch(regions.size(), [&](int, size_t i) {
-    regions[i].closure_bits = closure_bit_set(index, partition.closures[i]);
-  });
 
   struct Slot {
     SweepJournal journal;
-    MuxtreeStats stats;
     DecisionTrace trace;
   };
 
-  util::ResourceGuard* guard = options_.guard;
+  util::ResourceGuard* guard = options.guard;
   // After a halt: record it and count the dirty regions left unvisited.
   const auto halt_engine = [&] {
     stats.halted = 1;
@@ -168,9 +133,9 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
       guard->note_skipped_regions(abandoned);
   };
 
-  for (size_t iter = 0; iter < options_.max_iterations; ++iter) {
-    // Budgets are charged by the oracles; there is no growth cap here.
-    const util::RoundEntry entry = util::enter_round(guard, options_.quarantine,
+  for (size_t iter = 0; iter < options.max_iterations; ++iter) {
+    // Budgets are charged by the oracle; there is no growth cap here.
+    const util::RoundEntry entry = util::enter_round(guard, options.quarantine,
                                                      "sweep.iteration", iter + 1, 0);
     if (entry == util::RoundEntry::Skip) {
       ++stats.quarantined;
@@ -194,9 +159,9 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
         continue;
       }
       const uint64_t unit = region_unit_id(r.roots);
-      if (options_.quarantine != nullptr &&
-          options_.quarantine->contains("sweep.region", unit)) {
-        // Quarantined region: never dispatched. It stays dirty, so a later
+      if (options.quarantine != nullptr &&
+          options.quarantine->contains("sweep.region", unit)) {
+        // Quarantined region: never walked. It stays dirty, so a later
         // merge (which changes its id) gets a fresh chance.
         ++stats.quarantined;
         continue;
@@ -207,53 +172,45 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
     if (work.empty())
       break;
 
-    // Parallel phase: the module and index are frozen except for in-place
-    // input-port shrinks of each region's own tree cells, which no other
-    // region's read closure can reach (see region_partition.hpp).
+    // Walks: the module and index stay at their iteration-start state
+    // except for in-place input-port shrinks of each region's own tree
+    // cells, which no other region's read closure can reach (see
+    // region_partition.hpp). Journals wait until every walk is done.
     std::vector<Slot> slots(work.size());
-    bool faulted = false;
     try {
-      pool.run_batch(work.size(), [&](int worker, size_t i) {
-        RegionState& r = *work[i];
+      for (size_t i = 0; i < work.size(); ++i) {
         // Mid-phase halts only come from deadline/cancel/faults; a skipped
-        // region keeps an empty journal and is marked clean at the barrier
-        // (a missed optimization, never an invalid state).
+        // region keeps an empty journal and is marked clean below (a missed
+        // optimization, never an invalid state).
         if ((guard != nullptr && guard->poll()) ||
             util::fault_unknown("sweep.region", work_units[i]))
-          return;
+          continue;
         const obs::Span region_span("sweep", "sweep.region", "region", work_units[i]);
-        MuxtreeOracle& oracle = *oracles_[static_cast<size_t>(worker)];
-        oracle.begin_module(module_, index);
         Slot& slot = slots[i];
-        MuxtreeWalker walker(index, oracle, slot.stats, slot.journal,
+        // The walker counts into stats.walker directly; it never touches
+        // `iterations`, which this loop counts.
+        MuxtreeWalker walker(index, oracle, stats.walker, slot.journal,
                              trace ? &slot.trace : nullptr, static_cast<uint32_t>(iter));
-        for (Cell* root : r.roots)
+        for (Cell* root : work[i]->roots)
           walker.walk_root(root, stable_order.at(root));
-      });
+      }
     } catch (const util::FaultInjected& e) {
       // Only the oracle can throw inside a walk, and every in-place port
       // edit is journaled before the next oracle call — so the slot journals
-      // are complete records of what actually mutated. Apply them in
-      // canonical region order to restore index consistency, then stop.
-      // Only injected faults are absorbed; real errors keep propagating.
-      faulted = true;
+      // are complete records of what actually mutated. Apply them in region
+      // order to restore index consistency, then stop. Only injected faults
+      // are absorbed; real errors keep propagating.
       util::halt_on_fault(guard, e);
-    }
-    if (faulted) {
-      for (size_t i = 0; i < work.size(); ++i) {
-        accumulate(stats.walker, slots[i].stats);
-        if (!slots[i].journal.empty())
-          apply_sweep_journal(module_, index, slots[i].journal, /*finalize=*/false);
-      }
+      for (const Slot& slot : slots)
+        if (!slot.journal.empty())
+          apply_sweep_journal(module, index, slot.journal, /*finalize=*/false);
       index.compact_topo();
       index.sigmap().flatten();
       halt_engine();
       break;
     }
 
-    // Barrier: aggregate and apply in canonical region order, so the
-    // module's connection list, cell removals, and statistics are identical
-    // for every thread count.
+    // Barrier: aggregate and apply in region order.
     bool any_change = false;
     // Both sides of every applied connect, in sweep-time *and* post-apply
     // canonicalization: the nets through which one region's edits can reach
@@ -264,7 +221,6 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
       const obs::Span apply_span("sweep", "sweep.apply");
       for (size_t i = 0; i < work.size(); ++i) {
         ++stats.region_walks;
-        accumulate(stats.walker, slots[i].stats);
         if (trace)
           trace->entries.insert(trace->entries.end(), slots[i].trace.entries.begin(),
                                 slots[i].trace.entries.end());
@@ -293,7 +249,7 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
                                      [&](Cell* c) { return dead.count(c) != 0; }),
                       cells.end());
         }
-        apply_sweep_journal(module_, index, slots[i].journal, /*finalize=*/false);
+        apply_sweep_journal(module, index, slots[i].journal, /*finalize=*/false);
       }
       if (any_change) {
         index.compact_topo();
@@ -332,16 +288,14 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
     // Cross-region dirty propagation: a region whose closure reads one of
     // the merged nets must re-run, and — since the merge can extend its
     // closure by one hop through the merged class — gets its closure
-    // recomputed (parallel batch) and rechecked for new overlaps. Everything
+    // recomputed and rechecked for new overlaps. Everything
     // else was already marked dirty by its own journal; shrink-only edits
     // cannot grow a closure, so their stale closure_bits stay conservative.
     const obs::Span dirty_span("sweep", "sweep.dirty");
-    std::vector<size_t> flagged;
     for (size_t i = 0; i < regions.size(); ++i) {
       RegionState& r = regions[i];
       if (!r.alive)
         continue;
-      r.recompute = false;
       r.overlaps.clear();
       if (r.tree_cells.empty()) {
         // Every tree collapsed: nothing left to walk or to invalidate.
@@ -352,21 +306,15 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
       for (const SigBit& b : merge_bits)
         if (r.closure_bits.count(b)) {
           r.dirty = true;
-          r.recompute = true;
-          flagged.push_back(i);
+          r.overlaps = refresh_closure(r, i, index, region_of, options.ball_radius);
           break;
         }
     }
-    pool.run_batch(flagged.size(), [&](int, size_t i) {
-      const size_t self = flagged[i];
-      regions[self].overlaps =
-          refresh_closure(regions[self], self, index, region_of, options_.ball_radius);
-    });
 
-    // Serial merge pass, ascending region id (deterministic); merges are rare.
+    // Merge pass, ascending region id; merges are rare.
     std::deque<size_t> recheck;
     for (size_t i = 0; i < regions.size(); ++i)
-      if (regions[i].alive && regions[i].recompute && !regions[i].overlaps.empty())
+      if (regions[i].alive && !regions[i].overlaps.empty())
         recheck.push_back(i);
     while (!recheck.empty()) {
       const size_t rid = recheck.front();
@@ -405,15 +353,14 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
         return stable_order.at(a) < stable_order.at(b);
       });
       into.dirty = true;
-      // The union's closure needs its own overlap pass (rare path: serial).
-      into.overlaps = refresh_closure(into, target, index, region_of, options_.ball_radius);
+      // The union's closure needs its own overlap pass.
+      into.overlaps = refresh_closure(into, target, index, region_of, options.ball_radius);
       if (!into.overlaps.empty())
         recheck.push_back(target);
     }
   }
 
-  // Barrier-time totals: each is a pure function of the deterministic stats
-  // struct, so the metric values match at every thread count.
+  // End-of-run totals from the stats struct.
   static obs::Counter& m_iterations = obs::counter("sweep.iterations");
   static obs::Counter& m_walks = obs::counter("sweep.region_walks");
   static obs::Counter& m_clean = obs::counter("sweep.regions_skipped_clean");
@@ -425,12 +372,6 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
   m_merges.add(stats.region_merges);
   m_regions.add(stats.regions);
   return stats;
-}
-
-ParallelSweepStats parallel_sweep(rtlil::Module& module, const ParallelSweepOptions& options,
-                                  DecisionTrace* trace) {
-  ParallelSweepEngine engine(module, options);
-  return engine.run(trace);
 }
 
 } // namespace smartly::opt

@@ -1,7 +1,8 @@
-// Region partitioning for the parallel deterministic sweep engine.
+// Region partitioning for the deterministic region sweep engine.
 //
-// A *region* is a set of muxtrees that may be walked concurrently with other
-// regions without any thread ever reading a cell another thread mutates.
+// A *region* is a set of muxtrees whose walk never reads a cell that another
+// region's walk mutates, so within one iteration every walk sees the
+// iteration-start netlist whatever the order of the walks before it.
 // The walk of one tree only mutates the tree's own mux/pmux cells (in-place
 // input-port shrinks; connects/removals are journaled), but it *reads*:
 //   * the distance-1 neighbourhood of every tree-cell bit (parent/child
@@ -32,8 +33,7 @@ struct Region {
 
 struct RegionPartition {
   /// Canonical order: by the module-cell index of each region's first root.
-  /// Journals are applied and stats aggregated in this order, which is what
-  /// makes the sweep deterministic regardless of worker scheduling.
+  /// Regions are walked, and their journals applied, in this order.
   std::vector<Region> regions;
   /// Read-closure cells per region (same indexing as `regions`), the union of
   /// the constituent trees' closures — computed during partitioning anyway,

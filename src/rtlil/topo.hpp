@@ -15,7 +15,7 @@ class NetlistIndex;
 /// driver plus all its readers, sequential cells excluded (they cut the
 /// combinational cone). This is the single adjacency relation shared by
 /// sub-graph extraction (core/subgraph.cpp) and region partitioning
-/// (opt/region_partition.cpp) — the parallel sweep's race-freedom argument
+/// (opt/region_partition.cpp) — the region sweep's independence argument
 /// requires region closures to over-approximate every extraction ball, which
 /// holds only while both sides use this exact definition.
 void combinational_adjacent_cells(const NetlistIndex& index, const SigBit& bit,

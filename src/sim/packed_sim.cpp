@@ -1,7 +1,5 @@
 #include "sim/packed_sim.hpp"
 
-#include "util/thread_pool.hpp"
-
 #include <algorithm>
 #include <unordered_map>
 
@@ -119,30 +117,20 @@ Forced exhaustive_forced(const aig::Aig& aig,
 }
 
 SignatureTable simulate_signatures(const aig::Aig& aig,
-                                   const std::vector<std::vector<uint64_t>>& batch_inputs,
-                                   util::ThreadPool* pool) {
+                                   const std::vector<std::vector<uint64_t>>& batch_inputs) {
   SignatureTable table;
   table.words = batch_inputs.size();
   table.nodes = aig.num_nodes();
   table.node_words.resize(table.words * table.nodes);
 
-  // One reusable node-sized scratch per worker (whole-netlist AIGs make a
-  // per-batch allocation megabytes of churn across refinement rounds).
-  const int workers = pool && pool->size() > 1 && table.words > 1 ? pool->size() : 1;
-  std::vector<std::vector<uint64_t>> scratch(static_cast<size_t>(workers));
-
-  auto run_batch = [&](int worker, size_t w) {
-    std::vector<uint64_t>& values = scratch[static_cast<size_t>(worker)];
+  // One reusable node-sized scratch (whole-netlist AIGs make a per-batch
+  // allocation megabytes of churn across refinement rounds).
+  std::vector<uint64_t> values;
+  for (size_t w = 0; w < table.words; ++w) {
     aig.simulate_into(batch_inputs[w], values);
-    std::copy(values.begin(), values.end(), table.node_words.begin() +
-                                                static_cast<ptrdiff_t>(w * table.nodes));
-  };
-
-  if (workers > 1)
-    pool->run_batch(table.words, run_batch);
-  else
-    for (size_t w = 0; w < table.words; ++w)
-      run_batch(0, w);
+    std::copy(values.begin(), values.end(),
+              table.node_words.begin() + static_cast<ptrdiff_t>(w * table.nodes));
+  }
   return table;
 }
 

@@ -19,10 +19,6 @@
 #include <utility>
 #include <vector>
 
-namespace smartly::util {
-class ThreadPool;
-}
-
 namespace smartly::sim {
 
 enum class Forced {
@@ -64,10 +60,7 @@ Forced exhaustive_forced(const aig::Aig& aig,
 // --- multi-word signature simulation (SAT-sweeping support) ----------------
 //
 // The fraig engine classifies every combinational bit of a whole-netlist AIG
-// by its behaviour over W×64 packed patterns. Word batches are independent
-// simulations, so the table is computed batch-parallel on the caller's
-// thread pool; each batch writes only its own block, which makes the result
-// bit-identical for every thread count.
+// by its behaviour over W×64 packed patterns, one 64-pattern batch at a time.
 
 /// Per-node simulation words over W independent 64-pattern batches, stored
 /// batch-major: word(node, w) is batch w's 64 pattern results for `node`.
@@ -84,12 +77,9 @@ struct SignatureTable {
 };
 
 /// Simulate all nodes of `aig` over the given batches. `batch_inputs[w]` is
-/// one word per AIG input (Aig::inputs() order). Batches run in parallel on
-/// `pool` when given (deterministic: slot-per-batch outputs); serially
-/// otherwise.
+/// one word per AIG input (Aig::inputs() order).
 SignatureTable simulate_signatures(const aig::Aig& aig,
-                                   const std::vector<std::vector<uint64_t>>& batch_inputs,
-                                   util::ThreadPool* pool = nullptr);
+                                   const std::vector<std::vector<uint64_t>>& batch_inputs);
 
 // --- cut truth-table extraction (DAG-aware rewriting support) --------------
 

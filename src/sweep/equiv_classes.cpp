@@ -1,7 +1,7 @@
 #include "sweep/equiv_classes.hpp"
 
+#include "obs/trace.hpp"
 #include "sim/packed_sim.hpp"
-#include "util/thread_pool.hpp"
 
 #include <algorithm>
 
@@ -30,6 +30,7 @@ EquivClasses::EquivClasses(const EquivClassOptions& options) : options_(options)
 }
 
 void EquivClasses::bind(const rtlil::Module& module, const rtlil::NetlistIndex& index) {
+  const obs::Span bind_span("fraig", "fraig.bind");
   module_ = &module;
   index_ = &index;
   blast_ = aig::aigmap(module, index);
@@ -73,7 +74,7 @@ uint64_t EquivClasses::fill_bit(uint64_t bit_hash, size_t pattern_index) const {
          1;
 }
 
-std::vector<EquivClass> EquivClasses::compute(util::ThreadPool* pool) {
+std::vector<EquivClass> EquivClasses::compute() {
   const size_t n_inputs = blast_.aig.num_inputs();
   const size_t cex_batches = (cex_.size() + 63) / 64;
   const size_t n_batches = options_.sim_words + cex_batches;
@@ -107,21 +108,29 @@ std::vector<EquivClass> EquivClasses::compute(util::ThreadPool* pool) {
 
   const size_t cacheable = options_.sim_words + cex_.size() / 64; // full batches only
   std::vector<std::vector<uint64_t>> batch_inputs(n_batches);
-  for (auto& words : batch_inputs)
-    words.resize(n_inputs, 0);
-  for (size_t i = 0; i < n_inputs; ++i) {
-    const SigBit& bit = input_bits_[i];
-    if (!bit.is_wire())
-      continue; // unmapped input (defensive): patterns stay 0
-    const uint64_t bit_hash = stable_bit_hash(bit);
-    std::vector<uint64_t>& cached = word_cache_[bit];
-    while (cached.size() < cacheable)
-      cached.push_back(render_batch(bit, bit_hash, cached.size()));
-    for (size_t w = 0; w < n_batches; ++w)
-      batch_inputs[w][i] = w < cacheable ? cached[w] : render_batch(bit, bit_hash, w);
+  {
+    const obs::Span render_span("fraig", "fraig.render");
+    for (auto& words : batch_inputs)
+      words.resize(n_inputs, 0);
+    for (size_t i = 0; i < n_inputs; ++i) {
+      const SigBit& bit = input_bits_[i];
+      if (!bit.is_wire())
+        continue; // unmapped input (defensive): patterns stay 0
+      const uint64_t bit_hash = stable_bit_hash(bit);
+      std::vector<uint64_t>& cached = word_cache_[bit];
+      while (cached.size() < cacheable)
+        cached.push_back(render_batch(bit, bit_hash, cached.size()));
+      for (size_t w = 0; w < n_batches; ++w)
+        batch_inputs[w][i] = w < cacheable ? cached[w] : render_batch(bit, bit_hash, w);
+    }
   }
 
-  const sim::SignatureTable table = sim::simulate_signatures(blast_.aig, batch_inputs, pool);
+  sim::SignatureTable table;
+  {
+    const obs::Span simulate_span("fraig", "fraig.simulate");
+    table = sim::simulate_signatures(blast_.aig, batch_inputs);
+  }
+  const obs::Span bucket_span("fraig", "fraig.bucket");
 
   // Partition candidate bits by normalized signature. Buckets keyed on the
   // 128-bit signature hash; equality is treated as identity (cone-cache

@@ -15,7 +15,7 @@
 // Determinism: base patterns derive from (seed, wire name, batch index) and
 // counterexamples are appended in canonical class order at engine barriers,
 // so signatures — and therefore classes — are a pure function of the module
-// content, never of the thread count.
+// content.
 #pragma once
 
 #include "aig/aigmap.hpp"
@@ -27,10 +27,6 @@
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
-
-namespace smartly::util {
-class ThreadPool;
-}
 
 namespace smartly::sweep {
 
@@ -82,11 +78,10 @@ public:
   /// input index.
   void bind(const rtlil::Module& module, const rtlil::NetlistIndex& index);
 
-  /// Simulate the pattern pool (batch-parallel on `pool` when given) and
-  /// partition all candidate bits into classes. Singleton classes and
-  /// classes with no mergeable member are dropped; classes and members are
-  /// in canonical order.
-  std::vector<EquivClass> compute(util::ThreadPool* pool = nullptr);
+  /// Simulate the pattern pool and partition all candidate bits into
+  /// classes. Singleton classes and classes with no mergeable member are
+  /// dropped; classes and members are in canonical order.
+  std::vector<EquivClass> compute();
 
   /// Add a counterexample pattern. Returns false if it was a duplicate or
   /// the pool is full.

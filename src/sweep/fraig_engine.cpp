@@ -7,7 +7,6 @@
 #include "opt/opt_merge.hpp"
 #include "sat/solver.hpp"
 #include "util/fault.hpp"
-#include "util/thread_pool.hpp"
 
 #include <stdexcept>
 
@@ -34,7 +33,7 @@ struct Replacement {
   bool const_one = false;
 };
 
-/// Slot-per-class proof results (aggregated at the barrier in class order).
+/// Per-class proof results (aggregated at the barrier in class order).
 struct ClassOutcome {
   struct Proof {
     SigBit dup;
@@ -228,6 +227,7 @@ ClassOutcome prove_class(const EquivClass& cls, const EquivClasses& eq,
 size_t commit_merges(rtlil::Module& module, rtlil::NetlistIndex& index,
                      const std::unordered_map<SigBit, Replacement>& proven,
                      FraigStats& stats) {
+  const obs::Span commit_span("fraig", "fraig.commit");
   struct Plan {
     Cell* cell;
     int topo_pos;
@@ -272,7 +272,7 @@ size_t commit_merges(rtlil::Module& module, rtlil::NetlistIndex& index,
   }
 
   // Module cell order: the stable canonical commit order (and the order the
-  // inverters below are named in), identical for every thread count.
+  // inverters below are named in).
   for (const auto& cptr : module.cells()) {
     Cell* cell = cptr.get();
     if (cell->type() == CellType::Dff)
@@ -473,7 +473,7 @@ FraigStats& operator+=(FraigStats& acc, const FraigStats& s) {
   acc.quarantined += s.quarantined;
   acc.halted += s.halted;
   acc.solver_conflicts += s.solver_conflicts;
-  return acc; // threads_used intentionally untouched
+  return acc;
 }
 
 bool same_work(const FraigStats& a, const FraigStats& b) {
@@ -487,7 +487,6 @@ bool same_work(const FraigStats& a, const FraigStats& b) {
          a.pre_merged == b.pre_merged && a.skipped_solves == b.skipped_solves &&
          a.quarantined == b.quarantined && a.halted == b.halted &&
          a.solver_conflicts == b.solver_conflicts;
-  // threads_used intentionally excluded: it reflects the machine, not the work.
 }
 
 FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options) {
@@ -499,8 +498,6 @@ FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options) {
 
   rtlil::NetlistIndex index(module);
   index.sigmap().flatten();
-  util::ThreadPool pool(util::resolve_thread_count(options.threads));
-  stats.threads_used = pool.size();
 
   EquivClasses eq(options.classes);
   std::unordered_map<SigBit, Replacement> proven;
@@ -527,12 +524,11 @@ FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options) {
                                static_cast<uint64_t>(round + 1));
     if (module_changed)
       eq.bind(module, index); // re-blast; cex-only rounds reuse the blast
-    std::vector<EquivClass> classes = eq.compute(&pool);
+    std::vector<EquivClass> classes = eq.compute();
     if (round == 0)
       stats.candidate_bits = eq.candidate_bits();
     if (options.quarantine != nullptr && !options.quarantine->empty()) {
-      // Canonical-order filter at the barrier: quarantined classes are never
-      // dispatched, identically on every thread count.
+      // Quarantined classes are never proved.
       const size_t before = classes.size();
       classes.erase(std::remove_if(classes.begin(), classes.end(),
                                    [&](const EquivClass& c) {
@@ -546,20 +542,14 @@ FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options) {
       break;
     stats.classes += classes.size();
 
-    // Per-class solvers, slot-per-class outputs: which worker proves which
-    // class is scheduling noise.
+    // Per-class solvers, proved in canonical class order.
     std::vector<ClassOutcome> outcomes(classes.size());
-    const auto task = [&](size_t i) {
-      const obs::Span class_span("fraig", "fraig.class", "class",
-                                 class_unit_id(classes[i]));
-      outcomes[i] = prove_class(classes[i], eq, options, settled);
-    };
     try {
-      if (pool.size() > 1 && classes.size() > 1)
-        pool.run_batch(classes.size(), [&](int, size_t i) { task(i); });
-      else
-        for (size_t i = 0; i < classes.size(); ++i)
-          task(i);
+      for (size_t i = 0; i < classes.size(); ++i) {
+        const obs::Span class_span("fraig", "fraig.class", "class",
+                                   class_unit_id(classes[i]));
+        outcomes[i] = prove_class(classes[i], eq, options, settled);
+      }
     } catch (const util::FaultInjected& e) {
       // The prove phase never mutates the module, so dropping this round's
       // outcomes wholesale leaves module and index exactly as the last
@@ -572,8 +562,6 @@ FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options) {
 
     // Barrier: aggregate in canonical class order (cex pool append order is
     // part of the determinism contract — signatures depend on it).
-    // Refinement/conflict histograms are fed here, single-threaded in
-    // canonical order, from deterministic per-class outcomes.
     static obs::Histogram& h_class_size = obs::histogram("fraig.class_size");
     static obs::Histogram& h_conflicts = obs::histogram("fraig.solver_conflicts");
     for (const EquivClass& c : classes)
@@ -623,8 +611,7 @@ FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options) {
   if (options.check_index && !rtlil::index_consistent(module, index))
     throw std::logic_error("fraig: incremental NetlistIndex diverged from rebuild");
 
-  // Deterministic totals from the stats struct (identical at every thread
-  // count), published once per sweep.
+  // Totals from the stats struct, published once per sweep.
   static obs::Counter& m_rounds = obs::counter("fraig.rounds");
   static obs::Counter& m_queries = obs::counter("fraig.sat_queries");
   static obs::Counter& m_equal = obs::counter("fraig.proved_equal");

@@ -17,11 +17,9 @@
 //               round barriers in canonical class order through the
 //               NetlistIndex incremental-maintenance API.
 //
-// Determinism: class proof tasks run on a work-stealing pool, but each class
-// owns its solver (state is a function of class content alone), results
-// land in slot-per-class outputs, and all module mutation happens at
-// single-threaded barriers in canonical order — netlist bytes and statistics
-// are bit-identical for every thread count.
+// Determinism: each class owns its solver (state is a function of class
+// content alone), classes are proved in canonical order, and all module
+// mutation happens at round barriers in canonical order.
 //
 // Correctness bar: merges are only committed on an UNSAT proof over the full
 // fanin cones, and every caller-facing flow CECs the result
@@ -38,12 +36,9 @@
 namespace smartly::sweep {
 
 struct FraigOptions {
-  /// Worker threads for class proofs and signature batches (0 = one per
-  /// hardware thread). Output is bit-identical for every value.
-  int threads = 0;
+  int threads = 0; ///< unused; the frozen flowbench sets it
   /// Conflict cap per SAT query; Unknown leaves the pair unmerged. Outcomes
-  /// stay deterministic: each class's solver sees the same query sequence
-  /// regardless of scheduling.
+  /// stay deterministic: each class's solver sees the same query sequence.
   int64_t sat_conflict_budget = 4000;
   size_t max_rounds = 16; ///< signature -> SAT -> commit fixpoint cap
   /// Structural pre-pass: merge trivially-identical cells (opt_merge, which
@@ -51,9 +46,10 @@ struct FraigOptions {
   bool pre_merge = true;
   EquivClassOptions classes;
   /// Optional run-wide resource governor (not owned). Deterministic budgets
-  /// are evaluated at round barriers; deadline/cancellation also polled from
-  /// workers. On halt the engine keeps the merges already proven, commits
-  /// them in canonical order, and returns — the result stays CEC-equivalent.
+  /// are evaluated at round barriers; deadline/cancellation are also polled
+  /// before each solve. On halt the engine keeps the merges already proven,
+  /// commits them in canonical order, and returns — the result stays
+  /// CEC-equivalent.
   util::ResourceGuard* guard = nullptr;
   /// Post-run self-check: assert the incrementally maintained NetlistIndex
   /// equals a from-scratch rebuild (throws std::logic_error on divergence).
@@ -61,9 +57,8 @@ struct FraigOptions {
   bool check_index = false;
   /// Units the recovery layer has quarantined (not owned; frozen during the
   /// run). Classes whose representative bit is quarantined under
-  /// "fraig.solve" are never dispatched; rounds quarantined under
-  /// "fraig.round" are skipped. The filter is applied in canonical class
-  /// order at the barrier, so it preserves thread-count determinism.
+  /// "fraig.solve" are never proved; rounds quarantined under "fraig.round"
+  /// are skipped.
   const util::QuarantineSet* quarantine = nullptr;
 };
 
@@ -86,17 +81,15 @@ struct FraigStats {
   size_t quarantined = 0;      ///< classes/rounds skipped by the quarantine set
   size_t halted = 0;           ///< 1 when a budget/cancel/fault stopped the run early
   uint64_t solver_conflicts = 0;
-  int threads_used = 0;        ///< machine detail; excluded from determinism checks
 };
 
 /// Accumulate work counters (multi-stage flows like opt_tool's
-/// --fraig-pre + --fraig). threads_used keeps the left-hand value — it
-/// reflects the machine, not the work. Maintained next to the struct so a
-/// new counter cannot be silently dropped from the aggregations.
+/// --fraig-pre + --fraig). Maintained next to the struct so a new counter
+/// cannot be silently dropped from the aggregations.
 FraigStats& operator+=(FraigStats& acc, const FraigStats& s);
 
-/// Equality of every work counter, excluding threads_used — the relation the
-/// thread-count determinism checks assert (bench_sweep, tests).
+/// Equality of every work counter — the relation the determinism checks
+/// assert (bench_sweep, tests).
 bool same_work(const FraigStats& a, const FraigStats& b);
 
 /// Run the SAT-sweeping engine on `module` to fixpoint. Pair with opt_clean

@@ -8,12 +8,13 @@
 // With zero active plan the hook is one relaxed atomic load — cheap enough
 // to leave compiled into release builds.
 //
-// In single-threaded runs the event sequence — and therefore the whole
-// injection schedule — is fully determined by (plan, input). In parallel
-// runs workers interleave their events nondeterministically; the robustness
-// suite therefore asserts schedule-independent properties (termination,
-// CEC equivalence, index-vs-rebuild consistency) for parallel runs and
-// exact schedules only for single-threaded ones.
+// Every engine fires its fault points on one thread in canonical order: the
+// §II sweep and fraig run on the calling thread, and the rewrite engine's
+// fault points sit in its serial commit loop. So the event sequence — and
+// therefore the whole injection schedule — of one flow is determined by
+// (plan, input) at every thread count; the robustness suite asserts exact
+// schedules across thread counts. Flows run side by side (service jobs on
+// several workers) still interleave their events.
 //
 // `unit_keyed` plans trade the event counter for hash(seed, site, unit),
 // where the unit id is a stable name hash of the work item (fraig: class

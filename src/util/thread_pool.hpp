@@ -1,12 +1,13 @@
 // A small work-stealing thread pool for batch-parallel passes.
 //
-// The parallel sweep engine dispatches coarse, unevenly-sized region tasks;
-// work stealing keeps workers busy when one region dwarfs the rest. Tasks
-// are identified by index into the current batch: each worker owns a deque
-// seeded round-robin, pops its own back (LIFO, cache-warm), and steals from
-// other workers' fronts (FIFO, the oldest — and statistically largest —
-// leftovers). Which worker executes which task is scheduling noise; callers
-// must keep task *results* schedule-independent (slot-per-task outputs).
+// Two users: the rewrite engine's root evaluation batch and the service's
+// job workers. Work stealing keeps workers busy when one task dwarfs the
+// rest. Tasks are identified by index into the current batch: each worker
+// owns a deque seeded round-robin, pops its own back (LIFO, cache-warm), and
+// steals from other workers' fronts (FIFO, the oldest — and statistically
+// largest — leftovers). Which worker executes which task is scheduling
+// noise; callers must keep task *results* schedule-independent
+// (slot-per-task outputs).
 #pragma once
 
 #include <condition_variable>

@@ -1,7 +1,7 @@
 // Robustness suite (ctest label: robustness).
 //
 // Exercises the resource-governance + fault-injection subsystem across all
-// four engines (fraig, cut-rewrite, parallel sweep, SAT oracle):
+// four engines (fraig, cut-rewrite, region sweep, SAT oracle):
 //
 //   * seeded FaultPlan schedules (forced Unknowns, budget exhaustion at the
 //     N-th solve, injected exceptions): under ANY schedule every engine must
@@ -10,12 +10,14 @@
 //     CEC-equivalent to the input;
 //   * mid-round injected exceptions (throw_after): the engines' exception
 //     containment must leave index and netlist consistent;
+//   * exact fault schedules at every thread count: every engine fires its
+//     fault points on one thread in canonical order (rewrite in its commit
+//     loop, the others on the calling thread), so rewrite alone and the
+//     whole smartly_flow with rewrite give byte-identical netlists and
+//     statistics for 1/2/4/8 workers under every event-counted schedule;
 //   * deterministic budgets (solver conflicts): the halt must land at the
-//     same barrier on every thread count, preserving byte-identical netlists
-//     and statistics for 1/2/4/8 workers;
-//   * rewrite under seeded fault schedules: its fault point fires in the
-//     canonical commit loop, so netlists and statistics are byte-identical
-//     for 1/2/4/8 workers under every schedule;
+//     same barrier on every run — across thread counts for rewrite, across
+//     two fresh parses for fraig and the §II sweep;
 //   * CancelToken / deadline / pre-halted guards: sound degradation, with
 //     the ResourceReport recording what happened;
 //   * the round barrier the fraig, rewrite and §II sweep loops share:
@@ -92,7 +94,6 @@ TEST(FaultInjection, FraigSchedulesTerminateAndStayEquivalent) {
     const auto golden = rtlil::clone_design(*design);
     Module& top = *design->top();
     sweep::FraigOptions options;
-    options.threads = 2;
     options.check_index = true; // throws std::logic_error if index != rebuild
     {
       util::FaultScope scope(mixed_plan(seed, "fraig"));
@@ -133,11 +134,11 @@ TEST(FaultInjection, ParallelSweepSchedulesTerminateAndStayEquivalent) {
     const auto golden = rtlil::clone_design(*design);
     {
       // Hits both the sweep engine's own sites (sweep.region /
-      // sweep.iteration) and the per-worker oracles' oracle.solve: an
-      // oracle throw mid-walk exercises the journal-recovery path.
+      // sweep.iteration) and the oracle's oracle.solve: an oracle throw
+      // mid-walk exercises the journal-recovery path.
       util::FaultPlan plan = mixed_plan(seed, "");
       util::FaultScope scope(plan);
-      core::sat_redundancy_parallel(top, {}, /*threads=*/2);
+      core::sat_redundancy_parallel(top, {}, 1);
     }
     opt::opt_clean(top);
     expect_equivalent(*golden->top(), top, "parallel sweep under fault schedule");
@@ -179,7 +180,6 @@ TEST(FaultInjection, FraigMidRoundThrowLeavesIndexConsistent) {
       const auto golden = rtlil::clone_design(*design);
       Module& top = *design->top();
       sweep::FraigOptions options;
-      options.threads = 2;
       options.check_index = true;
       sweep::FraigStats stats;
       {
@@ -267,22 +267,79 @@ TEST(FaultInjection, RewriteByteIdenticalAcrossThreadCountsUnderFaultSchedules) 
   }
 }
 
-// --- deterministic budgets: thread-count byte-identity ----------------------
+namespace {
 
-TEST(ResourceBudgets, FraigConflictBudgetPreservesThreadDeterminism) {
+/// Every §II counter: the oracle's and the region engine's.
+std::vector<uint64_t> sat_counters(const core::SmartlyStats& s) {
+  const core::SatRedundancyStats& o = s.sat;
+  const opt::ParallelSweepStats& r = s.sweep;
+  return {o.queries, o.decided_syntactic, o.decided_inference, o.decided_sim,
+          o.decided_sat, o.dead_paths, o.skipped_too_large, o.gates_seen, o.gates_kept,
+          o.sim_filter_kills, o.sim_filter_half, o.sat_calls, o.skipped_halt,
+          o.skipped_quarantine, o.solver_conflicts, o.walker.mux_collapsed,
+          o.walker.pmux_branches_removed, o.walker.data_bits_replaced,
+          o.walker.oracle_queries, o.walker.iterations, r.regions, r.region_walks,
+          r.regions_skipped_clean, r.region_merges, r.regions_skipped_halt, r.quarantined,
+          r.halted};
+}
+
+} // namespace
+
+TEST(FaultInjection, FlowByteIdenticalAcrossThreadCountsUnderFaultSchedules) {
+  // One event-counted plan over every site of smartly_flow (§II sweep and
+  // oracle, fraig, rewrite): the thread count may only change rewrite's
+  // evaluation batch, so every engine must take the identical schedule.
+  for (uint64_t s = 1; s <= 10; ++s) {
+    const uint64_t seed = seed_offset() + s;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::string src = benchgen::random_verilog(seed, 6);
+
+    std::string first_netlist;
+    core::SmartlyStats first_stats;
+    for (const int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      auto design = verilog::read_verilog(src);
+      core::SmartlyOptions options;
+      options.threads = threads;
+      options.enable_rewrite = true;
+      core::SmartlyStats stats;
+      {
+        util::FaultScope scope(mixed_plan(seed, ""));
+        stats = core::smartly_flow(*design->top(), options);
+      }
+      const std::string netlist = backend::write_rtlil(*design->top());
+      if (threads == 1) {
+        first_netlist = netlist;
+        first_stats = stats;
+        continue;
+      }
+      EXPECT_EQ(netlist, first_netlist);
+      EXPECT_EQ(sat_counters(stats), sat_counters(first_stats));
+      EXPECT_TRUE(sweep::same_work(stats.fraig, first_stats.fraig));
+      EXPECT_TRUE(rewrite::same_work(stats.rewrite, first_stats.rewrite));
+    }
+  }
+}
+
+// --- deterministic budgets: the halt lands at the same barrier ---------------
+//
+// Fraig and the §II sweep run on the calling thread; their budget halts are
+// compared across two parses alive at once (different cell addresses), which
+// pointer-keyed iteration order could still break.
+
+TEST(ResourceBudgets, FraigConflictBudgetHaltsIdenticallyOnFreshParses) {
   const std::string src = benchgen::random_verilog(7, 7);
+  const std::unique_ptr<rtlil::Design> designs[] = {verilog::read_verilog(src),
+                                                    verilog::read_verilog(src)};
   std::string first;
   sweep::FraigStats first_stats;
   bool first_halted = false;
-  for (const int threads : {1, 2, 4, 8}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    auto design = verilog::read_verilog(src);
+  for (const auto& design : designs) {
     Module& top = *design->top();
     util::ResourceBudgets budgets;
     budgets.solver_conflicts = 0; // trip at the first barrier that saw a conflict
     util::ResourceGuard guard(budgets);
     sweep::FraigOptions options;
-    options.threads = threads;
     options.guard = &guard;
     options.check_index = true;
     const sweep::FraigStats stats = sweep::fraig_sweep(top, options);
@@ -300,12 +357,12 @@ TEST(ResourceBudgets, FraigConflictBudgetPreservesThreadDeterminism) {
   }
 }
 
-TEST(ResourceBudgets, ParallelSweepConflictBudgetPreservesThreadDeterminism) {
+TEST(ResourceBudgets, ParallelSweepConflictBudgetHaltsIdenticallyOnFreshParses) {
   const std::string src = benchgen::random_verilog(11, 7);
+  const std::unique_ptr<rtlil::Design> designs[] = {verilog::read_verilog(src),
+                                                    verilog::read_verilog(src)};
   std::string first;
-  for (const int threads : {1, 2, 4, 8}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    auto design = verilog::read_verilog(src);
+  for (const auto& design : designs) {
     Module& top = *design->top();
     opt::coarse_opt(top);
     util::ResourceBudgets budgets;
@@ -313,7 +370,7 @@ TEST(ResourceBudgets, ParallelSweepConflictBudgetPreservesThreadDeterminism) {
     util::ResourceGuard guard(budgets);
     core::SatRedundancyOptions options;
     options.guard = &guard;
-    core::sat_redundancy_parallel(top, options, threads);
+    core::sat_redundancy_parallel(top, options, 1);
     opt::opt_clean(top);
     const std::string netlist = backend::write_rtlil(top);
     if (first.empty())
@@ -351,7 +408,6 @@ TEST(ResourceBudgets, CancelledTokenHaltsEverythingSoundly) {
   util::CancelToken cancel;
   cancel.cancel(); // cancelled before the pass even starts
   core::SmartlyOptions options;
-  options.threads = 2;
   options.enable_fraig = true;
   options.cancel = &cancel;
   const core::SmartlyStats stats = core::smartly_flow(top, options);
@@ -366,7 +422,6 @@ TEST(ResourceBudgets, ZeroDeadlineHaltsSoundly) {
   const auto golden = rtlil::clone_design(*design);
   Module& top = *design->top();
   core::SmartlyOptions options;
-  options.threads = 2;
   options.enable_fraig = true;
   options.budgets.deadline_ms = 0;
   const core::SmartlyStats stats = core::smartly_flow(top, options);
@@ -434,7 +489,8 @@ struct BarrierRun {
 };
 
 /// One round-based engine: the site its barrier checks before each round,
-/// and a two-thread run under an optional guard and quarantine set.
+/// and a run under an optional guard and quarantine set (rewrite on two
+/// threads).
 struct BarrierEngine {
   const char* site;
   BarrierRun (*run)(Module&, util::ResourceGuard*, const util::QuarantineSet*);
@@ -442,7 +498,6 @@ struct BarrierEngine {
 
 BarrierRun run_fraig(Module& m, util::ResourceGuard* guard, const util::QuarantineSet* q) {
   sweep::FraigOptions o;
-  o.threads = 2;
   o.guard = guard;
   o.quarantine = q;
   o.check_index = true;
@@ -465,7 +520,7 @@ BarrierRun run_sat_sweep(Module& m, util::ResourceGuard* guard, const util::Quar
   o.guard = guard;
   o.quarantine = q;
   opt::ParallelSweepStats s;
-  core::sat_redundancy_parallel(m, o, /*threads=*/2, nullptr, &s);
+  core::sat_redundancy_parallel(m, o, 1, nullptr, &s);
   return {s.walker.iterations, s.quarantined, s.halted};
 }
 

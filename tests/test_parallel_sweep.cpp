@@ -1,7 +1,7 @@
-// Parallel deterministic sweep engine: thread-count determinism (byte-equal
-// netlists, identical stats), decision differentials against the serial
-// engine, region-partition safety invariants, incremental-index equivalence,
-// and a TSan-friendly work-stealing pool stress test.
+// Region sweep engine: decision differentials against the walk-everything
+// reference, region-partition safety invariants, incremental-index
+// equivalence, and thread-count determinism of the full flow with rewrite on
+// (byte-equal netlists, identical stats).
 #include "backend/write_rtlil.hpp"
 #include "benchgen/public_bench.hpp"
 #include "benchgen/random_circuit.hpp"
@@ -11,14 +11,9 @@
 #include "opt/parallel_sweep.hpp"
 #include "opt/pipeline.hpp"
 #include "opt/region_partition.hpp"
-#include "util/thread_pool.hpp"
 #include "verilog/elaborate.hpp"
 
 #include <gtest/gtest.h>
-
-#include <atomic>
-#include <set>
-#include <unordered_set>
 
 using namespace smartly;
 
@@ -37,6 +32,7 @@ FlowResult run_flow(const rtlil::Design& golden, int threads) {
   auto design = rtlil::clone_design(golden);
   core::SmartlyOptions opt;
   opt.threads = threads;
+  opt.enable_rewrite = true; // reaches the rewrite engine's pool
   FlowResult r;
   r.stats = core::smartly_flow(*design->top(), opt);
   r.netlist = backend::write_rtlil(*design->top());
@@ -67,7 +63,8 @@ void expect_same_stats(const core::SmartlyStats& a, const core::SmartlyStats& b)
   EXPECT_EQ(a.sweep.region_walks, b.sweep.region_walks);
   EXPECT_EQ(a.sweep.regions_skipped_clean, b.sweep.regions_skipped_clean);
   EXPECT_EQ(a.sweep.region_merges, b.sweep.region_merges);
-  // threads_used intentionally excluded: it reflects the knob, not the work.
+  EXPECT_TRUE(sweep::same_work(a.fraig, b.fraig));
+  EXPECT_TRUE(rewrite::same_work(a.rewrite, b.rewrite));
 }
 
 void expect_thread_count_determinism(const std::string& verilog, const char* label) {
@@ -112,14 +109,11 @@ TEST(ParallelSweep, DecisionsMatchSerialEngine) {
     core::InferenceOracle oracle({});
     opt::optimize_muxtrees(*serial_design->top(), oracle, &serial_trace);
 
-    for (int threads : {1, 3}) {
-      auto parallel_design = rtlil::clone_design(*golden);
-      opt::coarse_opt(*parallel_design->top());
-      opt::DecisionTrace trace;
-      core::sat_redundancy_parallel(*parallel_design->top(), {}, threads, &trace);
-      EXPECT_EQ(opt::canonical_trace(trace), opt::canonical_trace(serial_trace))
-          << "threads=" << threads;
-    }
+    auto region_design = rtlil::clone_design(*golden);
+    opt::coarse_opt(*region_design->top());
+    opt::DecisionTrace trace;
+    core::sat_redundancy_parallel(*region_design->top(), {}, 1, &trace);
+    EXPECT_EQ(opt::canonical_trace(trace), opt::canonical_trace(serial_trace));
   }
 }
 
@@ -134,9 +128,9 @@ TEST(ParallelSweep, EquivalentAndSameRemovalsAsSerial) {
   opt::coarse_opt(*parallel_design->top());
   opt::ParallelSweepStats sweep;
   const core::SatRedundancyStats parallel =
-      core::sat_redundancy_parallel(*parallel_design->top(), {}, 4, nullptr, &sweep);
+      core::sat_redundancy_parallel(*parallel_design->top(), {}, 1, nullptr, &sweep);
 
-  // The serial engine re-walks every tree each sweep; the parallel engine
+  // The serial engine re-walks every tree each sweep; the region engine
   // re-queues only regions near a change and must still remove the same.
   EXPECT_GT(sweep.regions_skipped_clean, 0u);
   EXPECT_EQ(parallel.walker.mux_collapsed, serial.walker.mux_collapsed);
@@ -234,79 +228,9 @@ TEST(ParallelSweep, IncrementalIndexMatchesRebuildAfterSweep) {
 TEST(ParallelSweep, EmptyAndMuxFreeModules) {
   rtlil::Design d;
   rtlil::Module* m = d.add_module("empty");
-  opt::ParallelSweepOptions po;
-  po.threads = 4;
-  po.make_oracle = [] {
-    return std::make_unique<core::InferenceOracle>(core::SatRedundancyOptions{});
-  };
-  const opt::ParallelSweepStats stats = opt::parallel_sweep(*m, po);
+  core::InferenceOracle oracle({});
+  const opt::ParallelSweepStats stats = opt::parallel_sweep(*m, oracle, {});
   EXPECT_EQ(stats.regions, 0u);
   EXPECT_EQ(stats.region_walks, 0u);
   EXPECT_EQ(stats.walker.iterations, 1u);
-}
-
-TEST(ParallelSweep, RequiresOracleFactory) {
-  rtlil::Design d;
-  rtlil::Module* m = d.add_module("m");
-  EXPECT_THROW(opt::parallel_sweep(*m, {}), std::logic_error);
-}
-
-// --- thread pool ------------------------------------------------------------
-
-TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
-  util::ThreadPool pool(4);
-  constexpr size_t kTasks = 10000;
-  std::vector<std::atomic<int>> ran(kTasks);
-  pool.run_batch(kTasks, [&](int worker, size_t task) {
-    EXPECT_GE(worker, 0);
-    EXPECT_LT(worker, 4);
-    ran[task].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (size_t i = 0; i < kTasks; ++i)
-    EXPECT_EQ(ran[i].load(), 1) << "task " << i;
-}
-
-TEST(ThreadPool, StressManyWorkersHammerOneQueue) {
-  // TSan target: 8 workers stealing from each other across repeated batches
-  // of tiny tasks, with a shared accumulation protected only by the pool's
-  // own synchronization (slot-per-task writes + the barrier).
-  util::ThreadPool pool(8);
-  constexpr size_t kTasks = 2000;
-  std::vector<uint64_t> out(kTasks);
-  for (int round = 0; round < 20; ++round) {
-    std::fill(out.begin(), out.end(), 0);
-    pool.run_batch(kTasks, [&](int, size_t task) { out[task] = hash_mix(task + 1); });
-    // Read results on the dispatching thread after the barrier: any missing
-    // happens-before edge between a worker's write and this read is a data
-    // race TSan will flag.
-    for (size_t i = 0; i < kTasks; ++i)
-      ASSERT_EQ(out[i], hash_mix(i + 1));
-  }
-}
-
-TEST(ThreadPool, SingleThreadDegeneratesToLoop) {
-  util::ThreadPool pool(1);
-  EXPECT_EQ(pool.size(), 1);
-  std::vector<size_t> order;
-  pool.run_batch(16, [&](int worker, size_t task) {
-    EXPECT_EQ(worker, 0);
-    order.push_back(task);
-  });
-  ASSERT_EQ(order.size(), 16u);
-  for (size_t i = 0; i < order.size(); ++i)
-    EXPECT_EQ(order[i], i); // in-order on the calling thread
-}
-
-TEST(ThreadPool, ZeroTasksAndReuse) {
-  util::ThreadPool pool(3);
-  pool.run_batch(0, [&](int, size_t) { FAIL(); });
-  std::atomic<size_t> count{0};
-  pool.run_batch(7, [&](int, size_t) { count.fetch_add(1); });
-  pool.run_batch(5, [&](int, size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 12u);
-}
-
-TEST(ThreadPool, ResolveThreadCount) {
-  EXPECT_EQ(util::resolve_thread_count(3), 3);
-  EXPECT_GE(util::resolve_thread_count(0), 1);
 }

@@ -228,9 +228,7 @@ TEST(RewriteEngine, RandomizedRewriteThenCec) {
     const auto golden = rtlil::clone_design(*design);
     Module& top = *design->top();
     core::smartly_flow(top, {});
-    sweep::FraigOptions fraig;
-    fraig.threads = 1;
-    opt::fraig_stage(top, fraig);
+    opt::fraig_stage(top);
     opt::rewrite_stage(top, serial_options());
     EXPECT_NO_THROW(top.check());
     expect_equivalent(*golden->top(), top, ("random seed " + std::to_string(seed)).c_str());
@@ -248,7 +246,6 @@ TEST(RewriteEngine, DeepOptLoopIsEquivalentAndSmaller) {
   core::smartly_flow(top, {});
   const size_t aig_before = aig::aig_area(top);
   opt::DeepOptOptions deep;
-  deep.fraig.threads = 1;
   deep.rewrite.threads = 1;
   const opt::DeepOptStats stats = opt::fraig_rewrite_loop(top, deep);
   EXPECT_GE(stats.iterations, 1u);
@@ -260,9 +257,7 @@ TEST(RewriteEngine, DeterministicAcrossThreadCounts) {
   for (const uint64_t seed : {21u, 22u}) {
     auto base = verilog::read_verilog(benchgen::random_verilog(seed, 7));
     core::smartly_flow(*base->top(), {});
-    sweep::FraigOptions fraig;
-    fraig.threads = 1;
-    opt::fraig_stage(*base->top(), fraig);
+    opt::fraig_stage(*base->top());
 
     std::string first_netlist;
     rewrite::RewriteStats first_stats;

@@ -2,17 +2,21 @@
 // hardware_concurrency() is allowed to return 0, and neither
 // resolve_thread_count nor the pool itself may ever end up with zero
 // workers — a daemon that silently sized its pool to zero would accept
-// jobs and run nothing.
+// jobs and run nothing. Also pins the batch contract the rewrite engine
+// relies on, with a TSan-friendly stress test.
+#include "util/hashing.hpp"
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <vector>
 
 namespace {
 
+using smartly::hash_mix;
 using smartly::util::ThreadPool;
 using smartly::util::resolve_thread_count;
 
@@ -80,6 +84,24 @@ TEST(ThreadPoolBatches, PoolIsReusableAfterAThrowingBatch) {
 TEST(ThreadPoolBatches, EmptyBatchIsANoOp) {
   ThreadPool pool(3);
   pool.run_batch(0, [&](int, size_t) { FAIL() << "no task should run"; });
+}
+
+TEST(ThreadPoolBatches, StressManyWorkersHammerOneQueue) {
+  // TSan target: 8 workers stealing from each other across repeated batches
+  // of tiny tasks, with a shared accumulation protected only by the pool's
+  // own synchronization (slot-per-task writes + the barrier).
+  ThreadPool pool(8);
+  constexpr size_t kTasks = 2000;
+  std::vector<uint64_t> out(kTasks);
+  for (int round = 0; round < 20; ++round) {
+    std::fill(out.begin(), out.end(), 0);
+    pool.run_batch(kTasks, [&](int, size_t task) { out[task] = hash_mix(task + 1); });
+    // Read results on the dispatching thread after the barrier: any missing
+    // happens-before edge between a worker's write and this read is a data
+    // race TSan will flag.
+    for (size_t i = 0; i < kTasks; ++i)
+      ASSERT_EQ(out[i], hash_mix(i + 1));
+  }
 }
 
 } // namespace
