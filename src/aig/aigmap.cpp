@@ -1,5 +1,6 @@
 #include "aig/aigmap.hpp"
 
+#include "obs/trace.hpp"
 #include "rtlil/topo.hpp"
 #include "util/log.hpp"
 
@@ -472,6 +473,7 @@ std::vector<std::pair<std::string, Lit>> aigmap_shared(Aig& graph, SharedInputs&
 }
 
 size_t aig_area(const rtlil::Module& module) {
+  const obs::Span area_span("aig", "aig.area");
   return aigmap(module).aig.num_ands_reachable();
 }
 

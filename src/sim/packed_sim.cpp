@@ -1,6 +1,5 @@
 #include "sim/packed_sim.hpp"
 
-#include <algorithm>
 #include <unordered_map>
 
 namespace smartly::sim {
@@ -116,22 +115,21 @@ Forced exhaustive_forced(const aig::Aig& aig,
   return exhaustive_forced_ex(aig, constraints, target, options).forced;
 }
 
-SignatureTable simulate_signatures(const aig::Aig& aig,
-                                   const std::vector<std::vector<uint64_t>>& batch_inputs) {
-  SignatureTable table;
-  table.words = batch_inputs.size();
-  table.nodes = aig.num_nodes();
-  table.node_words.resize(table.words * table.nodes);
-
-  // One reusable node-sized scratch (whole-netlist AIGs make a per-batch
-  // allocation megabytes of churn across refinement rounds).
-  std::vector<uint64_t> values;
-  for (size_t w = 0; w < table.words; ++w) {
-    aig.simulate_into(batch_inputs[w], values);
-    std::copy(values.begin(), values.end(),
-              table.node_words.begin() + static_cast<ptrdiff_t>(w * table.nodes));
+void simulate_signatures(const aig::Aig& aig, SignatureTable& table) {
+  const size_t words = table.words;
+  for (uint32_t n = 1; n < table.nodes; ++n) {
+    if (!aig.is_and(n))
+      continue;
+    const aig::Lit f0 = aig.fanin0(n);
+    const aig::Lit f1 = aig.fanin1(n);
+    const uint64_t* a = table.row(aig::lit_node(f0));
+    const uint64_t* b = table.row(aig::lit_node(f1));
+    const uint64_t flip_a = aig::lit_compl(f0) ? ~uint64_t(0) : 0;
+    const uint64_t flip_b = aig::lit_compl(f1) ? ~uint64_t(0) : 0;
+    uint64_t* out = table.row(n);
+    for (size_t w = 0; w < words; ++w)
+      out[w] = (a[w] ^ flip_a) & (b[w] ^ flip_b);
   }
-  return table;
 }
 
 bool cut_truth_table(const aig::Aig& aig, aig::Lit root, const aig::Lit* leaves,

@@ -60,26 +60,28 @@ Forced exhaustive_forced(const aig::Aig& aig,
 // --- multi-word signature simulation (SAT-sweeping support) ----------------
 //
 // The fraig engine classifies every combinational bit of a whole-netlist AIG
-// by its behaviour over W×64 packed patterns, one 64-pattern batch at a time.
+// by its behaviour over W×64 packed patterns. One pass over the AIG evaluates
+// each AND node across all W batches, reading and writing contiguous rows.
 
 /// Per-node simulation words over W independent 64-pattern batches, stored
-/// batch-major: word(node, w) is batch w's 64 pattern results for `node`.
+/// node-major: row(node) is the node's W contiguous words, word w holding
+/// batch w's 64 pattern results. Row 0 (the constant node) is all zero.
 struct SignatureTable {
+  SignatureTable(size_t num_nodes, size_t num_words)
+      : words(num_words), nodes(num_nodes), node_words(num_nodes * num_words, 0) {}
+
   size_t words = 0;                 ///< number of 64-pattern batches (W)
   size_t nodes = 0;                 ///< aig.num_nodes() at simulation time
-  std::vector<uint64_t> node_words; ///< [w * nodes + node]
+  std::vector<uint64_t> node_words; ///< [node * words + w]
 
-  uint64_t word(uint32_t node, size_t w) const { return node_words[w * nodes + node]; }
-  uint64_t lit_word(aig::Lit l, size_t w) const {
-    const uint64_t v = word(aig::lit_node(l), w);
-    return aig::lit_compl(l) ? ~v : v;
-  }
+  uint64_t* row(uint32_t node) { return node_words.data() + node * words; }
+  const uint64_t* row(uint32_t node) const { return node_words.data() + node * words; }
 };
 
-/// Simulate all nodes of `aig` over the given batches. `batch_inputs[w]` is
-/// one word per AIG input (Aig::inputs() order).
-SignatureTable simulate_signatures(const aig::Aig& aig,
-                                   const std::vector<std::vector<uint64_t>>& batch_inputs);
+/// Fill every AND node's row of `table` (sized for `aig`) from the rows of
+/// the AIG inputs, which the caller has written: the patterns are rendered
+/// straight into the table, so no separate input block or copy exists.
+void simulate_signatures(const aig::Aig& aig, SignatureTable& table);
 
 // --- cut truth-table extraction (DAG-aware rewriting support) --------------
 

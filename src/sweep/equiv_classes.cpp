@@ -22,6 +22,13 @@ uint64_t stable_bit_hash(const SigBit& bit) {
   return hash_combine(h, static_cast<uint64_t>(bit.offset));
 }
 
+/// Canonical member order: (topo_pos, rank) ascending.
+bool member_less(const EquivMember& a, const EquivMember& b) {
+  if (a.topo_pos != b.topo_pos)
+    return a.topo_pos < b.topo_pos;
+  return a.rank < b.rank;
+}
+
 } // namespace
 
 EquivClasses::EquivClasses(const EquivClassOptions& options) : options_(options) {
@@ -31,32 +38,37 @@ EquivClasses::EquivClasses(const EquivClassOptions& options) : options_(options)
 
 void EquivClasses::bind(const rtlil::Module& module, const rtlil::NetlistIndex& index) {
   const obs::Span bind_span("fraig", "fraig.bind");
-  module_ = &module;
   index_ = &index;
   blast_ = aig::aigmap(module, index);
+  const aig::Aig& g = blast_.aig;
 
-  // Reverse map: AIG input node -> module bit. Several bits can carry the
+  node_input_.assign(g.num_nodes(), kNone);
+  for (size_t i = 0; i < g.num_inputs(); ++i)
+    node_input_[g.inputs()[i]] = static_cast<uint32_t>(i);
+
+  // One pass over the blast collects the candidates (every wire bit) and the
+  // reverse map AIG input node -> module bit. Several bits can carry the
   // same plain input literal (a cell output strash-folds onto an input, e.g.
   // y = a & a), and blast_.bits iterates in pointer-hash order — so the
   // winner must be chosen deterministically: prefer the true free bit (no
   // combinational driver), then the lowest bit id (wire creation order).
   // Patterns are seeded from the winner's name; a pointer-dependent choice
   // would breach the cross-clone determinism contract.
-  input_bits_.assign(blast_.aig.num_inputs(), SigBit());
-  input_node_index_.clear();
-  for (size_t i = 0; i < blast_.aig.num_inputs(); ++i)
-    input_node_index_.emplace(blast_.aig.inputs()[i], i);
+  input_bits_.assign(g.num_inputs(), SigBit());
+  candidates_.clear();
+  candidates_.reserve(blast_.bits.size());
   const auto is_free = [&](const SigBit& bit) {
-    const rtlil::Cell* driver = index.driver(bit);
-    return !driver || driver->type() == rtlil::CellType::Dff;
+    const Cell* driver = index.driver(bit);
+    return !driver || driver->type() == CellType::Dff;
   };
   for (const auto& [bit, lit] : blast_.bits) {
-    if (aig::lit_compl(lit) || !bit.is_wire())
+    if (!bit.is_wire())
       continue;
-    auto it = input_node_index_.find(aig::lit_node(lit));
-    if (it == input_node_index_.end())
+    candidates_.emplace_back(bit, lit);
+    const uint32_t input = node_input_[aig::lit_node(lit)];
+    if (aig::lit_compl(lit) || input == kNone)
       continue;
-    SigBit& slot = input_bits_[it->second];
+    SigBit& slot = input_bits_[input];
     if (!slot.is_wire()) {
       slot = bit;
       continue;
@@ -66,137 +78,151 @@ void EquivClasses::bind(const rtlil::Module& module, const rtlil::NetlistIndex& 
     if (bit_free != slot_free ? bit_free : rtlil::bit_id(bit) < rtlil::bit_id(slot))
       slot = bit;
   }
+  // Counting sort into node order: compute() then hashes each node's
+  // signature row once, reading rows sequentially, with the node's bits
+  // adjacent.
+  std::vector<uint32_t> next(g.num_nodes() + 1, 0);
+  for (const auto& cand : candidates_)
+    ++next[aig::lit_node(cand.second) + 1];
+  for (size_t n = 1; n < next.size(); ++n)
+    next[n] += next[n - 1];
+  std::vector<std::pair<SigBit, aig::Lit>> by_node(candidates_.size());
+  for (const auto& cand : candidates_)
+    by_node[next[aig::lit_node(cand.second)]++] = cand;
+  candidates_.swap(by_node);
 }
 
-uint64_t EquivClasses::fill_bit(uint64_t bit_hash, size_t pattern_index) const {
-  return hash_mix(hash_combine(options_.seed ^ 0xf111f111f111f111ULL,
-                               hash_combine(bit_hash, pattern_index))) &
-         1;
+uint32_t EquivClasses::slot(const SigBit& bit) {
+  const size_t id = rtlil::bit_id(bit);
+  if (id >= slot_of_.size())
+    slot_of_.resize(id + 1, kNone);
+  if (slot_of_[id] != kNone)
+    return slot_of_[id];
+  const uint32_t s = static_cast<uint32_t>(slot_hash_.size());
+  slot_of_[id] = s;
+  const uint64_t bit_hash = stable_bit_hash(bit);
+  slot_hash_.push_back(bit_hash);
+  // Base batches are name-seeded Rng draws, fixed for the slot's lifetime.
+  for (size_t w = 0; w < options_.sim_words; ++w)
+    base_words_.push_back(Rng(hash_combine(hash_combine(options_.seed, bit_hash), w)).next());
+  for (size_t c = 0; c < cex_cols_.size(); ++c)
+    cex_cols_[c].push_back(Lanes{0, 0, pad_word(bit_hash, c)});
+  return s;
+}
+
+uint64_t EquivClasses::pad_word(uint64_t bit_hash, size_t batch) const {
+  // Lanes a counterexample leaves unassigned, and lanes past the pool, are
+  // filled per (seed, bit, pattern index).
+  const uint64_t seed = options_.seed ^ 0xf111f111f111f111ULL;
+  uint64_t word = 0;
+  for (size_t lane = 0; lane < 64; ++lane)
+    word |= (hash_mix(hash_combine(seed, hash_combine(bit_hash, batch * 64 + lane))) & 1) << lane;
+  return word;
+}
+
+sim::SignatureTable EquivClasses::render() {
+  const obs::Span render_span("fraig", "fraig.render");
+  const aig::Aig& g = blast_.aig;
+  const size_t base = options_.sim_words;
+  // Each input's row: its base words, then one word per counterexample
+  // batch — the assigned lanes over the pad.
+  sim::SignatureTable table(g.num_nodes(), base + cex_cols_.size());
+  for (size_t i = 0; i < g.num_inputs(); ++i) {
+    if (!input_bits_[i].is_wire())
+      continue; // unmapped input (defensive): patterns stay 0
+    const uint32_t s = slot(input_bits_[i]);
+    uint64_t* out = table.row(g.inputs()[i]);
+    std::copy_n(base_words_.data() + size_t(s) * base, base, out);
+    for (size_t c = 0; c < cex_cols_.size(); ++c) {
+      const Lanes& l = cex_cols_[c][s];
+      out[base + c] = (l.value & l.known) | (l.pad & ~l.known);
+    }
+  }
+  return table;
 }
 
 std::vector<EquivClass> EquivClasses::compute() {
-  const size_t n_inputs = blast_.aig.num_inputs();
-  const size_t cex_batches = (cex_.size() + 63) / 64;
-  const size_t n_batches = options_.sim_words + cex_batches;
-
-  // Pattern words are a pure function of (seed, wire name, batch) — base
-  // batches are name-seeded Rng draws, a *full* counterexample batch never
-  // changes once its 64 lanes are filled. Both are cached per bit across
-  // rounds (the cache is keyed by module bit, so it survives re-blasts);
-  // only the final partial cex batch is re-rendered, since its padded lanes
-  // fill in as the pool grows. `bit_hash` is stable_bit_hash(bit), hashed
-  // once per input bit per call.
-  const auto render_batch = [&](const SigBit& bit, uint64_t bit_hash, size_t w) {
-    if (w < options_.sim_words) {
-      Rng rng(hash_combine(hash_combine(options_.seed, bit_hash), w));
-      return rng.next();
-    }
-    uint64_t word = 0;
-    for (size_t lane = 0; lane < 64; ++lane) {
-      const size_t idx = (w - options_.sim_words) * 64 + lane;
-      uint64_t v;
-      if (idx < cex_.size()) {
-        auto it = cex_[idx].find(bit);
-        v = it != cex_[idx].end() ? (it->second ? 1 : 0) : fill_bit(bit_hash, idx);
-      } else {
-        v = fill_bit(bit_hash, idx); // pad lanes beyond the pool deterministically
-      }
-      word |= v << lane;
-    }
-    return word;
-  };
-
-  const size_t cacheable = options_.sim_words + cex_.size() / 64; // full batches only
-  std::vector<std::vector<uint64_t>> batch_inputs(n_batches);
-  {
-    const obs::Span render_span("fraig", "fraig.render");
-    for (auto& words : batch_inputs)
-      words.resize(n_inputs, 0);
-    for (size_t i = 0; i < n_inputs; ++i) {
-      const SigBit& bit = input_bits_[i];
-      if (!bit.is_wire())
-        continue; // unmapped input (defensive): patterns stay 0
-      const uint64_t bit_hash = stable_bit_hash(bit);
-      std::vector<uint64_t>& cached = word_cache_[bit];
-      while (cached.size() < cacheable)
-        cached.push_back(render_batch(bit, bit_hash, cached.size()));
-      for (size_t w = 0; w < n_batches; ++w)
-        batch_inputs[w][i] = w < cacheable ? cached[w] : render_batch(bit, bit_hash, w);
-    }
-  }
-
-  sim::SignatureTable table;
+  const aig::Aig& g = blast_.aig;
+  sim::SignatureTable table = render();
+  const size_t n_words = table.words;
   {
     const obs::Span simulate_span("fraig", "fraig.simulate");
-    table = sim::simulate_signatures(blast_.aig, batch_inputs);
+    sim::simulate_signatures(g, table);
   }
   const obs::Span bucket_span("fraig", "fraig.bucket");
 
-  // Partition candidate bits by normalized signature. Buckets keyed on the
-  // 128-bit signature hash; equality is treated as identity (cone-cache
-  // precedent) — a collision could only propose a false candidate, which the
-  // SAT confirmation then disproves.
-  struct Bucket {
-    bool zero = true; ///< normalized signature identically zero
-    std::vector<EquivMember> members;
+  // The normalized signature (complemented when pattern 0 reads 1) depends
+  // only on the AIG node, so each node's row is hashed once. The 128-bit key
+  // is treated as identity (cone-cache precedent): a collision could only
+  // propose a false candidate, which the SAT confirmation then disproves.
+  struct Keyed {
+    Hash128 key;
+    uint32_t cand; ///< index into candidates_
+    bool zero;     ///< the normalized signature is identically zero
   };
-  std::unordered_map<Hash128, Bucket, Hash128Hasher> buckets;
-  candidate_bits_ = 0;
-
-  for (const auto& [bit, lit] : blast_.bits) {
-    if (!bit.is_wire())
+  std::vector<Keyed> keyed(candidates_.size());
+  for (size_t c = 0; c < candidates_.size(); ++c) {
+    const uint32_t n = aig::lit_node(candidates_[c].second);
+    if (c > 0 && aig::lit_node(candidates_[c - 1].second) == n) {
+      keyed[c] = {keyed[c - 1].key, static_cast<uint32_t>(c), keyed[c - 1].zero};
       continue;
-    ++candidate_bits_;
+    }
+    const uint64_t* row = table.row(n);
+    const uint64_t flip = (row[0] & 1) ? ~uint64_t(0) : 0;
+    Hash128 key{0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL};
+    bool zero = true;
+    for (size_t w = 0; w < n_words; ++w) {
+      const uint64_t v = row[w] ^ flip;
+      zero = zero && v == 0;
+      key = hash128_combine(key, v);
+    }
+    keyed[c] = {key, static_cast<uint32_t>(c), zero};
+  }
+  std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
+    return a.key.lo != b.key.lo ? a.key.lo < b.key.lo : a.key.hi < b.key.hi;
+  });
+
+  const auto make_member = [&](const SigBit& bit, aig::Lit lit) {
     EquivMember m;
     m.bit = bit;
     m.lit = lit;
+    m.inverted = ((table.row(aig::lit_node(lit))[0] & 1) != 0) != aig::lit_compl(lit);
     Cell* driver = index_->driver(bit);
     if (driver && driver->type() != CellType::Dff) {
       m.driver = driver;
       m.topo_pos = index_->topo_position(driver);
     }
     m.rank = rtlil::bit_id(bit);
-
-    m.inverted = (table.lit_word(lit, 0) & 1) != 0;
-    Hash128 key{0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL};
-    bool zero = true;
-    for (size_t w = 0; w < n_batches; ++w) {
-      uint64_t v = table.lit_word(lit, w);
-      if (m.inverted)
-        v = ~v;
-      zero = zero && v == 0;
-      key = hash128_combine(key, v);
-    }
-    Bucket& bucket = buckets[key];
-    bucket.zero = zero;
-    bucket.members.push_back(m);
-  }
-
-  const auto member_less = [](const EquivMember& a, const EquivMember& b) {
-    if (a.topo_pos != b.topo_pos)
-      return a.topo_pos < b.topo_pos;
-    return a.rank < b.rank;
+    return m;
   };
 
+  // Runs of equal keys are the candidate classes. A lone non-constant bit
+  // has nothing to merge with, so it is skipped before anything is built.
+  // The others keep a class only with a mergeable member: any driven bit of
+  // a constant class, or a driven bit behind the representative.
   std::vector<EquivClass> classes;
-  for (auto& [key, bucket] : buckets) {
-    (void)key;
-    EquivClass cls;
-    cls.constant = bucket.zero;
-    cls.members = std::move(bucket.members);
+  EquivClass cls;
+  for (size_t b = 0, e; b < keyed.size(); b = e) {
+    e = b + 1;
+    while (e < keyed.size() && keyed[e].key == keyed[b].key)
+      ++e;
+    const bool zero = keyed[b].zero;
+    if (e - b == 1 && !zero)
+      continue;
+    cls.constant = zero;
+    cls.members.clear();
+    for (size_t i = b; i < e; ++i) {
+      const auto& [bit, lit] = candidates_[keyed[i].cand];
+      cls.members.push_back(make_member(bit, lit));
+    }
     std::sort(cls.members.begin(), cls.members.end(), member_less);
     bool mergeable = false;
-    if (cls.constant) {
-      for (const EquivMember& m : cls.members)
-        mergeable = mergeable || m.driver != nullptr;
-    } else {
-      for (size_t i = 1; i < cls.members.size(); ++i)
-        mergeable = mergeable || cls.members[i].driver != nullptr;
-    }
+    for (size_t i = zero ? 0 : 1; i < cls.members.size() && !mergeable; ++i)
+      mergeable = cls.members[i].driver != nullptr;
     if (mergeable)
       classes.push_back(std::move(cls));
   }
-  std::sort(classes.begin(), classes.end(), [&](const EquivClass& a, const EquivClass& b) {
+  std::sort(classes.begin(), classes.end(), [](const EquivClass& a, const EquivClass& b) {
     return member_less(a.members.front(), b.members.front());
   });
   return classes;
@@ -204,17 +230,33 @@ std::vector<EquivClass> EquivClasses::compute() {
 
 bool EquivClasses::add_counterexample(const InputAssignment& assignment) {
   Hash128 h{0x6a09e667f3bcc908ULL, 0xb5c0fbcfec4d3b2fULL};
-  for (const auto& [bit, value] : assignment)
-    hash128_mix_unordered(h, stable_bit_hash(bit) * 2 + (value ? 1 : 0));
+  for (const auto& [bit, value] : assignment) {
+    const uint32_t s = slot(bit);
+    hash128_mix_unordered(h, slot_hash_[s] * 2 + (value ? 1 : 0));
+  }
   if (!cex_seen_.insert(h).second)
     return false;
-  if (cex_.size() >= options_.max_patterns)
+  if (patterns_ >= options_.max_patterns)
     return false;
-  std::unordered_map<SigBit, bool> pattern;
-  pattern.reserve(assignment.size());
-  for (const auto& [bit, value] : assignment)
-    pattern.emplace(bit, value);
-  cex_.push_back(std::move(pattern));
+  const size_t lane = patterns_ % 64;
+  if (lane == 0) {
+    const obs::Span pad_span("fraig", "fraig.pad");
+    const size_t batch = cex_cols_.size();
+    cex_cols_.emplace_back(slot_hash_.size());
+    for (size_t s = 0; s < slot_hash_.size(); ++s)
+      cex_cols_[batch][s].pad = pad_word(slot_hash_[s], batch);
+  }
+  std::vector<Lanes>& col = cex_cols_.back();
+  const uint64_t mask = uint64_t(1) << lane;
+  for (const auto& [bit, value] : assignment) {
+    Lanes& l = col[slot_of_[rtlil::bit_id(bit)]];
+    if (l.known & mask)
+      continue; // a repeated bit keeps its first value
+    l.known |= mask;
+    if (value)
+      l.value |= mask;
+  }
+  ++patterns_;
   return true;
 }
 

@@ -12,6 +12,11 @@
 // class the new pattern distinguishes, which is what keeps the fraig engine
 // from re-querying disproved pairs.
 //
+// Each round does flat, sequential work: patterns are rendered from a column
+// pool straight into the input rows of a node-major signature table, one AIG
+// pass simulates every batch, each candidate node's normalized row is hashed
+// once, and candidates are grouped by sorting (key, candidate) pairs.
+//
 // Determinism: base patterns derive from (seed, wire name, batch index) and
 // counterexamples are appended in canonical class order at engine barriers,
 // so signatures — and therefore classes — are a pure function of the module
@@ -21,10 +26,10 @@
 #include "aig/aigmap.hpp"
 #include "rtlil/module.hpp"
 #include "rtlil/topo.hpp"
+#include "sim/packed_sim.hpp"
 #include "util/hashing.hpp"
 
 #include <cstdint>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -72,10 +77,10 @@ class EquivClasses {
 public:
   explicit EquivClasses(const EquivClassOptions& options = {});
 
-  /// (Re)blast the module into a fresh whole-netlist AIG. Call after every
-  /// structural change (the fraig engine's round barriers); the pattern pool
-  /// survives rebinds — counterexamples are keyed by module bit, not by AIG
-  /// input index.
+  /// (Re)blast the module into a fresh whole-netlist AIG and collect its
+  /// candidate bits. Call after every structural change (the fraig engine's
+  /// round barriers); the pattern pool survives rebinds of the same module —
+  /// counterexamples are keyed by module bit, not by AIG input index.
   void bind(const rtlil::Module& module, const rtlil::NetlistIndex& index);
 
   /// Simulate the pattern pool and partition all candidate bits into
@@ -88,32 +93,49 @@ public:
   bool add_counterexample(const InputAssignment& assignment);
 
   const aig::AigMap& blast() const noexcept { return blast_; }
-  /// AIG input index -> module bit (Aig::inputs() order).
-  const std::vector<rtlil::SigBit>& input_bits() const noexcept { return input_bits_; }
-  /// AIG input node -> input index.
-  const std::unordered_map<uint32_t, size_t>& input_node_index() const noexcept {
-    return input_node_index_;
+  /// Module bit whose patterns drive AIG input node `node`, which must be an
+  /// input of blast().aig (a non-wire bit when no module bit maps to it).
+  const rtlil::SigBit& input_bit(uint32_t node) const {
+    return input_bits_[node_input_[node]];
   }
-  size_t pattern_count() const noexcept { return cex_.size(); }
-  size_t candidate_bits() const noexcept { return candidate_bits_; }
+  size_t pattern_count() const noexcept { return patterns_; }
+  size_t candidate_bits() const noexcept { return candidates_.size(); }
 
 private:
-  /// Pad-lane value of an input bit, given its stable_bit_hash.
-  uint64_t fill_bit(uint64_t bit_hash, size_t pattern_index) const;
+  static constexpr uint32_t kNone = 0xffffffffu; ///< no slot / not an AIG input
+
+  /// Counterexample lanes of one bit in one 64-pattern batch. `value` bits
+  /// are set only on `known` lanes; `pad` fills the others.
+  struct Lanes {
+    uint64_t known = 0;
+    uint64_t value = 0;
+    uint64_t pad = 0;
+  };
+
+  /// Pool slot of `bit`, created (base words and pads rendered) on first use.
+  uint32_t slot(const rtlil::SigBit& bit);
+  /// The 64 deterministic pad lanes of counterexample batch `batch`.
+  uint64_t pad_word(uint64_t bit_hash, size_t batch) const;
+  /// A signature table for the blast (base batches, then one batch per 64
+  /// counterexamples) with every input row rendered from the pool.
+  sim::SignatureTable render();
 
   EquivClassOptions options_;
-  const rtlil::Module* module_ = nullptr;
   const rtlil::NetlistIndex* index_ = nullptr;
   aig::AigMap blast_;
-  std::vector<rtlil::SigBit> input_bits_;
-  std::unordered_map<uint32_t, size_t> input_node_index_;
-  size_t candidate_bits_ = 0;
+  /// Every wire bit of the blast with its literal, flat, in AIG node order.
+  std::vector<std::pair<rtlil::SigBit, aig::Lit>> candidates_;
+  std::vector<rtlil::SigBit> input_bits_; ///< AIG input index -> module bit
+  std::vector<uint32_t> node_input_; ///< AIG node -> input index, or kNone
 
-  std::vector<std::unordered_map<rtlil::SigBit, bool>> cex_;
+  // Pattern pool, one slot per module bit that was an AIG input or appears
+  // in a counterexample; every per-bit table is flat and slot-indexed.
+  std::vector<uint32_t> slot_of_;            ///< rtlil::bit_id -> slot
+  std::vector<uint64_t> slot_hash_;          ///< stable bit hash per slot
+  std::vector<uint64_t> base_words_;         ///< [slot * sim_words + w]
+  std::vector<std::vector<Lanes>> cex_cols_; ///< per cex batch, per slot
+  size_t patterns_ = 0;
   std::unordered_set<Hash128, Hash128Hasher> cex_seen_;
-  /// Rendered pattern words per input bit (base batches + full cex batches);
-  /// round-invariant, so compute() only renders what the pool grew by.
-  std::unordered_map<rtlil::SigBit, std::vector<uint64_t>> word_cache_;
 };
 
 /// Content fingerprint of one cell: type, parameters, and canonicalized

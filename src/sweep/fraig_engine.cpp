@@ -113,7 +113,7 @@ ClassOutcome prove_class(const EquivClass& cls, const EquivClasses& eq,
     InputAssignment a;
     a.reserve(enc.encoded_inputs().size());
     for (const uint32_t node : enc.encoded_inputs()) {
-      const SigBit bit = eq.input_bits()[eq.input_node_index().at(node)];
+      const SigBit& bit = eq.input_bit(node);
       if (!bit.is_wire())
         continue; // unmapped input (mirrors the equiv_classes pattern guard)
       const sat::Var v = sat::var(enc.lit(aig::mk_lit(node)));
@@ -493,11 +493,17 @@ FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options) {
   const obs::Span engine_span("fraig", "fraig.sweep", "cells",
                               static_cast<uint64_t>(module.cells().size()));
   FraigStats stats;
-  if (options.pre_merge)
+  if (options.pre_merge) {
+    const obs::Span pre_merge_span("fraig", "fraig.pre_merge");
     stats.pre_merged = opt::opt_merge(module);
+  }
 
-  rtlil::NetlistIndex index(module);
-  index.sigmap().flatten();
+  rtlil::NetlistIndex index = [&] {
+    const obs::Span index_span("fraig", "fraig.index");
+    rtlil::NetlistIndex built(module);
+    built.sigmap().flatten();
+    return built;
+  }();
 
   EquivClasses eq(options.classes);
   std::unordered_map<SigBit, Replacement> proven;
@@ -525,7 +531,7 @@ FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options) {
     if (module_changed)
       eq.bind(module, index); // re-blast; cex-only rounds reuse the blast
     std::vector<EquivClass> classes = eq.compute();
-    if (round == 0)
+    if (stats.rounds == 1) // the first executed round (round 1 may be quarantined)
       stats.candidate_bits = eq.candidate_bits();
     if (options.quarantine != nullptr && !options.quarantine->empty()) {
       // Quarantined classes are never proved.

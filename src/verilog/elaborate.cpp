@@ -1,5 +1,6 @@
 #include "verilog/elaborate.hpp"
 
+#include "obs/trace.hpp"
 #include "util/log.hpp"
 #include "verilog/parse_error.hpp"
 #include "verilog/parser.hpp"
@@ -537,6 +538,7 @@ rtlil::Module* elaborate(const ModuleAst& ast, Design& design) {
 }
 
 std::unique_ptr<Design> read_verilog(const std::string& source, const std::string& filename) {
+  const obs::Span read_span("verilog", "verilog.read");
   try {
     auto design = std::make_unique<Design>();
     for (const ModuleAst& ast : parse_verilog(source))

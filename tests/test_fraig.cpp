@@ -1,7 +1,8 @@
 // SAT-sweeping (fraig) engine: duplicate-cone / complement-pair / constant
 // merges, randomized fraig-then-CEC properties, determinism across parses,
 // signature-refinement convergence, NetlistIndex::add_cell maintenance, and
-// the structural key shared with opt_merge.
+// the structural key shared with opt_merge, plus the EquivClasses classing
+// contract (class membership and order, constant classes, counterexamples).
 #include "backend/write_rtlil.hpp"
 #include "benchgen/public_bench.hpp"
 #include "benchgen/random_circuit.hpp"
@@ -52,7 +53,181 @@ void expect_equivalent(const Module& gold, const Module& gate, const char* label
   EXPECT_TRUE(r.equivalent) << label << ": differs at " << r.failing_output;
 }
 
+/// Canonical module bit of a one-bit signal.
+SigBit canon(const rtlil::NetlistIndex& index, const SigSpec& sig) {
+  return index.sigmap()(sig.as_bit());
+}
+
+/// The class holding `bit`, or nullptr.
+const sweep::EquivClass* class_of(const std::vector<sweep::EquivClass>& classes,
+                                  const SigBit& bit) {
+  for (const sweep::EquivClass& cls : classes)
+    for (const sweep::EquivMember& m : cls.members)
+      if (m.bit == bit)
+        return &cls;
+  return nullptr;
+}
+
 } // namespace
+
+// --- EquivClasses: the signature -> class contract -------------------------
+
+TEST(EquivClasses, DuplicatePairFormsOneClassEarliestMemberFirst) {
+  // The deep duplicate is created first (lower bit ids, earlier module cell
+  // order), so only the topo-position rule can put the shallow And in front.
+  Fixture f;
+  Wire* a = f.in("a");
+  Wire* b = f.in("b");
+  const SigSpec deep = f.mod->And(f.mod->Not(f.mod->Not(SigSpec(b))), SigSpec(a));
+  const SigSpec shallow = f.mod->And(SigSpec(a), SigSpec(b));
+  f.mod->connect(SigSpec(f.out("y1")), deep);
+  f.mod->connect(SigSpec(f.out("y2")), shallow);
+
+  const rtlil::NetlistIndex index(*f.mod);
+  sweep::EquivClasses eq;
+  eq.bind(*f.mod, index);
+  const std::vector<sweep::EquivClass> classes = eq.compute();
+
+  const sweep::EquivClass* cls = class_of(classes, canon(index, shallow));
+  ASSERT_NE(cls, nullptr);
+  EXPECT_FALSE(cls->constant);
+  ASSERT_EQ(cls->members.size(), 2u);
+  EXPECT_EQ(cls->members[0].bit, canon(index, shallow));
+  EXPECT_EQ(cls->members[1].bit, canon(index, deep));
+  EXPECT_LT(cls->members[0].topo_pos, cls->members[1].topo_pos);
+  EXPECT_EQ(cls->members[0].inverted, cls->members[1].inverted);
+  EXPECT_EQ(cls->members[0].lit, cls->members[1].lit); // strash already folded them
+}
+
+TEST(EquivClasses, ComplementMemberCarriesInverted) {
+  Fixture f;
+  Wire* a = f.in("a");
+  Wire* b = f.in("b");
+  const SigSpec x = f.mod->Xor(SigSpec(a), SigSpec(b));
+  const SigSpec xn = f.mod->add_binary(CellType::Xnor, SigSpec(a), SigSpec(b), 1);
+  f.mod->connect(SigSpec(f.out("y1")), x);
+  f.mod->connect(SigSpec(f.out("y2")), xn);
+
+  const rtlil::NetlistIndex index(*f.mod);
+  sweep::EquivClasses eq;
+  eq.bind(*f.mod, index);
+  const std::vector<sweep::EquivClass> classes = eq.compute();
+
+  const sweep::EquivClass* cls = class_of(classes, canon(index, x));
+  ASSERT_NE(cls, nullptr);
+  EXPECT_FALSE(cls->constant);
+  ASSERT_EQ(cls->members.size(), 2u);
+  EXPECT_EQ(cls->members[0].bit, canon(index, x));
+  EXPECT_EQ(cls->members[1].bit, canon(index, xn));
+  EXPECT_NE(cls->members[0].inverted, cls->members[1].inverted);
+  EXPECT_EQ(cls->members[1].lit, aig::lit_not(cls->members[0].lit));
+}
+
+TEST(EquivClasses, SingletonConstantBitWithDriverFormsConstantClass) {
+  // a & ~a folds to the constant literal: the only bit on the constant node.
+  Fixture f;
+  Wire* a = f.in("a");
+  const SigSpec zero = f.mod->And(SigSpec(a), f.mod->Not(SigSpec(a)));
+  f.mod->connect(SigSpec(f.out("y")), zero);
+
+  const rtlil::NetlistIndex index(*f.mod);
+  sweep::EquivClasses eq;
+  eq.bind(*f.mod, index);
+  const std::vector<sweep::EquivClass> classes = eq.compute();
+
+  const sweep::EquivClass* cls = class_of(classes, canon(index, zero));
+  ASSERT_NE(cls, nullptr);
+  EXPECT_TRUE(cls->constant);
+  ASSERT_EQ(cls->members.size(), 1u);
+  EXPECT_NE(cls->members[0].driver, nullptr);
+  EXPECT_FALSE(cls->members[0].inverted); // constant zero, not one
+}
+
+TEST(EquivClasses, ClassWithOnlyFreeBitsBesidesItsFrontIsDropped) {
+  // With random patterns two free bits share a signature only if one of them
+  // also carries a gate's function. A register output that a gate drives too
+  // (a multiply-driven net; the index keeps the first driver, the dff) makes
+  // q a free bit whose blast literal is a's: {a, q} has no mergeable member.
+  Fixture f;
+  Wire* a = f.in("a");
+  Wire* clk = f.in("clk");
+  Wire* q = f.out("q");
+  f.mod->add_dff(SigSpec(a), SigSpec(q), SigSpec(clk));
+  rtlil::Cell* gate = f.mod->add_cell(CellType::And);
+  gate->set_port(Port::A, SigSpec(a));
+  gate->set_port(Port::B, SigSpec(a));
+  gate->set_port(Port::Y, SigSpec(q));
+  gate->infer_widths();
+
+  const rtlil::NetlistIndex index(*f.mod);
+  ASSERT_EQ(index.driver(canon(index, SigSpec(q)))->type(), CellType::Dff);
+  sweep::EquivClasses eq;
+  eq.bind(*f.mod, index);
+  EXPECT_EQ(eq.blast().bits.at(canon(index, SigSpec(q))),
+            eq.blast().bits.at(canon(index, SigSpec(a))));
+  EXPECT_TRUE(eq.compute().empty());
+}
+
+TEST(EquivClasses, CounterexampleSplitsClassOnNextCompute) {
+  // Both comparators read 0 on every random pattern, so simulation puts
+  // them in one constant class; a = 0x1234 tells them apart.
+  const char* src = "module top(a, y1, y2);\n"
+                    "  input [15:0] a;\n"
+                    "  output y1;\n"
+                    "  output y2;\n"
+                    "  assign y1 = (a == 16'h1234);\n"
+                    "  assign y2 = (a == 16'h1235);\n"
+                    "endmodule\n";
+  auto design = verilog::read_verilog(src);
+  Module& top = *design->top();
+  const rtlil::NetlistIndex index(top);
+  const SigBit y1 = canon(index, SigSpec(top.wire("y1")));
+  const SigBit y2 = canon(index, SigSpec(top.wire("y2")));
+
+  sweep::EquivClasses eq;
+  eq.bind(top, index);
+  const std::vector<sweep::EquivClass> before = eq.compute();
+  const sweep::EquivClass* joint = class_of(before, y1);
+  ASSERT_NE(joint, nullptr);
+  EXPECT_TRUE(joint->constant);
+  EXPECT_EQ(class_of(before, y2), joint);
+
+  sweep::InputAssignment cex;
+  for (int i = 0; i < 16; ++i)
+    cex.emplace_back(SigBit(top.wire("a"), i), ((0x1234 >> i) & 1) != 0);
+  ASSERT_TRUE(eq.add_counterexample(cex));
+  EXPECT_EQ(eq.pattern_count(), 1u);
+
+  const std::vector<sweep::EquivClass> after = eq.compute();
+  EXPECT_NE(class_of(after, y1), class_of(after, y2));
+  const sweep::EquivClass* rest = class_of(after, y2);
+  ASSERT_NE(rest, nullptr);
+  EXPECT_TRUE(rest->constant);
+}
+
+TEST(EquivClasses, DuplicateOrOverflowingCounterexampleIsRejected) {
+  Fixture f;
+  Wire* a = f.in("a");
+  Wire* b = f.in("b");
+  f.mod->connect(SigSpec(f.out("y")), f.mod->And(SigSpec(a), SigSpec(b)));
+  const rtlil::NetlistIndex index(*f.mod);
+
+  sweep::EquivClassOptions options;
+  options.max_patterns = 2;
+  sweep::EquivClasses eq(options);
+  eq.bind(*f.mod, index);
+  const SigBit sa(a, 0), sb(b, 0);
+
+  EXPECT_TRUE(eq.add_counterexample({{sa, true}, {sb, false}}));
+  EXPECT_EQ(eq.pattern_count(), 1u);
+  // The same assignment in another order is the same pattern.
+  EXPECT_FALSE(eq.add_counterexample({{sb, false}, {sa, true}}));
+  EXPECT_EQ(eq.pattern_count(), 1u);
+  EXPECT_TRUE(eq.add_counterexample({{sa, false}, {sb, true}}));
+  EXPECT_EQ(eq.pattern_count(), 2u);
+  EXPECT_FALSE(eq.add_counterexample({{sa, true}, {sb, true}})); // pool full
+  EXPECT_EQ(eq.pattern_count(), 2u);
+}
 
 TEST(Fraig, MergesDuplicateCones) {
   // y1 reads a&b, y2 reads the same function built as ~(~a|~b): opt_merge
@@ -74,6 +249,35 @@ TEST(Fraig, MergesDuplicateCones) {
   EXPECT_GE(stats.proved_equal + stats.proved_structural, 1u);
   EXPECT_EQ(f.mod->cell_count(), 1u); // one And survives
   expect_equivalent(*golden->top(), *f.mod, "duplicate cones");
+}
+
+TEST(Fraig, CandidateBitsCountedOnFirstExecutedRound) {
+  // candidate_bits is the first classified round's count, also when the
+  // recovery layer quarantines round 1 and round 2 classifies first.
+  const auto run = [](const util::QuarantineSet* quarantine) {
+    Fixture f;
+    Wire* a = f.in("a");
+    Wire* b = f.in("b");
+    f.mod->connect(SigSpec(f.out("y1")), f.mod->And(SigSpec(a), SigSpec(b)));
+    const SigSpec na = f.mod->Not(SigSpec(a));
+    const SigSpec nb = f.mod->Not(SigSpec(b));
+    f.mod->connect(SigSpec(f.out("y2")), f.mod->Not(f.mod->Or(na, nb)));
+    sweep::FraigOptions options;
+    options.quarantine = quarantine;
+    return sweep::fraig_sweep(*f.mod, options);
+  };
+  const sweep::FraigStats plain = run(nullptr);
+  EXPECT_EQ(plain.rounds, 2u);
+  EXPECT_EQ(plain.merged_cells, 2u);
+  EXPECT_EQ(plain.candidate_bits, 7u);
+
+  util::QuarantineSet quarantine;
+  quarantine.add("fraig.round", 1);
+  const sweep::FraigStats skipped = run(&quarantine);
+  EXPECT_EQ(skipped.quarantined, 1u);
+  EXPECT_EQ(skipped.rounds, 2u);
+  EXPECT_EQ(skipped.merged_cells, 2u);
+  EXPECT_EQ(skipped.candidate_bits, 7u);
 }
 
 TEST(Fraig, MergesComplementPairThroughInverter) {

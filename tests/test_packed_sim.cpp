@@ -1,6 +1,8 @@
 // Exhaustive packed simulation (sim::exhaustive_forced): the §II "few free
 // inputs" decision engine. Forced/contradiction semantics, constraint
-// filtering, the free-input ceiling, and exhaustive_forced_ex's early exit.
+// filtering, the free-input ceiling, and exhaustive_forced_ex's early exit;
+// plus the node-major signature kernel (sim::simulate_signatures) against
+// the one-batch reference simulator.
 #include "aig/aig.hpp"
 #include "sim/packed_sim.hpp"
 
@@ -215,3 +217,47 @@ TEST(ExhaustiveForcedEx, EarlyExitSurfacedForNonForcedTargets) {
   EXPECT_TRUE(r.early_exit);
   EXPECT_FALSE(r.exhausted);
 }
+
+// --- simulate_signatures -----------------------------------------------------
+
+class SignatureKernelVsReference : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SignatureKernelVsReference, EveryRowWordMatchesOneBatchSimulation) {
+  // Random AIG with complemented fanins; the node-major kernel over W batches
+  // must agree word for word with Aig::simulate run once per batch. W = 24 is
+  // the fraig pool's widest table: 8 base batches + 1024/64 counterexample
+  // batches.
+  const uint64_t seed = GetParam();
+  Rng rng(seed);
+  Aig g;
+  std::vector<Lit> lits{aig::kFalse, aig::kTrue};
+  const size_t n_inputs = size_t(rng.range(1, 12));
+  for (size_t i = 0; i < n_inputs; ++i)
+    lits.push_back(g.add_input());
+  for (int i = 0; i < int(rng.range(20, 200)); ++i) {
+    Lit a = lits[rng.below(lits.size())];
+    Lit b = lits[rng.below(lits.size())];
+    if (rng.range(0, 1)) a = aig::lit_not(a);
+    if (rng.range(0, 1)) b = aig::lit_not(b);
+    lits.push_back(g.and_(a, b));
+  }
+
+  for (const size_t words : {size_t(1), size_t(8), size_t(24)}) {
+    sim::SignatureTable table(g.num_nodes(), words);
+    for (const uint32_t input : g.inputs())
+      for (size_t w = 0; w < words; ++w)
+        table.row(input)[w] = rng.next();
+    sim::simulate_signatures(g, table);
+    for (size_t w = 0; w < words; ++w) {
+      std::vector<uint64_t> batch(n_inputs);
+      for (size_t i = 0; i < n_inputs; ++i)
+        batch[i] = table.row(g.inputs()[i])[w];
+      const std::vector<uint64_t> want = g.simulate(batch);
+      for (uint32_t node = 0; node < g.num_nodes(); ++node)
+        ASSERT_EQ(table.row(node)[w], want[node])
+            << "seed " << seed << " W " << words << " batch " << w << " node " << node;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SignatureKernelVsReference, ::testing::Range<uint64_t>(1, 21));
