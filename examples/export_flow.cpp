@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   std::printf("verilog round trip: %s (alu_lite_opt.v)\n", rt.equivalent ? "PASS" : "FAIL");
 
   // 2. AIGER out (both variants).
-  const auto mapped = smartly::aig::aigmap(top);
+  const auto mapped = smartly::aig::aigmap_named(top);
   {
     std::ofstream f(dir + "alu_lite_opt.aag");
     f << smartly::backend::write_aiger_ascii(mapped.aig);

@@ -718,7 +718,7 @@ int main(int argc, char** argv) {
     }
     if (!out_aiger.empty()) {
       std::ofstream f(out_aiger);
-      f << backend::write_aiger_ascii(aig::aigmap(top).aig);
+      f << backend::write_aiger_ascii(aig::aigmap_named(top).aig);
       std::printf("  wrote %s\n", out_aiger.c_str());
     }
     if (dump)

@@ -4,22 +4,68 @@
 
 namespace smartly::aig {
 
-Aig::Aig() {
+Aig::Aig() : strash_(16, 0) {
   nodes_.push_back(Node{0, 0}); // node 0: constant false (fanins unused)
 }
 
-Lit Aig::add_input(std::string name) {
+Lit Aig::add_input() {
   const uint32_t node = static_cast<uint32_t>(nodes_.size());
   nodes_.push_back(Node{}); // kInputMark fanins
   inputs_.push_back(node);
-  input_names_.push_back(name.empty() ? "i" + std::to_string(inputs_.size() - 1)
-                                      : std::move(name));
   return mk_lit(node);
 }
 
-int Aig::add_output(Lit l, std::string name) {
-  outputs_.push_back({l, name.empty() ? "o" + std::to_string(outputs_.size()) : std::move(name)});
+Lit Aig::add_input(std::string name) {
+  const Lit l = add_input();
+  if (!name.empty()) {
+    input_names_.resize(inputs_.size());
+    input_names_.back() = std::move(name);
+  }
+  return l;
+}
+
+int Aig::add_output(Lit l) {
+  outputs_.push_back(l);
   return static_cast<int>(outputs_.size()) - 1;
+}
+
+int Aig::add_output(Lit l, std::string name) {
+  const int i = add_output(l);
+  if (!name.empty()) {
+    output_names_.resize(outputs_.size());
+    output_names_.back() = std::move(name);
+  }
+  return i;
+}
+
+std::string Aig::input_name(int i) const {
+  const size_t k = static_cast<size_t>(i);
+  if (k < input_names_.size() && !input_names_[k].empty())
+    return input_names_[k];
+  return "i" + std::to_string(k);
+}
+
+std::string Aig::output_name(int i) const {
+  const size_t k = static_cast<size_t>(i);
+  if (k < output_names_.size() && !output_names_[k].empty())
+    return output_names_[k];
+  return "o" + std::to_string(k);
+}
+
+size_t Aig::strash_slot(Lit a, Lit b) const noexcept {
+  const size_t mask = strash_.size() - 1;
+  for (size_t i = hash_combine(a, b) & mask;; i = (i + 1) & mask) {
+    const uint32_t node = strash_[i];
+    if (node == 0 || (nodes_[node].fanin0 == a && nodes_[node].fanin1 == b))
+      return i;
+  }
+}
+
+void Aig::strash_grow() {
+  strash_.assign(strash_.size() * 2, 0);
+  for (uint32_t n = 1; n < nodes_.size(); ++n)
+    if (is_and(n))
+      strash_[strash_slot(nodes_[n].fanin0, nodes_[n].fanin1)] = n;
 }
 
 Lit Aig::and_(Lit a, Lit b) {
@@ -35,16 +81,17 @@ Lit Aig::and_(Lit a, Lit b) {
   if (a == lit_not(b))
     return kFalse;
 
-  const uint64_t key = hash_combine(a, b);
-  auto& bucket = strash_[key];
-  for (uint32_t node : bucket) {
-    if (nodes_[node].fanin0 == a && nodes_[node].fanin1 == b)
-      return mk_lit(node);
-  }
+  const size_t slot = strash_slot(a, b);
+  if (strash_[slot] != 0)
+    return mk_lit(strash_[slot]);
   const uint32_t node = static_cast<uint32_t>(nodes_.size());
   nodes_.push_back(Node{a, b});
   ++num_ands_;
-  bucket.push_back(node);
+  if (num_ands_ * 2 > strash_.size()) {
+    strash_grow(); // re-inserts the new node too
+    return mk_lit(node);
+  }
+  strash_[slot] = node;
   return mk_lit(node);
 }
 
@@ -60,14 +107,8 @@ Lit Aig::find_and(Lit a, Lit b) const {
   if (a == lit_not(b))
     return kFalse;
 
-  const auto it = strash_.find(hash_combine(a, b));
-  if (it == strash_.end())
-    return kNoLit;
-  for (uint32_t node : it->second) {
-    if (nodes_[node].fanin0 == a && nodes_[node].fanin1 == b)
-      return mk_lit(node);
-  }
-  return kNoLit;
+  const uint32_t node = strash_[strash_slot(a, b)];
+  return node == 0 ? kNoLit : mk_lit(node);
 }
 
 Lit Aig::xor_(Lit a, Lit b) {
@@ -103,8 +144,8 @@ Lit Aig::mux_(Lit s, Lit t, Lit e) {
 size_t Aig::num_ands_reachable() const {
   std::vector<uint8_t> mark(nodes_.size(), 0);
   std::vector<uint32_t> stack;
-  for (const Output& o : outputs_) {
-    const uint32_t n = lit_node(o.lit);
+  for (const Lit o : outputs_) {
+    const uint32_t n = lit_node(o);
     if (!mark[n]) {
       mark[n] = 1;
       stack.push_back(n);

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace smartly::aig {
@@ -34,11 +33,14 @@ class Aig {
 public:
   Aig();
 
-  /// Create a new primary input; returns its (positive) literal.
-  Lit add_input(std::string name = "");
+  /// Create a new primary input; returns its (positive) literal. A name is
+  /// stored only when one is given (see input_name).
+  Lit add_input();
+  Lit add_input(std::string name);
 
   /// Register an output. Returns the output index.
-  int add_output(Lit l, std::string name = "");
+  int add_output(Lit l);
+  int add_output(Lit l, std::string name);
 
   // --- construction (with constant folding + structural hashing) ----------
   Lit and_(Lit a, Lit b);
@@ -47,7 +49,8 @@ public:
   /// constant folding as and_, so folded cases (constants, a == b, a == ~b)
   /// always resolve. The DAG-aware rewrite engine uses this to price
   /// candidate structures against logic the graph already contains without
-  /// polluting the strash table.
+  /// polluting the strash table. It never writes, so the rewrite engine's
+  /// workers may probe one graph concurrently while nothing mutates it.
   Lit find_and(Lit a, Lit b) const;
   Lit or_(Lit a, Lit b) { return lit_not(and_(lit_not(a), lit_not(b))); }
   Lit xor_(Lit a, Lit b);
@@ -72,13 +75,10 @@ public:
   Lit fanin1(uint32_t node) const noexcept { return nodes_[node].fanin1; }
 
   const std::vector<uint32_t>& inputs() const noexcept { return inputs_; }
-  Lit output(int i) const { return outputs_.at(static_cast<size_t>(i)).lit; }
-  const std::string& output_name(int i) const {
-    return outputs_.at(static_cast<size_t>(i)).name;
-  }
-  const std::string& input_name(int i) const {
-    return input_names_.at(static_cast<size_t>(i));
-  }
+  Lit output(int i) const { return outputs_.at(static_cast<size_t>(i)); }
+  /// The name given to add_input / add_output, else `i<k>` / `o<k>`.
+  std::string input_name(int i) const;
+  std::string output_name(int i) const;
 
   /// Count of AND nodes reachable from the outputs (area after dead-node
   /// removal; strash can leave unreachable nodes behind).
@@ -108,16 +108,23 @@ private:
     Lit fanin0 = kInputMark;
     Lit fanin1 = kInputMark;
   };
-  struct Output {
-    Lit lit;
-    std::string name;
-  };
+
+  /// Slot of AND node (a, b) in strash_, or the empty slot ending its probe.
+  size_t strash_slot(Lit a, Lit b) const noexcept;
+  /// Double strash_ and re-insert every AND node.
+  void strash_grow();
 
   std::vector<Node> nodes_;
   std::vector<uint32_t> inputs_;
+  std::vector<Lit> outputs_;
+  /// Caller-given names by input / output index; shorter than inputs_ /
+  /// outputs_ (or empty strings) where none was given.
   std::vector<std::string> input_names_;
-  std::vector<Output> outputs_;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> strash_;
+  std::vector<std::string> output_names_;
+  /// Structural hash: AND node ids in open addressing with linear probing
+  /// from hash_combine(fanin0, fanin1), a power of two at most half full.
+  /// Slot value 0 is empty (node 0 is the constant, never an AND).
+  std::vector<uint32_t> strash_;
   size_t num_ands_ = 0;
 };
 

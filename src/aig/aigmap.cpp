@@ -6,11 +6,11 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
+#include <type_traits>
 
 namespace smartly::aig {
 
-namespace {
+namespace detail {
 
 using rtlil::Cell;
 using rtlil::CellType;
@@ -20,63 +20,52 @@ using rtlil::SigBit;
 using rtlil::SigSpec;
 using rtlil::State;
 
+/// One blast of `module` into an AigMap (whole module, dense literal table)
+/// or a ConeMap (sub-graph, open-addressing literal table).
+template <class Result>
 class Mapper {
 public:
-  explicit Mapper(const Module& module)
-      : module_(module), owned_index_(std::make_unique<rtlil::NetlistIndex>(module)),
-        index_(*owned_index_) {}
-
-  /// Reuse a caller-maintained index (the §II oracle issues thousands of
-  /// small cone queries; rebuilding the whole-module index per query would
-  /// dominate the pass runtime).
-  Mapper(const Module& module, const rtlil::NetlistIndex& index)
-      : module_(module), index_(index) {}
+  /// Without `index` the mapper builds its own. `named` gives every input
+  /// and output its port or register name (see aigmap_named).
+  Mapper(const Module& module, const rtlil::NetlistIndex* index, bool named)
+      : module_(module),
+        owned_index_(index ? nullptr : std::make_unique<rtlil::NetlistIndex>(module)),
+        index_(index ? *index : *owned_index_), named_(named) {
+    if constexpr (std::is_same_v<Result, AigMap>) {
+      result_.module_ = &module;
+      result_.lits_.assign(module.bit_id_bound(), kNoLit);
+    }
+  }
 
   /// Shared-graph mode: node construction goes into `graph`, and input
   /// creation consults/extends `shared` so same-named inputs unify across
   /// modules mapped into the same graph.
   Mapper(const Module& module, Aig& graph, SharedInputs& shared)
-      : module_(module), owned_index_(std::make_unique<rtlil::NetlistIndex>(module)),
-        index_(*owned_index_), shared_graph_(&graph), shared_inputs_(&shared) {}
+      : Mapper(module, nullptr, true) {
+    shared_graph_ = &graph;
+    shared_inputs_ = &shared;
+  }
+
+  Result run() {
+    map_module([&](Lit l, const SigBit& name_bit, bool d_cone) {
+      if (named_)
+        result_.aig.add_output(l, output_name(name_bit, d_cone));
+      else
+        result_.aig.add_output(l);
+    });
+    return std::move(result_);
+  }
 
   std::vector<std::pair<std::string, Lit>> run_shared() {
-    for (const rtlil::Wire* w : module_.ports()) {
-      if (!w->port_input)
-        continue;
-      for (int i = 0; i < w->width(); ++i) {
-        const SigBit raw(const_cast<rtlil::Wire*>(w), i);
-        const SigBit bit = index_.sigmap()(raw);
-        if (bit.is_wire() && !result_.bits.count(bit))
-          result_.bits.emplace(bit, shared_input(bit_name(raw)));
-      }
-    }
-    for (Cell* cell : index_.topo_order()) {
-      if (cell->type() == CellType::Dff)
-        continue;
-      map_cell(*cell);
-    }
     std::vector<std::pair<std::string, Lit>> outs;
-    for (const rtlil::Wire* w : module_.ports()) {
-      if (!w->port_output)
-        continue;
-      for (int i = 0; i < w->width(); ++i) {
-        const SigBit raw(const_cast<rtlil::Wire*>(w), i);
-        outs.emplace_back(bit_name(raw), lit_of(raw));
-      }
-    }
-    for (const auto& cptr : module_.cells()) {
-      if (cptr->type() != CellType::Dff)
-        continue;
-      const SigSpec& d = cptr->port(Port::D);
-      const SigSpec& q = cptr->port(Port::Q);
-      for (int i = 0; i < d.size(); ++i)
-        outs.emplace_back(bit_name(q[i]) + ".D", lit_of(d[i]));
-    }
+    map_module([&](Lit l, const SigBit& name_bit, bool d_cone) {
+      outs.emplace_back(output_name(name_bit, d_cone), l);
+    });
     return outs;
   }
 
   /// Map only `cells` with AIG outputs `roots` (sub-graph mode).
-  AigMap run_cone(const std::vector<Cell*>& cells, const std::vector<SigBit>& roots) {
+  Result run_cone(const std::vector<Cell*>& cells, const std::vector<SigBit>& roots) {
     // Sort the cone cells into evaluation order locally — O(|cone| log) per
     // query instead of rescanning the whole module.
     std::vector<Cell*> ordered(cells.begin(), cells.end());
@@ -89,11 +78,15 @@ public:
       map_cell(*cell);
     }
     for (const SigBit& r : roots)
-      result_.aig.add_output(lit_of(r), bit_name(index_.sigmap()(r)));
+      result_.aig.add_output(lit_of(r));
     return std::move(result_);
   }
 
-  AigMap run() {
+private:
+  /// Whole-module mapping. Each AIG output goes to emit(lit, name_bit,
+  /// d_cone): module output ports first, then dff D-cones.
+  template <class Emit>
+  void map_module(Emit&& emit) {
     // Create inputs in port order first so the AIG interface is stable.
     for (const rtlil::Wire* w : module_.ports()) {
       if (!w->port_input)
@@ -103,8 +96,8 @@ public:
         const SigBit bit = index_.sigmap()(raw);
         // Name after the port bit (stable across optimization), map by the
         // canonical bit.
-        if (bit.is_wire() && !result_.bits.count(bit))
-          result_.bits.emplace(bit, result_.aig.add_input(bit_name(raw)));
+        if (bit.is_wire() && get(bit) == kNoLit)
+          put(bit, new_input(raw));
       }
     }
 
@@ -114,13 +107,12 @@ public:
       map_cell(*cell);
     }
 
-    // Outputs: module output ports, then dff D cones.
     for (const rtlil::Wire* w : module_.ports()) {
       if (!w->port_output)
         continue;
       for (int i = 0; i < w->width(); ++i) {
         const SigBit raw(const_cast<rtlil::Wire*>(w), i);
-        result_.aig.add_output(lit_of(raw), bit_name(raw));
+        emit(lit_of(raw), raw, false);
       }
     }
     for (const auto& cptr : module_.cells()) {
@@ -133,15 +125,44 @@ public:
       const SigSpec& d = cptr->port(Port::D);
       const SigSpec& q = cptr->port(Port::Q);
       for (int i = 0; i < d.size(); ++i)
-        result_.aig.add_output(lit_of(d[i]), bit_name(q[i]) + ".D");
+        emit(lit_of(d[i]), q[i], true);
     }
-    return std::move(result_);
   }
 
-private:
   Aig& graph() { return shared_graph_ ? *shared_graph_ : result_.aig; }
 
-  Lit shared_input(const std::string& name) {
+  // The literal table: dense by bit id for a whole-module blast, open
+  // addressing for a cone.
+  Lit get(const SigBit& bit) const {
+    const size_t id = rtlil::bit_id(bit);
+    if constexpr (std::is_same_v<Result, AigMap>)
+      return result_.lits_[id];
+    else
+      return result_.lits_.find(static_cast<uint32_t>(id));
+  }
+  void put(const SigBit& bit, Lit l) {
+    const size_t id = rtlil::bit_id(bit);
+    if constexpr (std::is_same_v<Result, AigMap>)
+      result_.lits_[id] = l;
+    else
+      result_.lits_.set(static_cast<uint32_t>(id), l);
+  }
+
+  static std::string bit_name(const SigBit& bit) {
+    if (bit.is_const())
+      return "const";
+    return bit.wire->name() + "[" + std::to_string(bit.offset) + "]";
+  }
+  static std::string output_name(const SigBit& name_bit, bool d_cone) {
+    return d_cone ? bit_name(name_bit) + ".D" : bit_name(name_bit);
+  }
+
+  /// A fresh AIG input standing for `name_bit` (named only when asked; in
+  /// shared mode, the same-named input of an earlier module if there is one).
+  Lit new_input(const SigBit& name_bit) {
+    if (shared_inputs_ == nullptr)
+      return named_ ? result_.aig.add_input(bit_name(name_bit)) : result_.aig.add_input();
+    const std::string name = bit_name(name_bit);
     auto it = shared_inputs_->by_name.find(name);
     if (it != shared_inputs_->by_name.end())
       return it->second;
@@ -150,24 +171,17 @@ private:
     return l;
   }
 
-  std::string bit_name(const SigBit& bit) const {
-    if (bit.is_const())
-      return "const";
-    return bit.wire->name() + "[" + std::to_string(bit.offset) + "]";
-  }
-
   /// Literal for a bit; creates an AIG input on first use of an unmapped
   /// wire bit (primary input, undriven wire, or dff Q).
   Lit lit_of(const SigBit& raw) {
     const SigBit bit = index_.sigmap()(raw);
     if (bit.is_const())
       return bit.data == State::S1 ? kTrue : kFalse;
-    auto it = result_.bits.find(bit);
-    if (it != result_.bits.end())
-      return it->second;
-    const Lit l = shared_inputs_ ? shared_input(bit_name(bit))
-                                 : result_.aig.add_input(bit_name(bit));
-    result_.bits.emplace(bit, l);
+    Lit l = get(bit);
+    if (l == kNoLit) {
+      l = new_input(bit);
+      put(bit, l);
+    }
     return l;
   }
 
@@ -188,10 +202,8 @@ private:
   void set_output(const SigSpec& y, const std::vector<Lit>& lits) {
     for (int i = 0; i < y.size(); ++i) {
       const SigBit bit = index_.sigmap()(y[i]);
-      if (!bit.is_wire())
-        continue;
-      const Lit l = i < static_cast<int>(lits.size()) ? lits[static_cast<size_t>(i)] : kFalse;
-      result_.bits[bit] = l;
+      if (bit.is_wire())
+        put(bit, i < static_cast<int>(lits.size()) ? lits[static_cast<size_t>(i)] : kFalse);
     }
   }
 
@@ -443,33 +455,35 @@ private:
   const Module& module_;
   std::unique_ptr<rtlil::NetlistIndex> owned_index_;
   const rtlil::NetlistIndex& index_;
-  AigMap result_;
+  const bool named_;
+  Result result_;
   Aig* shared_graph_ = nullptr;
   SharedInputs* shared_inputs_ = nullptr;
 };
 
-} // namespace
+} // namespace detail
 
-AigMap aigmap(const rtlil::Module& module) { return Mapper(module).run(); }
+AigMap aigmap(const rtlil::Module& module) {
+  return detail::Mapper<AigMap>(module, nullptr, false).run();
+}
 
 AigMap aigmap(const rtlil::Module& module, const rtlil::NetlistIndex& index) {
-  return Mapper(module, index).run();
+  return detail::Mapper<AigMap>(module, &index, false).run();
 }
 
-AigMap aigmap_cone(const rtlil::Module& module, const std::vector<rtlil::Cell*>& cells,
-                   const std::vector<rtlil::SigBit>& roots) {
-  return Mapper(module).run_cone(cells, roots);
+AigMap aigmap_named(const rtlil::Module& module) {
+  return detail::Mapper<AigMap>(module, nullptr, true).run();
 }
 
-AigMap aigmap_cone(const rtlil::Module& module, const rtlil::NetlistIndex& index,
-                   const std::vector<rtlil::Cell*>& cells,
-                   const std::vector<rtlil::SigBit>& roots) {
-  return Mapper(module, index).run_cone(cells, roots);
+ConeMap aigmap_cone(const rtlil::Module& module, const rtlil::NetlistIndex& index,
+                    const std::vector<rtlil::Cell*>& cells,
+                    const std::vector<rtlil::SigBit>& roots) {
+  return detail::Mapper<ConeMap>(module, &index, false).run_cone(cells, roots);
 }
 
 std::vector<std::pair<std::string, Lit>> aigmap_shared(Aig& graph, SharedInputs& inputs,
                                                        const rtlil::Module& module) {
-  return Mapper(module, graph, inputs).run_shared();
+  return detail::Mapper<AigMap>(module, graph, inputs).run_shared();
 }
 
 size_t aig_area(const rtlil::Module& module) {

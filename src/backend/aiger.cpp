@@ -40,11 +40,9 @@ uint32_t map_lit(const Renumbering& r, Lit l) {
 
 void append_symbols(std::ostringstream& out, const Aig& g) {
   for (size_t i = 0; i < g.num_inputs(); ++i)
-    if (!g.input_name(static_cast<int>(i)).empty())
-      out << "i" << i << " " << g.input_name(static_cast<int>(i)) << "\n";
+    out << "i" << i << " " << g.input_name(static_cast<int>(i)) << "\n";
   for (size_t i = 0; i < g.num_outputs(); ++i)
-    if (!g.output_name(static_cast<int>(i)).empty())
-      out << "o" << i << " " << g.output_name(static_cast<int>(i)) << "\n";
+    out << "o" << i << " " << g.output_name(static_cast<int>(i)) << "\n";
 }
 
 void push_delta(std::string& out, uint32_t delta) {

@@ -1,5 +1,6 @@
 #include "core/mux_restructure.hpp"
 
+#include "obs/trace.hpp"
 #include "rtlil/topo.hpp"
 #include "util/log.hpp"
 
@@ -45,9 +46,10 @@ class Restructurer {
 public:
   Restructurer(Module& module, const MuxRestructureOptions& options,
                MuxRestructureStats& stats)
-      : module_(module), options_(options), stats_(stats), index_(module) {}
+      : module_(module), options_(options), stats_(stats), index_(build_index(module)) {}
 
   bool run_once() {
+    const obs::Span span("rebuild", "rebuild.trees");
     bool changed = false;
     // Identify tree-internal muxes: whole output read exactly once, by a mux,
     // through a data port, and the port slice equals the output exactly.
@@ -80,6 +82,11 @@ public:
   }
 
 private:
+  static rtlil::NetlistIndex build_index(const Module& module) {
+    const obs::Span span("rebuild", "rebuild.index");
+    return rtlil::NetlistIndex(module);
+  }
+
   /// Parent mux that reads this cell's entire Y as exactly one data port
   /// (A, or one B part of equal width), with no other readers.
   Cell* unique_tree_parent(Cell* c) {
@@ -434,6 +441,7 @@ MuxRestructureStats mux_restructure(Module& module, const MuxRestructureOptions&
   // One structural sweep is enough for chains; a second pass catches trees
   // exposed by the first (e.g. after shared-node rebuilds).
   for (int iter = 0; iter < 4; ++iter) {
+    const obs::Span span("rebuild", "rebuild.iteration", "iter", static_cast<uint64_t>(iter + 1));
     Restructurer r(module, options, stats);
     if (!r.run_once())
       break;

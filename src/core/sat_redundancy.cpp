@@ -94,13 +94,13 @@ CtrlDecision InferenceOracle::decide_cone(SigBit ctrl, const Subgraph& sg, uint6
   roots.push_back(ctrl);
   for (const SigBit& kb : known_bits_)
     roots.push_back(kb);
-  const aig::AigMap cone = aig::aigmap_cone(*module_, *index_, sg.cells, roots);
+  const aig::ConeMap cone = aig::aigmap_cone(*module_, *index_, sg.cells, roots);
 
   auto aig_lit_of = [&](const SigBit& bit) -> std::optional<aig::Lit> {
-    auto it = cone.bits.find(bit);
-    if (it == cone.bits.end())
+    const aig::Lit l = cone.find(bit);
+    if (l == aig::kNoLit)
       return std::nullopt;
-    return it->second;
+    return l;
   };
   const auto target_lit = aig_lit_of(ctrl);
   if (!target_lit)

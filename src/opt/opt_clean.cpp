@@ -1,5 +1,6 @@
 #include "opt/opt_clean.hpp"
 
+#include "obs/trace.hpp"
 #include "rtlil/sigmap.hpp"
 #include "util/log.hpp"
 
@@ -15,6 +16,7 @@ using rtlil::Port;
 using rtlil::SigBit;
 
 size_t opt_clean(Module& module) {
+  const obs::Span span("opt", "opt.opt_clean");
   const rtlil::SigMap sigmap(module);
 
   // Driver index over canonical bits.

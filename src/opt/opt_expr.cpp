@@ -1,5 +1,6 @@
 #include "opt/opt_expr.hpp"
 
+#include "obs/trace.hpp"
 #include "rtlil/sigmap.hpp"
 #include "sim/eval.hpp"
 #include "util/log.hpp"
@@ -44,6 +45,7 @@ bool is_all_one(const SigSpec& s) {
 } // namespace
 
 OptExprStats opt_expr(Module& module) {
+  const obs::Span span("opt", "opt.opt_expr");
   OptExprStats stats;
 
   for (bool changed = true; changed;) {

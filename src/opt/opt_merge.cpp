@@ -1,5 +1,6 @@
 #include "opt/opt_merge.hpp"
 
+#include "obs/trace.hpp"
 #include "rtlil/sigmap.hpp"
 #include "sweep/equiv_classes.hpp"
 #include "util/hashing.hpp"
@@ -13,6 +14,7 @@ using rtlil::Cell;
 using rtlil::Module;
 
 size_t opt_merge(Module& module) {
+  const obs::Span span("opt", "opt.opt_merge");
   size_t merged_total = 0;
   for (bool changed = true; changed;) {
     changed = false;

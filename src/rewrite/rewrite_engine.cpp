@@ -100,13 +100,11 @@ aig::Lit probe_mux(const aig::Aig& g, aig::Lit s, aig::Lit t, aig::Lit e) {
 
 // --- per-round evaluation structures ---------------------------------------
 
-/// Best module bit for one (AIG node, polarity): a bit whose value equals
-/// the literal. Rank = rtlil::bit_id (wire creation order, then offset), so
-/// the choice is a pure function of the module, never of hash-map iteration
-/// order.
+/// Best module bit for one (AIG node, polarity): the bit with the lowest
+/// rtlil::bit_id (wire creation order, then offset) whose value equals the
+/// literal, so the choice is a pure function of the module.
 struct Anchor {
   SigBit bit;
-  uint64_t rank = 0;
   bool valid = false;
 };
 
@@ -400,7 +398,7 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
       const obs::Span s("rewrite", "rewrite.blast");
       return aig::aigmap(module, index);
     }();
-    if (round == 0)
+    if (stats.rounds == 1)
       stats.aig_nodes = blast.aig.num_nodes();
     const CutSet cutset = [&] {
       const obs::Span s("rewrite", "rewrite.cuts");
@@ -420,18 +418,16 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
     for (size_t i = 0; i < blast.aig.num_outputs(); ++i)
       ++nfan[aig::lit_node(blast.aig.output(static_cast<int>(i)))];
 
-    // Anchors: AIG node + polarity -> best module bit. The dense bit id is
-    // the deterministic tie-break rank here and in the group keys below (bit
-    // hashes are pointer-based and would leak allocator layout into the
-    // result).
+    // Anchors: AIG node + polarity -> the module bit with the lowest dense
+    // bit id (the first the id-order walk meets). The bit id is the
+    // deterministic tie-break here and in the group keys below (bit hashes
+    // are pointer-based and would leak allocator layout into the result).
     std::vector<std::array<Anchor, 2>> anchors(blast.aig.num_nodes());
-    for (const auto& entry : blast.bits) {
-      Anchor& slot = anchors[aig::lit_node(entry.second)]
-                            [aig::lit_compl(entry.second) ? 1 : 0];
-      const uint64_t rank = rtlil::bit_id(entry.first);
-      if (!slot.valid || rank < slot.rank)
-        slot = {entry.first, rank, true};
-    }
+    blast.for_each_bit([&](const SigBit& bit, aig::Lit lit) {
+      Anchor& slot = anchors[aig::lit_node(lit)][aig::lit_compl(lit) ? 1 : 0];
+      if (!slot.valid)
+        slot = {bit, true};
+    });
 
     // Root work list: combinational cells whose every output bit is a live,
     // canonically self-driven wire bit backed by an AND node.
@@ -449,8 +445,8 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
           ok = false;
           break;
         }
-        const auto it = blast.bits.find(c);
-        if (it == blast.bits.end() || !blast.aig.is_and(aig::lit_node(it->second))) {
+        const aig::Lit lit = blast.find(c);
+        if (lit == aig::kNoLit || !blast.aig.is_and(aig::lit_node(lit))) {
           ok = false;
           break;
         }
@@ -458,7 +454,7 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
           any_read = true;
         work.raw.push_back(raw);
         work.canon.push_back(c);
-        work.lits.push_back(it->second);
+        work.lits.push_back(lit);
       }
       if (ok && any_read && !work.raw.empty()) {
         if (options.quarantine != nullptr &&

@@ -76,7 +76,7 @@ struct RewriteOptions {
 
 struct RewriteStats {
   size_t rounds = 0;
-  size_t aig_nodes = 0;         ///< whole-netlist blast size (first round)
+  size_t aig_nodes = 0;         ///< whole-netlist blast size (first executed round)
   size_t cuts = 0;              ///< non-trivial cuts enumerated (all rounds)
   size_t roots_evaluated = 0;   ///< root cells evaluated (all rounds)
   size_t candidates = 0;        ///< (bit, cut) candidates with usable leaves

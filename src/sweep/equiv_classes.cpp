@@ -46,38 +46,28 @@ void EquivClasses::bind(const rtlil::Module& module, const rtlil::NetlistIndex& 
   for (size_t i = 0; i < g.num_inputs(); ++i)
     node_input_[g.inputs()[i]] = static_cast<uint32_t>(i);
 
-  // One pass over the blast collects the candidates (every wire bit) and the
-  // reverse map AIG input node -> module bit. Several bits can carry the
-  // same plain input literal (a cell output strash-folds onto an input, e.g.
-  // y = a & a), and blast_.bits iterates in pointer-hash order — so the
-  // winner must be chosen deterministically: prefer the true free bit (no
-  // combinational driver), then the lowest bit id (wire creation order).
-  // Patterns are seeded from the winner's name; a pointer-dependent choice
-  // would breach the cross-clone determinism contract.
+  // One pass over the blast, in ascending bit id, collects the candidates
+  // (every wire bit) and the reverse map AIG input node -> module bit.
+  // Several bits can carry the same plain input literal (a cell output
+  // strash-folds onto an input, e.g. y = a & a), so the winner is the true
+  // free bit (no combinational driver), then the lowest bit id. Patterns are
+  // seeded from the winner's name, so the choice must not depend on pointers
+  // (the cross-clone determinism contract).
   input_bits_.assign(g.num_inputs(), SigBit());
   candidates_.clear();
-  candidates_.reserve(blast_.bits.size());
   const auto is_free = [&](const SigBit& bit) {
     const Cell* driver = index.driver(bit);
     return !driver || driver->type() == CellType::Dff;
   };
-  for (const auto& [bit, lit] : blast_.bits) {
-    if (!bit.is_wire())
-      continue;
+  blast_.for_each_bit([&](const SigBit& bit, aig::Lit lit) {
     candidates_.emplace_back(bit, lit);
     const uint32_t input = node_input_[aig::lit_node(lit)];
     if (aig::lit_compl(lit) || input == kNone)
-      continue;
+      return;
     SigBit& slot = input_bits_[input];
-    if (!slot.is_wire()) {
+    if (!slot.is_wire() || (is_free(bit) && !is_free(slot)))
       slot = bit;
-      continue;
-    }
-    const bool bit_free = is_free(bit);
-    const bool slot_free = is_free(slot);
-    if (bit_free != slot_free ? bit_free : rtlil::bit_id(bit) < rtlil::bit_id(slot))
-      slot = bit;
-  }
+  });
   // Counting sort into node order: compute() then hashes each node's
   // signature row once, reading rows sequentially, with the node's bits
   // adjacent.

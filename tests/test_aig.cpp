@@ -1,13 +1,18 @@
-// AIG package: literal encoding, structural hashing, constant folding,
-// reachability-based area, packed simulation, and aigmap bit-blasting
+// AIG package: literal encoding, structural hashing (against a reference
+// map), constant folding, names on demand, reachability-based area, packed
+// simulation, and aigmap bit-blasting (literal tables, AIGER symbols)
 // cross-checked against the word-level evaluator.
 #include "aig/aig.hpp"
 #include "aig/aigmap.hpp"
+#include "backend/aiger.hpp"
 #include "rtlil/module.hpp"
 #include "rtlil/sigmap.hpp"
 #include "sim/eval.hpp"
+#include "util/hashing.hpp"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace smartly;
 using aig::Aig;
@@ -47,6 +52,109 @@ TEST(Aig, StructuralHashingSharesNodes) {
   const Lit z = g.and_(aig::lit_not(a), b); // different function: new node
   EXPECT_NE(z, x);
   EXPECT_EQ(g.num_ands(), 2u);
+}
+
+TEST(Aig, StrashMatchesReferenceMapAcrossGrowths) {
+  // Random and_ / find_and sequences (complemented fanins, repeats, commuted
+  // pairs, inputs added between ANDs) against a std::map model. 6000 ANDs
+  // take the table through ten doublings.
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    Aig g;
+    std::map<std::pair<Lit, Lit>, Lit> ref;
+    size_t ref_nodes = 1, ref_ands = 0;
+    std::vector<Lit> pool;
+    std::vector<std::pair<Lit, Lit>> asked;
+    // The reference: and_'s folding rules, then a lookup in `ref`.
+    const auto fold = [](Lit& a, Lit& b, Lit& out) {
+      if (a > b)
+        std::swap(a, b);
+      if (a == aig::kFalse || a == aig::lit_not(b))
+        out = aig::kFalse;
+      else if (a == aig::kTrue || a == b)
+        out = b;
+      else
+        return false;
+      return true;
+    };
+    const auto ref_find = [&](Lit a, Lit b) {
+      Lit out = aig::kNoLit;
+      if (fold(a, b, out))
+        return out;
+      const auto it = ref.find({a, b});
+      return it == ref.end() ? aig::kNoLit : it->second;
+    };
+    const auto add_input = [&] {
+      pool.push_back(g.add_input());
+      ++ref_nodes;
+    };
+    for (int i = 0; i < 8; ++i)
+      add_input();
+    Rng rng(seed);
+    const auto pick = [&] {
+      const Lit l = pool[rng.below(pool.size())];
+      return rng.chance(0.5) ? aig::lit_not(l) : l;
+    };
+    while (ref_ands < 6000) {
+      Lit a, b;
+      const uint64_t op = rng.below(10);
+      if (op == 0 && !asked.empty()) {
+        // Repeat an earlier pair, commuted half the time.
+        std::tie(a, b) = asked[rng.below(asked.size())];
+        if (rng.chance(0.5))
+          std::swap(a, b);
+      } else if (op == 1) {
+        a = pick();
+        b = rng.chance(0.5) ? a : aig::lit_not(a); // folds
+      } else if (op == 2) {
+        a = pick();
+        b = rng.chance(0.5) ? aig::kTrue : aig::kFalse;
+      } else if (op == 3) {
+        add_input();
+        continue;
+      } else {
+        a = pick();
+        b = pick();
+      }
+      const Lit want = ref_find(a, b);
+      ASSERT_EQ(g.find_and(a, b), want) << "seed " << seed << " ands " << ref_ands;
+      if (rng.chance(0.3))
+        continue; // probe only: the graph must not change
+      const Lit got = g.and_(a, b);
+      if (want == aig::kNoLit) {
+        ASSERT_EQ(got, aig::mk_lit(static_cast<uint32_t>(ref_nodes)));
+        ref.emplace(std::minmax(a, b), got);
+        ++ref_nodes;
+        ++ref_ands;
+        pool.push_back(got);
+      } else {
+        ASSERT_EQ(got, want);
+      }
+      asked.emplace_back(a, b);
+      ASSERT_EQ(g.num_nodes(), ref_nodes);
+      ASSERT_EQ(g.num_ands(), ref_ands);
+    }
+    // Every stored pair is still found after the last growth, both ways.
+    for (const auto& [pair, lit] : ref) {
+      EXPECT_EQ(g.find_and(pair.first, pair.second), lit);
+      EXPECT_EQ(g.find_and(pair.second, pair.first), lit);
+    }
+  }
+}
+
+TEST(Aig, NamesAreStoredOnlyWhenGiven) {
+  Aig g;
+  const Lit a = g.add_input();
+  const Lit b = g.add_input("b");
+  (void)g.add_input();
+  g.add_output(a);
+  g.add_output(b, "y");
+  g.add_output(g.and_(a, b));
+  EXPECT_EQ(g.input_name(0), "i0");
+  EXPECT_EQ(g.input_name(1), "b");
+  EXPECT_EQ(g.input_name(2), "i2");
+  EXPECT_EQ(g.output_name(0), "o0");
+  EXPECT_EQ(g.output_name(1), "y");
+  EXPECT_EQ(g.output_name(2), "o2");
 }
 
 TEST(Aig, XorAndMuxBuilders) {
@@ -141,7 +249,7 @@ using rtlil::Wire;
 /// word-level evaluator over all input assignments (total input bits <= 16).
 void check_aigmap_vs_eval(Module& module) {
   const aig::AigMap m = aig::aigmap(module);
-  const rtlil::SigMap sm(module); // m.bits is keyed by canonical SigBit
+  const rtlil::SigMap sm(module); // m.find takes canonical SigBits
 
   std::vector<Wire*> ins;
   int total_bits = 0;
@@ -165,10 +273,9 @@ void check_aigmap_vs_eval(Module& module) {
       bit_cursor += w->width();
       ev.set_input(w, Const(val, w->width()));
       for (int i = 0; i < w->width(); ++i) {
-        const auto it = m.bits.find(sm(rtlil::SigBit(w, i)));
-        if (it == m.bits.end())
+        const aig::Lit l = m.find(sm(rtlil::SigBit(w, i)));
+        if (l == aig::kNoLit)
           continue;
-        const aig::Lit l = it->second;
         ASSERT_TRUE(m.aig.is_input(aig::lit_node(l)));
         // Find the input index of that node.
         for (size_t k = 0; k < m.aig.inputs().size(); ++k)
@@ -187,9 +294,9 @@ void check_aigmap_vs_eval(Module& module) {
         EXPECT_EQ(canon.data, want[i]) << "v=" << v << " bit=" << i;
         continue;
       }
-      const auto it = m.bits.find(canon);
-      ASSERT_NE(it, m.bits.end());
-      const uint64_t got = Aig::sim_lit(words, it->second) & 1;
+      const aig::Lit l = m.find(canon);
+      ASSERT_NE(l, aig::kNoLit);
+      const uint64_t got = Aig::sim_lit(words, l) & 1;
       EXPECT_EQ(got, want[i] == rtlil::State::S1 ? 1u : 0u)
           << "v=" << v << " bit=" << i;
     }
@@ -336,6 +443,177 @@ TEST(Aigmap, SharedSubexpressionMapsOnce) {
   mod->connect(SigSpec(y).extract(0, 1), g);
   mod->connect(SigSpec(y).extract(1, 1), g);
   EXPECT_EQ(aig::aig_area(*mod), 1u);
+}
+
+TEST(Aigmap, LiteralTableFindsCanonicalBitsOnly) {
+  Design d;
+  Module* mod = d.add_module("top");
+  Wire* a = mod->add_wire("a", 2);
+  Wire* b = mod->add_wire("b", 1);
+  Wire* spare = mod->add_wire("spare", 2); // read and driven by nothing
+  Wire* y = mod->add_wire("y", 2);
+  mod->set_port_input(a);
+  mod->set_port_input(b);
+  mod->set_port_output(y);
+  const SigSpec and_out = mod->And(SigSpec(a), rtlil::sig_repeat(rtlil::SigBit(b, 0), 2));
+  mod->connect(SigSpec(y), and_out); // y aliases the cell output
+
+  const aig::AigMap m = aig::aigmap(*mod);
+  const rtlil::SigMap sm(*mod);
+  EXPECT_EQ(m.find(rtlil::SigBit(rtlil::State::S0)), aig::kNoLit);
+  EXPECT_EQ(m.find(rtlil::SigBit(rtlil::State::S1)), aig::kNoLit);
+  EXPECT_EQ(m.find(rtlil::SigBit(spare, 0)), aig::kNoLit);
+  EXPECT_EQ(m.find(rtlil::SigBit(spare, 1)), aig::kNoLit);
+  ASSERT_NE(sm(rtlil::SigBit(y, 0)), rtlil::SigBit(y, 0));
+  EXPECT_EQ(m.find(rtlil::SigBit(y, 0)), aig::kNoLit); // not canonical
+  EXPECT_NE(m.find(sm(rtlil::SigBit(y, 0))), aig::kNoLit);
+  Wire* late = mod->add_wire("late", 1); // created after the blast
+  EXPECT_EQ(m.find(rtlil::SigBit(late, 0)), aig::kNoLit);
+  Design other;
+  Wire* foreign = other.add_module("other")->add_wire("a", 2);
+  EXPECT_EQ(m.find(rtlil::SigBit(foreign, 0)), aig::kNoLit);
+
+  // The id-order walk visits exactly the bits find() maps, ascending.
+  std::vector<std::pair<rtlil::SigBit, Lit>> seen;
+  m.for_each_bit([&](const rtlil::SigBit& bit, Lit lit) { seen.emplace_back(bit, lit); });
+  std::vector<std::pair<rtlil::SigBit, Lit>> want;
+  for (const auto& w : mod->wires())
+    for (int i = 0; i < w->width(); ++i)
+      if (m.find(rtlil::SigBit(w.get(), i)) != aig::kNoLit)
+        want.emplace_back(rtlil::SigBit(w.get(), i), m.find(rtlil::SigBit(w.get(), i)));
+  EXPECT_EQ(seen, want);
+  ASSERT_EQ(seen.size(), 5u); // a[0..1], b[0], and_out[0..1]
+  for (size_t k = 0; k < seen.size(); ++k) {
+    EXPECT_EQ(sm(seen[k].first), seen[k].first);
+    if (k > 0) {
+      EXPECT_LT(rtlil::bit_id(seen[k - 1].first), rtlil::bit_id(seen[k].first));
+    }
+  }
+  EXPECT_EQ(seen[0].first, rtlil::SigBit(a, 0));
+  EXPECT_EQ(seen[4].first, and_out[1]);
+}
+
+TEST(Aigmap, ConeTableHoldsOnlyTheCone) {
+  // y = (a & b) | c: blasting the Or cell alone makes its fanins cone inputs.
+  Design d;
+  Module* mod = d.add_module("top");
+  Wire* a = mod->add_wire("a", 1);
+  Wire* b = mod->add_wire("b", 1);
+  Wire* c = mod->add_wire("c", 1);
+  Wire* y = mod->add_wire("y", 1);
+  mod->set_port_input(a);
+  mod->set_port_input(b);
+  mod->set_port_input(c);
+  mod->set_port_output(y);
+  const SigSpec ab = mod->And(SigSpec(a), SigSpec(b));
+  const SigSpec out = mod->Or(ab, SigSpec(c));
+  mod->connect(SigSpec(y), out);
+  const rtlil::NetlistIndex index(*mod);
+  const rtlil::SigBit root = index.sigmap()(rtlil::SigBit(y, 0));
+  const aig::ConeMap m = aig::aigmap_cone(*mod, index, {index.driver(root)}, {root});
+  EXPECT_EQ(m.aig.num_inputs(), 2u);
+  EXPECT_EQ(m.aig.num_ands(), 1u);
+  EXPECT_NE(m.find(root), aig::kNoLit);
+  EXPECT_NE(m.find(ab[0]), aig::kNoLit);
+  EXPECT_NE(m.find(rtlil::SigBit(c, 0)), aig::kNoLit);
+  EXPECT_EQ(m.find(rtlil::SigBit(a, 0)), aig::kNoLit); // behind the cone input
+  EXPECT_EQ(m.find(rtlil::SigBit(rtlil::State::S1)), aig::kNoLit);
+  EXPECT_EQ(m.aig.output_name(0), "o0");
+  EXPECT_EQ(m.aig.input_name(0), "i0");
+}
+
+TEST(Aigmap, NamedBlastKeepsTheAigerSymbolTable) {
+  // Multi-bit ports, a register (Q bits become inputs, D cones outputs named
+  // after Q), an undriven wire (inputs named after the canonical bit) and an
+  // output port aliasing an input bit.
+  Design d;
+  Module* mod = d.add_module("top");
+  const auto in = [&](const char* name, int width) {
+    Wire* w = mod->add_wire(name, width);
+    mod->set_port_input(w);
+    return w;
+  };
+  const auto out = [&](const char* name, int width) {
+    Wire* w = mod->add_wire(name, width);
+    mod->set_port_output(w);
+    return w;
+  };
+  Wire* clk = in("clk", 1);
+  Wire* a = in("a", 3);
+  Wire* b = in("b", 2);
+  Wire* q = mod->add_wire("q", 3);
+  Wire* u = mod->add_wire("u", 2);
+  Wire* y = out("y", 3);
+  Wire* z = out("z", 2);
+  Wire* w = out("w", 1);
+  mod->add_dff(mod->Xor(SigSpec(a), SigSpec(q)), SigSpec(q), SigSpec(clk));
+  mod->connect(SigSpec(y), mod->And(SigSpec(q), SigSpec(a)));
+  mod->connect(SigSpec(z), mod->Or(SigSpec(b), SigSpec(u)));
+  mod->connect(SigSpec(w), SigSpec(b).extract(1, 1));
+
+  const std::string want = "aag 25 11 0 9 14\n"
+                            "2\n"
+                            "4\n"
+                            "6\n"
+                            "8\n"
+                            "10\n"
+                            "12\n"
+                            "14\n"
+                            "16\n"
+                            "18\n"
+                            "20\n"
+                            "22\n"
+                            "42\n"
+                            "44\n"
+                            "46\n"
+                            "49\n"
+                            "51\n"
+                            "12\n"
+                            "29\n"
+                            "35\n"
+                            "41\n"
+                            "24 5 14\n"
+                            "26 4 15\n"
+                            "28 25 27\n"
+                            "30 7 16\n"
+                            "32 6 17\n"
+                            "34 31 33\n"
+                            "36 9 18\n"
+                            "38 8 19\n"
+                            "40 37 39\n"
+                            "42 4 14\n"
+                            "44 6 16\n"
+                            "46 8 18\n"
+                            "48 11 21\n"
+                            "50 13 23\n"
+                            "i0 clk[0]\n"
+                            "i1 a[0]\n"
+                            "i2 a[1]\n"
+                            "i3 a[2]\n"
+                            "i4 b[0]\n"
+                            "i5 b[1]\n"
+                            "i6 q[0]\n"
+                            "i7 q[1]\n"
+                            "i8 q[2]\n"
+                            "i9 u[0]\n"
+                            "i10 u[1]\n"
+                            "o0 y[0]\n"
+                            "o1 y[1]\n"
+                            "o2 y[2]\n"
+                            "o3 z[0]\n"
+                            "o4 z[1]\n"
+                            "o5 w[0]\n"
+                            "o6 q[0].D\n"
+                            "o7 q[1].D\n"
+                            "o8 q[2].D\n";
+  EXPECT_EQ(backend::write_aiger_ascii(aig::aigmap_named(*mod).aig), want);
+
+  // The plain blast builds the same graph without names.
+  const aig::AigMap plain = aig::aigmap(*mod);
+  const std::string text = backend::write_aiger_ascii(plain.aig);
+  EXPECT_EQ(text.substr(0, text.find("i0 ")), want.substr(0, want.find("i0 ")));
+  EXPECT_EQ(plain.aig.input_name(1), "i1");
+  EXPECT_EQ(plain.aig.output_name(6), "o6");
 }
 
 } // namespace

@@ -101,10 +101,10 @@ TEST_P(EvalVsAig, RandomNetlistSemanticsAgree) {
       ev.set_input(w, Const(v, w->width()));
       for (int i = 0; i < w->width(); ++i) {
         const SigBit canon = sm(SigBit(w, i));
-        const auto it = m.bits.find(canon);
-        if (it == m.bits.end())
+        const aig::Lit l = m.find(canon);
+        if (l == aig::kNoLit)
           continue;
-        const auto ii = input_index.find(aig::lit_node(it->second));
+        const auto ii = input_index.find(aig::lit_node(l));
         if (ii != input_index.end())
           aig_in[ii->second] = ((v >> i) & 1) ? ~0ull : 0ull;
       }
@@ -123,9 +123,9 @@ TEST_P(EvalVsAig, RandomNetlistSemanticsAgree) {
         const SigBit canon = sm(raw);
         if (canon.is_const())
           continue;
-        const auto it = m.bits.find(canon);
-        ASSERT_NE(it, m.bits.end()) << w->name() << "[" << i << "]";
-        const uint64_t got = aig::Aig::sim_lit(words, it->second) & 1;
+        const aig::Lit l = m.find(canon);
+        ASSERT_NE(l, aig::kNoLit) << w->name() << "[" << i << "]";
+        const uint64_t got = aig::Aig::sim_lit(words, l) & 1;
         EXPECT_EQ(got, want == State::S1 ? 1u : 0u)
             << "seed=" << seed << " trial=" << trial << " " << w->name() << "[" << i << "]";
       }

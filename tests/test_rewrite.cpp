@@ -190,6 +190,34 @@ TEST(RewriteEngine, FactorsSharedAndTerm) {
   expect_equivalent(*golden->top(), *f.mod, "factoring");
 }
 
+TEST(RewriteEngine, AigNodesCountedOnFirstExecutedRound) {
+  // aig_nodes is the first executed round's blast size, also when the
+  // recovery layer quarantines round 1 and round 2 blasts first.
+  const auto run = [](const util::QuarantineSet* quarantine) {
+    Fixture f;
+    Wire* a = f.in("a", 8);
+    Wire* b = f.in("b", 8);
+    Wire* c = f.in("c", 8);
+    const SigSpec t1 = f.mod->And(SigSpec(a), SigSpec(b));
+    const SigSpec t2 = f.mod->And(SigSpec(a), SigSpec(c));
+    f.mod->connect(SigSpec(f.out("y", 8)), f.mod->Or(t1, t2));
+    rewrite::RewriteOptions options = serial_options();
+    options.quarantine = quarantine;
+    return rewrite::rewrite_sweep(*f.mod, options);
+  };
+  const rewrite::RewriteStats plain = run(nullptr);
+  EXPECT_GE(plain.rewrites, 1u);
+  EXPECT_EQ(plain.aig_nodes, 49u); // const + 24 inputs + 24 ANDs
+
+  util::QuarantineSet quarantine;
+  quarantine.add("rewrite.round", 1);
+  const rewrite::RewriteStats skipped = run(&quarantine);
+  EXPECT_EQ(skipped.quarantined, 1u);
+  EXPECT_GE(skipped.rounds, 1u);
+  EXPECT_EQ(skipped.rewrites, plain.rewrites);
+  EXPECT_EQ(skipped.aig_nodes, plain.aig_nodes);
+}
+
 TEST(RewriteEngine, RestructuresChainedMuxes) {
   // y = s1 ? (s2 ? a : b) : a — the mux bi-decomposition target: same cell
   // count ((s1 & ~s2) ? b : a), strictly fewer AIG nodes.
