@@ -58,26 +58,6 @@ inline void apply_name_filter(std::vector<benchgen::BenchCircuit>& circuits,
   }
 }
 
-/// Parse a --threads CSV ("1,2,4,8") into positive ints; exits 2 with a
-/// message on malformed input (shared by bench_pass and bench_sweep).
-inline std::vector<int> parse_thread_counts(const char* csv, const char* prog) {
-  std::vector<int> counts;
-  const char* s = csv;
-  while (*s) {
-    char* end = nullptr;
-    const long n = std::strtol(s, &end, 10);
-    if (end == s || (*end != '\0' && *end != ',') || n <= 0) {
-      std::fprintf(stderr, "%s: --threads wants positive integers, got '%s'\n", prog, s);
-      std::exit(2);
-    }
-    counts.push_back(static_cast<int>(n));
-    if (*end == '\0')
-      break;
-    s = end + 1;
-  }
-  return counts;
-}
-
 inline std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());

@@ -1,26 +1,28 @@
 // DAG-aware cut-rewriting engine benchmark: AIG area and cell counts on top
-// of the fraig stage, NPN/cut statistics, CEC verification, and thread-count
-// determinism, emitting the BENCH_rewrite.json schema.
+// of the fraig stage, NPN/cut statistics, CEC verification, and determinism,
+// emitting the BENCH_rewrite.json schema.
 //
-//   ./bench_rewrite [--smoke] [--json] [--filter <substr>] [--threads <csv>]
+//   ./bench_rewrite [--smoke] [--json] [--filter <substr>] [--trace-out FILE]
+//                   [--scale-nodes N]
 //
-//   --smoke    small circuit subset, threads {1,2} — the tier-2 CTest target.
-//              Exits nonzero if any rewritten netlist fails CEC, any circuit
-//              is non-deterministic across thread counts, or no benchmark
-//              family shows a strict AIG-area reduction over the fraig stage
-//              alone.
-//   --json     print the JSON document to stdout (human table otherwise).
-//   --filter   run only circuits whose name contains <substr>.
-//   --threads  comma-separated worker counts (default 1,2,4,8).
+//   --smoke        small circuit subset — the tier-2 CTest target. Exits
+//                  nonzero if any rewritten netlist fails CEC, any circuit
+//                  gives different results on two fresh clones, or no
+//                  benchmark family shows a strict AIG-area reduction over
+//                  the fraig stage alone.
+//   --json         print the JSON document to stdout (human table otherwise).
+//   --filter       run only circuits whose name contains <substr>.
+//   --scale-nodes  time the rewrite engine alone on the generated
+//                  scale_random / scale_industrial families at ~N AIG nodes.
 //
 // Flow per circuit (three families: public, industrial, random):
 //   1. elaborate, keep a golden clone for CEC;
 //   2. smartly_flow + fraig_stage -> cells_fraig / aig_fraig (the baseline
 //      the rewrite must improve on);
-//   3. for every thread count: clone the fraiged design, rewrite_stage, then
-//      a fraig harvest pass (merges the restructuring exposed). All rewritten
+//   3. on two clones of the fraiged design: rewrite_stage, then a fraig
+//      harvest pass (merges the restructuring exposed). Both rewritten
 //      netlists must be byte-identical and their statistics equal; the first
-//      one is CEC'd against the golden design.
+//      one is timed and CEC'd against the golden design.
 //
 // The gated metric is AIG area (reachable AND gates after aigmap) — the
 // paper's cell count. Word-level cell counts are also reported and must
@@ -57,16 +59,26 @@ struct Row {
   std::string name, family;
   size_t cells_original = 0, cells_fraig = 0, cells_rewrite = 0;
   size_t aig_fraig = 0, aig_rewrite = 0;
-  double rewrite_seconds = 0; ///< rewrite_stage + fraig harvest, first thread count
+  double rewrite_seconds = 0; ///< rewrite_stage + fraig harvest on the first clone
   rewrite::RewriteStats stats;
   bool cec_ok = false;
-  bool deterministic = true;
+  bool deterministic = false;
   bool reduced_aig = false;   ///< strictly smaller AIG than the fraig stage alone
   bool reduced_cells = false; ///< strictly fewer word-level cells
 };
 
-Row run_circuit(const benchgen::BenchCircuit& circuit, const std::vector<int>& thread_counts,
-                util::ResourceGuard& guard) {
+/// rewrite_stage + the fraig harvest pass on `module`, charged to `guard`.
+rewrite::RewriteStats rewrite_and_harvest(rtlil::Module& module, util::ResourceGuard& guard) {
+  rewrite::RewriteOptions options;
+  options.guard = &guard; // unlimited: charges totals for the resource block
+  sweep::FraigOptions harvest;
+  harvest.guard = &guard;
+  const rewrite::RewriteStats stats = opt::rewrite_stage(module, options);
+  opt::fraig_stage(module, harvest);
+  return stats;
+}
+
+Row run_circuit(const benchgen::BenchCircuit& circuit, util::ResourceGuard& guard) {
   Row row;
   row.name = circuit.name;
   row.family = family_of(circuit.name);
@@ -77,38 +89,24 @@ Row run_circuit(const benchgen::BenchCircuit& circuit, const std::vector<int>& t
   // Baseline: the full muxtree pipeline plus the fraig stage.
   const auto base = rtlil::clone_design(*golden);
   core::smartly_flow(*base->top(), {});
-  sweep::FraigOptions fraig_base;
-  fraig_base.threads = 1;
-  opt::fraig_stage(*base->top(), fraig_base);
+  opt::fraig_stage(*base->top());
   row.cells_fraig = base->top()->cell_count();
   row.aig_fraig = aig::aig_area(*base->top());
 
-  std::string first_netlist;
-  for (size_t i = 0; i < thread_counts.size(); ++i) {
-    const auto design = rtlil::clone_design(*base);
-    rewrite::RewriteOptions options;
-    options.threads = thread_counts[i];
-    options.guard = &guard; // unlimited: charges totals for the resource block
-    sweep::FraigOptions harvest;
-    harvest.threads = thread_counts[i];
-    harvest.guard = &guard;
-    auto t0 = std::chrono::steady_clock::now();
-    const rewrite::RewriteStats stats = opt::rewrite_stage(*design->top(), options);
-    opt::fraig_stage(*design->top(), harvest);
-    const double seconds = seconds_since(t0);
-    const std::string netlist = backend::write_rtlil(*design->top());
-    if (i == 0) {
-      row.stats = stats;
-      row.rewrite_seconds = seconds;
-      first_netlist = netlist;
-      row.cells_rewrite = design->top()->cell_count();
-      row.aig_rewrite = aig::aig_area(*design->top());
-      row.cec_ok = cec::check_equivalence(*golden->top(), *design->top()).equivalent;
-    } else {
-      row.deterministic = row.deterministic && netlist == first_netlist &&
-                          rewrite::same_work(stats, row.stats);
-    }
-  }
+  // Two clones alive at once: the first is timed and CEC'd.
+  const auto design = rtlil::clone_design(*base);
+  const auto twin = rtlil::clone_design(*base);
+  const auto t0 = std::chrono::steady_clock::now();
+  row.stats = rewrite_and_harvest(*design->top(), guard);
+  row.rewrite_seconds = seconds_since(t0);
+  row.cells_rewrite = design->top()->cell_count();
+  row.aig_rewrite = aig::aig_area(*design->top());
+  row.cec_ok = cec::check_equivalence(*golden->top(), *design->top()).equivalent;
+
+  const rewrite::RewriteStats twin_stats = rewrite_and_harvest(*twin->top(), guard);
+  row.deterministic =
+      backend::write_rtlil(*twin->top()) == backend::write_rtlil(*design->top()) &&
+      rewrite::same_work(twin_stats, row.stats);
   row.reduced_aig = row.aig_rewrite < row.aig_fraig;
   row.reduced_cells = row.cells_rewrite < row.cells_fraig;
   return row;
@@ -146,48 +144,26 @@ std::string json_row(const Row& r) {
 }
 
 // ---------------------------------------------------------------------------
-// Scaling mode (--scale-nodes N): multi-million-AIG-node generated families.
+// Scale mode (--scale-nodes N): generated families at a target AIG size.
 //
-// The classic suite above answers "does rewriting shrink real circuits"; at
-// its sizes the per-round fixed costs dominate and thread-scaling curves are
-// flat. This mode answers "does the engine scale with threads" (parallel
-// root evaluation, serial canonical commit loop): it generates the
-// scale_random / scale_industrial families (benchgen/scale) at a target
-// AIG-node budget, runs the rewrite engine alone (no frontend, no
-// fraig, no CEC — a SAT sweep at this size would dwarf the engine under test)
-// once per thread count, and emits the BENCH_rewrite_scaling.json schema with
-// a per-row "scaling" curve shaped like bench_pass's. Byte-identity across
-// thread counts is still asserted in-binary; the minimum 4-thread speedup is
-// gated by scripts/check_bench_regression.py, which can see whether the run
-// machine actually had the cores (hardware_threads).
+// The classic suite above answers "does rewriting shrink real circuits";
+// this mode times the rewrite engine alone (no frontend, no fraig, no CEC —
+// a SAT sweep at this size would dwarf the engine under test) on the
+// scale_random / scale_industrial families (benchgen/scale). Each family is
+// rewritten on two clones alive at once; the first is timed, and both must
+// give byte-identical netlists and equal statistics.
 // ---------------------------------------------------------------------------
-
-struct ScalePoint {
-  int threads = 0;
-  double seconds = 0;
-};
 
 struct ScaleRow {
   std::string name, family;
   size_t target_nodes = 0;
   size_t cells = 0; ///< generated word-level cells
+  double rewrite_seconds = 0;
   rewrite::RewriteStats stats;
-  bool deterministic = true;
-  std::vector<ScalePoint> scaling;
+  bool deterministic = false;
 };
 
-/// speedup_vs_1t anchors on the threads==1 point (first point otherwise).
-double scale_anchor_seconds(const ScaleRow& r) {
-  for (const ScalePoint& p : r.scaling)
-    if (p.threads == 1)
-      return p.seconds;
-  return r.scaling.empty() ? 0.0 : r.scaling.front().seconds;
-}
-
-double ratio_or_zero(double num, double den) { return den > 0 ? num / den : 0.0; }
-
 ScaleRow run_scale_circuit(const std::string& family, size_t target_nodes,
-                           const std::vector<int>& thread_counts,
                            util::ResourceGuard& guard) {
   ScaleRow row;
   row.family = family;
@@ -204,39 +180,21 @@ ScaleRow run_scale_circuit(const std::string& family, size_t target_nodes,
     benchgen::scale_industrial_netlist(design, row.name, spec);
   row.cells = design.top()->cell_count();
 
-  std::string first_netlist;
-  for (size_t i = 0; i < thread_counts.size(); ++i) {
-    const auto clone = rtlil::clone_design(design);
-    rewrite::RewriteOptions options;
-    options.threads = thread_counts[i];
-    options.guard = &guard;
-    const auto t0 = std::chrono::steady_clock::now();
-    const rewrite::RewriteStats stats = rewrite::rewrite_sweep(*clone->top(), options);
-    const double seconds = seconds_since(t0);
-    const std::string netlist = backend::write_rtlil(*clone->top());
-    if (i == 0) {
-      row.stats = stats;
-      first_netlist = netlist;
-    } else {
-      row.deterministic = row.deterministic && netlist == first_netlist &&
-                          rewrite::same_work(stats, row.stats);
-    }
-    row.scaling.push_back({thread_counts[i], seconds});
-  }
+  const auto clone = rtlil::clone_design(design);
+  const auto twin = rtlil::clone_design(design);
+  rewrite::RewriteOptions options;
+  options.guard = &guard;
+  const auto t0 = std::chrono::steady_clock::now();
+  row.stats = rewrite::rewrite_sweep(*clone->top(), options);
+  row.rewrite_seconds = seconds_since(t0);
+  const rewrite::RewriteStats twin_stats = rewrite::rewrite_sweep(*twin->top(), options);
+  row.deterministic =
+      backend::write_rtlil(*twin->top()) == backend::write_rtlil(*clone->top()) &&
+      rewrite::same_work(twin_stats, row.stats);
   return row;
 }
 
 std::string json_scale_row(const ScaleRow& r) {
-  const double t1 = scale_anchor_seconds(r);
-  std::vector<std::string> points;
-  points.reserve(r.scaling.size());
-  for (const ScalePoint& p : r.scaling) {
-    benchjson::JsonObject o;
-    o.put("threads", p.threads)
-        .putf("seconds", p.seconds)
-        .putf("speedup_vs_1t", ratio_or_zero(t1, p.seconds), 3);
-    points.push_back(o.str());
-  }
   benchjson::JsonObject o;
   o.put("name", r.name)
       .put("family", r.family)
@@ -248,16 +206,16 @@ std::string json_scale_row(const ScaleRow& r) {
       .put("candidates", r.stats.candidates)
       .put("rewrites", r.stats.rewrites)
       .put("cells_added", r.stats.cells_added)
-      .put("deterministic", r.deterministic)
-      .put_raw("scaling", benchjson::json_array(points));
+      .putf("rewrite_seconds", r.rewrite_seconds)
+      .put("deterministic", r.deterministic);
   return o.str();
 }
 
-int run_scale_mode(size_t target_nodes, const std::vector<int>& thread_counts, bool json,
-                   const std::string& filter, const std::string& trace_path) {
+int run_scale_mode(size_t target_nodes, bool json, const std::string& filter,
+                   const std::string& trace_path) {
   benchjson::TraceOutput trace_output;
   trace_output.arm(trace_path);
-  const obs::Span root_span("bench", "bench_rewrite_scaling");
+  const obs::Span root_span("bench", "bench_rewrite_scale");
   obs::StageProfile profile;
   util::ResourceGuard guard;
 
@@ -277,66 +235,42 @@ int run_scale_mode(size_t target_nodes, const std::vector<int>& thread_counts, b
 
   std::vector<ScaleRow> rows;
   rows.reserve(families.size());
+  bool det_all = true;
+  double total_seconds = 0;
   for (const std::string& family : families) {
     {
       const auto stage = profile.scope(family);
       const obs::Span span("bench", family);
-      rows.push_back(run_scale_circuit(family, target_nodes, thread_counts, guard));
+      rows.push_back(run_scale_circuit(family, target_nodes, guard));
     }
-    if (!json) {
-      const ScaleRow& r = rows.back();
-      std::printf("%-24s cells %8zu  aig %9zu  rewrites %7zu  det %s\n", r.name.c_str(),
-                  r.cells, r.stats.aig_nodes, r.stats.rewrites,
-                  r.deterministic ? "yes" : "NO");
-      for (const ScalePoint& p : r.scaling)
-        std::printf("  threads %d: %8.3fs  (%.2fx vs 1t)\n", p.threads, p.seconds,
-                    ratio_or_zero(scale_anchor_seconds(r), p.seconds));
-    }
-  }
-
-  bool det_all = true;
-  double total_1t = 0, total_4t = 0;
-  bool have_4t = false;
-  for (const ScaleRow& r : rows) {
+    const ScaleRow& r = rows.back();
     det_all = det_all && r.deterministic;
-    total_1t += scale_anchor_seconds(r);
-    for (const ScalePoint& p : r.scaling)
-      if (p.threads == 4) {
-        total_4t += p.seconds;
-        have_4t = true;
-      }
+    total_seconds += r.rewrite_seconds;
+    if (!json)
+      std::printf("%-24s cells %8zu  aig %9zu  rewrites %7zu  %8.3fs  det %s\n",
+                  r.name.c_str(), r.cells, r.stats.aig_nodes, r.stats.rewrites,
+                  r.rewrite_seconds, r.deterministic ? "yes" : "NO");
   }
 
   if (json) {
     std::vector<std::string> row_json;
     row_json.reserve(rows.size());
     for (const ScaleRow& r : rows)
-      row_json.push_back("    " + json_scale_row(r));
-    std::string circuits_array = "[\n";
-    for (size_t i = 0; i < row_json.size(); ++i)
-      circuits_array += row_json[i] + (i + 1 == row_json.size() ? "\n" : ",\n");
-    circuits_array += "  ]";
-
+      row_json.push_back(json_scale_row(r));
     benchjson::JsonObject total;
     total.put("target_aig_nodes", target_nodes)
-        .putf("seconds_1t", total_1t)
-        .putf("seconds_4t", have_4t ? total_4t : 0.0)
-        .putf("speedup_4t_vs_1t", have_4t ? ratio_or_zero(total_1t, total_4t) : 0.0, 3)
+        .putf("rewrite_seconds", total_seconds)
         .put("deterministic_all", det_all);
-
-    std::printf("{\n  \"bench\": \"rewrite_scaling\",\n  \"metric\": \"rewrite_seconds\",\n"
+    std::printf("{\n  \"bench\": \"rewrite_scale\",\n  \"metric\": \"rewrite_seconds\",\n"
                 "  \"hardware_threads\": %u,\n  \"circuits\": %s,\n  \"total\": %s,\n"
                 "  \"resource\": %s,\n  \"obs\": %s\n}\n",
-                std::thread::hardware_concurrency(), circuits_array.c_str(),
+                std::thread::hardware_concurrency(), benchjson::json_array(row_json).c_str(),
                 total.str().c_str(), benchjson::resource_json(guard.report()).c_str(),
                 benchjson::obs_json(profile).c_str());
-  } else if (have_4t) {
-    std::printf("\nTotal: 1t %.3fs, 4t %.3fs, speedup %.2fx\n", total_1t, total_4t,
-                ratio_or_zero(total_1t, total_4t));
   }
 
   if (!det_all) {
-    std::fprintf(stderr, "FAIL: scale rewrite diverged across thread counts\n");
+    std::fprintf(stderr, "FAIL: scale rewrite diverged between two clones\n");
     return 1;
   }
   return 0;
@@ -347,7 +281,6 @@ int run_scale_mode(size_t target_nodes, const std::vector<int>& thread_counts, b
 int main(int argc, char** argv) {
   bool smoke = false, json = false;
   std::string filter, trace_path;
-  std::vector<int> thread_counts;
   size_t scale_nodes = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0)
@@ -370,12 +303,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       filter = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "bench_rewrite: --threads requires a value\n");
-        return 2;
-      }
-      thread_counts = benchjson::parse_thread_counts(argv[++i], "bench_rewrite");
     } else if (std::strcmp(argv[i], "--trace-out") == 0) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "bench_rewrite: --trace-out requires a value\n");
@@ -385,31 +312,26 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
       std::printf(
           "usage: bench_rewrite [--smoke] [--json] [--filter <substr>] "
-          "[--threads <csv, default 1,2,4,8>] [--trace-out FILE] [--scale-nodes N]\n"
+          "[--trace-out FILE] [--scale-nodes N]\n"
           "\n"
           "DAG-aware cut-rewriting engine benchmark over the public + industrial\n"
           "+ random circuit families (BENCH_rewrite.json schema). Every rewritten\n"
-          "netlist is CEC-verified and must be byte-identical across thread\n"
-          "counts; the AIG area (the paper's cell metric) must shrink strictly\n"
+          "netlist is CEC-verified and must be byte-identical on two fresh\n"
+          "clones; the AIG area (the paper's cell metric) must shrink strictly\n"
           "below the fraig stage alone in at least one family (--smoke) or in\n"
           "every family (full run).\n"
           "\n"
-          "--scale-nodes N switches to the thread-scaling mode: generate the\n"
-          "scale_random / scale_industrial families at ~N AIG nodes, run the\n"
-          "rewrite engine alone per thread count, and emit the\n"
-          "BENCH_rewrite_scaling.json schema (per-row \"scaling\" curves; CEC is\n"
-          "skipped, byte-identity across thread counts is still enforced).\n");
+          "--scale-nodes N instead times the rewrite engine alone on the\n"
+          "scale_random / scale_industrial families at ~N AIG nodes (no CEC;\n"
+          "two clones must still give byte-identical netlists).\n");
       return 0;
     } else {
       std::fprintf(stderr, "bench_rewrite: unknown option '%s' (try --help)\n", argv[i]);
       return 2;
     }
   }
-  if (thread_counts.empty())
-    thread_counts = smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
-
   if (scale_nodes > 0)
-    return run_scale_mode(scale_nodes, thread_counts, json, filter, trace_path);
+    return run_scale_mode(scale_nodes, json, filter, trace_path);
 
   std::vector<benchgen::BenchCircuit> circuits;
   {
@@ -445,7 +367,7 @@ int main(int argc, char** argv) {
     {
       const auto stage = profile.scope(circuit.name);
       const obs::Span span("bench", circuit.name);
-      rows.push_back(run_circuit(circuit, thread_counts, guard));
+      rows.push_back(run_circuit(circuit, guard));
     }
     if (!json) {
       const Row& r = rows.back();
@@ -534,7 +456,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!det_all) {
-    std::fprintf(stderr, "FAIL: rewrite diverged across thread counts\n");
+    std::fprintf(stderr, "FAIL: rewrite diverged between two clones\n");
     return 1;
   }
   if (cells_grew) {

@@ -5,9 +5,8 @@
 //     --flow yosys|smartly|original   optimization flow (default smartly)
 //     --no-sat                        disable §II SAT-based elimination
 //     --no-rebuild                    disable §III muxtree restructuring
-//     --threads N                     rewrite evaluation workers, and job workers
-//                                     with --serve (0 = hw threads; output is
-//                                     bit-identical for every value)
+//     --threads N                     job workers with --serve (0 = hw threads);
+//                                     every other mode runs on one thread
 //     --fraig                         SAT-sweeping stage after the flow (merges
 //                                     duplicate/complement/constant cones)
 //     --fraig-pre                     SAT-sweeping stage before the flow
@@ -343,7 +342,7 @@ int main(int argc, char** argv) {
                      argv[i]);
         return kExitParse;
       }
-      options.threads = static_cast<int>(n);
+      serve_options.threads = static_cast<int>(n);
     } else if (arg == "--fraig") {
       fraig_post = true;
     } else if (arg == "--fraig-pre") {
@@ -485,7 +484,6 @@ int main(int argc, char** argv) {
   const obs::Span root_span("tool", "opt_tool.flow");
 
   if (!serve_dir.empty()) {
-    serve_options.threads = options.threads;
     serve_options.budgets = budgets; // per-job: each job gets the full allowance
     serve_options.stop_flag = &g_serve_stop;
     std::signal(SIGTERM, serve_stop_handler);
@@ -599,7 +597,6 @@ int main(int argc, char** argv) {
     if (rewrite_post) {
       opt::DeepOptOptions deep;
       deep.fraig = fraig_options;
-      deep.rewrite.threads = options.threads;
       deep.recovery = trp;
       if (guarded)
         deep.rewrite.guard = &guard;

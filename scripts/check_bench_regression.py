@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Benchmark-regression gate for the bench-regression / bench-scaling CI jobs.
+"""Benchmark-regression gate for the bench-regression / service-robustness CI jobs.
 
 Usage:
     check_bench_regression.py [--require-families[=a,b,...]] <baselines.json> <bench_output.json>...
 
 Each bench output is a BENCH_*.json document produced by a bench_* binary's
-``--smoke --json`` (or ``--scale-nodes N --json``) run (they identify
-themselves through their "bench" key). The script fails (exit 1) when
+``--smoke --json`` run (they identify themselves through their "bench"
+key). The script fails (exit 1) when
 
-  * a correctness flag is false anywhere (CEC, thread-count determinism) —
+  * a correctness flag is false anywhere (CEC, determinism on two clones) —
     the smokes also fail on these themselves, but the gate re-checks the
     artifacts it archives so a silently-truncated JSON cannot pass;
   * a gated quality metric regresses past its checked-in baseline
@@ -33,34 +33,13 @@ CI legitimately runs subsets of the bench families (each job produces only
 the benches it owns), and the gate must not force every job to produce
 every BENCH_*.json. With ``--require-families=a,b,...`` the named baseline
 benches become *required*: absence is an error — a smoke silently fell out
-of the job's run list — unless the baseline file records the family as
-newer than its own benchmarked generation. The top-level ``"generation"``
-counter names the baseline refresh the file was written at, and a bench
-entry carrying ``"since": <generation>`` equal to it was added in that same
-refresh — such a family may legitimately be missing from pipelines that
-have not picked it up yet, so it stays a warning. Once the generation
-counter moves past a family's ``since``, the grace period ends and absence
-fails. Bare ``--require-families`` requires every family in the baseline
-file.
+of the job's run list. Bare ``--require-families`` requires every family in
+the baseline file.
 
 Baselines are exact by default; a per-metric tolerance can be added as
 ``{"value": N, "tolerance": 0.02}`` (2% slack) if a metric ever turns out to
 be machine-dependent. Most gated metrics today are deterministic by
-construction (seeded generators, thread-count-invariant engines).
-
-Thread-scaling gate: a bench whose CHECKS entry names a ``scaling`` spec
-(today only ``rewrite_scaling``: rewrite is the one engine with a thread
-pool) carries per-circuit ``scaling: [{threads, seconds, speedup_vs_1t},
-...]`` curves. When the
-baseline file provides ``min_speedup_4t`` for that bench, the *minimum*
-4-thread ``speedup_vs_1t`` across its circuits must reach
-``value * (1 - tolerance)`` — a bigger-is-better gate, unlike the area
-metrics. Wall-clock ratios are machine-dependent even on dedicated runners,
-so this baseline should always carry an explicit tolerance (the checked-in
-one allows 5% scheduling jitter below the 1.8x target). The gate arms only
-when the producing run's ``hardware_threads`` is at least 4: a speedup
-demand is meaningless on a runner without the cores, so smaller machines get
-a warning instead of a spurious failure.
+construction (seeded generators, single-threaded engines).
 """
 
 import json
@@ -241,62 +220,8 @@ def check_metric(doc, metric_path, baseline_entry, errors, notes):
         print(f"ok: {name} = {current} (baseline {baseline})")
 
 
-def check_scaling(doc, bench_baselines, errors, warnings):
-    """Gate the minimum 4-thread speedup from per-circuit scaling curves."""
-    bench = doc.get("bench", "?")
-    entry = bench_baselines.get("min_speedup_4t")
-    if entry is None:
-        return  # no speedup baseline for this bench: curves are informational
-    if isinstance(entry, dict):
-        target = entry.get("value")
-        tolerance = entry.get("tolerance", 0.0)
-    else:
-        target, tolerance = entry, 0.0
-    if not isinstance(target, (int, float)) or isinstance(target, bool):
-        errors.append(
-            f"ci/bench_baselines.json: {bench}.min_speedup_4t is {target!r}, "
-            f"want a number (optionally {{\"value\": N, \"tolerance\": 0.05}})")
-        return
-    hardware = doc.get("hardware_threads")
-    if not isinstance(hardware, int) or hardware < 4:
-        warnings.append(
-            f"{bench}: speedup gate skipped — run machine reports "
-            f"hardware_threads={hardware!r}, need >= 4 real cores for a "
-            f"4-thread speedup demand to be meaningful")
-        return
-    worst = None
-    for row in doc.get("circuits", []):
-        for point in row.get("scaling", []) if isinstance(row.get("scaling"), list) else []:
-            if point.get("threads") != 4:
-                continue
-            speedup = point.get("speedup_vs_1t")
-            if not isinstance(speedup, (int, float)) or isinstance(speedup, bool):
-                errors.append(
-                    f"{bench}: circuit {row.get('name', '?')} 4-thread point has "
-                    f"speedup_vs_1t={speedup!r}, want a number")
-                return
-            if worst is None or speedup < worst:
-                worst = speedup
-    if worst is None:
-        errors.append(
-            f"{bench}: min_speedup_4t is baselined but no circuit carries a "
-            f"threads=4 scaling point — run the bench with --threads 1,2,4,8")
-        return
-    limit = target * (1.0 - tolerance)
-    if worst < limit:
-        errors.append(
-            f"{bench}: minimum 4-thread speedup {worst:.3f}x is below "
-            f"{limit:.3f}x (target {target}x, tolerance {tolerance}) — the "
-            f"parallel rewrite pipeline stopped scaling")
-    else:
-        print(f"ok: {bench} minimum 4-thread speedup = {worst:.3f}x "
-              f"(target {target}x, tolerance {tolerance})")
-
-
 # Per-bench gated flags and "smaller is better" metrics. Metric paths are
-# into the bench JSON; baseline keys into ci/bench_baselines.json. A
-# "scaling" key opts the bench into the min_speedup_4t gate (armed only when
-# the baseline file actually provides that key for the bench).
+# into the bench JSON; baseline keys into ci/bench_baselines.json.
 CHECKS = {
     # bench_pass: total.queries counts the oracle queries of the serial
     # walk-everything reference, so a change that makes the section II walk
@@ -317,18 +242,6 @@ CHECKS = {
             "total_cells_rewrite": ["total", "cells_rewrite"],
             "total_aig_rewrite": ["total", "aig_rewrite"],
         },
-    },
-    # bench_rewrite --scale-nodes N: generated multi-million-AIG-node families
-    # run through the rewrite engine alone, once per thread count. No CEC (a
-    # SAT sweep at that size would dwarf the engine under test) and no
-    # smaller-is-better area metric (the families exist to measure scaling,
-    # not quality) — the gates are thread-count byte-identity plus the
-    # min_speedup_4t curve gate above.
-    "rewrite_scaling": {
-        "flags": [["total", "deterministic_all"]],
-        "row_flags": ["deterministic"],
-        "metrics": {},
-        "scaling": True,
     },
     # Service mode (bench_service): the crash gauntlet's result set must stay
     # byte-identical to the uninterrupted run's, nothing may be spuriously
@@ -370,7 +283,6 @@ def main(argv):
         return fail(
             f"baseline file {args[0]!r} must be a JSON object mapping bench names "
             f"to metric baselines, got {type(baselines).__name__}")
-    generation = baselines.get("generation")
 
     errors, notes, warnings = [], [], []
     seen = []
@@ -399,8 +311,6 @@ def main(argv):
             check_flag(doc, flag_path, errors)
         for key in spec.get("row_flags", []):
             check_rows_flag(doc, key, errors)
-        if spec.get("scaling"):
-            check_scaling(doc, bench_baselines, errors, warnings)
         for baseline_key, metric_path in spec.get("metrics", {}).items():
             if baseline_key not in bench_baselines:
                 errors.append(f"ci/bench_baselines.json: missing {bench}.{baseline_key}")
@@ -409,24 +319,15 @@ def main(argv):
 
     # An absent family is normally a warning: each CI job runs only the bench
     # subset it owns. Families named by --require-families are errors when
-    # absent, except those the baseline file marks as introduced by its own
-    # current generation ("since" == "generation") — they get a grace period
-    # until the next baseline refresh bumps the counter past them.
-    for bench, entry in baselines.items():
-        if bench == "generation" or bench in seen:
+    # absent.
+    for bench in baselines:
+        if bench in seen:
             continue
-        since = entry.get("since") if isinstance(entry, dict) else None
-        new_this_generation = generation is not None and since == generation
-        is_required = required is not None and (not required or bench in required)
-        if is_required and not new_this_generation:
+        if required is not None and (not required or bench in required):
             errors.append(
                 f"baseline bench {bench!r} has no corresponding output file and "
                 f"--require-families names it — pass its BENCH_*.json or, if the "
                 f"family is being retired, drop it from ci/bench_baselines.json")
-        elif new_this_generation:
-            print(f"warn: baseline bench {bench!r} has no corresponding output "
-                  f"file — tolerated: family is new in baseline generation "
-                  f"{generation}")
         else:
             print(f"warn: baseline bench {bench!r} has no corresponding output "
                   f"file — family not gated this run")

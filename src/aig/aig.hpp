@@ -49,8 +49,7 @@ public:
   /// constant folding as and_, so folded cases (constants, a == b, a == ~b)
   /// always resolve. The DAG-aware rewrite engine uses this to price
   /// candidate structures against logic the graph already contains without
-  /// polluting the strash table. It never writes, so the rewrite engine's
-  /// workers may probe one graph concurrently while nothing mutates it.
+  /// polluting the strash table.
   Lit find_and(Lit a, Lit b) const;
   Lit or_(Lit a, Lit b) { return lit_not(and_(lit_not(a), lit_not(b))); }
   Lit xor_(Lit a, Lit b);

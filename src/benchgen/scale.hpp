@@ -19,8 +19,7 @@
 //    scale.
 //
 // Generation is a pure function of (seed, spec): byte-identical modules on
-// every run and platform, which the bench-scaling CI job relies on when it
-// compares netlists across thread counts.
+// every run and platform.
 #pragma once
 
 #include "rtlil/module.hpp"

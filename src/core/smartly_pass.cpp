@@ -15,11 +15,9 @@ namespace {
 /// One-line option summary recorded in repro bundles (free-form).
 std::string summarize_options(const SmartlyOptions& o) {
   char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "threads=%d sat=%d rebuild=%d fraig=%d rewrite=%d paranoid=%d retries=%d",
-                o.threads, o.enable_sat ? 1 : 0, o.enable_rebuild ? 1 : 0,
-                o.enable_fraig ? 1 : 0, o.enable_rewrite ? 1 : 0,
-                o.recovery.paranoid ? 1 : 0, o.recovery.max_retries);
+  std::snprintf(buf, sizeof(buf), "sat=%d rebuild=%d fraig=%d rewrite=%d paranoid=%d retries=%d",
+                o.enable_sat ? 1 : 0, o.enable_rebuild ? 1 : 0, o.enable_fraig ? 1 : 0,
+                o.enable_rewrite ? 1 : 0, o.recovery.paranoid ? 1 : 0, o.recovery.max_retries);
   return buf;
 }
 
@@ -35,7 +33,7 @@ SmartlyStats smartly_pass(rtlil::Module& module, const SmartlyOptions& options) 
   // caller-provided guard (options.sat.guard etc.) keep it; the pass-level
   // budgets only fill the slots left empty.
   // Recovery also needs a guard armed even without budgets: the engines
-  // contain worker faults by tripping BudgetKind::Fault on it, which is how
+  // contain injected faults by tripping BudgetKind::Fault on it, which is how
   // the transaction driver observes them.
   util::ResourceGuard guard(options.budgets, options.cancel);
   util::ResourceGuard* gp = (options.budgets.any() || options.cancel != nullptr ||
@@ -112,7 +110,6 @@ SmartlyStats smartly_pass(rtlil::Module& module, const SmartlyOptions& options) 
     opt::DeepOptOptions deep;
     deep.fraig = options.fraig;
     deep.rewrite = options.rewrite;
-    deep.rewrite.threads = options.threads;
     deep.recovery = rp;
     if (gp != nullptr) {
       if (deep.fraig.guard == nullptr)

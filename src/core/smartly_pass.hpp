@@ -29,21 +29,19 @@ struct SmartlyOptions {
   /// the NPN replacement library, and the surrounding fraig stages harvest
   /// the merges it exposes. Subsumes enable_fraig when set.
   bool enable_rewrite = false;
-  /// Worker threads for the rewrite engine's root evaluation (0 = one per
-  /// hardware thread); every other stage runs on the calling thread. Netlist
-  /// output and statistics are bit-identical for every value of this knob.
-  int threads = 0;
+  int threads = 0; ///< unused; the frozen flowbench sets it
   SatRedundancyOptions sat;
   MuxRestructureOptions rebuild;
   sweep::FraigOptions fraig;
-  rewrite::RewriteOptions rewrite;   ///< rewrite.threads is overridden by `threads`
+  rewrite::RewriteOptions rewrite;
   /// Run-wide resource budgets (conflicts/propagations/growth/deadline). When
   /// any is set — or `cancel` is non-null — the pass constructs one
   /// ResourceGuard and threads it through every engine; on exhaustion the
   /// engines degrade (stop taking new merges/rewrites, flush journals in
   /// canonical order) and the pass still returns a CEC-equivalent netlist.
-  /// Deterministic budgets preserve thread-count byte-identity; the deadline
-  /// and the cancel token are the documented nondeterministic halt sources.
+  /// Deterministic budgets halt at the same barrier on every run; the
+  /// deadline and the cancel token are the documented nondeterministic halt
+  /// sources.
   util::ResourceBudgets budgets;
   util::CancelToken* cancel = nullptr; ///< optional cooperative cancellation (not owned)
   /// Transactional recovery (opt/transaction.hpp). When enabled, every stage

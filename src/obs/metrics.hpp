@@ -18,12 +18,11 @@
 // (mutex + map) happens once per process. Registration never invalidates
 // references — reset() zeroes values in place and entries are never erased.
 //
-// Determinism contract: metrics are observability output only. Counter
-// values charged from worker threads are scheduling-independent *totals*
-// (sums of completed atomic adds at barriers) for the deterministic
-// engines, but nothing in the repo may read a metric back to make a
-// decision — netlists, decision traces, and gated BENCH stats must remain
-// byte-identical at every thread count with or without metrics consumers.
+// Determinism contract: metrics are observability output only. The engines'
+// counter values are deterministic totals (the pool.* counters are not), but
+// nothing in the repo may read a metric back to make a decision — netlists,
+// decision traces, and gated BENCH stats must remain byte-identical with or
+// without metrics consumers.
 // Timing lives only in traces, histograms, and the exposition, never in
 // gated outputs.
 #pragma once

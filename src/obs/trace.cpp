@@ -24,7 +24,7 @@ struct TraceEvent {
 
 /// One per thread that ever emitted an event. The owning thread appends with
 /// no synchronization; the registry's shared_ptr keeps the buffer alive past
-/// thread exit (engine pools are torn down before traces are written).
+/// thread exit (job worker pools are torn down before traces are written).
 struct ThreadBuffer {
   uint32_t tid = 0;
   std::vector<TraceEvent> events;

@@ -14,8 +14,8 @@
 //   * Per-thread buffers are lock-free on the hot path: each thread owns a
 //     thread_local event vector (registered once, under a mutex, on first
 //     use) and appends to it with no synchronization. Buffers are drained
-//     by write_chrome_trace() at quiescent points — after the engines'
-//     thread pools have joined, so every append happens-before the read.
+//     by write_chrome_trace() at quiescent points — after the service's job
+//     workers have joined, so every append happens-before the read.
 //   * Tracing is off by default and the disabled path is a single relaxed
 //     atomic load per span (<1% wall time on bench_pass is the gate in
 //     tests/test_obs.cpp and the acceptance bar). Span names are static
@@ -24,8 +24,8 @@
 // Determinism contract: spans and instant events carry timing and thread
 // ids, which are *never* fed back into any engine decision, netlist byte,
 // decision trace, or gated BENCH stat. Traces are observability output
-// only — the byte-identity guarantee at 1/2/4/8 threads holds with tracing
-// on (tests/test_obs.cpp asserts it on a fraig+rewrite flow).
+// only — netlists and engine counters are byte-identical with tracing on or
+// off (tests/test_obs.cpp asserts it on a fraig+rewrite flow).
 //
 // Output: Chrome trace-event JSON (the "JSON Array Format" variant with a
 // traceEvents envelope), loadable in chrome://tracing and ui.perfetto.dev,
@@ -104,7 +104,7 @@ private:
 void trace_instant(const char* cat, const char* name, const std::string& message);
 
 /// Serialize every thread's buffered events as Chrome trace-event JSON.
-/// Call at a quiescent point (engine pools joined): draining does not
+/// Call at a quiescent point (job workers joined): draining does not
 /// synchronize with concurrent appends. Buffers are left intact, so a
 /// flush mid-run and a flush at exit both see the full history.
 std::string chrome_trace_json();

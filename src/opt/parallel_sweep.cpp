@@ -49,6 +49,16 @@ std::unordered_set<SigBit> closure_bit_set(const NetlistIndex& index,
   return bits;
 }
 
+/// Whether two bit sets share a bit: walks the smaller, probes the larger.
+bool intersects(const std::unordered_set<SigBit>& a, const std::unordered_set<SigBit>& b) {
+  const std::unordered_set<SigBit>& small = a.size() <= b.size() ? a : b;
+  const std::unordered_set<SigBit>& large = a.size() <= b.size() ? b : a;
+  for (const SigBit& bit : small)
+    if (large.count(bit))
+      return true;
+  return false;
+}
+
 /// Recompute region `self`'s read closure on the current index, refresh its
 /// closure_bits, and return the foreign regions whose trees the closure now
 /// reaches — the engine's safety invariant check.
@@ -303,12 +313,10 @@ ParallelSweepStats parallel_sweep(rtlil::Module& module, MuxtreeOracle& oracle,
         r.closure_bits.clear();
         continue;
       }
-      for (const SigBit& b : merge_bits)
-        if (r.closure_bits.count(b)) {
-          r.dirty = true;
-          r.overlaps = refresh_closure(r, i, index, region_of, options.ball_radius);
-          break;
-        }
+      if (intersects(r.closure_bits, merge_bits)) {
+        r.dirty = true;
+        r.overlaps = refresh_closure(r, i, index, region_of, options.ball_radius);
+      }
     }
 
     // Merge pass, ascending region id; merges are rare.

@@ -126,7 +126,7 @@ StageOutcome run_protected_stage(rtlil::Module& module, const std::string& stage
     try {
       body(module, -1);
       if (guard != nullptr && guard->tripped() == util::BudgetKind::Fault) {
-        // The engine contained a worker fault and halted at a barrier; the
+        // The engine contained an injected fault and halted at a barrier; the
         // guard carries the first offending site/unit (note_fault).
         failed = true;
         ev.reason = "fault-halt";

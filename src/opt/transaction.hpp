@@ -7,7 +7,7 @@
 // detected three ways:
 //   (a) an injected FaultInjected escaping the stage, or the run guard
 //       tripping BudgetKind::Fault at a barrier (the engines convert
-//       contained worker throws into that trip and record the offending
+//       contained throws into that trip and record the offending
 //       unit via ResourceGuard::note_fault);
 //   (b) paranoid mode: a cone-restricted CEC of the stage output against
 //       the snapshot, with a miscompare auto-bisected to the first faulting
@@ -25,14 +25,11 @@
 // failures: they are PR 6's sound degradation, the stage's partial output
 // is kept, and no rollback happens.
 //
-// Quiescence contract with the rewrite engine: its workers only evaluate
-// and never touch the module; every module mutation happens in the serial
-// commit loop after the evaluation batch has joined, and the round's
-// journal is applied to the index before the round returns — including on
-// faulted rounds, where it holds the canonical prefix that committed before
-// the fault. A StageTransaction snapshot (entry or paranoid CEC) therefore
-// always observes a quiescent netlist: fully pre-round or fully post-round,
-// never a half-applied one.
+// Every engine runs on the calling thread and applies a round's journal to
+// its index before the round returns — including a faulted round, whose
+// journal holds the canonical prefix that committed before the fault. A
+// StageTransaction snapshot (entry or paranoid CEC) therefore observes a
+// netlist between rounds, never a half-applied one.
 #pragma once
 
 #include "rtlil/module.hpp"

@@ -11,7 +11,6 @@
 #include "sim/packed_sim.hpp"
 #include "sweep/equiv_classes.hpp" // shared structural keys
 #include "util/fault.hpp"
-#include "util/thread_pool.hpp"
 
 #include <array>
 #include <map>
@@ -346,7 +345,7 @@ RewriteStats& operator+=(RewriteStats& acc, const RewriteStats& s) {
   acc.skipped_roots += s.skipped_roots;
   acc.quarantined += s.quarantined;
   acc.halted += s.halted;
-  return acc; // threads_used intentionally untouched
+  return acc;
 }
 
 bool same_work(const RewriteStats& a, const RewriteStats& b) {
@@ -359,7 +358,6 @@ bool same_work(const RewriteStats& a, const RewriteStats& b) {
          a.gates_reused == b.gates_reused && a.cells_shared == b.cells_shared &&
          a.predicted_dead == b.predicted_dead && a.skipped_roots == b.skipped_roots &&
          a.quarantined == b.quarantined && a.halted == b.halted;
-  // threads_used intentionally excluded: it reflects the machine, not the work.
 }
 
 RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options) {
@@ -368,8 +366,6 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
   RewriteStats stats;
   rtlil::NetlistIndex index(module);
   index.sigmap().flatten();
-  util::ThreadPool pool(util::resolve_thread_count(options.threads));
-  stats.threads_used = pool.size();
 
   const NpnTable& npn = NpnTable::instance();
   const RewriteLibrary& library = RewriteLibrary::instance();
@@ -459,8 +455,7 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
       if (ok && any_read && !work.raw.empty()) {
         if (options.quarantine != nullptr &&
             options.quarantine->contains("rewrite.eval", root_unit_id(work))) {
-          // Quarantined root: never evaluated. The work list is built in
-          // module cell order, so the filter is thread-count-deterministic.
+          // Quarantined root: never evaluated.
           ++stats.quarantined;
           continue;
         }
@@ -469,14 +464,13 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
     }
     stats.roots_evaluated += roots.size();
 
-    // --- parallel evaluation, then one canonical commit loop ----------------
+    // --- one canonical loop: evaluate root i, then commit it -----------------
     //
-    // Workers evaluate every root in parallel against the frozen round-start
-    // state (index, blast, cuts, anchors); each writes only its own slot of
-    // `evals`. Then one serial loop commits the roots in canonical order:
-    // every commit decision and every module mutation happens there, so
-    // netlists, stats and decision traces are byte-identical at every thread
-    // count.
+    // Evaluation reads only the round-start state (index, blast, cuts,
+    // anchors). Commits add cells and wires to the module and write the
+    // round's journal, but the index follows them only when the journal is
+    // applied after the loop, so every root is evaluated against the same
+    // state however many roots before it committed.
 
     // Structural-key map over the round-start module (the notion shared with
     // opt_merge and the fraig pre-merge): planned cells fold onto existing
@@ -488,8 +482,6 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
       if (cptr->type() != CellType::Dff)
         struct_map.emplace(sweep::cell_structural_key(*cptr, index.sigmap()), cptr.get());
 
-    std::vector<RootEval> evals(roots.size());
-
     // Round-scoped commit state: only commit_root below touches any of it.
     std::unordered_set<Cell*> claimed;           // roots committed for removal
     std::unordered_set<Cell*> counted_dead;      // MFFC cells already credited
@@ -497,16 +489,14 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
     opt::SweepJournal journal;
     size_t positive_commits = 0, total_commits = 0, round_skipped = 0;
 
-    const auto evaluate_root = [&](size_t ri) {
-      const RootWork& work = roots[ri];
-      RootEval& eval = evals[ri];
-      // Mid-phase halts come only from deadline/cancel — deterministic
+    const auto evaluate_root = [&](const RootWork& work) {
+      RootEval eval;
+      // Mid-round halts come only from deadline/cancel — deterministic
       // budgets arm the sticky flag at the round barrier above, and the
-      // "rewrite.eval" fault point fires in the commit loop, in canonical
-      // order, so the same roots fault at every thread count.
+      // "rewrite.eval" fault point fires in commit_root.
       if (guard != nullptr && guard->poll()) {
         eval.skipped = true;
-        return;
+        return eval;
       }
       const obs::Span root_span("rewrite", "rewrite.eval", "root", root_unit_id(work));
       const int root_pos = index.topo_position(work.cell);
@@ -630,19 +620,16 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
         }
         eval.bits[j] = std::move(best);
       }
+      return eval;
     };
-    // Commit one root. Runs for every root in strictly canonical order; every
-    // decision below reads only the commit loop's overlays and round-start
-    // snapshots, so the result is a pure function of the module.
-    const auto commit_root = [&](size_t ri) {
-      const RootWork& work = roots[ri];
-      RootEval& eval = evals[ri];
+    // Commit one evaluated root. Runs for every root in strictly canonical
+    // order; every decision below reads only the loop's overlays and
+    // round-start snapshots, so the result is a pure function of the module.
+    const auto commit_root = [&](const RootWork& work, RootEval& eval) {
       Cell* root = work.cell;
       stats.candidates += eval.candidates;
-      // Deterministic fault point: one "rewrite.eval" event per root, fired
-      // here in canonical order instead of from the parallel evaluation
-      // tasks, so event-counter plans hit the same root — and leave the same
-      // committed prefix — at every thread count. A throw ends the loop.
+      // Fault point: one "rewrite.eval" event per evaluated root, in
+      // canonical order. A throw ends the loop, leaving the committed prefix.
       if (!eval.skipped && util::fault_unknown("rewrite.eval", root_unit_id(work)))
         eval.skipped = true;
       if (eval.skipped) {
@@ -948,22 +935,17 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
       stats.predicted_dead += dead.size();
     };
 
-    {
-      const obs::Span s("rewrite", "rewrite.eval_phase", "roots",
-                        static_cast<uint64_t>(roots.size()));
-      pool.run_batch(roots.size(), [&](int, size_t ri) { evaluate_root(ri); });
-    }
     bool faulted = false;
     try {
-      const obs::Span s("rewrite", "rewrite.commit_phase", "roots",
+      const obs::Span s("rewrite", "rewrite.roots", "roots",
                         static_cast<uint64_t>(roots.size()));
-      for (size_t ri = 0; ri < roots.size(); ++ri)
-        commit_root(ri);
+      for (const RootWork& work : roots) {
+        RootEval eval = evaluate_root(work);
+        commit_root(work, eval);
+      }
     } catch (const util::FaultInjected& e) {
-      // The "rewrite.eval" fault point fires in the commit loop in canonical
-      // order, so the committed prefix — already materialized and journaled —
-      // is identical at every thread count. Injected faults are absorbed;
-      // real errors keep propagating.
+      // The committed prefix is already materialized and journaled. Injected
+      // faults are absorbed; real errors keep propagating.
       faulted = true;
       util::halt_on_fault(guard, e);
     }
@@ -992,8 +974,7 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
   if (options.check_index && !rtlil::index_consistent(module, index))
     throw std::logic_error("rewrite: incremental NetlistIndex diverged from rebuild");
 
-  // Deterministic totals from the stats struct (identical at every thread
-  // count), published once per sweep.
+  // Deterministic totals from the stats struct, published once per sweep.
   static obs::Counter& m_rounds = obs::counter("rewrite.rounds");
   static obs::Counter& m_roots = obs::counter("rewrite.roots_evaluated");
   static obs::Counter& m_rewrites = obs::counter("rewrite.rewrites");

@@ -31,13 +31,12 @@
 // all sharing credits. Cells the gain predicts dead are left for the stage's
 // opt_clean — a wrong prediction costs quality, never correctness.
 //
-// Determinism: each round evaluates every root in parallel on a
-// work-stealing pool, reading only the frozen round-start state, then one
-// serial loop commits the roots in canonical module-cell order — selection,
-// gain accounting and journal writes all happen there. An injected fault in
-// that loop leaves the canonical prefix before it committed. Netlist bytes
-// and all statistics except threads_used are bit-identical for every thread
-// count.
+// Each round runs on the calling thread as one loop over the roots in
+// canonical module-cell order: evaluate the root against the round-start
+// state (index, blast, cuts, anchors, which no commit touches before the
+// round's journal is applied), then commit it — selection, gain accounting
+// and journal writes all happen there. An injected fault in that loop leaves
+// the canonical prefix before it committed.
 #pragma once
 
 #include "rtlil/module.hpp"
@@ -49,9 +48,7 @@
 namespace smartly::rewrite {
 
 struct RewriteOptions {
-  /// Worker threads for root evaluation (0 = one per hardware thread).
-  /// Output is bit-identical for every value.
-  int threads = 0;
+  int threads = 0; ///< unused; the frozen flowbench sets it
   int cut_limit = 8;      ///< non-trivial cuts kept per AIG node
   size_t max_rounds = 4;  ///< blast -> evaluate -> commit fixpoint cap
   /// Commit rewrites whose cell gain is exactly zero: they reshape logic
@@ -60,7 +57,7 @@ struct RewriteOptions {
   bool zero_gain = true;
   /// Optional run-wide resource governor (not owned). Deterministic budgets
   /// (incl. the cell-growth cap) are evaluated at round barriers;
-  /// deadline/cancellation also polled per root from workers. On halt the
+  /// deadline/cancellation also polled per root. On halt the
   /// round's committed rewrites stand and no further rounds run.
   util::ResourceGuard* guard = nullptr;
   /// Post-run self-check: assert the incrementally maintained NetlistIndex
@@ -68,9 +65,8 @@ struct RewriteOptions {
   bool check_index = false;
   /// Units the recovery layer has quarantined (not owned; frozen during the
   /// run). Roots whose first canonical output bit is quarantined under
-  /// "rewrite.eval" are dropped from the work list (built in module cell
-  /// order, so the filter is thread-count-deterministic); rounds quarantined
-  /// under "rewrite.round" are skipped.
+  /// "rewrite.eval" are dropped from the work list; rounds quarantined under
+  /// "rewrite.round" are skipped.
   const util::QuarantineSet* quarantine = nullptr;
 };
 
@@ -92,16 +88,15 @@ struct RewriteStats {
   size_t skipped_roots = 0;     ///< roots left unevaluated after a halt
   size_t quarantined = 0;       ///< roots/rounds skipped by the quarantine set
   size_t halted = 0;            ///< 1 when a budget/cancel/fault stopped the run early
-  int threads_used = 0;         ///< machine detail; excluded from determinism
 };
 
 /// Accumulate work counters across stages (multi-iteration flows).
-/// threads_used keeps the left-hand value; npn_classes accumulates per-stage
-/// distinct counts (an upper bound on the run-wide distinct count).
+/// npn_classes accumulates per-stage distinct counts (an upper bound on the
+/// run-wide distinct count).
 RewriteStats& operator+=(RewriteStats& acc, const RewriteStats& s);
 
-/// Equality of every work counter except threads_used — the relation the
-/// thread-count determinism checks assert (bench_rewrite, tests).
+/// Equality of every counter — the relation the determinism checks assert
+/// (bench_rewrite, tests).
 bool same_work(const RewriteStats& a, const RewriteStats& b);
 
 /// Run the cut-rewriting engine on `module` to fixpoint. Pair with opt_clean

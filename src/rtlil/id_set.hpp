@@ -3,7 +3,7 @@
 //
 // Open addressing with linear probing over a power-of-two table kept at most
 // half full. Memory follows the contents, not the module, and clear() costs
-// O(capacity), so scratch that lives per region or per worker and is reused
+// O(capacity), so scratch that lives per region and is reused
 // across queries stays O(largest query) rather than O(module) — unlike a
 // table indexed by id — and never hashes pointers.
 #pragma once

@@ -12,13 +12,10 @@
 // representative. A default-constructed map adopts the module of the first
 // wire bit add() sees.
 //
-// Concurrency contract: after flatten(), every stored parent points directly
-// at its class representative, so find() takes the write-free fast path and
-// the map may be read from many threads at once. add() (and the compressing
-// slow path of find(), which only runs on chains created by add()) must stay
-// single-threaded — the parallel sweep engine only mutates the sigmap at its
-// serial journal-application barriers and calls flatten() before releasing
-// worker threads back onto it.
+// Lookups: after flatten(), every stored parent points directly at its class
+// representative, so find() is one hop and never writes. find() is const but
+// compresses the chains add() created since the last flatten() in place, so
+// only a flattened map may be read from several threads at once.
 #pragma once
 
 #include "rtlil/module.hpp"
@@ -68,8 +65,7 @@ public:
   }
 
   /// Point every stored parent directly at its representative. Afterwards
-  /// find() never writes, making concurrent lookups race-free until the next
-  /// add().
+  /// find() never writes until the next add().
   void flatten() const {
     const auto flatten_slot = [this](SigBit& par) {
       if (!linked(par))
@@ -139,13 +135,13 @@ private:
     SigBit root = *par;
     const SigBit* next = parent_slot(root);
     if (next == nullptr)
-      return root; // already flat: no write (concurrent-read fast path)
+      return root; // already flat: no write
     do {
       root = *next;
       next = parent_slot(root);
     } while (next != nullptr);
     // Compress the chain. Only reached when add() created a multi-hop chain
-    // since the last flatten(), i.e. in single-threaded phases.
+    // since the last flatten().
     SigBit cur = bit;
     while (true) {
       SigBit* slot = parent_slot(cur);

@@ -55,10 +55,7 @@ bool index_consistent(const Module& module, const NetlistIndex& index);
 /// they carry an output-port flag only when a port bit's class became
 /// constant.
 ///
-/// Concurrency: all query methods are const and, provided `sigmap().flatten()`
-/// has run since the last mutation, safe to call from many threads at once.
-/// The maintenance methods are single-threaded (barrier-phase only), and
-/// invalidate references returned by readers().
+/// The maintenance methods invalidate references returned by readers().
 class NetlistIndex {
 public:
   explicit NetlistIndex(const Module& module);

@@ -32,10 +32,6 @@ constexpr const char* kJobSite = "service.job";
 core::SmartlyOptions job_flow_options(const ServiceOptions& service) {
   core::SmartlyOptions o;
   o.enable_rewrite = true;
-  // Jobs are the unit of parallelism (one pool task each); the engines run
-  // single-threaded inside a job. Engine output is thread-count independent
-  // anyway — this only avoids pool-inside-pool oversubscription.
-  o.threads = 1;
   o.budgets = service.budgets;
   o.recovery.enabled = true;
   return o;
@@ -120,7 +116,7 @@ void OptService::quarantine_crash_looper(const std::string& name, int claims) {
   bundle.unit = util::stable_name_hash(name);
   bundle.attempt = claims;
   bundle.quarantine = quarantine_.serialize();
-  bundle.options = "serve: smartly_flow enable_rewrite=1 threads=1";
+  bundle.options = "serve: smartly_flow enable_rewrite=1";
   util::write_repro_bundle(paths_.quarantine, bundle,
                            static_cast<int>(stats_.jobs_quarantined));
 

@@ -2,8 +2,8 @@
 //
 // OptService watches a spool directory (service/spool.hpp) and runs the
 // full fraig -> rewrite convergence flow (core::smartly_flow with the deep
-// loop enabled) on every job, on the shared util::ThreadPool, under per-job
-// resource budgets. Three robustness layers make it kill -9 tolerant:
+// loop enabled) on every job, on a util::ThreadPool of job workers, under
+// per-job resource budgets. Three robustness layers make it kill -9 tolerant:
 //
 //   1. Write-ahead journal (service/journal.hpp): a job's claim is fsynced
 //      before it runs; startup replays the journal, requeues interrupted

@@ -29,7 +29,7 @@ size_t ResultCache::size() const {
 }
 
 Hash128 job_result_key(const std::string& source) {
-  // v1 of the service job flow (smartly_flow, enable_rewrite, threads=1).
+  // v1 of the service job flow (smartly_flow with enable_rewrite).
   // Bump the tag string on any result-affecting flow change.
   const uint64_t salt = hash_mix(0x726573756c742e31ULL); // "result.1"
   Hash128 h{salt, hash_mix(salt)};

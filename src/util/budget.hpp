@@ -3,16 +3,14 @@
 // A ResourceGuard carries per-run budgets (solver conflicts/propagations,
 // netlist growth) plus an opt-in wall-clock deadline and a cooperative
 // CancelToken, and is threaded by pointer through every engine. Engines
-// *charge* work from any thread via lock-free counters, but *deterministic*
-// budgets are only evaluated at single-threaded barrier points
-// (checkpoint()): the charged totals at a barrier are a sum of completed
-// atomic adds and therefore scheduling-independent, so the same budgets trip
-// at the same round on every thread count. Once a budget trips, the halt
+// *charge* work as they go via lock-free counters, but *deterministic*
+// budgets are only evaluated at round barriers (checkpoint()), so the same
+// budgets trip at the same round on every run. Once a budget trips, the halt
 // flag is sticky: engines stop taking new merges/rewrites, flush their
 // journals in canonical order, and return a valid, CEC-equivalent netlist.
 //
-// poll() additionally checks the deadline and the cancel token from worker
-// threads; those two are the only knowingly nondeterministic halt sources
+// poll() additionally checks the deadline and the cancel token mid-round;
+// those two are the only knowingly nondeterministic halt sources
 // (documented in README "Resource budgets").
 #pragma once
 
@@ -117,15 +115,14 @@ public:
 
   // --- checks ---------------------------------------------------------------
 
-  /// Deterministic checkpoint. MUST be called only from single-threaded
-  /// barrier code (between parallel phases): it compares the charged totals —
-  /// which are scheduling-independent at a barrier — against the budgets and
-  /// arms the sticky halt flag. Pass the current cell count to also apply the
-  /// growth budget (0 = skip growth). Returns halted().
+  /// Deterministic checkpoint. MUST be called only at round barriers: it
+  /// compares the charged totals against the budgets and arms the sticky
+  /// halt flag. Pass the current cell count to also apply the growth budget
+  /// (0 = skip growth). Returns halted().
   bool checkpoint(uint64_t current_cells = 0) noexcept;
 
-  /// Nondeterministic poll: deadline + cancellation only. Safe (and cheap)
-  /// to call from worker threads mid-phase; also observes the sticky flag.
+  /// Nondeterministic poll: deadline + cancellation only. Cheap enough to
+  /// call per root or per solve mid-round; also observes the sticky flag.
   bool poll() noexcept;
 
   /// Whether poll() can newly trip mid-phase (deadline or cancel token

@@ -66,9 +66,9 @@ FaultAction fault_point(const char* site, uint64_t unit) noexcept {
 
   if (plan.unit_keyed) {
     // Schedule-independent: the action is a pure function of (seed, site,
-    // unit), so the same work items fault on every thread count and in every
-    // re-run. throw_after/exhaust_after are event-order-based and therefore
-    // meaningless here; they are ignored.
+    // unit), so the same work items fault whatever the event order and in
+    // every re-run. throw_after/exhaust_after are event-order-based and
+    // therefore meaningless here; they are ignored.
     if (plan.throw_permille == 0 && plan.unknown_permille == 0)
       return FaultAction::None;
     const uint64_t h = splitmix64(plan.seed ^ splitmix64(splitmix64(unit)) ^ fnv1a(site));

@@ -8,19 +8,18 @@
 // With zero active plan the hook is one relaxed atomic load — cheap enough
 // to leave compiled into release builds.
 //
-// Every engine fires its fault points on one thread in canonical order: the
-// §II sweep and fraig run on the calling thread, and the rewrite engine's
-// fault points sit in its serial commit loop. So the event sequence — and
-// therefore the whole injection schedule — of one flow is determined by
-// (plan, input) at every thread count; the robustness suite asserts exact
-// schedules across thread counts. Flows run side by side (service jobs on
-// several workers) still interleave their events.
+// Every engine runs on the calling thread and fires its fault points in
+// canonical order, so the event sequence — and therefore the whole injection
+// schedule — of one flow is determined by (plan, input); the robustness
+// suite asserts exact schedules across two parses of one input. Flows run
+// side by side (service jobs on several workers) still interleave their
+// events.
 //
 // `unit_keyed` plans trade the event counter for hash(seed, site, unit),
 // where the unit id is a stable name hash of the work item (fraig: class
 // representative, rewrite: the root's first canonical output bit, sweep:
 // region, oracle: the target control bit's bit_unit_id). The same units then
-// fault on every thread count and in every re-run — the property the
+// fault whatever the event order and in every re-run — the property the
 // recovery layer's quarantine determinism and repro bundles are built on.
 #pragma once
 
@@ -41,7 +40,7 @@ struct FaultPlan {
   std::string site_filter;       ///< only sites containing this substring fault ("" = all)
   bool unit_keyed = false;       ///< derive actions from hash(seed, site, unit) instead of
                                  ///< the event counter: schedule-independent, so the same
-                                 ///< units fault on every thread count (recovery tests)
+                                 ///< units fault whatever the event order (recovery tests)
 };
 
 /// Exception thrown by injected faults. Derives from std::runtime_error so

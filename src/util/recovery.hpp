@@ -6,7 +6,7 @@
 // item (fraig: class-representative bit, rewrite: root output bit, sweep:
 // region root bit, oracle: target control bit). Unit ids are name hashes
 // (util::stable_name_hash over wire names), so they are identical across
-// thread counts, across deep copies, and across processes — a quarantine
+// deep copies and across processes — a quarantine
 // recorded in a repro bundle means the same thing when the bundle is
 // replayed elsewhere.
 //
@@ -33,14 +33,13 @@ namespace smartly::util {
 
 /// Stable unit id of one netlist bit: the wire name's FNV-1a hash mixed with
 /// the bit offset. Never returns 0 (0 means "no unit"). Name-based, so the
-/// id survives deep copies, thread-count changes, and a write_verilog
-/// round-trip — everything quarantine determinism and bundle replay need.
+/// id survives deep copies and a write_verilog round-trip — everything
+/// quarantine determinism and bundle replay need.
 uint64_t bit_unit_id(const std::string& wire_name, int offset);
 
-/// Deterministic, ordered set of quarantined work units. Mutated only from
-/// single-threaded recovery code between stage attempts; engines read it
-/// (contains) concurrently from workers, which is safe because the set is
-/// frozen for the duration of a stage run.
+/// Deterministic, ordered set of quarantined work units. Mutated only by the
+/// recovery code between stage attempts; engines only read it (contains),
+/// and it is frozen for the duration of a stage run.
 class QuarantineSet {
 public:
   /// Returns true when the entry is new. Keeps entries sorted, so

@@ -1,13 +1,13 @@
-// A small work-stealing thread pool for batch-parallel passes.
+// A small work-stealing thread pool for batch-parallel work.
 //
-// Two users: the rewrite engine's root evaluation batch and the service's
-// job workers. Work stealing keeps workers busy when one task dwarfs the
-// rest. Tasks are identified by index into the current batch: each worker
-// owns a deque seeded round-robin, pops its own back (LIFO, cache-warm), and
-// steals from other workers' fronts (FIFO, the oldest — and statistically
-// largest — leftovers). Which worker executes which task is scheduling
-// noise; callers must keep task *results* schedule-independent
-// (slot-per-task outputs).
+// Its one user is the service's job workers (service/service.hpp); every
+// optimization engine runs on the calling thread. Work stealing keeps
+// workers busy when one job dwarfs the rest. Tasks are identified by index
+// into the current batch: each worker owns a deque seeded round-robin, pops
+// its own back (LIFO, cache-warm), and steals from other workers' fronts
+// (FIFO, the oldest — and statistically largest — leftovers). Which worker
+// executes which task is scheduling noise; callers must keep task *results*
+// schedule-independent (slot-per-task outputs).
 #pragma once
 
 #include <condition_variable>

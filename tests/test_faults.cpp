@@ -10,14 +10,12 @@
 //     CEC-equivalent to the input;
 //   * mid-round injected exceptions (throw_after): the engines' exception
 //     containment must leave index and netlist consistent;
-//   * exact fault schedules at every thread count: every engine fires its
-//     fault points on one thread in canonical order (rewrite in its commit
-//     loop, the others on the calling thread), so rewrite alone and the
-//     whole smartly_flow with rewrite give byte-identical netlists and
-//     statistics for 1/2/4/8 workers under every event-counted schedule;
+//   * exact fault schedules: every engine fires its fault points on the
+//     calling thread in canonical order, so rewrite alone and the whole
+//     smartly_flow with rewrite give byte-identical netlists and statistics
+//     on two parses alive at once under every event-counted schedule;
 //   * deterministic budgets (solver conflicts): the halt must land at the
-//     same barrier on every run — across thread counts for rewrite, across
-//     two fresh parses for fraig and the §II sweep;
+//     same barrier on two fresh parses;
 //   * CancelToken / deadline / pre-halted guards: sound degradation, with
 //     the ResourceReport recording what happened;
 //   * the round barrier the fraig, rewrite and §II sweep loops share:
@@ -113,7 +111,6 @@ TEST(FaultInjection, RewriteSchedulesTerminateAndStayEquivalent) {
     Module& top = *design->top();
     // Rewriting expects a fraiged netlist, but must tolerate any input.
     rewrite::RewriteOptions options;
-    options.threads = 2;
     options.check_index = true;
     {
       util::FaultScope scope(mixed_plan(seed, "rewrite"));
@@ -209,14 +206,13 @@ TEST(FaultInjection, RewriteMidRoundThrowLeavesIndexConsistent) {
       const auto golden = rtlil::clone_design(*design);
       Module& top = *design->top();
       rewrite::RewriteOptions options;
-      options.threads = 2;
       options.check_index = true;
       rewrite::RewriteStats stats;
       {
         util::FaultPlan plan;
         plan.seed = seed;
         plan.throw_after = after;
-        plan.site_filter = "rewrite.eval"; // mid-batch, from a worker thread
+        plan.site_filter = "rewrite.eval"; // mid-round, in the root loop
         util::FaultScope scope(plan);
         stats = rewrite::rewrite_sweep(top, options);
         if (scope.events() >= static_cast<uint64_t>(after)) {
@@ -224,46 +220,38 @@ TEST(FaultInjection, RewriteMidRoundThrowLeavesIndexConsistent) {
         }
       }
       opt::opt_clean(top);
-      expect_equivalent(*golden->top(), top, "rewrite mid-batch throw");
+      expect_equivalent(*golden->top(), top, "rewrite mid-round throw");
     }
   }
 }
 
-// --- fault schedules: thread-count byte-identity ----------------------------
+// --- fault schedules: byte-identity on fresh parses ------------------------
+//
+// Two parses alive at once put every wire and cell at a different address,
+// so a schedule or decision keyed on pointers shows here.
 
-TEST(FaultInjection, RewriteByteIdenticalAcrossThreadCountsUnderFaultSchedules) {
+TEST(FaultInjection, RewriteByteIdenticalOnFreshParsesUnderFaultSchedules) {
   for (uint64_t s = 1; s <= 10; ++s) {
     const uint64_t seed = seed_offset() + s;
     SCOPED_TRACE("seed " + std::to_string(seed));
     const std::string src = benchgen::random_verilog(seed, 6);
-
-    std::string first_netlist;
-    rewrite::RewriteStats first_stats;
-    bool have_first = false;
-    for (const int threads : {1, 2, 4, 8}) {
-      SCOPED_TRACE("threads " + std::to_string(threads));
-      auto design = verilog::read_verilog(src);
+    const std::unique_ptr<rtlil::Design> designs[] = {verilog::read_verilog(src),
+                                                      verilog::read_verilog(src)};
+    std::string netlists[2];
+    rewrite::RewriteStats stats[2];
+    for (int i = 0; i < 2; ++i) {
       rewrite::RewriteOptions options;
-      options.threads = threads;
       options.check_index = true; // index must equal a rebuild even after halts
-      rewrite::RewriteStats stats;
       {
-        // Forced Unknowns skip roots and injected throws end a round's
-        // commit loop; both fire in canonical root order, so every thread
-        // count must take the identical schedule.
+        // Forced Unknowns skip roots and injected throws end a round's root
+        // loop; both fire in canonical root order.
         util::FaultScope scope(mixed_plan(seed, "rewrite"));
-        stats = rewrite::rewrite_sweep(*design->top(), options);
+        stats[i] = rewrite::rewrite_sweep(*designs[i]->top(), options);
       }
-      const std::string netlist = backend::write_rtlil(*design->top());
-      if (!have_first) {
-        first_netlist = netlist;
-        first_stats = stats;
-        have_first = true;
-      } else {
-        EXPECT_EQ(netlist, first_netlist);
-        EXPECT_TRUE(rewrite::same_work(stats, first_stats)); // incl. halted, skipped_roots
-      }
+      netlists[i] = backend::write_rtlil(*designs[i]->top());
     }
+    EXPECT_EQ(netlists[1], netlists[0]);
+    EXPECT_TRUE(rewrite::same_work(stats[1], stats[0])); // incl. halted, skipped_roots
   }
 }
 
@@ -285,47 +273,37 @@ std::vector<uint64_t> sat_counters(const core::SmartlyStats& s) {
 
 } // namespace
 
-TEST(FaultInjection, FlowByteIdenticalAcrossThreadCountsUnderFaultSchedules) {
+TEST(FaultInjection, FlowByteIdenticalOnFreshParsesUnderFaultSchedules) {
   // One event-counted plan over every site of smartly_flow (§II sweep and
-  // oracle, fraig, rewrite): the thread count may only change rewrite's
-  // evaluation batch, so every engine must take the identical schedule.
+  // oracle, fraig, rewrite): every engine must take the identical schedule.
   for (uint64_t s = 1; s <= 10; ++s) {
     const uint64_t seed = seed_offset() + s;
     SCOPED_TRACE("seed " + std::to_string(seed));
     const std::string src = benchgen::random_verilog(seed, 6);
-
-    std::string first_netlist;
-    core::SmartlyStats first_stats;
-    for (const int threads : {1, 2, 4, 8}) {
-      SCOPED_TRACE("threads " + std::to_string(threads));
-      auto design = verilog::read_verilog(src);
+    const std::unique_ptr<rtlil::Design> designs[] = {verilog::read_verilog(src),
+                                                      verilog::read_verilog(src)};
+    std::string netlists[2];
+    core::SmartlyStats stats[2];
+    for (int i = 0; i < 2; ++i) {
       core::SmartlyOptions options;
-      options.threads = threads;
       options.enable_rewrite = true;
-      core::SmartlyStats stats;
       {
         util::FaultScope scope(mixed_plan(seed, ""));
-        stats = core::smartly_flow(*design->top(), options);
+        stats[i] = core::smartly_flow(*designs[i]->top(), options);
       }
-      const std::string netlist = backend::write_rtlil(*design->top());
-      if (threads == 1) {
-        first_netlist = netlist;
-        first_stats = stats;
-        continue;
-      }
-      EXPECT_EQ(netlist, first_netlist);
-      EXPECT_EQ(sat_counters(stats), sat_counters(first_stats));
-      EXPECT_TRUE(sweep::same_work(stats.fraig, first_stats.fraig));
-      EXPECT_TRUE(rewrite::same_work(stats.rewrite, first_stats.rewrite));
+      netlists[i] = backend::write_rtlil(*designs[i]->top());
     }
+    EXPECT_EQ(netlists[1], netlists[0]);
+    EXPECT_EQ(sat_counters(stats[1]), sat_counters(stats[0]));
+    EXPECT_TRUE(sweep::same_work(stats[1].fraig, stats[0].fraig));
+    EXPECT_TRUE(rewrite::same_work(stats[1].rewrite, stats[0].rewrite));
   }
 }
 
 // --- deterministic budgets: the halt lands at the same barrier ---------------
 //
-// Fraig and the §II sweep run on the calling thread; their budget halts are
-// compared across two parses alive at once (different cell addresses), which
-// pointer-keyed iteration order could still break.
+// Budget halts are compared across two parses alive at once (different cell
+// addresses), which pointer-keyed iteration order could still break.
 
 TEST(ResourceBudgets, FraigConflictBudgetHaltsIdenticallyOnFreshParses) {
   const std::string src = benchgen::random_verilog(7, 7);
@@ -387,7 +365,6 @@ TEST(ResourceBudgets, SmartlyPassDegradesSoundlyUnderConflictBudget) {
   const auto golden = rtlil::clone_design(*design);
   Module& top = *design->top();
   core::SmartlyOptions options;
-  options.threads = 2;
   options.enable_rewrite = true;
   options.budgets.solver_conflicts = 0;
   const core::SmartlyStats stats = core::smartly_flow(top, options);
@@ -469,7 +446,6 @@ TEST(ResourceBudgets, GrowthBudgetStopsRewriteExpansion) {
   util::ResourceGuard guard(budgets);
   guard.set_growth_baseline(baseline);
   rewrite::RewriteOptions options;
-  options.threads = 2;
   options.guard = &guard;
   options.check_index = true;
   rewrite::rewrite_sweep(top, options);
@@ -489,8 +465,7 @@ struct BarrierRun {
 };
 
 /// One round-based engine: the site its barrier checks before each round,
-/// and a run under an optional guard and quarantine set (rewrite on two
-/// threads).
+/// and a run under an optional guard and quarantine set.
 struct BarrierEngine {
   const char* site;
   BarrierRun (*run)(Module&, util::ResourceGuard*, const util::QuarantineSet*);
@@ -507,7 +482,6 @@ BarrierRun run_fraig(Module& m, util::ResourceGuard* guard, const util::Quaranti
 
 BarrierRun run_rewrite(Module& m, util::ResourceGuard* guard, const util::QuarantineSet* q) {
   rewrite::RewriteOptions o;
-  o.threads = 2;
   o.guard = guard;
   o.quarantine = q;
   o.check_index = true;

@@ -12,7 +12,7 @@
 //     design.v under its recorded FaultPlan + quarantine;
 //   * seeded unit-keyed schedules (>= 10 per engine: sweep oracle, fraig,
 //     rewrite): every run completes, the output stays CEC-equivalent, and
-//     the quarantine decisions are identical for 1/2/4/8 worker threads.
+//     the quarantine decisions are identical on two parses alive at once.
 #include "backend/write_rtlil.hpp"
 #include "benchgen/random_circuit.hpp"
 #include "cec/cec.hpp"
@@ -30,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,7 +45,7 @@ void expect_equivalent(const Module& gold, const Module& gate, const char* label
 }
 
 /// Unit-keyed schedule: hash(seed, site, unit) decides per work item, so the
-/// same units fault on every thread count and in every re-run.
+/// same units fault whatever the event order and in every re-run.
 util::FaultPlan unit_plan(uint64_t seed, const char* filter, uint32_t throw_pm = 120) {
   util::FaultPlan plan;
   plan.seed = seed;
@@ -55,7 +56,7 @@ util::FaultPlan unit_plan(uint64_t seed, const char* filter, uint32_t throw_pm =
 }
 
 /// The quarantine decisions of one run, in QuarantineSet order — the
-/// cross-thread-count determinism witness.
+/// determinism witness across parses.
 std::string quarantine_of(const util::RecoveryStats& stats) {
   util::QuarantineSet q;
   for (const util::RecoveryEvent& ev : stats.events)
@@ -376,7 +377,7 @@ TEST(ReproBundles, WriteReadRoundTrip) {
   bundle.plan.site_filter = "fraig";
   bundle.plan.unit_keyed = true;
   bundle.quarantine = "fraig.solve:2a,sweep.region:1";
-  bundle.options = "threads=2 enable_rewrite=1";
+  bundle.options = "sat=1 rebuild=1 fraig=0 rewrite=1 paranoid=0 retries=3";
 
   const std::string dir = fresh_dir("bundle-rt");
   const std::string path = util::write_repro_bundle(dir, bundle, 3);
@@ -417,7 +418,6 @@ TEST(ReproBundles, EmittedDuringRecoveryAndReplayDeterministically) {
     auto design = verilog::read_verilog(benchgen::random_verilog(seed, 6));
     Module& top = *design->top();
     core::SmartlyOptions options;
-    options.threads = 2;
     options.enable_fraig = true;
     options.recovery.enabled = true;
     options.recovery.repro_dir = dir;
@@ -444,7 +444,6 @@ TEST(ReproBundles, EmittedDuringRecoveryAndReplayDeterministically) {
     const util::QuarantineSet quarantine = util::QuarantineSet::parse(bundle.quarantine);
     util::ResourceGuard guard;
     sweep::FraigOptions options;
-    options.threads = 2;
     options.guard = &guard;
     options.quarantine = &quarantine;
     std::string site;
@@ -484,7 +483,6 @@ void run_engine_schedules(const char* filter, bool enable_fraig, bool enable_rew
     const auto golden = rtlil::clone_design(*design);
     Module& top = *design->top();
     core::SmartlyOptions options;
-    options.threads = 2;
     options.enable_fraig = enable_fraig;
     options.enable_rewrite = enable_rewrite;
     options.recovery.enabled = true;
@@ -523,20 +521,20 @@ TEST(RecoverySchedules, SweepEngine) { run_engine_schedules("sweep", false, fals
 TEST(RecoverySchedules, FraigEngine) { run_engine_schedules("fraig", true, false); }
 TEST(RecoverySchedules, RewriteEngine) { run_engine_schedules("rewrite", false, true); }
 
-// --- thread-count determinism ------------------------------------------------
+// --- determinism across parses ----------------------------------------------
 
-TEST(RecoverySchedules, QuarantineIdenticalAcrossThreadCounts) {
+TEST(RecoverySchedules, QuarantineIdenticalOnFreshParses) {
+  // Two parses alive at once put every wire and cell at a different address;
+  // the recovery layer must quarantine the same units on both.
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const std::string src = benchgen::random_verilog(seed, 6);
-    std::string first_quarantine, first_netlist;
-    bool first = true;
-    for (const int threads : {1, 2, 4, 8}) {
-      SCOPED_TRACE("threads " + std::to_string(threads));
-      auto design = verilog::read_verilog(src);
-      Module& top = *design->top();
+    const std::unique_ptr<rtlil::Design> designs[] = {verilog::read_verilog(src),
+                                                      verilog::read_verilog(src)};
+    std::string quarantines[2], netlists[2];
+    for (int i = 0; i < 2; ++i) {
+      Module& top = *designs[i]->top();
       core::SmartlyOptions options;
-      options.threads = threads;
       options.enable_rewrite = true;
       options.recovery.enabled = true;
       core::SmartlyStats stats;
@@ -544,17 +542,11 @@ TEST(RecoverySchedules, QuarantineIdenticalAcrossThreadCounts) {
         util::FaultScope scope(unit_plan(seed, ""));
         stats = core::smartly_flow(top, options);
       }
-      const std::string quarantine = quarantine_of(stats.recovery);
-      const std::string netlist = backend::write_rtlil(top);
-      if (first) {
-        first = false;
-        first_quarantine = quarantine;
-        first_netlist = netlist;
-      } else {
-        EXPECT_EQ(quarantine, first_quarantine);
-        EXPECT_EQ(netlist, first_netlist);
-      }
+      quarantines[i] = quarantine_of(stats.recovery);
+      netlists[i] = backend::write_rtlil(top);
     }
+    EXPECT_EQ(quarantines[1], quarantines[0]);
+    EXPECT_EQ(netlists[1], netlists[0]);
   }
 }
 
@@ -576,7 +568,6 @@ TEST(RecoverySchedules, CallerQuarantineSetKeepsStageQuarantine) {
       for (const bool with_external : {false, true}) {
         auto design = verilog::read_verilog(src);
         core::SmartlyOptions options;
-        options.threads = 2;
         options.recovery.enabled = true;
         if (oracle_sites)
           options.sat.sim_max_inputs = 0; // queries must reach oracle.solve
