@@ -147,9 +147,9 @@ inline std::string json_array(const std::vector<std::string>& elements) {
 
 /// Render the shared `obs` block every BENCH_*.json carries: per-stage
 /// wall/cpu seconds from the bench's StageProfile plus a snapshot of the
-/// process-global metrics registry. Timings and scheduling-dependent
-/// counters (pool.*) are observability output — check_bench_regression.py
-/// gates the block's *schema*, never its timing values.
+/// process-global metrics registry. Timings are observability output —
+/// check_bench_regression.py gates the block's *schema*, never its timing
+/// values.
 inline std::string obs_json(const obs::StageProfile& profile) {
   std::vector<std::string> stages;
   for (const obs::StageTiming& s : profile.stages()) {

@@ -132,7 +132,7 @@ def check_resource(doc, errors):
 # counter outside these is a warning only: new instrumentation should not
 # need a lockstep edit here to land.
 KNOWN_COUNTER_PREFIXES = (
-    "oracle.", "sweep.", "pool.", "fraig.", "rewrite.", "txn.", "service.",
+    "oracle.", "sweep.", "fraig.", "rewrite.", "txn.", "service.",
     "log.", "bench.",
 )
 

@@ -2,28 +2,6 @@
 
 namespace smartly::aig {
 
-void CnfEncoder::encode(const Aig& aig) {
-  vars_.clear();
-  vars_.reserve(aig.num_nodes());
-  for (size_t n = 0; n < aig.num_nodes(); ++n)
-    vars_.push_back(solver_.new_var());
-
-  // Node 0 is constant false.
-  solver_.add_clause(sat::mk_lit(vars_[0], true));
-
-  for (uint32_t n = 1; n < aig.num_nodes(); ++n) {
-    if (!aig.is_and(n))
-      continue;
-    const sat::Lit y = sat::mk_lit(vars_[n]);
-    const sat::Lit a = lit(aig.fanin0(n));
-    const sat::Lit b = lit(aig.fanin1(n));
-    // y -> a, y -> b, (a & b) -> y
-    solver_.add_clause(~y, a);
-    solver_.add_clause(~y, b);
-    solver_.add_clause(y, ~a, ~b);
-  }
-}
-
 sat::Var ConeCnfEncoder::var_of(uint32_t node) {
   auto it = vars_.find(node);
   if (it != vars_.end())

@@ -9,30 +9,10 @@
 
 namespace smartly::aig {
 
-/// Encodes every node of an AIG as one SAT variable with the standard
-/// three-clause AND encoding: encode once, then solve under assumptions on
-/// `lit(...)`.
-class CnfEncoder {
-public:
-  explicit CnfEncoder(sat::Solver& solver) : solver_(solver) {}
-
-  /// Encode the whole graph (idempotent per encoder instance).
-  void encode(const Aig& aig);
-
-  /// SAT literal corresponding to an AIG literal.
-  sat::Lit lit(Lit aig_lit) const {
-    return sat::mk_lit(vars_.at(lit_node(aig_lit)), lit_compl(aig_lit));
-  }
-
-  sat::Solver& solver() noexcept { return solver_; }
-
-private:
-  sat::Solver& solver_;
-  std::vector<sat::Var> vars_;
-};
-
-/// Cone-restricted Tseitin encoding: only the transitive fanin of requested
-/// literals gets solver variables and clauses. The fraig engine keeps one
+/// Cone-restricted Tseitin encoding, the one AIG -> CNF encoding (§II's SAT
+/// stage, fraig and CEC): only the transitive fanin of requested literals
+/// gets solver variables and the standard three-clause AND encoding; nodes
+/// outside it could only add satisfiable clauses. The fraig engine keeps one
 /// whole-netlist AIG per refinement round but proves class miters over small
 /// cones of it; encoding the full graph per class would swamp the solver with
 /// inert clauses. Nodes are encoded at most once per encoder, so the joint
@@ -54,8 +34,6 @@ public:
   /// first-encounter order (deterministic given the ensure() call sequence).
   /// Counterexample models are read back through these.
   const std::vector<uint32_t>& encoded_inputs() const noexcept { return encoded_inputs_; }
-
-  sat::Solver& solver() noexcept { return solver_; }
 
 private:
   sat::Var var_of(uint32_t node);

@@ -1,11 +1,12 @@
-// Multi-million-AIG-node benchmark families for parallel-scaling curves.
+// Multi-million-AIG-node benchmark families for timing the engines at scale
+// (bench_rewrite --scale-nodes).
 //
 // The classic suites (public/industrial/random) top out at a few thousand
-// AIG nodes — far too small for thread-scaling curves to bend: the rewrite
-// engine's per-round fixed costs dominate and every eval queue drains before
-// contention exists. These generators build gate-level netlists *directly on
-// the IR* (no Verilog round-trip, which would dominate generation time at
-// this size) with a target AIG-node budget in the millions.
+// AIG nodes — far too small to show how a layer's cost grows: the rewrite
+// engine's per-round fixed costs dominate. These generators build
+// gate-level netlists *directly on the IR* (no Verilog round-trip, which
+// would dominate generation time at this size) with a target AIG-node budget
+// in the millions.
 //
 // Two families, mirroring the classic split:
 //  * scale_random      — a layered random DAG of word-wide And/Or/Xor/Mux/Not

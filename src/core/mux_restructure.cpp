@@ -311,11 +311,9 @@ private:
       return false;
     // Algorithm 1's SingleCtrl condition: every control is a function of one
     // shared selector signal. Mixed-wire controls belong to the SAT engine.
-    if (options_.single_ctrl_wire) {
-      for (const SigBit& b : sel_bits_)
-        if (b.wire != sel_bits_[0].wire)
-          return false;
-    }
+    for (const SigBit& b : sel_bits_)
+      if (b.wire != sel_bits_[0].wire)
+        return false;
     ++stats_.trees_eligible;
 
     const int h = static_cast<int>(sel_bits_.size());

@@ -25,10 +25,6 @@ struct MuxRestructureOptions {
   bool greedy_order = true;   ///< paper heuristic; false = fixed order (ablation)
   bool skip_check = false;    ///< rebuild unconditionally (ablation; paper warns
                               ///< this "may even deteriorate the circuit")
-  bool single_ctrl_wire = true; ///< Algorithm 1's SingleCtrl: all selector bits
-                                ///< must come from one shared selector signal.
-                                ///< false widens eligibility to mixed controls
-                                ///< (ablation; overlaps the SAT engine's turf)
 };
 
 struct MuxRestructureStats {

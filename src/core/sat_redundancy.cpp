@@ -164,19 +164,18 @@ CtrlDecision InferenceOracle::decide_cone(SigBit ctrl, const Subgraph& sg, uint6
   solver.set_conflict_budget(options_.sat_conflict_budget);
   if (options_.guard != nullptr && options_.guard->wants_interrupts())
     solver.set_interrupt_check([g = options_.guard] { return g->poll(); });
-  aig::CnfEncoder enc(solver);
-  enc.encode(cone.aig);
-
+  aig::ConeCnfEncoder enc(solver, cone.aig);
   std::vector<sat::Lit> assumptions;
   for (const auto& [l, v] : constraints)
-    assumptions.push_back(v ? enc.lit(l) : ~enc.lit(l));
+    assumptions.push_back(v ? enc.ensure(l) : ~enc.ensure(l));
+  const sat::Lit target = enc.ensure(*target_lit);
 
   uint64_t conflicts_seen = 0;
   uint64_t propagations_seen = 0;
   auto solve_with = [&](bool target_value) {
     ++stats_.sat_calls;
     std::vector<sat::Lit> a = assumptions;
-    a.push_back(target_value ? enc.lit(*target_lit) : ~enc.lit(*target_lit));
+    a.push_back(target_value ? target : ~target);
     const sat::Result r = solver.solve(a);
     stats_.solver_conflicts += solver.stats().conflicts - conflicts_seen;
     if (options_.guard != nullptr) {

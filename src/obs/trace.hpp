@@ -1,10 +1,9 @@
 // Hierarchical span tracing with Chrome trace-event export.
 //
-// The repo's engines interleave parallel phases (region walks, class
-// proofs, root evaluations) with single-threaded barriers; knowing *where
-// time and contention go* per region/round/job is the prerequisite for the
-// scale-out work in ROADMAP items 1 and 2. This tracer makes that visible
-// without touching any deterministic output:
+// Every engine runs on its calling thread; only the service's job workers
+// run side by side. Knowing *where time goes* per region, round, class and
+// job is what ranks the layers worth speeding up. This tracer makes that
+// visible without touching any deterministic output:
 //
 //   * `Span` is an RAII scope: construction records a steady-clock start,
 //     destruction appends one complete event ("ph":"X") to the calling

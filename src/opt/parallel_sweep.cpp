@@ -20,11 +20,12 @@ namespace {
 struct RegionState {
   std::vector<Cell*> roots;      ///< stable_order ascending
   std::vector<Cell*> tree_cells; ///< membership queries only (unordered)
-  /// Canonical port bits of every read-closure cell. A barrier net merge can
-  /// only influence this region if one of the merged bits is in here, so the
-  /// cross-region dirty test is pure hash lookups — no per-barrier BFS.
-  /// Conservative between recomputes: local edits only shrink the closure.
-  std::unordered_set<SigBit> closure_bits;
+  /// Canonical port bits of every read-closure cell, as rtlil::bit_id
+  /// (duplicates do no harm). A barrier net merge can only influence this
+  /// region if one of the merged bits is in here, so the cross-region dirty
+  /// test is one table lookup per id — no per-barrier BFS. Conservative
+  /// between recomputes: local edits only shrink the closure.
+  std::vector<uint32_t> closure_bits;
   bool dirty = true;
   bool alive = true;
   /// Barrier scratch: foreign regions a recomputed closure reaches.
@@ -32,9 +33,9 @@ struct RegionState {
 };
 
 /// closure_bits of a freshly computed closure cell set.
-std::unordered_set<SigBit> closure_bit_set(const NetlistIndex& index,
-                                           const std::vector<Cell*>& closure_cells) {
-  std::unordered_set<SigBit> bits;
+std::vector<uint32_t> closure_bit_ids(const NetlistIndex& index,
+                                      const std::vector<Cell*>& closure_cells) {
+  std::vector<uint32_t> bits;
   for (Cell* c : closure_cells)
     for (int pi = 0; pi < rtlil::kPortCount; ++pi) {
       const Port p = static_cast<Port>(pi);
@@ -43,20 +44,10 @@ std::unordered_set<SigBit> closure_bit_set(const NetlistIndex& index,
       for (const SigBit& raw : c->port(p)) {
         const SigBit bit = index.sigmap()(raw);
         if (bit.is_wire())
-          bits.insert(bit);
+          bits.push_back(static_cast<uint32_t>(rtlil::bit_id(bit)));
       }
     }
   return bits;
-}
-
-/// Whether two bit sets share a bit: walks the smaller, probes the larger.
-bool intersects(const std::unordered_set<SigBit>& a, const std::unordered_set<SigBit>& b) {
-  const std::unordered_set<SigBit>& small = a.size() <= b.size() ? a : b;
-  const std::unordered_set<SigBit>& large = a.size() <= b.size() ? b : a;
-  for (const SigBit& bit : small)
-    if (large.count(bit))
-      return true;
-  return false;
 }
 
 /// Recompute region `self`'s read closure on the current index, refresh its
@@ -66,7 +57,7 @@ std::vector<size_t> refresh_closure(RegionState& r, size_t self, const NetlistIn
                                     const std::unordered_map<const Cell*, size_t>& region_of,
                                     int ball_radius) {
   const std::vector<Cell*> closure = region_read_closure(index, r.tree_cells, ball_radius);
-  r.closure_bits = closure_bit_set(index, closure);
+  r.closure_bits = closure_bit_ids(index, closure);
   std::vector<size_t> overlaps;
   std::unordered_set<size_t> seen;
   for (Cell* c : closure) {
@@ -120,7 +111,7 @@ ParallelSweepStats parallel_sweep(rtlil::Module& module, MuxtreeOracle& oracle,
     regions[i].roots = partition.regions[i].roots;
     regions[i].tree_cells = partition.regions[i].tree_cells;
     // Initial closure bits from the closure the partitioner already walked.
-    regions[i].closure_bits = closure_bit_set(index, partition.closures[i]);
+    regions[i].closure_bits = closure_bit_ids(index, partition.closures[i]);
     for (Cell* c : regions[i].tree_cells)
       region_of.emplace(c, i);
   }
@@ -226,7 +217,8 @@ ParallelSweepStats parallel_sweep(rtlil::Module& module, MuxtreeOracle& oracle,
     // canonicalization: the nets through which one region's edits can reach
     // another (foreign mux cells are excluded from every extraction ball by
     // the partition invariant, and foreign non-mux cells never change).
-    std::unordered_set<SigBit> merge_bits;
+    std::vector<SigBit> merge_bits; ///< sweep-time representatives
+    std::vector<uint8_t> merged;    ///< by bit id: 1 = a merged net's bit
     {
       const obs::Span apply_span("sweep", "sweep.apply");
       for (size_t i = 0; i < work.size(); ++i) {
@@ -247,7 +239,7 @@ ParallelSweepStats parallel_sweep(rtlil::Module& module, MuxtreeOracle& oracle,
             for (const SigBit& raw : *spec) {
               const SigBit bit = index.sigmap()(raw);
               if (bit.is_wire())
-                merge_bits.insert(bit); // sweep-time representative
+                merge_bits.push_back(bit);
             }
         for (Cell* c : slots[i].journal.removed)
           region_of.erase(c);
@@ -264,11 +256,13 @@ ParallelSweepStats parallel_sweep(rtlil::Module& module, MuxtreeOracle& oracle,
       if (any_change) {
         index.compact_topo();
         index.sigmap().flatten();
-        std::vector<SigBit> post;
-        post.reserve(merge_bits.size());
-        for (const SigBit& b : merge_bits)
-          post.push_back(index.sigmap()(b)); // post-apply representative
-        merge_bits.insert(post.begin(), post.end());
+        merged.assign(module.bit_id_bound(), 0);
+        for (const SigBit& b : merge_bits) {
+          merged[rtlil::bit_id(b)] = 1;
+          const SigBit post = index.sigmap()(b); // post-apply representative
+          if (post.is_wire())
+            merged[rtlil::bit_id(post)] = 1;
+        }
       }
     }
     if (!any_change)
@@ -313,7 +307,8 @@ ParallelSweepStats parallel_sweep(rtlil::Module& module, MuxtreeOracle& oracle,
         r.closure_bits.clear();
         continue;
       }
-      if (intersects(r.closure_bits, merge_bits)) {
+      if (std::any_of(r.closure_bits.begin(), r.closure_bits.end(),
+                      [&](uint32_t id) { return merged[id] != 0; })) {
         r.dirty = true;
         r.overlaps = refresh_closure(r, i, index, region_of, options.ball_radius);
       }
@@ -349,7 +344,6 @@ ParallelSweepStats parallel_sweep(rtlil::Module& module, MuxtreeOracle& oracle,
         into.roots.insert(into.roots.end(), victim.roots.begin(), victim.roots.end());
         into.tree_cells.insert(into.tree_cells.end(), victim.tree_cells.begin(),
                                victim.tree_cells.end());
-        into.closure_bits.insert(victim.closure_bits.begin(), victim.closure_bits.end());
         for (Cell* c : victim.tree_cells)
           region_of[c] = target;
         victim.roots.clear();

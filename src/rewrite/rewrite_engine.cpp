@@ -863,12 +863,15 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
       const std::vector<Cell*> dead =
           predicted_mffc(index, root, keep_alive, claimed, counted_dead);
       const long gain = 1 + static_cast<long>(dead.size()) - static_cast<long>(new_cells);
-      // Cell-neutral commits must still shrink the AIG (the paper's area
-      // metric): the summed per-bit estimates gate out pure churn.
+      // Cell-neutral commits reshape logic without freeing cells, which the
+      // fraig stage after them can often merge, but they must still shrink
+      // the AIG (the paper's area metric): the summed per-bit estimates gate
+      // out pure churn. Rounds whose commits are all cell-neutral end the
+      // sweep.
       long plan_gain_est = 0;
       for (const BitCandidate& cand : eval.bits)
         plan_gain_est += cand.gain_est;
-      if (gain < 0 || (gain == 0 && !(options.zero_gain && plan_gain_est > 0))) {
+      if (gain < 0 || (gain == 0 && plan_gain_est <= 0)) {
         ++stats.plans_rejected;
         return;
       }

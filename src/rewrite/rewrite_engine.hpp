@@ -51,10 +51,6 @@ struct RewriteOptions {
   int threads = 0; ///< unused; the frozen flowbench sets it
   int cut_limit = 8;      ///< non-trivial cuts kept per AIG node
   size_t max_rounds = 4;  ///< blast -> evaluate -> commit fixpoint cap
-  /// Commit rewrites whose cell gain is exactly zero: they reshape logic
-  /// without shrinking it, which the fraig stage after them can often merge.
-  /// Rounds whose commits are all zero-gain end the sweep (no ping-pong).
-  bool zero_gain = true;
   /// Optional run-wide resource governor (not owned). Deterministic budgets
   /// (incl. the cell-growth cap) are evaluated at round barriers;
   /// deadline/cancellation also polled per root. On halt the

@@ -7,7 +7,7 @@
 #include "service/snapshot.hpp"
 #include "util/atomic_file.hpp"
 #include "util/luby.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel_for.hpp"
 #include "verilog/elaborate.hpp"
 #include "verilog/parse_error.hpp"
 
@@ -299,10 +299,8 @@ size_t OptService::run_cycle() {
     batch.emplace_back(name, attempt);
   }
 
-  util::ThreadPool pool(util::resolve_thread_count(options_.threads));
-  pool.run_batch(batch.size(), [&](int /*worker*/, size_t i) {
-    run_job(batch[i].first, batch[i].second);
-  });
+  util::parallel_for(batch.size(), util::resolve_thread_count(options_.threads),
+                     [&](size_t i) { run_job(batch[i].first, batch[i].second); });
 
   // Completed jobs can leave the journal at the next compaction.
   for (const auto& [name, attempt] : batch) {

@@ -2,8 +2,10 @@
 //
 // OptService watches a spool directory (service/spool.hpp) and runs the
 // full fraig -> rewrite convergence flow (core::smartly_flow with the deep
-// loop enabled) on every job, on a util::ThreadPool of job workers, under
-// per-job resource budgets. Three robustness layers make it kill -9 tolerant:
+// loop enabled) on every job, under per-job resource budgets. Each poll
+// cycle runs its admitted jobs through util::parallel_for on `threads` job
+// workers and returns once all have finished. Three robustness layers make
+// it kill -9 tolerant:
 //
 //   1. Write-ahead journal (service/journal.hpp): a job's claim is fsynced
 //      before it runs; startup replays the journal, requeues interrupted
@@ -23,12 +25,12 @@
 //      in-flight jobs finish, the snapshot and service_stats.json are
 //      flushed, and run() returns 0.
 //
-// Every result is deterministic: jobs run single-threaded on top of the
-// engines' thread-count-independent guarantees, manifests carry no
-// timestamps, and no state but the result cache (which replays stored
-// bytes) crosses jobs — so a run interrupted by kill -9 and restarted
-// produces the byte-identical result set of an uninterrupted run
-// (tests/test_service.cpp asserts this).
+// Every result is deterministic: each job runs on one worker thread (every
+// engine runs on its calling thread), manifests carry no timestamps, and no
+// state but the result cache (which replays stored bytes) crosses jobs — so
+// a run interrupted by kill -9 and restarted, or drained by another number
+// of workers, produces the byte-identical result set of an uninterrupted
+// run (tests/test_service.cpp asserts both).
 #pragma once
 
 #include "service/journal.hpp"
@@ -47,7 +49,7 @@
 namespace smartly::service {
 
 struct ServiceOptions {
-  int threads = 0;       ///< worker pool size (0 = one per hardware thread)
+  int threads = 0;       ///< job workers (0 = one per hardware thread)
   int poll_ms = 50;      ///< spool scan interval when idle
   bool drain_and_exit = false; ///< --serve-once: exit when the spool is empty
   int queue_max = 64;    ///< admission bound per cycle; excess backlog is shed

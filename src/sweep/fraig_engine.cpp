@@ -493,7 +493,9 @@ FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options) {
   const obs::Span engine_span("fraig", "fraig.sweep", "cells",
                               static_cast<uint64_t>(module.cells().size()));
   FraigStats stats;
-  if (options.pre_merge) {
+  {
+    // Structural pre-pass: merge trivially-identical cells (opt_merge, which
+    // shares cell_structural_key) before any simulation or SAT.
     const obs::Span pre_merge_span("fraig", "fraig.pre_merge");
     stats.pre_merged = opt::opt_merge(module);
   }

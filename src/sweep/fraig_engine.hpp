@@ -41,9 +41,6 @@ struct FraigOptions {
   /// stay deterministic: each class's solver sees the same query sequence.
   int64_t sat_conflict_budget = 4000;
   size_t max_rounds = 16; ///< signature -> SAT -> commit fixpoint cap
-  /// Structural pre-pass: merge trivially-identical cells (opt_merge, which
-  /// shares cell_structural_key) before any simulation or SAT.
-  bool pre_merge = true;
   EquivClassOptions classes;
   /// Optional run-wide resource governor (not owned). Deterministic budgets
   /// are evaluated at round barriers; deadline/cancellation are also polled

@@ -1,11 +1,14 @@
-// Tseitin CNF encoding: SAT answers must agree with exhaustive AIG
-// simulation for every function and every assumption set.
+// Tseitin CNF encoding (aig::ConeCnfEncoder): SAT answers must agree with
+// exhaustive AIG simulation for every function and every assumption set,
+// and only the fanin cones of ensured literals are encoded.
 #include "aig/aig.hpp"
 #include "aig/cnf.hpp"
 #include "sat/solver.hpp"
 #include "util/hashing.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace smartly;
 using aig::Aig;
@@ -15,11 +18,10 @@ TEST(Cnf, ConstantsAreFixed) {
   Aig g;
   (void)g.add_input("a");
   sat::Solver s;
-  aig::CnfEncoder enc(s);
-  enc.encode(g);
-  EXPECT_EQ(s.solve({enc.lit(aig::kTrue)}), sat::Result::Sat);
-  EXPECT_EQ(s.solve({~enc.lit(aig::kTrue)}), sat::Result::Unsat);
-  EXPECT_EQ(s.solve({enc.lit(aig::kFalse)}), sat::Result::Unsat);
+  aig::ConeCnfEncoder enc(s, g);
+  EXPECT_EQ(s.solve({enc.ensure(aig::kTrue)}), sat::Result::Sat);
+  EXPECT_EQ(s.solve({~enc.ensure(aig::kTrue)}), sat::Result::Unsat);
+  EXPECT_EQ(s.solve({enc.ensure(aig::kFalse)}), sat::Result::Unsat);
 }
 
 TEST(Cnf, AndGateSemantics) {
@@ -28,8 +30,8 @@ TEST(Cnf, AndGateSemantics) {
   const Lit b = g.add_input("b");
   const Lit y = g.and_(a, b);
   sat::Solver s;
-  aig::CnfEncoder enc(s);
-  enc.encode(g);
+  aig::ConeCnfEncoder enc(s, g);
+  (void)enc.ensure(y); // a and b are in its cone
 
   // y & !a is unsat; y forces a and b.
   EXPECT_EQ(s.solve({enc.lit(y), ~enc.lit(a)}), sat::Result::Unsat);
@@ -45,10 +47,9 @@ TEST(Cnf, ComplementedLiteralsMapCorrectly) {
   const Lit a = g.add_input("a");
   const Lit na = aig::lit_not(a);
   sat::Solver s;
-  aig::CnfEncoder enc(s);
-  enc.encode(g);
-  EXPECT_EQ(s.solve({enc.lit(a), enc.lit(na)}), sat::Result::Unsat);
-  EXPECT_EQ(s.solve({enc.lit(na)}), sat::Result::Sat);
+  aig::ConeCnfEncoder enc(s, g);
+  EXPECT_EQ(s.solve({enc.ensure(a), enc.ensure(na)}), sat::Result::Unsat);
+  EXPECT_EQ(s.solve({enc.ensure(na)}), sat::Result::Sat);
 }
 
 namespace {
@@ -93,10 +94,10 @@ TEST_P(CnfRandomEquiv, SatMatchesExhaustiveSimulation) {
   }
 
   sat::Solver s;
-  aig::CnfEncoder enc(s);
-  enc.encode(g);
-  EXPECT_EQ(s.solve({enc.lit(target)}) == sat::Result::Sat, can_be_1) << "seed " << seed;
-  EXPECT_EQ(s.solve({~enc.lit(target)}) == sat::Result::Sat, can_be_0) << "seed " << seed;
+  aig::ConeCnfEncoder enc(s, g);
+  const sat::Lit t = enc.ensure(target);
+  EXPECT_EQ(s.solve({t}) == sat::Result::Sat, can_be_1) << "seed " << seed;
+  EXPECT_EQ(s.solve({~t}) == sat::Result::Sat, can_be_0) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CnfRandomEquiv, ::testing::Range<uint64_t>(1, 40));
@@ -114,16 +115,19 @@ TEST_P(CnfModelCheck, ModelsSatisfyTheCircuit) {
   const Lit target = lits.back();
 
   sat::Solver s;
-  aig::CnfEncoder enc(s);
-  enc.encode(g);
+  aig::ConeCnfEncoder enc(s, g);
+  const sat::Lit t = enc.ensure(target);
   for (const bool want : {true, false}) {
-    const auto r = s.solve({want ? enc.lit(target) : ~enc.lit(target)});
+    const auto r = s.solve({want ? t : ~t});
     if (r != sat::Result::Sat)
       continue;
+    // Inputs outside the target's cone have no variable and cannot matter.
     std::vector<uint64_t> in(g.num_inputs(), 0);
     for (size_t i = 0; i < g.num_inputs(); ++i) {
-      const Lit il = aig::mk_lit(g.inputs()[i]);
-      if (s.model_value(sat::var(enc.lit(il))))
+      const uint32_t node = g.inputs()[i];
+      const auto& encoded = enc.encoded_inputs();
+      if (std::find(encoded.begin(), encoded.end(), node) != encoded.end() &&
+          s.model_value(sat::var(enc.lit(aig::mk_lit(node)))))
         in[i] = ~0ull;
     }
     const auto words = g.simulate(in);
@@ -142,8 +146,8 @@ TEST(Cnf, IncrementalAssumptionsDoNotPollute) {
   const Lit b = g.add_input("b");
   const Lit y = g.and_(a, b);
   sat::Solver s;
-  aig::CnfEncoder enc(s);
-  enc.encode(g);
+  aig::ConeCnfEncoder enc(s, g);
+  (void)enc.ensure(y); // a and b are in its cone
   EXPECT_EQ(s.solve({enc.lit(y), ~enc.lit(a)}), sat::Result::Unsat);
   // Same query again and a satisfiable one after: both must work.
   EXPECT_EQ(s.solve({enc.lit(y), ~enc.lit(a)}), sat::Result::Unsat);
@@ -162,10 +166,37 @@ TEST(Cnf, DeepChainUnsatProof) {
     acc = g.and_(acc, ins.back());
   }
   sat::Solver s;
-  aig::CnfEncoder enc(s);
-  enc.encode(g);
+  aig::ConeCnfEncoder enc(s, g);
+  (void)enc.ensure(acc);
   for (int i : {0, 13, 63}) {
     EXPECT_EQ(s.solve({enc.lit(acc), ~enc.lit(ins[size_t(i)])}), sat::Result::Unsat) << i;
   }
   EXPECT_EQ(s.solve({enc.lit(acc)}), sat::Result::Sat);
+}
+
+TEST(Cnf, EnsureEncodesOnlyTheFaninCone) {
+  // Two disjoint cones: ensuring one gives the other's nodes no variables,
+  // and ensuring a literal twice adds nothing.
+  Aig g;
+  const Lit a = g.add_input("a");
+  const Lit b = g.add_input("b");
+  const Lit c = g.add_input("c");
+  const Lit d = g.add_input("d");
+  const Lit y = g.and_(a, aig::lit_not(b));
+  const Lit z = g.and_(c, d);
+  sat::Solver s;
+  aig::ConeCnfEncoder enc(s, g);
+  const sat::Lit sy = enc.ensure(y);
+  EXPECT_EQ(s.num_vars(), 3); // y, a, b
+  std::vector<uint32_t> inputs = enc.encoded_inputs();
+  std::sort(inputs.begin(), inputs.end());
+  EXPECT_EQ(inputs, (std::vector<uint32_t>{aig::lit_node(a), aig::lit_node(b)}));
+  EXPECT_EQ(enc.ensure(y), sy);
+  EXPECT_EQ(s.num_vars(), 3);
+  EXPECT_EQ(s.solve({sy, enc.lit(b)}), sat::Result::Unsat);
+
+  const sat::Lit sz = enc.ensure(aig::lit_not(z));
+  EXPECT_EQ(s.num_vars(), 6);
+  EXPECT_EQ(s.solve({sy, sz, enc.lit(c)}), sat::Result::Sat);
+  EXPECT_EQ(s.solve({sy, sz, enc.lit(c), enc.lit(d)}), sat::Result::Unsat);
 }

@@ -16,7 +16,9 @@
 
 #include <filesystem>
 #include <map>
+#include <sstream>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -59,6 +61,23 @@ const char* kSameOperandMux = "module top(a, b, c, s, t, y);\n"
                               "  assign m1 = t ? m0 : c;\n"
                               "  assign y = s ? m1 : m1;\n"
                               "endmodule\n";
+
+// Job k of an eight-job burst: a chain of k + 2 muxes alternating between
+// two selects, each re-testing a select an earlier mux already decided. The
+// sources differ, so no job can replay another's cached result.
+std::string burst_job(int k) {
+  std::string wires;
+  std::string assigns;
+  std::string prev = "a";
+  for (int i = 0; i < k + 2; ++i) {
+    const std::string w = "n" + std::to_string(i);
+    wires += "  wire " + w + ";\n";
+    assigns += "  assign " + w + " = " + (i % 2 != 0 ? "s" : "t") + " ? " + prev + " : b;\n";
+    prev = w;
+  }
+  return "module top(a, b, s, t, y);\n  input a, b, s, t;\n  output y;\n" + wires + assigns +
+         "  assign y = " + prev + ";\nendmodule\n";
+}
 
 ServiceOptions drain_options() {
   ServiceOptions o;
@@ -592,6 +611,48 @@ TEST(OptServiceEndToEnd, CrashLoopingJobIsQuarantinedWithReproBundle) {
   EXPECT_EQ(again.stats().jobs_quarantined, 0u);
   EXPECT_TRUE(fs::exists(paths.quarantine + "/boom.v"));
   fs::remove_all(paths.root);
+}
+
+TEST(OptServiceEndToEnd, FourWorkersPublishTheOneWorkerBytes) {
+  // Eight distinct jobs in one cycle, drained by four workers and by one:
+  // the done/ trees must be byte-identical and every job must be claimed
+  // and finished exactly once. Under TSan this is the test that runs two
+  // run_job calls at once.
+  std::map<int, std::map<std::string, std::string>> trees;
+  for (const int threads : {4, 1}) {
+    const SpoolPaths paths = SpoolPaths::at(fresh_dir("workers-" + std::to_string(threads)));
+    std::string error;
+    ASSERT_TRUE(paths.ensure(&error)) << error;
+    std::vector<std::string> names;
+    for (int k = 0; k < 8; ++k) {
+      names.push_back("job" + std::to_string(k));
+      ASSERT_TRUE(submit_job(paths, names.back(), burst_job(k), &error)) << error;
+    }
+    ServiceOptions options = drain_options();
+    options.threads = threads;
+    OptService daemon(paths.root, options);
+    ASSERT_EQ(daemon.run(), 0);
+    EXPECT_EQ(daemon.stats().jobs_completed, 8u) << threads;
+    EXPECT_EQ(daemon.stats().result_misses, 8u) << threads; // all eight ran the engines
+    EXPECT_EQ(daemon.stats().jobs_failed, 0u) << threads;
+    EXPECT_EQ(list_done(paths), names) << threads;
+
+    std::map<std::string, int> claims;
+    std::map<std::string, int> dones;
+    std::istringstream journal(read_all(paths.journal_path()));
+    for (std::string kind, name, rest; journal >> kind >> name && std::getline(journal, rest);)
+      ++(kind == "claim" ? claims : dones)[name];
+    for (const std::string& name : names) {
+      EXPECT_EQ(claims[name], 1) << name << " at " << threads;
+      EXPECT_EQ(dones[name], 1) << name << " at " << threads;
+    }
+    EXPECT_EQ(claims.size() + dones.size(), 2 * names.size()) << threads;
+
+    trees[threads] = read_done_tree(paths);
+    EXPECT_EQ(trees[threads].size(), 2 * names.size()) << threads; // .v + .result
+    fs::remove_all(paths.root);
+  }
+  EXPECT_EQ(trees[4], trees[1]);
 }
 
 TEST(OptServiceEndToEnd, BacklogBeyondQueueMaxIsShedExplicitly) {
