@@ -1,5 +1,6 @@
 #include "core/subgraph.hpp"
 
+#include "obs/trace.hpp"
 #include "util/log.hpp"
 
 #include <algorithm>
@@ -21,6 +22,7 @@ Subgraph SubgraphScratch::extract(const rtlil::Module& module, const NetlistInde
                                   SigBit target, const std::vector<SigBit>& known,
                                   const SubgraphOptions& options) {
   (void)module;
+  const obs::Span span("oracle", "oracle.extract");
   Subgraph out;
 
   in_ball_.clear();
@@ -38,7 +40,7 @@ Subgraph SubgraphScratch::extract(const rtlil::Module& module, const NetlistInde
   for (Cell* c : next_)
     if (in_ball_.insert(c->id()))
       ball_.push_back(c);
-  rtlil::grow_combinational_ball(index, ball_, in_ball_, options.depth, next_);
+  rtlil::grow_combinational_ball(index, ball_, in_ball_, options.depth);
   out.gates_before_filter = ball_.size();
 
   // --- stage 2: Theorem II.1 relevance filter ------------------------------

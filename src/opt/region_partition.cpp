@@ -60,29 +60,21 @@ std::vector<Cell*> cells_within_radius(const NetlistIndex& index,
         out.push_back(c);
   }
   // The seeds' neighbours are distance 1.
-  rtlil::grow_combinational_ball(index, out, seen, radius - 1, scratch);
+  rtlil::grow_combinational_ball(index, out, seen, radius - 1);
   return out;
 }
 
 std::vector<Cell*> region_read_closure(const NetlistIndex& index,
                                        const std::vector<Cell*>& tree_cells,
                                        int ball_radius) {
-  std::vector<SigBit> select_bits, all_bits;
-  for (Cell* c : tree_cells) {
-    for (int pi = 0; pi < rtlil::kPortCount; ++pi) {
-      const Port p = static_cast<Port>(pi);
-      if (!c->has_port(p))
-        continue;
-      for (const SigBit& raw : c->port(p)) {
+  std::vector<SigBit> select_bits;
+  for (Cell* c : tree_cells)
+    if (c->has_port(Port::S))
+      for (const SigBit& raw : c->port(Port::S)) {
         const SigBit bit = index.sigmap()(raw);
-        if (!bit.is_wire())
-          continue;
-        all_bits.push_back(bit);
-        if (p == Port::S)
+        if (bit.is_wire())
           select_bits.push_back(bit);
       }
-    }
-  }
   // Oracle balls: extraction seeds cells adjacent to ctrl/known (depth 0)
   // and expands to distance k, i.e. k+1 cell layers from the select bits.
   std::vector<Cell*> closure = cells_within_radius(index, select_bits, ball_radius + 1);
@@ -91,9 +83,10 @@ std::vector<Cell*> region_read_closure(const NetlistIndex& index,
     seen.insert(c->id());
   // Walker reads: parent/child checks touch the 1-neighbourhood of every
   // tree bit (and read the S ports of mux readers found there).
-  for (Cell* c : cells_within_radius(index, all_bits, 1))
-    if (seen.insert(c->id()))
-      closure.push_back(c);
+  for (const Cell* c : tree_cells)
+    for (Cell* n : index.combinational_neighbours(c))
+      if (seen.insert(n->id()))
+        closure.push_back(n);
   return closure;
 }
 

@@ -17,20 +17,37 @@ const std::array<std::array<uint8_t, 4>, 24>& NpnTable::perms() {
   return table;
 }
 
-TruthTable NpnTable::apply(TruthTable tt, uint16_t t) {
-  const std::array<uint8_t, 4>& perm = perms()[t / 32];
+namespace {
+
+/// The minterm of `f` that minterm m of apply(f, t) reads, for every m
+/// (the output complement aside).
+std::array<uint8_t, 16> minterm_sources(uint16_t t) {
+  const std::array<uint8_t, 4>& perm = NpnTable::perms()[t / 32];
   const uint16_t neg = (t / 2) & 15;
-  uint16_t out = 0;
-  for (uint16_t m = 0; m < 16; ++m) {
-    uint16_t src = 0;
+  std::array<uint8_t, 16> src{};
+  for (uint16_t m = 0; m < 16; ++m)
     for (int i = 0; i < 4; ++i)
-      src |= static_cast<uint16_t>((((m >> perm[i]) & 1) ^ ((neg >> i) & 1)) << i);
-    out |= static_cast<uint16_t>(((tt >> src) & 1) << m);
-  }
-  return (t & 1) ? static_cast<TruthTable>(~out) : out;
+      src[m] |= static_cast<uint8_t>((((m >> perm[i]) & 1) ^ ((neg >> i) & 1)) << i);
+  return src;
+}
+
+TruthTable apply_sources(TruthTable tt, const std::array<uint8_t, 16>& src, bool complement) {
+  uint16_t out = 0;
+  for (uint16_t m = 0; m < 16; ++m)
+    out |= static_cast<uint16_t>(((tt >> src[m]) & 1) << m);
+  return complement ? static_cast<TruthTable>(~out) : out;
+}
+
+} // namespace
+
+TruthTable NpnTable::apply(TruthTable tt, uint16_t t) {
+  return apply_sources(tt, minterm_sources(t), t & 1);
 }
 
 NpnTable::NpnTable() : canon_(65536), class_id_(65536), from_canon_(65536) {
+  std::vector<std::array<uint8_t, 16>> sources(kNumTransforms);
+  for (uint16_t t = 0; t < kNumTransforms; ++t)
+    sources[t] = minterm_sources(t);
   // Ascending scan: an unassigned table is the smallest member of its orbit
   // (any smaller member would already have assigned the whole orbit), so it
   // is the class representative; expanding its orbit assigns every member.
@@ -41,7 +58,7 @@ NpnTable::NpnTable() : canon_(65536), class_id_(65536), from_canon_(65536) {
     const uint16_t id = static_cast<uint16_t>(representatives_.size());
     representatives_.push_back(static_cast<TruthTable>(tt));
     for (uint16_t t = 0; t < kNumTransforms; ++t) {
-      const TruthTable v = apply(static_cast<TruthTable>(tt), t);
+      const TruthTable v = apply_sources(static_cast<TruthTable>(tt), sources[t], t & 1);
       if (assigned[v])
         continue;
       assigned[v] = 1;

@@ -149,18 +149,21 @@ int gate_aig_cost(const GateOp& op) {
 
 /// Cone nodes freed if `root_node`'s net were re-driven: the root plus every
 /// interior node whose references all come from freed nodes (leaves stop the
-/// walk). `nfan` holds whole-graph reference counts including outputs.
+/// walk). `nfan` holds whole-graph reference counts including outputs;
+/// `remaining` (sized for `g`) holds the walk's decremented counts.
 int freed_cone_nodes(const aig::Aig& g, uint32_t root_node, const aig::Lit* leaves,
-                     size_t num_leaves, const std::vector<uint32_t>& nfan) {
-  std::unordered_map<uint32_t, uint32_t> remaining;
+                     size_t num_leaves, const std::vector<uint32_t>& nfan,
+                     sim::NodeScratch& remaining) {
   const auto is_leaf = [&](uint32_t n) {
     for (size_t i = 0; i < num_leaves; ++i)
       if (aig::lit_node(leaves[i]) == n)
         return true;
     return false;
   };
+  remaining.begin();
   int freed = 0;
-  std::vector<uint32_t> stack{root_node};
+  std::vector<uint32_t>& stack = remaining.stack;
+  stack.assign(1, root_node);
   while (!stack.empty()) {
     const uint32_t n = stack.back();
     stack.pop_back();
@@ -169,10 +172,9 @@ int freed_cone_nodes(const aig::Aig& g, uint32_t root_node, const aig::Lit* leav
       const uint32_t c = aig::lit_node(f);
       if (!g.is_and(c) || is_leaf(c))
         continue;
-      auto it = remaining.find(c);
-      if (it == remaining.end())
-        it = remaining.emplace(c, nfan[c]).first;
-      if (it->second > 0 && --it->second == 0)
+      if (!remaining.has(c))
+        remaining.set(c, nfan[c]);
+      if (remaining[c] > 0 && --remaining[c] == 0)
         stack.push_back(c);
     }
   }
@@ -413,6 +415,9 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
     }
     for (size_t i = 0; i < blast.aig.num_outputs(); ++i)
       ++nfan[aig::lit_node(blast.aig.output(static_cast<int>(i)))];
+    // Cone-walk scratch of the round's evaluations (truth tables, deref walks).
+    sim::NodeScratch cone_scratch;
+    cone_scratch.resize(blast.aig.num_nodes());
 
     // Anchors: AIG node + polarity -> the module bit with the lowest dense
     // bit id (the first the id-order walk meets). The bit id is the
@@ -537,7 +542,8 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
             leaf_lits[li] = cand.leaves[li].lit;
           }
           if (!usable ||
-              !sim::cut_truth_table(blast.aig, root_lit, leaf_lits, cut.size, cand.tt))
+              !sim::cut_truth_table(blast.aig, root_lit, leaf_lits, cut.size, cand.tt,
+                                    cone_scratch))
             continue;
           cand.valid = true;
           cand.npn_class = npn.class_id(cand.tt);
@@ -610,7 +616,8 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
             if (!cand.op_reuse[k].is_wire())
               build_cost += gate_aig_cost(prog.ops[k]);
           cand.gain_est =
-              freed_cone_nodes(blast.aig, node, leaf_lits, cut.size, nfan) - build_cost;
+              freed_cone_nodes(blast.aig, node, leaf_lits, cut.size, nfan, cone_scratch) -
+              build_cost;
           if (better_candidate(cand, best))
             best = std::move(cand);
         }

@@ -125,6 +125,7 @@ const SigSpec& Cell::port(Port p) const {
 void Cell::set_port(Port p, SigSpec sig) {
   ports_[static_cast<size_t>(p)] = std::move(sig);
   connected_[static_cast<size_t>(p)] = true;
+  ++port_version_;
 }
 
 std::vector<Port> Cell::input_ports() const {

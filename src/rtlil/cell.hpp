@@ -91,6 +91,9 @@ public:
   bool has_port(Port p) const noexcept { return connected_[static_cast<size_t>(p)]; }
   const SigSpec& port(Port p) const;
   void set_port(Port p, SigSpec sig);
+  /// Bumped by every set_port, so a cache keyed on the cell's connections
+  /// (NetlistIndex's neighbour lists) notices in-place port edits.
+  uint32_t port_version() const noexcept { return port_version_; }
 
   /// Ports that the cell reads (everything except Y/Q).
   std::vector<Port> input_ports() const;
@@ -113,6 +116,7 @@ private:
   std::string name_;
   CellType type_;
   uint32_t id_;
+  uint32_t port_version_ = 0;
   CellParams params_;
   std::array<SigSpec, kPortCount> ports_;
   std::array<bool, kPortCount> connected_{};

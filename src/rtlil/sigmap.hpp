@@ -21,6 +21,7 @@
 #include "rtlil/module.hpp"
 
 #include <array>
+#include <cstdint>
 #include <stdexcept>
 
 namespace smartly::rtlil {
@@ -62,6 +63,16 @@ public:
     for (const SigBit& b : sig)
       out.append(find(b));
     return out;
+  }
+
+  /// find() by bit id (rtlil::bit_id) for a bit of this map's module: the
+  /// representative's id, or kConstant when the class is a constant.
+  static constexpr size_t kConstant = SIZE_MAX;
+  size_t find_id(size_t id) const {
+    if (id >= parent_.size() || !linked(parent_[id]))
+      return id;
+    const SigBit root = find(parent_[id]);
+    return root.is_wire() ? bit_id(root) : kConstant;
   }
 
   /// Point every stored parent directly at its representative. Afterwards

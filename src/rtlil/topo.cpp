@@ -1,5 +1,6 @@
 #include "rtlil/topo.hpp"
 
+#include "obs/trace.hpp"
 #include "util/log.hpp"
 
 #include <algorithm>
@@ -18,37 +19,64 @@ void combinational_adjacent_cells(const NetlistIndex& index, const SigBit& bit,
 }
 
 void grow_combinational_ball(const NetlistIndex& index, std::vector<Cell*>& ball, IdSet& seen,
-                             int layers, std::vector<Cell*>& scratch) {
+                             int layers) {
   // ball[layer_begin, layer_end) is the frontier: the cells of the last layer.
   size_t layer_begin = 0;
   for (int d = 0; d < layers && layer_begin < ball.size(); ++d) {
     const size_t layer_end = ball.size();
-    for (size_t i = layer_begin; i < layer_end; ++i) {
-      const Cell* c = ball[i];
-      scratch.clear();
-      for (int pi = 0; pi < kPortCount; ++pi) {
-        const Port p = static_cast<Port>(pi);
-        if (!c->has_port(p))
-          continue;
-        for (const SigBit& raw : c->port(p)) {
-          const SigBit bit = index.sigmap()(raw);
-          if (bit.is_wire())
-            combinational_adjacent_cells(index, bit, scratch);
-        }
-      }
-      for (Cell* n : scratch)
+    for (size_t i = layer_begin; i < layer_end; ++i)
+      for (Cell* n : index.combinational_neighbours(ball[i]))
         if (seen.insert(n->id()))
           ball.push_back(n);
-    }
     layer_begin = layer_end;
   }
 }
 
-NetlistIndex::NetlistIndex(const Module& module)
-    : module_(&module), sigmap_(module), driver_(module.bit_id_bound(), nullptr),
-      reader_slot_(module.bit_id_bound(), 0), output_port_(module.bit_id_bound(), 0),
-      reader_lists_(1), cell_reads_(module.cell_id_bound()),
-      topo_pos_(module.cell_id_bound(), -1) {
+namespace {
+
+/// Bits of the ports `cell` reads (all but Y and Q), constants included.
+uint32_t input_bit_count(const Cell& cell) {
+  uint32_t bits = 0;
+  for (int pi = 0; pi < kPortCount; ++pi) {
+    const Port p = static_cast<Port>(pi);
+    if (p != Port::Y && p != Port::Q && cell.has_port(p))
+      bits += static_cast<uint32_t>(cell.port(p).size());
+  }
+  return bits;
+}
+
+/// Room for `extra` more entries in arena block `b`. A block that outgrows
+/// its space moves to the arena's end with at least twice the room (the
+/// last block just extends); the space it leaves stays unused.
+template <class T, class Block>
+void make_room(std::vector<T>& arena, Block& b, uint32_t extra) {
+  const uint32_t need = b.size + extra;
+  if (need <= b.cap)
+    return;
+  const uint32_t cap = std::max({need, 2 * b.cap, 2u});
+  if (b.cap != 0 && b.begin + b.cap == arena.size()) {
+    arena.resize(b.begin + cap);
+  } else {
+    const uint32_t begin = static_cast<uint32_t>(arena.size());
+    arena.resize(begin + cap);
+    std::copy_n(arena.begin() + b.begin, b.size, arena.begin() + begin);
+    b.begin = begin;
+  }
+  b.cap = cap;
+}
+
+} // namespace
+
+NetlistIndex::NetlistIndex(const Module& module) : module_(&module) {
+  const obs::Span span("index", "index.build", "cells", module.cells().size());
+  sigmap_ = SigMap(module);
+  driver_.assign(module.bit_id_bound(), nullptr);
+  readers_.resize(module.bit_id_bound());
+  output_port_.assign(module.bit_id_bound(), 0);
+  reads_.resize(module.cell_id_bound());
+  topo_pos_.assign(module.cell_id_bound(), -1);
+  neighbours_.resize(module.cell_id_bound());
+  neighbour_mark_.assign(module.cell_id_bound(), 0);
   for (const auto& w : module.wires()) {
     if (!w->port_output)
       continue;
@@ -56,8 +84,10 @@ NetlistIndex::NetlistIndex(const Module& module)
       set_output_port(sigmap_(SigBit(w.get(), i)), true);
   }
 
+  size_t input_bits = 0;
   for (const auto& cptr : module.cells()) {
     Cell* c = cptr.get();
+    input_bits += input_bit_count(*c);
     for (const SigBit& raw : c->port(c->output_port())) {
       const SigBit bit = sigmap_(raw);
       if (!bit.is_wire())
@@ -71,18 +101,49 @@ NetlistIndex::NetlistIndex(const Module& module)
     }
   }
 
+  // Read lists in module-cell / port / bit order, counting the reads per
+  // net; then each net's reader block is sized by its count and filled in
+  // that same order, so every reader list lists its cells exactly as one
+  // push_back per read in a module-order scan would.
+  read_arena_.reserve(input_bits);
+  for (const auto& cptr : module.cells()) {
+    Cell* c = cptr.get();
+    Block& reads = reads_[c->id()];
+    reads.begin = static_cast<uint32_t>(read_arena_.size());
+    for (int pi = 0; pi < kPortCount; ++pi) {
+      const Port p = static_cast<Port>(pi);
+      if (p == Port::Y || p == Port::Q || !c->has_port(p))
+        continue;
+      for (const SigBit& raw : c->port(p)) {
+        const SigBit bit = sigmap_(raw);
+        if (!bit.is_wire())
+          continue;
+        const uint32_t id = static_cast<uint32_t>(bit_id(bit));
+        read_arena_.push_back(id);
+        ++readers_[id].cap;
+      }
+    }
+    reads.size = reads.cap = static_cast<uint32_t>(read_arena_.size()) - reads.begin;
+  }
+  uint32_t total = 0;
+  for (Block& b : readers_) {
+    b.begin = total;
+    total += b.cap;
+  }
+  reader_arena_.resize(total);
   // Combinational dependency edges driver(bit) -> c run from a non-Dff
   // driver into a non-Dff reader (Dff.D is the sequential boundary, Dff.Q a
   // source); each read bit position is one edge.
   std::vector<int> indegree(module.cell_id_bound(), 0);
   for (const auto& cptr : module.cells()) {
     Cell* c = cptr.get();
-    index_cell_reads(c);
-    if (c->type() == CellType::Dff)
-      continue;
-    for (const SigBit& bit : cell_reads_[c->id()]) {
-      const Cell* d = driver_[bit_id(bit)];
-      if (d != nullptr && d->type() != CellType::Dff)
+    const Block& reads = reads_[c->id()];
+    const bool sequential = c->type() == CellType::Dff;
+    for (uint32_t k = reads.begin; k < reads.begin + reads.size; ++k) {
+      Block& net = readers_[read_arena_[k]];
+      reader_arena_[net.begin + net.size++] = c;
+      const Cell* d = driver_[read_arena_[k]];
+      if (!sequential && d != nullptr && d->type() != CellType::Dff)
         ++indegree[c->id()];
     }
   }
@@ -116,7 +177,7 @@ NetlistIndex::NetlistIndex(const Module& module)
       if (released[id] || driver_[id] == nullptr || driver_[id]->type() == CellType::Dff)
         continue;
       released[id] = 1;
-      for (Cell* r : reader_lists_[reader_slot_[id]])
+      for (Cell* r : readers_of(bit))
         if (r->type() != CellType::Dff && --indegree[r->id()] == 0)
           ready.push_back(r);
     }
@@ -136,7 +197,7 @@ size_t NetlistIndex::grow_bit_slot(const SigBit& bit) {
   if (id >= driver_.size()) {
     const size_t n = std::max(module_->bit_id_bound(), id + 1);
     driver_.resize(n, nullptr);
-    reader_slot_.resize(n, 0);
+    readers_.resize(n);
     output_port_.resize(n, 0);
   }
   return id;
@@ -146,15 +207,20 @@ size_t NetlistIndex::grow_cell_slot(const Cell* cell) {
   const size_t id = cell->id();
   if (id >= topo_pos_.size()) {
     const size_t n = std::max(module_->cell_id_bound(), id + 1);
-    cell_reads_.resize(n);
+    reads_.resize(n);
     topo_pos_.resize(n, -1);
+    neighbours_.resize(n);
+    neighbour_mark_.resize(n, 0);
   }
   return id;
 }
 
-const std::vector<Cell*>& NetlistIndex::readers_of(const SigBit& canonical) const {
+CellRange NetlistIndex::readers_of(const SigBit& canonical) const {
   const size_t slot = bit_slot(canonical);
-  return reader_lists_[slot == kNoSlot ? 0 : reader_slot_[slot]];
+  if (slot == kNoSlot)
+    return {};
+  const Block& b = readers_[slot];
+  return CellRange(reader_arena_.data() + b.begin, b.size);
 }
 
 bool NetlistIndex::output_port_of(const SigBit& canonical) const {
@@ -173,24 +239,12 @@ void NetlistIndex::set_output_port(const SigBit& canonical, bool on) {
   }
 }
 
-uint32_t NetlistIndex::new_reader_list() {
-  if (!free_lists_.empty()) {
-    const uint32_t slot = free_lists_.back();
-    free_lists_.pop_back();
-    return slot;
-  }
-  reader_lists_.emplace_back();
-  return static_cast<uint32_t>(reader_lists_.size() - 1);
-}
-
 Cell* NetlistIndex::driver(SigBit bit) const {
   const size_t slot = bit_slot(sigmap_(bit));
   return slot == kNoSlot ? nullptr : driver_[slot];
 }
 
-const std::vector<Cell*>& NetlistIndex::readers(SigBit bit) const {
-  return readers_of(sigmap_(bit));
-}
+CellRange NetlistIndex::readers(SigBit bit) const { return readers_of(sigmap_(bit)); }
 
 int NetlistIndex::fanout(SigBit bit) const {
   const SigBit b = sigmap_(bit);
@@ -199,44 +253,119 @@ int NetlistIndex::fanout(SigBit bit) const {
 
 bool NetlistIndex::drives_output_port(SigBit bit) const { return output_port_of(sigmap_(bit)); }
 
+CellRange NetlistIndex::combinational_neighbours(const Cell* cell) const {
+  if (neighbours_stale_) {
+    std::fill(neighbours_.begin(), neighbours_.end(), Neighbours{});
+    neighbour_arena_.clear();
+    neighbours_stale_ = false;
+  }
+  Neighbours* entry = nullptr;
+  if (cell->module() == module_ && cell->id() < neighbours_.size()) {
+    entry = &neighbours_[cell->id()];
+    if (entry->size < kScanned && entry->port_version == cell->port_version())
+      return CellRange(neighbour_arena_.data() + entry->begin, entry->size);
+  }
+
+  // Scan the driver and readers of every port bit, keeping first occurrences
+  // (a mark per cell id, stamped with this scan's number).
+  if (++neighbour_scans_ == 0) {
+    std::fill(neighbour_mark_.begin(), neighbour_mark_.end(), 0);
+    neighbour_scans_ = 1;
+  }
+  neighbour_scan_.clear();
+  const auto keep = [this](Cell* c) {
+    uint32_t& mark = neighbour_mark_[c->id()];
+    if (c->type() != CellType::Dff && mark != neighbour_scans_) {
+      mark = neighbour_scans_;
+      neighbour_scan_.push_back(c);
+    }
+  };
+  size_t port_bits = 0;
+  for (int pi = 0; pi < kPortCount; ++pi) {
+    const Port p = static_cast<Port>(pi);
+    if (!cell->has_port(p))
+      continue;
+    const SigSpec& sig = cell->port(p);
+    port_bits += static_cast<size_t>(sig.size());
+    for (const SigBit& raw : sig) {
+      const size_t slot = bit_slot(sigmap_(raw));
+      if (slot == kNoSlot)
+        continue;
+      if (Cell* d = driver_[slot])
+        keep(d);
+      const Block& list = readers_[slot];
+      for (uint32_t k = list.begin; k < list.begin + list.size; ++k)
+        keep(reader_arena_[k]);
+    }
+  }
+
+  const uint32_t n = static_cast<uint32_t>(neighbour_scan_.size());
+  if (entry == nullptr)
+    return CellRange(neighbour_scan_.data(), n);
+  entry->port_version = cell->port_version();
+  if (n > port_bits) {
+    entry->size = kScanned;
+    return CellRange(neighbour_scan_.data(), n);
+  }
+  if (entry->cap < n) {
+    entry->begin = static_cast<uint32_t>(neighbour_arena_.size());
+    entry->cap = n;
+    neighbour_arena_.resize(neighbour_arena_.size() + n);
+  }
+  std::copy(neighbour_scan_.begin(), neighbour_scan_.end(),
+            neighbour_arena_.begin() + entry->begin);
+  entry->size = n;
+  return CellRange(neighbour_arena_.data() + entry->begin, n);
+}
+
+void NetlistIndex::push_reader(size_t bit, Cell* cell) {
+  Block& list = readers_[bit];
+  make_room(reader_arena_, list, 1);
+  reader_arena_[list.begin + list.size++] = cell;
+}
+
 void NetlistIndex::index_cell_reads(Cell* cell) {
-  std::vector<SigBit>& reads = cell_reads_[grow_cell_slot(cell)];
-  reads.clear();
-  for (Port p : cell->input_ports())
+  const size_t cid = grow_cell_slot(cell);
+  Block& reads = reads_[cid];
+  reads.size = 0;
+  make_room(read_arena_, reads, input_bit_count(*cell));
+  for (int pi = 0; pi < kPortCount; ++pi) {
+    const Port p = static_cast<Port>(pi);
+    if (p == Port::Y || p == Port::Q || !cell->has_port(p))
+      continue;
     for (const SigBit& raw : cell->port(p)) {
       const SigBit bit = sigmap_(raw);
       if (!bit.is_wire())
         continue;
-      uint32_t& slot = reader_slot_[grow_bit_slot(bit)];
-      if (slot == 0)
-        slot = new_reader_list();
-      reader_lists_[slot].push_back(cell);
-      reads.push_back(bit);
+      const size_t id = grow_bit_slot(bit);
+      push_reader(id, cell);
+      read_arena_[reads.begin + reads.size++] = static_cast<uint32_t>(id);
     }
+  }
 }
 
 void NetlistIndex::erase_cell_reads(Cell* cell) {
-  if (cell->module() != module_ || cell->id() >= cell_reads_.size())
+  if (cell->module() != module_ || cell->id() >= reads_.size())
     return;
-  std::vector<SigBit>& reads = cell_reads_[cell->id()];
-  for (const SigBit& stored : reads) {
-    const size_t id = bit_slot(sigmap_(stored)); // re-canonicalize: merges since
-    if (id == kNoSlot || reader_slot_[id] == 0)
-      continue;
-    uint32_t& slot = reader_slot_[id];
-    auto& list = reader_lists_[slot];
-    auto pos = std::find(list.begin(), list.end(), cell);
-    if (pos != list.end())
-      list.erase(pos); // one occurrence per stored entry (multiset semantics)
-    if (list.empty()) {
-      free_lists_.push_back(slot);
-      slot = 0;
+  Block& reads = reads_[cell->id()];
+  for (uint32_t k = reads.begin; k < reads.begin + reads.size; ++k) {
+    const size_t id = sigmap_.find_id(read_arena_[k]); // re-canonicalize: merges since
+    if (id >= readers_.size())
+      continue; // the class became a constant
+    Block& list = readers_[id];
+    Cell** first = reader_arena_.data() + list.begin;
+    Cell** last = first + list.size;
+    Cell** pos = std::find(first, last, cell);
+    if (pos != last) { // one occurrence per stored entry (multiset semantics)
+      std::copy(pos + 1, last, pos);
+      --list.size;
     }
   }
-  reads.clear();
+  reads.size = 0;
 }
 
 void NetlistIndex::remove_cell(Cell* cell) {
+  forget_neighbours();
   erase_cell_reads(cell);
   for (const SigBit& raw : cell->port(cell->output_port())) {
     const size_t id = bit_slot(sigmap_(raw));
@@ -244,7 +373,6 @@ void NetlistIndex::remove_cell(Cell* cell) {
       driver_[id] = nullptr;
   }
   if (cell->module() == module_ && cell->id() < topo_pos_.size()) {
-    std::vector<SigBit>().swap(cell_reads_[cell->id()]);
     int& pos = topo_pos_[cell->id()];
     if (pos >= 0) {
       pos = -1;
@@ -254,6 +382,7 @@ void NetlistIndex::remove_cell(Cell* cell) {
 }
 
 void NetlistIndex::add_cell(Cell* cell, int topo_pos) {
+  forget_neighbours();
   for (const SigBit& raw : cell->port(cell->output_port())) {
     const SigBit bit = sigmap_(raw);
     if (!bit.is_wire())
@@ -277,6 +406,7 @@ void NetlistIndex::add_cell(Cell* cell, int topo_pos) {
 }
 
 void NetlistIndex::add_alias(const SigSpec& lhs, const SigSpec& rhs) {
+  forget_neighbours();
   const int n = std::min(lhs.size(), rhs.size());
   for (int i = 0; i < n; ++i) {
     const SigBit a = sigmap_(lhs[i]);
@@ -292,23 +422,20 @@ void NetlistIndex::add_alias(const SigSpec& lhs, const SigSpec& rhs) {
       // whose representative became a constant sheds them, exactly as a
       // rebuild (which never indexes constant-canonical bits) would.
       if (const size_t from = bit_slot(old); from != kNoSlot) {
-        if (const uint32_t moved = reader_slot_[from]; moved != 0) {
-          reader_slot_[from] = 0;
-          if (rep.is_wire()) {
-            uint32_t& dst = reader_slot_[grow_bit_slot(rep)];
-            if (dst == 0) {
-              dst = moved; // the whole list changes hands
-            } else {
-              auto& list = reader_lists_[dst];
-              list.insert(list.end(), reader_lists_[moved].begin(), reader_lists_[moved].end());
-              reader_lists_[moved].clear();
-              free_lists_.push_back(moved);
-            }
+        if (readers_[from].size != 0 && rep.is_wire()) {
+          const size_t to = grow_bit_slot(rep);
+          Block& dst = readers_[to];
+          Block& moved = readers_[from];
+          if (dst.size == 0) {
+            std::swap(dst, moved); // the whole list changes hands
           } else {
-            reader_lists_[moved].clear();
-            free_lists_.push_back(moved);
+            make_room(reader_arena_, dst, moved.size);
+            std::copy_n(reader_arena_.begin() + moved.begin, moved.size,
+                        reader_arena_.begin() + dst.begin + dst.size);
+            dst.size += moved.size;
           }
         }
+        readers_[from].size = 0;
         if (Cell* moved = driver_[from]; moved != nullptr) {
           driver_[from] = nullptr;
           if (rep.is_wire()) {
@@ -330,6 +457,7 @@ void NetlistIndex::add_alias(const SigSpec& lhs, const SigSpec& rhs) {
 }
 
 void NetlistIndex::refresh_cell_reads(Cell* cell) {
+  forget_neighbours();
   erase_cell_reads(cell);
   index_cell_reads(cell);
 }
@@ -382,8 +510,10 @@ bool index_consistent(const Module& module, const NetlistIndex& index) {
         return false;
       if (index.drives_output_port(bit) != rebuilt.drives_output_port(bit))
         return false;
-      std::vector<Cell*> a = index.readers(bit);
-      std::vector<Cell*> b = rebuilt.readers(bit);
+      const CellRange ra = index.readers(bit);
+      const CellRange rb = rebuilt.readers(bit);
+      std::vector<Cell*> a(ra.begin(), ra.end());
+      std::vector<Cell*> b(rb.begin(), rb.end());
       std::sort(a.begin(), a.end());
       std::sort(b.begin(), b.end());
       if (a != b)

@@ -11,23 +11,43 @@ namespace smartly::rtlil {
 
 class NetlistIndex;
 
+/// A read-only run of cells stored inside a NetlistIndex (the readers of a
+/// net, the neighbours of a cell). Valid until the next maintenance call;
+/// a neighbour range also until the next neighbour query.
+class CellRange {
+public:
+  CellRange() = default;
+  CellRange(Cell* const* first, size_t n) : first_(first), n_(n) {}
+  Cell* const* begin() const noexcept { return first_; }
+  Cell* const* end() const noexcept { return first_ + n_; }
+  size_t size() const noexcept { return n_; }
+  bool empty() const noexcept { return n_ == 0; }
+  Cell* operator[](size_t i) const noexcept { return first_[i]; }
+
+private:
+  Cell* const* first_ = nullptr;
+  size_t n_ = 0;
+};
+
 /// Cells adjacent to a (canonical) bit in the undirected netlist graph: its
 /// driver plus all its readers, sequential cells excluded (they cut the
 /// combinational cone). This is the single adjacency relation shared by
 /// sub-graph extraction (core/subgraph.cpp) and region partitioning
 /// (opt/region_partition.cpp) — the region sweep's independence argument
 /// requires region closures to over-approximate every extraction ball, which
-/// holds only while both sides use this exact definition.
+/// holds only while both sides use this exact definition. A cell's
+/// neighbours (NetlistIndex::combinational_neighbours) are this relation over
+/// every port bit of the cell.
 void combinational_adjacent_cells(const NetlistIndex& index, const SigBit& bit,
                                   std::vector<Cell*>& out);
 
-/// Grow `ball` by `layers` breadth-first steps of combinational_adjacent_cells
-/// over every port bit of its cells, appending newly reached cells in
-/// discovery order. `seen` holds the ids of the cells already in `ball`;
-/// `scratch` is a caller-owned buffer. Shared by extraction and partitioning
-/// for the same reason as the adjacency relation itself.
+/// Grow `ball` by `layers` breadth-first steps over the combinational
+/// neighbours of its cells, appending newly reached cells in discovery
+/// order. `seen` holds the ids of the cells already in `ball`. Shared by
+/// extraction and partitioning for the same reason as the adjacency
+/// relation itself.
 void grow_combinational_ball(const NetlistIndex& index, std::vector<Cell*>& ball, IdSet& seen,
-                             int layers, std::vector<Cell*>& scratch);
+                             int layers);
 
 /// True when an incrementally maintained index still equals a from-scratch
 /// rebuild of `module`: per-bit driver / reader multiset / fanout /
@@ -46,35 +66,53 @@ bool index_consistent(const Module& module, const NetlistIndex& index);
 /// never rebuilt from scratch between iterations.
 ///
 /// Layout: flat tables indexed by the module's dense ids (rtlil::bit_id,
-/// Cell::id()) — per bit a driver pointer, a 4-byte slot into a pool of
-/// per-net reader lists, and an output-port flag; per cell its topo position
-/// and the read bits to retract. Queries about a bit or cell the tables do
-/// not cover (another module's, or one created after the build and not yet
-/// registered through add_cell/add_alias) answer as for an unindexed net:
-/// nullptr / empty / 0 / false / -1. Constants are never driven or read;
-/// they carry an output-port flag only when a port bit's class became
-/// constant.
+/// Cell::id()) — per bit a driver pointer, the block of its reader list and
+/// an output-port flag; per cell its topo position, the block of its read
+/// bits and its neighbour-cache entry. The reader lists of all nets share
+/// one arena and the read lists of all cells another: the build counts the
+/// reads per net and fills each net's block in module-cell / port / bit
+/// order, and a block that outgrows its space moves to its arena's end.
+/// Queries about a bit or cell the tables do not cover (another module's,
+/// or one created after the build and not yet registered through
+/// add_cell/add_alias) answer as for an unindexed net: nullptr / empty / 0
+/// / false / -1. Constants are never driven or read; they carry an
+/// output-port flag only when a port bit's class became constant.
 ///
-/// The maintenance methods invalidate references returned by readers().
+/// combinational_neighbours() fills a cache on first query, so even the
+/// const queries write: one index is never read from two threads at once.
+/// The maintenance methods invalidate every CellRange handed out.
 class NetlistIndex {
 public:
   explicit NetlistIndex(const Module& module);
 
   const SigMap& sigmap() const noexcept { return sigmap_; }
 
-  /// Cell whose output drives this (canonical) bit, or nullptr for primary
-  /// inputs / constants / dff-driven bits when `through_dff` was false.
+  /// Cell whose output drives this (canonical) bit (a Dff for its Q), or
+  /// nullptr for primary inputs, constants and undriven nets.
   Cell* driver(SigBit bit) const;
 
   /// All cells reading this (canonical) bit. One entry per (cell, port, bit
   /// position) that reads the net, so a cell appears as many times as it
   /// reads the bit.
-  const std::vector<Cell*>& readers(SigBit bit) const;
+  CellRange readers(SigBit bit) const;
 
   /// Number of reader cells plus 1 if the bit reaches a module output port.
   int fanout(SigBit bit) const;
 
   bool drives_output_port(SigBit bit) const;
+
+  /// The distinct cells combinationally adjacent to any port bit of `cell`
+  /// (combinational_adjacent_cells over its ports in Port order, bits in
+  /// port order), in order of first occurrence; `cell` itself is among them
+  /// when it is not a Dff. Cached per cell: the list is built on first query
+  /// and rebuilt when the cell's port_version() moves (walkers shrink ports
+  /// in place between barriers) or after any maintenance call. A cell whose
+  /// list would be longer than its port-bit count is scanned on every query
+  /// instead, so the cache never outgrows the cells' connections.
+  CellRange combinational_neighbours(const Cell* cell) const;
+
+  /// Cells held by the neighbour cache (tests bound it by the port bits).
+  size_t cached_neighbours() const noexcept { return neighbour_arena_.size(); }
 
   /// Cells in topological order (combinational edges only; Dff cells are
   /// sources for their Q and sinks for their D). Throws if a combinational
@@ -133,6 +171,25 @@ public:
   void compact_topo();
 
 private:
+  /// A list stored in an arena: entries [begin, begin + size) of the space
+  /// [begin, begin + cap) it owns.
+  struct Block {
+    uint32_t begin = 0;
+    uint32_t size = 0;
+    uint32_t cap = 0;
+  };
+  static constexpr uint32_t kNotCached = UINT32_MAX;
+  static constexpr uint32_t kScanned = UINT32_MAX - 1;
+  /// A cell's neighbour-cache entry. `size` is kNotCached until a list is
+  /// built and kScanned for a cell whose list would outgrow its port bits;
+  /// a list is current while `port_version` equals the cell's.
+  struct Neighbours {
+    uint32_t begin = 0;
+    uint32_t size = kNotCached;
+    uint32_t cap = 0;
+    uint32_t port_version = 0;
+  };
+
   static constexpr size_t kNoSlot = SIZE_MAX;
   /// Table slot of a canonical wire bit of this module, or kNoSlot when the
   /// per-bit tables do not cover it.
@@ -146,31 +203,31 @@ private:
   /// cover every current wire of the module.
   size_t grow_bit_slot(const SigBit& bit);
   size_t grow_cell_slot(const Cell* cell);
-  const std::vector<Cell*>& readers_of(const SigBit& canonical) const;
+  CellRange readers_of(const SigBit& canonical) const;
   bool output_port_of(const SigBit& canonical) const;
   void set_output_port(const SigBit& canonical, bool on);
-  /// Pool slot of a fresh, empty reader list.
-  uint32_t new_reader_list();
+  void push_reader(size_t bit, Cell* cell);
   void index_cell_reads(Cell* cell);
   void erase_cell_reads(Cell* cell);
+  /// Every maintenance call runs this: the neighbour lists read the reader
+  /// lists, the drivers and the SigMap it is about to change.
+  void forget_neighbours() noexcept { neighbours_stale_ = true; }
 
   const Module* module_;
   SigMap sigmap_;
   // Per bit id.
   std::vector<Cell*> driver_;
-  std::vector<uint32_t> reader_slot_; ///< into reader_lists_; 0 = no readers
+  std::vector<Block> readers_; ///< into reader_arena_
   std::vector<uint8_t> output_port_;
-  /// Reader lists of the read nets. Slot 0 stays empty (the answer for
-  /// every unread net); freed slots are recycled through free_lists_.
-  std::vector<std::vector<Cell*>> reader_lists_;
-  std::vector<uint32_t> free_lists_;
+  std::vector<Cell*> reader_arena_;
   uint8_t const_output_port_ = 0; ///< bit per State: a port class became that constant
   // Per cell id.
-  /// Canonical-at-insertion read bits per cell, one entry per (port, bit
-  /// position) — the exact multiset of reader entries to retract when the
-  /// cell mutates or disappears. Keys are re-canonicalized at erase time so
-  /// alias merges in between are harmless.
-  std::vector<std::vector<SigBit>> cell_reads_;
+  /// Canonical-at-insertion read bit ids per cell (into read_arena_), one
+  /// entry per (port, bit position) — the exact multiset of reader entries
+  /// to retract when the cell mutates or disappears. Keys are
+  /// re-canonicalized at erase time so alias merges in between are harmless.
+  std::vector<Block> reads_;
+  std::vector<uint32_t> read_arena_;
   std::vector<int> topo_pos_; ///< -1 = not in the order
   std::vector<Cell*> topo_;
   /// Cell::id() of each topo_ entry: compact_topo filters removed cells
@@ -178,6 +235,13 @@ private:
   std::vector<uint32_t> topo_ids_;
   size_t topo_live_ = 0;        ///< cells with a position
   bool topo_needs_sort_ = false; ///< an add_cell broke topo_'s position order
+  // Neighbour cache, per cell id; filled by const queries.
+  mutable std::vector<Neighbours> neighbours_;
+  mutable std::vector<Cell*> neighbour_arena_;
+  mutable std::vector<Cell*> neighbour_scan_;  ///< the list of a kScanned cell
+  mutable std::vector<uint32_t> neighbour_mark_; ///< per cell id: last scan that kept it
+  mutable uint32_t neighbour_scans_ = 0;
+  mutable bool neighbours_stale_ = false;
 };
 
 } // namespace smartly::rtlil

@@ -11,6 +11,7 @@
 #include "verilog/elaborate.hpp"
 #include "verilog/parse_error.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -150,31 +151,49 @@ void OptService::run_job(const std::string& name, int attempt) {
   // Whole-job fast path: a byte-identical source optimized before (possibly
   // by a previous daemon run, via the snapshot) replays its published result
   // without touching any engine. The flow is deterministic, so the replayed
-  // bytes are exactly what a fresh run would produce.
+  // bytes are exactly what a fresh run would produce. A source another
+  // worker is running right now is waited for, then replayed the same way,
+  // so a cycle runs each distinct source once at any number of workers.
   const Hash128 result_key = job_result_key(source);
-  ResultCache::Entry cached;
-  if (results_.lookup(result_key, &cached)) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.result_hits;
-    std::string error;
-    if (write_result(paths_, name, cached.verilog, "job=" + name + "\n" + cached.manifest_tail,
-                     &error)) {
-      journal_.append_done(name, "ok");
-      ++stats_.jobs_completed;
-    } else {
-      write_failure(paths_, name, "io: " + error, nullptr);
-      journal_.append_done(name, "failed");
-      ++stats_.jobs_failed;
-    }
-    const uint64_t completed = ++completed_this_run_;
-    if (options_.crash_after_jobs != 0 && completed >= options_.crash_after_jobs)
-      _exit(137);
-    return;
-  }
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
+    published_.wait(lock, [&] {
+      return std::find(running_.begin(), running_.end(), result_key) == running_.end();
+    });
+    ResultCache::Entry cached;
+    if (results_.lookup(result_key, &cached)) {
+      ++stats_.result_hits;
+      std::string error;
+      if (write_result(paths_, name, cached.verilog, "job=" + name + "\n" + cached.manifest_tail,
+                       &error)) {
+        journal_.append_done(name, "ok");
+        ++stats_.jobs_completed;
+      } else {
+        write_failure(paths_, name, "io: " + error, nullptr);
+        journal_.append_done(name, "failed");
+        ++stats_.jobs_failed;
+      }
+      const uint64_t completed = ++completed_this_run_;
+      if (options_.crash_after_jobs != 0 && completed >= options_.crash_after_jobs)
+        _exit(137);
+      return;
+    }
     ++stats_.result_misses;
+    running_.push_back(result_key);
   }
+  // However this job ends, its key leaves running_ and the waiters wake.
+  struct Running {
+    OptService& service;
+    Hash128 key;
+    ~Running() {
+      {
+        std::lock_guard<std::mutex> lock(service.mutex_);
+        service.running_.erase(
+            std::find(service.running_.begin(), service.running_.end(), key));
+      }
+      service.published_.notify_all();
+    }
+  } running{*this, result_key};
 
   std::string result_verilog;
   std::string manifest_tail;

@@ -30,7 +30,9 @@
 // state but the result cache (which replays stored bytes) crosses jobs — so
 // a run interrupted by kill -9 and restarted, or drained by another number
 // of workers, produces the byte-identical result set of an uninterrupted
-// run (tests/test_service.cpp asserts both).
+// run (tests/test_service.cpp asserts both). A job whose source another
+// worker is running waits for that run and replays its result, so a cycle
+// runs each distinct source once at any number of workers.
 #pragma once
 
 #include "service/journal.hpp"
@@ -40,11 +42,13 @@
 #include "util/recovery.hpp"
 
 #include <atomic>
+#include <condition_variable>
 #include <csignal>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
+#include <vector>
 
 namespace smartly::service {
 
@@ -118,6 +122,10 @@ private:
   util::QuarantineSet quarantine_;
   std::map<std::string, int> claims_; ///< per-job claim count (journal + this run)
   std::mutex mutex_; ///< serializes journal appends + stats from workers
+  /// Result keys of the jobs running the flow now (at most one per worker);
+  /// a job with one of these keys waits on published_ until it leaves.
+  std::vector<Hash128> running_;
+  std::condition_variable published_;
   std::atomic<uint64_t> completed_this_run_{0}; ///< drives crash_after_jobs
   size_t snapshot_entries_ = 0; ///< result-cache size at the last snapshot flush
 };

@@ -133,29 +133,24 @@ void simulate_signatures(const aig::Aig& aig, SignatureTable& table) {
 }
 
 bool cut_truth_table(const aig::Aig& aig, aig::Lit root, const aig::Lit* leaves,
-                     size_t num_leaves, uint16_t& tt) {
+                     size_t num_leaves, uint16_t& tt, NodeScratch& scratch) {
   // Seed the leaf *nodes* with projection words adjusted for the leaf
   // literal's polarity: the caller's leaf value is the literal, so a
   // complemented leaf literal contributes the complemented projection.
-  uint32_t leaf_nodes[4];
-  uint16_t leaf_words[4];
-  for (size_t i = 0; i < num_leaves; ++i) {
-    leaf_nodes[i] = aig::lit_node(leaves[i]);
-    leaf_words[i] = aig::lit_compl(leaves[i]) ? static_cast<uint16_t>(~cut_projection(i))
-                                              : cut_projection(i);
-  }
-
-  const uint32_t root_node = aig::lit_node(root);
-  std::unordered_map<uint32_t, uint16_t> value;
-  value.emplace(0, 0); // constant-false node
-  for (size_t i = 0; i < num_leaves; ++i)
-    value[leaf_nodes[i]] = leaf_words[i]; // a leaf may repeat; last word wins
+  scratch.begin();
+  scratch.set(0, 0); // constant-false node
+  for (size_t i = 0; i < num_leaves; ++i) // a leaf may repeat; last word wins
+    scratch.set(aig::lit_node(leaves[i]),
+                aig::lit_compl(leaves[i]) ? static_cast<uint16_t>(~cut_projection(i))
+                                          : cut_projection(i));
 
   // Iterative post-order over the cone between the leaves and the root.
-  std::vector<uint32_t> stack{root_node};
+  const uint32_t root_node = aig::lit_node(root);
+  std::vector<uint32_t>& stack = scratch.stack;
+  stack.assign(1, root_node);
   while (!stack.empty()) {
     const uint32_t n = stack.back();
-    if (value.count(n)) {
+    if (scratch.has(n)) {
       stack.pop_back();
       continue;
     }
@@ -163,22 +158,22 @@ bool cut_truth_table(const aig::Aig& aig, aig::Lit root, const aig::Lit* leaves,
       return false; // escaped the cut: a primary input that is not a leaf
     const uint32_t c0 = aig::lit_node(aig.fanin0(n));
     const uint32_t c1 = aig::lit_node(aig.fanin1(n));
-    const auto v0 = value.find(c0);
-    const auto v1 = value.find(c1);
-    if (v0 != value.end() && v1 != value.end()) {
-      const uint16_t w0 = aig::lit_compl(aig.fanin0(n)) ? ~v0->second : v0->second;
-      const uint16_t w1 = aig::lit_compl(aig.fanin1(n)) ? ~v1->second : v1->second;
-      value.emplace(n, static_cast<uint16_t>(w0 & w1));
+    const bool has0 = scratch.has(c0);
+    const bool has1 = scratch.has(c1);
+    if (has0 && has1) {
+      const uint32_t w0 = aig::lit_compl(aig.fanin0(n)) ? ~scratch[c0] : scratch[c0];
+      const uint32_t w1 = aig::lit_compl(aig.fanin1(n)) ? ~scratch[c1] : scratch[c1];
+      scratch.set(n, static_cast<uint16_t>(w0 & w1));
       stack.pop_back();
       continue;
     }
-    if (v0 == value.end())
+    if (!has0)
       stack.push_back(c0);
-    if (v1 == value.end())
+    if (!has1)
       stack.push_back(c1);
   }
 
-  const uint16_t w = value.at(root_node);
+  const uint16_t w = static_cast<uint16_t>(scratch[root_node]);
   tt = aig::lit_compl(root) ? static_cast<uint16_t>(~w) : w;
   return true;
 }

@@ -15,6 +15,7 @@
 
 #include "aig/aig.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -93,6 +94,39 @@ constexpr uint16_t cut_projection(size_t i) {
   return proj[i];
 }
 
+/// Per-node scratch for walks over one AIG's cones: a 32-bit value per node
+/// that reads as set only while its stamp equals the current walk's, so a
+/// walk starts in O(1) and allocates nothing. One instance, sized for the
+/// AIG, serves every walk of a rewrite round.
+class NodeScratch {
+public:
+  /// Size for an AIG of `nodes` nodes; every node reads as unset.
+  void resize(size_t nodes) {
+    stamp_.assign(nodes, 0);
+    value_.resize(nodes);
+    epoch_ = 1;
+  }
+  /// Start a walk: every node reads as unset again.
+  void begin() {
+    if (++epoch_ == 0) {
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 1;
+    }
+  }
+  bool has(uint32_t node) const { return stamp_[node] == epoch_; }
+  uint32_t& operator[](uint32_t node) { return value_[node]; }
+  void set(uint32_t node, uint32_t value) {
+    stamp_[node] = epoch_;
+    value_[node] = value;
+  }
+  std::vector<uint32_t> stack; ///< the walk's worklist
+
+private:
+  std::vector<uint32_t> stamp_;
+  std::vector<uint32_t> value_;
+  uint32_t epoch_ = 1;
+};
+
 /// Truth table of `root` as a function of up to four cut leaves, extracted by
 /// packed simulation of the cone over the 16 projection patterns: leaf i's
 /// *literal* takes cut_projection(i) (so a complemented leaf literal models
@@ -100,7 +134,8 @@ constexpr uint16_t cut_projection(size_t i) {
 /// — and leaves `tt` untouched — if the cone escapes the leaf set (reaches a
 /// primary input or the constant node that is not listed as a leaf), which
 /// marks the cut unusable rather than being an error.
+/// `scratch` (sized for `aig`) holds the cone's words.
 bool cut_truth_table(const aig::Aig& aig, aig::Lit root, const aig::Lit* leaves,
-                     size_t num_leaves, uint16_t& tt);
+                     size_t num_leaves, uint16_t& tt, NodeScratch& scratch);
 
 } // namespace smartly::sim

@@ -33,6 +33,39 @@ TEST(Npn, FromCanonicalRoundTripsEveryTable) {
   }
 }
 
+TEST(Npn, TableEqualsOneBuiltWithApply) {
+  // The constructor maps minterms through per-transform tables computed
+  // once; the same ascending scan with one NpnTable::apply per (table,
+  // transform) must give every entry.
+  std::vector<TruthTable> canon(65536);
+  std::vector<uint16_t> class_id(65536), from_canon(65536);
+  std::vector<uint8_t> assigned(65536, 0);
+  uint16_t classes = 0;
+  for (uint32_t tt = 0; tt < 65536; ++tt) {
+    if (assigned[tt])
+      continue;
+    for (uint16_t u = 0; u < kNumTransforms; ++u) {
+      const TruthTable v = NpnTable::apply(static_cast<TruthTable>(tt), u);
+      if (assigned[v])
+        continue;
+      assigned[v] = 1;
+      canon[v] = static_cast<TruthTable>(tt);
+      class_id[v] = classes;
+      from_canon[v] = u;
+    }
+    ++classes;
+  }
+  const NpnTable& t = NpnTable::instance();
+  EXPECT_EQ(classes, t.num_classes());
+  size_t mismatches = 0;
+  for (uint32_t tt = 0; tt < 65536; ++tt) {
+    const TruthTable f = static_cast<TruthTable>(tt);
+    mismatches += t.canonical(f) != canon[tt] || t.class_id(f) != class_id[tt] ||
+                  t.from_canonical(f) != from_canon[tt];
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
 TEST(Npn, IdentityTransformIsZero) {
   for (const TruthTable tt : {TruthTable(0x8000), TruthTable(0x1234), TruthTable(0xcafe)})
     EXPECT_EQ(NpnTable::apply(tt, 0), tt);

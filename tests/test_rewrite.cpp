@@ -14,11 +14,16 @@
 #include "rewrite/rewrite_engine.hpp"
 #include "rewrite/rewrite_lib.hpp"
 #include "rtlil/module.hpp"
+#include "sim/packed_sim.hpp"
 #include "verilog/elaborate.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
+#include <optional>
+#include <random>
 
 using namespace smartly;
 using rtlil::CellType;
@@ -50,7 +55,94 @@ void expect_equivalent(const Module& gold, const Module& gate, const char* label
   EXPECT_TRUE(r.equivalent) << label << ": differs at " << r.failing_output;
 }
 
+/// Truth table of `root` over the cut `leaves`, one fresh evaluation of the
+/// cone per minterm (a map per evaluation); nullopt when the cone reaches a
+/// node that is neither a leaf, the constant, nor an AND.
+std::optional<uint16_t> reference_truth_table(const aig::Aig& g, aig::Lit root,
+                                              const aig::Lit* leaves, size_t n) {
+  uint16_t tt = 0;
+  for (unsigned m = 0; m < 16; ++m) {
+    std::map<uint32_t, bool> value{{0u, false}};
+    for (size_t i = 0; i < n; ++i)
+      value[aig::lit_node(leaves[i])] = (((m >> i) & 1u) != 0) != aig::lit_compl(leaves[i]);
+    std::function<std::optional<bool>(uint32_t)> eval = [&](uint32_t node) {
+      if (const auto it = value.find(node); it != value.end())
+        return std::optional<bool>(it->second);
+      if (!g.is_and(node))
+        return std::optional<bool>();
+      const auto a = eval(aig::lit_node(g.fanin0(node)));
+      const auto b = eval(aig::lit_node(g.fanin1(node)));
+      if (!a || !b)
+        return std::optional<bool>();
+      const bool v = (*a != aig::lit_compl(g.fanin0(node))) && (*b != aig::lit_compl(g.fanin1(node)));
+      value[node] = v;
+      return std::optional<bool>(v);
+    };
+    const auto v = eval(aig::lit_node(root));
+    if (!v)
+      return std::nullopt;
+    if (*v != aig::lit_compl(root))
+      tt = static_cast<uint16_t>(tt | (1u << m));
+  }
+  return tt;
+}
+
 } // namespace
+
+// --- cut truth tables -------------------------------------------------------
+
+TEST(CutTruthTable, OneScratchServesEveryCutOfARound) {
+  // A rewrite round reuses one NodeScratch for every cut it evaluates; each
+  // table must still equal a fresh per-cut evaluation, and a leaf set the
+  // cone escapes (one leaf dropped) must be reported unusable.
+  size_t checked = 0, escaped = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    std::mt19937_64 rng(seed);
+    aig::Aig g;
+    std::vector<aig::Lit> lits;
+    for (int i = 0; i < 6; ++i)
+      lits.push_back(g.add_input());
+    for (int i = 0; i < 120; ++i) {
+      const aig::Lit a = lits[rng() % lits.size()] ^ static_cast<aig::Lit>(rng() & 1);
+      const aig::Lit b = lits[rng() % lits.size()] ^ static_cast<aig::Lit>(rng() & 1);
+      lits.push_back(g.and_(a, b));
+    }
+    const rewrite::CutSet cuts = rewrite::enumerate_cuts(g);
+    sim::NodeScratch scratch;
+    scratch.resize(g.num_nodes());
+    for (uint32_t node = 0; node < g.num_nodes(); ++node) {
+      if (!g.is_and(node))
+        continue;
+      const auto& node_cuts = cuts.cuts[node];
+      for (size_t ci = 0; ci + 1 < node_cuts.size(); ++ci) { // last cut is trivial
+        const rewrite::Cut& cut = node_cuts[ci];
+        aig::Lit leaves[4];
+        for (size_t i = 0; i < cut.size; ++i)
+          leaves[i] = aig::mk_lit(cut.leaves[i], (rng() & 1) != 0);
+        const aig::Lit root = aig::mk_lit(node, (rng() & 1) != 0);
+        uint16_t tt = 0;
+        ASSERT_TRUE(sim::cut_truth_table(g, root, leaves, cut.size, tt, scratch));
+        const auto want = reference_truth_table(g, root, leaves, cut.size);
+        ASSERT_TRUE(want.has_value());
+        EXPECT_EQ(tt, *want) << "seed " << seed << " node " << node << " cut " << ci;
+        ++checked;
+        if (cut.size < 2)
+          continue;
+        uint16_t untouched = 0x1234;
+        const bool usable = sim::cut_truth_table(g, root, leaves, cut.size - 1u, untouched, scratch);
+        const auto partial = reference_truth_table(g, root, leaves, cut.size - 1u);
+        EXPECT_EQ(usable, partial.has_value()) << "seed " << seed << " node " << node;
+        if (usable)
+          EXPECT_EQ(untouched, *partial);
+        else
+          EXPECT_EQ(untouched, 0x1234);
+        escaped += usable ? 0 : 1;
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+  EXPECT_GT(escaped, 100u);
+}
 
 // --- cut enumeration --------------------------------------------------------
 

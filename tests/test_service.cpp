@@ -655,6 +655,32 @@ TEST(OptServiceEndToEnd, FourWorkersPublishTheOneWorkerBytes) {
   EXPECT_EQ(trees[4], trees[1]);
 }
 
+TEST(OptServiceEndToEnd, SameCycleDuplicatesRunTheFlowOnce) {
+  // Four copies of one source admitted in one cycle: one job runs the
+  // engines and the other three replay its result from the cache, at four
+  // workers exactly as at one, with the same published bytes.
+  std::map<int, std::map<std::string, std::string>> trees;
+  for (const int threads : {4, 1}) {
+    const SpoolPaths paths = SpoolPaths::at(fresh_dir("dups-" + std::to_string(threads)));
+    std::string error;
+    ASSERT_TRUE(paths.ensure(&error)) << error;
+    for (int k = 0; k < 4; ++k)
+      ASSERT_TRUE(submit_job(paths, "copy" + std::to_string(k), burst_job(0), &error)) << error;
+    ServiceOptions options = drain_options();
+    options.threads = threads;
+    OptService daemon(paths.root, options);
+    ASSERT_EQ(daemon.run(), 0);
+    EXPECT_EQ(daemon.stats().jobs_completed, 4u) << threads;
+    EXPECT_EQ(daemon.stats().result_misses, 1u) << threads;
+    EXPECT_EQ(daemon.stats().result_hits, 3u) << threads;
+    EXPECT_EQ(daemon.stats().jobs_failed, 0u) << threads;
+    trees[threads] = read_done_tree(paths);
+    EXPECT_EQ(trees[threads].size(), 8u) << threads; // .v + .result per copy
+    fs::remove_all(paths.root);
+  }
+  EXPECT_EQ(trees[4], trees[1]);
+}
+
 TEST(OptServiceEndToEnd, BacklogBeyondQueueMaxIsShedExplicitly) {
   const SpoolPaths paths = SpoolPaths::at(fresh_dir("shed"));
   std::string error;
