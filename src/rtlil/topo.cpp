@@ -84,21 +84,36 @@ NetlistIndex::NetlistIndex(const Module& module) : module_(&module) {
       set_output_port(sigmap_(SigBit(w.get(), i)), true);
   }
 
+  // Driver pass. It keeps each combinational cell's canonical output ids
+  // for the Kahn pass below and flags the nets whose (first) driver is
+  // combinational: their readers have a dependency edge, and Kahn's pass
+  // releases each such net once.
   size_t input_bits = 0;
+  std::vector<uint32_t> out_ids;
+  std::vector<std::pair<uint32_t, uint32_t>> outputs(module.cell_id_bound()); // range in out_ids
+  std::vector<uint8_t> unreleased(driver_.size(), 0);
   for (const auto& cptr : module.cells()) {
     Cell* c = cptr.get();
     input_bits += input_bit_count(*c);
+    const bool comb = c->type() != CellType::Dff;
+    outputs[c->id()].first = static_cast<uint32_t>(out_ids.size());
     for (const SigBit& raw : c->port(c->output_port())) {
       const SigBit bit = sigmap_(raw);
       if (!bit.is_wire())
         continue; // output tied to a constant alias: nothing to index
-      Cell*& d = driver_[bit_id(bit)];
-      if (d != nullptr)
+      const size_t id = bit_id(bit);
+      Cell*& d = driver_[id];
+      if (d != nullptr) {
         log_warn("multiple drivers for %s[%d] (cells %s, %s)", bit.wire->name().c_str(),
                  bit.offset, d->name().c_str(), c->name().c_str());
-      else
+      } else {
         d = c;
+        unreleased[id] = comb ? 1 : 0;
+      }
+      if (comb)
+        out_ids.push_back(static_cast<uint32_t>(id));
     }
+    outputs[c->id()].second = static_cast<uint32_t>(out_ids.size());
   }
 
   // Read lists in module-cell / port / bit order, counting the reads per
@@ -133,17 +148,19 @@ NetlistIndex::NetlistIndex(const Module& module) : module_(&module) {
   reader_arena_.resize(total);
   // Combinational dependency edges driver(bit) -> c run from a non-Dff
   // driver into a non-Dff reader (Dff.D is the sequential boundary, Dff.Q a
-  // source); each read bit position is one edge.
+  // source); each read bit position is one edge. The reader ids beside the
+  // reader lists spare Kahn's pass a look into every reader cell.
   std::vector<int> indegree(module.cell_id_bound(), 0);
+  std::vector<uint32_t> reader_ids(total);
   for (const auto& cptr : module.cells()) {
     Cell* c = cptr.get();
     const Block& reads = reads_[c->id()];
     const bool sequential = c->type() == CellType::Dff;
     for (uint32_t k = reads.begin; k < reads.begin + reads.size; ++k) {
       Block& net = readers_[read_arena_[k]];
+      reader_ids[net.begin + net.size] = c->id();
       reader_arena_[net.begin + net.size++] = c;
-      const Cell* d = driver_[read_arena_[k]];
-      if (!sequential && d != nullptr && d->type() != CellType::Dff)
+      if (!sequential && unreleased[read_arena_[k]])
         ++indegree[c->id()];
     }
   }
@@ -158,28 +175,27 @@ NetlistIndex::NetlistIndex(const Module& module) : module_(&module) {
   //   * BFS layering — positions correlate with logic depth, so the fraig
   //     engine's minimum-position class representative is the shallowest
   //     member and merges collapse deep cones onto shallow ones.
+  //
+  // A Dff reader's indegree starts at 0 (it is seeded) and only falls below,
+  // so it is never queued twice.
   std::vector<Cell*> ready;
   for (const auto& cptr : module.cells())
     if (indegree[cptr->id()] == 0)
       ready.push_back(cptr.get());
   topo_.reserve(module.cells().size());
-  std::vector<uint8_t> released(driver_.size(), 0); // net's edges already consumed
   for (size_t head = 0; head < ready.size();) {
     Cell* c = ready[head++];
     topo_.push_back(c);
-    if (c->type() == CellType::Dff)
-      continue;
-    for (const SigBit& raw : c->port(c->output_port())) {
-      const SigBit bit = sigmap_(raw);
-      if (!bit.is_wire())
+    const auto [first, last] = outputs[c->id()];
+    for (uint32_t o = first; o < last; ++o) {
+      const uint32_t id = out_ids[o];
+      if (!unreleased[id])
         continue;
-      const size_t id = bit_id(bit);
-      if (released[id] || driver_[id] == nullptr || driver_[id]->type() == CellType::Dff)
-        continue;
-      released[id] = 1;
-      for (Cell* r : readers_of(bit))
-        if (r->type() != CellType::Dff && --indegree[r->id()] == 0)
-          ready.push_back(r);
+      unreleased[id] = 0;
+      const Block& net = readers_[id];
+      for (uint32_t k = net.begin; k < net.begin + net.size; ++k)
+        if (--indegree[reader_ids[k]] == 0)
+          ready.push_back(reader_arena_[k]);
     }
   }
   if (topo_.size() != module.cells().size())

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -66,22 +67,46 @@ Forced exhaustive_forced(const aig::Aig& aig,
 
 /// Per-node simulation words over W independent 64-pattern batches, stored
 /// node-major: row(node) is the node's W contiguous words, word w holding
-/// batch w's 64 pattern results. Row 0 (the constant node) is all zero.
-struct SignatureTable {
-  SignatureTable(size_t num_nodes, size_t num_words)
-      : words(num_words), nodes(num_nodes), node_words(num_nodes * num_words, 0) {}
+/// batch w's 64 pattern results.
+class SignatureTable {
+public:
+  SignatureTable() = default;
+  /// A table of `num_nodes` zeroed rows.
+  SignatureTable(size_t num_nodes, size_t num_words) {
+    reshape(num_nodes, num_words);
+    std::fill_n(data_.get(), num_nodes * num_words, uint64_t(0));
+  }
 
-  size_t words = 0;                 ///< number of 64-pattern batches (W)
-  size_t nodes = 0;                 ///< aig.num_nodes() at simulation time
-  std::vector<uint64_t> node_words; ///< [node * words + w]
+  /// Re-dimension to `num_nodes` rows of `num_words` words. The storage is
+  /// kept when it holds them; otherwise it is replaced by one holding
+  /// max(`capacity`, num_nodes × num_words) words. Rows hold unspecified
+  /// values until written.
+  void reshape(size_t num_nodes, size_t num_words, size_t capacity = 0) {
+    const size_t need = num_nodes * num_words;
+    if (need > capacity_) {
+      data_.reset(); // release before allocating: never two tables at once
+      capacity_ = std::max(need, capacity);
+      data_.reset(new uint64_t[capacity_]);
+    }
+    nodes = num_nodes;
+    words = num_words;
+  }
 
-  uint64_t* row(uint32_t node) { return node_words.data() + node * words; }
-  const uint64_t* row(uint32_t node) const { return node_words.data() + node * words; }
+  size_t words = 0; ///< number of 64-pattern batches (W)
+  size_t nodes = 0; ///< aig.num_nodes() at simulation time
+
+  uint64_t* row(uint32_t node) { return data_.get() + node * words; }
+  const uint64_t* row(uint32_t node) const { return data_.get() + node * words; }
+
+private:
+  std::unique_ptr<uint64_t[]> data_;
+  size_t capacity_ = 0; ///< words data_ holds
 };
 
 /// Fill every AND node's row of `table` (sized for `aig`) from the rows of
-/// the AIG inputs, which the caller has written: the patterns are rendered
-/// straight into the table, so no separate input block or copy exists.
+/// the AIG inputs and the constant node, which the caller has written: the
+/// patterns are rendered straight into the table, so no separate input block
+/// or copy exists. Rows of inputs no AND node reads may stay unwritten.
 void simulate_signatures(const aig::Aig& aig, SignatureTable& table);
 
 // --- cut truth-table extraction (DAG-aware rewriting support) --------------

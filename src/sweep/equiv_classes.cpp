@@ -39,6 +39,7 @@ EquivClasses::EquivClasses(const EquivClassOptions& options) : options_(options)
 void EquivClasses::bind(const rtlil::Module& module, const rtlil::NetlistIndex& index) {
   const obs::Span bind_span("fraig", "fraig.bind");
   index_ = &index;
+  blast_ = aig::AigMap(); // release the previous blast before building the next
   blast_ = aig::aigmap(module, index);
   const aig::Aig& g = blast_.aig;
 
@@ -68,17 +69,49 @@ void EquivClasses::bind(const rtlil::Module& module, const rtlil::NetlistIndex& 
     if (!slot.is_wire() || (is_free(bit) && !is_free(slot)))
       slot = bit;
   });
+  candidate_bits_ = candidates_.size();
+
   // Counting sort into node order: compute() then hashes each node's
   // signature row once, reading rows sequentially, with the node's bits
-  // adjacent.
+  // adjacent. The inputs render() writes are those an AND node or an output
+  // reads and those carrying two or more candidate bits; the rest, lone
+  // unread inputs, drop out of the candidates here.
   std::vector<uint32_t> next(g.num_nodes() + 1, 0);
   for (const auto& cand : candidates_)
     ++next[aig::lit_node(cand.second) + 1];
+  std::vector<uint8_t> rendered(g.num_inputs(), 0);
+  const auto mark_read = [&](aig::Lit l) {
+    const uint32_t input = node_input_[aig::lit_node(l)];
+    if (input != kNone)
+      rendered[input] = 1;
+  };
+  for (uint32_t n = 1; n < g.num_nodes(); ++n) {
+    if (g.is_and(n)) {
+      mark_read(g.fanin0(n));
+      mark_read(g.fanin1(n));
+    }
+  }
+  for (size_t o = 0; o < g.num_outputs(); ++o)
+    mark_read(g.output(static_cast<int>(o)));
+  rendered_.clear();
+  for (size_t i = 0; i < g.num_inputs(); ++i) {
+    const uint32_t node = g.inputs()[i];
+    if (!rendered[i] && next[node + 1] <= 1) {
+      next[node + 1] = 0;
+      continue;
+    }
+    rendered[i] = 1;
+    rendered_.emplace_back(node, input_bits_[i].is_wire() ? slot(input_bits_[i]) : kNone);
+  }
   for (size_t n = 1; n < next.size(); ++n)
     next[n] += next[n - 1];
-  std::vector<std::pair<SigBit, aig::Lit>> by_node(candidates_.size());
-  for (const auto& cand : candidates_)
-    by_node[next[aig::lit_node(cand.second)]++] = cand;
+  std::vector<std::pair<SigBit, aig::Lit>> by_node(next.back());
+  for (const auto& cand : candidates_) {
+    const uint32_t node = aig::lit_node(cand.second);
+    const uint32_t input = node_input_[node];
+    if (input == kNone || rendered[input])
+      by_node[next[node]++] = cand;
+  }
   candidates_.swap(by_node);
 }
 
@@ -92,11 +125,12 @@ uint32_t EquivClasses::slot(const SigBit& bit) {
   slot_of_[id] = s;
   const uint64_t bit_hash = stable_bit_hash(bit);
   slot_hash_.push_back(bit_hash);
+  slot_pads_.push_back(0);
   // Base batches are name-seeded Rng draws, fixed for the slot's lifetime.
   for (size_t w = 0; w < options_.sim_words; ++w)
     base_words_.push_back(Rng(hash_combine(hash_combine(options_.seed, bit_hash), w)).next());
-  for (size_t c = 0; c < cex_cols_.size(); ++c)
-    cex_cols_[c].push_back(Lanes{0, 0, pad_word(bit_hash, c)});
+  for (std::vector<Lanes>& col : cex_cols_)
+    col.emplace_back();
   return s;
 }
 
@@ -110,73 +144,126 @@ uint64_t EquivClasses::pad_word(uint64_t bit_hash, size_t batch) const {
   return word;
 }
 
-sim::SignatureTable EquivClasses::render() {
+void EquivClasses::draw_pads() {
+  if (cex_cols_.empty())
+    return;
+  const obs::Span pad_span("fraig", "fraig.pad");
+  const uint32_t batches = static_cast<uint32_t>(cex_cols_.size());
+  for (const auto& [node, s] : rendered_) {
+    if (s == kNone)
+      continue;
+    for (uint32_t& c = slot_pads_[s]; c < batches; ++c) {
+      cex_cols_[c][s].pad = pad_word(slot_hash_[s], c);
+      ++pad_words_;
+    }
+  }
+}
+
+void EquivClasses::render() {
   const obs::Span render_span("fraig", "fraig.render");
   const aig::Aig& g = blast_.aig;
   const size_t base = options_.sim_words;
+  const size_t words = base + cex_cols_.size();
+  // Room for one more counterexample batch, so the round after the first
+  // disproof keeps the storage.
+  table_.reshape(g.num_nodes(), words, g.num_nodes() * (words + 1));
+  std::fill_n(table_.row(0), words, uint64_t(0)); // the constant node
   // Each input's row: its base words, then one word per counterexample
   // batch — the assigned lanes over the pad.
-  sim::SignatureTable table(g.num_nodes(), base + cex_cols_.size());
-  for (size_t i = 0; i < g.num_inputs(); ++i) {
-    if (!input_bits_[i].is_wire())
-      continue; // unmapped input (defensive): patterns stay 0
-    const uint32_t s = slot(input_bits_[i]);
-    uint64_t* out = table.row(g.inputs()[i]);
+  for (const auto& [node, s] : rendered_) {
+    uint64_t* out = table_.row(node);
+    if (s == kNone) {
+      std::fill_n(out, words, uint64_t(0)); // unmapped input (defensive)
+      continue;
+    }
     std::copy_n(base_words_.data() + size_t(s) * base, base, out);
     for (size_t c = 0; c < cex_cols_.size(); ++c) {
       const Lanes& l = cex_cols_[c][s];
       out[base + c] = (l.value & l.known) | (l.pad & ~l.known);
     }
   }
-  return table;
 }
 
 std::vector<EquivClass> EquivClasses::compute() {
-  const aig::Aig& g = blast_.aig;
-  sim::SignatureTable table = render();
-  const size_t n_words = table.words;
+  draw_pads();
+  render();
   {
     const obs::Span simulate_span("fraig", "fraig.simulate");
-    sim::simulate_signatures(g, table);
+    sim::simulate_signatures(blast_.aig, table_);
   }
   const obs::Span bucket_span("fraig", "fraig.bucket");
+  const size_t n_words = table_.words;
 
-  // The normalized signature (complemented when pattern 0 reads 1) depends
-  // only on the AIG node, so each node's row is hashed once. The 128-bit key
-  // is treated as identity (cone-cache precedent): a collision could only
-  // propose a false candidate, which the SAT confirmation then disproves.
-  struct Keyed {
-    Hash128 key;
-    uint32_t cand; ///< index into candidates_
-    bool zero;     ///< the normalized signature is identically zero
+  // The normalized row (complemented when pattern 0 reads 1) depends only on
+  // the AIG node, so each node — each run of candidates_ — is hashed once.
+  // The first run with a given row leads its group in an open-addressing
+  // table of leaders; a later run joins it when its hash matches and its row
+  // is equal word for word. All-zero rows form the one constant group.
+  // `grouped` lists (leader, run) for every run of a group that can form a
+  // class: one with two or more bits, or the constant group.
+  const auto node_of = [&](uint32_t c) { return aig::lit_node(candidates_[c].second); };
+  const auto run_end = [&](uint32_t b) {
+    uint32_t e = b + 1;
+    while (e < candidates_.size() && node_of(e) == node_of(b))
+      ++e;
+    return e;
   };
-  std::vector<Keyed> keyed(candidates_.size());
-  for (size_t c = 0; c < candidates_.size(); ++c) {
-    const uint32_t n = aig::lit_node(candidates_[c].second);
-    if (c > 0 && aig::lit_node(candidates_[c - 1].second) == n) {
-      keyed[c] = {keyed[c - 1].key, static_cast<uint32_t>(c), keyed[c - 1].zero};
+  const auto normalized = [&](uint32_t node, size_t w) {
+    const uint64_t* row = table_.row(node);
+    return (row[0] & 1) ? ~row[w] : row[w];
+  };
+  // A table slot holds the leader's hash in its high half and the leader
+  // plus one in its low half (0 = empty).
+  size_t cap = 16;
+  while (cap < 2 * candidates_.size())
+    cap *= 2;
+  std::vector<uint64_t> leaders(cap, 0);
+  std::vector<std::pair<uint32_t, uint32_t>> grouped;
+  uint32_t zero_lead = kNone;
+  for (uint32_t b = 0, e; b < candidates_.size(); b = e) {
+    e = run_end(b);
+    const uint32_t n = node_of(b);
+    uint64_t h = 0x243f6a8885a308d3ULL, any = 0;
+    for (size_t w = 0; w < n_words; ++w) {
+      const uint64_t v = normalized(n, w);
+      any |= v;
+      h = (h ^ v) * 0x9e3779b97f4a7c15ULL;
+    }
+    if (any == 0) {
+      if (zero_lead == kNone)
+        zero_lead = b;
+      grouped.emplace_back(zero_lead, b);
       continue;
     }
-    const uint64_t* row = table.row(n);
-    const uint64_t flip = (row[0] & 1) ? ~uint64_t(0) : 0;
-    Hash128 key{0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL};
-    bool zero = true;
-    for (size_t w = 0; w < n_words; ++w) {
-      const uint64_t v = row[w] ^ flip;
-      zero = zero && v == 0;
-      key = hash128_combine(key, v);
+    h = hash_mix(h);
+    const auto same_row = [&](uint32_t other) {
+      const uint32_t m = node_of(other);
+      for (size_t w = 0; w < n_words; ++w)
+        if (normalized(m, w) != normalized(n, w))
+          return false;
+      return true;
+    };
+    size_t i = h & (cap - 1);
+    for (; leaders[i] != 0; i = (i + 1) & (cap - 1)) {
+      const uint32_t leader = static_cast<uint32_t>(leaders[i]) - 1;
+      if ((leaders[i] >> 32) == (h >> 32) && same_row(leader))
+        break;
     }
-    keyed[c] = {key, static_cast<uint32_t>(c), zero};
+    if (leaders[i] == 0) {
+      leaders[i] = (h >> 32 << 32) | (uint64_t(b) + 1);
+      if (e - b >= 2)
+        grouped.emplace_back(b, b);
+    } else {
+      grouped.emplace_back(static_cast<uint32_t>(leaders[i]) - 1, b);
+    }
   }
-  std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
-    return a.key.lo != b.key.lo ? a.key.lo < b.key.lo : a.key.hi < b.key.hi;
-  });
+  std::sort(grouped.begin(), grouped.end());
 
   const auto make_member = [&](const SigBit& bit, aig::Lit lit) {
     EquivMember m;
     m.bit = bit;
     m.lit = lit;
-    m.inverted = ((table.row(aig::lit_node(lit))[0] & 1) != 0) != aig::lit_compl(lit);
+    m.inverted = ((table_.row(aig::lit_node(lit))[0] & 1) != 0) != aig::lit_compl(lit);
     Cell* driver = index_->driver(bit);
     if (driver && driver->type() != CellType::Dff) {
       m.driver = driver;
@@ -186,29 +273,28 @@ std::vector<EquivClass> EquivClasses::compute() {
     return m;
   };
 
-  // Runs of equal keys are the candidate classes. A lone non-constant bit
-  // has nothing to merge with, so it is skipped before anything is built.
-  // The others keep a class only with a mergeable member: any driven bit of
-  // a constant class, or a driven bit behind the representative.
+  // Each leader's entries are adjacent, its own run first when listed (a
+  // join always comes later in node order). A group keeps its class only
+  // with a mergeable member: any driven bit of a constant class, or a driven
+  // bit behind the representative.
   std::vector<EquivClass> classes;
   EquivClass cls;
-  for (size_t b = 0, e; b < keyed.size(); b = e) {
-    e = b + 1;
-    while (e < keyed.size() && keyed[e].key == keyed[b].key)
-      ++e;
-    const bool zero = keyed[b].zero;
-    if (e - b == 1 && !zero)
-      continue;
-    cls.constant = zero;
+  for (size_t i = 0, j; i < grouped.size(); i = j) {
+    const uint32_t leader = grouped[i].first;
+    cls.constant = leader == zero_lead;
     cls.members.clear();
-    for (size_t i = b; i < e; ++i) {
-      const auto& [bit, lit] = candidates_[keyed[i].cand];
-      cls.members.push_back(make_member(bit, lit));
-    }
+    const auto add_run = [&](uint32_t b) {
+      for (uint32_t c = b, e = run_end(b); c < e; ++c)
+        cls.members.push_back(make_member(candidates_[c].first, candidates_[c].second));
+    };
+    if (grouped[i].second != leader)
+      add_run(leader);
+    for (j = i; j < grouped.size() && grouped[j].first == leader; ++j)
+      add_run(grouped[j].second);
     std::sort(cls.members.begin(), cls.members.end(), member_less);
     bool mergeable = false;
-    for (size_t i = zero ? 0 : 1; i < cls.members.size() && !mergeable; ++i)
-      mergeable = cls.members[i].driver != nullptr;
+    for (size_t k = cls.constant ? 0 : 1; k < cls.members.size() && !mergeable; ++k)
+      mergeable = cls.members[k].driver != nullptr;
     if (mergeable)
       classes.push_back(std::move(cls));
   }
@@ -229,13 +315,8 @@ bool EquivClasses::add_counterexample(const InputAssignment& assignment) {
   if (patterns_ >= options_.max_patterns)
     return false;
   const size_t lane = patterns_ % 64;
-  if (lane == 0) {
-    const obs::Span pad_span("fraig", "fraig.pad");
-    const size_t batch = cex_cols_.size();
-    cex_cols_.emplace_back(slot_hash_.size());
-    for (size_t s = 0; s < slot_hash_.size(); ++s)
-      cex_cols_[batch][s].pad = pad_word(slot_hash_[s], batch);
-  }
+  if (lane == 0)
+    cex_cols_.emplace_back(slot_hash_.size()); // pads are drawn when rendered
   std::vector<Lanes>& col = cex_cols_.back();
   const uint64_t mask = uint64_t(1) << lane;
   for (const auto& [bit, value] : assignment) {

@@ -12,10 +12,18 @@
 // class the new pattern distinguishes, which is what keeps the fraig engine
 // from re-querying disproved pairs.
 //
-// Each round does flat, sequential work: patterns are rendered from a column
-// pool straight into the input rows of a node-major signature table, one AIG
-// pass simulates every batch, each candidate node's normalized row is hashed
-// once, and candidates are grouped by sorting (key, candidate) pairs.
+// Each round does flat, sequential work over what can form a class: pad
+// lanes are drawn for the counterexample batches the rendered inputs lack,
+// patterns are rendered from a column pool straight into the input rows of a
+// node-major signature table, one AIG pass simulates every batch, and the
+// candidate nodes are grouped by a hash of their normalized rows in an
+// open-addressing table, members confirmed by exact row comparison.
+//
+// An AIG input that no AND node or output reads and that carries a single
+// candidate bit (a "lone unread input") gets no slot, row, pad or hash: its
+// row is its own name-seeded patterns, which equal another node's row only
+// by chance — sim_words × 64 independent random bits, 512 at the default —
+// so it can join no class. Its slot is created when a later round renders it.
 //
 // Determinism: base patterns derive from (seed, wire name, batch index) and
 // counterexamples are appended in canonical class order at engine barriers,
@@ -99,42 +107,58 @@ public:
     return input_bits_[node_input_[node]];
   }
   size_t pattern_count() const noexcept { return patterns_; }
-  size_t candidate_bits() const noexcept { return candidates_.size(); }
+  /// Every wire bit of the blast, lone unread inputs included.
+  size_t candidate_bits() const noexcept { return candidate_bits_; }
+  /// Pad words drawn so far: one per rendered slot per counterexample batch.
+  size_t pad_words() const noexcept { return pad_words_; }
 
 private:
   static constexpr uint32_t kNone = 0xffffffffu; ///< no slot / not an AIG input
 
   /// Counterexample lanes of one bit in one 64-pattern batch. `value` bits
-  /// are set only on `known` lanes; `pad` fills the others.
+  /// are set only on `known` lanes; `pad` fills the others once drawn.
   struct Lanes {
     uint64_t known = 0;
     uint64_t value = 0;
     uint64_t pad = 0;
   };
 
-  /// Pool slot of `bit`, created (base words and pads rendered) on first use.
+  /// Pool slot of `bit`, created (base words drawn) on first use.
   uint32_t slot(const rtlil::SigBit& bit);
   /// The 64 deterministic pad lanes of counterexample batch `batch`.
   uint64_t pad_word(uint64_t bit_hash, size_t batch) const;
-  /// A signature table for the blast (base batches, then one batch per 64
-  /// counterexamples) with every input row rendered from the pool.
-  sim::SignatureTable render();
+  /// Draw the pads of every batch a rendered slot lacks.
+  void draw_pads();
+  /// Size table_ for the blast (base batches, then one batch per 64
+  /// counterexamples) and render the constant row and every rendered input
+  /// row from the pool.
+  void render();
 
   EquivClassOptions options_;
   const rtlil::NetlistIndex* index_ = nullptr;
   aig::AigMap blast_;
-  /// Every wire bit of the blast with its literal, flat, in AIG node order.
+  /// The wire bits compute() groups — all but those of lone unread inputs —
+  /// with their literals, flat, in AIG node order.
   std::vector<std::pair<rtlil::SigBit, aig::Lit>> candidates_;
+  size_t candidate_bits_ = 0;
   std::vector<rtlil::SigBit> input_bits_; ///< AIG input index -> module bit
   std::vector<uint32_t> node_input_; ///< AIG node -> input index, or kNone
+  /// Inputs render() writes, every input but the lone unread ones: (AIG
+  /// node, pool slot or kNone for an unmapped input).
+  std::vector<std::pair<uint32_t, uint32_t>> rendered_;
+  /// Signature rows, kept across compute() calls of one engine run.
+  sim::SignatureTable table_;
 
-  // Pattern pool, one slot per module bit that was an AIG input or appears
-  // in a counterexample; every per-bit table is flat and slot-indexed.
+  // Pattern pool, one slot per module bit that was a rendered AIG input or
+  // appears in a counterexample; every per-bit table is flat and
+  // slot-indexed.
   std::vector<uint32_t> slot_of_;            ///< rtlil::bit_id -> slot
   std::vector<uint64_t> slot_hash_;          ///< stable bit hash per slot
+  std::vector<uint32_t> slot_pads_;          ///< leading batches with the slot's pad drawn
   std::vector<uint64_t> base_words_;         ///< [slot * sim_words + w]
   std::vector<std::vector<Lanes>> cex_cols_; ///< per cex batch, per slot
   size_t patterns_ = 0;
+  size_t pad_words_ = 0;
   std::unordered_set<Hash128, Hash128Hasher> cex_seen_;
 };
 

@@ -20,6 +20,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
+#include <string>
 
 using namespace smartly;
 using rtlil::CellType;
@@ -228,6 +231,267 @@ TEST(EquivClasses, DuplicateOrOverflowingCounterexampleIsRejected) {
   EXPECT_EQ(eq.pattern_count(), 2u);
   EXPECT_FALSE(eq.add_counterexample({{sa, true}, {sb, true}})); // pool full
   EXPECT_EQ(eq.pattern_count(), 2u);
+}
+
+TEST(EquivClasses, UnreadInputCarryingTwoBitsFormsItsClass) {
+  // y = a & a strash-folds onto input a and z = ~a onto its complement. No
+  // AND node or output reads a, but its node carries three candidate bits,
+  // so it still gets a row and forms the class {a, y, z}.
+  Fixture f;
+  Wire* a = f.in("a");
+  Wire* b = f.in("b");
+  Wire* c = f.in("c");
+  const SigSpec y = f.mod->And(SigSpec(a), SigSpec(a));
+  const SigSpec z = f.mod->Not(SigSpec(a));
+  f.mod->connect(SigSpec(f.out("o")), f.mod->And(SigSpec(b), SigSpec(c)));
+
+  const rtlil::NetlistIndex index(*f.mod);
+  sweep::EquivClasses eq;
+  eq.bind(*f.mod, index);
+  const std::vector<sweep::EquivClass> classes = eq.compute();
+
+  const sweep::EquivClass* cls = class_of(classes, SigBit(a, 0));
+  ASSERT_NE(cls, nullptr);
+  EXPECT_FALSE(cls->constant);
+  ASSERT_EQ(cls->members.size(), 3u);
+  const sweep::EquivMember& rep = cls->members[0];
+  EXPECT_EQ(rep.bit, SigBit(a, 0));
+  EXPECT_EQ(rep.driver, nullptr);
+  for (size_t i = 1; i < 3; ++i) {
+    const sweep::EquivMember& m = cls->members[i];
+    ASSERT_NE(m.driver, nullptr);
+    if (m.bit == canon(index, y)) {
+      EXPECT_EQ(m.lit, rep.lit);
+      EXPECT_EQ(m.inverted, rep.inverted);
+    } else {
+      EXPECT_EQ(m.bit, canon(index, z));
+      EXPECT_EQ(m.lit, aig::lit_not(rep.lit));
+      EXPECT_NE(m.inverted, rep.inverted);
+    }
+  }
+}
+
+TEST(EquivClasses, LoneUnreadInputJoinsNoClassAndDrawsNoPad) {
+  Fixture f;
+  Wire* a = f.in("a");
+  Wire* b = f.in("b");
+  Wire* u = f.in("u"); // read by nothing: its node carries only u
+  const SigSpec y1 = f.mod->And(SigSpec(a), SigSpec(b));
+  const SigSpec y2 =
+      f.mod->Not(f.mod->Or(f.mod->Not(SigSpec(a)), f.mod->Not(SigSpec(b))));
+  f.mod->connect(SigSpec(f.out("y1")), y1);
+  f.mod->connect(SigSpec(f.out("y2")), y2);
+
+  const rtlil::NetlistIndex index(*f.mod);
+  sweep::EquivClasses eq;
+  eq.bind(*f.mod, index);
+  ASSERT_NE(eq.blast().find(SigBit(u, 0)), aig::kNoLit);
+  ASSERT_NE(class_of(eq.compute(), canon(index, y1)), nullptr);
+  EXPECT_EQ(eq.pad_words(), 0u); // no counterexample batch yet
+
+  ASSERT_TRUE(eq.add_counterexample(
+      {{SigBit(a, 0), true}, {SigBit(b, 0), false}, {SigBit(u, 0), true}}));
+  const std::vector<sweep::EquivClass> classes = eq.compute();
+  EXPECT_EQ(class_of(classes, SigBit(u, 0)), nullptr);
+  EXPECT_EQ(eq.pad_words(), 2u); // a and b, one batch each
+  eq.compute();
+  EXPECT_EQ(eq.pad_words(), 2u); // drawn once
+}
+
+namespace {
+
+/// The pattern pool's stable bit hash: wire name, then offset.
+uint64_t reference_bit_hash(const SigBit& bit) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bit.wire->name())
+    h = hash_combine(h, c);
+  return hash_combine(h, static_cast<uint64_t>(bit.offset));
+}
+
+/// Classes of the bound blast with every AIG input rendered and every pad
+/// drawn, rows grouped by exact equality: what EquivClasses::compute() must
+/// return. `cexes` are the counterexamples the pool accepted, in order.
+std::vector<sweep::EquivClass> reference_classes(const sweep::EquivClasses& eq,
+                                                 const rtlil::NetlistIndex& index,
+                                                 const sweep::EquivClassOptions& options,
+                                                 const std::vector<sweep::InputAssignment>& cexes) {
+  const aig::Aig& g = eq.blast().aig;
+  const size_t base = options.sim_words;
+  const size_t words = base + (cexes.size() + 63) / 64;
+  const uint64_t pad_seed = options.seed ^ 0xf111f111f111f111ULL;
+  std::vector<std::vector<uint64_t>> rows(g.num_nodes(), std::vector<uint64_t>(words, 0));
+  for (const uint32_t node : g.inputs()) {
+    const SigBit& bit = eq.input_bit(node);
+    if (!bit.is_wire())
+      continue;
+    const uint64_t h = reference_bit_hash(bit);
+    for (size_t w = 0; w < base; ++w)
+      rows[node][w] = Rng(hash_combine(hash_combine(options.seed, h), w)).next();
+    for (size_t w = base; w < words; ++w) {
+      for (size_t lane = 0; lane < 64; ++lane) {
+        const size_t p = (w - base) * 64 + lane;
+        bool v = (hash_mix(hash_combine(pad_seed, hash_combine(h, p))) & 1) != 0;
+        if (p < cexes.size()) {
+          for (const auto& [b, value] : cexes[p]) {
+            if (b == bit) {
+              v = value;
+              break;
+            }
+          }
+        }
+        rows[node][w] |= uint64_t(v) << lane;
+      }
+    }
+  }
+  for (uint32_t n = 1; n < g.num_nodes(); ++n) {
+    if (!g.is_and(n))
+      continue;
+    const aig::Lit f0 = g.fanin0(n), f1 = g.fanin1(n);
+    for (size_t w = 0; w < words; ++w)
+      rows[n][w] = (rows[aig::lit_node(f0)][w] ^ (aig::lit_compl(f0) ? ~0ULL : 0)) &
+                   (rows[aig::lit_node(f1)][w] ^ (aig::lit_compl(f1) ? ~0ULL : 0));
+  }
+
+  std::map<std::vector<uint64_t>, std::vector<sweep::EquivMember>> groups;
+  eq.blast().for_each_bit([&](const SigBit& bit, aig::Lit lit) {
+    std::vector<uint64_t> row = rows[aig::lit_node(lit)];
+    const bool flip = (row[0] & 1) != 0;
+    for (uint64_t& v : row)
+      v = flip ? ~v : v;
+    sweep::EquivMember m;
+    m.bit = bit;
+    m.lit = lit;
+    m.inverted = flip != aig::lit_compl(lit);
+    rtlil::Cell* driver = index.driver(bit);
+    if (driver && driver->type() != CellType::Dff) {
+      m.driver = driver;
+      m.topo_pos = index.topo_position(driver);
+    }
+    m.rank = rtlil::bit_id(bit);
+    groups[row].push_back(m);
+  });
+  const auto less = [](const sweep::EquivMember& x, const sweep::EquivMember& y) {
+    return x.topo_pos != y.topo_pos ? x.topo_pos < y.topo_pos : x.rank < y.rank;
+  };
+  std::vector<sweep::EquivClass> classes;
+  for (auto& [row, members] : groups) {
+    sweep::EquivClass cls;
+    cls.constant = std::all_of(row.begin(), row.end(), [](uint64_t v) { return v == 0; });
+    if (members.size() == 1 && !cls.constant)
+      continue;
+    cls.members = members;
+    std::sort(cls.members.begin(), cls.members.end(), less);
+    bool mergeable = false;
+    for (size_t i = cls.constant ? 0 : 1; i < cls.members.size(); ++i)
+      mergeable = mergeable || cls.members[i].driver != nullptr;
+    if (mergeable)
+      classes.push_back(std::move(cls));
+  }
+  std::sort(classes.begin(), classes.end(),
+            [&](const sweep::EquivClass& x, const sweep::EquivClass& y) {
+              return less(x.members.front(), y.members.front());
+            });
+  return classes;
+}
+
+void expect_same_classes(const std::vector<sweep::EquivClass>& got,
+                         const std::vector<sweep::EquivClass>& want, const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].constant, want[i].constant) << where << " class " << i;
+    ASSERT_EQ(got[i].members.size(), want[i].members.size()) << where << " class " << i;
+    for (size_t k = 0; k < got[i].members.size(); ++k) {
+      const sweep::EquivMember& x = got[i].members[k];
+      const sweep::EquivMember& y = want[i].members[k];
+      EXPECT_TRUE(x.bit == y.bit && x.lit == y.lit && x.inverted == y.inverted &&
+                  x.driver == y.driver && x.topo_pos == y.topo_pos && x.rank == y.rank)
+          << where << " class " << i << " member " << k;
+    }
+  }
+}
+
+} // namespace
+
+TEST(EquivClasses, RandomNetlistsMatchTheExactReference) {
+  // Random netlists plus the cases the classing shortcuts: a folded
+  // y = a & a on an otherwise unread input, and two lone unread inputs that
+  // a later round starts to read (one assigned by earlier counterexamples,
+  // one never assigned), so their slots, rows and pads appear lazily.
+  // Counterexamples cross a 64-pattern batch boundary over four rounds.
+  size_t classes_seen = 0;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    Design design;
+    Module* m = benchgen::random_netlist(design, "top", seed, 30);
+    Wire* folded = m->add_wire("folded", 1);
+    m->set_port_input(folded);
+    m->And(SigSpec(folded), SigSpec(folded));
+    Wire* late = m->add_wire("late", 2);
+    m->set_port_input(late);
+    Wire* fresh = m->add_wire("fresh", 4);
+    m->set_port_input(fresh);
+
+    // One base batch keeps false candidates around for the counterexample
+    // batches to split.
+    sweep::EquivClassOptions options;
+    options.sim_words = 1;
+    sweep::EquivClasses eq(options);
+    std::vector<sweep::InputAssignment> accepted;
+    std::optional<rtlil::NetlistIndex> index;
+    std::map<SigBit, size_t> pads_drawn; // rendered input bit -> batches padded
+    Rng rng(seed);
+    for (int round = 0; round < 4; ++round) {
+      if (round == 2) {
+        const SigSpec late_and = m->And(SigSpec(late), SigSpec(fresh).extract(0, 2));
+        const SigSpec fresh_and = m->ReduceAnd(SigSpec(fresh));
+        Wire* po = m->add_wire("late_po", 3);
+        m->set_port_output(po);
+        SigSpec read = late_and;
+        read.append(fresh_and);
+        m->connect(SigSpec(po), read);
+      }
+      if (round == 0 || round == 2) {
+        index.emplace(*m);
+        index->sigmap().flatten();
+        eq.bind(*m, *index);
+      }
+      const std::string where = "seed " + std::to_string(seed) + " round " + std::to_string(round);
+      const std::vector<sweep::EquivClass> got = eq.compute();
+      expect_same_classes(got, reference_classes(eq, *index, options, accepted), where);
+      classes_seen += got.size();
+
+      // Pads: each rendered input (read by an AND node or an output, or
+      // carrying two or more bits) holds one per batch, drawn once.
+      const aig::Aig& g = eq.blast().aig;
+      std::vector<int> uses(g.num_nodes(), 0);
+      for (uint32_t n = 1; n < g.num_nodes(); ++n) {
+        if (g.is_and(n)) {
+          uses[aig::lit_node(g.fanin0(n))] += 2;
+          uses[aig::lit_node(g.fanin1(n))] += 2;
+        }
+      }
+      for (size_t o = 0; o < g.num_outputs(); ++o)
+        uses[aig::lit_node(g.output(static_cast<int>(o)))] += 2;
+      eq.blast().for_each_bit([&](const SigBit&, aig::Lit lit) { ++uses[aig::lit_node(lit)]; });
+      for (const uint32_t node : g.inputs())
+        if (uses[node] >= 2 && eq.input_bit(node).is_wire())
+          pads_drawn[eq.input_bit(node)] = (accepted.size() + 63) / 64;
+      size_t pads = 0;
+      for (const auto& [bit, batches] : pads_drawn)
+        pads += batches;
+      EXPECT_EQ(eq.pad_words(), pads) << where;
+      for (int k = 0; k < 30; ++k) {
+        sweep::InputAssignment cex;
+        for (const uint32_t node : eq.blast().aig.inputs()) {
+          const SigBit& bit = eq.input_bit(node);
+          if (bit.is_wire() && bit.wire != fresh && rng.chance(0.7))
+            cex.emplace_back(bit, rng.chance(0.5));
+        }
+        if (eq.add_counterexample(cex))
+          accepted.push_back(cex);
+      }
+    }
+  }
+  EXPECT_GT(classes_seen, 40u);
 }
 
 TEST(Fraig, MergesDuplicateCones) {

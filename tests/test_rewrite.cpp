@@ -107,14 +107,15 @@ TEST(CutTruthTable, OneScratchServesEveryCutOfARound) {
       const aig::Lit b = lits[rng() % lits.size()] ^ static_cast<aig::Lit>(rng() & 1);
       lits.push_back(g.and_(a, b));
     }
-    const rewrite::CutSet cuts = rewrite::enumerate_cuts(g);
+    rewrite::CutSet cuts;
+    rewrite::enumerate_cuts(g, {}, cuts);
     sim::NodeScratch scratch;
     scratch.resize(g.num_nodes());
     for (uint32_t node = 0; node < g.num_nodes(); ++node) {
       if (!g.is_and(node))
         continue;
-      const auto& node_cuts = cuts.cuts[node];
-      for (size_t ci = 0; ci + 1 < node_cuts.size(); ++ci) { // last cut is trivial
+      const rewrite::CutRange node_cuts = cuts.cuts(node);
+      for (size_t ci = 0; ci < node_cuts.size(); ++ci) {
         const rewrite::Cut& cut = node_cuts[ci];
         aig::Lit leaves[4];
         for (size_t i = 0; i < cut.size; ++i)
@@ -160,15 +161,16 @@ TEST(CutEnum, LeafBoundsAndOrdering) {
     root = g.and_(root, g.xor_(layer[i], ins[i]));
   g.add_output(root);
 
-  const rewrite::CutSet cuts = rewrite::enumerate_cuts(g);
-  ASSERT_EQ(cuts.cuts.size(), g.num_nodes());
+  rewrite::CutSet cuts;
+  rewrite::enumerate_cuts(g, {}, cuts);
+  ASSERT_EQ(cuts.offset.size(), g.num_nodes() + 1);
   for (uint32_t n = 0; n < g.num_nodes(); ++n) {
-    const auto& set = cuts.cuts[n];
-    ASSERT_FALSE(set.empty());
-    // The trivial cut {n} is always last.
-    EXPECT_EQ(set.back().size, 1u);
-    EXPECT_EQ(set.back().leaves[0], n);
+    const rewrite::CutRange set = cuts.cuts(n);
+    // Inputs and the constant node store no cut; an AND node stores at
+    // least its fanin cut, and never the implied trivial cut {n}.
+    ASSERT_EQ(set.empty(), !g.is_and(n));
     for (const rewrite::Cut& c : set) {
+      EXPECT_FALSE(c.size == 1 && c.leaves[0] == n);
       ASSERT_GE(c.size, 1u);
       ASSERT_LE(c.size, 4u);
       for (size_t i = 1; i < c.size; ++i)
@@ -178,10 +180,9 @@ TEST(CutEnum, LeafBoundsAndOrdering) {
         sign |= 1u << (c.leaves[i] & 31);
       EXPECT_EQ(c.sign, sign);
     }
-    // Dominated-cut pruning: no kept non-trivial cut is a superset of
-    // another kept cut.
-    for (size_t i = 0; i + 1 < set.size(); ++i)
-      for (size_t j = 0; j + 1 < set.size(); ++j)
+    // Dominated-cut pruning: no kept cut is a superset of another kept cut.
+    for (size_t i = 0; i < set.size(); ++i)
+      for (size_t j = 0; j < set.size(); ++j)
         if (i != j) {
           EXPECT_FALSE(set[i].subset_of(set[j]))
               << "cut " << i << " dominates kept cut " << j << " at node " << n;
@@ -201,15 +202,119 @@ TEST(CutEnum, RespectsCutLimitAndIsDeterministic) {
 
   rewrite::CutOptions narrow;
   narrow.cut_limit = 3;
-  const rewrite::CutSet a = rewrite::enumerate_cuts(g, narrow);
-  const rewrite::CutSet b = rewrite::enumerate_cuts(g, narrow);
-  EXPECT_EQ(a.total, b.total);
+  rewrite::CutSet a, b;
+  rewrite::enumerate_cuts(g, narrow, a);
+  rewrite::enumerate_cuts(g, narrow, b);
+  EXPECT_EQ(a.arena.size(), b.arena.size());
   for (uint32_t n = 0; n < g.num_nodes(); ++n) {
-    EXPECT_LE(a.cuts[n].size(), 4u); // limit + trivial
-    ASSERT_EQ(a.cuts[n].size(), b.cuts[n].size());
-    for (size_t i = 0; i < a.cuts[n].size(); ++i)
-      EXPECT_TRUE(a.cuts[n][i] == b.cuts[n][i]);
+    EXPECT_LE(a.cuts(n).size(), 3u); // the limit
+    ASSERT_EQ(a.cuts(n).size(), b.cuts(n).size());
+    for (size_t i = 0; i < a.cuts(n).size(); ++i)
+      EXPECT_TRUE(a.cuts(n)[i] == b.cuts(n)[i]);
   }
+}
+
+namespace {
+
+/// Cut enumeration as it was before the cuts moved into one arena: one
+/// vector per node, the same merge, priority and dominance rules, the
+/// trivial cut {n} stored last. Kept as the reference the arena must
+/// reproduce cut for cut (the arena leaves the trivial cut implied).
+std::vector<std::vector<rewrite::Cut>> reference_cuts(const aig::Aig& aig, size_t limit,
+                                                      size_t& total) {
+  const auto trivial = [](uint32_t node) {
+    rewrite::Cut c;
+    c.leaves[0] = node;
+    c.size = 1;
+    c.sign = 1u << (node & 31);
+    return c;
+  };
+  const auto merge = [](const rewrite::Cut& a, const rewrite::Cut& b, rewrite::Cut& out) {
+    size_t i = 0, j = 0, n = 0;
+    while (i < a.size || j < b.size) {
+      uint32_t next;
+      if (j == b.size || (i < a.size && a.leaves[i] < b.leaves[j]))
+        next = a.leaves[i++];
+      else if (i == a.size || b.leaves[j] < a.leaves[i])
+        next = b.leaves[j++];
+      else
+        next = a.leaves[i++], ++j;
+      if (n == 4)
+        return false;
+      out.leaves[n++] = next;
+    }
+    out.size = static_cast<uint8_t>(n);
+    out.sign = a.sign | b.sign;
+    return true;
+  };
+  std::vector<std::vector<rewrite::Cut>> cuts(aig.num_nodes());
+  total = 0;
+  for (uint32_t n = 0; n < aig.num_nodes(); ++n) {
+    std::vector<rewrite::Cut>& set = cuts[n];
+    if (!aig.is_and(n)) {
+      set.push_back(trivial(n));
+      continue;
+    }
+    std::vector<rewrite::Cut> merged;
+    for (const rewrite::Cut& a : cuts[aig::lit_node(aig.fanin0(n))]) {
+      for (const rewrite::Cut& b : cuts[aig::lit_node(aig.fanin1(n))]) {
+        rewrite::Cut m;
+        if (merge(a, b, m))
+          merged.push_back(m);
+      }
+    }
+    std::sort(merged.begin(), merged.end());
+    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+    for (const rewrite::Cut& c : merged) {
+      if (set.size() >= limit)
+        break;
+      if (std::none_of(set.begin(), set.end(),
+                       [&](const rewrite::Cut& kept) { return kept.subset_of(c); }))
+        set.push_back(c);
+    }
+    total += set.size();
+    set.push_back(trivial(n));
+  }
+  return cuts;
+}
+
+} // namespace
+
+TEST(CutEnum, ArenaEqualsPerNodeReference) {
+  // One CutSet is refilled for every AIG and limit, as a rewrite run
+  // refills it every round; the arena holds exactly the kept cuts.
+  rewrite::CutSet cuts;
+  size_t compared = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    std::mt19937_64 rng(seed);
+    aig::Aig g;
+    std::vector<aig::Lit> lits;
+    for (int i = 0; i < 6 + static_cast<int>(seed % 5); ++i)
+      lits.push_back(g.add_input());
+    for (int i = 0; i < 300; ++i) {
+      const aig::Lit a = lits[rng() % lits.size()] ^ static_cast<aig::Lit>(rng() & 1);
+      const aig::Lit b = lits[rng() % lits.size()] ^ static_cast<aig::Lit>(rng() & 1);
+      lits.push_back(g.and_(a, b));
+    }
+    for (const int limit : {1, 2, 8}) {
+      rewrite::enumerate_cuts(g, rewrite::CutOptions{limit}, cuts);
+      size_t total = 0;
+      const auto want = reference_cuts(g, static_cast<size_t>(limit), total);
+      EXPECT_EQ(cuts.arena.size(), total) << "seed " << seed << " limit " << limit;
+      ASSERT_EQ(cuts.offset.size(), g.num_nodes() + 1);
+      for (uint32_t n = 0; n < g.num_nodes(); ++n) {
+        const rewrite::CutRange got = cuts.cuts(n);
+        ASSERT_EQ(got.size() + 1, want[n].size())
+            << "seed " << seed << " limit " << limit << " node " << n;
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_TRUE(got[i] == want[n][i] && got[i].sign == want[n][i].sign)
+              << "seed " << seed << " limit " << limit << " node " << n << " cut " << i;
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 10000u);
 }
 
 // --- replacement library ----------------------------------------------------
