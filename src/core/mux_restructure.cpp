@@ -76,6 +76,9 @@ public:
       if (try_rebuild(c))
         changed = true;
     }
+    for (const auto& [lhs, rhs] : connects_)
+      module_.connect(lhs, rhs);
+    connects_.clear();
     module_.remove_cells(std::vector<Cell*>(consumed_.begin(), consumed_.end()));
     consumed_.clear();
     return changed;
@@ -413,7 +416,7 @@ private:
       return y;
     };
     const SigSpec result = node_value(node_value, add.root);
-    module_.connect(root->port(Port::Y), result);
+    connects_.emplace_back(root->port(Port::Y), result);
 
     for (const TreeNode& n : tree)
       consumed_.insert(n.cell);
@@ -427,6 +430,9 @@ private:
   const MuxRestructureOptions& options_;
   MuxRestructureStats& stats_;
   NetlistIndex index_;
+  /// The iteration's connects, applied in order when it ends: until then
+  /// the index and every read see the module's map as the iteration found it.
+  std::vector<std::pair<SigSpec, SigSpec>> connects_;
   std::unordered_set<Cell*> consumed_;
   std::vector<SigBit> sel_bits_;
   std::unordered_map<SigBit, int> sel_index_;

@@ -395,13 +395,10 @@ void apply_sweep_journal(Module& module, NetlistIndex& index, const SweepJournal
   // (the connects below only merge classes *onto* surviving representatives).
   for (const SweepJournal::AddedCell& a : journal.added)
     index.add_cell(a.cell, a.topo_pos);
-  // Connects next, mirrored 1:1 into the module so a from-scratch SigMap of
-  // the edited module replays the same union-find operations in the same
-  // order and lands on the same representatives.
-  for (const auto& [lhs, rhs] : journal.connects) {
-    index.add_alias(lhs, rhs);
-    module.connect(lhs, rhs);
-  }
+  // Connects next, through the index into the module, whose map the index
+  // reads.
+  for (const auto& [lhs, rhs] : journal.connects)
+    index.connect(module, lhs, rhs);
   // Mutated survivors last, so their fresh reader entries are keyed under
   // the post-connect canonical bits.
   std::unordered_set<Cell*> dead(journal.removed.begin(), journal.removed.end());

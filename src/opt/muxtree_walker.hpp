@@ -195,11 +195,11 @@ private:
   std::unique_ptr<Impl> impl_;
 };
 
-/// Apply one sweep's journal: retract removed cells from the index, mirror
-/// the connects into module + index, refresh mutated cells' reader entries,
+/// Apply one sweep's journal: retract removed cells from the index, connect
+/// through the index into the module, refresh mutated cells' reader entries,
 /// then physically remove the dead cells. Leaves `index` equal to a rebuild
 /// of the edited module. With `finalize` (the default) the topo order is
-/// compacted and the sigmap flattened for concurrent readers; a caller
+/// compacted and the module's map flattened for one-hop reads; a caller
 /// applying many journals at one barrier passes false and calls
 /// index.compact_topo() + index.sigmap().flatten() once afterwards.
 void apply_sweep_journal(rtlil::Module& module, rtlil::NetlistIndex& index,

@@ -15,7 +15,7 @@ using rtlil::SigBit;
 
 size_t opt_clean(Module& module) {
   const obs::Span span("opt", "opt.opt_clean");
-  const rtlil::SigMap sigmap(module);
+  const rtlil::SigMap& sigmap = module.sigmap();
 
   // Driver table over canonical bits, by rtlil::bit_id; the first driver wins.
   std::vector<Cell*> driver(module.bit_id_bound(), nullptr);

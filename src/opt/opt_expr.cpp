@@ -22,8 +22,9 @@ namespace {
 
 bool all_const_inputs(const Cell& cell, const rtlil::SigMap& sigmap) {
   for (Port p : cell.input_ports())
-    if (!sigmap(cell.port(p)).is_fully_const())
-      return false;
+    for (const SigBit& bit : cell.port(p))
+      if (sigmap(bit).is_wire())
+        return false;
   return true;
 }
 
@@ -50,11 +51,19 @@ OptExprStats opt_expr(Module& module) {
 
   for (bool changed = true; changed;) {
     changed = false;
-    const rtlil::SigMap sigmap(module);
+    // An iteration reads the map as it stood at its start: its connects are
+    // buffered and applied in order when it ends. It visits the cells that
+    // existed at its start, by index, since add_cell may move the cell list.
+    const rtlil::SigMap& sigmap = module.sigmap();
+    std::vector<std::pair<SigSpec, SigSpec>> connects;
+    const auto connect_later = [&connects](const SigSpec& lhs, const SigSpec& rhs) {
+      connects.emplace_back(lhs, rhs);
+    };
     std::vector<Cell*> dead;
 
-    for (const auto& cptr : module.cells()) {
-      Cell* cell = cptr.get();
+    const size_t cell_count = module.cells().size();
+    for (size_t ci = 0; ci < cell_count; ++ci) {
+      Cell* cell = module.cells()[ci].get();
       if (cell->type() == CellType::Dff)
         continue;
 
@@ -62,8 +71,8 @@ OptExprStats opt_expr(Module& module) {
       if (all_const_inputs(*cell, sigmap)) {
         auto read = [&](Port p) { return sigmap(cell->port(p)).as_const(); };
         const Const y = sim::eval_cell(*cell, read);
-        module.connect(cell->port(cell->output_port()),
-                       SigSpec(y).extended(cell->port(cell->output_port()).size(), false));
+        connect_later(cell->port(cell->output_port()),
+                      SigSpec(y).extended(cell->port(cell->output_port()).size(), false));
         dead.push_back(cell);
         ++stats.folded_cells;
         changed = true;
@@ -78,14 +87,14 @@ OptExprStats opt_expr(Module& module) {
         if (s.is_fully_const()) {
           const State sv = s.as_const()[0];
           const SigSpec& pick = (sv == State::S1) ? b : a; // x select -> A (x→0 policy)
-          module.connect(cell->port(Port::Y), pick);
+          connect_later(cell->port(Port::Y), pick);
           dead.push_back(cell);
           ++stats.simplified_cells;
           changed = true;
           continue;
         }
         if (a == b) {
-          module.connect(cell->port(Port::Y), a);
+          connect_later(cell->port(Port::Y), a);
           dead.push_back(cell);
           ++stats.simplified_cells;
           changed = true;
@@ -97,7 +106,7 @@ OptExprStats opt_expr(Module& module) {
           const bool av = a.as_const().as_bool();
           const bool bv = b.as_const().as_bool();
           if (!av && bv) {
-            module.connect(cell->port(Port::Y), s);
+            connect_later(cell->port(Port::Y), s);
           } else {
             Cell* inv = module.add_cell(CellType::Not);
             inv->set_port(Port::A, s);
@@ -140,7 +149,7 @@ OptExprStats opt_expr(Module& module) {
         }
         if (mutated) {
           if (new_s.empty()) {
-            module.connect(cell->port(Port::Y), new_a);
+            connect_later(cell->port(Port::Y), new_a);
             dead.push_back(cell);
           } else if (new_s.size() == 1) {
             Cell* mux = module.add_cell(CellType::Mux);
@@ -190,7 +199,7 @@ OptExprStats opt_expr(Module& module) {
             repl = ax;
         }
         if (!repl.empty()) {
-          module.connect(cell->port(Port::Y), repl);
+          connect_later(cell->port(Port::Y), repl);
           dead.push_back(cell);
           ++stats.simplified_cells;
           changed = true;
@@ -230,7 +239,7 @@ OptExprStats opt_expr(Module& module) {
             inv->set_port(Port::Y, cell->port(Port::Y));
             inv->infer_widths();
           } else {
-            module.connect(cell->port(Port::Y), repl);
+            connect_later(cell->port(Port::Y), repl);
           }
           dead.push_back(cell);
           ++stats.simplified_cells;
@@ -255,7 +264,7 @@ OptExprStats opt_expr(Module& module) {
           repl = b.extract(0, yw);
         }
         if (!repl.empty()) {
-          module.connect(cell->port(Port::Y), repl);
+          connect_later(cell->port(Port::Y), repl);
           dead.push_back(cell);
           ++stats.simplified_cells;
           changed = true;
@@ -274,8 +283,8 @@ OptExprStats opt_expr(Module& module) {
               has_const_x = true;
           if (!has_const_x) {
             const int yw = cell->params().y_width;
-            module.connect(cell->port(Port::Y),
-                           SigSpec(Const(cell->type() == CellType::Eq ? 1 : 0, yw)));
+            connect_later(cell->port(Port::Y),
+                          SigSpec(Const(cell->type() == CellType::Eq ? 1 : 0, yw)));
             dead.push_back(cell);
             ++stats.simplified_cells;
             changed = true;
@@ -285,6 +294,8 @@ OptExprStats opt_expr(Module& module) {
       }
     }
 
+    for (const auto& [lhs, rhs] : connects)
+      module.connect(lhs, rhs);
     module.remove_cells(dead);
   }
   return stats;

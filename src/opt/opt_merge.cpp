@@ -18,7 +18,10 @@ size_t opt_merge(Module& module) {
   size_t merged_total = 0;
   for (bool changed = true; changed;) {
     changed = false;
-    const rtlil::SigMap sigmap(module);
+    // An iteration reads the map as it stood at its start: its connects are
+    // buffered and applied in order when it ends.
+    const rtlil::SigMap& sigmap = module.sigmap();
+    std::vector<std::pair<rtlil::SigSpec, rtlil::SigSpec>> connects;
     // Keyed on the sweep subsystem's structural fingerprint (type, params,
     // canonical inputs, commutative normalization) — the same "trivially
     // identical" notion the fraig engine's pre-merge uses, so everything this
@@ -38,12 +41,14 @@ size_t opt_merge(Module& module) {
       if (!sweep::cell_structurally_identical(*cell, *it->second, sigmap))
         continue; // fingerprint collision: leave both cells alone
       // Same computation: alias this cell's output to the first one's.
-      module.connect(cell->port(cell->output_port()),
-                     it->second->port(it->second->output_port()));
+      connects.emplace_back(cell->port(cell->output_port()),
+                            it->second->port(it->second->output_port()));
       dead.push_back(cell);
       ++merged_total;
       changed = true;
     }
+    for (const auto& [lhs, rhs] : connects)
+      module.connect(lhs, rhs);
     module.remove_cells(dead);
   }
   if (merged_total)

@@ -128,18 +128,6 @@ void Cell::set_port(Port p, SigSpec sig) {
   ++port_version_;
 }
 
-std::vector<Port> Cell::input_ports() const {
-  std::vector<Port> out;
-  for (int i = 0; i < kPortCount; ++i) {
-    const Port p = static_cast<Port>(i);
-    if (p == Port::Y || p == Port::Q)
-      continue;
-    if (connected_[static_cast<size_t>(i)])
-      out.push_back(p);
-  }
-  return out;
-}
-
 void Cell::infer_widths() {
   if (cell_is_unary(type_)) {
     params_.a_width = port(Port::A).size();

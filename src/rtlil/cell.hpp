@@ -56,6 +56,20 @@ constexpr int kPortCount = static_cast<int>(Port::Count_);
 
 const char* port_name(Port p) noexcept;
 
+/// A short list of ports in Port order, held in place (no allocation).
+class PortList {
+public:
+  void push_back(Port p) noexcept { ports_[size_++] = p; }
+  const Port* begin() const noexcept { return ports_.data(); }
+  const Port* end() const noexcept { return ports_.data() + size_; }
+  size_t size() const noexcept { return size_; }
+  Port operator[](size_t i) const noexcept { return ports_[i]; }
+
+private:
+  std::array<Port, kPortCount> ports_{};
+  size_t size_ = 0;
+};
+
 /// Typed cell parameters (Yosys keeps these as a generic dict; the cell
 /// library here is closed, so explicit fields are clearer and faster).
 struct CellParams {
@@ -95,8 +109,15 @@ public:
   /// (NetlistIndex's neighbour lists) notices in-place port edits.
   uint32_t port_version() const noexcept { return port_version_; }
 
-  /// Ports that the cell reads (everything except Y/Q).
-  std::vector<Port> input_ports() const;
+  /// Ports that the cell reads (everything except Y/Q), in Port order.
+  PortList input_ports() const noexcept {
+    PortList out;
+    for (int i = 0; i < kPortCount; ++i)
+      if (connected_[static_cast<size_t>(i)] && i != static_cast<int>(Port::Y) &&
+          i != static_cast<int>(Port::Q))
+        out.push_back(static_cast<Port>(i));
+    return out;
+  }
   /// Ports the cell drives (Y, or Q for Dff).
   Port output_port() const noexcept { return type_ == CellType::Dff ? Port::Q : Port::Y; }
 

@@ -1,5 +1,7 @@
 #include "rtlil/module.hpp"
 
+#include "obs/trace.hpp"
+#include "rtlil/sigmap.hpp"
 #include "util/log.hpp"
 
 #include <algorithm>
@@ -7,6 +9,11 @@
 #include <unordered_set>
 
 namespace smartly::rtlil {
+
+Module::Module(Design* design, std::string name)
+    : design_(design), name_(std::move(name)), sigmap_(std::make_unique<SigMap>()) {}
+
+Module::~Module() = default;
 
 Wire* Module::add_wire(const std::string& name, int width) {
   if (width < 0)
@@ -76,6 +83,7 @@ Cell* Module::cell(const std::string& name) const {
 void Module::remove_cell(Cell* cell) { remove_cells({cell}); }
 
 void Module::remove_wire(Wire* w) {
+  drop_sigmap();
   wire_by_name_.erase(w->name());
   // The common caller retires the just-created $sig temp, so search back-first.
   for (auto it = wires_.rbegin(); it != wires_.rend(); ++it) {
@@ -97,11 +105,42 @@ void Module::remove_cells(const std::vector<Cell*>& dead) {
                cells_.end());
 }
 
-void Module::connect(const SigSpec& lhs, const SigSpec& rhs) {
+void Module::connect(const SigSpec& lhs, const SigSpec& rhs,
+                     std::vector<AliasMerge>* merges) {
   if (lhs.size() != rhs.size())
     throw std::invalid_argument(str_format("connect width mismatch: %d vs %d", lhs.size(),
                                            rhs.size()));
+  if (merges != nullptr)
+    sigmap();
+  if (sigmap_built_) {
+    try {
+      sigmap_->add(lhs, rhs, merges);
+    } catch (...) {
+      drop_sigmap(); // a bit of another module: the map no longer equals a rebuild
+      throw;
+    }
+  }
   connections_.emplace_back(lhs, rhs);
+}
+
+const SigMap& Module::sigmap() const {
+  if (!sigmap_built_) {
+    const obs::Span span("rtlil", "rtlil.sigmap", "connections",
+                         static_cast<uint64_t>(connections_.size()));
+    SigMap map;
+    for (const auto& [lhs, rhs] : connections_)
+      map.add(lhs, rhs);
+    *sigmap_ = std::move(map);
+    sigmap_built_ = true;
+  }
+  return *sigmap_;
+}
+
+void Module::drop_sigmap() {
+  if (!sigmap_built_)
+    return; // empty already
+  *sigmap_ = SigMap();
+  sigmap_built_ = false;
 }
 
 SigSpec Module::add_unary(CellType type, const SigSpec& a, int y_width, bool a_signed) {
@@ -227,6 +266,7 @@ Module* Design::top() const { return modules_.empty() ? nullptr : modules_.front
 /// generated-name counter so both modules name future wires/cells
 /// identically. Shared by clone_design and restore_module.
 void copy_module_into(Module& dst, const Module& src) {
+  dst.drop_sigmap(); // rebuilt from the copied connections on first use
   std::unordered_map<const Wire*, Wire*> wmap;
   for (const auto& sw : src.wires()) {
     Wire* dw = dst.add_wire(sw->name(), sw->width());

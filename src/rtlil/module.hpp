@@ -13,6 +13,14 @@ namespace smartly::rtlil {
 
 class Module;
 class Design;
+class SigMap;
+
+/// One union of two alias classes made by SigMap::add: the class whose
+/// representative was `from` joined the class of `to`, its representative.
+struct AliasMerge {
+  SigBit from;
+  SigBit to;
+};
 
 /// A named bundle of bits. Ports are wires flagged input/output.
 class Wire {
@@ -48,8 +56,8 @@ inline size_t bit_id(const SigBit& bit) {
 /// One hardware module: wires + cells + alias connections.
 class Module {
 public:
-  explicit Module(Design* design, std::string name)
-      : design_(design), name_(std::move(name)) {}
+  explicit Module(Design* design, std::string name);
+  ~Module();
   Module(const Module&) = delete;
   Module& operator=(const Module&) = delete;
 
@@ -65,7 +73,8 @@ public:
   const std::vector<std::unique_ptr<Wire>>& wires() const noexcept { return wires_; }
   /// Remove a wire nothing references anymore (caller's responsibility —
   /// SigBits holding the pointer would dangle). Used by the elaborator to
-  /// retire $sig temporaries it retargeted onto assignment lvalues.
+  /// retire $sig temporaries it retargeted onto assignment lvalues. Drops
+  /// the alias map, which the next sigmap() rebuilds.
   void remove_wire(Wire* w);
 
   void set_port_input(Wire* w);
@@ -88,11 +97,24 @@ public:
   void remove_cells(const std::vector<Cell*>& dead);
 
   // --- alias connections (lhs is driven by rhs) --------------------------
-  void connect(const SigSpec& lhs, const SigSpec& rhs);
+  /// Append lhs = rhs to connections() and extend the alias map in place
+  /// when it is built. With `merges`, the map is built first and every class
+  /// union the connect makes is appended to `merges` in bit order (the
+  /// NetlistIndex moves its per-net entries along them).
+  void connect(const SigSpec& lhs, const SigSpec& rhs,
+               std::vector<AliasMerge>* merges = nullptr);
   const std::vector<std::pair<SigSpec, SigSpec>>& connections() const noexcept {
     return connections_;
   }
-  std::vector<std::pair<SigSpec, SigSpec>>& connections() noexcept { return connections_; }
+  /// The module's alias map (rtlil::SigMap), the one every pass and index
+  /// reads. Built from connections() on first use, under an `rtlil.sigmap`
+  /// span; every connect() then extends it with the same add() sequence a
+  /// rebuild would replay, so it always equals one. remove_wire,
+  /// copy_module_into and restore_module drop its contents, and the next
+  /// call rebuilds it in place: the returned object lives as long as the
+  /// module. A read may build the map or compress its chains, so one
+  /// module is never read from two threads at once.
+  const SigMap& sigmap() const;
 
   // --- value-style builders (create cell + result wire) ------------------
   SigSpec add_unary(CellType type, const SigSpec& a, int y_width, bool a_signed = false);
@@ -147,6 +169,8 @@ public:
 
 private:
   std::string unique_name(const std::string& prefix);
+  /// Empty the alias map; the next sigmap() rebuilds it.
+  void drop_sigmap();
 
   friend void copy_module_into(Module& dst, const Module& src);
   friend void restore_module(Module& dst, const Module& src);
@@ -158,6 +182,8 @@ private:
   std::vector<std::unique_ptr<Cell>> cells_;
   std::unordered_map<std::string, Cell*> cell_by_name_;
   std::vector<std::pair<SigSpec, SigSpec>> connections_;
+  std::unique_ptr<SigMap> sigmap_; ///< see sigmap(); current while sigmap_built_
+  mutable bool sigmap_built_ = false;
   std::vector<Wire*> ports_;
   uint64_t name_counter_ = 0;
   uint32_t next_bit_id_ = 0;

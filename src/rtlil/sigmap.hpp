@@ -5,6 +5,10 @@
 // union-find over SigBits that returns a canonical representative
 // (constants win over wires so `sigmap(x)` of a tied-off bit is the constant).
 //
+// Each module owns one map (Module::sigmap()), kept equal to a rebuild from
+// its connections by Module::connect; passes and indexes read that one.
+// `SigMap(module)` is a private copy of it.
+//
 // Layout: parents live in a flat table indexed by the module's dense bit ids
 // (rtlil::bit_id), grown only up to the largest id add() has linked, plus
 // one slot per constant State. A bit with no slot — never aliased, created
@@ -29,19 +33,18 @@ namespace smartly::rtlil {
 class SigMap {
 public:
   SigMap() = default;
-  explicit SigMap(const Module& module) : module_(&module) {
-    for (const auto& [lhs, rhs] : module.connections())
-      add(lhs, rhs);
-  }
+  /// A copy of the module's own map.
+  explicit SigMap(const Module& module) : SigMap(module.sigmap()) {}
 
-  /// Merge the two signals bit-by-bit (lhs aliases rhs).
-  void add(const SigSpec& lhs, const SigSpec& rhs) {
+  /// Merge the two signals bit-by-bit (lhs aliases rhs). Each class union
+  /// is appended to `merges` when given.
+  void add(const SigSpec& lhs, const SigSpec& rhs, std::vector<AliasMerge>* merges = nullptr) {
     const int n = std::min(lhs.size(), rhs.size());
     for (int i = 0; i < n; ++i)
-      add(lhs[i], rhs[i]);
+      add(lhs.bits()[static_cast<size_t>(i)], rhs.bits()[static_cast<size_t>(i)], merges);
   }
 
-  void add(SigBit a, SigBit b) {
+  void add(SigBit a, SigBit b, std::vector<AliasMerge>* merges = nullptr) {
     adopt(a);
     adopt(b);
     a = find(a);
@@ -51,9 +54,10 @@ public:
     // Prefer a constant representative; otherwise keep `b` (the rhs/driver
     // side) canonical so chains collapse toward drivers.
     if (a.is_const())
-      link(b, a);
-    else
-      link(a, b);
+      std::swap(a, b);
+    const SigBit rep = link(a, b);
+    if (merges != nullptr)
+      merges->push_back({a, rep});
   }
 
   SigBit operator()(SigBit bit) const { return find(bit); }
@@ -127,16 +131,18 @@ private:
       throw std::invalid_argument("SigMap::add: bit of another module");
   }
 
-  void link(const SigBit& child, const SigBit& parent) {
+  /// Point `child` at `parent`; returns the parent as stored.
+  SigBit link(const SigBit& child, const SigBit& parent) {
     const SigBit par = parent.is_const() ? SigBit(parent.data) : parent;
     if (child.is_const()) {
       const_parent_[static_cast<size_t>(child.data)] = par;
-      return;
+      return par;
     }
     const size_t id = bit_id(child);
     if (id >= parent_.size())
       parent_.resize(id + 1, unlinked());
     parent_[id] = par;
+    return par;
   }
 
   SigBit find(SigBit bit) const {

@@ -69,7 +69,8 @@ void make_room(std::vector<T>& arena, Block& b, uint32_t extra) {
 
 NetlistIndex::NetlistIndex(const Module& module) : module_(&module) {
   const obs::Span span("index", "index.build", "cells", module.cells().size());
-  sigmap_ = SigMap(module);
+  sigmap_ = &module.sigmap();
+  const SigMap& map = *sigmap_;
   driver_.assign(module.bit_id_bound(), nullptr);
   readers_.resize(module.bit_id_bound());
   output_port_.assign(module.bit_id_bound(), 0);
@@ -81,7 +82,7 @@ NetlistIndex::NetlistIndex(const Module& module) : module_(&module) {
     if (!w->port_output)
       continue;
     for (int i = 0; i < w->width(); ++i)
-      set_output_port(sigmap_(SigBit(w.get(), i)), true);
+      set_output_port(map(SigBit(w.get(), i)), true);
   }
 
   // Driver pass. It keeps each combinational cell's canonical output ids
@@ -98,7 +99,7 @@ NetlistIndex::NetlistIndex(const Module& module) : module_(&module) {
     const bool comb = c->type() != CellType::Dff;
     outputs[c->id()].first = static_cast<uint32_t>(out_ids.size());
     for (const SigBit& raw : c->port(c->output_port())) {
-      const SigBit bit = sigmap_(raw);
+      const SigBit bit = map(raw);
       if (!bit.is_wire())
         continue; // output tied to a constant alias: nothing to index
       const size_t id = bit_id(bit);
@@ -130,7 +131,7 @@ NetlistIndex::NetlistIndex(const Module& module) : module_(&module) {
       if (p == Port::Y || p == Port::Q || !c->has_port(p))
         continue;
       for (const SigBit& raw : c->port(p)) {
-        const SigBit bit = sigmap_(raw);
+        const SigBit bit = map(raw);
         if (!bit.is_wire())
           continue;
         const uint32_t id = static_cast<uint32_t>(bit_id(bit));
@@ -256,18 +257,18 @@ void NetlistIndex::set_output_port(const SigBit& canonical, bool on) {
 }
 
 Cell* NetlistIndex::driver(SigBit bit) const {
-  const size_t slot = bit_slot(sigmap_(bit));
+  const size_t slot = bit_slot(sigmap()(bit));
   return slot == kNoSlot ? nullptr : driver_[slot];
 }
 
-CellRange NetlistIndex::readers(SigBit bit) const { return readers_of(sigmap_(bit)); }
+CellRange NetlistIndex::readers(SigBit bit) const { return readers_of(sigmap()(bit)); }
 
 int NetlistIndex::fanout(SigBit bit) const {
-  const SigBit b = sigmap_(bit);
+  const SigBit b = sigmap()(bit);
   return static_cast<int>(readers_of(b).size()) + (output_port_of(b) ? 1 : 0);
 }
 
-bool NetlistIndex::drives_output_port(SigBit bit) const { return output_port_of(sigmap_(bit)); }
+bool NetlistIndex::drives_output_port(SigBit bit) const { return output_port_of(sigmap()(bit)); }
 
 CellRange NetlistIndex::combinational_neighbours(const Cell* cell) const {
   if (neighbours_stale_) {
@@ -304,7 +305,7 @@ CellRange NetlistIndex::combinational_neighbours(const Cell* cell) const {
     const SigSpec& sig = cell->port(p);
     port_bits += static_cast<size_t>(sig.size());
     for (const SigBit& raw : sig) {
-      const size_t slot = bit_slot(sigmap_(raw));
+      const size_t slot = bit_slot(sigmap()(raw));
       if (slot == kNoSlot)
         continue;
       if (Cell* d = driver_[slot])
@@ -350,7 +351,7 @@ void NetlistIndex::index_cell_reads(Cell* cell) {
     if (p == Port::Y || p == Port::Q || !cell->has_port(p))
       continue;
     for (const SigBit& raw : cell->port(p)) {
-      const SigBit bit = sigmap_(raw);
+      const SigBit bit = sigmap()(raw);
       if (!bit.is_wire())
         continue;
       const size_t id = grow_bit_slot(bit);
@@ -365,7 +366,7 @@ void NetlistIndex::erase_cell_reads(Cell* cell) {
     return;
   Block& reads = reads_[cell->id()];
   for (uint32_t k = reads.begin; k < reads.begin + reads.size; ++k) {
-    const size_t id = sigmap_.find_id(read_arena_[k]); // re-canonicalize: merges since
+    const size_t id = sigmap_->find_id(read_arena_[k]); // re-canonicalize: merges since
     if (id >= readers_.size())
       continue; // the class became a constant
     Block& list = readers_[id];
@@ -384,7 +385,7 @@ void NetlistIndex::remove_cell(Cell* cell) {
   forget_neighbours();
   erase_cell_reads(cell);
   for (const SigBit& raw : cell->port(cell->output_port())) {
-    const size_t id = bit_slot(sigmap_(raw));
+    const size_t id = bit_slot(sigmap()(raw));
     if (id != kNoSlot && driver_[id] == cell)
       driver_[id] = nullptr;
   }
@@ -400,7 +401,7 @@ void NetlistIndex::remove_cell(Cell* cell) {
 void NetlistIndex::add_cell(Cell* cell, int topo_pos) {
   forget_neighbours();
   for (const SigBit& raw : cell->port(cell->output_port())) {
-    const SigBit bit = sigmap_(raw);
+    const SigBit bit = sigmap()(raw);
     if (!bit.is_wire())
       continue;
     Cell*& d = driver_[grow_bit_slot(bit)];
@@ -421,53 +422,46 @@ void NetlistIndex::add_cell(Cell* cell, int topo_pos) {
   topo_needs_sort_ = true;
 }
 
-void NetlistIndex::add_alias(const SigSpec& lhs, const SigSpec& rhs) {
+void NetlistIndex::connect(Module& module, const SigSpec& lhs, const SigSpec& rhs) {
+  if (&module != module_)
+    throw std::invalid_argument("NetlistIndex::connect: not the indexed module");
   forget_neighbours();
-  const int n = std::min(lhs.size(), rhs.size());
-  for (int i = 0; i < n; ++i) {
-    const SigBit a = sigmap_(lhs[i]);
-    const SigBit b = sigmap_(rhs[i]);
-    if (a == b)
-      continue;
-    sigmap_.add(lhs[i], rhs[i]);
-    const SigBit rep = sigmap_(lhs[i]);
-    for (const SigBit& old : {a, b}) {
-      if (old == rep)
-        continue;
-      // Reader entries / driver entries only exist for wire keys; a class
-      // whose representative became a constant sheds them, exactly as a
-      // rebuild (which never indexes constant-canonical bits) would.
-      if (const size_t from = bit_slot(old); from != kNoSlot) {
-        if (readers_[from].size != 0 && rep.is_wire()) {
-          const size_t to = grow_bit_slot(rep);
-          Block& dst = readers_[to];
-          Block& moved = readers_[from];
-          if (dst.size == 0) {
-            std::swap(dst, moved); // the whole list changes hands
-          } else {
-            make_room(reader_arena_, dst, moved.size);
-            std::copy_n(reader_arena_.begin() + moved.begin, moved.size,
-                        reader_arena_.begin() + dst.begin + dst.size);
-            dst.size += moved.size;
-          }
-        }
-        readers_[from].size = 0;
-        if (Cell* moved = driver_[from]; moved != nullptr) {
-          driver_[from] = nullptr;
-          if (rep.is_wire()) {
-            Cell*& d = driver_[grow_bit_slot(rep)];
-            if (d == nullptr)
-              d = moved;
-            else if (d != moved)
-              log_warn("alias merges two driven nets (cells %s, %s)", d->name().c_str(),
-                       moved->name().c_str());
-          }
+  merges_.clear();
+  module.connect(lhs, rhs, &merges_);
+  for (const auto& [old, rep] : merges_) {
+    // Reader entries / driver entries only exist for wire keys; a class
+    // whose representative became a constant sheds them, exactly as a
+    // rebuild (which never indexes constant-canonical bits) would.
+    if (const size_t from = bit_slot(old); from != kNoSlot) {
+      if (readers_[from].size != 0 && rep.is_wire()) {
+        const size_t to = grow_bit_slot(rep);
+        Block& dst = readers_[to];
+        Block& moved = readers_[from];
+        if (dst.size == 0) {
+          std::swap(dst, moved); // the whole list changes hands
+        } else {
+          make_room(reader_arena_, dst, moved.size);
+          std::copy_n(reader_arena_.begin() + moved.begin, moved.size,
+                      reader_arena_.begin() + dst.begin + dst.size);
+          dst.size += moved.size;
         }
       }
-      if (output_port_of(old)) {
-        set_output_port(rep, true);
-        set_output_port(old, false);
+      readers_[from].size = 0;
+      if (Cell* moved = driver_[from]; moved != nullptr) {
+        driver_[from] = nullptr;
+        if (rep.is_wire()) {
+          Cell*& d = driver_[grow_bit_slot(rep)];
+          if (d == nullptr)
+            d = moved;
+          else if (d != moved)
+            log_warn("alias merges two driven nets (cells %s, %s)", d->name().c_str(),
+                     moved->name().c_str());
+        }
       }
+    }
+    if (output_port_of(old)) {
+      set_output_port(rep, true);
+      set_output_port(old, false);
     }
   }
 }

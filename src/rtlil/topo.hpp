@@ -65,6 +65,11 @@ bool index_consistent(const Module& module, const NetlistIndex& index);
 /// muxtree sweep engines apply their journals through it so the index is
 /// never rebuilt from scratch between iterations.
 ///
+/// The index reads the module's own alias map (Module::sigmap()) and holds
+/// no copy of it. While the index is in use, the module's connects go
+/// through connect() below, and nothing drops the map (remove_wire,
+/// restore_module).
+///
 /// Layout: flat tables indexed by the module's dense ids (rtlil::bit_id,
 /// Cell::id()) — per bit a driver pointer, the block of its reader list and
 /// an output-port flag; per cell its topo position, the block of its read
@@ -74,7 +79,7 @@ bool index_consistent(const Module& module, const NetlistIndex& index);
 /// order, and a block that outgrows its space moves to its arena's end.
 /// Queries about a bit or cell the tables do not cover (another module's,
 /// or one created after the build and not yet registered through
-/// add_cell/add_alias) answer as for an unindexed net: nullptr / empty / 0
+/// add_cell/connect) answer as for an unindexed net: nullptr / empty / 0
 /// / false / -1. Constants are never driven or read; they carry an
 /// output-port flag only when a port bit's class became constant.
 ///
@@ -85,7 +90,8 @@ class NetlistIndex {
 public:
   explicit NetlistIndex(const Module& module);
 
-  const SigMap& sigmap() const noexcept { return sigmap_; }
+  /// The module's alias map.
+  const SigMap& sigmap() const noexcept { return *sigmap_; }
 
   /// Cell whose output drives this (canonical) bit (a Dff for its Q), or
   /// nullptr for primary inputs, constants and undriven nets.
@@ -133,7 +139,7 @@ public:
   //
   // The muxtree walkers only ever *shrink* the netlist: input ports lose
   // bits, cells disappear, and removed cells' outputs get aliased onto one of
-  // their data inputs. Applied in the order remove_cell* -> add_alias* ->
+  // their data inputs. Applied in the order remove_cell* -> connect* ->
   // refresh_cell_reads* -> compact_topo(), these primitives leave the index
   // equal (as driver/reader/output-port *multisets* per canonical net, and as
   // a valid topological order) to a from-scratch rebuild of the edited
@@ -142,7 +148,7 @@ public:
   // already sat between the rhs's driver and the lhs's readers.
 
   /// Erase a cell that is being removed from the module: its driver entries,
-  /// its reader entries, and its topo bookkeeping. Call *before* add_alias
+  /// its reader entries, and its topo bookkeeping. Call *before* connect
   /// for the sweep's connects (keys are canonicalized with the current map).
   void remove_cell(Cell* cell);
 
@@ -154,14 +160,14 @@ public:
   /// the next compact_topo().
   void add_cell(Cell* cell, int topo_pos);
 
-  /// Record a module-level connect: merges the canonical classes bit-by-bit
-  /// and migrates reader lists, driver entries, and output-port flags onto
-  /// the surviving representative. Must mirror Module::connect calls 1:1 and
-  /// in the same order so the union-find state matches a rebuild.
-  void add_alias(const SigSpec& lhs, const SigSpec& rhs);
+  /// Connect lhs = rhs in `module` (the indexed module) and follow it: the
+  /// module's map unions the classes bit by bit, and each union moves the
+  /// old class's reader list, driver entry and output-port flag onto the
+  /// surviving representative.
+  void connect(Module& module, const SigSpec& lhs, const SigSpec& rhs);
 
   /// Re-derive the reader entries of a cell whose input ports were rewritten
-  /// in place during the sweep. Call after add_alias so the new entries are
+  /// in place during the sweep. Call after connect so the new entries are
   /// keyed under the post-connect canonical bits, exactly like a rebuild.
   void refresh_cell_reads(Cell* cell);
 
@@ -210,11 +216,12 @@ private:
   void index_cell_reads(Cell* cell);
   void erase_cell_reads(Cell* cell);
   /// Every maintenance call runs this: the neighbour lists read the reader
-  /// lists, the drivers and the SigMap it is about to change.
+  /// lists, the drivers and the alias map it is about to change.
   void forget_neighbours() noexcept { neighbours_stale_ = true; }
 
   const Module* module_;
-  SigMap sigmap_;
+  const SigMap* sigmap_; ///< the module's own map
+  std::vector<AliasMerge> merges_; ///< connect()'s scratch
   // Per bit id.
   std::vector<Cell*> driver_;
   std::vector<Block> readers_; ///< into reader_arena_

@@ -348,7 +348,7 @@ void Evaluator::run() {
 }
 
 State Evaluator::value(SigBit bit) const {
-  const rtlil::SigMap sigmap(module_);
+  const rtlil::SigMap& sigmap = module_.sigmap();
   const SigBit canon = sigmap(bit);
   if (canon.is_const())
     return canon.data;
@@ -360,7 +360,7 @@ State Evaluator::value(SigBit bit) const {
 }
 
 Const Evaluator::value(const SigSpec& sig) const {
-  const rtlil::SigMap sigmap(module_);
+  const rtlil::SigMap& sigmap = module_.sigmap();
   std::vector<State> bits;
   bits.reserve(static_cast<size_t>(sig.size()));
   for (const SigBit& b : sig) {

@@ -351,18 +351,29 @@ bool cell_inputs_commutative(CellType t) noexcept {
 
 namespace {
 
-/// Canonical (port, signal) inputs with commutative operand order normalized
-/// — the common substrate of cell_structural_key and the exact comparison.
-std::vector<std::pair<rtlil::Port, rtlil::SigSpec>> normalized_inputs(
-    const Cell& cell, const rtlil::SigMap& sigmap) {
-  std::vector<std::pair<rtlil::Port, rtlil::SigSpec>> inputs;
-  for (rtlil::Port port : cell.input_ports())
-    inputs.emplace_back(port, sigmap(cell.port(port)));
-  if (cell_inputs_commutative(cell.type()) && inputs.size() >= 2 &&
-      inputs[1].second.hash() < inputs[0].second.hash())
-    std::swap(inputs[0].second, inputs[1].second);
-  return inputs;
+/// SigSpec::hash() of the canonical signal, without building it.
+uint64_t canonical_hash(const rtlil::SigSpec& sig, const rtlil::SigMap& sigmap) {
+  uint64_t h = 0x5137;
+  for (const SigBit& bit : sig)
+    h = hash_combine(h, sigmap(bit).hash());
+  return h;
 }
+
+/// The port whose canonical signal stands at position `i` of the cell's
+/// normalized inputs: the input ports in Port order, with the two operands
+/// of a commutative cell swapped when the second one's canonical hash is
+/// smaller. The ports themselves keep their positions.
+struct NormalizedInputs {
+  rtlil::PortList ports;
+  bool swapped = false;
+
+  NormalizedInputs(const Cell& cell, const rtlil::SigMap& sigmap) : ports(cell.input_ports()) {
+    swapped = cell_inputs_commutative(cell.type()) && ports.size() >= 2 &&
+              canonical_hash(cell.port(ports[1]), sigmap) <
+                  canonical_hash(cell.port(ports[0]), sigmap);
+  }
+  rtlil::Port source(size_t i) const { return swapped && i < 2 ? ports[1 - i] : ports[i]; }
+};
 
 } // namespace
 
@@ -377,10 +388,11 @@ Hash128 cell_structural_key(const Cell& cell, const rtlil::SigMap& sigmap) {
   k = hash128_combine(k, (static_cast<uint64_t>(static_cast<uint32_t>(p.s_width)) << 2) |
                              (p.a_signed ? 2u : 0u) | (p.b_signed ? 1u : 0u));
 
-  for (const auto& [port, sig] : normalized_inputs(cell, sigmap)) {
-    k = hash128_combine(k, static_cast<uint64_t>(port));
-    for (const SigBit& bit : sig)
-      k = hash128_combine(k, bit.hash());
+  const NormalizedInputs inputs(cell, sigmap);
+  for (size_t i = 0; i < inputs.ports.size(); ++i) {
+    k = hash128_combine(k, static_cast<uint64_t>(inputs.ports[i]));
+    for (const SigBit& bit : cell.port(inputs.source(i)))
+      k = hash128_combine(k, sigmap(bit).hash());
   }
   return k;
 }
@@ -394,7 +406,20 @@ bool cell_structurally_identical(const Cell& a, const Cell& b, const rtlil::SigM
       pa.width != pb.width || pa.s_width != pb.s_width || pa.a_signed != pb.a_signed ||
       pa.b_signed != pb.b_signed)
     return false;
-  return normalized_inputs(a, sigmap) == normalized_inputs(b, sigmap);
+  const NormalizedInputs ia(a, sigmap);
+  const NormalizedInputs ib(b, sigmap);
+  if (!std::equal(ia.ports.begin(), ia.ports.end(), ib.ports.begin(), ib.ports.end()))
+    return false;
+  for (size_t i = 0; i < ia.ports.size(); ++i) {
+    const std::vector<SigBit>& x = a.port(ia.source(i)).bits();
+    const std::vector<SigBit>& y = b.port(ib.source(i)).bits();
+    if (x.size() != y.size())
+      return false;
+    for (size_t j = 0; j < x.size(); ++j)
+      if (sigmap(x[j]) != sigmap(y[j]))
+        return false;
+  }
+  return true;
 }
 
 } // namespace smartly::sweep

@@ -1,7 +1,9 @@
 // NetlistIndex: driver/reader maps, fanout, output-port tracking,
 // topological order, topo_position, cycle detection, the neighbour cache
-// behind the §II balls, and reader order under randomized maintenance.
+// behind the §II balls, reader order under randomized maintenance, and the
+// module's alias map against a from-scratch rebuild.
 #include "benchgen/random_circuit.hpp"
+#include "opt/muxtree_walker.hpp"
 #include "opt/region_partition.hpp"
 #include "rtlil/topo.hpp"
 
@@ -9,8 +11,10 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 using namespace smartly;
@@ -403,8 +407,7 @@ TEST(NetlistIndexMaintenance, RandomEditsKeepIndexAndReaderOrder) {
         index.remove_cell(c);
         model.erase(c);
         m->remove_cell(c);
-        m->connect(y, a);
-        index.add_alias(y, a);
+        index.connect(*m, y, a);
         model.alias(y, a);
         break;
       }
@@ -443,4 +446,181 @@ TEST(NetlistIndexMaintenance, RandomEditsKeepIndexAndReaderOrder) {
     }
   }
   EXPECT_GE(steps, 400u);
+}
+
+namespace {
+
+/// The alias map rebuilt from scratch, as the reference: a plain union-find
+/// over SigBits that replays the module's connections bit by bit with
+/// SigMap's rule (a constant representative wins, else the rhs side's).
+class ReferenceMap {
+public:
+  explicit ReferenceMap(const Module& m) {
+    for (const auto& [lhs, rhs] : m.connections())
+      for (int i = 0; i < std::min(lhs.size(), rhs.size()); ++i) {
+        const SigBit a = find(lhs[i]);
+        const SigBit b = find(rhs[i]);
+        if (a == b)
+          continue;
+        if (a.is_const())
+          parent_[b] = a;
+        else
+          parent_[a] = b;
+      }
+  }
+  SigBit find(SigBit bit) const {
+    for (auto it = parent_.find(bit); it != parent_.end(); it = parent_.find(bit))
+      bit = it->second;
+    return bit;
+  }
+
+private:
+  std::map<SigBit, SigBit> parent_;
+};
+
+/// Every wire bit and constant: the module's own map and a copy of it
+/// answer as the reference rebuild does, by bit and by bit id.
+::testing::AssertionResult map_matches_rebuild(const Module& m) {
+  const ReferenceMap reference(m);
+  const rtlil::SigMap copy(m);
+  std::vector<SigBit> bits = {SigBit(rtlil::State::S0), SigBit(rtlil::State::S1),
+                              SigBit(rtlil::State::Sx), SigBit(rtlil::State::Sz)};
+  for (const auto& w : m.wires())
+    for (int i = 0; i < w->width(); ++i)
+      bits.emplace_back(w.get(), i);
+  for (const SigBit& bit : bits) {
+    const SigBit want = reference.find(bit);
+    if (m.sigmap()(bit) != want || copy(bit) != want)
+      return ::testing::AssertionFailure()
+             << (bit.is_wire() ? bit.wire->name() + "[" + std::to_string(bit.offset) + "]"
+                               : std::string("constant"))
+             << " maps away from the rebuild's representative";
+    if (bit.is_wire()) {
+      const size_t want_id = want.is_wire() ? rtlil::bit_id(want) : rtlil::SigMap::kConstant;
+      if (m.sigmap().find_id(rtlil::bit_id(bit)) != want_id)
+        return ::testing::AssertionFailure() << bit.wire->name() << ": find_id disagrees";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// A random slice of a random wire of `m`, `width` bits wide.
+SigSpec random_slice(const Module& m, std::mt19937_64& rng, int width) {
+  for (;;) {
+    const auto& w = m.wires()[rng() % m.wires().size()];
+    if (w->width() < width)
+      continue;
+    return SigSpec(w.get(), static_cast<int>(rng() % static_cast<uint64_t>(w->width() - width + 1)),
+                   width);
+  }
+}
+
+} // namespace
+
+TEST(AliasMap, ModuleMapEqualsARebuildUnderRandomConnects) {
+  // Random connect sequences on a module whose map is read from the start:
+  // wire–wire chains in both directions, constants on either side,
+  // redundant and repeated connects, and bits of wires created after the
+  // first read. Then the map of a clone, of a restored module and of a
+  // module that lost a wire.
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937_64 rng(seed * 104729);
+    Design design;
+    Module* m = design.add_module("top");
+    for (int i = 0; i < 8; ++i)
+      m->add_wire("w" + std::to_string(i), 1 + static_cast<int>(rng() % 4));
+    ASSERT_TRUE(map_matches_rebuild(*m)) << "seed " << seed; // builds the map
+    std::unique_ptr<Design> snapshot;
+    for (int step = 0; step < 60; ++step) {
+      const int width = 1 + static_cast<int>(rng() % 2);
+      const SigSpec a = random_slice(*m, rng, width);
+      const SigSpec b = random_slice(*m, rng, width);
+      const SigSpec k(rtlil::Const(static_cast<int>(rng() % 4), width));
+      switch (rng() % 6) {
+      case 0: // chain toward the rhs
+      case 1:
+        m->connect(a, b);
+        break;
+      case 2: // a constant on either side
+        if (rng() % 2)
+          m->connect(a, k);
+        else
+          m->connect(k, a);
+        break;
+      case 3: { // a connect already made, again (or a self-connect)
+        if (m->connections().empty()) {
+          m->connect(a, a);
+        } else {
+          const auto& [lhs, rhs] = m->connections()[rng() % m->connections().size()];
+          m->connect(SigSpec(lhs), SigSpec(rhs));
+        }
+        break;
+      }
+      case 4: { // a wire created after the map was first read
+        Wire* w = m->add_wire("late" + std::to_string(step), width);
+        if (rng() % 2)
+          m->connect(SigSpec(w), a);
+        else
+          m->connect(a, SigSpec(w));
+        break;
+      }
+      default: // both sides the same class already
+        m->connect(b, b);
+        break;
+      }
+      ASSERT_TRUE(map_matches_rebuild(*m)) << "seed " << seed << " step " << step;
+      if (step == 30)
+        snapshot = rtlil::clone_design(design);
+    }
+
+    const std::unique_ptr<Design> clone = rtlil::clone_design(design);
+    EXPECT_EQ(clone->top()->connections().size(), m->connections().size());
+    ASSERT_TRUE(map_matches_rebuild(*clone->top())) << "seed " << seed << " clone";
+
+    rtlil::restore_module(*m, *snapshot->top());
+    ASSERT_TRUE(map_matches_rebuild(*m)) << "seed " << seed << " restored";
+    m->connect(random_slice(*m, rng, 1), random_slice(*m, rng, 1));
+    ASSERT_TRUE(map_matches_rebuild(*m)) << "seed " << seed << " restored, then connected";
+
+    Wire* spare = m->add_wire("spare", 2);
+    ASSERT_TRUE(map_matches_rebuild(*m)) << "seed " << seed;
+    m->remove_wire(spare);
+    ASSERT_TRUE(map_matches_rebuild(*m)) << "seed " << seed << " after remove_wire";
+    m->connect(random_slice(*m, rng, 2), random_slice(*m, rng, 2));
+    ASSERT_TRUE(map_matches_rebuild(*m)) << "seed " << seed << " removed, then connected";
+  }
+}
+
+TEST(AliasMap, SweepJournalConnectsKeepTheIndexConsistent) {
+  // Journals as the walkers and fraig write them: some cells removed, each
+  // one's output aliased onto its first input or onto a constant, applied
+  // through NetlistIndex::connect. The index must equal a rebuild and the
+  // module's map the reference after every journal.
+  size_t journals = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Design design;
+    Module* m = benchgen::random_netlist(design, "top", seed, 60);
+    NetlistIndex index(*m);
+    std::mt19937_64 rng(seed * 31337);
+    for (int round = 0; round < 6 && m->cells().size() > 6; ++round) {
+      opt::SweepJournal journal;
+      std::unordered_set<Cell*> picked;
+      for (int k = 0; k < 3; ++k) {
+        Cell* c = m->cells()[rng() % m->cells().size()].get();
+        if (c->type() == CellType::Dff || !picked.insert(c).second)
+          continue;
+        const SigSpec y = c->port(Port::Y);
+        const SigSpec to = rng() % 4 == 0
+                               ? SigSpec(rtlil::Const(static_cast<int>(rng() % 2), y.size()))
+                               : c->port(Port::A).extended(y.size(), false);
+        journal.removed.push_back(c);
+        journal.connects.emplace_back(y, to);
+      }
+      opt::apply_sweep_journal(*m, index, journal);
+      ASSERT_TRUE(rtlil::index_consistent(*m, index)) << "seed " << seed << " round " << round;
+      ASSERT_TRUE(map_matches_rebuild(*m)) << "seed " << seed << " round " << round;
+      ++journals;
+    }
+  }
+  EXPECT_GE(journals, 60u);
 }

@@ -3,11 +3,15 @@
 #include "aig/aigmap.hpp"
 #include "opt/opt_clean.hpp"
 #include "opt/opt_expr.hpp"
+#include "rtlil/design_stats.hpp"
 #include "rtlil/module.hpp"
 #include "rtlil/sigmap.hpp"
 #include "sim/eval.hpp"
 
 #include <gtest/gtest.h>
+
+#include <sstream>
+#include <string>
 
 using namespace smartly;
 using rtlil::CellType;
@@ -44,6 +48,16 @@ Const out_const(Module& mod, Wire* y) {
   const SigSpec canon = sm(SigSpec(y));
   EXPECT_TRUE(canon.is_fully_const()) << "output not fully folded";
   return canon.as_const();
+}
+
+/// The `cell` and `connect` lines of the module's dump, in order.
+std::string cells_and_connections(const Module& mod) {
+  std::istringstream dump(rtlil::dump_module(mod));
+  std::string out, line;
+  while (std::getline(dump, line))
+    if (line.rfind("  cell ", 0) == 0 || line.rfind("  connect ", 0) == 0)
+      out += line + "\n";
+  return out;
 }
 
 } // namespace
@@ -265,4 +279,56 @@ TEST(OptExpr, AddWithZeroIsIdentity) {
   EXPECT_EQ(f.mod->count_cells(CellType::Add), 0u);
   const rtlil::SigMap sm(*f.mod);
   EXPECT_EQ(sm(SigSpec(y)), sm(SigSpec(a)));
+}
+
+TEST(OptExpr, AddedCellDoesNotInvalidateTheCellLoop) {
+  // Two cells fill the cell list; turning the xnor with zero into a $not
+  // adds a third, which moves the list while the loop still has the $and to
+  // visit.
+  Fixture f;
+  Wire* a = f.in("a", 4);
+  Wire* b = f.in("b", 4);
+  Wire* y = f.out("y", 4);
+  Wire* z = f.out("z", 4);
+  f.mod->connect(SigSpec(y),
+                 f.mod->add_binary(CellType::Xnor, SigSpec(a), SigSpec(Const(0, 4)), 4));
+  f.mod->connect(SigSpec(z), f.mod->And(SigSpec(a), SigSpec(b)));
+  ASSERT_EQ(f.mod->cells().size(), f.mod->cells().capacity());
+
+  const auto stats = opt::opt_expr(*f.mod);
+  EXPECT_EQ(stats.simplified_cells, 1u);
+  EXPECT_EQ(f.mod->count_cells(CellType::Xnor), 0u);
+  EXPECT_EQ(f.mod->count_cells(CellType::Not), 1u);
+  EXPECT_EQ(f.mod->count_cells(CellType::And), 1u);
+  sim::Evaluator ev(*f.mod);
+  ev.set_input(a, Const(0b1010, 4));
+  ev.set_input(b, Const(0b0110, 4));
+  ev.run();
+  EXPECT_EQ(ev.value(SigSpec(y)).as_uint(), 0b0101u);
+  EXPECT_EQ(ev.value(SigSpec(z)).as_uint(), 0b0010u);
+}
+
+TEST(OptExpr, FoldChainConnectsLandInIterationOrder) {
+  // The second fold reads the first fold's output, so it folds only in the
+  // next iteration, after the third fold of the first one: an iteration
+  // reads the map it started with.
+  Fixture f;
+  Wire* y0 = f.out("y0", 2);
+  Wire* y1 = f.out("y1", 2);
+  Wire* y2 = f.out("y2", 2);
+  const SigSpec first = f.mod->And(SigSpec(Const(3, 2)), SigSpec(Const(1, 2)));
+  const SigSpec second = f.mod->Not(first);
+  const SigSpec third = f.mod->Or(SigSpec(Const(2, 2)), SigSpec(Const(0, 2)));
+  f.mod->connect(SigSpec(y0), first);
+  f.mod->connect(SigSpec(y1), second);
+  f.mod->connect(SigSpec(y2), third);
+
+  const auto stats = opt::opt_expr(*f.mod);
+  EXPECT_EQ(stats.folded_cells, 3u);
+  EXPECT_EQ(cells_and_connections(*f.mod), "  connect {y0} = {$sig$0}\n"
+                                            "  connect {y1} = {$sig$2}\n"
+                                            "  connect {y2} = {$sig$4}\n"
+                                            "  connect {$sig$0} = {2'b01}\n"
+                                            "  connect {$sig$4} = {2'b10}\n"
+                                            "  connect {$sig$2} = {2'b10}\n");
 }

@@ -250,8 +250,7 @@ TEST(NetlistIndexTest, LateWiresAndCellsAppearOnceRegistered) {
   Wire* y = m->add_wire("y", 1);
   m->set_port_output(y);
   EXPECT_EQ(idx.driver(SigBit(y, 0)), nullptr);
-  m->connect(SigSpec(y), SigSpec(w));
-  idx.add_alias(SigSpec(y), SigSpec(w));
+  idx.connect(*m, SigSpec(y), SigSpec(w));
   EXPECT_EQ(idx.driver(SigBit(y, 0)), late);
   idx.compact_topo();
   ASSERT_EQ(idx.topo_order().size(), 2u);
@@ -273,8 +272,7 @@ TEST(NetlistIndexTest, OutputPortFlagMovesOntoConstantRepresentative) {
   EXPECT_TRUE(idx.drives_output_port(SigBit(t, 0)));
   EXPECT_FALSE(idx.drives_output_port(SigBit(State::S0)));
 
-  m->connect(SigSpec(t), SigSpec(State::S0));
-  idx.add_alias(SigSpec(t), SigSpec(State::S0));
+  idx.connect(*m, SigSpec(t), SigSpec(State::S0));
   EXPECT_EQ(idx.sigmap()(SigBit(y, 0)), SigBit(State::S0));
   EXPECT_TRUE(idx.drives_output_port(SigBit(State::S0)));
   EXPECT_TRUE(idx.drives_output_port(SigBit(y, 0)));
@@ -334,8 +332,7 @@ TEST(NetlistIndexTest, ConsistentAfterRemoveAliasAddCompact) {
 
   idx.remove_cell(inv2);
   m->remove_cells({inv2});
-  m->connect(n2, SigSpec(a));
-  idx.add_alias(n2, SigSpec(a));
+  idx.connect(*m, n2, SigSpec(a));
   EXPECT_TRUE(idx.drives_output_port(SigBit(a, 0)));
 
   Wire* w = m->add_wire("w", 1);
