@@ -13,6 +13,7 @@
 #include "opt/opt_expr.hpp"
 #include "opt/opt_muxtree.hpp"
 #include "rtlil/module.hpp"
+#include "rtlil/topo.hpp"
 #include "verilog/elaborate.hpp"
 
 #include <cstdio>
@@ -57,7 +58,8 @@ int main() {
   // --- Stage by stage: ask the oracle about the inner control -----------------
   std::printf("== Oracle decision for ctrl = (s|r) given the path s=1 ==\n");
   core::InferenceOracle oracle({});
-  oracle.begin_module(*m);
+  const rtlil::NetlistIndex index(*m);
+  oracle.begin_module(*m, index);
   const opt::KnownMap path{{SigBit(s, 0), true}};
   const auto decision = oracle.decide(sr[0], path);
   std::printf("decision: %s  (the muxtree branch B is always taken)\n",

@@ -133,7 +133,7 @@ def check_resource(doc, errors):
 # need a lockstep edit here to land.
 KNOWN_COUNTER_PREFIXES = (
     "oracle.", "sweep.", "fraig.", "rewrite.", "txn.", "service.",
-    "log.", "bench.",
+    "log.", "bench.", "cec.",
 )
 
 

@@ -96,6 +96,8 @@ Lit Aig::and_(Lit a, Lit b) {
 }
 
 Lit Aig::find_and(Lit a, Lit b) const {
+  if (a == kNoLit || b == kNoLit)
+    return kNoLit;
   if (a > b)
     std::swap(a, b);
   if (a == kFalse)
@@ -111,7 +113,21 @@ Lit Aig::find_and(Lit a, Lit b) const {
   return node == 0 ? kNoLit : mk_lit(node);
 }
 
-Lit Aig::xor_(Lit a, Lit b) {
+namespace {
+
+// One body per composite gate, shared by or_/xor_/mux_ (`And` = and_) and
+// their probes (`And` = find_and). or_/xor_/mux_ never see kNoLit, so
+// find_not acts as lit_not for them.
+
+template <auto And, class G>
+Lit or_gate(G& g, Lit a, Lit b) {
+  return find_not((g.*And)(find_not(a), find_not(b)));
+}
+
+template <auto And, class G>
+Lit xor_gate(G& g, Lit a, Lit b) {
+  if (a == kNoLit || b == kNoLit)
+    return kNoLit;
   if (a == kFalse)
     return b;
   if (a == kTrue)
@@ -124,10 +140,15 @@ Lit Aig::xor_(Lit a, Lit b) {
     return kFalse;
   if (a == lit_not(b))
     return kTrue;
-  return lit_not(and_(lit_not(and_(a, lit_not(b))), lit_not(and_(lit_not(a), b))));
+  const Lit b_only = (g.*And)(lit_not(a), b); // created first
+  const Lit a_only = (g.*And)(a, lit_not(b));
+  return find_not((g.*And)(find_not(a_only), find_not(b_only)));
 }
 
-Lit Aig::mux_(Lit s, Lit t, Lit e) {
+template <auto And, class G>
+Lit mux_gate(G& g, Lit s, Lit t, Lit e) {
+  if (s == kNoLit || t == kNoLit || e == kNoLit)
+    return kNoLit;
   if (s == kTrue)
     return t;
   if (s == kFalse)
@@ -138,8 +159,19 @@ Lit Aig::mux_(Lit s, Lit t, Lit e) {
     return s;
   if (t == kFalse && e == kTrue)
     return lit_not(s);
-  return lit_not(and_(lit_not(and_(s, t)), lit_not(and_(lit_not(s), e))));
+  const Lit else_leg = (g.*And)(lit_not(s), e); // created first
+  const Lit then_leg = (g.*And)(s, t);
+  return find_not((g.*And)(find_not(then_leg), find_not(else_leg)));
 }
+
+} // namespace
+
+Lit Aig::or_(Lit a, Lit b) { return or_gate<&Aig::and_>(*this, a, b); }
+Lit Aig::xor_(Lit a, Lit b) { return xor_gate<&Aig::and_>(*this, a, b); }
+Lit Aig::mux_(Lit s, Lit t, Lit e) { return mux_gate<&Aig::and_>(*this, s, t, e); }
+Lit Aig::find_or(Lit a, Lit b) const { return or_gate<&Aig::find_and>(*this, a, b); }
+Lit Aig::find_xor(Lit a, Lit b) const { return xor_gate<&Aig::find_and>(*this, a, b); }
+Lit Aig::find_mux(Lit s, Lit t, Lit e) const { return mux_gate<&Aig::find_and>(*this, s, t, e); }
 
 size_t Aig::num_ands_reachable() const {
   std::vector<uint8_t> mark(nodes_.size(), 0);

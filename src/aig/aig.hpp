@@ -28,6 +28,8 @@ inline Lit mk_lit(uint32_t node, bool complement = false) { return node * 2 + (c
 inline uint32_t lit_node(Lit l) noexcept { return l >> 1; }
 inline bool lit_compl(Lit l) noexcept { return l & 1; }
 inline Lit lit_not(Lit l) noexcept { return l ^ 1; }
+/// lit_not for the strash probes: a kNoLit operand gives kNoLit.
+inline Lit find_not(Lit l) noexcept { return l == kNoLit ? kNoLit : lit_not(l); }
 
 class Aig {
 public:
@@ -43,19 +45,26 @@ public:
   int add_output(Lit l, std::string name);
 
   // --- construction (with constant folding + structural hashing) ----------
+  // A gate built from several ANDs creates them in a fixed order, so the
+  // node numbering (and the AIGER output) does not depend on the compiler.
   Lit and_(Lit a, Lit b);
-  /// Non-mutating probe: the literal and_(a, b) *would* return, or kNoLit if
-  /// it would have to create a node. Applies the same normalization and
-  /// constant folding as and_, so folded cases (constants, a == b, a == ~b)
-  /// always resolve. The DAG-aware rewrite engine uses this to price
-  /// candidate structures against logic the graph already contains without
-  /// polluting the strash table.
-  Lit find_and(Lit a, Lit b) const;
-  Lit or_(Lit a, Lit b) { return lit_not(and_(lit_not(a), lit_not(b))); }
+  Lit or_(Lit a, Lit b);
   Lit xor_(Lit a, Lit b);
   Lit xnor_(Lit a, Lit b) { return lit_not(xor_(a, b)); }
   /// s ? t : e
   Lit mux_(Lit s, Lit t, Lit e);
+
+  // --- strash probes (non-mutating) -----------------------------------------
+  /// The literal and_ / or_ / xor_ / mux_ *would* return, or kNoLit if it
+  /// would have to create a node; a kNoLit operand gives kNoLit. Each probe
+  /// runs the body of the gate it probes with find_and as the AND, so folded
+  /// cases (constants, a == b, a == ~b) always resolve. The DAG-aware
+  /// rewrite engine prices candidate structures with these against logic
+  /// the graph already contains, without polluting the strash table.
+  Lit find_and(Lit a, Lit b) const;
+  Lit find_or(Lit a, Lit b) const;
+  Lit find_xor(Lit a, Lit b) const;
+  Lit find_mux(Lit s, Lit t, Lit e) const;
 
   // --- inspection ----------------------------------------------------------
   size_t num_nodes() const noexcept { return nodes_.size(); } ///< incl. const + inputs

@@ -213,8 +213,10 @@ private:
     for (size_t i = 0; i < a.size(); ++i) {
       const Lit axb = graph().xor_(a[i], b[i]);
       sum[i] = graph().xor_(axb, carry);
-      // carry = a&b | carry&(a^b)
-      carry = graph().or_(graph().and_(a[i], b[i]), graph().and_(carry, axb));
+      // carry = a&b | carry&(a^b), the carry leg's AND created first
+      const Lit propagate = graph().and_(carry, axb);
+      const Lit generate = graph().and_(a[i], b[i]);
+      carry = graph().or_(generate, propagate);
     }
     return sum;
   }

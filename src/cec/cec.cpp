@@ -2,15 +2,14 @@
 
 #include "aig/aigmap.hpp"
 #include "aig/cnf.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "sat/solver.hpp"
-#include "util/log.hpp"
 
 #include <stdexcept>
 #include <unordered_map>
 
 namespace smartly::cec {
-
-using aig::AigMap;
 
 namespace {
 
@@ -48,6 +47,9 @@ void check_interfaces(const rtlil::Module& gold, const rtlil::Module& gate) {
 CecResult check_equivalence(const rtlil::Module& gold, const rtlil::Module& gate,
                             const CecOptions& options) {
   check_interfaces(gold, gate);
+  static obs::Counter& m_trivial = obs::counter("cec.strash_trivial");
+  static obs::Counter& m_miters = obs::counter("cec.miters");
+  static obs::Counter& m_conflicts = obs::counter("cec.conflicts");
 
   // Both designs are blasted into ONE structurally hashed graph with inputs
   // unified by name. Identical cones therefore strash to the same literal,
@@ -56,31 +58,35 @@ CecResult check_equivalence(const rtlil::Module& gold, const rtlil::Module& gate
   // cheap even when it contains multipliers.
   aig::Aig graph;
   aig::SharedInputs inputs;
-  const auto outs0 = aig::aigmap_shared(graph, inputs, gold);
-  const auto outs1 = aig::aigmap_shared(graph, inputs, gate);
-
-  std::unordered_map<std::string, aig::Lit> out1;
-  for (const auto& [name, lit] : outs1)
-    out1.emplace(name, lit);
-
   struct Pair {
     std::string name;
     aig::Lit diff;
   };
   std::vector<Pair> pairs;
-  for (const auto& [name, lit] : outs0) {
-    auto it = out1.find(name);
-    if (it == out1.end()) {
-      // Missing dff D-cones belong to registers proven dead and removed by
-      // opt_clean; anything else is an interface violation.
-      if (name.find(".D") == std::string::npos)
-        throw std::invalid_argument("CEC: gate design lost output " + name);
-      continue;
+  {
+    const obs::Span blast_span("cec", "cec.blast");
+    const auto outs0 = aig::aigmap_shared(graph, inputs, gold);
+    const auto outs1 = aig::aigmap_shared(graph, inputs, gate);
+
+    std::unordered_map<std::string, aig::Lit> out1;
+    for (const auto& [name, lit] : outs1)
+      out1.emplace(name, lit);
+    for (const auto& [name, lit] : outs0) {
+      auto it = out1.find(name);
+      if (it == out1.end()) {
+        // Missing dff D-cones belong to registers proven dead and removed by
+        // opt_clean; anything else is an interface violation.
+        if (name.find(".D") == std::string::npos)
+          throw std::invalid_argument("CEC: gate design lost output " + name);
+        continue;
+      }
+      const aig::Lit diff = graph.xor_(lit, it->second);
+      if (diff == aig::kFalse) {
+        m_trivial.add();
+        continue; // structurally identical: proven without SAT
+      }
+      pairs.push_back({name, diff});
     }
-    const aig::Lit diff = graph.xor_(lit, it->second);
-    if (diff == aig::kFalse)
-      continue; // structurally identical: proven without SAT
-    pairs.push_back({name, diff});
   }
 
   CecResult result;
@@ -89,19 +95,10 @@ CecResult check_equivalence(const rtlil::Module& gold, const rtlil::Module& gate
     return result;
   }
 
-  // Prove the surviving miter legs one output at a time on a persistent
-  // solver with cone-restricted encoding: each query touches only the two
-  // implementations of one output (plus whatever earlier queries shared),
-  // and learned clauses carry across outputs. This is dramatically cheaper
-  // than one monolithic whole-graph miter once an optimization (the rewrite
-  // engine especially) has restructured cones out of strash-equality — the
-  // monolithic OR forced the solver to reason about every output at once.
-  sat::Solver solver;
-  if (options.guard != nullptr && options.guard->wants_interrupts())
-    solver.set_interrupt_check([g = options.guard] { return g->poll(); });
-  aig::ConeCnfEncoder enc(solver, graph);
-  uint64_t conflicts_seen = 0;
-  uint64_t propagations_seen = 0;
+  // Prove the surviving miters one output at a time, each on a fresh solver
+  // that encodes only that miter's cone. A solver kept across miters grows
+  // with every cone it has seen, and its per-call cost grows with it.
+  const obs::Span prove_span("cec", "cec.prove", "miters", pairs.size());
   for (const Pair& p : pairs) {
     // A halt (deadline, cancel, or a budget tripped by the engines upstream)
     // stops the proof here: remaining outputs stay unproven and the result
@@ -111,17 +108,18 @@ CecResult check_equivalence(const rtlil::Module& gold, const rtlil::Module& gate
       result.failing_output = p.name;
       return result;
     }
-    if (options.conflict_budget >= 0)
-      solver.set_conflict_budget(static_cast<int64_t>(solver.stats().conflicts) +
-                                 options.conflict_budget);
-    const sat::Lit d = enc.ensure(p.diff);
-    const sat::Result r = solver.solve({d});
+    m_miters.add();
+    sat::Solver solver;
+    if (options.guard != nullptr && options.guard->wants_interrupts())
+      solver.set_interrupt_check([g = options.guard] { return g->poll(); });
+    solver.set_conflict_budget(options.conflict_budget);
+    aig::ConeCnfEncoder enc(solver, graph);
+    const sat::Result r = solver.solve({enc.ensure(p.diff)});
+    m_conflicts.add(solver.stats().conflicts);
     if (options.guard != nullptr) {
-      options.guard->charge_conflicts(solver.stats().conflicts - conflicts_seen);
-      options.guard->charge_propagations(solver.stats().propagations - propagations_seen);
+      options.guard->charge_conflicts(solver.stats().conflicts);
+      options.guard->charge_propagations(solver.stats().propagations);
     }
-    conflicts_seen = solver.stats().conflicts;
-    propagations_seen = solver.stats().propagations;
     if (r == sat::Result::Unsat)
       continue;
     if (r == sat::Result::Unknown) {
@@ -132,7 +130,7 @@ CecResult check_equivalence(const rtlil::Module& gold, const rtlil::Module& gate
 
     result.equivalent = false;
     result.failing_output = p.name;
-    // Inputs outside the encoded cone are unconstrained; report them as 0.
+    // Inputs outside this miter's cone are unconstrained; report them as 0.
     std::unordered_map<uint32_t, bool> encoded;
     for (const uint32_t node : enc.encoded_inputs())
       encoded.emplace(node, true);

@@ -4,7 +4,9 @@
 // checking." This module provides that check: both designs are bit-blasted
 // to AIGs, corresponding outputs (matched by name, with dff D-cones included
 // and Q-bits treated as shared free inputs) are XORed into a miter, and the
-// CDCL solver proves the miter UNSAT or produces a counterexample.
+// CDCL solver proves the miter UNSAT or produces a counterexample. Each
+// miter that does not fold away under structural hashing gets a fresh
+// solver holding only its own cone.
 #pragma once
 
 #include "rtlil/module.hpp"
@@ -17,9 +19,10 @@
 namespace smartly::cec {
 
 struct CecOptions {
-  /// Per-output conflict cap. Negative = unlimited (the default: the checker
-  /// historically ran to completion). When the cap or the guard interrupts a
-  /// solve, the result degrades to `inconclusive` instead of throwing.
+  /// Conflict cap of each output's solver. Negative = unlimited (the
+  /// default: the checker historically ran to completion). When the cap or
+  /// the guard interrupts a solve, the result degrades to `inconclusive`
+  /// instead of throwing.
   int64_t conflict_budget = -1;
   /// Optional run-wide resource governor (not owned): solver conflicts and
   /// propagations are charged here, a deadline/cancel interrupts the solver
@@ -35,7 +38,8 @@ struct CecResult {
   /// output, but there is no counterexample.
   bool inconclusive = false;
   /// When not equivalent: name of the first differing output and the input
-  /// assignment that distinguishes the designs (input name -> value).
+  /// assignment that distinguishes the designs (input name -> value). Inputs
+  /// outside that output's miter cone are reported as 0.
   std::string failing_output;
   std::vector<std::pair<std::string, bool>> counterexample;
 };

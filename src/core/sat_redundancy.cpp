@@ -16,15 +16,8 @@ using opt::CtrlDecision;
 using opt::KnownMap;
 using rtlil::SigBit;
 
-void InferenceOracle::begin_module(rtlil::Module& module) {
-  module_ = &module;
-  owned_index_ = std::make_unique<rtlil::NetlistIndex>(module);
-  index_ = owned_index_.get();
-}
-
 void InferenceOracle::begin_module(rtlil::Module& module, const rtlil::NetlistIndex& index) {
   module_ = &module;
-  owned_index_.reset();
   index_ = &index;
 }
 
@@ -161,7 +154,7 @@ CtrlDecision InferenceOracle::decide_cone(SigBit ctrl, const Subgraph& sg, uint6
   m_solves.add();
 
   sat::Solver solver;
-  solver.set_conflict_budget(options_.sat_conflict_budget);
+  solver.set_conflict_budget(kOracleConflictBudget);
   if (options_.guard != nullptr && options_.guard->wants_interrupts())
     solver.set_interrupt_check([g = options_.guard] { return g->poll(); });
   aig::ConeCnfEncoder enc(solver, cone.aig);

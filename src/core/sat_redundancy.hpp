@@ -12,17 +12,18 @@
 #include "opt/muxtree_walker.hpp"
 #include "opt/parallel_sweep.hpp"
 
-#include <memory>
 #include <utility>
 #include <vector>
 
 namespace smartly::core {
 
+/// Per-query conflict cap of the SAT stage (Unknown above).
+inline constexpr int64_t kOracleConflictBudget = 20000;
+
 struct SatRedundancyOptions {
   SubgraphOptions subgraph;     ///< distance k and relevance filter toggle
   int sim_max_inputs = 14;      ///< exhaustive simulation up to 2^14 patterns
   int sat_max_inputs = 4096;    ///< "threshold for the number of inputs": skip SAT above
-  int64_t sat_conflict_budget = 20000; ///< per-query conflict cap (Unknown above)
   bool use_inference = true;    ///< Table I rules (ablatable)
   bool use_sat = true;          ///< sim/SAT stage (ablatable; inference-only otherwise)
   /// Optional run-wide resource governor (not owned). The oracle charges its
@@ -65,10 +66,8 @@ class InferenceOracle final : public opt::MuxtreeOracle {
 public:
   explicit InferenceOracle(const SatRedundancyOptions& options) : options_(options) {}
 
-  /// Legacy entry: builds a private NetlistIndex (direct oracle users).
-  void begin_module(rtlil::Module& module) override;
-  /// Index-sharing entry: binds the walker's incrementally-maintained index
-  /// instead of rebuilding one per sweep.
+  /// Binds the walk's index (not owned); decide() reads the module through
+  /// it until the next call.
   void begin_module(rtlil::Module& module, const rtlil::NetlistIndex& index) override;
   opt::CtrlDecision decide(rtlil::SigBit ctrl, const opt::KnownMap& known) override;
 
@@ -83,7 +82,6 @@ private:
   SatRedundancyStats stats_;
   rtlil::Module* module_ = nullptr;
   const rtlil::NetlistIndex* index_ = nullptr;
-  std::unique_ptr<rtlil::NetlistIndex> owned_index_;
   SubgraphScratch scratch_;
   std::vector<std::pair<rtlil::SigBit, bool>> known_sorted_; ///< per-query scratch
   std::vector<rtlil::SigBit> known_bits_;                     ///< its bits

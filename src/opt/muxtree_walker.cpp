@@ -117,10 +117,10 @@ public:
       : index_(index), oracle_(oracle), stats_(stats), journal_(journal),
         trace_(trace), iteration_(iteration) {}
 
-  void walk_root(Cell* root, uint32_t root_order) {
+  void walk_root(Cell* root) {
     if (removed_.count(root))
       return;
-    root_order_ = root_order;
+    root_id_ = root->id();
     KnownMap* known = acquire_known();
     visit(root, *known);
     release_known(known);
@@ -153,7 +153,7 @@ private:
     ++stats_.oracle_queries;
     const CtrlDecision d = oracle_.decide(ctrl, known);
     if (trace_)
-      trace_->entries.push_back({iteration_, root_order_, trace_hash(ctrl, d)});
+      trace_->entries.push_back({iteration_, root_id_, trace_hash(ctrl, d)});
     return d;
   }
 
@@ -362,7 +362,7 @@ private:
   SweepJournal& journal_;
   DecisionTrace* trace_;
   uint32_t iteration_;
-  uint32_t root_order_ = 0;
+  uint32_t root_id_ = 0;
   std::unordered_set<Cell*> removed_;
   std::unordered_set<Cell*> mutated_;
   std::vector<std::unique_ptr<KnownMap>> owned_;
@@ -376,9 +376,7 @@ MuxtreeWalker::MuxtreeWalker(const NetlistIndex& index, MuxtreeOracle& oracle,
 
 MuxtreeWalker::~MuxtreeWalker() = default;
 
-void MuxtreeWalker::walk_root(Cell* root, uint32_t root_order) {
-  impl_->walk_root(root, root_order);
-}
+void MuxtreeWalker::walk_root(Cell* root) { impl_->walk_root(root); }
 
 bool MuxtreeWalker::changed() const noexcept { return impl_->changed_; }
 
@@ -406,29 +404,13 @@ void apply_sweep_journal(Module& module, NetlistIndex& index, const SweepJournal
     if (!dead.count(c))
       index.refresh_cell_reads(c);
   module.remove_cells(journal.removed);
-  if (finalize) {
+  if (finalize)
     index.compact_topo();
-    index.sigmap().flatten();
-  }
-}
-
-std::unordered_map<const Cell*, uint32_t> stable_cell_order(const Module& module) {
-  std::unordered_map<const Cell*, uint32_t> order;
-  order.reserve(module.cells().size());
-  uint32_t i = 0;
-  for (const auto& cptr : module.cells())
-    order.emplace(cptr.get(), i++);
-  return order;
 }
 
 MuxtreeStats optimize_muxtrees(Module& module, MuxtreeOracle& oracle, DecisionTrace* trace) {
   MuxtreeStats stats;
   NetlistIndex index(module);
-  index.sigmap().flatten();
-  // Trace roots by their position at engine start: removals shift later
-  // cells' per-iteration positions, which would make the same tree look like
-  // a different root in every iteration's trace blocks.
-  const auto stable_order = stable_cell_order(module);
   SweepJournal journal;
   for (size_t i = 0; i < kMaxSweepIterations; ++i) {
     ++stats.iterations;
@@ -437,7 +419,7 @@ MuxtreeStats optimize_muxtrees(Module& module, MuxtreeOracle& oracle, DecisionTr
     MuxtreeWalker walker(index, oracle, stats, journal, trace, static_cast<uint32_t>(i));
     const MuxtreeForest forest = muxtree_forest(module, index);
     for (Cell* root : forest.roots)
-      walker.walk_root(root, stable_order.at(root));
+      walker.walk_root(root);
     if (!walker.changed())
       break;
     apply_sweep_journal(module, index, journal);

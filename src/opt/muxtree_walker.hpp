@@ -51,16 +51,10 @@ class MuxtreeOracle {
 public:
   virtual ~MuxtreeOracle() = default;
 
-  /// Called once before a walk so the oracle can (re)build indices.
-  virtual void begin_module(rtlil::Module& module) { (void)module; }
-
-  /// Index-sharing variant: the walker hands the oracle its own (incrementally
-  /// maintained) NetlistIndex so the oracle does not rebuild one per sweep.
-  /// Default forwards to the legacy overload for oracles that don't care.
-  virtual void begin_module(rtlil::Module& module, const rtlil::NetlistIndex& index) {
-    (void)index;
-    begin_module(module);
-  }
+  /// Called before each sweep with the walk's own NetlistIndex, which the
+  /// engine keeps current across sweeps; the oracle builds no index of its
+  /// own.
+  virtual void begin_module(rtlil::Module& /*module*/, const rtlil::NetlistIndex& /*index*/) {}
 
   /// Decide the value of `ctrl` (a canonical SigBit) given the path
   /// conditions in `known` (canonical bits -> value).
@@ -123,8 +117,9 @@ struct SweepJournal {
 
 /// Optional record of every oracle decision a walk made, for differential
 /// testing between the serial and region engines. Entries are appended in
-/// walk order and tagged with the walked root (its position in the module's
-/// cell list — stable across design clones) and the sweep iteration.
+/// walk order and tagged with the walked root's Cell::id() (ids ascend along
+/// the module's cell list, and two clones of one design agree on them) and
+/// the sweep iteration.
 struct DecisionTrace {
   struct Entry {
     uint32_t iteration;
@@ -167,11 +162,6 @@ rtlil::Cell* unique_mux_parent(const rtlil::NetlistIndex& index, rtlil::Cell* c)
 /// counts on a pathological design, breaking the bit-identical guarantee.
 inline constexpr size_t kMaxSweepIterations = 16;
 
-/// Cell -> position in the module's cell list. Captured once at engine start
-/// and used as the stable root id for DecisionTrace entries (per-iteration
-/// positions shift as cells are removed; clone designs agree on these ids).
-std::unordered_map<const rtlil::Cell*, uint32_t> stable_cell_order(const rtlil::Module& module);
-
 /// Walks one muxtree root at a time against a frozen netlist index,
 /// deferring all structural edits into the journal (its only direct module
 /// mutations are in-place input-port shrinks of walked tree cells). Reusable
@@ -185,8 +175,8 @@ public:
   ~MuxtreeWalker();
 
   /// Walk the tree rooted at `root` (skipped if a previous walk of this
-  /// walker already scheduled it for removal). `root_order` tags the trace.
-  void walk_root(rtlil::Cell* root, uint32_t root_order);
+  /// walker already scheduled it for removal).
+  void walk_root(rtlil::Cell* root);
 
   bool changed() const noexcept;
 
@@ -199,9 +189,8 @@ private:
 /// through the index into the module, refresh mutated cells' reader entries,
 /// then physically remove the dead cells. Leaves `index` equal to a rebuild
 /// of the edited module. With `finalize` (the default) the topo order is
-/// compacted and the module's map flattened for one-hop reads; a caller
-/// applying many journals at one barrier passes false and calls
-/// index.compact_topo() + index.sigmap().flatten() once afterwards.
+/// compacted; a caller applying many journals at one barrier passes false
+/// and calls index.compact_topo() once afterwards.
 void apply_sweep_journal(rtlil::Module& module, rtlil::NetlistIndex& index,
                          const SweepJournal& journal, bool finalize = true);
 

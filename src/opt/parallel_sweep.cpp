@@ -18,7 +18,7 @@ using rtlil::SigBit;
 namespace {
 
 struct RegionState {
-  std::vector<Cell*> roots;      ///< stable_order ascending
+  std::vector<Cell*> roots;      ///< Cell::id() ascending
   std::vector<Cell*> tree_cells; ///< membership queries only (unordered)
   /// Canonical port bits of every read-closure cell, as rtlil::bit_id
   /// (duplicates do no harm). A barrier net merge can only influence this
@@ -88,6 +88,13 @@ uint64_t region_unit_id(const std::vector<Cell*>& roots) {
   return best == 0 ? 1 : best;
 }
 
+/// Roots in module cell order: cells are appended with ascending ids and
+/// removals keep the order of the rest.
+void sort_by_id(std::vector<Cell*>& cells) {
+  std::sort(cells.begin(), cells.end(),
+            [](const Cell* a, const Cell* b) { return a->id() < b->id(); });
+}
+
 } // namespace
 
 ParallelSweepStats parallel_sweep(rtlil::Module& module, MuxtreeOracle& oracle,
@@ -96,10 +103,8 @@ ParallelSweepStats parallel_sweep(rtlil::Module& module, MuxtreeOracle& oracle,
                               static_cast<uint64_t>(module.cells().size()));
   ParallelSweepStats stats;
   NetlistIndex index(module);
-  index.sigmap().flatten();
   oracle.begin_module(module, index);
 
-  const auto stable_order = stable_cell_order(module);
   const MuxtreeForest forest = muxtree_forest(module, index);
   const RegionPartition partition =
       partition_regions(module, index, forest, options.ball_radius);
@@ -115,11 +120,6 @@ ParallelSweepStats parallel_sweep(rtlil::Module& module, MuxtreeOracle& oracle,
     for (Cell* c : regions[i].tree_cells)
       region_of.emplace(c, i);
   }
-
-  struct Slot {
-    SweepJournal journal;
-    DecisionTrace trace;
-  };
 
   util::ResourceGuard* guard = options.guard;
   // After a halt: record it and count the dirty regions left unvisited.
@@ -176,8 +176,9 @@ ParallelSweepStats parallel_sweep(rtlil::Module& module, MuxtreeOracle& oracle,
     // Walks: the module and index stay at their iteration-start state
     // except for in-place input-port shrinks of each region's own tree
     // cells, which no other region's read closure can reach (see
-    // region_partition.hpp). Journals wait until every walk is done.
-    std::vector<Slot> slots(work.size());
+    // region_partition.hpp). Journals wait until every walk is done; the
+    // trace takes each walk's decisions as they are made.
+    std::vector<SweepJournal> journals(work.size());
     try {
       for (size_t i = 0; i < work.size(); ++i) {
         // Mid-phase halts only come from deadline/cancel/faults; a skipped
@@ -187,26 +188,24 @@ ParallelSweepStats parallel_sweep(rtlil::Module& module, MuxtreeOracle& oracle,
             util::fault_unknown("sweep.region", work_units[i]))
           continue;
         const obs::Span region_span("sweep", "sweep.region", "region", work_units[i]);
-        Slot& slot = slots[i];
         // The walker counts into stats.walker directly; it never touches
         // `iterations`, which this loop counts.
-        MuxtreeWalker walker(index, oracle, stats.walker, slot.journal,
-                             trace ? &slot.trace : nullptr, static_cast<uint32_t>(iter));
+        MuxtreeWalker walker(index, oracle, stats.walker, journals[i], trace,
+                             static_cast<uint32_t>(iter));
         for (Cell* root : work[i]->roots)
-          walker.walk_root(root, stable_order.at(root));
+          walker.walk_root(root);
       }
     } catch (const util::FaultInjected& e) {
       // Only the oracle can throw inside a walk, and every in-place port
-      // edit is journaled before the next oracle call — so the slot journals
-      // are complete records of what actually mutated. Apply them in region
+      // edit is journaled before the next oracle call — so the journals are
+      // complete records of what actually mutated. Apply them in region
       // order to restore index consistency, then stop. Only injected faults
       // are absorbed; real errors keep propagating.
       util::halt_on_fault(guard, e);
-      for (const Slot& slot : slots)
-        if (!slot.journal.empty())
-          apply_sweep_journal(module, index, slot.journal, /*finalize=*/false);
+      for (const SweepJournal& journal : journals)
+        if (!journal.empty())
+          apply_sweep_journal(module, index, journal, /*finalize=*/false);
       index.compact_topo();
-      index.sigmap().flatten();
       halt_engine();
       break;
     }
@@ -223,10 +222,8 @@ ParallelSweepStats parallel_sweep(rtlil::Module& module, MuxtreeOracle& oracle,
       const obs::Span apply_span("sweep", "sweep.apply");
       for (size_t i = 0; i < work.size(); ++i) {
         ++stats.region_walks;
-        if (trace)
-          trace->entries.insert(trace->entries.end(), slots[i].trace.entries.begin(),
-                                slots[i].trace.entries.end());
-        if (slots[i].journal.empty()) {
+        const SweepJournal& journal = journals[i];
+        if (journal.empty()) {
           work[i]->dirty = false;
           continue;
         }
@@ -234,28 +231,26 @@ ParallelSweepStats parallel_sweep(rtlil::Module& module, MuxtreeOracle& oracle,
         // A region that edited anything re-runs: its own connects/constants can
         // enable further decisions, exactly like the serial fixpoint.
         work[i]->dirty = true;
-        for (const auto& [lhs, rhs] : slots[i].journal.connects)
+        for (const auto& [lhs, rhs] : journal.connects)
           for (const auto* spec : {&lhs, &rhs})
             for (const SigBit& raw : *spec) {
               const SigBit bit = index.sigmap()(raw);
               if (bit.is_wire())
                 merge_bits.push_back(bit);
             }
-        for (Cell* c : slots[i].journal.removed)
+        for (Cell* c : journal.removed)
           region_of.erase(c);
-        if (!slots[i].journal.removed.empty()) {
-          std::unordered_set<Cell*> dead(slots[i].journal.removed.begin(),
-                                         slots[i].journal.removed.end());
+        if (!journal.removed.empty()) {
+          std::unordered_set<Cell*> dead(journal.removed.begin(), journal.removed.end());
           auto& cells = work[i]->tree_cells;
           cells.erase(std::remove_if(cells.begin(), cells.end(),
                                      [&](Cell* c) { return dead.count(c) != 0; }),
                       cells.end());
         }
-        apply_sweep_journal(module, index, slots[i].journal, /*finalize=*/false);
+        apply_sweep_journal(module, index, journal, /*finalize=*/false);
       }
       if (any_change) {
         index.compact_topo();
-        index.sigmap().flatten();
         merged.assign(module.bit_id_bound(), 0);
         for (const SigBit& b : merge_bits) {
           merged[rtlil::bit_id(b)] = 1;
@@ -276,16 +271,14 @@ ParallelSweepStats parallel_sweep(rtlil::Module& module, MuxtreeOracle& oracle,
     {
       const obs::Span forest_span("sweep", "sweep.forest");
       for (size_t i = 0; i < work.size(); ++i) {
-        if (slots[i].journal.empty())
+        if (journals[i].empty())
           continue;
         RegionState& r = *work[i];
         r.roots.clear();
         for (Cell* c : r.tree_cells)
           if (!unique_mux_parent(index, c))
             r.roots.push_back(c);
-        std::sort(r.roots.begin(), r.roots.end(), [&](Cell* a, Cell* b) {
-          return stable_order.at(a) < stable_order.at(b);
-        });
+        sort_by_id(r.roots);
       }
     }
 
@@ -351,9 +344,7 @@ ParallelSweepStats parallel_sweep(rtlil::Module& module, MuxtreeOracle& oracle,
         victim.closure_bits.clear();
         ++stats.region_merges;
       }
-      std::sort(into.roots.begin(), into.roots.end(), [&](Cell* a, Cell* b) {
-        return stable_order.at(a) < stable_order.at(b);
-      });
+      sort_by_id(into.roots);
       into.dirty = true;
       // The union's closure needs its own overlap pass.
       into.overlaps = refresh_closure(into, target, index, region_of, options.ball_radius);

@@ -45,7 +45,7 @@ namespace {
 /// probe count as failing; inconclusive CEC counts as passing (conservative:
 /// never blame a round the budget could not settle).
 bool probe_round_fails(const rtlil::Module& snapshot, const StageBody& body, int round_cap,
-                       util::ResourceGuard* guard, const util::RecoveryOptions& options) {
+                       util::ResourceGuard* guard) {
   auto scratch = std::make_unique<rtlil::Design>();
   rtlil::Module* m = scratch->add_module(snapshot.name());
   rtlil::copy_module_into(*m, snapshot);
@@ -59,7 +59,7 @@ bool probe_round_fails(const rtlil::Module& snapshot, const StageBody& body, int
     guard->clear_fault_halt(); // probe faults must not leak into the retry
   if (!failed) {
     cec::CecOptions cec_opts;
-    cec_opts.conflict_budget = options.paranoid_conflict_budget;
+    cec_opts.conflict_budget = util::kParanoidConflictBudget;
     const cec::CecResult r = cec::check_equivalence(snapshot, *m, cec_opts);
     failed = !r.equivalent && !r.inconclusive;
   }
@@ -73,12 +73,12 @@ bool probe_round_fails(const rtlil::Module& snapshot, const StageBody& body, int
 /// (later rounds do not un-corrupt the netlist). Returns -1 when no capped
 /// run reproduces it (e.g. the wrongness needs the full, uncapped run).
 int bisect_faulting_round(const rtlil::Module& snapshot, const StageBody& body,
-                          util::ResourceGuard* guard, const util::RecoveryOptions& options) {
+                          util::ResourceGuard* guard) {
   constexpr int kMaxRoundCap = 16; // matches the engines' largest default cap
   int lo = 1, hi = kMaxRoundCap, found = -1;
   while (lo <= hi) {
     const int mid = lo + (hi - lo) / 2;
-    if (probe_round_fails(snapshot, body, mid, guard, options)) {
+    if (probe_round_fails(snapshot, body, mid, guard)) {
       found = mid;
       hi = mid - 1;
     } else {
@@ -143,13 +143,13 @@ StageOutcome run_protected_stage(rtlil::Module& module, const std::string& stage
         if (ctx->options.paranoid) {
           ctx->stats.paranoid_checks += 1;
           cec::CecOptions cec_opts;
-          cec_opts.conflict_budget = ctx->options.paranoid_conflict_budget;
+          cec_opts.conflict_budget = util::kParanoidConflictBudget;
           const cec::CecResult r = cec::check_equivalence(txn.snapshot(), module, cec_opts);
           if (!r.equivalent && !r.inconclusive) {
             failed = true;
             ctx->stats.paranoid_miscompares += 1;
             ev.reason = "paranoid-miscompare";
-            ev.round = bisect_faulting_round(txn.snapshot(), body, guard, ctx->options);
+            ev.round = bisect_faulting_round(txn.snapshot(), body, guard);
           }
         }
       }

@@ -39,64 +39,6 @@ using rtlil::State;
 
 namespace {
 
-// --- strash probes ----------------------------------------------------------
-//
-// Price a program gate against the blast AIG without mutating it: compose
-// the gate's AIG shape from find_and probes, propagating "no such node"
-// (kNoLit). Each helper mirrors the folding of the corresponding Aig
-// builder, so a probe resolves exactly when building the gate would not have
-// grown the graph.
-
-aig::Lit probe_not(aig::Lit a) { return a == aig::kNoLit ? aig::kNoLit : aig::lit_not(a); }
-
-aig::Lit probe_and(const aig::Aig& g, aig::Lit a, aig::Lit b) {
-  if (a == aig::kNoLit || b == aig::kNoLit)
-    return aig::kNoLit;
-  return g.find_and(a, b);
-}
-
-aig::Lit probe_or(const aig::Aig& g, aig::Lit a, aig::Lit b) {
-  return probe_not(probe_and(g, probe_not(a), probe_not(b)));
-}
-
-aig::Lit probe_xor(const aig::Aig& g, aig::Lit a, aig::Lit b) {
-  if (a == aig::kNoLit || b == aig::kNoLit)
-    return aig::kNoLit;
-  if (a == aig::kFalse)
-    return b;
-  if (a == aig::kTrue)
-    return aig::lit_not(b);
-  if (b == aig::kFalse)
-    return a;
-  if (b == aig::kTrue)
-    return aig::lit_not(a);
-  if (a == b)
-    return aig::kFalse;
-  if (a == aig::lit_not(b))
-    return aig::kTrue;
-  const aig::Lit t0 = probe_and(g, a, probe_not(b));
-  const aig::Lit t1 = probe_and(g, probe_not(a), b);
-  return probe_not(probe_and(g, probe_not(t0), probe_not(t1)));
-}
-
-/// y = s ? t : e (the GateOp convention is y = s ? b : a).
-aig::Lit probe_mux(const aig::Aig& g, aig::Lit s, aig::Lit t, aig::Lit e) {
-  if (s == aig::kNoLit || t == aig::kNoLit || e == aig::kNoLit)
-    return aig::kNoLit;
-  if (s == aig::kTrue)
-    return t;
-  if (s == aig::kFalse)
-    return e;
-  if (t == e)
-    return t;
-  if (t == aig::kTrue && e == aig::kFalse)
-    return s;
-  if (t == aig::kFalse && e == aig::kTrue)
-    return aig::lit_not(s);
-  return probe_not(probe_and(g, probe_not(probe_and(g, s, t)),
-                             probe_not(probe_and(g, probe_not(s), e))));
-}
-
 // --- per-round evaluation structures ---------------------------------------
 
 /// Best module bit for one (AIG node, polarity): the bit with the lowest
@@ -367,7 +309,6 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
                               static_cast<uint64_t>(module.cell_count()));
   RewriteStats stats;
   rtlil::NetlistIndex index(module);
-  index.sigmap().flatten();
 
   const NpnTable& npn = NpnTable::instance();
   const RewriteLibrary& library = RewriteLibrary::instance();
@@ -576,20 +517,20 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
             aig::Lit lit = aig::kNoLit;
             switch (op.type) {
             case CellType::Not:
-              lit = probe_not(operand_lit(op.a));
+              lit = aig::find_not(operand_lit(op.a));
               break;
             case CellType::And:
-              lit = probe_and(blast.aig, operand_lit(op.a), operand_lit(op.b));
+              lit = blast.aig.find_and(operand_lit(op.a), operand_lit(op.b));
               break;
             case CellType::Or:
-              lit = probe_or(blast.aig, operand_lit(op.a), operand_lit(op.b));
+              lit = blast.aig.find_or(operand_lit(op.a), operand_lit(op.b));
               break;
             case CellType::Xor:
-              lit = probe_xor(blast.aig, operand_lit(op.a), operand_lit(op.b));
+              lit = blast.aig.find_xor(operand_lit(op.a), operand_lit(op.b));
               break;
             case CellType::Mux:
-              lit = probe_mux(blast.aig, operand_lit(op.s), operand_lit(op.b),
-                              operand_lit(op.a));
+              // y = s ? t : e; the GateOp convention is y = s ? b : a.
+              lit = blast.aig.find_mux(operand_lit(op.s), operand_lit(op.b), operand_lit(op.a));
               break;
             default:
               break;

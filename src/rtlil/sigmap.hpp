@@ -16,10 +16,9 @@
 // representative. A default-constructed map adopts the module of the first
 // wire bit add() sees.
 //
-// Lookups: after flatten(), every stored parent points directly at its class
-// representative, so find() is one hop and never writes. find() is const but
-// compresses the chains add() created since the last flatten() in place, so
-// only a flattened map may be read from several threads at once.
+// Lookups: find() is const but compresses every chain it walks in place, so a
+// map is read from one thread at a time (module.hpp). Compression never
+// changes which bit represents a class.
 #pragma once
 
 #include "rtlil/module.hpp"
@@ -79,23 +78,6 @@ public:
     return root.is_wire() ? bit_id(root) : kConstant;
   }
 
-  /// Point every stored parent directly at its representative. Afterwards
-  /// find() never writes until the next add().
-  void flatten() const {
-    const auto flatten_slot = [this](SigBit& par) {
-      if (!linked(par))
-        return;
-      SigBit root = par;
-      while (const SigBit* next = parent_slot(root))
-        root = *next;
-      par = root;
-    };
-    for (SigBit& par : parent_)
-      flatten_slot(par);
-    for (SigBit& par : const_parent_)
-      flatten_slot(par);
-  }
-
 private:
   /// Stored parents are never the "unlinked" marker: constants are stored
   /// with offset 0, so a constant with offset -1 cannot occur.
@@ -152,13 +134,12 @@ private:
     SigBit root = *par;
     const SigBit* next = parent_slot(root);
     if (next == nullptr)
-      return root; // already flat: no write
+      return root; // one hop: no write
     do {
       root = *next;
       next = parent_slot(root);
     } while (next != nullptr);
-    // Compress the chain. Only reached when add() created a multi-hop chain
-    // since the last flatten().
+    // Compress the chain, so the next find() from here is one hop.
     SigBit cur = bit;
     while (true) {
       SigBit* slot = parent_slot(cur);

@@ -199,7 +199,7 @@ void OptService::run_job(const std::string& name, int attempt) {
   std::string manifest_tail;
   std::string failure;
   bool ok = false;
-  for (int retry = 0; retry <= options_.retry_max && !ok; ++retry) {
+  for (int retry = 0; retry <= kJobRetryMax && !ok; ++retry) {
     if (retry > 0) {
       {
         std::lock_guard<std::mutex> lock(mutex_);

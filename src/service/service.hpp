@@ -52,13 +52,15 @@
 
 namespace smartly::service {
 
+/// In-process retries per job (Luby backoff).
+inline constexpr int kJobRetryMax = 2;
+
 struct ServiceOptions {
   int threads = 0;       ///< job workers (0 = one per hardware thread)
   int poll_ms = 50;      ///< spool scan interval when idle
   bool drain_and_exit = false; ///< --serve-once: exit when the spool is empty
   int queue_max = 64;    ///< admission bound per cycle; excess backlog is shed
   int crash_threshold = 2; ///< journal claims before a job is quarantined
-  int retry_max = 2;     ///< in-process retries per job (Luby backoff)
   util::ResourceBudgets budgets; ///< per-job budgets (deadline_ms is per job)
 
   /// Set by the SIGTERM/SIGINT handler; polled between batches. Non-null

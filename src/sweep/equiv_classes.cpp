@@ -128,7 +128,7 @@ uint32_t EquivClasses::slot(const SigBit& bit) {
   slot_pads_.push_back(0);
   // Base batches are name-seeded Rng draws, fixed for the slot's lifetime.
   for (size_t w = 0; w < options_.sim_words; ++w)
-    base_words_.push_back(Rng(hash_combine(hash_combine(options_.seed, bit_hash), w)).next());
+    base_words_.push_back(Rng(hash_combine(hash_combine(kSignatureSeed, bit_hash), w)).next());
   for (std::vector<Lanes>& col : cex_cols_)
     col.emplace_back();
   return s;
@@ -137,7 +137,7 @@ uint32_t EquivClasses::slot(const SigBit& bit) {
 uint64_t EquivClasses::pad_word(uint64_t bit_hash, size_t batch) const {
   // Lanes a counterexample leaves unassigned, and lanes past the pool, are
   // filled per (seed, bit, pattern index).
-  const uint64_t seed = options_.seed ^ 0xf111f111f111f111ULL;
+  const uint64_t seed = kSignatureSeed ^ 0xf111f111f111f111ULL;
   uint64_t word = 0;
   for (size_t lane = 0; lane < 64; ++lane)
     word |= (hash_mix(hash_combine(seed, hash_combine(bit_hash, batch * 64 + lane))) & 1) << lane;

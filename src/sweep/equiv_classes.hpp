@@ -43,9 +43,11 @@
 
 namespace smartly::sweep {
 
+/// Seed of the name-seeded base batches and of the pad lanes.
+inline constexpr uint64_t kSignatureSeed = 0x5eedba5e;
+
 struct EquivClassOptions {
   size_t sim_words = 8;    ///< random base batches (64 patterns each)
-  uint64_t seed = 0x5eedba5e;
   size_t max_patterns = 1024; ///< counterexample pool cap (packed 64/word)
 };
 

@@ -103,9 +103,8 @@ ClassOutcome prove_class(const EquivClass& cls, const EquivClasses& eq,
       ++out.skipped;
       return sat::Result::Unknown;
     }
-    if (options.sat_conflict_budget >= 0)
-      solver.set_conflict_budget(static_cast<int64_t>(solver.stats().conflicts) +
-                                 options.sat_conflict_budget);
+    solver.set_conflict_budget(static_cast<int64_t>(solver.stats().conflicts) +
+                               kFraigConflictBudget);
     ++out.sat_queries;
     return solver.solve(assumptions);
   };
@@ -502,12 +501,10 @@ FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options) {
 
   rtlil::NetlistIndex index = [&] {
     const obs::Span index_span("fraig", "fraig.index");
-    rtlil::NetlistIndex built(module);
-    built.sigmap().flatten();
-    return built;
+    return rtlil::NetlistIndex(module);
   }();
 
-  EquivClasses eq(options.classes);
+  EquivClasses eq;
   std::unordered_map<SigBit, Replacement> proven;
   std::unordered_set<uint64_t> settled;
 

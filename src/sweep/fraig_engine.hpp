@@ -35,13 +35,13 @@
 
 namespace smartly::sweep {
 
+/// Conflict cap per SAT query; Unknown leaves the pair unmerged. Outcomes
+/// stay deterministic: each class's solver sees the same query sequence.
+inline constexpr int64_t kFraigConflictBudget = 4000;
+
 struct FraigOptions {
   int threads = 0; ///< unused; the frozen flowbench sets it
-  /// Conflict cap per SAT query; Unknown leaves the pair unmerged. Outcomes
-  /// stay deterministic: each class's solver sees the same query sequence.
-  int64_t sat_conflict_budget = 4000;
   size_t max_rounds = 16; ///< signature -> SAT -> commit fixpoint cap
-  EquivClassOptions classes;
   /// Optional run-wide resource governor (not owned). Deterministic budgets
   /// are evaluated at round barriers; deadline/cancellation are also polled
   /// before each solve. On halt the engine keeps the merges already proven,

@@ -80,12 +80,14 @@ RoundEntry enter_round(ResourceGuard* guard, const QuarantineSet* quarantine, co
 /// notes the halted engine. No-op without a guard.
 void halt_on_fault(ResourceGuard* guard, const FaultInjected& e);
 
+/// Conflict cap of each output's solver in a paranoid check.
+inline constexpr int64_t kParanoidConflictBudget = 200000;
+
 /// Knobs for the transactional stage driver.
 struct RecoveryOptions {
   bool enabled = false;  ///< wrap stages in snapshot/rollback transactions
   int max_retries = 3;   ///< rollback+retry attempts per stage before skipping it
   bool paranoid = false; ///< CEC every stage's output against its snapshot
-  int64_t paranoid_conflict_budget = 200000; ///< SAT budget for each paranoid check
   std::string repro_dir; ///< when nonempty, write a repro bundle per recovery event
 };
 

@@ -202,6 +202,91 @@ TEST(Aig, MuxTrivialCases) {
   EXPECT_EQ(g.mux_(a, b, b), b);
 }
 
+TEST(Aig, CompositeGatesCreateTheirAndsInAFixedOrder) {
+  // The second operand's AND first: and(~a, b) before and(a, ~b), and
+  // and(~s, e) before and(s, t). AIGER output numbers nodes in this order.
+  Aig g;
+  const Lit a = g.add_input("a"); // node 1
+  const Lit b = g.add_input("b"); // node 2
+  const Lit s = g.add_input("s"); // node 3
+  (void)g.xor_(a, b);
+  EXPECT_EQ(g.find_and(aig::lit_not(a), b), aig::mk_lit(4));
+  EXPECT_EQ(g.find_and(a, aig::lit_not(b)), aig::mk_lit(5));
+  (void)g.mux_(s, a, b); // s ? a : b
+  EXPECT_EQ(g.find_and(aig::lit_not(s), b), aig::mk_lit(7));
+  EXPECT_EQ(g.find_and(s, a), aig::mk_lit(8));
+}
+
+TEST(Aig, GateProbesResolveExactlyWhenTheGateAddsNoNode) {
+  // find_or / find_xor / find_mux against or_ / xor_ / mux_ on random
+  // graphs: a probe returns kNoLit exactly when the gate, built on a copy of
+  // the graph, adds a node, and the gate's literal otherwise. Operands
+  // include constants, complements, repeats and kNoLit.
+  enum Gate : uint64_t { Or, Xor, Mux };
+  struct Query {
+    Gate gate;
+    Lit a, b, c;
+  };
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Aig g;
+    std::vector<Lit> pool;
+    for (int i = 0; i < 6; ++i)
+      pool.push_back(g.add_input());
+    std::vector<Query> asked;
+    Rng rng(seed);
+    const auto pick = [&]() -> Lit {
+      switch (rng.below(16)) {
+      case 0: return aig::kNoLit;
+      case 1: return aig::kFalse;
+      case 2: return aig::kTrue;
+      default: break;
+      }
+      const Lit l = pool[rng.below(pool.size())];
+      return rng.chance(0.5) ? aig::lit_not(l) : l;
+    };
+    size_t resolved = 0, grown = 0, no_operand = 0;
+    for (int step = 0; step < 3000; ++step) {
+      Query q{static_cast<Gate>(rng.below(3)), pick(), pick(), pick()};
+      if (!asked.empty() && rng.chance(0.2)) {
+        q = asked[rng.below(asked.size())]; // hits the strash, not the folding
+        if (q.gate != Mux && rng.chance(0.5))
+          std::swap(q.a, q.b);
+      } else if (rng.chance(0.2)) {
+        q.b = rng.chance(0.5) ? q.a : aig::find_not(q.a); // folding cases
+      } else if (rng.chance(0.1)) {
+        q.c = q.b;
+      }
+      const Lit found = q.gate == Or    ? g.find_or(q.a, q.b)
+                        : q.gate == Xor ? g.find_xor(q.a, q.b)
+                                        : g.find_mux(q.a, q.b, q.c);
+      if (q.a == aig::kNoLit || q.b == aig::kNoLit || (q.gate == Mux && q.c == aig::kNoLit)) {
+        ASSERT_EQ(found, aig::kNoLit) << "seed " << seed << " step " << step;
+        ++no_operand;
+        continue;
+      }
+      Aig copy = g;
+      const Lit built = q.gate == Or    ? copy.or_(q.a, q.b)
+                        : q.gate == Xor ? copy.xor_(q.a, q.b)
+                                        : copy.mux_(q.a, q.b, q.c);
+      if (copy.num_nodes() > g.num_nodes()) {
+        ASSERT_EQ(found, aig::kNoLit) << "seed " << seed << " step " << step;
+        ++grown;
+      } else {
+        ASSERT_EQ(found, built) << "seed " << seed << " step " << step;
+        ++resolved;
+      }
+      if (rng.chance(0.5)) { // keep the gate: the graph grows
+        g = std::move(copy);
+        pool.push_back(built);
+        asked.push_back(q);
+      }
+    }
+    EXPECT_GT(resolved, 300u);
+    EXPECT_GT(grown, 300u);
+    EXPECT_GT(no_operand, 100u);
+  }
+}
+
 TEST(Aig, ReachableAreaIgnoresDeadNodes) {
   Aig g;
   const Lit a = g.add_input("a");

@@ -146,7 +146,6 @@ TEST(ParallelSweep, RegionClosuresNeverContainForeignTrees) {
   rtlil::Module& top = *design->top();
   opt::coarse_opt(top);
   rtlil::NetlistIndex index(top);
-  index.sigmap().flatten();
   const opt::MuxtreeForest forest = opt::muxtree_forest(top, index);
   const opt::RegionPartition partition = opt::partition_regions(top, index, forest, 4);
   ASSERT_GT(partition.regions.size(), 1u);
@@ -179,7 +178,6 @@ TEST(ParallelSweep, IncrementalIndexMatchesRebuildAfterSweep) {
   opt::coarse_opt(top);
 
   rtlil::NetlistIndex incremental(top);
-  incremental.sigmap().flatten();
   core::InferenceOracle oracle({});
   opt::MuxtreeStats stats;
   size_t sweeps = 0;
@@ -190,7 +188,7 @@ TEST(ParallelSweep, IncrementalIndexMatchesRebuildAfterSweep) {
     opt::MuxtreeWalker walker(incremental, oracle, stats, journal);
     const opt::MuxtreeForest forest = opt::muxtree_forest(top, incremental);
     for (rtlil::Cell* root : forest.roots)
-      walker.walk_root(root, 0);
+      walker.walk_root(root);
     if (!walker.changed())
       break;
     opt::apply_sweep_journal(top, incremental, journal);

@@ -7,6 +7,7 @@
 #include "opt/opt_clean.hpp"
 #include "opt/opt_expr.hpp"
 #include "rtlil/module.hpp"
+#include "rtlil/topo.hpp"
 #include "verilog/elaborate.hpp"
 
 #include <gtest/gtest.h>
@@ -48,7 +49,8 @@ TEST(InferenceOracleTest, SyntacticLookupStillWorks) {
   Wire* s = f.in("s");
   f.mod->connect(SigSpec(f.out("y")), SigSpec(s));
   InferenceOracle oracle({});
-  oracle.begin_module(*f.mod);
+  const rtlil::NetlistIndex index(*f.mod);
+  oracle.begin_module(*f.mod, index);
   KnownMap known{{SigBit(s, 0), true}};
   EXPECT_EQ(oracle.decide(SigBit(s, 0), known), CtrlDecision::One);
   known[SigBit(s, 0)] = false;
@@ -63,7 +65,8 @@ TEST(InferenceOracleTest, NoKnownSignalsMeansUnknown) {
   const SigSpec sr = f.mod->Or(SigSpec(s), SigSpec(r));
   f.mod->connect(SigSpec(f.out("y")), sr);
   InferenceOracle oracle({});
-  oracle.begin_module(*f.mod);
+  const rtlil::NetlistIndex index(*f.mod);
+  oracle.begin_module(*f.mod, index);
   EXPECT_EQ(oracle.decide(sr[0], {}), CtrlDecision::Unknown);
 }
 
@@ -76,7 +79,8 @@ TEST(InferenceOracleTest, Fig3OrDependence) {
   f.mod->connect(SigSpec(f.out("y")), sr);
 
   InferenceOracle oracle({});
-  oracle.begin_module(*f.mod);
+  const rtlil::NetlistIndex index(*f.mod);
+  oracle.begin_module(*f.mod, index);
   EXPECT_EQ(oracle.decide(sr[0], {{SigBit(s, 0), true}}), CtrlDecision::One);
   EXPECT_EQ(oracle.decide(sr[0], {{SigBit(s, 0), false}}), CtrlDecision::Unknown);
 }
@@ -89,7 +93,8 @@ TEST(InferenceOracleTest, AndDependence) {
   const SigSpec sr = f.mod->And(SigSpec(s), SigSpec(r));
   f.mod->connect(SigSpec(f.out("y")), sr);
   InferenceOracle oracle({});
-  oracle.begin_module(*f.mod);
+  const rtlil::NetlistIndex index(*f.mod);
+  oracle.begin_module(*f.mod, index);
   EXPECT_EQ(oracle.decide(sr[0], {{SigBit(s, 0), false}}), CtrlDecision::Zero);
 }
 
@@ -107,7 +112,8 @@ TEST(InferenceOracleTest, SimOrSatDecidesNonTrivialDependence) {
   SatRedundancyOptions opts;
   opts.use_inference = false; // force stage 4
   InferenceOracle oracle(opts);
-  oracle.begin_module(*f.mod);
+  const rtlil::NetlistIndex index(*f.mod);
+  oracle.begin_module(*f.mod, index);
   EXPECT_EQ(oracle.decide(ctrl[0], {{SigBit(s, 0), true}}), CtrlDecision::One);
   EXPECT_EQ(oracle.decide(ctrl[0], {{SigBit(s, 0), false}}), CtrlDecision::Zero);
   const auto& st = oracle.stats();
@@ -129,7 +135,8 @@ TEST(InferenceOracleTest, SatStageHandlesWideSubgraph) {
   opts.use_inference = false;
   opts.sim_max_inputs = 0;
   InferenceOracle oracle(opts);
-  oracle.begin_module(*f.mod);
+  const rtlil::NetlistIndex index(*f.mod);
+  oracle.begin_module(*f.mod, index);
   EXPECT_EQ(oracle.decide(ctrl[0], {{SigBit(s, 0), true}}), CtrlDecision::One);
   EXPECT_EQ(oracle.stats().decided_sat, 1u);
 }
@@ -145,7 +152,8 @@ TEST(InferenceOracleTest, DeadPathDetected) {
   f.mod->connect(SigSpec(f.out("y")), f.mod->Xor(sr, other));
 
   InferenceOracle oracle({});
-  oracle.begin_module(*f.mod);
+  const rtlil::NetlistIndex index(*f.mod);
+  oracle.begin_module(*f.mod, index);
   const KnownMap contradictory{{SigBit(s, 0), true}, {sr[0], false}};
   EXPECT_EQ(oracle.decide(other[0], contradictory), CtrlDecision::DeadPath);
   EXPECT_GE(oracle.stats().dead_paths, 1u);
@@ -167,7 +175,8 @@ TEST(InferenceOracleTest, InputThresholdSkipsSat) {
   opts.sim_max_inputs = 0;
   opts.sat_max_inputs = 0;
   InferenceOracle oracle(opts);
-  oracle.begin_module(*f.mod);
+  const rtlil::NetlistIndex index(*f.mod);
+  oracle.begin_module(*f.mod, index);
   EXPECT_EQ(oracle.decide(ctrl[0], {{SigBit(s, 0), true}}), CtrlDecision::Unknown);
   EXPECT_GE(oracle.stats().skipped_too_large, 1u);
 }
