@@ -1,26 +1,41 @@
 #include "aig/cnf.hpp"
 
+#include <stdexcept>
+
 namespace smartly::aig {
 
+ConeCnfEncoder::~ConeCnfEncoder() {
+  for (const uint32_t node : touched_)
+    vars_[node] = kNoVar;
+}
+
 sat::Var ConeCnfEncoder::var_of(uint32_t node) {
-  auto it = vars_.find(node);
-  if (it != vars_.end())
-    return it->second;
-  const sat::Var v = solver_.new_var();
-  vars_.emplace(node, v);
-  return v;
+  if (!encoded(node)) {
+    vars_[node] = solver_.new_var();
+    touched_.push_back(node);
+  }
+  return vars_[node];
+}
+
+sat::Lit ConeCnfEncoder::lit(Lit aig_lit) const {
+  const uint32_t node = lit_node(aig_lit);
+  if (node >= vars_.size() || !encoded(node))
+    throw std::out_of_range("ConeCnfEncoder::lit: AIG node not encoded");
+  return sat::mk_lit(vars_[node], lit_compl(aig_lit));
 }
 
 sat::Lit ConeCnfEncoder::ensure(Lit aig_lit) {
   const uint32_t root = lit_node(aig_lit);
-  if (!vars_.count(root)) {
+  if (vars_.size() < aig_.num_nodes())
+    vars_.resize(aig_.num_nodes(), kNoVar);
+  if (!encoded(root)) {
     // Iterative post-order: give every reachable unencoded node a variable,
     // then clause it once both fanins have theirs.
     stack_.clear();
     stack_.push_back(root);
     while (!stack_.empty()) {
       const uint32_t n = stack_.back();
-      if (vars_.count(n)) {
+      if (encoded(n)) {
         stack_.pop_back();
         continue;
       }
@@ -37,8 +52,8 @@ sat::Lit ConeCnfEncoder::ensure(Lit aig_lit) {
       }
       const uint32_t f0 = lit_node(aig_.fanin0(n));
       const uint32_t f1 = lit_node(aig_.fanin1(n));
-      const bool need0 = !vars_.count(f0);
-      const bool need1 = !vars_.count(f1);
+      const bool need0 = !encoded(f0);
+      const bool need1 = !encoded(f1);
       if (need0 || need1) {
         if (need0)
           stack_.push_back(f0);

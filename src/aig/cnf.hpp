@@ -4,7 +4,6 @@
 #include "aig/aig.hpp"
 #include "sat/solver.hpp"
 
-#include <unordered_map>
 #include <vector>
 
 namespace smartly::aig {
@@ -17,18 +16,31 @@ namespace smartly::aig {
 /// cones of it; encoding the full graph per class would swamp the solver with
 /// inert clauses. Nodes are encoded at most once per encoder, so the joint
 /// cone of a class's members shares variables across its queries.
+///
+/// The node -> variable table belongs to the caller, who hands it to the
+/// encoders it creates one after another (a fraig stage's classes, a CEC
+/// check's miters, the §II oracle's queries). Between encoders every entry
+/// is kNoVar: an encoder grows the table to the AIG's size, sets the entries
+/// of the nodes it encodes and resets exactly those when destroyed. So no
+/// encoder builds a map of its own, and two encoders never share a table
+/// while both are alive.
 class ConeCnfEncoder {
 public:
-  ConeCnfEncoder(sat::Solver& solver, const Aig& aig) : solver_(solver), aig_(aig) {}
+  static constexpr sat::Var kNoVar = -1;
+
+  ConeCnfEncoder(sat::Solver& solver, const Aig& aig, std::vector<sat::Var>& vars)
+      : solver_(solver), aig_(aig), vars_(vars) {}
+  ~ConeCnfEncoder();
+  ConeCnfEncoder(const ConeCnfEncoder&) = delete;
+  ConeCnfEncoder& operator=(const ConeCnfEncoder&) = delete;
 
   /// Encode the fanin cone of `aig_lit` (no-op for already-encoded nodes) and
   /// return its solver literal.
   sat::Lit ensure(Lit aig_lit);
 
-  /// Solver literal of an already-ensured AIG literal.
-  sat::Lit lit(Lit aig_lit) const {
-    return sat::mk_lit(vars_.at(lit_node(aig_lit)), lit_compl(aig_lit));
-  }
+  /// Solver literal of an already-ensured AIG literal; throws
+  /// std::out_of_range for a node this encoder has not encoded.
+  sat::Lit lit(Lit aig_lit) const;
 
   /// AIG input nodes that received variables — the cone's free inputs, in
   /// first-encounter order (deterministic given the ensure() call sequence).
@@ -37,10 +49,12 @@ public:
 
 private:
   sat::Var var_of(uint32_t node);
+  bool encoded(uint32_t node) const { return vars_[node] != kNoVar; }
 
   sat::Solver& solver_;
   const Aig& aig_;
-  std::unordered_map<uint32_t, sat::Var> vars_;
+  std::vector<sat::Var>& vars_;    ///< the caller's node -> variable table
+  std::vector<uint32_t> touched_;  ///< nodes given a variable, reset on exit
   std::vector<uint32_t> encoded_inputs_;
   std::vector<uint32_t> stack_; ///< DFS scratch (cones can be deep)
 };

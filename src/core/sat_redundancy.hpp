@@ -11,6 +11,7 @@
 #include "core/subgraph.hpp"
 #include "opt/muxtree_walker.hpp"
 #include "opt/parallel_sweep.hpp"
+#include "sat/solver.hpp"
 
 #include <utility>
 #include <vector>
@@ -60,8 +61,8 @@ struct SatRedundancyStats {
 
 /// The §II oracle: syntactic lookup, then sub-graph extraction, Table I
 /// inference, then simulation or SAT. It keeps nothing between queries
-/// except its statistics, so every verdict is a function of the query and
-/// the module alone.
+/// except its statistics (its scratch tables are empty between queries), so
+/// every verdict is a function of the query and the module alone.
 class InferenceOracle final : public opt::MuxtreeOracle {
 public:
   explicit InferenceOracle(const SatRedundancyOptions& options) : options_(options) {}
@@ -85,6 +86,7 @@ private:
   SubgraphScratch scratch_;
   std::vector<std::pair<rtlil::SigBit, bool>> known_sorted_; ///< per-query scratch
   std::vector<rtlil::SigBit> known_bits_;                     ///< its bits
+  std::vector<sat::Var> cnf_vars_; ///< the SAT stage's node -> variable table
 };
 
 /// Run the full §II pass on a module (walker + oracle). Pair with

@@ -5,6 +5,7 @@
 #include "util/log.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -15,30 +16,36 @@ Module::Module(Design* design, std::string name)
 
 Module::~Module() = default;
 
-Wire* Module::add_wire(const std::string& name, int width) {
-  if (width < 0)
-    throw std::invalid_argument("wire width must be >= 0");
-  if (wire_by_name_.count(name))
-    throw std::invalid_argument(str_format("duplicate wire name: %s", name.c_str()));
-  if (static_cast<uint64_t>(width) > UINT32_MAX - next_bit_id_)
-    throw std::length_error(str_format("wire %s: module bit ids exhausted", name.c_str()));
-  wires_.push_back(std::make_unique<Wire>(this, name, width, next_bit_id_));
-  next_bit_id_ += static_cast<uint32_t>(width);
-  Wire* w = wires_.back().get();
-  wire_by_name_.emplace(w->name(), w);
-  return w;
+Wire* Module::add_wire(std::string_view name, int width) {
+  return add_wire(NameKey(name), width);
 }
 
-Wire* Module::new_wire(int width, const std::string& prefix) {
+Wire* Module::add_wire(const NameKey& key, int width) {
+  if (width < 0)
+    throw std::invalid_argument("wire width must be >= 0");
+  auto w = std::make_unique<Wire>(this, std::string(key.text), width, next_bit_id_);
+  const auto [it, inserted] = wire_by_name_.emplace(NameKey(w->name(), key.hash), w.get());
+  if (!inserted)
+    throw std::invalid_argument(str_format("duplicate wire name: %s", w->name().c_str()));
+  if (static_cast<uint64_t>(width) > UINT32_MAX - next_bit_id_) {
+    wire_by_name_.erase(it);
+    throw std::length_error(str_format("wire %s: module bit ids exhausted", w->name().c_str()));
+  }
+  next_bit_id_ += static_cast<uint32_t>(width);
+  wires_.push_back(std::move(w));
+  return wires_.back().get();
+}
+
+Wire* Module::new_wire(int width, std::string_view prefix) {
   return add_wire(unique_name(prefix), width);
 }
 
-Wire* Module::wire(const std::string& name) const {
-  auto it = wire_by_name_.find(name);
+Wire* Module::wire(std::string_view name) const {
+  auto it = wire_by_name_.find(NameKey(name));
   return it == wire_by_name_.end() ? nullptr : it->second;
 }
 
-bool Module::has_wire(const std::string& name) const { return wire_by_name_.count(name) > 0; }
+bool Module::has_wire(std::string_view name) const { return wire(name) != nullptr; }
 
 void Module::set_port_input(Wire* w) {
   if (!w->port_id) {
@@ -56,27 +63,36 @@ void Module::set_port_output(Wire* w) {
   w->port_output = true;
 }
 
-std::string Module::unique_name(const std::string& prefix) {
+Module::NameKey Module::unique_name(std::string_view prefix) {
+  name_buf_.assign(prefix);
+  name_buf_ += '$';
+  const size_t stem = name_buf_.size();
   for (;;) {
-    std::string candidate = str_format("%s$%llu", prefix.c_str(),
-                                       static_cast<unsigned long long>(name_counter_++));
-    if (!wire_by_name_.count(candidate) && !cell_by_name_.count(candidate))
-      return candidate;
+    char digits[24];
+    const auto end = std::to_chars(digits, digits + sizeof digits, name_counter_++).ptr;
+    name_buf_.resize(stem);
+    name_buf_.append(digits, end);
+    const NameKey key(name_buf_);
+    if (!wire_by_name_.count(key) && !cell_by_name_.count(key))
+      return key;
   }
 }
 
-Cell* Module::add_cell(CellType type, const std::string& name) {
-  std::string cname = name.empty() ? unique_name(cell_type_name(type)) : name;
-  if (cell_by_name_.count(cname))
-    throw std::invalid_argument(str_format("duplicate cell name: %s", cname.c_str()));
-  cells_.push_back(std::make_unique<Cell>(this, cname, type, next_cell_id_++));
-  Cell* c = cells_.back().get();
-  cell_by_name_.emplace(c->name(), c);
-  return c;
+Cell* Module::add_cell(CellType type, std::string_view name) {
+  return add_cell(type, name.empty() ? unique_name(cell_type_name(type)) : NameKey(name));
 }
 
-Cell* Module::cell(const std::string& name) const {
-  auto it = cell_by_name_.find(name);
+Cell* Module::add_cell(CellType type, const NameKey& key) {
+  auto c = std::make_unique<Cell>(this, std::string(key.text), type, next_cell_id_);
+  if (!cell_by_name_.emplace(NameKey(c->name(), key.hash), c.get()).second)
+    throw std::invalid_argument(str_format("duplicate cell name: %s", c->name().c_str()));
+  ++next_cell_id_;
+  cells_.push_back(std::move(c));
+  return cells_.back().get();
+}
+
+Cell* Module::cell(std::string_view name) const {
+  auto it = cell_by_name_.find(NameKey(name));
   return it == cell_by_name_.end() ? nullptr : it->second;
 }
 
@@ -84,7 +100,7 @@ void Module::remove_cell(Cell* cell) { remove_cells({cell}); }
 
 void Module::remove_wire(Wire* w) {
   drop_sigmap();
-  wire_by_name_.erase(w->name());
+  wire_by_name_.erase(NameKey(w->name()));
   // The common caller retires the just-created $sig temp, so search back-first.
   for (auto it = wires_.rbegin(); it != wires_.rend(); ++it) {
     if (it->get() == w) {
@@ -99,7 +115,7 @@ void Module::remove_cells(const std::vector<Cell*>& dead) {
     return;
   std::unordered_set<const Cell*> kill(dead.begin(), dead.end());
   for (const Cell* c : dead)
-    cell_by_name_.erase(c->name());
+    cell_by_name_.erase(NameKey(c->name()));
   cells_.erase(std::remove_if(cells_.begin(), cells_.end(),
                               [&](const std::unique_ptr<Cell>& c) { return kill.count(c.get()); }),
                cells_.end());
@@ -267,23 +283,36 @@ Module* Design::top() const { return modules_.empty() ? nullptr : modules_.front
 /// identically. Shared by clone_design and restore_module.
 void copy_module_into(Module& dst, const Module& src) {
   dst.drop_sigmap(); // rebuilt from the copied connections on first use
-  std::unordered_map<const Wire*, Wire*> wmap;
+  // The copy of each source wire, stored at the wire's bit_base(): the bit
+  // ranges of wires that a bit can reference (width > 0) are disjoint.
+  std::vector<Wire*> copy_of(src.bit_id_bound());
+  dst.wires_.reserve(src.wires().size());
+  dst.wire_by_name_.reserve(src.wires().size());
   for (const auto& sw : src.wires()) {
-    Wire* dw = dst.add_wire(sw->name(), sw->width());
+    Wire* dw = dst.add_wire(Module::NameKey(sw->name()), sw->width());
     if (sw->port_input)
       dst.set_port_input(dw);
     if (sw->port_output)
       dst.set_port_output(dw);
-    wmap.emplace(sw.get(), dw);
+    if (sw->width() > 0)
+      copy_of[sw->bit_base()] = dw;
   }
   auto map_sig = [&](const SigSpec& s) {
-    SigSpec out;
-    for (const SigBit& b : s)
-      out.append(b.is_wire() ? SigBit(wmap.at(b.wire), b.offset) : b);
-    return out;
+    std::vector<SigBit> bits = s.bits();
+    for (SigBit& b : bits) {
+      if (b.wire == nullptr)
+        continue;
+      if (b.wire->module() != &src)
+        throw std::out_of_range(str_format("copy of module %s: bit of foreign wire %s",
+                                           src.name().c_str(), b.wire->name().c_str()));
+      b.wire = copy_of[b.wire->bit_base()];
+    }
+    return SigSpec(std::move(bits));
   };
+  dst.cells_.reserve(src.cells().size());
+  dst.cell_by_name_.reserve(src.cells().size());
   for (const auto& sc : src.cells()) {
-    Cell* dc = dst.add_cell(sc->type(), sc->name());
+    Cell* dc = dst.add_cell(sc->type(), Module::NameKey(sc->name()));
     dc->params() = sc->params();
     for (int i = 0; i < kPortCount; ++i) {
       const Port p = static_cast<Port>(i);
@@ -291,8 +320,11 @@ void copy_module_into(Module& dst, const Module& src) {
         dc->set_port(p, map_sig(sc->port(p)));
     }
   }
+  // The source's connections are already width-checked, and dst's alias map
+  // is dropped, so they are appended without connect()'s checks.
+  dst.connections_.reserve(src.connections().size());
   for (const auto& [lhs, rhs] : src.connections())
-    dst.connect(map_sig(lhs), map_sig(rhs));
+    dst.connections_.emplace_back(map_sig(lhs), map_sig(rhs));
   dst.name_counter_ = src.name_counter_;
 }
 
@@ -304,10 +336,10 @@ std::unique_ptr<Design> clone_design(const Design& src) {
 }
 
 void restore_module(Module& dst, const Module& src) {
-  dst.wires_.clear();
-  dst.wire_by_name_.clear();
-  dst.cells_.clear();
+  dst.wire_by_name_.clear(); // before the wires and cells whose names the keys view
   dst.cell_by_name_.clear();
+  dst.wires_.clear();
+  dst.cells_.clear();
   dst.connections_.clear();
   dst.ports_.clear();
   dst.name_counter_ = 0;

@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -65,11 +66,11 @@ public:
   const std::string& name() const noexcept { return name_; }
 
   // --- wires -------------------------------------------------------------
-  Wire* add_wire(const std::string& name, int width = 1);
+  Wire* add_wire(std::string_view name, int width = 1);
   /// Fresh wire with a unique generated name based on `prefix`.
-  Wire* new_wire(int width, const std::string& prefix = "$sig");
-  Wire* wire(const std::string& name) const;
-  bool has_wire(const std::string& name) const;
+  Wire* new_wire(int width, std::string_view prefix = "$sig");
+  Wire* wire(std::string_view name) const;
+  bool has_wire(std::string_view name) const;
   const std::vector<std::unique_ptr<Wire>>& wires() const noexcept { return wires_; }
   /// Remove a wire nothing references anymore (caller's responsibility —
   /// SigBits holding the pointer would dangle). Used by the elaborator to
@@ -82,8 +83,8 @@ public:
   const std::vector<Wire*>& ports() const noexcept { return ports_; }
 
   // --- cells -------------------------------------------------------------
-  Cell* add_cell(CellType type, const std::string& name = "");
-  Cell* cell(const std::string& name) const;
+  Cell* add_cell(CellType type, std::string_view name = {});
+  Cell* cell(std::string_view name) const;
   const std::vector<std::unique_ptr<Cell>>& cells() const noexcept { return cells_; }
   size_t cell_count() const noexcept { return cells_.size(); }
 
@@ -168,7 +169,27 @@ public:
   size_t count_cells(CellType t) const noexcept;
 
 private:
-  std::string unique_name(const std::string& prefix);
+  /// Key of the name tables: a view of the owning wire's or cell's own name
+  /// (stable: both live on the heap and are never renamed) with its hash,
+  /// computed once per name and carried from probe to insert.
+  struct NameKey {
+    std::string_view text;
+    size_t hash;
+    explicit NameKey(std::string_view t) : text(t), hash(std::hash<std::string_view>{}(t)) {}
+    NameKey(std::string_view t, size_t h) : text(t), hash(h) {}
+    bool operator==(const NameKey& o) const noexcept { return hash == o.hash && text == o.text; }
+  };
+  struct NameKeyHash {
+    size_t operator()(const NameKey& k) const noexcept { return k.hash; }
+  };
+  template <typename T> using NameTable = std::unordered_map<NameKey, T*, NameKeyHash>;
+
+  /// The next generated name "<prefix>$<counter>" free in both tables, built
+  /// in name_buf_ (the returned key views it). Each candidate bumps the
+  /// counter, so names skip over ones the netlist already holds.
+  NameKey unique_name(std::string_view prefix);
+  Wire* add_wire(const NameKey& key, int width);
+  Cell* add_cell(CellType type, const NameKey& key);
   /// Empty the alias map; the next sigmap() rebuilds it.
   void drop_sigmap();
 
@@ -178,14 +199,15 @@ private:
   Design* design_;
   std::string name_;
   std::vector<std::unique_ptr<Wire>> wires_;
-  std::unordered_map<std::string, Wire*> wire_by_name_;
+  NameTable<Wire> wire_by_name_;
   std::vector<std::unique_ptr<Cell>> cells_;
-  std::unordered_map<std::string, Cell*> cell_by_name_;
+  NameTable<Cell> cell_by_name_;
   std::vector<std::pair<SigSpec, SigSpec>> connections_;
   std::unique_ptr<SigMap> sigmap_; ///< see sigmap(); current while sigmap_built_
   mutable bool sigmap_built_ = false;
   std::vector<Wire*> ports_;
   uint64_t name_counter_ = 0;
+  std::string name_buf_; ///< unique_name's candidate, reused
   uint32_t next_bit_id_ = 0;
   uint32_t next_cell_id_ = 0;
 };

@@ -2,6 +2,7 @@
 
 #include "rtlil/module.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace smartly::rtlil {
@@ -84,18 +85,18 @@ Const SigSpec::as_const() const {
 }
 
 SigSpec SigSpec::extended(int width, bool is_signed) const {
-  SigSpec out;
   const SigBit fill = (is_signed && !bits_.empty()) ? bits_.back() : SigBit(State::S0);
-  for (int i = 0; i < width; ++i)
-    out.append(i < size() ? bits_[static_cast<size_t>(i)] : fill);
-  return out;
+  const size_t n = width > 0 ? static_cast<size_t>(width) : 0;
+  const size_t kept = std::min(n, bits_.size());
+  std::vector<SigBit> out;
+  out.reserve(n);
+  out.insert(out.end(), bits_.begin(), bits_.begin() + static_cast<std::ptrdiff_t>(kept));
+  out.resize(n, fill);
+  return SigSpec(std::move(out));
 }
 
 SigSpec sig_repeat(SigBit bit, int n) {
-  SigSpec out;
-  for (int i = 0; i < n; ++i)
-    out.append(bit);
-  return out;
+  return SigSpec(std::vector<SigBit>(n > 0 ? static_cast<size_t>(n) : 0, bit));
 }
 
 } // namespace smartly::rtlil

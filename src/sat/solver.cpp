@@ -43,35 +43,38 @@ Var Solver::new_var() {
   return v;
 }
 
-bool Solver::add_clause(std::vector<Lit> lits) {
+bool Solver::add_clause(const Lit* lits, size_t n) {
   assert(decision_level() == 0);
   if (!ok_)
     return false;
 
   // Sort, dedup, drop false literals, detect tautology / satisfied clause.
-  std::sort(lits.begin(), lits.end());
-  std::vector<Lit> out;
+  add_tmp_.assign(lits, lits + n);
+  std::sort(add_tmp_.begin(), add_tmp_.end());
+  size_t kept = 0;
   Lit prev = lit_undef;
-  for (Lit l : lits) {
+  for (size_t i = 0; i < add_tmp_.size(); ++i) {
+    const Lit l = add_tmp_[i];
     if (value(l) == LBool::True || l == ~prev)
       return true; // clause already satisfied or tautological
     if (value(l) != LBool::False && l != prev)
-      out.push_back(l);
+      add_tmp_[kept++] = l;
     prev = l;
   }
+  add_tmp_.resize(kept);
 
-  if (out.empty()) {
+  if (add_tmp_.empty()) {
     ok_ = false;
     return false;
   }
-  if (out.size() == 1) {
-    unchecked_enqueue(out[0], nullptr);
+  if (add_tmp_.size() == 1) {
+    unchecked_enqueue(add_tmp_[0], nullptr);
     ok_ = (propagate() == nullptr);
     return ok_;
   }
 
   auto* c = new Clause();
-  c->lits = std::move(out);
+  c->lits.assign(add_tmp_.begin(), add_tmp_.end());
   clauses_.push_back(c);
   attach_clause(c);
   return true;

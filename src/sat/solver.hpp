@@ -69,10 +69,16 @@ public:
 
   /// Add a clause (top-level). Returns false if the database became
   /// trivially unsatisfiable.
-  bool add_clause(std::vector<Lit> lits);
-  bool add_clause(Lit a) { return add_clause(std::vector<Lit>{a}); }
-  bool add_clause(Lit a, Lit b) { return add_clause(std::vector<Lit>{a, b}); }
-  bool add_clause(Lit a, Lit b, Lit c) { return add_clause(std::vector<Lit>{a, b, c}); }
+  bool add_clause(const std::vector<Lit>& lits) { return add_clause(lits.data(), lits.size()); }
+  bool add_clause(Lit a) { return add_clause(&a, 1); }
+  bool add_clause(Lit a, Lit b) {
+    const Lit lits[] = {a, b};
+    return add_clause(lits, 2);
+  }
+  bool add_clause(Lit a, Lit b, Lit c) {
+    const Lit lits[] = {a, b, c};
+    return add_clause(lits, 3);
+  }
 
   /// Solve under assumptions. Returns Unknown only when a conflict budget is
   /// set and exhausted.
@@ -110,6 +116,8 @@ private:
   }
   LBool value(Var v) const { return assigns_[static_cast<size_t>(v)]; }
 
+  /// Sorts and dedups [lits, lits + n) in add_tmp_, then adds the clause.
+  bool add_clause(const Lit* lits, size_t n);
   void attach_clause(Clause* c);
   void detach_clause(Clause* c);
   void remove_clause(Clause* c);
@@ -168,6 +176,7 @@ private:
   std::vector<Lit> analyze_stack_;
   std::vector<Lit> analyze_toclear_;
 
+  std::vector<Lit> add_tmp_; ///< add_clause scratch
   std::vector<Lit> assumptions_;
   std::vector<LBool> model_;
 

@@ -86,11 +86,12 @@ uint64_t class_unit_id(const EquivClass& cls) {
 
 ClassOutcome prove_class(const EquivClass& cls, const EquivClasses& eq,
                          const FraigOptions& options,
-                         const std::unordered_set<uint64_t>& settled) {
+                         const std::unordered_set<uint64_t>& settled,
+                         std::vector<sat::Var>& cnf_vars) {
   ClassOutcome out;
   const uint64_t unit = class_unit_id(cls);
   sat::Solver solver;
-  aig::ConeCnfEncoder enc(solver, eq.blast().aig);
+  aig::ConeCnfEncoder enc(solver, eq.blast().aig, cnf_vars);
   if (options.guard != nullptr && options.guard->wants_interrupts())
     solver.set_interrupt_check([g = options.guard] { return g->poll(); });
 
@@ -507,6 +508,7 @@ FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options) {
   EquivClasses eq;
   std::unordered_map<SigBit, Replacement> proven;
   std::unordered_set<uint64_t> settled;
+  std::vector<sat::Var> cnf_vars; // every class's encoder, one after another
 
   util::ResourceGuard* guard = options.guard;
   if (guard != nullptr)
@@ -553,7 +555,7 @@ FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options) {
       for (size_t i = 0; i < classes.size(); ++i) {
         const obs::Span class_span("fraig", "fraig.class", "class",
                                    class_unit_id(classes[i]));
-        outcomes[i] = prove_class(classes[i], eq, options, settled);
+        outcomes[i] = prove_class(classes[i], eq, options, settled, cnf_vars);
       }
     } catch (const util::FaultInjected& e) {
       // The prove phase never mutates the module, so dropping this round's

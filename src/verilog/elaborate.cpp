@@ -30,6 +30,13 @@ using rtlil::Wire;
 /// Per-wire procedural values inside an always block.
 using ProcEnv = std::unordered_map<Wire*, SigSpec>;
 
+/// `s` zero-extended or truncated to `width` bits; no copy when it fits.
+SigSpec fit(SigSpec s, int width) {
+  if (s.size() != width)
+    return s.extended(width, false);
+  return s;
+}
+
 class Elaborator {
 public:
   Elaborator(const ModuleAst& ast, Design& design) : ast_(ast), design_(design) {}
@@ -57,7 +64,7 @@ public:
     for (const auto& [lhs, rhs] : ast_.assigns) {
       const SigSpec target = eval_lvalue(*lhs);
       const SigSpec value =
-          eval_expr(*rhs, nullptr, target.size()).extended(target.size(), false);
+          fit(eval_expr(*rhs, nullptr, target.size()), target.size());
       if (!direct_drive(target, value))
         module_->connect(target, value);
     }
@@ -106,7 +113,7 @@ private:
     if (value.size() != target.size() || value.empty() || !value[0].is_wire())
       return false;
     rtlil::Wire* w = value[0].wire;
-    if (w->port_input || w->port_output || !(value == SigSpec(w)))
+    if (w->port_input || w->port_output || !value.is_wire())
       return false;
     if (w->name().rfind("$sig", 0) != 0)
       return false;
@@ -115,7 +122,8 @@ private:
     if (module_->cells().empty())
       return false;
     rtlil::Cell* c = module_->cells().back().get();
-    if (!c->has_port(rtlil::Port::Y) || !(c->port(rtlil::Port::Y) == SigSpec(w)))
+    if (!c->has_port(rtlil::Port::Y) || !c->port(rtlil::Port::Y).is_wire() ||
+        c->port(rtlil::Port::Y)[0].wire != w)
       return false;
     c->set_port(rtlil::Port::Y, target);
     module_->remove_wire(w);
@@ -197,8 +205,8 @@ private:
       }
       case UnaryOp::BitNot: {
         const int w = std::max(ctx, expr_self_width(*e.args[0]));
-        const SigSpec a = eval_expr(*e.args[0], env, w);
-        return module_->add_unary(CellType::Not, a.extended(w, false), w);
+        SigSpec a = eval_expr(*e.args[0], env, w);
+        return module_->add_unary(CellType::Not, fit(std::move(a), w), w);
       }
       case UnaryOp::Not:
         return module_->add_unary(CellType::LogicNot, eval_expr(*e.args[0], env), 1);
@@ -236,12 +244,12 @@ private:
       case BinaryOp::Shl: case BinaryOp::Shr: case BinaryOp::Sshr: {
         // Left operand is context-sized; the shift amount is self-determined.
         const int w = std::max(ctx, expr_self_width(*e.args[0]));
-        const SigSpec a = eval_expr(*e.args[0], env, w);
+        SigSpec a = eval_expr(*e.args[0], env, w);
         const SigSpec b = eval_expr(*e.args[1], env);
         const CellType t = e.bop == BinaryOp::Shl
                                ? CellType::Shl
                                : (e.bop == BinaryOp::Shr ? CellType::Shr : CellType::Sshr);
-        return module_->add_binary(t, a.extended(w, false), b, w);
+        return module_->add_binary(t, fit(std::move(a), w), b, w);
       }
       default: {
         // Comparisons and &&/||: operands sized among themselves only.
@@ -267,9 +275,9 @@ private:
     case ExprKind::Ternary: {
       const SigSpec cond = to_bool(eval_expr(*e.args[0], env));
       const int w = std::max({ctx, expr_self_width(*e.args[1]), expr_self_width(*e.args[2])});
-      const SigSpec t = eval_expr(*e.args[1], env, w);
-      const SigSpec f = eval_expr(*e.args[2], env, w);
-      return module_->Mux(f.extended(w, false), t.extended(w, false), cond);
+      SigSpec t = eval_expr(*e.args[1], env, w);
+      SigSpec f = eval_expr(*e.args[2], env, w);
+      return module_->Mux(fit(std::move(f), w), fit(std::move(t), w), cond);
     }
 
     case ExprKind::Concat: {
@@ -392,7 +400,7 @@ private:
     case StmtKind::Assign: {
       const SigSpec target = eval_lvalue(*s.lhs);
       const SigSpec value =
-          eval_expr(*s.rhs, &env, target.size()).extended(target.size(), false);
+          fit(eval_expr(*s.rhs, &env, target.size()), target.size());
       env_assign(env, target, value, is_comb);
       return;
     }
@@ -481,7 +489,7 @@ private:
         else
           one = module_->Eq(sel_bits, const_bits);
       } else {
-        const SigSpec lv = eval_expr(*label, nullptr).extended(sel.size(), false);
+        const SigSpec lv = fit(eval_expr(*label, nullptr), sel.size());
         one = module_->Eq(sel, lv);
       }
       if (result.empty())
@@ -541,7 +549,9 @@ std::unique_ptr<Design> read_verilog(const std::string& source, const std::strin
   const obs::Span read_span("verilog", "verilog.read");
   try {
     auto design = std::make_unique<Design>();
-    for (const ModuleAst& ast : parse_verilog(source))
+    const std::vector<ModuleAst> asts = parse_verilog(source);
+    const obs::Span elaborate_span("verilog", "verilog.elaborate");
+    for (const ModuleAst& ast : asts)
       elaborate(ast, *design);
     return design;
   } catch (const ParseError& e) {

@@ -30,6 +30,8 @@ rtlil::Module* elaborate(const ModuleAst& ast, rtlil::Design& design);
 /// Parse + elaborate all modules in `source` into a fresh design. Front-end
 /// diagnostics are verilog::ParseError with line/column; when `filename` is
 /// given it is stamped into the error so what() reads `file:line:col: msg`.
+/// Traced as `verilog.read`, holding parse_verilog's `verilog.lex` and
+/// `verilog.parse` spans and a `verilog.elaborate` span.
 std::unique_ptr<rtlil::Design> read_verilog(const std::string& source,
                                             const std::string& filename = "");
 

@@ -4,6 +4,7 @@
 #include "verilog/parse_error.hpp"
 
 #include <cctype>
+#include <cstring>
 #include <stdexcept>
 
 namespace smartly::verilog {
@@ -14,138 +15,223 @@ namespace {
   throw ParseError("", line, col, "verilog lexer: " + msg);
 }
 
-bool is_ident_start(char c) { return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == '$'; }
-bool is_ident_char(char c) { return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '$'; }
+// Character classes are plain ASCII ranges: the source is bytes, and the
+// locale-aware <cctype> calls cost a table lookup through the C locale each.
+bool is_alpha(char c) { return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'); }
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+bool is_ident_start(char c) { return is_alpha(c) || c == '_' || c == '$'; }
+bool is_ident_char(char c) { return is_ident_start(c) || is_digit(c); }
+/// A character after the base of a based literal (validated by decode_number).
+bool is_based_digit(char c) { return is_alpha(c) || is_digit(c) || c == '_' || c == '?'; }
 
-// Multi-character punctuation, longest-match first.
-const char* kPuncts[] = {
-    ">>>", "<<<", "===", "!==", "==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
-    "~^", "^~", "+:", "-:", "(", ")", "[", "]", "{", "}", ",", ";", ":", "?",
-    "=", "<", ">", "+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "@", "#", ".",
+/// Spellings, indexed by TokCode.
+const char* const kCodeText[] = {
+    "",
+    "(", ")", "[", "]", "{", "}", ",", ";", ":", "?",
+    "=", "<", ">", "+", "-", "*", "/", "%", "&", "|", "^", "~", "!",
+    "@", "#", ".",
+    "==", "!=", "===", "!==", "<=", ">=", "&&", "||", "<<", ">>", ">>>", "<<<",
+    "~^", "^~", "+:", "-:",
+    "module", "endmodule", "input", "output", "wire", "reg", "parameter", "localparam",
+    "assign", "always", "posedge", "or", "begin", "end", "if", "else", "case", "casez",
+    "endcase", "default",
 };
+static_assert(sizeof(kCodeText) / sizeof(kCodeText[0]) ==
+                  static_cast<size_t>(TokCode::KwDefault) + 1,
+              "one spelling per TokCode");
+
+/// The keyword code of identifier text [s, s + n), or None.
+TokCode keyword_code(const char* s, size_t n) {
+  const auto is = [&](TokCode code) {
+    return std::memcmp(s, kCodeText[static_cast<size_t>(code)], n) == 0;
+  };
+  using T = TokCode;
+  switch (n) {
+  case 2: return is(T::KwIf) ? T::KwIf : is(T::KwOr) ? T::KwOr : T::None;
+  case 3: return is(T::KwReg) ? T::KwReg : is(T::KwEnd) ? T::KwEnd : T::None;
+  case 4:
+    return is(T::KwWire) ? T::KwWire : is(T::KwElse) ? T::KwElse : is(T::KwCase) ? T::KwCase
+                                                                                 : T::None;
+  case 5:
+    return is(T::KwInput) ? T::KwInput : is(T::KwBegin) ? T::KwBegin
+                                       : is(T::KwCasez) ? T::KwCasez : T::None;
+  case 6:
+    return is(T::KwModule) ? T::KwModule : is(T::KwOutput) ? T::KwOutput
+                                         : is(T::KwAssign) ? T::KwAssign
+                                         : is(T::KwAlways) ? T::KwAlways : T::None;
+  case 7:
+    return is(T::KwPosedge) ? T::KwPosedge : is(T::KwEndcase) ? T::KwEndcase
+                                           : is(T::KwDefault) ? T::KwDefault : T::None;
+  case 9:
+    return is(T::KwEndmodule) ? T::KwEndmodule : is(T::KwParameter) ? T::KwParameter
+                                                                    : T::None;
+  case 10: return is(T::KwLocalparam) ? T::KwLocalparam : T::None;
+  default: return T::None;
+  }
+}
+
+/// The longest punctuation that starts with c0, given the two characters
+/// after it ('\0' past the end of the source); sets `len`. None if no
+/// punctuation starts with c0.
+TokCode punct_at(char c0, char c1, char c2, size_t& len) {
+  using T = TokCode;
+  len = 1;
+  const auto two = [&](T code) { len = 2; return code; };
+  const auto three = [&](T code) { len = 3; return code; };
+  switch (c0) {
+  case '(': return T::LParen;
+  case ')': return T::RParen;
+  case '[': return T::LBracket;
+  case ']': return T::RBracket;
+  case '{': return T::LBrace;
+  case '}': return T::RBrace;
+  case ',': return T::Comma;
+  case ';': return T::Semi;
+  case ':': return T::Colon;
+  case '?': return T::Question;
+  case '*': return T::Star;
+  case '/': return T::Slash;
+  case '%': return T::Percent;
+  case '@': return T::At;
+  case '#': return T::Hash;
+  case '.': return T::Dot;
+  case '=':
+    if (c1 == '=')
+      return c2 == '=' ? three(T::CaseEq) : two(T::EqEq);
+    return T::Assign;
+  case '!':
+    if (c1 == '=')
+      return c2 == '=' ? three(T::CaseNe) : two(T::NotEq);
+    return T::Bang;
+  case '<':
+    if (c1 == '<')
+      return c2 == '<' ? three(T::Ashl) : two(T::Shl);
+    return c1 == '=' ? two(T::LtEq) : T::Lt;
+  case '>':
+    if (c1 == '>')
+      return c2 == '>' ? three(T::Sshr) : two(T::Shr);
+    return c1 == '=' ? two(T::GtEq) : T::Gt;
+  case '&': return c1 == '&' ? two(T::AndAnd) : T::Amp;
+  case '|': return c1 == '|' ? two(T::OrOr) : T::Pipe;
+  case '~': return c1 == '^' ? two(T::TildeCaret) : T::Tilde;
+  case '^': return c1 == '~' ? two(T::CaretTilde) : T::Caret;
+  case '+': return c1 == ':' ? two(T::PlusColon) : T::Plus;
+  case '-': return c1 == ':' ? two(T::MinusColon) : T::Minus;
+  default: return T::None;
+  }
+}
 
 } // namespace
 
+const char* tok_code_text(TokCode code) noexcept { return kCodeText[static_cast<size_t>(code)]; }
+
 std::vector<Token> tokenize(const std::string& src) {
+  const char* const s = src.data();
+  const size_t n = src.size();
   std::vector<Token> out;
+  out.reserve(n / 3 + 1); // generated designs run 3.4-4.0 bytes per token
   size_t i = 0;
   int line = 1, col = 1;
 
-  auto advance = [&](size_t n) {
-    for (size_t k = 0; k < n; ++k) {
-      if (src[i + k] == '\n') {
-        ++line;
-        col = 1;
-      } else {
-        ++col;
-      }
-    }
-    i += n;
+  // Past the base character, a based literal holds only letters, digits, '_'
+  // and '?'. Returns its end; `base` gets the base character's position.
+  const auto based_tail = [&](size_t j, size_t& base) {
+    if (j < n && (s[j] == 's' || s[j] == 'S'))
+      ++j;
+    if (j >= n)
+      lex_error(line, col, "truncated based literal");
+    base = j++; // base char, validated by decode_number
+    while (j < n && is_based_digit(s[j]))
+      ++j;
+    return j;
   };
 
-  while (i < src.size()) {
-    const char c = src[i];
-    if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-      advance(1);
+  while (i < n) {
+    const char c = s[i];
+    if (c == '\n') {
+      ++line;
+      col = 1;
+      ++i;
       continue;
     }
-    if (c == '/' && i + 1 < src.size() && src[i + 1] == '/') {
-      while (i < src.size() && src[i] != '\n')
-        advance(1);
+    if (c == ' ' || c == '\t' || c == '\r') {
+      ++col;
+      ++i;
       continue;
     }
-    if (c == '/' && i + 1 < src.size() && src[i + 1] == '*') {
-      const int start_line = line;
-      const int start_col = col;
-      advance(2);
-      for (;;) {
-        if (i + 1 >= src.size())
-          lex_error(start_line, start_col, "unterminated block comment");
-        if (src[i] == '*' && src[i + 1] == '/') {
-          advance(2);
-          break;
+    if (c == '/' && i + 1 < n && s[i + 1] == '/') {
+      size_t j = i + 2;
+      while (j < n && s[j] != '\n')
+        ++j;
+      col += static_cast<int>(j - i);
+      i = j;
+      continue;
+    }
+    if (c == '/' && i + 1 < n && s[i + 1] == '*') {
+      const size_t close = src.find("*/", i + 2);
+      if (close == std::string::npos)
+        lex_error(line, col, "unterminated block comment");
+      const size_t j = close + 2;
+      size_t last_newline = std::string::npos;
+      for (size_t k = i + 2; k < close; ++k) {
+        if (s[k] == '\n') {
+          ++line;
+          last_newline = k;
         }
-        advance(1);
       }
+      col = last_newline == std::string::npos ? col + static_cast<int>(j - i)
+                                              : static_cast<int>(j - last_newline);
+      i = j;
       continue;
     }
 
-    Token tok;
+    // A token: [i, j). Only a based literal's base character can be a newline.
+    TokKind kind = TokKind::Punct;
+    TokCode code = TokCode::None;
+    size_t j = i;
+    size_t base = std::string::npos;
+    if (is_ident_start(c)) {
+      while (j < n && is_ident_char(s[j]))
+        ++j;
+      kind = TokKind::Ident;
+      code = keyword_code(s + i, j - i);
+    } else if (is_digit(c)) {
+      // Number: [size] ['base digits]  — digits may include x/z/_ per base.
+      while (j < n && (is_digit(s[j]) || s[j] == '_'))
+        ++j;
+      if (j < n && s[j] == '\'')
+        j = based_tail(j + 1, base);
+      kind = TokKind::Number;
+    } else if (c == '\'') {
+      // Unsized based literal like 'b0 / 'd3.
+      j = based_tail(i + 1, base);
+      kind = TokKind::Number;
+    } else {
+      size_t len = 0;
+      code = punct_at(c, i + 1 < n ? s[i + 1] : '\0', i + 2 < n ? s[i + 2] : '\0', len);
+      if (code == TokCode::None)
+        lex_error(line, col, str_format("unexpected character '%c'", c));
+      j = i + len;
+    }
+
+    Token& tok = out.emplace_back();
+    tok.kind = kind;
+    tok.code = code;
+    tok.text.assign(s + i, j - i);
     tok.line = line;
     tok.col = col;
-
-    if (is_ident_start(c)) {
-      size_t j = i;
-      while (j < src.size() && is_ident_char(src[j]))
-        ++j;
-      tok.kind = TokKind::Ident;
-      tok.text = src.substr(i, j - i);
-      advance(j - i);
-      out.push_back(std::move(tok));
-      continue;
+    if (base != std::string::npos && s[base] == '\n') {
+      ++line;
+      col = static_cast<int>(j - base);
+    } else {
+      col += static_cast<int>(j - i);
     }
-
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      // Number: [size] ['base digits]  — digits may include x/z/_ per base.
-      size_t j = i;
-      while (j < src.size() && (std::isdigit(static_cast<unsigned char>(src[j])) || src[j] == '_'))
-        ++j;
-      if (j < src.size() && src[j] == '\'') {
-        ++j;
-        if (j < src.size() && (src[j] == 's' || src[j] == 'S'))
-          ++j;
-        if (j >= src.size())
-          lex_error(line, col, "truncated based literal");
-        ++j; // base char, validated by decode_number
-        while (j < src.size() &&
-               (std::isalnum(static_cast<unsigned char>(src[j])) || src[j] == '_' ||
-                src[j] == '?'))
-          ++j;
-      }
-      tok.kind = TokKind::Number;
-      tok.text = src.substr(i, j - i);
-      advance(j - i);
-      out.push_back(std::move(tok));
-      continue;
-    }
-    if (c == '\'') {
-      // Unsized based literal like 'b0 / 'd3.
-      size_t j = i + 1;
-      if (j < src.size() && (src[j] == 's' || src[j] == 'S'))
-        ++j;
-      if (j >= src.size())
-        lex_error(line, col, "truncated based literal");
-      ++j;
-      while (j < src.size() && (std::isalnum(static_cast<unsigned char>(src[j])) ||
-                                src[j] == '_' || src[j] == '?'))
-        ++j;
-      tok.kind = TokKind::Number;
-      tok.text = src.substr(i, j - i);
-      advance(j - i);
-      out.push_back(std::move(tok));
-      continue;
-    }
-
-    bool matched = false;
-    for (const char* p : kPuncts) {
-      const size_t len = std::char_traits<char>::length(p);
-      if (src.compare(i, len, p) == 0) {
-        tok.kind = TokKind::Punct;
-        tok.text = p;
-        advance(len);
-        out.push_back(std::move(tok));
-        matched = true;
-        break;
-      }
-    }
-    if (!matched)
-      lex_error(line, col, str_format("unexpected character '%c'", c));
+    i = j;
   }
 
-  Token eof;
+  Token& eof = out.emplace_back();
   eof.kind = TokKind::Eof;
   eof.line = line;
-  out.push_back(std::move(eof));
   return out;
 }
 

@@ -1,10 +1,10 @@
 #include "verilog/parser.hpp"
 
+#include "obs/trace.hpp"
 #include "util/log.hpp"
 #include "verilog/lexer.hpp"
 #include "verilog/parse_error.hpp"
 
-#include <stdexcept>
 #include <unordered_map>
 
 namespace smartly::verilog {
@@ -27,33 +27,33 @@ private:
     throw ParseError("", peek().line, peek().col, "verilog parser: " + msg);
   }
 
-  const Token& peek(int ahead = 0) const {
-    const size_t i = std::min(pos_ + static_cast<size_t>(ahead), toks_.size() - 1);
-    return toks_[i];
-  }
+  const Token& peek() const { return toks_[pos_]; }
   bool at_eof() const { return peek().kind == TokKind::Eof; }
-  Token take() { return toks_[std::min(pos_++, toks_.size() - 1)]; }
-
-  bool is_punct(const char* p, int ahead = 0) const {
-    return peek(ahead).kind == TokKind::Punct && peek(ahead).text == p;
+  /// Step past the current token; the final Eof token is never passed.
+  const Token& take() {
+    const Token& tok = toks_[pos_];
+    if (pos_ + 1 < toks_.size())
+      ++pos_;
+    return tok;
   }
-  bool is_kw(const char* kw, int ahead = 0) const {
-    return peek(ahead).kind == TokKind::Ident && peek(ahead).text == kw;
-  }
-  void expect_punct(const char* p) {
-    if (!is_punct(p))
-      error(str_format("expected '%s', got '%s'", p, peek().text.c_str()));
+  /// take() that hands over the token's text: the parser never looks back.
+  std::string take_text() {
+    std::string text = std::move(toks_[pos_].text);
     take();
+    return text;
   }
-  void expect_kw(const char* kw) {
-    if (!is_kw(kw))
-      error(str_format("expected '%s', got '%s'", kw, peek().text.c_str()));
+
+  /// The current token is punctuation or keyword `code`.
+  bool is(TokCode code) const { return peek().code == code; }
+  void expect(TokCode code) {
+    if (!is(code))
+      error(str_format("expected '%s', got '%s'", tok_code_text(code), peek().text.c_str()));
     take();
   }
   std::string expect_ident() {
     if (peek().kind != TokKind::Ident)
       error("expected identifier, got '" + peek().text + "'");
-    return take().text;
+    return take_text();
   }
 
   // --- constant expressions (for ranges / parameters) ----------------------
@@ -96,44 +96,45 @@ private:
   // --- module --------------------------------------------------------------
   ModuleAst parse_module() {
     params_.clear();
-    expect_kw("module");
+    expect(TokCode::KwModule);
     ModuleAst m;
     m.name = expect_ident();
-    if (is_punct("(")) {
+    if (is(TokCode::LParen)) {
       take();
-      if (!is_punct(")")) {
+      if (!is(TokCode::RParen)) {
         for (;;) {
           m.port_order.push_back(expect_ident());
-          if (is_punct(","))
+          if (is(TokCode::Comma))
             take();
           else
             break;
         }
       }
-      expect_punct(")");
+      expect(TokCode::RParen);
     }
-    expect_punct(";");
+    expect(TokCode::Semi);
 
-    while (!is_kw("endmodule")) {
+    while (!is(TokCode::KwEndmodule)) {
       if (at_eof())
         error("unexpected end of file inside module");
       parse_item(m);
     }
-    expect_kw("endmodule");
+    expect(TokCode::KwEndmodule);
     return m;
   }
 
   void parse_item(ModuleAst& m) {
-    if (is_kw("input") || is_kw("output") || is_kw("wire") || is_kw("reg")) {
+    if (is(TokCode::KwInput) || is(TokCode::KwOutput) || is(TokCode::KwWire) ||
+        is(TokCode::KwReg)) {
       parse_decl(m);
       return;
     }
-    if (is_kw("parameter") || is_kw("localparam")) {
+    if (is(TokCode::KwParameter) || is(TokCode::KwLocalparam)) {
       take();
       for (;;) {
         Parameter p;
         p.name = expect_ident();
-        expect_punct("=");
+        expect(TokCode::Assign);
         const ExprPtr e = parse_expr();
         if (e->kind == ExprKind::Number) {
           p.value = e->value;
@@ -142,39 +143,39 @@ private:
         }
         params_[p.name] = p.value;
         m.parameters.push_back(std::move(p));
-        if (is_punct(","))
+        if (is(TokCode::Comma))
           take();
         else
           break;
       }
-      expect_punct(";");
+      expect(TokCode::Semi);
       return;
     }
-    if (is_kw("assign")) {
+    if (is(TokCode::KwAssign)) {
       take();
       for (;;) {
         ExprPtr lhs = parse_lvalue();
-        expect_punct("=");
+        expect(TokCode::Assign);
         ExprPtr rhs = parse_expr();
         m.assigns.emplace_back(std::move(lhs), std::move(rhs));
-        if (is_punct(","))
+        if (is(TokCode::Comma))
           take();
         else
           break;
       }
-      expect_punct(";");
+      expect(TokCode::Semi);
       return;
     }
-    if (is_kw("always")) {
+    if (is(TokCode::KwAlways)) {
       AlwaysBlock blk;
       blk.line = peek().line;
       take();
-      expect_punct("@");
-      expect_punct("(");
-      if (is_punct("*")) {
+      expect(TokCode::At);
+      expect(TokCode::LParen);
+      if (is(TokCode::Star)) {
         take();
         blk.is_comb = true;
-      } else if (is_kw("posedge")) {
+      } else if (is(TokCode::KwPosedge)) {
         take();
         blk.is_comb = false;
         blk.clock = expect_ident();
@@ -182,12 +183,12 @@ private:
         // @(a or b or c) style sensitivity list — treated as combinational.
         blk.is_comb = true;
         expect_ident();
-        while (is_kw("or") || is_punct(",")) {
+        while (is(TokCode::KwOr) || is(TokCode::Comma)) {
           take();
           expect_ident();
         }
       }
-      expect_punct(")");
+      expect(TokCode::RParen);
       blk.body = parse_stmt();
       m.always_blocks.push_back(std::move(blk));
       return;
@@ -198,27 +199,27 @@ private:
   void parse_decl(ModuleAst& m) {
     Dir dir = Dir::None;
     bool is_reg = false;
-    if (is_kw("input")) {
+    if (is(TokCode::KwInput)) {
       take();
       dir = Dir::Input;
-    } else if (is_kw("output")) {
+    } else if (is(TokCode::KwOutput)) {
       take();
       dir = Dir::Output;
     }
-    if (is_kw("wire"))
+    if (is(TokCode::KwWire))
       take();
-    else if (is_kw("reg")) {
+    else if (is(TokCode::KwReg)) {
       take();
       is_reg = true;
     }
 
     int msb = 0, lsb = 0;
-    if (is_punct("[")) {
+    if (is(TokCode::LBracket)) {
       take();
       msb = static_cast<int>(const_eval(*parse_expr()));
-      expect_punct(":");
+      expect(TokCode::Colon);
       lsb = static_cast<int>(const_eval(*parse_expr()));
-      expect_punct("]");
+      expect(TokCode::RBracket);
     }
     for (;;) {
       Decl d;
@@ -229,12 +230,12 @@ private:
       d.is_reg = is_reg;
       d.dir = dir;
       m.decls.push_back(std::move(d));
-      if (is_punct(","))
+      if (is(TokCode::Comma))
         take();
       else
         break;
     }
-    expect_punct(";");
+    expect(TokCode::Semi);
   }
 
   // --- statements ----------------------------------------------------------
@@ -242,10 +243,10 @@ private:
     auto s = std::make_unique<Stmt>();
     s->line = peek().line;
 
-    if (is_kw("begin")) {
+    if (is(TokCode::KwBegin)) {
       take();
       s->kind = StmtKind::Block;
-      while (!is_kw("end")) {
+      while (!is(TokCode::KwEnd)) {
         if (at_eof())
           error("unexpected EOF in begin/end block");
         s->stmts.push_back(parse_stmt());
@@ -253,44 +254,44 @@ private:
       take();
       return s;
     }
-    if (is_kw("if")) {
+    if (is(TokCode::KwIf)) {
       take();
       s->kind = StmtKind::If;
-      expect_punct("(");
+      expect(TokCode::LParen);
       s->cond = parse_expr();
-      expect_punct(")");
+      expect(TokCode::RParen);
       s->then_stmt = parse_stmt();
-      if (is_kw("else")) {
+      if (is(TokCode::KwElse)) {
         take();
         s->else_stmt = parse_stmt();
       }
       return s;
     }
-    if (is_kw("case") || is_kw("casez")) {
-      s->is_casez = peek().text == "casez";
+    if (is(TokCode::KwCase) || is(TokCode::KwCasez)) {
+      s->is_casez = is(TokCode::KwCasez);
       take();
       s->kind = StmtKind::Case;
-      expect_punct("(");
+      expect(TokCode::LParen);
       s->cond = parse_expr();
-      expect_punct(")");
-      while (!is_kw("endcase")) {
+      expect(TokCode::RParen);
+      while (!is(TokCode::KwEndcase)) {
         if (at_eof())
           error("unexpected EOF in case statement");
         CaseItem item;
-        if (is_kw("default")) {
+        if (is(TokCode::KwDefault)) {
           take();
           item.is_default = true;
-          if (is_punct(":"))
+          if (is(TokCode::Colon))
             take();
         } else {
           for (;;) {
             item.labels.push_back(parse_expr());
-            if (is_punct(","))
+            if (is(TokCode::Comma))
               take();
             else
               break;
           }
-          expect_punct(":");
+          expect(TokCode::Colon);
         }
         item.body = parse_stmt();
         s->items.push_back(std::move(item));
@@ -302,109 +303,117 @@ private:
     // Assignment.
     s->kind = StmtKind::Assign;
     s->lhs = parse_lvalue();
-    if (is_punct("<=")) {
+    if (is(TokCode::LtEq)) {
       take();
       s->nonblocking = true;
     } else {
-      expect_punct("=");
+      expect(TokCode::Assign);
     }
     s->rhs = parse_expr();
-    expect_punct(";");
+    expect(TokCode::Semi);
     return s;
   }
 
   // --- expressions ----------------------------------------------------------
   ExprPtr parse_lvalue() {
-    if (is_punct("{")) {
+    if (is(TokCode::LBrace)) {
       auto e = std::make_unique<Expr>();
       e->line = peek().line;
       e->kind = ExprKind::Concat;
       take();
       for (;;) {
         e->args.push_back(parse_lvalue());
-        if (is_punct(","))
+        if (is(TokCode::Comma))
           take();
         else
           break;
       }
-      expect_punct("}");
+      expect(TokCode::RBrace);
       return e;
     }
-    const std::string name = expect_ident();
-    return parse_postfix(name, peek().line);
+    std::string name = expect_ident();
+    return parse_postfix(std::move(name), peek().line);
   }
 
-  ExprPtr parse_postfix(const std::string& name, int line) {
+  ExprPtr parse_postfix(std::string name, int line) {
     auto e = std::make_unique<Expr>();
     e->line = line;
-    e->name = name;
-    if (!is_punct("[")) {
+    e->name = std::move(name);
+    if (!is(TokCode::LBracket)) {
       e->kind = ExprKind::Ident;
       return e;
     }
     take();
     ExprPtr first = parse_expr();
-    if (is_punct(":")) {
+    if (is(TokCode::Colon)) {
       take();
       ExprPtr second = parse_expr();
       e->kind = ExprKind::Slice;
       e->msb = static_cast<int>(const_eval(*first));
       e->lsb = static_cast<int>(const_eval(*second));
-      expect_punct("]");
+      expect(TokCode::RBracket);
       return e;
     }
-    expect_punct("]");
+    expect(TokCode::RBracket);
     e->kind = ExprKind::Index;
     e->args.push_back(std::move(first));
     return e;
   }
 
-  int binary_prec(const std::string& op) const {
-    // Higher binds tighter. Ternary handled separately (lowest).
-    static const std::unordered_map<std::string, int> prec = {
-        {"||", 1}, {"&&", 2}, {"|", 3},  {"^", 4},  {"~^", 4}, {"^~", 4},
-        {"&", 5},  {"==", 6}, {"!=", 6}, {"<", 7},  {"<=", 7}, {">", 7},
-        {">=", 7}, {"<<", 8}, {">>", 8}, {">>>", 8}, {"+", 9}, {"-", 9},
-        {"*", 10},
-    };
-    auto it = prec.find(op);
-    return it == prec.end() ? -1 : it->second;
+  /// Precedence of binary operator `code`, higher binds tighter; -1 for
+  /// anything else. Ternary is handled separately (lowest).
+  static int binary_prec(TokCode code) {
+    switch (code) {
+    case TokCode::OrOr: return 1;
+    case TokCode::AndAnd: return 2;
+    case TokCode::Pipe: return 3;
+    case TokCode::Caret: case TokCode::TildeCaret: case TokCode::CaretTilde: return 4;
+    case TokCode::Amp: return 5;
+    case TokCode::EqEq: case TokCode::NotEq: return 6;
+    case TokCode::Lt: case TokCode::LtEq: case TokCode::Gt: case TokCode::GtEq: return 7;
+    case TokCode::Shl: case TokCode::Shr: case TokCode::Sshr: return 8;
+    case TokCode::Plus: case TokCode::Minus: return 9;
+    case TokCode::Star: return 10;
+    default: return -1;
+    }
   }
 
-  BinaryOp binary_op(const std::string& op) const {
-    if (op == "||") return BinaryOp::LogicOr;
-    if (op == "&&") return BinaryOp::LogicAnd;
-    if (op == "|") return BinaryOp::Or;
-    if (op == "^") return BinaryOp::Xor;
-    if (op == "~^" || op == "^~") return BinaryOp::Xnor;
-    if (op == "&") return BinaryOp::And;
-    if (op == "==") return BinaryOp::Eq;
-    if (op == "!=") return BinaryOp::Ne;
-    if (op == "<") return BinaryOp::Lt;
-    if (op == "<=") return BinaryOp::Le;
-    if (op == ">") return BinaryOp::Gt;
-    if (op == ">=") return BinaryOp::Ge;
-    if (op == "<<") return BinaryOp::Shl;
-    if (op == ">>") return BinaryOp::Shr;
-    if (op == ">>>") return BinaryOp::Sshr;
-    if (op == "+") return BinaryOp::Add;
-    if (op == "-") return BinaryOp::Sub;
-    if (op == "*") return BinaryOp::Mul;
-    error("unknown binary operator " + op);
+  /// The operator of a code binary_prec ranks.
+  static BinaryOp binary_op(TokCode code) {
+    switch (code) {
+    case TokCode::OrOr: return BinaryOp::LogicOr;
+    case TokCode::AndAnd: return BinaryOp::LogicAnd;
+    case TokCode::Pipe: return BinaryOp::Or;
+    case TokCode::Caret: return BinaryOp::Xor;
+    case TokCode::TildeCaret: case TokCode::CaretTilde: return BinaryOp::Xnor;
+    case TokCode::Amp: return BinaryOp::And;
+    case TokCode::EqEq: return BinaryOp::Eq;
+    case TokCode::NotEq: return BinaryOp::Ne;
+    case TokCode::Lt: return BinaryOp::Lt;
+    case TokCode::LtEq: return BinaryOp::Le;
+    case TokCode::Gt: return BinaryOp::Gt;
+    case TokCode::GtEq: return BinaryOp::Ge;
+    case TokCode::Shl: return BinaryOp::Shl;
+    case TokCode::Shr: return BinaryOp::Shr;
+    case TokCode::Sshr: return BinaryOp::Sshr;
+    case TokCode::Plus: return BinaryOp::Add;
+    case TokCode::Minus: return BinaryOp::Sub;
+    default: return BinaryOp::Mul;
+    }
   }
 
   ExprPtr parse_expr() { return parse_ternary(); }
 
   ExprPtr parse_ternary() {
     ExprPtr cond = parse_binary(1);
-    if (!is_punct("?"))
+    if (!is(TokCode::Question))
       return cond;
     auto e = std::make_unique<Expr>();
     e->line = peek().line;
     e->kind = ExprKind::Ternary;
     take();
     ExprPtr t = parse_ternary();
-    expect_punct(":");
+    expect(TokCode::Colon);
     ExprPtr f = parse_ternary();
     e->args.push_back(std::move(cond));
     e->args.push_back(std::move(t));
@@ -415,12 +424,11 @@ private:
   ExprPtr parse_binary(int min_prec) {
     ExprPtr lhs = parse_unary();
     for (;;) {
-      if (peek().kind != TokKind::Punct)
-        return lhs;
-      const int prec = binary_prec(peek().text);
+      const TokCode op = peek().code;
+      const int prec = binary_prec(op);
       if (prec < min_prec)
         return lhs;
-      const std::string op = take().text;
+      take();
       ExprPtr rhs = parse_binary(prec + 1);
       auto e = std::make_unique<Expr>();
       e->line = lhs->line;
@@ -433,79 +441,65 @@ private:
   }
 
   ExprPtr parse_unary() {
-    if (peek().kind == TokKind::Punct) {
-      const std::string& t = peek().text;
-      UnaryOp op;
-      bool matched = true;
-      if (t == "!")
-        op = UnaryOp::Not;
-      else if (t == "~")
-        op = UnaryOp::BitNot;
-      else if (t == "-")
-        op = UnaryOp::Minus;
-      else if (t == "+")
-        op = UnaryOp::Plus;
-      else if (t == "&")
-        op = UnaryOp::RedAnd;
-      else if (t == "|")
-        op = UnaryOp::RedOr;
-      else if (t == "^")
-        op = UnaryOp::RedXor;
-      else if (t == "~^" || t == "^~")
-        op = UnaryOp::RedXnor;
-      else
-        matched = false;
-      if (matched) {
-        auto e = std::make_unique<Expr>();
-        e->line = peek().line;
-        take();
-        e->kind = ExprKind::Unary;
-        e->uop = op;
-        e->args.push_back(parse_unary());
-        return e;
-      }
+    UnaryOp op;
+    switch (peek().code) {
+    case TokCode::Bang: op = UnaryOp::Not; break;
+    case TokCode::Tilde: op = UnaryOp::BitNot; break;
+    case TokCode::Minus: op = UnaryOp::Minus; break;
+    case TokCode::Plus: op = UnaryOp::Plus; break;
+    case TokCode::Amp: op = UnaryOp::RedAnd; break;
+    case TokCode::Pipe: op = UnaryOp::RedOr; break;
+    case TokCode::Caret: op = UnaryOp::RedXor; break;
+    case TokCode::TildeCaret: case TokCode::CaretTilde: op = UnaryOp::RedXnor; break;
+    default: return parse_primary();
     }
-    return parse_primary();
+    auto e = std::make_unique<Expr>();
+    e->line = peek().line;
+    take();
+    e->kind = ExprKind::Unary;
+    e->uop = op;
+    e->args.push_back(parse_unary());
+    return e;
   }
 
   ExprPtr parse_primary() {
-    if (is_punct("(")) {
+    if (is(TokCode::LParen)) {
       take();
       ExprPtr e = parse_expr();
-      expect_punct(")");
+      expect(TokCode::RParen);
       return e;
     }
-    if (is_punct("{")) {
+    if (is(TokCode::LBrace)) {
       const int line = peek().line;
       take();
       // Replication {n{expr}} or concat {a, b, ...}.
       // Heuristic: replication iff first token forms a constant expr followed
       // by '{'.
       ExprPtr first = parse_expr();
-      if (is_punct("{")) {
+      if (is(TokCode::LBrace)) {
         take();
         auto e = std::make_unique<Expr>();
         e->line = line;
         e->kind = ExprKind::Repeat;
         e->repeat_count = static_cast<int>(const_eval(*first));
         e->args.push_back(parse_expr());
-        expect_punct("}");
-        expect_punct("}");
+        expect(TokCode::RBrace);
+        expect(TokCode::RBrace);
         return e;
       }
       auto e = std::make_unique<Expr>();
       e->line = line;
       e->kind = ExprKind::Concat;
       e->args.push_back(std::move(first));
-      while (is_punct(",")) {
+      while (is(TokCode::Comma)) {
         take();
         e->args.push_back(parse_expr());
       }
-      expect_punct("}");
+      expect(TokCode::RBrace);
       return e;
     }
     if (peek().kind == TokKind::Number) {
-      const Token tok = take();
+      const Token& tok = take();
       const NumberValue nv = decode_number(tok.text, tok.line);
       auto e = std::make_unique<Expr>();
       e->line = tok.line;
@@ -519,18 +513,19 @@ private:
       return e;
     }
     if (peek().kind == TokKind::Ident) {
-      const Token tok = take();
+      const int line = peek().line;
+      std::string name = take_text();
       // Parameters fold to numbers at parse time.
-      auto it = params_.find(tok.text);
-      if (it != params_.end() && !is_punct("[")) {
+      auto it = params_.find(name);
+      if (it != params_.end() && !is(TokCode::LBracket)) {
         auto e = std::make_unique<Expr>();
-        e->line = tok.line;
+        e->line = line;
         e->kind = ExprKind::Number;
         e->sized = true;
         e->value = it->second;
         return e;
       }
-      return parse_postfix(tok.text, tok.line);
+      return parse_postfix(std::move(name), line);
     }
     error("unexpected token '" + peek().text + "' in expression");
   }
@@ -543,7 +538,13 @@ private:
 } // namespace
 
 std::vector<ModuleAst> parse_verilog(const std::string& source) {
-  return Parser(tokenize(source)).parse();
+  std::vector<Token> tokens;
+  {
+    const obs::Span lex_span("verilog", "verilog.lex", "bytes", source.size());
+    tokens = tokenize(source);
+  }
+  const obs::Span parse_span("verilog", "verilog.parse", "tokens", tokens.size());
+  return Parser(std::move(tokens)).parse();
 }
 
 } // namespace smartly::verilog

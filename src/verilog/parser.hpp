@@ -22,7 +22,8 @@
 namespace smartly::verilog {
 
 /// Parse all modules in `source`. Throws verilog::ParseError (a
-/// std::runtime_error carrying line/column) on syntax errors.
+/// std::runtime_error carrying line/column) on syntax errors. Traced as a
+/// `verilog.lex` span (arg `bytes`) followed by `verilog.parse` (arg `tokens`).
 std::vector<ModuleAst> parse_verilog(const std::string& source);
 
 } // namespace smartly::verilog

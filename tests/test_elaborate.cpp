@@ -1,10 +1,16 @@
 // Elaboration tests: Verilog -> RTLIL, validated against the word-level
 // evaluator (the golden model).
+#include "backend/write_rtlil.hpp"
+#include "benchgen/industrial.hpp"
+#include "benchgen/public_bench.hpp"
+#include "benchgen/random_circuit.hpp"
 #include "rtlil/design_stats.hpp"
 #include "sim/eval.hpp"
 #include "verilog/elaborate.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
 
 using namespace smartly;
 using rtlil::CellType;
@@ -395,4 +401,124 @@ TEST(ElaborateWidths, ProceduralAssignGetsContextToo) {
     endmodule
   )");
   EXPECT_EQ(run_comb(*design->top(), {{"a", 255}, {"b", 255}}, "y").as_uint(), 510u);
+}
+
+// --- names and bytes before any pass -----------------------------------------
+
+namespace {
+
+std::string fnv1a(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
+} // namespace
+
+TEST(ReadDigest, GeneratedDesignsKeepTheirNetlistBytes) {
+  // FNV-1a 64 of write_rtlil(read_verilog(src)) per generated design: the
+  // only pin on the frontend's netlists (cell order, generated names, the
+  // name counter) before any pass runs. Specs as opt_tool --gen spells
+  // them; random:N is benchgen::random_verilog(N, 8).
+  struct Pin {
+    const char* spec;
+    const char* digest;
+  };
+  const Pin kPins[] = {
+      {"top_cache_axi:0", "bcb8d6556cb91889"}, {"pci_bridge32:0", "5e4d9a946b885ecf"},
+      {"wb_conmax:0", "b86c3e4642abc5cb"},     {"mem_ctrl:0", "169697c6b696b4d6"},
+      {"wb_dma:0", "37c353af44bde68d"},        {"tv80:0", "4100495c929807cf"},
+      {"usb_funct:0", "6c2e2da693ea12c7"},     {"ethernet:0", "38a0d8d75ee5b860"},
+      {"riscv:0", "129bdb6ecd1e7112"},         {"ac97_ctrl:0", "8e3fd76e8a927eb5"},
+      {"top_cache_axi:1", "e0420cb3bfa752be"}, {"pci_bridge32:1", "055f3b375b08918c"},
+      {"wb_conmax:1", "ba0fc09092d71043"},     {"mem_ctrl:1", "133a9992346919fb"},
+      {"wb_dma:1", "412b96745865a5f4"},        {"tv80:1", "3302c920299a533c"},
+      {"usb_funct:1", "6c0963c05bec9d8a"},     {"ethernet:1", "31dbb4c208f3db23"},
+      {"riscv:1", "3f1fcb2ead2c66d4"},         {"ac97_ctrl:1", "67413b7f7d5dd937"},
+      {"industrial:0", "5bce12232bb2dd78"},    {"industrial:1", "a318f39abb32c213"},
+      {"industrial:2", "09f45ab9707b8cfe"},    {"industrial:3", "d4ff480c1c236282"},
+      {"industrial:4", "7888e96650cd5f86"},    {"industrial:5", "3ba15b7fc8f54e62"},
+      {"industrial:6", "a73a389da54d1340"},    {"industrial:7", "73d205e92c2ffec3"},
+      {"random:1", "4d24b2cb325fd941"},        {"random:2", "24cb725d95094828"},
+      {"random:3", "879fe48f5f632145"},        {"random:4", "9709ce2399f35214"},
+  };
+  for (const Pin& pin : kPins) {
+    const std::string spec = pin.spec;
+    const size_t colon = spec.find(':');
+    const std::string family = spec.substr(0, colon);
+    const uint64_t n = std::stoull(spec.substr(colon + 1));
+    std::string src;
+    if (family == "industrial")
+      src = benchgen::generate_industrial(static_cast<int>(n), 1, 0x5eedULL + n).verilog;
+    else if (family == "random")
+      src = benchgen::random_verilog(n, 8);
+    else
+      src = benchgen::generate_circuit(family, benchgen::profile_for(family), 0x5eedULL + n)
+                .verilog;
+    const auto design = verilog::read_verilog(src);
+    EXPECT_EQ(fnv1a(backend::write_rtlil(*design)), pin.digest) << spec;
+  }
+}
+
+TEST(ReadDigest, GeneratedNamesSkipNamesTheNetlistHolds) {
+  // User wires named like generated ones ($sig$N, $xor$N) push the counter
+  // past them; afterwards the sequence continues, skipping a name held in
+  // either table (a wire "$sig$22", a cell "$sig$23").
+  const char* src = "module top(a, b, y, z);\n"
+                    "  input [3:0] a, b;\n"
+                    "  output [3:0] y;\n"
+                    "  output z;\n"
+                    "  wire [3:0] $sig$2;\n"
+                    "  wire $xor$4;\n"
+                    "  wire [1:0] $sig$9;\n"
+                    "  wire $and$8;\n"
+                    "  assign $sig$2 = a & b;\n"
+                    "  assign y = ($sig$2 ^ a) + b;\n"
+                    "  assign $xor$4 = a[0] & b[1];\n"
+                    "  assign $sig$9 = {a[1] | b[2], $xor$4};\n"
+                    "  assign $and$8 = ^$sig$9;\n"
+                    "  assign z = a == b ? $and$8 : $sig$9[1];\n"
+                    "endmodule\n";
+  const auto design = verilog::read_verilog(src);
+  Module& m = *design->top();
+  std::string names;
+  for (const auto& w : m.wires())
+    names += w->name() + " ";
+  names += "|";
+  for (const auto& c : m.cells())
+    names += " " + c->name();
+  EXPECT_EQ(names, "a b y z $sig$2 $xor$4 $sig$9 $and$8 $sig$3 $sig$10 $sig$14 | $and$1 $xor$5 "
+                   "$add$7 $and$9 $or$11 $reduce_xor$13 $eq$15 $mux$17");
+
+  m.add_wire("$sig$22");
+  m.add_cell(CellType::Or, "$sig$23");
+  const auto next_names = [](Module& mod) {
+    std::string next;
+    next += mod.new_wire(1)->name() + " ";
+    next += mod.add_cell(CellType::And)->name() + " ";
+    next += mod.new_wire(2, "$and")->name() + " ";
+    next += mod.add_cell(CellType::Xor)->name() + " ";
+    next += mod.new_wire(1)->name() + " ";
+    next += mod.add_cell(CellType::Mux)->name();
+    return next;
+  };
+  // A clone and a restored copy carry the names and the counter along.
+  const auto clone = rtlil::clone_design(*design);
+  rtlil::Design other;
+  Module& restored = *other.add_module("top");
+  rtlil::restore_module(restored, m);
+  const std::string want = "$sig$18 $and$19 $and$20 $xor$21 $sig$24 $mux$25";
+  EXPECT_EQ(next_names(m), want);
+  EXPECT_EQ(next_names(*clone->top()), want);
+  EXPECT_EQ(next_names(restored), want);
+  EXPECT_THROW(m.add_wire("$sig$24"), std::invalid_argument);
+  EXPECT_THROW(m.add_cell(CellType::And, "$mux$25"), std::invalid_argument);
+  EXPECT_NE(m.wire("$sig$24"), nullptr);
+  EXPECT_NE(m.cell("$sig$23"), nullptr);
+  EXPECT_EQ(m.wire("$sig$23"), nullptr);
 }

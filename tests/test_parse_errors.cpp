@@ -123,3 +123,60 @@ TEST(ParseErrors, MissingFilenameStillReportsLineCol) {
     EXPECT_NE(std::string(e.what()).find("3:"), std::string::npos);
   }
 }
+
+// --- pinned diagnostics -------------------------------------------------------
+
+TEST(ParseErrors, MalformedInputsKeepTheirMessageAndPosition) {
+  // Message, line and column of each diagnostic, as the table-driven lexer
+  // and the string-comparing parser reported them. Column 0 means the layer
+  // reports the line only (decode_number and the Eof token).
+  struct Case {
+    const char* source;
+    int line;
+    int col;
+    const char* message;
+  };
+  const Case kCases[] = {
+      {"module top(a);\n  input a;\n  ` x;\nendmodule\n", 3, 3,
+       "verilog lexer: unexpected character '`'"},
+      {"module top(a);\n input a; /* never\n closed\nendmodule\n", 2, 11,
+       "verilog lexer: unterminated block comment"},
+      {"module top(y);\n output [3:0] y;\n assign y = 4'", 3, 13,
+       "verilog lexer: truncated based literal"},
+      {"module top(y);\n output [3:0] y;\n assign y = 4'b;\nendmodule\n", 3, 0,
+       "verilog lexer: literal has no digits: 4'b"},
+      {"module top(a, y);\n input a;\n output y;\n\tassign y = 'sb;\nendmodule\n", 4, 0,
+       "verilog lexer: literal has no digits: 'sb"},
+      {"module top(y);\n output [3:0] y;\n assign y = 4'b1021;\nendmodule\n", 3, 0,
+       "verilog lexer: digit out of range for base: 4'b1021"},
+      {"module top(y);\n output [7:0] y;\n assign y = 8'hfg;\nendmodule\n", 3, 0,
+       "verilog lexer: bad digit in literal: 8'hfg"},
+      {"module top(a, y);\n input a;\n output y;\n assign y = 8'q12;\nendmodule\n", 4, 0,
+       "verilog lexer: unsupported base in literal: 8'q12"},
+      {"module top(a, y);\n input a;\n output y;\n assign y = a + ;\nendmodule\n", 4, 17,
+       "verilog parser: unexpected token ';' in expression"},
+      {"module top(a, y);\n input a;\n output y;\n assign y = a\nendmodule\n", 5, 1,
+       "verilog parser: expected ';', got 'endmodule'"},
+      {"module top(a, y);\r\n input a;\r\n output y;\r\n assign y = a ==== a;\r\nendmodule\r\n", 4,
+       15, "verilog parser: expected ';', got '==='"},
+      {"module top(a, y);\n input a;\n output y;\n assign y = a ? a;\nendmodule\n", 4, 18,
+       "verilog parser: expected ':', got ';'"},
+      {"module top(a, y);\n input a;\n output y;\n assign y = (a | a;\nendmodule\n", 4, 19,
+       "verilog parser: expected ')', got ';'"},
+      {"module top(a);\n input 3;\nendmodule\n", 2, 8,
+       "verilog parser: expected identifier, got '3'"},
+      {"module top(a);\n input a;\n a = 1;\nendmodule\n", 3, 2,
+       "verilog parser: unexpected token 'a' in module body"},
+      {"module top(a, y);\n input a;\n output y;\n always @(posedge a) begin\n y <= a;\n", 6, 0,
+       "verilog parser: unexpected EOF in begin/end block"},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.source);
+    expect_parse_error(c.source, "bad.v", [&](const verilog::ParseError& e) {
+      EXPECT_EQ(e.message(), c.message);
+      EXPECT_EQ(e.line(), c.line);
+      EXPECT_EQ(e.col(), c.col);
+      EXPECT_EQ(e.file(), "bad.v");
+    });
+  }
+}

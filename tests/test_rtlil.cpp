@@ -419,6 +419,18 @@ TEST(CloneDesign, DeepCopyIsIndependentAndIdentical) {
   expect_cell_ids_ascend_along_cells(*m);
 }
 
+TEST(CloneDesign, BitOfAForeignWireThrows) {
+  // A cell port holding a bit of another module's wire has no copy to map
+  // to; the copy refuses it instead of indexing past its table.
+  Design d;
+  Module* m = d.add_module("top");
+  Module* other = d.add_module("other");
+  Wire* a = m->add_wire("a", 2);
+  Wire* foreign = other->add_wire("f", 8);
+  m->And(SigSpec(a), SigSpec(foreign, 6, 2));
+  EXPECT_THROW(clone_design(d), std::out_of_range);
+}
+
 TEST(Stats, CountsCellKinds) {
   Design d;
   Module* m = d.add_module("top");
