@@ -52,6 +52,16 @@ std::string Aig::output_name(int i) const {
   return "o" + std::to_string(k);
 }
 
+void Aig::reserve(size_t ands, size_t inputs) {
+  nodes_.reserve(nodes_.size() + inputs + ands);
+  inputs_.reserve(inputs_.size() + inputs);
+  size_t size = strash_.size();
+  while (size < 2 * (num_ands_ + ands))
+    size *= 2;
+  if (size != strash_.size())
+    strash_rehash(size);
+}
+
 size_t Aig::strash_slot(Lit a, Lit b) const noexcept {
   const size_t mask = strash_.size() - 1;
   for (size_t i = hash_combine(a, b) & mask;; i = (i + 1) & mask) {
@@ -61,8 +71,8 @@ size_t Aig::strash_slot(Lit a, Lit b) const noexcept {
   }
 }
 
-void Aig::strash_grow() {
-  strash_.assign(strash_.size() * 2, 0);
+void Aig::strash_rehash(size_t size) {
+  strash_.assign(size, 0);
   for (uint32_t n = 1; n < nodes_.size(); ++n)
     if (is_and(n))
       strash_[strash_slot(nodes_[n].fanin0, nodes_[n].fanin1)] = n;
@@ -88,7 +98,7 @@ Lit Aig::and_(Lit a, Lit b) {
   nodes_.push_back(Node{a, b});
   ++num_ands_;
   if (num_ands_ * 2 > strash_.size()) {
-    strash_grow(); // re-inserts the new node too
+    strash_rehash(strash_.size() * 2); // re-inserts the new node too
     return mk_lit(node);
   }
   strash_[slot] = node;

@@ -40,6 +40,12 @@ public:
   Lit add_input();
   Lit add_input(std::string name);
 
+  /// Size the graph for `ands` more AND nodes and `inputs` more inputs: the
+  /// node array's capacity and a strash table that holds them without
+  /// regrowing. Growing past the estimate still works; the graph built is
+  /// the same either way.
+  void reserve(size_t ands, size_t inputs);
+
   /// Register an output. Returns the output index.
   int add_output(Lit l);
   int add_output(Lit l, std::string name);
@@ -119,8 +125,9 @@ private:
 
   /// Slot of AND node (a, b) in strash_, or the empty slot ending its probe.
   size_t strash_slot(Lit a, Lit b) const noexcept;
-  /// Double strash_ and re-insert every AND node.
-  void strash_grow();
+  /// Resize strash_ to `size` slots (a power of two) and re-insert every AND
+  /// node.
+  void strash_rehash(size_t size);
 
   std::vector<Node> nodes_;
   std::vector<uint32_t> inputs_;

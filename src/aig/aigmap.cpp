@@ -87,6 +87,7 @@ private:
   /// d_cone): module output ports first, then dff D-cones.
   template <class Emit>
   void map_module(Emit&& emit) {
+    reserve_graph();
     // Create inputs in port order first so the AIG interface is stable.
     for (const rtlil::Wire* w : module_.ports()) {
       if (!w->port_input)
@@ -130,6 +131,82 @@ private:
   }
 
   Aig& graph() { return shared_graph_ ? *shared_graph_ : result_.aig; }
+
+  /// Size the graph once for the whole module: an input per input-port and
+  /// register bit, and the AND nodes each cell's gates create before strash
+  /// and constant folding merge any (so usually an overestimate). The
+  /// strash table then never regrows mid-blast.
+  void reserve_graph() {
+    const auto is_const = [](const SigSpec& sig, size_t i) {
+      return i >= static_cast<size_t>(sig.size()) || sig[static_cast<int>(i)].is_const();
+    };
+    size_t inputs = 0, ands = 0;
+    for (const rtlil::Wire* w : module_.ports())
+      if (w->port_input)
+        inputs += static_cast<size_t>(w->width());
+    for (const auto& cptr : module_.cells()) {
+      const auto& p = cptr->params();
+      const size_t a = static_cast<size_t>(std::max(p.a_width, 0));
+      const size_t b = static_cast<size_t>(std::max(p.b_width, 0));
+      const size_t y = static_cast<size_t>(std::max(p.y_width, 0));
+      const size_t ab = std::max(a, b);
+      switch (cptr->type()) {
+      case CellType::Dff: inputs += static_cast<size_t>(std::max(p.width, 0)); break;
+      case CellType::Not:
+      case CellType::Pos: break;
+      case CellType::And:
+      case CellType::Or: ands += y; break;
+      case CellType::Xor:
+      case CellType::Xnor: ands += 3 * y; break;
+      case CellType::ReduceAnd:
+      case CellType::ReduceOr:
+      case CellType::ReduceBool:
+      case CellType::LogicNot: ands += a; break;
+      case CellType::ReduceXor:
+      case CellType::ReduceXnor: ands += 3 * a; break;
+      case CellType::LogicAnd:
+      case CellType::LogicOr: ands += a + b + 1; break;
+      case CellType::Neg:
+      case CellType::Add:
+      case CellType::Sub: ands += 9 * y; break;
+      case CellType::Mul: ands += 10 * y * y; break;
+      case CellType::Shl:
+      case CellType::Shr:
+      case CellType::Sshr: {
+        // The barrel shifter's stages (see map_cell), then the shift-out
+        // guard over B's higher bits.
+        const size_t w = std::max(a, y);
+        size_t stages = 1;
+        while ((size_t(1) << (stages - 1)) < w)
+          ++stages;
+        ands += 3 * w * std::min(stages, b) + (b > stages ? b - stages + 3 * w : 0);
+        break;
+      }
+      case CellType::Eq:
+      case CellType::Ne:
+        // A bit compared with a constant folds its XNOR away.
+        for (size_t i = 0; i < ab; ++i)
+          ands += is_const(cptr->port(Port::A), i) || is_const(cptr->port(Port::B), i) ? 1 : 4;
+        break;
+      case CellType::Lt:
+      case CellType::Le:
+      case CellType::Ge:
+      case CellType::Gt: ands += 6 * ab; break;
+      case CellType::Mux:
+      case CellType::Pmux: {
+        // A leg that is a constant folds the mux into one AND.
+        const SigSpec& legs = cptr->port(Port::B);
+        const size_t cases =
+            cptr->type() == CellType::Mux ? 1 : static_cast<size_t>(std::max(p.s_width, 0));
+        for (size_t i = 0; i < cases * static_cast<size_t>(std::max(p.width, 0)); ++i)
+          ands += is_const(legs, i) ? 1 : 3;
+        break;
+      }
+      default: break;
+      }
+    }
+    graph().reserve(ands, inputs);
+  }
 
   // The literal table: dense by bit id for a whole-module blast, open
   // addressing for a cone.
@@ -185,18 +262,17 @@ private:
     return l;
   }
 
-  std::vector<Lit> sig_lits(const SigSpec& sig) {
-    std::vector<Lit> out;
-    out.reserve(static_cast<size_t>(sig.size()));
+  /// The literals of `sig` into `out` (its storage reused).
+  void sig_lits(const SigSpec& sig, std::vector<Lit>& out) {
+    out.clear();
     for (const SigBit& b : sig)
       out.push_back(lit_of(b));
-    return out;
   }
 
-  static std::vector<Lit> extend(std::vector<Lit> v, size_t width, bool is_signed) {
+  /// Resize to `width`, filling with the sign bit or 0.
+  static void extend(std::vector<Lit>& v, size_t width, bool is_signed) {
     const Lit fill = (is_signed && !v.empty()) ? v.back() : kFalse;
     v.resize(width, fill);
-    return v;
   }
 
   void set_output(const SigSpec& y, const std::vector<Lit>& lits) {
@@ -207,8 +283,10 @@ private:
     }
   }
 
-  std::vector<Lit> ripple_add(const std::vector<Lit>& a, const std::vector<Lit>& b, Lit cin) {
-    std::vector<Lit> sum(a.size());
+  /// sum = a + b + cin over a.size() bits; `sum` must not be `a` or `b`.
+  void ripple_add(const std::vector<Lit>& a, const std::vector<Lit>& b, Lit cin,
+                  std::vector<Lit>& sum) {
+    sum.resize(a.size());
     Lit carry = cin;
     for (size_t i = 0; i < a.size(); ++i) {
       const Lit axb = graph().xor_(a[i], b[i]);
@@ -218,7 +296,6 @@ private:
       const Lit generate = graph().and_(a[i], b[i]);
       carry = graph().or_(generate, propagate);
     }
-    return sum;
   }
 
   Lit reduce_and(const std::vector<Lit>& v) {
@@ -227,10 +304,11 @@ private:
       acc = graph().and_(acc, l);
     return acc;
   }
-  Lit reduce_or(const std::vector<Lit>& v) {
+  /// OR of v[from..].
+  Lit reduce_or(const std::vector<Lit>& v, size_t from = 0) {
     Lit acc = kFalse;
-    for (Lit l : v)
-      acc = graph().or_(acc, l);
+    for (size_t i = from; i < v.size(); ++i)
+      acc = graph().or_(acc, v[i]);
     return acc;
   }
   Lit reduce_xor(const std::vector<Lit>& v) {
@@ -254,26 +332,31 @@ private:
   void map_cell(Cell& cell) {
     const auto& p = cell.params();
     Aig& g = graph();
+    // The literal buffers, reused from cell to cell.
+    std::vector<Lit>& a = a_;
+    std::vector<Lit>& b = b_;
+    std::vector<Lit>& y = y_;
+    y.clear();
 
     if (rtlil::cell_is_unary(cell.type())) {
-      std::vector<Lit> a = sig_lits(cell.port(Port::A));
-      std::vector<Lit> y;
+      sig_lits(cell.port(Port::A), a);
       switch (cell.type()) {
       case CellType::Not: {
-        a = extend(std::move(a), static_cast<size_t>(p.y_width), p.a_signed);
+        extend(a, static_cast<size_t>(p.y_width), p.a_signed);
         for (Lit l : a)
           y.push_back(lit_not(l));
         break;
       }
       case CellType::Pos:
-        y = extend(std::move(a), static_cast<size_t>(p.y_width), p.a_signed);
+        extend(a, static_cast<size_t>(p.y_width), p.a_signed);
+        y.swap(a);
         break;
       case CellType::Neg: {
-        a = extend(std::move(a), static_cast<size_t>(p.y_width), p.a_signed);
-        std::vector<Lit> na;
-        for (Lit l : a)
-          na.push_back(lit_not(l));
-        y = ripple_add(na, std::vector<Lit>(na.size(), kFalse), kTrue);
+        extend(a, static_cast<size_t>(p.y_width), p.a_signed);
+        for (Lit& l : a)
+          l = lit_not(l);
+        b.assign(a.size(), kFalse);
+        ripple_add(a, b, kTrue, y);
         break;
       }
       case CellType::ReduceAnd: y.push_back(reduce_and(a)); break;
@@ -284,22 +367,22 @@ private:
       case CellType::LogicNot: y.push_back(lit_not(reduce_or(a))); break;
       default: throw std::logic_error("aigmap: unhandled unary");
       }
-      set_output(cell.port(Port::Y), extend(std::move(y), static_cast<size_t>(p.y_width), false));
+      extend(y, static_cast<size_t>(p.y_width), false);
+      set_output(cell.port(Port::Y), y);
       return;
     }
 
     if (rtlil::cell_is_binary(cell.type())) {
-      std::vector<Lit> a = sig_lits(cell.port(Port::A));
-      std::vector<Lit> b = sig_lits(cell.port(Port::B));
+      sig_lits(cell.port(Port::A), a);
+      sig_lits(cell.port(Port::B), b);
       const bool sign = p.a_signed && p.b_signed;
-      std::vector<Lit> y;
       switch (cell.type()) {
       case CellType::And:
       case CellType::Or:
       case CellType::Xor:
       case CellType::Xnor: {
-        a = extend(std::move(a), static_cast<size_t>(p.y_width), p.a_signed);
-        b = extend(std::move(b), static_cast<size_t>(p.y_width), p.b_signed);
+        extend(a, static_cast<size_t>(p.y_width), p.a_signed);
+        extend(b, static_cast<size_t>(p.y_width), p.b_signed);
         for (size_t i = 0; i < a.size(); ++i) {
           switch (cell.type()) {
           case CellType::And: y.push_back(g.and_(a[i], b[i])); break;
@@ -313,36 +396,38 @@ private:
       case CellType::Add:
       case CellType::Sub: {
         const size_t w = static_cast<size_t>(p.y_width);
-        a = extend(std::move(a), w, p.a_signed);
-        b = extend(std::move(b), w, p.b_signed);
+        extend(a, w, p.a_signed);
+        extend(b, w, p.b_signed);
         if (cell.type() == CellType::Sub) {
           for (Lit& l : b)
             l = lit_not(l);
-          y = ripple_add(a, b, kTrue);
+          ripple_add(a, b, kTrue, y);
         } else {
-          y = ripple_add(a, b, kFalse);
+          ripple_add(a, b, kFalse, y);
         }
         break;
       }
       case CellType::Mul: {
         const size_t w = static_cast<size_t>(p.y_width);
-        a = extend(std::move(a), w, p.a_signed);
-        b = extend(std::move(b), w, p.b_signed);
-        std::vector<Lit> acc(w, kFalse);
+        extend(a, w, p.a_signed);
+        extend(b, w, p.b_signed);
+        std::vector<Lit>& acc = y;
+        std::vector<Lit>& pp = t_;
+        acc.assign(w, kFalse);
         for (size_t i = 0; i < w; ++i) {
-          std::vector<Lit> pp(w, kFalse);
+          pp.assign(w, kFalse);
           for (size_t j = i; j < w; ++j)
             pp[j] = g.and_(a[j - i], b[i]);
-          acc = ripple_add(acc, pp, kFalse);
+          ripple_add(acc, pp, kFalse, u_);
+          acc.swap(u_);
         }
-        y = acc;
         break;
       }
       case CellType::Shl:
       case CellType::Shr:
       case CellType::Sshr: {
         const size_t w = std::max({a.size(), static_cast<size_t>(p.y_width)});
-        a = extend(std::move(a), w, p.a_signed);
+        extend(a, w, p.a_signed);
         const Lit fill =
             (cell.type() == CellType::Sshr && p.a_signed && !a.empty()) ? a.back() : kFalse;
         // Barrel shifter over the low bits of B; any higher set bit of B
@@ -351,10 +436,12 @@ private:
         while ((size_t(1) << stages) < w)
           ++stages;
         ++stages; // allow shifting fully out
-        std::vector<Lit> cur = a;
+        std::vector<Lit>& cur = y;
+        std::vector<Lit>& shifted = t_;
+        cur.assign(a.begin(), a.end());
         for (size_t s = 0; s < std::min(stages, b.size()); ++s) {
           const size_t dist = size_t(1) << s;
-          std::vector<Lit> shifted(cur.size(), fill);
+          shifted.assign(cur.size(), fill);
           for (size_t i = 0; i < cur.size(); ++i) {
             if (cell.type() == CellType::Shl) {
               shifted[i] = (i >= dist) ? cur[i - dist] : kFalse;
@@ -362,18 +449,14 @@ private:
               shifted[i] = (i + dist < cur.size()) ? cur[i + dist] : fill;
             }
           }
-          std::vector<Lit> next(cur.size());
           for (size_t i = 0; i < cur.size(); ++i)
-            next[i] = g.mux_(b[s], shifted[i], cur[i]);
-          cur = next;
+            cur[i] = g.mux_(b[s], shifted[i], cur[i]);
         }
         if (b.size() > stages) {
-          std::vector<Lit> high(b.begin() + static_cast<long>(stages), b.end());
-          const Lit any_high = reduce_or(high);
+          const Lit any_high = reduce_or(b, stages);
           for (Lit& l : cur)
             l = g.mux_(any_high, fill, l);
         }
-        y = cur;
         break;
       }
       case CellType::Lt:
@@ -381,8 +464,8 @@ private:
       case CellType::Ge:
       case CellType::Gt: {
         const size_t w = std::max(a.size(), b.size());
-        a = extend(std::move(a), w, p.a_signed);
-        b = extend(std::move(b), w, p.b_signed);
+        extend(a, w, p.a_signed);
+        extend(b, w, p.b_signed);
         if (sign && w > 0) {
           // Signed compare == unsigned compare with inverted sign bits.
           a.back() = lit_not(a.back());
@@ -402,8 +485,8 @@ private:
       case CellType::Eq:
       case CellType::Ne: {
         const size_t w = std::max(a.size(), b.size());
-        a = extend(std::move(a), w, p.a_signed);
-        b = extend(std::move(b), w, p.b_signed);
+        extend(a, w, p.a_signed);
+        extend(b, w, p.b_signed);
         Lit eq = kTrue;
         for (size_t i = 0; i < w; ++i)
           eq = g.and_(eq, g.xnor_(a[i], b[i]));
@@ -420,15 +503,16 @@ private:
       default:
         throw std::logic_error("aigmap: unhandled binary");
       }
-      set_output(cell.port(Port::Y), extend(std::move(y), static_cast<size_t>(p.y_width), false));
+      extend(y, static_cast<size_t>(p.y_width), false);
+      set_output(cell.port(Port::Y), y);
       return;
     }
 
     if (cell.type() == CellType::Mux) {
-      const std::vector<Lit> a = sig_lits(cell.port(Port::A));
-      const std::vector<Lit> b = sig_lits(cell.port(Port::B));
+      sig_lits(cell.port(Port::A), a);
+      sig_lits(cell.port(Port::B), b);
       const Lit s = lit_of(cell.port(Port::S)[0]);
-      std::vector<Lit> y(a.size());
+      y.resize(a.size());
       for (size_t i = 0; i < a.size(); ++i)
         y[i] = graph().mux_(s, b[i], a[i]);
       set_output(cell.port(Port::Y), y);
@@ -436,11 +520,12 @@ private:
     }
 
     if (cell.type() == CellType::Pmux) {
-      const std::vector<Lit> a = sig_lits(cell.port(Port::A));
-      const std::vector<Lit> b = sig_lits(cell.port(Port::B));
-      const std::vector<Lit> s = sig_lits(cell.port(Port::S));
+      std::vector<Lit>& s = t_;
+      sig_lits(cell.port(Port::A), a);
+      sig_lits(cell.port(Port::B), b);
+      sig_lits(cell.port(Port::S), s);
       const size_t w = static_cast<size_t>(p.width);
-      std::vector<Lit> y = a;
+      y.assign(a.begin(), a.end());
       // Priority: lowest set S bit wins, so fold from the last case inward.
       for (size_t i = s.size(); i-- > 0;) {
         for (size_t j = 0; j < w; ++j)
@@ -461,6 +546,7 @@ private:
   Result result_;
   Aig* shared_graph_ = nullptr;
   SharedInputs* shared_inputs_ = nullptr;
+  std::vector<Lit> a_, b_, y_, t_, u_; ///< map_cell's literal buffers
 };
 
 } // namespace detail

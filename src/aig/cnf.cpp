@@ -5,14 +5,16 @@
 namespace smartly::aig {
 
 ConeCnfEncoder::~ConeCnfEncoder() {
-  for (const uint32_t node : touched_)
+  for (const uint32_t node : table_.touched)
     vars_[node] = kNoVar;
+  table_.touched.clear();
+  table_.encoded_inputs.clear();
 }
 
 sat::Var ConeCnfEncoder::var_of(uint32_t node) {
   if (!encoded(node)) {
     vars_[node] = solver_.new_var();
-    touched_.push_back(node);
+    table_.touched.push_back(node);
   }
   return vars_[node];
 }
@@ -31,23 +33,24 @@ sat::Lit ConeCnfEncoder::ensure(Lit aig_lit) {
   if (!encoded(root)) {
     // Iterative post-order: give every reachable unencoded node a variable,
     // then clause it once both fanins have theirs.
-    stack_.clear();
-    stack_.push_back(root);
-    while (!stack_.empty()) {
-      const uint32_t n = stack_.back();
+    std::vector<uint32_t>& stack = table_.stack;
+    stack.clear();
+    stack.push_back(root);
+    while (!stack.empty()) {
+      const uint32_t n = stack.back();
       if (encoded(n)) {
-        stack_.pop_back();
+        stack.pop_back();
         continue;
       }
       if (n == 0) {
         solver_.add_clause(sat::mk_lit(var_of(0), true)); // constant false
-        stack_.pop_back();
+        stack.pop_back();
         continue;
       }
       if (aig_.is_input(n)) {
         var_of(n);
-        encoded_inputs_.push_back(n);
-        stack_.pop_back();
+        table_.encoded_inputs.push_back(n);
+        stack.pop_back();
         continue;
       }
       const uint32_t f0 = lit_node(aig_.fanin0(n));
@@ -56,9 +59,9 @@ sat::Lit ConeCnfEncoder::ensure(Lit aig_lit) {
       const bool need1 = !encoded(f1);
       if (need0 || need1) {
         if (need0)
-          stack_.push_back(f0);
+          stack.push_back(f0);
         if (need1)
-          stack_.push_back(f1);
+          stack.push_back(f1);
         continue;
       }
       const sat::Lit y = sat::mk_lit(var_of(n));
@@ -67,7 +70,7 @@ sat::Lit ConeCnfEncoder::ensure(Lit aig_lit) {
       solver_.add_clause(~y, a);
       solver_.add_clause(~y, b);
       solver_.add_clause(y, ~a, ~b);
-      stack_.pop_back();
+      stack.pop_back();
     }
   }
   return lit(aig_lit);

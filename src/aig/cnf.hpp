@@ -8,6 +8,20 @@
 
 namespace smartly::aig {
 
+/// The caller-owned state that encoders created one after another share: the
+/// node -> variable table and the lists an encoder refills. Between encoders
+/// every `vars` entry is kNoVar and the lists are empty; an encoder grows
+/// `vars` to the AIG's size, sets the entries of the nodes it encodes and
+/// resets exactly those when destroyed. So no encoder builds a map of its
+/// own, and once the lists have grown to the largest cone an encoder
+/// allocates nothing. Two encoders never share a table while both are alive.
+struct CnfTable {
+  std::vector<sat::Var> vars;
+  std::vector<uint32_t> touched;        ///< nodes the live encoder gave a variable
+  std::vector<uint32_t> encoded_inputs; ///< its cone's inputs, first-encounter order
+  std::vector<uint32_t> stack;          ///< DFS scratch (cones can be deep)
+};
+
 /// Cone-restricted Tseitin encoding, the one AIG -> CNF encoding (§II's SAT
 /// stage, fraig and CEC): only the transitive fanin of requested literals
 /// gets solver variables and the standard three-clause AND encoding; nodes
@@ -17,19 +31,15 @@ namespace smartly::aig {
 /// inert clauses. Nodes are encoded at most once per encoder, so the joint
 /// cone of a class's members shares variables across its queries.
 ///
-/// The node -> variable table belongs to the caller, who hands it to the
-/// encoders it creates one after another (a fraig stage's classes, a CEC
-/// check's miters, the §II oracle's queries). Between encoders every entry
-/// is kNoVar: an encoder grows the table to the AIG's size, sets the entries
-/// of the nodes it encodes and resets exactly those when destroyed. So no
-/// encoder builds a map of its own, and two encoders never share a table
-/// while both are alive.
+/// The table (CnfTable) belongs to the caller, who hands it to the encoders
+/// it creates one after another (a fraig stage's classes, a CEC check's
+/// miters, the §II oracle's queries).
 class ConeCnfEncoder {
 public:
   static constexpr sat::Var kNoVar = -1;
 
-  ConeCnfEncoder(sat::Solver& solver, const Aig& aig, std::vector<sat::Var>& vars)
-      : solver_(solver), aig_(aig), vars_(vars) {}
+  ConeCnfEncoder(sat::Solver& solver, const Aig& aig, CnfTable& table)
+      : solver_(solver), aig_(aig), table_(table), vars_(table.vars) {}
   ~ConeCnfEncoder();
   ConeCnfEncoder(const ConeCnfEncoder&) = delete;
   ConeCnfEncoder& operator=(const ConeCnfEncoder&) = delete;
@@ -45,7 +55,7 @@ public:
   /// AIG input nodes that received variables — the cone's free inputs, in
   /// first-encounter order (deterministic given the ensure() call sequence).
   /// Counterexample models are read back through these.
-  const std::vector<uint32_t>& encoded_inputs() const noexcept { return encoded_inputs_; }
+  const std::vector<uint32_t>& encoded_inputs() const noexcept { return table_.encoded_inputs; }
 
 private:
   sat::Var var_of(uint32_t node);
@@ -53,10 +63,8 @@ private:
 
   sat::Solver& solver_;
   const Aig& aig_;
-  std::vector<sat::Var>& vars_;    ///< the caller's node -> variable table
-  std::vector<uint32_t> touched_;  ///< nodes given a variable, reset on exit
-  std::vector<uint32_t> encoded_inputs_;
-  std::vector<uint32_t> stack_; ///< DFS scratch (cones can be deep)
+  CnfTable& table_;
+  std::vector<sat::Var>& vars_; ///< table_.vars
 };
 
 } // namespace smartly::aig

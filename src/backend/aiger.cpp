@@ -1,5 +1,7 @@
 #include "backend/aiger.hpp"
 
+#include "obs/trace.hpp"
+
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -191,6 +193,7 @@ private:
 } // namespace
 
 std::string write_aiger_ascii(const Aig& g) {
+  const obs::Span span("backend", "backend.write_aiger");
   const Renumbering r = renumber(g);
   std::ostringstream out;
   const size_t m = g.num_inputs() + r.and_nodes.size();
@@ -208,6 +211,7 @@ std::string write_aiger_ascii(const Aig& g) {
 }
 
 std::string write_aiger_binary(const Aig& g) {
+  const obs::Span span("backend", "backend.write_aiger");
   const Renumbering r = renumber(g);
   std::ostringstream out;
   const size_t m = g.num_inputs() + r.and_nodes.size();

@@ -1,5 +1,7 @@
 #include "backend/write_rtlil.hpp"
 
+#include "obs/trace.hpp"
+
 #include <sstream>
 
 namespace smartly::backend {
@@ -61,6 +63,7 @@ void render_sig(std::ostringstream& out, const SigSpec& sig) {
 } // namespace
 
 std::string write_rtlil(const Module& module) {
+  const obs::Span span("backend", "backend.write_rtlil");
   std::ostringstream out;
   out << "module " << module.name() << "\n";
   for (const auto& w : module.wires()) {

@@ -1,5 +1,6 @@
 #include "backend/write_verilog.hpp"
 
+#include "obs/trace.hpp"
 #include "util/log.hpp"
 
 #include <sstream>
@@ -351,7 +352,10 @@ private:
 
 } // namespace
 
-std::string write_verilog(const Module& module) { return Writer(module).run(); }
+std::string write_verilog(const Module& module) {
+  const obs::Span span("backend", "backend.write_verilog");
+  return Writer(module).run();
+}
 
 std::string write_verilog(const rtlil::Design& design) {
   std::string out;

@@ -99,7 +99,7 @@ CecResult check_equivalence(const rtlil::Module& gold, const rtlil::Module& gate
   // that encodes only that miter's cone. A solver kept across miters grows
   // with every cone it has seen, and its per-call cost grows with it.
   const obs::Span prove_span("cec", "cec.prove", "miters", pairs.size());
-  std::vector<sat::Var> cnf_vars; // every miter's encoder, one after another
+  aig::CnfTable cnf; // every miter's encoder, one after another
   for (const Pair& p : pairs) {
     // A halt (deadline, cancel, or a budget tripped by the engines upstream)
     // stops the proof here: remaining outputs stay unproven and the result
@@ -114,7 +114,7 @@ CecResult check_equivalence(const rtlil::Module& gold, const rtlil::Module& gate
     if (options.guard != nullptr && options.guard->wants_interrupts())
       solver.set_interrupt_check([g = options.guard] { return g->poll(); });
     solver.set_conflict_budget(options.conflict_budget);
-    aig::ConeCnfEncoder enc(solver, graph, cnf_vars);
+    aig::ConeCnfEncoder enc(solver, graph, cnf);
     const sat::Result r = solver.solve({enc.ensure(p.diff)});
     m_conflicts.add(solver.stats().conflicts);
     if (options.guard != nullptr) {

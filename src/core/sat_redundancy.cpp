@@ -157,7 +157,7 @@ CtrlDecision InferenceOracle::decide_cone(SigBit ctrl, const Subgraph& sg, uint6
   solver.set_conflict_budget(kOracleConflictBudget);
   if (options_.guard != nullptr && options_.guard->wants_interrupts())
     solver.set_interrupt_check([g = options_.guard] { return g->poll(); });
-  aig::ConeCnfEncoder enc(solver, cone.aig, cnf_vars_);
+  aig::ConeCnfEncoder enc(solver, cone.aig, cnf_);
   std::vector<sat::Lit> assumptions;
   for (const auto& [l, v] : constraints)
     assumptions.push_back(v ? enc.ensure(l) : ~enc.ensure(l));

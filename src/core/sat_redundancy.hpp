@@ -8,6 +8,7 @@
 // (SAT(s=0) / SAT(s=1)) whether the bit is forced.
 #pragma once
 
+#include "aig/cnf.hpp"
 #include "core/subgraph.hpp"
 #include "opt/muxtree_walker.hpp"
 #include "opt/parallel_sweep.hpp"
@@ -86,7 +87,7 @@ private:
   SubgraphScratch scratch_;
   std::vector<std::pair<rtlil::SigBit, bool>> known_sorted_; ///< per-query scratch
   std::vector<rtlil::SigBit> known_bits_;                     ///< its bits
-  std::vector<sat::Var> cnf_vars_; ///< the SAT stage's node -> variable table
+  aig::CnfTable cnf_; ///< the SAT stage's encoder table
 };
 
 /// Run the full §II pass on a module (walker + oracle). Pair with

@@ -17,9 +17,9 @@ namespace {
 /// rounds and detaches the shared guard so probe work never charges the
 /// run's real budgets. A skipped stage reports zero stats: the module holds
 /// the pre-stage image.
-template <typename Stats, typename Options>
+template <typename Stats, typename Options, typename Engine>
 Stats run_round_stage(rtlil::Module& module, const char* stage, const Options& options,
-                      RecoveryContext* recovery, Stats (*engine)(rtlil::Module&, const Options&)) {
+                      RecoveryContext* recovery, const Engine& engine) {
   Stats stats;
   Options opts = options;
   if (recovery != nullptr)
@@ -41,16 +41,21 @@ Stats run_round_stage(rtlil::Module& module, const char* stage, const Options& o
 } // namespace
 
 sweep::FraigStats fraig_stage(rtlil::Module& module, const sweep::FraigOptions& options,
-                              RecoveryContext* recovery) {
+                              RecoveryContext* recovery, sweep::PatternSlots* slots) {
   const obs::Span span("pipeline", "opt.fraig_stage");
-  return run_round_stage(module, "fraig", options, recovery, &sweep::fraig_sweep);
+  return run_round_stage<sweep::FraigStats>(
+      module, "fraig", options, recovery,
+      [slots](rtlil::Module& m, const sweep::FraigOptions& o) {
+        return sweep::fraig_sweep(m, o, slots);
+      });
 }
 
 rewrite::RewriteStats rewrite_stage(rtlil::Module& module,
                                     const rewrite::RewriteOptions& options,
                                     RecoveryContext* recovery) {
   const obs::Span span("pipeline", "opt.rewrite_stage");
-  return run_round_stage(module, "rewrite", options, recovery, &rewrite::rewrite_sweep);
+  return run_round_stage<rewrite::RewriteStats>(module, "rewrite", options, recovery,
+                                                &rewrite::rewrite_sweep);
 }
 
 DeepOptStats fraig_rewrite_loop(rtlil::Module& module, const DeepOptOptions& options) {
@@ -60,9 +65,12 @@ DeepOptStats fraig_rewrite_loop(rtlil::Module& module, const DeepOptOptions& opt
   util::ResourceGuard* guard =
       options.fraig.guard != nullptr ? options.fraig.guard : options.rewrite.guard;
   const obs::Span span("pipeline", "opt.fraig_rewrite_loop");
+  // One pattern-slot table for every fraig stage of the loop: each bit's
+  // slot is made once per design, not once per stage.
+  sweep::PatternSlots slots(module);
   DeepOptStats stats;
   for (size_t iter = 0; iter < options.max_iterations; ++iter) {
-    stats.fraig += fraig_stage(module, options.fraig, options.recovery);
+    stats.fraig += fraig_stage(module, options.fraig, options.recovery, &slots);
     if (guard != nullptr && guard->halted())
       return stats;
     const rewrite::RewriteStats rw = rewrite_stage(module, options.rewrite, options.recovery);
@@ -74,7 +82,7 @@ DeepOptStats fraig_rewrite_loop(rtlil::Module& module, const DeepOptOptions& opt
     if (!committed)
       return stats; // nothing restructured: the closing fraig would be idle
   }
-  stats.fraig += fraig_stage(module, options.fraig, options.recovery);
+  stats.fraig += fraig_stage(module, options.fraig, options.recovery, &slots);
   return stats;
 }
 

@@ -26,9 +26,11 @@ void coarse_opt(rtlil::Module& module);
 /// StageTransaction (snapshot / rollback / quarantine / retry; see
 /// opt/transaction.hpp) with the context's quarantine set threaded into the
 /// engine. A skipped stage returns zeroed stats and leaves the module at its
-/// pre-stage image.
+/// pre-stage image. `slots` is passed on to fraig_sweep (the deep loop's
+/// shared pattern-slot table).
 sweep::FraigStats fraig_stage(rtlil::Module& module, const sweep::FraigOptions& options = {},
-                              RecoveryContext* recovery = nullptr);
+                              RecoveryContext* recovery = nullptr,
+                              sweep::PatternSlots* slots = nullptr);
 
 /// DAG-aware cut-rewriting stage: restructure 4-feasible cones through the
 /// NPN replacement library, then sweep the predicted-dead cones the commits
@@ -42,7 +44,8 @@ rewrite::RewriteStats rewrite_stage(rtlil::Module& module,
 /// The deep-optimization convergence loop: fraig -> rewrite, repeated while
 /// the rewrite stage still commits, with a final fraig pass so merges the
 /// restructuring exposed are harvested. Every stage is deterministic, so the
-/// loop is too.
+/// loop is too. Its fraig stages share one sweep::PatternSlots table, which
+/// gives the same result as a table per stage.
 struct DeepOptOptions {
   sweep::FraigOptions fraig;
   rewrite::RewriteOptions rewrite;

@@ -41,12 +41,33 @@ namespace {
 
 // --- per-round evaluation structures ---------------------------------------
 
-/// Best module bit for one (AIG node, polarity): the bit with the lowest
-/// rtlil::bit_id (wire creation order, then offset) whose value equals the
-/// literal, so the choice is a pure function of the module.
-struct Anchor {
-  SigBit bit;
-  bool valid = false;
+/// Anchors: per AIG literal (node, polarity) the module bit with the lowest
+/// rtlil::bit_id (wire creation order, then offset) whose value equals it,
+/// so the choice is a pure function of the module. A literal-indexed table
+/// holds each anchor's position in a list of the anchored bits; both are
+/// refilled every round.
+class AnchorTable {
+public:
+  void fill(const aig::AigMap& blast) {
+    slot_.assign(2 * blast.aig.num_nodes(), kNone);
+    bits_.clear();
+    blast.for_each_bit([&](const SigBit& bit, aig::Lit lit) {
+      uint32_t& slot = slot_[lit];
+      if (slot == kNone) {
+        slot = static_cast<uint32_t>(bits_.size());
+        bits_.push_back(bit);
+      }
+    });
+  }
+  /// The anchor of `lit`, or nullptr.
+  const SigBit* find(aig::Lit lit) const {
+    return slot_[lit] == kNone ? nullptr : &bits_[slot_[lit]];
+  }
+
+private:
+  static constexpr uint32_t kNone = 0xffffffffu;
+  std::vector<uint32_t> slot_; ///< by literal: index into bits_, or kNone
+  std::vector<SigBit> bits_;
 };
 
 struct LeafRef {
@@ -123,21 +144,82 @@ int freed_cone_nodes(const aig::Aig& g, uint32_t root_node, const aig::Lit* leav
   return freed;
 }
 
-struct RootWork {
-  Cell* cell = nullptr;
+/// The round's root work list, flat: per root its cell and a range of the
+/// per-output-bit arrays, refilled every round.
+struct RootList {
+  struct Root {
+    Cell* cell;
+    uint32_t first, last; ///< output bits [first, last) of raw/canon/lits
+  };
+  std::vector<Root> roots;
   std::vector<SigBit> raw;    ///< output port bits, port order
   std::vector<SigBit> canon;  ///< canonical counterparts
   std::vector<aig::Lit> lits; ///< blast literals (AND-backed)
+
+  void clear() {
+    roots.clear();
+    raw.clear();
+    canon.clear();
+    lits.clear();
+  }
 };
+using RootWork = RootList::Root;
 
 /// Stable id of a root: its first canonical output bit's name hash. The
 /// recovery layer quarantines roots under this id ("rewrite.eval"), and
 /// unit-keyed fault plans key on it. Wire-name-based (not cell-name-based)
 /// so the id survives a write_verilog round-trip in repro bundles.
-uint64_t root_unit_id(const RootWork& work) {
-  const SigBit& bit = work.canon.front();
+uint64_t root_unit_id(const RootList& list, const RootWork& work) {
+  const SigBit& bit = list.canon[work.first];
   return bit.is_wire() ? util::bit_unit_id(bit.wire->name(), bit.offset) : 1;
 }
+
+/// Structural key -> the first cell given that key (the notion shared with
+/// opt_merge and the fraig pre-merge), in open addressing with linear
+/// probing, at most half full; kept across rounds.
+class StructMap {
+public:
+  void reset(size_t expected) {
+    size_t cap = 16;
+    while (cap < 2 * expected)
+      cap *= 2;
+    slots_.assign(cap, Slot{});
+    used_ = 0;
+  }
+  Cell* find(const Hash128& key) const {
+    const Slot& s = slots_[probe(key)];
+    return s.cell;
+  }
+  /// Add `cell` under `key` unless the key already has a cell.
+  void insert(const Hash128& key, Cell* cell) {
+    Slot& s = slots_[probe(key)];
+    if (s.cell != nullptr)
+      return;
+    s = {key, cell};
+    if (++used_ * 2 > slots_.size()) {
+      std::vector<Slot> old(slots_.size() * 2);
+      old.swap(slots_);
+      for (const Slot& o : old)
+        if (o.cell != nullptr)
+          slots_[probe(o.key)] = o;
+    }
+  }
+
+private:
+  struct Slot {
+    Hash128 key;
+    Cell* cell = nullptr; ///< nullptr: empty
+  };
+  size_t probe(const Hash128& key) const {
+    const size_t mask = slots_.size() - 1;
+    size_t i = Hash128Hasher{}(key) & mask;
+    while (slots_[i].cell != nullptr && slots_[i].key != key)
+      i = (i + 1) & mask;
+    return i;
+  }
+  std::vector<Slot> slots_;
+  size_t used_ = 0;
+};
 
 struct RootEval {
   std::vector<BitCandidate> bits;
@@ -313,7 +395,14 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
   const NpnTable& npn = NpnTable::instance();
   const RewriteLibrary& library = RewriteLibrary::instance();
   std::unordered_set<uint16_t> classes_seen;
-  CutSet cutset; // refilled every round
+  // Round state refilled every round: the cuts, the round setup's tables
+  // and the cone-walk scratch of the evaluations.
+  CutSet cutset;
+  std::vector<uint32_t> nfan;
+  AnchorTable anchors;
+  RootList roots;
+  StructMap struct_map;
+  sim::NodeScratch cone_scratch;
 
   util::ResourceGuard* guard = options.guard;
   if (guard != nullptr)
@@ -348,12 +437,6 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
 
     // Round setup over the round-start state: reference counts, anchors, the
     // root work list and the structural-key map.
-    std::vector<uint32_t> nfan;
-    std::vector<std::array<Anchor, 2>> anchors;
-    std::vector<RootWork> roots;
-    std::unordered_map<Hash128, Cell*, Hash128Hasher> struct_map;
-    // Cone-walk scratch of the round's evaluations (truth tables, deref walks).
-    sim::NodeScratch cone_scratch;
     {
       const obs::Span setup_span("rewrite", "rewrite.setup");
       // Whole-graph reference counts (fanins + outputs) for the candidate
@@ -369,25 +452,19 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
         ++nfan[aig::lit_node(blast.aig.output(static_cast<int>(i)))];
       cone_scratch.resize(blast.aig.num_nodes());
 
-      // Anchors: AIG node + polarity -> the module bit with the lowest dense
-      // bit id (the first the id-order walk meets). The bit id is the
-      // deterministic tie-break here and in the group keys below (bit hashes
-      // are pointer-based and would leak allocator layout into the result).
-      anchors.resize(blast.aig.num_nodes());
-      blast.for_each_bit([&](const SigBit& bit, aig::Lit lit) {
-        Anchor& slot = anchors[aig::lit_node(lit)][aig::lit_compl(lit) ? 1 : 0];
-        if (!slot.valid)
-          slot = {bit, true};
-      });
+      // Anchors: the bit id is the deterministic tie-break here and in the
+      // group keys below (bit hashes are pointer-based and would leak
+      // allocator layout into the result).
+      anchors.fill(blast);
 
       // Root work list: combinational cells whose every output bit is a live,
       // canonically self-driven wire bit backed by an AND node.
+      roots.clear();
       for (const auto& cptr : module.cells()) {
         Cell* cell = cptr.get();
         if (cell->type() == CellType::Dff)
           continue;
-        RootWork work;
-        work.cell = cell;
+        RootWork work{cell, static_cast<uint32_t>(roots.raw.size()), 0};
         bool ok = true, any_read = false;
         for (const SigBit& raw : cell->port(cell->output_port())) {
           const SigBit c = index.sigmap()(raw);
@@ -402,30 +479,34 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
           }
           if (index.fanout(c) > 0)
             any_read = true;
-          work.raw.push_back(raw);
-          work.canon.push_back(c);
-          work.lits.push_back(lit);
+          roots.raw.push_back(raw);
+          roots.canon.push_back(c);
+          roots.lits.push_back(lit);
         }
-        if (ok && any_read && !work.raw.empty()) {
-          if (options.quarantine != nullptr &&
-              options.quarantine->contains("rewrite.eval", root_unit_id(work))) {
-            // Quarantined root: never evaluated.
-            ++stats.quarantined;
-            continue;
-          }
-          roots.push_back(std::move(work));
+        work.last = static_cast<uint32_t>(roots.raw.size());
+        const bool keep = ok && any_read && work.last != work.first;
+        if (keep && options.quarantine != nullptr &&
+            options.quarantine->contains("rewrite.eval", root_unit_id(roots, work))) {
+          // Quarantined root: never evaluated.
+          ++stats.quarantined;
+        } else if (keep) {
+          roots.roots.push_back(work);
+          continue;
         }
+        roots.raw.resize(work.first); // drop the rejected root's bits
+        roots.canon.resize(work.first);
+        roots.lits.resize(work.first);
       }
-      stats.roots_evaluated += roots.size();
+      stats.roots_evaluated += roots.roots.size();
 
       // Structural-key map over the round-start module (the notion shared
       // with opt_merge and the fraig pre-merge): planned cells fold onto
       // existing twins instead of duplicating them. The commit loop
       // maintains it as commits materialize cells.
-      struct_map.reserve(module.cell_count());
+      struct_map.reset(module.cell_count());
       for (const auto& cptr : module.cells())
         if (cptr->type() != CellType::Dff)
-          struct_map.emplace(sweep::cell_structural_key(*cptr, index.sigmap()), cptr.get());
+          struct_map.insert(sweep::cell_structural_key(*cptr, index.sigmap()), cptr.get());
     }
 
     // --- one canonical loop: evaluate root i, then commit it -----------------
@@ -452,7 +533,8 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
         eval.skipped = true;
         return eval;
       }
-      const obs::Span root_span("rewrite", "rewrite.eval", "root", root_unit_id(work));
+      const obs::Span root_span("rewrite", "rewrite.eval", "root",
+                                obs::tracing_enabled() ? root_unit_id(roots, work) : 0);
       const int root_pos = index.topo_position(work.cell);
       // An anchor is wireable from this root's replacement (which takes the
       // root's topo slot) only if its driver sits strictly before the root.
@@ -466,10 +548,10 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
           return true;
         return index.topo_position(drv) < root_pos;
       };
-      eval.bits.resize(work.raw.size());
+      eval.bits.resize(work.last - work.first);
       eval.complete = true;
-      for (size_t j = 0; j < work.raw.size(); ++j) {
-        const aig::Lit root_lit = work.lits[j];
+      for (size_t j = 0; j < eval.bits.size(); ++j) {
+        const aig::Lit root_lit = roots.lits[work.first + j];
         const uint32_t node = aig::lit_node(root_lit);
         BitCandidate best;
         for (const Cut& cut : cutset.cuts(node)) {
@@ -478,14 +560,14 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
           bool usable = true;
           aig::Lit leaf_lits[4];
           for (size_t li = 0; li < cut.size; ++li) {
-            const auto& slots = anchors[cut.leaves[li]];
-            const Anchor& a = slots[0].valid ? slots[0] : slots[1];
-            if (!a.valid || !wireable(a.bit)) {
+            const SigBit* pos = anchors.find(aig::mk_lit(cut.leaves[li]));
+            const SigBit* a = pos != nullptr ? pos : anchors.find(aig::mk_lit(cut.leaves[li], true));
+            if (a == nullptr || !wireable(*a)) {
               usable = false;
               break;
             }
-            cand.leaves[li].bit = a.bit;
-            cand.leaves[li].lit = aig::mk_lit(cut.leaves[li], !slots[0].valid);
+            cand.leaves[li].bit = *a;
+            cand.leaves[li].lit = aig::mk_lit(cut.leaves[li], pos == nullptr);
             leaf_lits[li] = cand.leaves[li].lit;
           }
           if (!usable ||
@@ -537,9 +619,9 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
             }
             op_lits[k] = lit;
             if (lit != aig::kNoLit && lit != aig::kFalse && lit != aig::kTrue) {
-              const Anchor& a = anchors[aig::lit_node(lit)][aig::lit_compl(lit) ? 1 : 0];
-              if (a.valid && wireable(a.bit)) {
-                cand.op_reuse[k] = a.bit;
+              const SigBit* a = anchors.find(lit);
+              if (a != nullptr && wireable(*a)) {
+                cand.op_reuse[k] = *a;
                 continue;
               }
             }
@@ -584,7 +666,8 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
       stats.candidates += eval.candidates;
       // Fault point: one "rewrite.eval" event per evaluated root, in
       // canonical order. A throw ends the loop, leaving the committed prefix.
-      if (!eval.skipped && util::fault_unknown("rewrite.eval", root_unit_id(work)))
+      if (!eval.skipped && util::faults_active() &&
+          util::fault_unknown("rewrite.eval", root_unit_id(roots, work)))
         eval.skipped = true;
       if (eval.skipped) {
         ++round_skipped;
@@ -756,10 +839,8 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
             connect_op_ports(temp, op, ports,
                              SigSpec(std::vector<SigBit>(
                                  static_cast<size_t>(ports.width), SigBit(State::S0))));
-            const auto hit =
-                struct_map.find(sweep::cell_structural_key(temp, index.sigmap()));
-            if (hit != struct_map.end()) {
-              Cell* twin = hit->second;
+            Cell* twin = struct_map.find(sweep::cell_structural_key(temp, index.sigmap()));
+            if (twin != nullptr) {
               if (twin == root) {
                 // The plan reproduces the root's own structure: a no-op
                 // rewrite that would only churn names. Abort.
@@ -835,7 +916,7 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
       // program order, which compact_topo's stable sort preserves, so
       // intra-plan dependencies stay topologically valid.
       const obs::Span commit_span("rewrite", "rewrite.commit", "root",
-                                  root_unit_id(work));
+                                  obs::tracing_enabled() ? root_unit_id(roots, work) : 0);
       for (auto& group_entry : groups) {
         GroupPlan& group = group_entry.second;
         const GateProgram& prog = *group.prog;
@@ -849,7 +930,7 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
           connect_op_ports(*cell, op, ports, SigSpec(wire));
           journal.added.push_back({cell, root_pos});
           new_cell_pos.emplace(cell, root_pos);
-          struct_map.emplace(sweep::cell_structural_key(*cell, index.sigmap()), cell);
+          struct_map.insert(sweep::cell_structural_key(*cell, index.sigmap()), cell);
           group.ops[k].kind = OpPlan::Shared;
           group.ops[k].shared_cell = cell;
           std::vector<SigBit>& bits = group.ops[k].shared_bits;
@@ -867,7 +948,7 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
         const GroupPlan& group = group_entry.second;
         for (size_t m = 0; m < group.members.size(); ++m) {
           const size_t j = group.members[m];
-          lhs.append(work.raw[j]);
+          lhs.append(roots.raw[work.first + j]);
           rhs.append(member_operand(group, group.prog->out, j, m));
         }
       }
@@ -895,8 +976,8 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
     bool faulted = false;
     try {
       const obs::Span s("rewrite", "rewrite.roots", "roots",
-                        static_cast<uint64_t>(roots.size()));
-      for (const RootWork& work : roots) {
+                        static_cast<uint64_t>(roots.roots.size()));
+      for (const RootWork& work : roots.roots) {
         RootEval eval = evaluate_root(work);
         commit_root(work, eval);
       }

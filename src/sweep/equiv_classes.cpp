@@ -13,13 +13,13 @@ using rtlil::SigBit;
 
 namespace {
 
-/// Hash of a wire bit that is stable across design clones and process runs
-/// (SigBit::hash mixes the wire pointer): wire name + offset.
-uint64_t stable_bit_hash(const SigBit& bit) {
+/// FNV-style fold of a wire name: the part of the stable bit hash shared by
+/// every bit of the wire.
+uint64_t name_fold(const std::string& name) {
   uint64_t h = 0xcbf29ce484222325ULL;
-  for (const unsigned char c : bit.wire->name())
+  for (const unsigned char c : name)
     h = hash_combine(h, c);
-  return hash_combine(h, static_cast<uint64_t>(bit.offset));
+  return h;
 }
 
 /// Canonical member order: (topo_pos, rank) ascending.
@@ -29,15 +29,92 @@ bool member_less(const EquivMember& a, const EquivMember& b) {
   return a.rank < b.rank;
 }
 
+bool hash128_less(const Hash128& a, const Hash128& b) {
+  return a.lo != b.lo ? a.lo < b.lo : a.hi < b.hi;
+}
+
 } // namespace
 
-EquivClasses::EquivClasses(const EquivClassOptions& options) : options_(options) {
+PatternSlots::PatternSlots(const rtlil::Module& module, size_t sim_words)
+    : module_(&module), sim_words_(sim_words == 0 ? 1 : sim_words) {
+  // Made before the engines' temporaries: the table outlives every stage of
+  // a loop, so it takes its blocks now, sized for the module's input and
+  // register bits (the AIG inputs that receive slots), instead of growing
+  // among a stage's short-lived blocks and keeping the heap above them
+  // resident after the stage frees them.
+  size_t free_bits = 0;
+  for (const rtlil::Wire* w : module.ports())
+    if (w->port_input)
+      free_bits += static_cast<size_t>(w->width());
+  for (const auto& cell : module.cells())
+    if (cell->type() == CellType::Dff)
+      free_bits += static_cast<size_t>(cell->params().width);
+  slot_of_.assign(module.bit_id_bound(), kNone);
+  hash_.reserve(free_bits);
+  pads_.reserve(free_bits);
+  base_words_.reserve(free_bits * sim_words_);
+}
+
+uint32_t PatternSlots::slot(const SigBit& bit) {
+  const size_t id = rtlil::bit_id(bit);
+  if (id >= slot_of_.size())
+    slot_of_.resize(std::max(id + 1, module_->bit_id_bound()), kNone);
+  if (slot_of_[id] != kNone)
+    return slot_of_[id];
+  const uint32_t s = static_cast<uint32_t>(hash_.size());
+  slot_of_[id] = s;
+  // Hash of a wire bit that is stable across design clones and process runs
+  // (SigBit::hash mixes the wire pointer): wire name, then offset. Slots are
+  // mostly made a wire at a time, so the name is folded once per wire.
+  if (bit.wire->bit_base() != fold_base_) {
+    fold_base_ = bit.wire->bit_base();
+    fold_ = name_fold(bit.wire->name());
+  }
+  const uint64_t bit_hash = hash_combine(fold_, static_cast<uint64_t>(bit.offset));
+  hash_.push_back(bit_hash);
+  pads_.push_back(0);
+  // Base batches are name-seeded Rng draws, fixed for the slot's lifetime.
+  for (size_t w = 0; w < sim_words_; ++w)
+    base_words_.push_back(Rng(hash_combine(hash_combine(kSignatureSeed, bit_hash), w)).next());
+  return s;
+}
+
+size_t PatternSlots::draw_pads(uint32_t s, uint32_t batches) {
+  // Lanes a counterexample leaves unassigned, and lanes past the pool, are
+  // filled per (seed, bit, pattern index).
+  const uint64_t seed = kSignatureSeed ^ 0xf111f111f111f111ULL;
+  if (pad_cols_.size() < batches)
+    pad_cols_.resize(batches);
+  size_t drawn = 0;
+  for (uint32_t& c = pads_[s]; c < batches; ++c, ++drawn) {
+    std::vector<uint64_t>& col = pad_cols_[c];
+    if (col.size() <= s)
+      col.resize(hash_.size());
+    uint64_t word = 0;
+    for (size_t lane = 0; lane < 64; ++lane)
+      word |= (hash_mix(hash_combine(seed, hash_combine(hash_[s], size_t(c) * 64 + lane))) & 1)
+              << lane;
+    col[s] = word;
+  }
+  return drawn;
+}
+
+EquivClasses::EquivClasses(const EquivClassOptions& options, PatternSlots* slots)
+    : options_(options), shared_(slots) {
   if (options_.sim_words == 0)
     options_.sim_words = 1;
 }
 
 void EquivClasses::bind(const rtlil::Module& module, const rtlil::NetlistIndex& index) {
   const obs::Span bind_span("fraig", "fraig.bind");
+  if (shared_ != nullptr && &shared_->module() == &module &&
+      shared_->sim_words() == options_.sim_words) {
+    slots_ = shared_;
+  } else {
+    if (own_ == nullptr || &own_->module() != &module)
+      own_ = std::make_unique<PatternSlots>(module, options_.sim_words);
+    slots_ = own_.get();
+  }
   index_ = &index;
   blast_ = aig::AigMap(); // release the previous blast before building the next
   blast_ = aig::aigmap(module, index);
@@ -101,7 +178,8 @@ void EquivClasses::bind(const rtlil::Module& module, const rtlil::NetlistIndex& 
       continue;
     }
     rendered[i] = 1;
-    rendered_.emplace_back(node, input_bits_[i].is_wire() ? slot(input_bits_[i]) : kNone);
+    rendered_.emplace_back(node,
+                           input_bits_[i].is_wire() ? slots_->slot(input_bits_[i]) : kNone);
   }
   for (size_t n = 1; n < next.size(); ++n)
     next[n] += next[n - 1];
@@ -115,48 +193,14 @@ void EquivClasses::bind(const rtlil::Module& module, const rtlil::NetlistIndex& 
   candidates_.swap(by_node);
 }
 
-uint32_t EquivClasses::slot(const SigBit& bit) {
-  const size_t id = rtlil::bit_id(bit);
-  if (id >= slot_of_.size())
-    slot_of_.resize(id + 1, kNone);
-  if (slot_of_[id] != kNone)
-    return slot_of_[id];
-  const uint32_t s = static_cast<uint32_t>(slot_hash_.size());
-  slot_of_[id] = s;
-  const uint64_t bit_hash = stable_bit_hash(bit);
-  slot_hash_.push_back(bit_hash);
-  slot_pads_.push_back(0);
-  // Base batches are name-seeded Rng draws, fixed for the slot's lifetime.
-  for (size_t w = 0; w < options_.sim_words; ++w)
-    base_words_.push_back(Rng(hash_combine(hash_combine(kSignatureSeed, bit_hash), w)).next());
-  for (std::vector<Lanes>& col : cex_cols_)
-    col.emplace_back();
-  return s;
-}
-
-uint64_t EquivClasses::pad_word(uint64_t bit_hash, size_t batch) const {
-  // Lanes a counterexample leaves unassigned, and lanes past the pool, are
-  // filled per (seed, bit, pattern index).
-  const uint64_t seed = kSignatureSeed ^ 0xf111f111f111f111ULL;
-  uint64_t word = 0;
-  for (size_t lane = 0; lane < 64; ++lane)
-    word |= (hash_mix(hash_combine(seed, hash_combine(bit_hash, batch * 64 + lane))) & 1) << lane;
-  return word;
-}
-
 void EquivClasses::draw_pads() {
   if (cex_cols_.empty())
     return;
   const obs::Span pad_span("fraig", "fraig.pad");
   const uint32_t batches = static_cast<uint32_t>(cex_cols_.size());
-  for (const auto& [node, s] : rendered_) {
-    if (s == kNone)
-      continue;
-    for (uint32_t& c = slot_pads_[s]; c < batches; ++c) {
-      cex_cols_[c][s].pad = pad_word(slot_hash_[s], c);
-      ++pad_words_;
-    }
-  }
+  for (const auto& [node, s] : rendered_)
+    if (s != kNone)
+      pad_words_ += slots_->draw_pads(s, batches);
 }
 
 void EquivClasses::render() {
@@ -176,15 +220,16 @@ void EquivClasses::render() {
       std::fill_n(out, words, uint64_t(0)); // unmapped input (defensive)
       continue;
     }
-    std::copy_n(base_words_.data() + size_t(s) * base, base, out);
+    std::copy_n(slots_->base_words_.data() + size_t(s) * base, base, out);
     for (size_t c = 0; c < cex_cols_.size(); ++c) {
-      const Lanes& l = cex_cols_[c][s];
-      out[base + c] = (l.value & l.known) | (l.pad & ~l.known);
+      const std::vector<Lanes>& col = cex_cols_[c];
+      const Lanes l = s < col.size() ? col[s] : Lanes{};
+      out[base + c] = (l.value & l.known) | (slots_->pad(s, c) & ~l.known);
     }
   }
 }
 
-std::vector<EquivClass> EquivClasses::compute() {
+void EquivClasses::compute(ClassSet& out) {
   draw_pads();
   render();
   {
@@ -217,17 +262,26 @@ std::vector<EquivClass> EquivClasses::compute() {
   size_t cap = 16;
   while (cap < 2 * candidates_.size())
     cap *= 2;
-  std::vector<uint64_t> leaders(cap, 0);
-  std::vector<std::pair<uint32_t, uint32_t>> grouped;
+  std::vector<uint64_t>& leaders = leaders_;
+  leaders.assign(cap, 0);
+  std::vector<std::pair<uint32_t, uint32_t>>& grouped = grouped_;
+  grouped.clear();
   uint32_t zero_lead = kNone;
   for (uint32_t b = 0, e; b < candidates_.size(); b = e) {
     e = run_end(b);
     const uint32_t n = node_of(b);
-    uint64_t h = 0x243f6a8885a308d3ULL, any = 0;
+    // Four independent multiply chains: the hash only picks where a row is
+    // looked up (rows are matched word for word), so any good mix will do,
+    // and one chain's multiply latency per word would dominate the round.
+    const uint64_t* row = table_.row(n);
+    const uint64_t flip = (row[0] & 1) ? ~uint64_t(0) : 0;
+    uint64_t h[4] = {0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL, 0xa4093822299f31d0ULL,
+                     0x082efa98ec4e6c89ULL};
+    uint64_t any = 0;
     for (size_t w = 0; w < n_words; ++w) {
-      const uint64_t v = normalized(n, w);
+      const uint64_t v = row[w] ^ flip;
       any |= v;
-      h = (h ^ v) * 0x9e3779b97f4a7c15ULL;
+      h[w & 3] = (h[w & 3] ^ v) * 0x9e3779b97f4a7c15ULL;
     }
     if (any == 0) {
       if (zero_lead == kNone)
@@ -235,7 +289,7 @@ std::vector<EquivClass> EquivClasses::compute() {
       grouped.emplace_back(zero_lead, b);
       continue;
     }
-    h = hash_mix(h);
+    const uint64_t hash = hash_mix(h[0] ^ hash_mix(h[1] ^ hash_mix(h[2] ^ hash_mix(h[3]))));
     const auto same_row = [&](uint32_t other) {
       const uint32_t m = node_of(other);
       for (size_t w = 0; w < n_words; ++w)
@@ -243,14 +297,14 @@ std::vector<EquivClass> EquivClasses::compute() {
           return false;
       return true;
     };
-    size_t i = h & (cap - 1);
+    size_t i = hash & (cap - 1);
     for (; leaders[i] != 0; i = (i + 1) & (cap - 1)) {
       const uint32_t leader = static_cast<uint32_t>(leaders[i]) - 1;
-      if ((leaders[i] >> 32) == (h >> 32) && same_row(leader))
+      if ((leaders[i] >> 32) == (hash >> 32) && same_row(leader))
         break;
     }
     if (leaders[i] == 0) {
-      leaders[i] = (h >> 32 << 32) | (uint64_t(b) + 1);
+      leaders[i] = (hash >> 32 << 32) | (uint64_t(b) + 1);
       if (e - b >= 2)
         grouped.emplace_back(b, b);
     } else {
@@ -276,55 +330,66 @@ std::vector<EquivClass> EquivClasses::compute() {
   // Each leader's entries are adjacent, its own run first when listed (a
   // join always comes later in node order). A group keeps its class only
   // with a mergeable member: any driven bit of a constant class, or a driven
-  // bit behind the representative.
-  std::vector<EquivClass> classes;
-  EquivClass cls;
+  // bit behind the representative. Members go straight into the flat
+  // array; a dropped group's are truncated off again.
+  std::vector<EquivMember>& members = out.members;
+  members.clear();
+  out.classes.clear();
   for (size_t i = 0, j; i < grouped.size(); i = j) {
     const uint32_t leader = grouped[i].first;
+    EquivClass cls;
     cls.constant = leader == zero_lead;
-    cls.members.clear();
+    cls.first = static_cast<uint32_t>(members.size());
     const auto add_run = [&](uint32_t b) {
       for (uint32_t c = b, e = run_end(b); c < e; ++c)
-        cls.members.push_back(make_member(candidates_[c].first, candidates_[c].second));
+        members.push_back(make_member(candidates_[c].first, candidates_[c].second));
     };
     if (grouped[i].second != leader)
       add_run(leader);
     for (j = i; j < grouped.size() && grouped[j].first == leader; ++j)
       add_run(grouped[j].second);
-    std::sort(cls.members.begin(), cls.members.end(), member_less);
+    cls.last = static_cast<uint32_t>(members.size());
+    std::sort(members.begin() + cls.first, members.end(), member_less);
     bool mergeable = false;
-    for (size_t k = cls.constant ? 0 : 1; k < cls.members.size() && !mergeable; ++k)
-      mergeable = cls.members[k].driver != nullptr;
+    for (size_t k = cls.first + (cls.constant ? 0 : 1); k < cls.last && !mergeable; ++k)
+      mergeable = members[k].driver != nullptr;
     if (mergeable)
-      classes.push_back(std::move(cls));
+      out.classes.push_back(cls);
+    else
+      members.resize(cls.first);
   }
-  std::sort(classes.begin(), classes.end(), [](const EquivClass& a, const EquivClass& b) {
-    return member_less(a.members.front(), b.members.front());
-  });
-  return classes;
+  std::sort(out.classes.begin(), out.classes.end(),
+            [&](const EquivClass& a, const EquivClass& b) {
+              return member_less(members[a.first], members[b.first]);
+            });
 }
 
-bool EquivClasses::add_counterexample(const InputAssignment& assignment) {
+bool EquivClasses::add_counterexample(const std::pair<SigBit, bool>* values, size_t count) {
   Hash128 h{0x6a09e667f3bcc908ULL, 0xb5c0fbcfec4d3b2fULL};
-  for (const auto& [bit, value] : assignment) {
-    const uint32_t s = slot(bit);
-    hash128_mix_unordered(h, slot_hash_[s] * 2 + (value ? 1 : 0));
+  for (size_t i = 0; i < count; ++i) {
+    const uint32_t s = slots_->slot(values[i].first);
+    hash128_mix_unordered(h, slots_->hash_[s] * 2 + (values[i].second ? 1 : 0));
   }
-  if (!cex_seen_.insert(h).second)
+  const auto seen = std::lower_bound(cex_seen_.begin(), cex_seen_.end(), h, hash128_less);
+  if (seen != cex_seen_.end() && *seen == h)
     return false;
+  cex_seen_.insert(seen, h);
   if (patterns_ >= options_.max_patterns)
     return false;
   const size_t lane = patterns_ % 64;
   if (lane == 0)
-    cex_cols_.emplace_back(slot_hash_.size()); // pads are drawn when rendered
+    cex_cols_.emplace_back(slots_->size()); // pads are drawn when rendered
   std::vector<Lanes>& col = cex_cols_.back();
   const uint64_t mask = uint64_t(1) << lane;
-  for (const auto& [bit, value] : assignment) {
-    Lanes& l = col[slot_of_[rtlil::bit_id(bit)]];
+  for (size_t i = 0; i < count; ++i) {
+    const uint32_t s = slots_->slot_of_[rtlil::bit_id(values[i].first)];
+    if (s >= col.size())
+      col.resize(slots_->size());
+    Lanes& l = col[s];
     if (l.known & mask)
       continue; // a repeated bit keeps its first value
     l.known |= mask;
-    if (value)
+    if (values[i].second)
       l.value |= mask;
   }
   ++patterns_;

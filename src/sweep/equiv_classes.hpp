@@ -38,7 +38,7 @@
 #include "util/hashing.hpp"
 
 #include <cstdint>
-#include <unordered_set>
+#include <memory>
 #include <vector>
 
 namespace smartly::sweep {
@@ -72,20 +72,85 @@ struct EquivClass {
   /// constant (S0 when !inverted, S1 when inverted) rather than for a
   /// representative bit.
   bool constant = false;
-  /// Canonical order: (topo_pos, rank) ascending. members[0] is the merge
+  /// The class's members are ClassSet::members[first, last), in canonical
+  /// order: (topo_pos, rank) ascending. The first is the merge
   /// representative of non-constant classes — the topologically earliest
   /// member, so committed merges always point backwards and can never close
   /// a combinational cycle.
+  uint32_t first = 0;
+  uint32_t last = 0;
+};
+
+/// One round's candidate classes, flat: every member of every class in one
+/// array, each class a range of it, classes in canonical order (by their
+/// first member). compute() refills it, so a set kept across rounds
+/// allocates only while it grows.
+struct ClassSet {
   std::vector<EquivMember> members;
+  std::vector<EquivClass> classes;
+
+  size_t size() const noexcept { return classes.size(); }
+  bool empty() const noexcept { return classes.empty(); }
+  const EquivMember* begin(const EquivClass& c) const noexcept { return members.data() + c.first; }
+  const EquivMember* end(const EquivClass& c) const noexcept { return members.data() + c.last; }
+  const EquivMember& front(const EquivClass& c) const noexcept { return members[c.first]; }
 };
 
 /// A counterexample: values for a subset of the blast AIG's input bits
 /// (missing bits are filled deterministically from the pattern seed).
 using InputAssignment = std::vector<std::pair<rtlil::SigBit, bool>>;
 
+/// The pattern slots of one module's bits: bit id -> slot, and per slot the
+/// stable bit hash (wire name folded once per wire, then the offset), the
+/// base words and the pad words of each counterexample batch drawn so far.
+/// Every entry is a pure function of the bit's name, so any number of
+/// EquivClasses may use one table one after another and compute exactly what
+/// each would with a table of its own; each keeps its own counterexample
+/// pool. The deep loop (opt::fraig_rewrite_loop) shares one table across its
+/// fraig stages, so each bit's slot is made once per design.
+///
+/// The table belongs to the module it is made for, and EquivClasses uses it
+/// only when bound to that module object (a transaction's bisection probe
+/// runs on a scratch copy, which gets a private table). Bit ids are never
+/// reused within a module, restore_module included: a rollback gives the
+/// restored wires new ids, so entries of the replaced wires are never read
+/// again.
+class PatternSlots {
+public:
+  explicit PatternSlots(const rtlil::Module& module,
+                        size_t sim_words = EquivClassOptions{}.sim_words);
+
+  const rtlil::Module& module() const noexcept { return *module_; }
+  size_t sim_words() const noexcept { return sim_words_; }
+  size_t size() const noexcept { return hash_.size(); }
+
+private:
+  friend class EquivClasses;
+  static constexpr uint32_t kNone = 0xffffffffu;
+
+  /// Slot of `bit`, created (base words drawn) on first use.
+  uint32_t slot(const rtlil::SigBit& bit);
+  /// Draw the pads of batches [pads_[s], batches) of slot `s`; returns the
+  /// number drawn.
+  size_t draw_pads(uint32_t s, uint32_t batches);
+  uint64_t pad(uint32_t s, size_t batch) const { return pad_cols_[batch][s]; }
+
+  const rtlil::Module* module_;
+  size_t sim_words_;
+  std::vector<uint32_t> slot_of_;  ///< rtlil::bit_id -> slot
+  std::vector<uint64_t> hash_;     ///< stable bit hash per slot
+  std::vector<uint64_t> base_words_; ///< [slot * sim_words + w]
+  std::vector<uint32_t> pads_;     ///< leading batches with the slot's pad drawn
+  std::vector<std::vector<uint64_t>> pad_cols_; ///< per batch, per slot
+  uint32_t fold_base_ = kNone;     ///< bit_base() of the wire whose name is in fold_
+  uint64_t fold_ = 0;
+};
+
 class EquivClasses {
 public:
-  explicit EquivClasses(const EquivClassOptions& options = {});
+  /// With `slots` (see PatternSlots) the pattern slots come from that shared
+  /// table while bound to its module, else from a private one.
+  explicit EquivClasses(const EquivClassOptions& options = {}, PatternSlots* slots = nullptr);
 
   /// (Re)blast the module into a fresh whole-netlist AIG and collect its
   /// candidate bits. Call after every structural change (the fraig engine's
@@ -94,13 +159,17 @@ public:
   void bind(const rtlil::Module& module, const rtlil::NetlistIndex& index);
 
   /// Simulate the pattern pool and partition all candidate bits into
-  /// classes. Singleton classes and classes with no mergeable member are
+  /// `out`'s classes (its previous contents are replaced, its storage
+  /// reused). Singleton classes and classes with no mergeable member are
   /// dropped; classes and members are in canonical order.
-  std::vector<EquivClass> compute();
+  void compute(ClassSet& out);
 
-  /// Add a counterexample pattern. Returns false if it was a duplicate or
-  /// the pool is full.
-  bool add_counterexample(const InputAssignment& assignment);
+  /// Add a counterexample pattern (after bind()). Returns false if it was a
+  /// duplicate or the pool is full.
+  bool add_counterexample(const std::pair<rtlil::SigBit, bool>* values, size_t count);
+  bool add_counterexample(const InputAssignment& assignment) {
+    return add_counterexample(assignment.data(), assignment.size());
+  }
 
   const aig::AigMap& blast() const noexcept { return blast_; }
   /// Module bit whose patterns drive AIG input node `node`, which must be an
@@ -111,24 +180,20 @@ public:
   size_t pattern_count() const noexcept { return patterns_; }
   /// Every wire bit of the blast, lone unread inputs included.
   size_t candidate_bits() const noexcept { return candidate_bits_; }
-  /// Pad words drawn so far: one per rendered slot per counterexample batch.
+  /// Pad words this object drew: one per rendered slot per counterexample
+  /// batch, less those a shared table already held.
   size_t pad_words() const noexcept { return pad_words_; }
 
 private:
   static constexpr uint32_t kNone = 0xffffffffu; ///< no slot / not an AIG input
 
   /// Counterexample lanes of one bit in one 64-pattern batch. `value` bits
-  /// are set only on `known` lanes; `pad` fills the others once drawn.
+  /// are set only on `known` lanes; the slot's pad fills the others.
   struct Lanes {
     uint64_t known = 0;
     uint64_t value = 0;
-    uint64_t pad = 0;
   };
 
-  /// Pool slot of `bit`, created (base words drawn) on first use.
-  uint32_t slot(const rtlil::SigBit& bit);
-  /// The 64 deterministic pad lanes of counterexample batch `batch`.
-  uint64_t pad_word(uint64_t bit_hash, size_t batch) const;
   /// Draw the pads of every batch a rendered slot lacks.
   void draw_pads();
   /// Size table_ for the blast (base batches, then one batch per 64
@@ -137,6 +202,9 @@ private:
   void render();
 
   EquivClassOptions options_;
+  PatternSlots* shared_; ///< the caller's table, or nullptr
+  std::unique_ptr<PatternSlots> own_; ///< the table used off the shared one's module
+  PatternSlots* slots_ = nullptr;     ///< the table of the bound module
   const rtlil::NetlistIndex* index_ = nullptr;
   aig::AigMap blast_;
   /// The wire bits compute() groups — all but those of lone unread inputs —
@@ -150,18 +218,17 @@ private:
   std::vector<std::pair<uint32_t, uint32_t>> rendered_;
   /// Signature rows, kept across compute() calls of one engine run.
   sim::SignatureTable table_;
+  // compute()'s scratch, kept across rounds: the open-addressing table of
+  // group leaders and the (leader, run) list.
+  std::vector<uint64_t> leaders_;
+  std::vector<std::pair<uint32_t, uint32_t>> grouped_;
 
-  // Pattern pool, one slot per module bit that was a rendered AIG input or
-  // appears in a counterexample; every per-bit table is flat and
-  // slot-indexed.
-  std::vector<uint32_t> slot_of_;            ///< rtlil::bit_id -> slot
-  std::vector<uint64_t> slot_hash_;          ///< stable bit hash per slot
-  std::vector<uint32_t> slot_pads_;          ///< leading batches with the slot's pad drawn
-  std::vector<uint64_t> base_words_;         ///< [slot * sim_words + w]
-  std::vector<std::vector<Lanes>> cex_cols_; ///< per cex batch, per slot
+  // Counterexample pool: per batch, the lanes of every slot (a column
+  // shorter than the slot count reads as all unknown).
+  std::vector<std::vector<Lanes>> cex_cols_;
   size_t patterns_ = 0;
   size_t pad_words_ = 0;
-  std::unordered_set<Hash128, Hash128Hasher> cex_seen_;
+  std::vector<Hash128> cex_seen_; ///< sorted
 };
 
 /// Content fingerprint of one cell: type, parameters, and canonicalized

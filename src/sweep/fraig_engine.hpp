@@ -8,8 +8,9 @@
 //               bit into candidate classes (sweep/equiv_classes);
 //   refine      counterexamples from disproved miters re-enter the pattern
 //               pool and split the classes they distinguish;
-//   SAT-confirm each class owns a solver in which the joint fanin cone of its
-//               members is encoded once (aig::ConeCnfEncoder); each member is
+//   SAT-confirm each class with a pair that needs SAT owns a solver in which
+//               the joint fanin cone of its members is encoded once
+//               (aig::ConeCnfEncoder); each member is
 //               proved against the class representative under an
 //               activation-literal clause group — polarity-aware, so
 //               complement pairs merge through an inserted inverter;
@@ -91,7 +92,10 @@ bool same_work(const FraigStats& a, const FraigStats& b);
 
 /// Run the SAT-sweeping engine on `module` to fixpoint. Pair with opt_clean
 /// afterwards to remove the cones the merges disconnected (opt/pipeline's
-/// fraig_stage does both).
-FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options = {});
+/// fraig_stage does both). `slots`, when given, is the module's shared
+/// pattern-slot table (see PatternSlots): the sweep reuses its slots instead
+/// of making its own, with the same result.
+FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options = {},
+                       PatternSlots* slots = nullptr);
 
 } // namespace smartly::sweep

@@ -52,6 +52,8 @@ uint64_t FaultScope::events() const noexcept {
   return state ? state->events.load(std::memory_order_relaxed) : 0;
 }
 
+bool faults_active() noexcept { return g_fault.load(std::memory_order_acquire) != nullptr; }
+
 FaultAction fault_point(const char* site, uint64_t unit) noexcept {
   FaultState* state = g_fault.load(std::memory_order_acquire);
   if (state == nullptr)

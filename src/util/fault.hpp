@@ -80,6 +80,10 @@ public:
 /// unit-keyed plans hash it in place of the event counter.
 FaultAction fault_point(const char* site, uint64_t unit = 0) noexcept;
 
+/// Whether a FaultScope is installed. With none, every fault_point returns
+/// None and counts nothing, so a caller may skip deriving the unit id.
+bool faults_active() noexcept;
+
 /// Convenience wrapper: throws FaultInjected on Throw, returns true when the
 /// caller should pretend its SAT query came back Unknown.
 inline bool fault_unknown(const char* site, uint64_t unit = 0) {

@@ -18,7 +18,7 @@ TEST(Cnf, ConstantsAreFixed) {
   Aig g;
   (void)g.add_input("a");
   sat::Solver s;
-  std::vector<sat::Var> vars;
+  aig::CnfTable vars;
   aig::ConeCnfEncoder enc(s, g, vars);
   EXPECT_EQ(s.solve({enc.ensure(aig::kTrue)}), sat::Result::Sat);
   EXPECT_EQ(s.solve({~enc.ensure(aig::kTrue)}), sat::Result::Unsat);
@@ -31,7 +31,7 @@ TEST(Cnf, AndGateSemantics) {
   const Lit b = g.add_input("b");
   const Lit y = g.and_(a, b);
   sat::Solver s;
-  std::vector<sat::Var> vars;
+  aig::CnfTable vars;
   aig::ConeCnfEncoder enc(s, g, vars);
   (void)enc.ensure(y); // a and b are in its cone
 
@@ -49,7 +49,7 @@ TEST(Cnf, ComplementedLiteralsMapCorrectly) {
   const Lit a = g.add_input("a");
   const Lit na = aig::lit_not(a);
   sat::Solver s;
-  std::vector<sat::Var> vars;
+  aig::CnfTable vars;
   aig::ConeCnfEncoder enc(s, g, vars);
   EXPECT_EQ(s.solve({enc.ensure(a), enc.ensure(na)}), sat::Result::Unsat);
   EXPECT_EQ(s.solve({enc.ensure(na)}), sat::Result::Sat);
@@ -97,7 +97,7 @@ TEST_P(CnfRandomEquiv, SatMatchesExhaustiveSimulation) {
   }
 
   sat::Solver s;
-  std::vector<sat::Var> vars;
+  aig::CnfTable vars;
   aig::ConeCnfEncoder enc(s, g, vars);
   const sat::Lit t = enc.ensure(target);
   EXPECT_EQ(s.solve({t}) == sat::Result::Sat, can_be_1) << "seed " << seed;
@@ -119,7 +119,7 @@ TEST_P(CnfModelCheck, ModelsSatisfyTheCircuit) {
   const Lit target = lits.back();
 
   sat::Solver s;
-  std::vector<sat::Var> vars;
+  aig::CnfTable vars;
   aig::ConeCnfEncoder enc(s, g, vars);
   const sat::Lit t = enc.ensure(target);
   for (const bool want : {true, false}) {
@@ -151,7 +151,7 @@ TEST(Cnf, IncrementalAssumptionsDoNotPollute) {
   const Lit b = g.add_input("b");
   const Lit y = g.and_(a, b);
   sat::Solver s;
-  std::vector<sat::Var> vars;
+  aig::CnfTable vars;
   aig::ConeCnfEncoder enc(s, g, vars);
   (void)enc.ensure(y); // a and b are in its cone
   EXPECT_EQ(s.solve({enc.lit(y), ~enc.lit(a)}), sat::Result::Unsat);
@@ -172,7 +172,7 @@ TEST(Cnf, DeepChainUnsatProof) {
     acc = g.and_(acc, ins.back());
   }
   sat::Solver s;
-  std::vector<sat::Var> vars;
+  aig::CnfTable vars;
   aig::ConeCnfEncoder enc(s, g, vars);
   (void)enc.ensure(acc);
   for (int i : {0, 13, 63}) {
@@ -192,7 +192,7 @@ TEST(Cnf, EnsureEncodesOnlyTheFaninCone) {
   const Lit y = g.and_(a, aig::lit_not(b));
   const Lit z = g.and_(c, d);
   sat::Solver s;
-  std::vector<sat::Var> vars;
+  aig::CnfTable vars;
   aig::ConeCnfEncoder enc(s, g, vars);
   const sat::Lit sy = enc.ensure(y);
   EXPECT_EQ(s.num_vars(), 3); // y, a, b
@@ -216,19 +216,19 @@ TEST(Cnf, EncodersShareTheCallersTableOneAfterAnother) {
   aig::Aig g;
   const aig::Lit a = g.add_input(), b = g.add_input(), c = g.add_input();
   const aig::Lit ab = g.and_(a, b), bc = g.and_(b, aig::lit_not(c));
-  std::vector<sat::Var> shared;
+  aig::CnfTable shared;
   for (int round = 0; round < 3; ++round) {
     for (const aig::Lit root : {ab, bc, aig::lit_not(ab)}) {
       sat::Solver s1, s2;
-      std::vector<sat::Var> fresh;
+      aig::CnfTable fresh;
       aig::ConeCnfEncoder e1(s1, g, shared), e2(s2, g, fresh);
       EXPECT_EQ(e1.ensure(root), e2.ensure(root));
       EXPECT_EQ(e1.encoded_inputs(), e2.encoded_inputs());
       EXPECT_EQ(s1.num_vars(), s2.num_vars());
       EXPECT_THROW(e1.lit(root == bc ? a : c), std::out_of_range);
     }
-    ASSERT_EQ(shared.size(), g.num_nodes());
-    for (const sat::Var v : shared)
+    ASSERT_EQ(shared.vars.size(), g.num_nodes());
+    for (const sat::Var v : shared.vars)
       EXPECT_EQ(v, aig::ConeCnfEncoder::kNoVar);
   }
 }

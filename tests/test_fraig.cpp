@@ -4,6 +4,7 @@
 // the structural key shared with opt_merge, plus the EquivClasses classing
 // contract (class membership and order, constant classes, counterexamples).
 #include "backend/write_rtlil.hpp"
+#include "benchgen/industrial.hpp"
 #include "benchgen/public_bench.hpp"
 #include "benchgen/random_circuit.hpp"
 #include "cec/cec.hpp"
@@ -15,6 +16,7 @@
 #include "rtlil/topo.hpp"
 #include "sweep/equiv_classes.hpp"
 #include "sweep/fraig_engine.hpp"
+#include "util/fault.hpp"
 #include "verilog/elaborate.hpp"
 
 #include <gtest/gtest.h>
@@ -61,10 +63,26 @@ SigBit canon(const rtlil::NetlistIndex& index, const SigSpec& sig) {
   return index.sigmap()(sig.as_bit());
 }
 
+/// One candidate class with its members copied out of the round's flat
+/// sweep::ClassSet.
+struct TestClass {
+  bool constant = false;
+  std::vector<sweep::EquivMember> members;
+};
+
+/// eq.compute(), one TestClass per class, in the set's class order.
+std::vector<TestClass> compute(sweep::EquivClasses& eq) {
+  sweep::ClassSet set;
+  eq.compute(set);
+  std::vector<TestClass> out;
+  for (const sweep::EquivClass& c : set.classes)
+    out.push_back({c.constant, {set.begin(c), set.end(c)}});
+  return out;
+}
+
 /// The class holding `bit`, or nullptr.
-const sweep::EquivClass* class_of(const std::vector<sweep::EquivClass>& classes,
-                                  const SigBit& bit) {
-  for (const sweep::EquivClass& cls : classes)
+const TestClass* class_of(const std::vector<TestClass>& classes, const SigBit& bit) {
+  for (const TestClass& cls : classes)
     for (const sweep::EquivMember& m : cls.members)
       if (m.bit == bit)
         return &cls;
@@ -89,9 +107,9 @@ TEST(EquivClasses, DuplicatePairFormsOneClassEarliestMemberFirst) {
   const rtlil::NetlistIndex index(*f.mod);
   sweep::EquivClasses eq;
   eq.bind(*f.mod, index);
-  const std::vector<sweep::EquivClass> classes = eq.compute();
+  const std::vector<TestClass> classes = compute(eq);
 
-  const sweep::EquivClass* cls = class_of(classes, canon(index, shallow));
+  const TestClass* cls = class_of(classes, canon(index, shallow));
   ASSERT_NE(cls, nullptr);
   EXPECT_FALSE(cls->constant);
   ASSERT_EQ(cls->members.size(), 2u);
@@ -114,9 +132,9 @@ TEST(EquivClasses, ComplementMemberCarriesInverted) {
   const rtlil::NetlistIndex index(*f.mod);
   sweep::EquivClasses eq;
   eq.bind(*f.mod, index);
-  const std::vector<sweep::EquivClass> classes = eq.compute();
+  const std::vector<TestClass> classes = compute(eq);
 
-  const sweep::EquivClass* cls = class_of(classes, canon(index, x));
+  const TestClass* cls = class_of(classes, canon(index, x));
   ASSERT_NE(cls, nullptr);
   EXPECT_FALSE(cls->constant);
   ASSERT_EQ(cls->members.size(), 2u);
@@ -136,9 +154,9 @@ TEST(EquivClasses, SingletonConstantBitWithDriverFormsConstantClass) {
   const rtlil::NetlistIndex index(*f.mod);
   sweep::EquivClasses eq;
   eq.bind(*f.mod, index);
-  const std::vector<sweep::EquivClass> classes = eq.compute();
+  const std::vector<TestClass> classes = compute(eq);
 
-  const sweep::EquivClass* cls = class_of(classes, canon(index, zero));
+  const TestClass* cls = class_of(classes, canon(index, zero));
   ASSERT_NE(cls, nullptr);
   EXPECT_TRUE(cls->constant);
   ASSERT_EQ(cls->members.size(), 1u);
@@ -169,7 +187,7 @@ TEST(EquivClasses, ClassWithOnlyFreeBitsBesidesItsFrontIsDropped) {
   ASSERT_NE(eq.blast().find(canon(index, SigSpec(q))), aig::kNoLit);
   EXPECT_EQ(eq.blast().find(canon(index, SigSpec(q))),
             eq.blast().find(canon(index, SigSpec(a))));
-  EXPECT_TRUE(eq.compute().empty());
+  EXPECT_TRUE(compute(eq).empty());
 }
 
 TEST(EquivClasses, CounterexampleSplitsClassOnNextCompute) {
@@ -190,8 +208,8 @@ TEST(EquivClasses, CounterexampleSplitsClassOnNextCompute) {
 
   sweep::EquivClasses eq;
   eq.bind(top, index);
-  const std::vector<sweep::EquivClass> before = eq.compute();
-  const sweep::EquivClass* joint = class_of(before, y1);
+  const std::vector<TestClass> before = compute(eq);
+  const TestClass* joint = class_of(before, y1);
   ASSERT_NE(joint, nullptr);
   EXPECT_TRUE(joint->constant);
   EXPECT_EQ(class_of(before, y2), joint);
@@ -202,9 +220,9 @@ TEST(EquivClasses, CounterexampleSplitsClassOnNextCompute) {
   ASSERT_TRUE(eq.add_counterexample(cex));
   EXPECT_EQ(eq.pattern_count(), 1u);
 
-  const std::vector<sweep::EquivClass> after = eq.compute();
+  const std::vector<TestClass> after = compute(eq);
   EXPECT_NE(class_of(after, y1), class_of(after, y2));
-  const sweep::EquivClass* rest = class_of(after, y2);
+  const TestClass* rest = class_of(after, y2);
   ASSERT_NE(rest, nullptr);
   EXPECT_TRUE(rest->constant);
 }
@@ -248,9 +266,9 @@ TEST(EquivClasses, UnreadInputCarryingTwoBitsFormsItsClass) {
   const rtlil::NetlistIndex index(*f.mod);
   sweep::EquivClasses eq;
   eq.bind(*f.mod, index);
-  const std::vector<sweep::EquivClass> classes = eq.compute();
+  const std::vector<TestClass> classes = compute(eq);
 
-  const sweep::EquivClass* cls = class_of(classes, SigBit(a, 0));
+  const TestClass* cls = class_of(classes, SigBit(a, 0));
   ASSERT_NE(cls, nullptr);
   EXPECT_FALSE(cls->constant);
   ASSERT_EQ(cls->members.size(), 3u);
@@ -286,15 +304,15 @@ TEST(EquivClasses, LoneUnreadInputJoinsNoClassAndDrawsNoPad) {
   sweep::EquivClasses eq;
   eq.bind(*f.mod, index);
   ASSERT_NE(eq.blast().find(SigBit(u, 0)), aig::kNoLit);
-  ASSERT_NE(class_of(eq.compute(), canon(index, y1)), nullptr);
+  ASSERT_NE(class_of(compute(eq), canon(index, y1)), nullptr);
   EXPECT_EQ(eq.pad_words(), 0u); // no counterexample batch yet
 
   ASSERT_TRUE(eq.add_counterexample(
       {{SigBit(a, 0), true}, {SigBit(b, 0), false}, {SigBit(u, 0), true}}));
-  const std::vector<sweep::EquivClass> classes = eq.compute();
+  const std::vector<TestClass> classes = compute(eq);
   EXPECT_EQ(class_of(classes, SigBit(u, 0)), nullptr);
   EXPECT_EQ(eq.pad_words(), 2u); // a and b, one batch each
-  eq.compute();
+  compute(eq);
   EXPECT_EQ(eq.pad_words(), 2u); // drawn once
 }
 
@@ -311,7 +329,7 @@ uint64_t reference_bit_hash(const SigBit& bit) {
 /// Classes of the bound blast with every AIG input rendered and every pad
 /// drawn, rows grouped by exact equality: what EquivClasses::compute() must
 /// return. `cexes` are the counterexamples the pool accepted, in order.
-std::vector<sweep::EquivClass> reference_classes(const sweep::EquivClasses& eq,
+std::vector<TestClass> reference_classes(const sweep::EquivClasses& eq,
                                                  const rtlil::NetlistIndex& index,
                                                  const sweep::EquivClassOptions& options,
                                                  const std::vector<sweep::InputAssignment>& cexes) {
@@ -373,9 +391,9 @@ std::vector<sweep::EquivClass> reference_classes(const sweep::EquivClasses& eq,
   const auto less = [](const sweep::EquivMember& x, const sweep::EquivMember& y) {
     return x.topo_pos != y.topo_pos ? x.topo_pos < y.topo_pos : x.rank < y.rank;
   };
-  std::vector<sweep::EquivClass> classes;
+  std::vector<TestClass> classes;
   for (auto& [row, members] : groups) {
-    sweep::EquivClass cls;
+    TestClass cls;
     cls.constant = std::all_of(row.begin(), row.end(), [](uint64_t v) { return v == 0; });
     if (members.size() == 1 && !cls.constant)
       continue;
@@ -388,14 +406,14 @@ std::vector<sweep::EquivClass> reference_classes(const sweep::EquivClasses& eq,
       classes.push_back(std::move(cls));
   }
   std::sort(classes.begin(), classes.end(),
-            [&](const sweep::EquivClass& x, const sweep::EquivClass& y) {
+            [&](const TestClass& x, const TestClass& y) {
               return less(x.members.front(), y.members.front());
             });
   return classes;
 }
 
-void expect_same_classes(const std::vector<sweep::EquivClass>& got,
-                         const std::vector<sweep::EquivClass>& want, const std::string& where) {
+void expect_same_classes(const std::vector<TestClass>& got, const std::vector<TestClass>& want,
+                         const std::string& where) {
   ASSERT_EQ(got.size(), want.size()) << where;
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].constant, want[i].constant) << where << " class " << i;
@@ -454,7 +472,7 @@ TEST(EquivClasses, RandomNetlistsMatchTheExactReference) {
         eq.bind(*m, *index);
       }
       const std::string where = "seed " + std::to_string(seed) + " round " + std::to_string(round);
-      const std::vector<sweep::EquivClass> got = eq.compute();
+      const std::vector<TestClass> got = compute(eq);
       expect_same_classes(got, reference_classes(eq, *index, options, accepted), where);
       classes_seen += got.size();
 
@@ -678,6 +696,92 @@ TEST(Fraig, FreshParsesGiveIdenticalNetlistAndStats) {
   EXPECT_GE(first_stats.merged_cells, 1u); // the determinism check must see real work
   EXPECT_EQ(backend::write_rtlil(*second->top()), backend::write_rtlil(*first->top()));
   EXPECT_TRUE(sweep::same_work(second_stats, first_stats));
+}
+
+namespace {
+
+/// opt::fraig_rewrite_loop's stage sequence with a fresh pattern-slot table
+/// per fraig stage (fraig_stage without a shared table).
+opt::DeepOptStats loop_with_fresh_tables(Module& m, const opt::DeepOptOptions& o) {
+  const util::ResourceGuard* guard = o.fraig.guard != nullptr ? o.fraig.guard : o.rewrite.guard;
+  const auto halted = [&] { return guard != nullptr && guard->halted(); };
+  opt::DeepOptStats stats;
+  for (size_t iter = 0; iter < o.max_iterations; ++iter) {
+    stats.fraig += opt::fraig_stage(m, o.fraig, o.recovery);
+    if (halted())
+      return stats;
+    const rewrite::RewriteStats rw = opt::rewrite_stage(m, o.rewrite, o.recovery);
+    stats.rewrite += rw;
+    ++stats.iterations;
+    if (halted() || rw.rewrites == 0)
+      return stats;
+  }
+  stats.fraig += opt::fraig_stage(m, o.fraig, o.recovery);
+  return stats;
+}
+
+} // namespace
+
+TEST(PatternSlots, SharedTableGivesTheResultOfAFreshTablePerStage) {
+  // The deep loop shares one slot table across its fraig stages. Its slots
+  // are pure functions of the bit names, so the netlist and every counter
+  // must equal those of a fresh table per stage — also when the recovery
+  // layer rolls a fraig stage back (restore_module gives the restored wires
+  // new bit ids) and the retry reads the shared table again.
+  struct Case {
+    std::string name;
+    std::string verilog;
+    uint64_t fault_seed; ///< 0: no fault plan, no recovery
+  };
+  std::vector<Case> cases;
+  cases.push_back({"industrial:2",
+                   benchgen::generate_industrial(2, 1, 0x5eedULL + 2).verilog, 0});
+  for (const char* name : {"wb_conmax", "usb_funct", "riscv"})
+    cases.push_back({std::string(name) + ":0",
+                     benchgen::generate_circuit(name, benchgen::profile_for(name), 0x5eedULL)
+                         .verilog,
+                     0});
+  cases.push_back({"riscv:0 --recover", cases.back().verilog, 3});
+
+  size_t fraig_rollbacks = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string netlists[2];
+    opt::DeepOptStats stats[2];
+    for (int shared = 0; shared < 2; ++shared) {
+      auto design = verilog::read_verilog(c.verilog);
+      Module& top = *design->top();
+      core::smartly_flow(top, {});
+      opt::RecoveryContext ctx;
+      ctx.options.enabled = c.fault_seed != 0;
+      // The guard is what tells the transaction that an engine contained
+      // an injected fault, so the stage rolls back.
+      util::ResourceGuard guard;
+      opt::DeepOptOptions deep;
+      deep.fraig.guard = &guard;
+      deep.rewrite.guard = &guard;
+      deep.recovery = c.fault_seed != 0 ? &ctx : nullptr;
+      std::optional<util::FaultScope> faults;
+      if (c.fault_seed != 0) {
+        util::FaultPlan plan;
+        plan.seed = c.fault_seed;
+        plan.throw_permille = 20;
+        plan.site_filter = "fraig";
+        faults.emplace(plan);
+      }
+      stats[shared] = shared ? opt::fraig_rewrite_loop(top, deep)
+                             : loop_with_fresh_tables(top, deep);
+      netlists[shared] = backend::write_rtlil(top);
+      for (const util::RecoveryEvent& ev : ctx.stats.events)
+        fraig_rollbacks += shared && ev.stage == "fraig" ? 1 : 0;
+    }
+    EXPECT_EQ(netlists[1], netlists[0]);
+    EXPECT_TRUE(sweep::same_work(stats[1].fraig, stats[0].fraig));
+    EXPECT_TRUE(rewrite::same_work(stats[1].rewrite, stats[0].rewrite));
+    EXPECT_EQ(stats[1].iterations, stats[0].iterations);
+    EXPECT_GE(stats[0].fraig.classes, 1u);
+  }
+  EXPECT_GE(fraig_rollbacks, 1u); // the recover case must roll a fraig stage back
 }
 
 TEST(Fraig, FraigStageComposesWithFlows) {
