@@ -507,6 +507,7 @@ int main(int argc, char** argv) {
   std::string source;
   if (!gen_spec.empty()) {
     try {
+      const obs::Span gen_span("tool", "tool.gen");
       const benchgen::BenchCircuit circuit = generated_circuit(gen_spec);
       source = circuit.verilog;
       path = "<gen:" + circuit.name + ">";

@@ -105,9 +105,10 @@ ParallelSweepStats parallel_sweep(rtlil::Module& module, MuxtreeOracle& oracle,
   NetlistIndex index(module);
   oracle.begin_module(module, index);
 
-  const MuxtreeForest forest = muxtree_forest(module, index);
-  const RegionPartition partition =
-      partition_regions(module, index, forest, options.ball_radius);
+  const RegionPartition partition = [&] {
+    const obs::Span s("sweep", "sweep.partition");
+    return partition_regions(module, index, muxtree_forest(module, index), options.ball_radius);
+  }();
   stats.regions = partition.regions.size();
 
   std::vector<RegionState> regions(partition.regions.size());

@@ -7,16 +7,16 @@
 #include "rewrite/cut_enum.hpp"
 #include "rewrite/npn.hpp"
 #include "rewrite/rewrite_lib.hpp"
+#include "rtlil/id_set.hpp"
 #include "rtlil/topo.hpp"
 #include "sim/packed_sim.hpp"
 #include "sweep/equiv_classes.hpp" // shared structural keys
 #include "util/fault.hpp"
 
+#include <algorithm>
 #include <array>
-#include <map>
+#include <numeric>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace smartly::rewrite {
 
@@ -38,8 +38,6 @@ using rtlil::SigSpec;
 using rtlil::State;
 
 namespace {
-
-// --- per-round evaluation structures ---------------------------------------
 
 /// Anchors: per AIG literal (node, polarity) the module bit with the lowest
 /// rtlil::bit_id (wire creation order, then offset) whose value equals it,
@@ -84,7 +82,7 @@ struct BitCandidate {
   const GateProgram* prog = nullptr;
   /// Per program op: an anchored live bit computing the op's function (the
   /// optimistic DAG-sharing credit); default-constructed when none.
-  std::vector<SigBit> op_reuse;
+  std::array<SigBit, kMaxProgramOps> op_reuse;
   uint32_t new_ops = 0;
   /// Estimated AIG gain: cone nodes a commit would free (deref walk over
   /// global fanout counts, root unconditionally freed because its net is
@@ -221,13 +219,6 @@ private:
   size_t used_ = 0;
 };
 
-struct RootEval {
-  std::vector<BitCandidate> bits;
-  bool complete = false;
-  bool skipped = false; ///< halt/fault observed before evaluation started
-  size_t candidates = 0;
-};
-
 /// Deterministic candidate priority: larger estimated AIG gain, then fewer
 /// new gates, then shorter program, then smaller cut, then truth table, then
 /// leaf literals.
@@ -252,104 +243,655 @@ bool better_candidate(const BitCandidate& a, const BitCandidate& b) {
   return false;
 }
 
-/// Predicted-dead fanin cone of `root` (the RTLIL MFFC): cells none of whose
-/// output bits reach an output port or a reader outside the dying set. The
-/// cone is bounded (depth/size) and stops at `keep_alive` (leaf and reuse
-/// drivers the replacement keeps reading) and at the cells of the
-/// `claimed` and `counted` sets (roots an earlier plan already claimed, cells
-/// it already counted). The sets are read in place: they grow over a round,
-/// so copying them per root would make the round quadratic. Removal is left
-/// to opt_clean; this set only feeds the gain accounting, so a miss costs
-/// quality, not correctness.
-std::vector<Cell*> predicted_mffc(const rtlil::NetlistIndex& index, Cell* root,
-                                  const std::unordered_set<Cell*>& keep_alive,
-                                  const std::unordered_set<Cell*>& claimed,
-                                  const std::unordered_set<Cell*>& counted) {
-  constexpr size_t kMaxCone = 64;
-  constexpr int kMaxDepth = 6;
-  std::vector<Cell*> cone;
-  std::unordered_set<Cell*> seen{root};
-  std::vector<Cell*> frontier{root};
-  for (int depth = 0; depth < kMaxDepth && !frontier.empty() && cone.size() < kMaxCone;
-       ++depth) {
-    std::vector<Cell*> next;
-    for (Cell* c : frontier) {
-      for (Port p : c->input_ports()) {
-        for (const SigBit& raw : c->port(p)) {
-          const SigBit b = index.sigmap()(raw);
-          if (!b.is_wire())
-            continue;
-          Cell* d = index.driver(b);
-          if (!d || d->type() == CellType::Dff || seen.count(d) || keep_alive.count(d) ||
-              claimed.count(d) || counted.count(d))
-            continue;
-          seen.insert(d);
-          cone.push_back(d);
-          next.push_back(d);
-          if (cone.size() >= kMaxCone)
-            break;
-        }
-        if (cone.size() >= kMaxCone)
-          break;
-      }
-      if (cone.size() >= kMaxCone)
-        break;
-    }
-    frontier = std::move(next);
-  }
-
-  std::unordered_set<Cell*> dead{root};
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (Cell* c : cone) {
-      if (dead.count(c))
-        continue;
-      bool dies = true;
-      for (const SigBit& raw : c->port(c->output_port())) {
-        const SigBit b = index.sigmap()(raw);
-        if (!b.is_wire())
-          continue;
-        if (index.driver(b) != c || index.drives_output_port(b)) {
-          dies = false;
-          break;
-        }
-        for (Cell* r : index.readers(b)) {
-          if (!dead.count(r)) {
-            dies = false;
-            break;
-          }
-        }
-        if (!dies)
-          break;
-      }
-      if (dies) {
-        dead.insert(c);
-        changed = true;
-      }
-    }
-  }
-
-  std::vector<Cell*> out;
-  for (Cell* c : cone)
-    if (dead.count(c))
-      out.push_back(c);
-  return out;
-}
-
 /// Status of one program op inside a plan. New ops become Shared once
 /// materialized, so downstream operand resolution is uniform.
 struct OpPlan {
   enum Kind : uint8_t { Reused, Shared, New } kind = New;
-  Cell* shared_cell = nullptr;
-  std::vector<SigBit> shared_bits; ///< one per group member (Shared only)
+  uint32_t first = 0; ///< Shared: its output bits start at RoundState::op_bits[first]
+  uint32_t width = 0; ///< Shared: 1 for an op uniform across its group, else the group size
 };
 
-struct GroupPlan {
+/// A root's output bits sharing (program, reuse pattern, mux selects).
+struct Group {
   const GateProgram* prog = nullptr;
-  std::vector<size_t> members; ///< root output-bit indices, port order
-  std::vector<OpPlan> ops;
+  uint32_t first = 0, last = 0; ///< members: RoundState::order[first, last)
+  std::array<OpPlan, kMaxProgramOps> ops;
 };
+
+/// Ports of one group op, built alike for the structural-key dry probe and
+/// the real cell, so the probed key is the built cell's. An op whose
+/// operands agree across the word (shared selector logic) gets width 1.
+struct OpPorts {
+  SigSpec a, b, s, y;
+  int width = 0;
+  /// Y: `width` bits of `wire`, or constant 0 bits for a probe.
+  void set_output(rtlil::Wire* wire) {
+    y.clear();
+    for (int i = 0; i < width; ++i)
+      y.append(wire != nullptr ? SigBit(wire, i) : SigBit(State::S0));
+  }
+};
+
+/// A root's plan: its groups (RoundState::groups), predicted-dead cone
+/// (RoundState::mffc) and the cells committing it adds and credits.
+struct Plan {
+  size_t new_cells = 0, reused_ops = 0, shared_ops = 0;
+  long gain = 0; ///< RTLIL cells freed (root + predicted-dead cone) minus cells added
+};
+
+/// The state a sweep's rounds share, refilled in place so that no phase
+/// allocates per root: the round-start tables evaluation reads, the overlays
+/// through which planning sees this round's earlier commits, and scratch.
+struct RoundState {
+  RoundState(rtlil::Module& m, const RewriteOptions& o)
+      : module(m), options(o), index(m), library(RewriteLibrary::instance()),
+        npn(NpnTable::instance()), class_seen(npn.num_classes(), 0) {}
+  rtlil::Module& module;
+  const RewriteOptions& options;
+  rtlil::NetlistIndex index;
+  const RewriteLibrary& library;
+  const NpnTable& npn;
+  RewriteStats stats;
+  std::vector<uint8_t> class_seen; ///< per NPN class: chosen by a complete evaluation
+
+  // Round-start tables.
+  aig::AigMap blast;
+  CutSet cutset;
+  std::vector<uint32_t> nfan; ///< whole-graph reference counts (fanins + outputs)
+  AnchorTable anchors;
+  RootList roots;
+  sim::NodeScratch cone_scratch;
+
+  // Commit overlays.
+  StructMap struct_map;      ///< round-start cells, then every cell materialized
+  rtlil::IdSet claimed;      ///< roots committed for removal
+  rtlil::IdSet counted_dead; ///< MFFC cells already credited
+  rtlil::IdMap new_cell_pos; ///< cells materialized this round -> their topo position
+  opt::SweepJournal journal;
+  size_t total_commits = 0, positive_commits = 0, skipped = 0;
+
+  // Per-root scratch, refilled for each root.
+  std::vector<BitCandidate> best; ///< by output bit offset in the root; grows, never shrinks
+  std::vector<uint64_t> keys;      ///< the root's group keys, back to back
+  std::vector<uint32_t> key_first; ///< output bit j's key: keys[key_first[j], key_first[j + 1])
+  std::vector<uint32_t> order;     ///< the root's output-bit indices, grouped
+  std::vector<Group> groups;
+  std::vector<SigBit> op_bits; ///< output bits of Shared ops
+  OpPorts ports;
+  std::vector<Cell> probes; ///< detached probe cells, one per gate type
+  rtlil::IdSet keep_alive;  ///< cells the replacement keeps reading
+  std::vector<Cell*> mffc, cone, frontier, next;
+  rtlil::IdSet cone_seen, cone_dead;
+  /// The detached cell probing ops of `type`, reused so its ports keep storage.
+  Cell& probe(CellType type) {
+    for (Cell& c : probes)
+      if (c.type() == type)
+        return c;
+    return probes.emplace_back(&module, "$rewrite_probe", type);
+  }
+};
+
+/// Build the round-start tables (blast, cuts, then under rewrite.setup the
+/// counts, anchors, roots and structural-key map); empty the overlays.
+void setup_round(RoundState& st) {
+  {
+    const obs::Span s("rewrite", "rewrite.blast");
+    st.blast = aig::aigmap(st.module, st.index);
+  }
+  if (st.stats.rounds == 1)
+    st.stats.aig_nodes = st.blast.aig.num_nodes();
+  {
+    const obs::Span s("rewrite", "rewrite.cuts");
+    enumerate_cuts(st.blast.aig, CutOptions{st.options.cut_limit}, st.cutset);
+  }
+  st.stats.cuts += st.cutset.arena.size();
+  const obs::Span setup_span("rewrite", "rewrite.setup");
+  const aig::Aig& g = st.blast.aig;
+  const rtlil::NetlistIndex& index = st.index;
+  // Whole-graph reference counts (fanins + outputs) for the candidate
+  // ranking's deref walks.
+  st.nfan.assign(g.num_nodes(), 0);
+  for (uint32_t n = 0; n < g.num_nodes(); ++n) {
+    if (!g.is_and(n))
+      continue;
+    ++st.nfan[aig::lit_node(g.fanin0(n))];
+    ++st.nfan[aig::lit_node(g.fanin1(n))];
+  }
+  for (size_t i = 0; i < g.num_outputs(); ++i)
+    ++st.nfan[aig::lit_node(g.output(static_cast<int>(i)))];
+  st.cone_scratch.resize(g.num_nodes());
+
+  // Anchors: the bit id is the deterministic tie-break here and in the
+  // group keys (bit hashes are pointer-based and would leak allocator
+  // layout into the result).
+  st.anchors.fill(st.blast);
+
+  // Root work list: combinational cells whose every output bit is a live,
+  // canonically self-driven wire bit backed by an AND node.
+  RootList& roots = st.roots;
+  roots.clear();
+  for (const auto& cptr : st.module.cells()) {
+    Cell* cell = cptr.get();
+    if (cell->type() == CellType::Dff)
+      continue;
+    RootWork work{cell, static_cast<uint32_t>(roots.raw.size()), 0};
+    bool ok = true, any_read = false;
+    for (const SigBit& raw : cell->port(cell->output_port())) {
+      const SigBit c = index.sigmap()(raw);
+      const aig::Lit lit =
+          c.is_wire() && index.driver(c) == cell ? st.blast.find(c) : aig::kNoLit;
+      if (lit == aig::kNoLit || !g.is_and(aig::lit_node(lit))) {
+        ok = false;
+        break;
+      }
+      if (index.fanout(c) > 0)
+        any_read = true;
+      roots.raw.push_back(raw);
+      roots.canon.push_back(c);
+      roots.lits.push_back(lit);
+    }
+    work.last = static_cast<uint32_t>(roots.raw.size());
+    const bool keep = ok && any_read && work.last != work.first;
+    if (keep && st.options.quarantine != nullptr &&
+        st.options.quarantine->contains("rewrite.eval", root_unit_id(roots, work))) {
+      // Quarantined root: never evaluated.
+      ++st.stats.quarantined;
+    } else if (keep) {
+      roots.roots.push_back(work);
+      continue;
+    }
+    roots.raw.resize(work.first); // drop the rejected root's bits
+    roots.canon.resize(work.first);
+    roots.lits.resize(work.first);
+  }
+  st.stats.roots_evaluated += roots.roots.size();
+
+  // Structural-key map over the round-start module (the notion shared with
+  // opt_merge and the fraig pre-merge): planned cells fold onto existing
+  // twins instead of duplicating them. Commits add the cells they
+  // materialize.
+  st.struct_map.reset(st.module.cell_count());
+  for (const auto& cptr : st.module.cells())
+    if (cptr->type() != CellType::Dff)
+      st.struct_map.insert(sweep::cell_structural_key(*cptr, index.sigmap()), cptr.get());
+
+  st.claimed.clear();
+  st.counted_dead.clear();
+  st.new_cell_pos = rtlil::IdMap();
+  st.total_commits = st.positive_commits = st.skipped = 0;
+}
+
+/// The AIG literal of a program operand, given the literals of the cut's
+/// leaves and of the program's earlier ops.
+aig::Lit operand_lit(const GateOperand& o, const aig::Lit* leaves, const aig::Lit* ops) {
+  switch (o.kind) {
+  case GateOperand::Const0: return aig::kFalse;
+  case GateOperand::Const1: return aig::kTrue;
+  case GateOperand::Leaf: return leaves[o.index];
+  case GateOperand::Node: return ops[o.index];
+  }
+  return aig::kNoLit;
+}
+
+/// The existing AIG literal that computes `op` (strash probes that fold as
+/// the builders do), or kNoLit.
+aig::Lit find_op(const aig::Aig& g, const GateOp& op, const aig::Lit* leaves,
+                 const aig::Lit* ops) {
+  const auto lit = [&](const GateOperand& o) { return operand_lit(o, leaves, ops); };
+  switch (op.type) {
+  case CellType::Not: return aig::find_not(lit(op.a));
+  case CellType::And: return g.find_and(lit(op.a), lit(op.b));
+  case CellType::Or: return g.find_or(lit(op.a), lit(op.b));
+  case CellType::Xor: return g.find_xor(lit(op.a), lit(op.b));
+  // y = s ? t : e; the GateOp convention is y = s ? b : a.
+  case CellType::Mux: return g.find_mux(lit(op.s), lit(op.b), lit(op.a));
+  default: return aig::kNoLit;
+  }
+}
+
+/// Evaluate phase: the best candidate of each output bit of `work` into
+/// st.best, from the round-start tables only, charging the candidates it
+/// ranks. False at the first bit without a candidate.
+bool evaluate_root(RoundState& st, const RootWork& work) {
+  const obs::Span root_span("rewrite", "rewrite.eval", "root",
+                            obs::tracing_enabled() ? root_unit_id(st.roots, work) : 0);
+  const aig::Aig& g = st.blast.aig;
+  const int root_pos = st.index.topo_position(work.cell);
+  // An anchor is wireable from this root's replacement (which takes the
+  // root's topo slot) only if its driver sits strictly before the root.
+  // Structurally identical cells strash to one node, so an anchor can sit
+  // anywhere in the netlist, including after the root.
+  const auto wireable = [&](const SigBit& bit) {
+    Cell* drv = st.index.driver(bit);
+    if (drv == work.cell)
+      return false;
+    if (!drv || drv->type() == CellType::Dff)
+      return true;
+    return st.index.topo_position(drv) < root_pos;
+  };
+  if (st.best.size() < work.last - work.first)
+    st.best.resize(work.last - work.first);
+  for (uint32_t i = work.first; i < work.last; ++i) {
+    const aig::Lit root_lit = st.roots.lits[i];
+    const uint32_t node = aig::lit_node(root_lit);
+    BitCandidate& best = st.best[i - work.first];
+    best.valid = false;
+    for (const Cut& cut : st.cutset.cuts(node)) {
+      BitCandidate cand;
+      cand.nleaves = cut.size;
+      bool usable = true;
+      aig::Lit leaf_lits[4];
+      for (size_t li = 0; li < cut.size; ++li) {
+        const SigBit* pos = st.anchors.find(aig::mk_lit(cut.leaves[li]));
+        const SigBit* a =
+            pos != nullptr ? pos : st.anchors.find(aig::mk_lit(cut.leaves[li], true));
+        if (a == nullptr || !wireable(*a)) {
+          usable = false;
+          break;
+        }
+        cand.leaves[li].bit = *a;
+        cand.leaves[li].lit = aig::mk_lit(cut.leaves[li], pos == nullptr);
+        leaf_lits[li] = cand.leaves[li].lit;
+      }
+      if (!usable ||
+          !sim::cut_truth_table(g, root_lit, leaf_lits, cut.size, cand.tt, st.cone_scratch))
+        continue;
+      cand.valid = true;
+      cand.npn_class = st.npn.class_id(cand.tt);
+      cand.prog = &st.library.program(cand.tt);
+      ++st.stats.candidates;
+      // Optimistic DAG-sharing: compose each op's AIG literal from strash
+      // probes; an anchored wireable bit of the right polarity is a reuse
+      // credit (validated again in the plan phase).
+      const GateProgram& prog = *cand.prog;
+      std::array<aig::Lit, kMaxProgramOps> op_lits{};
+      int build_cost = 0;
+      for (size_t k = 0; k < prog.ops.size(); ++k) {
+        const aig::Lit lit = find_op(g, prog.ops[k], leaf_lits, op_lits.data());
+        op_lits[k] = lit;
+        const SigBit* a = lit != aig::kNoLit && lit != aig::kFalse && lit != aig::kTrue
+                              ? st.anchors.find(lit)
+                              : nullptr;
+        if (a != nullptr && wireable(*a)) {
+          cand.op_reuse[k] = *a;
+        } else {
+          ++cand.new_ops;
+          build_cost += gate_aig_cost(prog.ops[k]);
+        }
+      }
+      // A candidate whose output resolves to the root's own literal
+      // reconstructs the existing implementation (or merges onto a twin
+      // fraig already handles): committing it could never shrink the
+      // graph, and it would shadow genuinely restructuring candidates.
+      if (operand_lit(prog.out, leaf_lits, op_lits.data()) == root_lit)
+        continue;
+      cand.gain_est =
+          freed_cone_nodes(g, node, leaf_lits, cut.size, st.nfan, st.cone_scratch) - build_cost;
+      if (better_candidate(cand, best))
+        best = cand;
+    }
+    if (!best.valid)
+      return false;
+  }
+  return true;
+}
+
+/// Whether a replacement in topo slot `root_pos` may read a bit driven by
+/// `d`: not if this round already credited `d` as dead (its death is priced
+/// into an earlier gain), and only if `d` sits before the root.
+bool driver_valid(const RoundState& st, const Cell* d, int root_pos) {
+  if (!d || d->type() == CellType::Dff)
+    return true;
+  if (st.counted_dead.contains(d->id()))
+    return false;
+  const uint32_t new_pos = st.new_cell_pos.find(d->id());
+  const int pos =
+      new_pos != rtlil::IdMap::kAbsent ? static_cast<int>(new_pos) : st.index.topo_position(d);
+  return pos >= 0 && pos < root_pos;
+}
+
+/// Group the root's output bits: members sharing (program, reuse pattern,
+/// mux selects) become one wide cell per non-reused op. Groups follow their
+/// keys' order and members their bit order: a pure function of the module.
+void group_members(RoundState& st, const RootWork& work) {
+  const uint32_t n = work.last - work.first;
+  st.keys.clear();
+  st.key_first.clear();
+  for (uint32_t j = 0; j < n; ++j) {
+    const BitCandidate& cand = st.best[j];
+    const GateProgram& prog = *cand.prog;
+    st.key_first.push_back(static_cast<uint32_t>(st.keys.size()));
+    st.keys.push_back(cand.tt);
+    uint64_t reuse_mask = 0;
+    for (size_t k = 0; k < prog.ops.size(); ++k)
+      if (cand.op_reuse[k].is_wire())
+        reuse_mask |= 1ull << k;
+    st.keys.push_back(reuse_mask);
+    // A Mux cell has a single select bit, so members only vectorize when
+    // their selects resolve identically: key on the concrete select bit
+    // (leaf select) or on the bits of the select cone's support (computed
+    // select — identical support bits give identical cones).
+    for (const GateOp& op : prog.ops) {
+      if (op.type != CellType::Mux)
+        continue;
+      if (op.s.kind == GateOperand::Leaf) {
+        st.keys.push_back(rtlil::bit_id(cand.leaves[op.s.index].bit));
+      } else if (op.s.kind == GateOperand::Node) {
+        const uint8_t support = tt_support(prog.ops[op.s.index].tt);
+        for (uint8_t v = 0; v < 4; ++v)
+          if (support & (1u << v))
+            st.keys.push_back(rtlil::bit_id(cand.leaves[v].bit));
+      }
+    }
+  }
+  st.key_first.push_back(static_cast<uint32_t>(st.keys.size()));
+  const auto key_less = [&](uint32_t a, uint32_t b) {
+    const auto k = st.keys.begin();
+    return std::lexicographical_compare(k + st.key_first[a], k + st.key_first[a + 1],
+                                        k + st.key_first[b], k + st.key_first[b + 1]);
+  };
+  // Sorted by key, equal keys in bit order: a stable sort without its buffer.
+  st.order.resize(n);
+  std::iota(st.order.begin(), st.order.end(), 0u);
+  std::sort(st.order.begin(), st.order.end(), [&](uint32_t a, uint32_t b) {
+    return key_less(a, b) || (!key_less(b, a) && a < b);
+  });
+  st.groups.clear();
+  for (uint32_t i = 0; i < n; ++i) {
+    if (i == 0 || key_less(st.order[i - 1], st.order[i]))
+      st.groups.push_back({st.best[st.order[i]].prog, i, i, {}});
+    st.groups.back().last = i + 1;
+  }
+}
+
+/// A group member's bit for a program operand, once the group's earlier ops
+/// are decided. `m` is the member's position within the group (the lane of
+/// a Shared op's output).
+SigBit member_operand(const RoundState& st, const Group& g, const GateOperand& o, uint32_t m) {
+  const BitCandidate& cand = st.best[st.order[g.first + m]];
+  switch (o.kind) {
+  case GateOperand::Const0: return SigBit(State::S0);
+  case GateOperand::Const1: return SigBit(State::S1);
+  case GateOperand::Leaf: return cand.leaves[o.index].bit;
+  case GateOperand::Node: {
+    const OpPlan& src = g.ops[o.index];
+    return src.kind == OpPlan::Reused ? cand.op_reuse[o.index]
+                                      : st.op_bits[src.first + (src.width == 1 ? 0 : m)];
+  }
+  }
+  return SigBit(State::S0);
+}
+
+/// Fill st.ports' inputs and width for group op `op`.
+void build_op_ports(RoundState& st, const Group& g, const GateOp& op) {
+  OpPorts& ports = st.ports;
+  const bool needs_b = op.type != CellType::Not;
+  const uint32_t size = g.last - g.first;
+  const SigBit a0 = member_operand(st, g, op.a, 0);
+  const SigBit b0 = needs_b ? member_operand(st, g, op.b, 0) : SigBit();
+  bool uniform = true;
+  for (uint32_t m = 1; m < size && uniform; ++m)
+    uniform = member_operand(st, g, op.a, m) == a0 &&
+              (!needs_b || member_operand(st, g, op.b, m) == b0);
+  ports.width = uniform ? 1 : static_cast<int>(size);
+  ports.a.clear();
+  ports.b.clear();
+  ports.s.clear();
+  for (int m = 0; m < ports.width; ++m) {
+    ports.a.append(member_operand(st, g, op.a, static_cast<uint32_t>(m)));
+    if (needs_b)
+      ports.b.append(member_operand(st, g, op.b, static_cast<uint32_t>(m)));
+  }
+  if (op.type == CellType::Mux)
+    ports.s.append(member_operand(st, g, op.s, 0));
+}
+
+void connect_op_ports(Cell& cell, const GateOp& op, const OpPorts& ports) {
+  cell.set_port(Port::A, ports.a);
+  if (op.type != CellType::Not)
+    cell.set_port(Port::B, ports.b);
+  if (op.type == CellType::Mux)
+    cell.set_port(Port::S, ports.s);
+  cell.set_port(Port::Y, ports.y);
+  cell.infer_widths();
+}
+
+/// Whether `twin`, a cell under the probe's structural key, can stand in for
+/// the probed op of a root at topo slot `root_pos`.
+bool twin_usable(const RoundState& st, const Cell& probe, Cell* twin, int root_pos) {
+  if (st.claimed.contains(twin->id()) || !driver_valid(st, twin, root_pos) ||
+      !sweep::cell_structurally_identical(probe, *twin, st.index.sigmap()))
+    return false;
+  if (st.new_cell_pos.find(twin->id()) != rtlil::IdMap::kAbsent)
+    return true; // materialized this round, onto a fresh wire
+  for (const SigBit& raw : twin->port(twin->output_port())) {
+    const SigBit c = st.index.sigmap()(raw);
+    if (!c.is_wire() || st.index.driver(c) != twin)
+      return false;
+  }
+  return true;
+}
+
+/// Decide each group op: Reused (AIG credit), Shared (structural twin) or
+/// New. Ops whose operands reference a New op cannot be probed — no twin can
+/// exist for wires not yet created. False when the root itself is a twin: a
+/// no-op rewrite that would only churn names.
+bool plan_ops(RoundState& st, const RootWork& work, int root_pos, Plan& plan) {
+  const rtlil::SigMap& sigmap = st.index.sigmap();
+  st.op_bits.clear();
+  for (Group& g : st.groups) {
+    const GateProgram& prog = *g.prog;
+    const BitCandidate& first = st.best[st.order[g.first]];
+    for (size_t k = 0; k < prog.ops.size(); ++k) {
+      if (first.op_reuse[k].is_wire()) {
+        g.ops[k].kind = OpPlan::Reused;
+        ++plan.reused_ops;
+        continue;
+      }
+      const GateOp& op = prog.ops[k];
+      const auto resolvable = [&](const GateOperand& o) {
+        return o.kind != GateOperand::Node || g.ops[o.index].kind != OpPlan::New;
+      };
+      if (resolvable(op.a) && (op.type == CellType::Not || resolvable(op.b)) &&
+          (op.type != CellType::Mux || resolvable(op.s))) {
+        // Dry probe: a detached cell with the ports the op would get.
+        build_op_ports(st, g, op);
+        st.ports.set_output(nullptr);
+        Cell& probe = st.probe(op.type);
+        connect_op_ports(probe, op, st.ports);
+        Cell* twin = st.struct_map.find(sweep::cell_structural_key(probe, sigmap));
+        if (twin == work.cell)
+          return false;
+        if (twin != nullptr && twin_usable(st, probe, twin, root_pos)) {
+          g.ops[k] = {OpPlan::Shared, static_cast<uint32_t>(st.op_bits.size()), 0};
+          for (const SigBit& raw : twin->port(twin->output_port()))
+            st.op_bits.push_back(sigmap(raw));
+          g.ops[k].width = static_cast<uint32_t>(st.op_bits.size()) - g.ops[k].first;
+          st.keep_alive.insert(twin->id());
+          ++plan.shared_ops;
+          continue;
+        }
+      }
+      ++plan.new_cells;
+    }
+  }
+  return true;
+}
+
+/// Predicted-dead fanin cone of `root` (the RTLIL MFFC) into st.mffc: cells
+/// none of whose output bits reach an output port or a reader outside the
+/// dying set. The cone is bounded (depth/size) and stops at st.keep_alive and
+/// at cells this round already claimed or counted. It only feeds the gain
+/// accounting (opt_clean removes), so a miss costs quality, not correctness.
+void predicted_mffc(RoundState& st, Cell* root) {
+  constexpr size_t kMaxCone = 64;
+  constexpr int kMaxDepth = 6;
+  const rtlil::NetlistIndex& index = st.index;
+  std::vector<Cell*>& cone = st.cone;
+  cone.clear();
+  st.cone_seen.clear();
+  st.cone_seen.insert(root->id());
+  st.frontier.assign(1, root);
+  for (int depth = 0; depth < kMaxDepth && !st.frontier.empty() && cone.size() < kMaxCone;
+       ++depth) {
+    st.next.clear();
+    for (size_t f = 0; f < st.frontier.size() && cone.size() < kMaxCone; ++f) {
+      const Cell* c = st.frontier[f];
+      for (Port p : c->input_ports()) {
+        for (const SigBit& raw : c->port(p)) {
+          if (cone.size() >= kMaxCone)
+            break;
+          const SigBit b = index.sigmap()(raw);
+          if (!b.is_wire())
+            continue;
+          Cell* d = index.driver(b);
+          if (!d || d->type() == CellType::Dff || st.keep_alive.contains(d->id()) ||
+              st.claimed.contains(d->id()) || st.counted_dead.contains(d->id()) ||
+              !st.cone_seen.insert(d->id()))
+            continue;
+          cone.push_back(d);
+          st.next.push_back(d);
+        }
+      }
+    }
+    std::swap(st.frontier, st.next);
+  }
+
+  // A cone cell dies once every reader of each of its output bits dies.
+  const auto dies = [&](const Cell* c) {
+    for (const SigBit& raw : c->port(c->output_port())) {
+      const SigBit b = index.sigmap()(raw);
+      if (!b.is_wire())
+        continue;
+      if (index.driver(b) != c || index.drives_output_port(b))
+        return false;
+      for (const Cell* r : index.readers(b))
+        if (!st.cone_dead.contains(r->id()))
+          return false;
+    }
+    return true;
+  };
+  st.cone_dead.clear();
+  st.cone_dead.insert(root->id());
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const Cell* c : cone) {
+      if (!st.cone_dead.contains(c->id()) && dies(c)) {
+        st.cone_dead.insert(c->id());
+        changed = true;
+      }
+    }
+  }
+  st.mffc.clear();
+  for (Cell* c : cone)
+    if (st.cone_dead.contains(c->id()))
+      st.mffc.push_back(c);
+}
+
+/// Plan phase: re-validate the root's candidates against this round's
+/// earlier commits, group its output bits, probe each group op for a
+/// structural twin and gate the plan on its gain. True when the plan is to
+/// be committed.
+bool plan_root(RoundState& st, const RootWork& work, Plan& plan) {
+  Cell* root = work.cell;
+  if (st.claimed.contains(root->id()) || st.counted_dead.contains(root->id()))
+    return false;
+  const int root_pos = st.index.topo_position(root);
+  // Re-validate each bit's leaves and reuse credits, collecting the cells
+  // the replacement keeps reading.
+  st.keep_alive.clear();
+  long plan_gain_est = 0;
+  for (uint32_t j = 0; j < work.last - work.first; ++j) {
+    BitCandidate& cand = st.best[j];
+    for (size_t li = 0; li < cand.nleaves; ++li) {
+      const Cell* d = st.index.driver(cand.leaves[li].bit);
+      if (!driver_valid(st, d, root_pos))
+        return false; // the next round re-evaluates against the updated netlist
+      if (d != nullptr)
+        st.keep_alive.insert(d->id());
+    }
+    for (size_t k = 0; k < cand.prog->ops.size(); ++k) {
+      SigBit& bit = cand.op_reuse[k];
+      const Cell* d = bit.is_wire() ? st.index.driver(bit) : nullptr;
+      if (!driver_valid(st, d, root_pos))
+        bit = SigBit(); // drop the credit; the op is materialized instead
+      else if (d != nullptr)
+        st.keep_alive.insert(d->id());
+    }
+    plan_gain_est += cand.gain_est;
+  }
+  group_members(st, work);
+  if (!plan_ops(st, work, root_pos, plan)) {
+    ++st.stats.plans_noop;
+    return false;
+  }
+  // Gain in RTLIL cells: the root plus its predicted-dead cone against the
+  // cells actually materialized.
+  predicted_mffc(st, root);
+  plan.gain = 1 + static_cast<long>(st.mffc.size()) - static_cast<long>(plan.new_cells);
+  // Cell-neutral commits reshape logic without freeing cells, which the
+  // fraig stage after them can often merge, but they must still shrink the
+  // AIG (the paper's area metric): the summed per-bit estimates gate out
+  // pure churn. Rounds whose commits are all cell-neutral end the sweep.
+  if (plan.gain < 0 || (plan.gain == 0 && plan_gain_est <= 0)) {
+    ++st.stats.plans_rejected;
+    return false;
+  }
+  return true;
+}
+
+/// Commit phase: materialize the plan's New ops, re-drive the root's bits
+/// and record both in the round's journal and overlays. New cells take the
+/// root's topo position in program order, which compact_topo's stable sort
+/// preserves, so intra-plan dependencies stay topologically valid.
+void commit_plan(RoundState& st, const RootWork& work, const Plan& plan) {
+  const obs::Span commit_span("rewrite", "rewrite.commit", "root",
+                              obs::tracing_enabled() ? root_unit_id(st.roots, work) : 0);
+  const int root_pos = st.index.topo_position(work.cell);
+  for (Group& g : st.groups) {
+    for (size_t k = 0; k < g.prog->ops.size(); ++k) {
+      if (g.ops[k].kind != OpPlan::New)
+        continue;
+      const GateOp& op = g.prog->ops[k];
+      build_op_ports(st, g, op);
+      st.ports.set_output(st.module.new_wire(st.ports.width, "$rewrite"));
+      Cell* cell = st.module.add_cell(op.type);
+      connect_op_ports(*cell, op, st.ports);
+      st.journal.added.push_back({cell, root_pos});
+      st.new_cell_pos.set(cell->id(), static_cast<uint32_t>(root_pos));
+      st.struct_map.insert(sweep::cell_structural_key(*cell, st.index.sigmap()), cell);
+      g.ops[k] = {OpPlan::Shared, static_cast<uint32_t>(st.op_bits.size()),
+                  static_cast<uint32_t>(st.ports.width)};
+      st.op_bits.insert(st.op_bits.end(), st.ports.y.begin(), st.ports.y.end());
+      ++st.stats.cells_added;
+    }
+  }
+  SigSpec lhs, rhs;
+  for (const Group& g : st.groups) {
+    for (uint32_t m = 0; m < g.last - g.first; ++m) {
+      lhs.append(st.roots.raw[work.first + st.order[g.first + m]]);
+      rhs.append(member_operand(st, g, g.prog->out, m));
+    }
+  }
+  st.journal.removed.push_back(work.cell);
+  st.journal.connects.emplace_back(std::move(lhs), std::move(rhs));
+  // Per-commit gain histogram: fed in canonical root order from
+  // deterministic plan accounting.
+  static obs::Histogram& h_gain = obs::histogram("rewrite.gain");
+  h_gain.observe(static_cast<uint64_t>(plan.gain));
+  st.claimed.insert(work.cell->id());
+  for (const Cell* c : st.mffc)
+    st.counted_dead.insert(c->id());
+  ++st.total_commits;
+  if (plan.gain > 0)
+    ++st.positive_commits;
+  ++st.stats.rewrites;
+  if (plan.gain == 0)
+    ++st.stats.zero_gain_rewrites;
+  st.stats.gates_reused += plan.reused_ops;
+  st.stats.cells_shared += plan.shared_ops;
+  st.stats.predicted_dead += st.mffc.size();
+}
 
 } // namespace
 
@@ -389,21 +931,7 @@ bool same_work(const RewriteStats& a, const RewriteStats& b) {
 RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options) {
   const obs::Span engine_span("rewrite", "rewrite.sweep", "cells",
                               static_cast<uint64_t>(module.cell_count()));
-  RewriteStats stats;
-  rtlil::NetlistIndex index(module);
-
-  const NpnTable& npn = NpnTable::instance();
-  const RewriteLibrary& library = RewriteLibrary::instance();
-  std::unordered_set<uint16_t> classes_seen;
-  // Round state refilled every round: the cuts, the round setup's tables
-  // and the cone-walk scratch of the evaluations.
-  CutSet cutset;
-  std::vector<uint32_t> nfan;
-  AnchorTable anchors;
-  RootList roots;
-  StructMap struct_map;
-  sim::NodeScratch cone_scratch;
-
+  RoundState st(module, options);
   util::ResourceGuard* guard = options.guard;
   if (guard != nullptr)
     guard->set_growth_baseline(module.cell_count());
@@ -413,573 +941,44 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
     const util::RoundEntry entry = util::enter_round(guard, options.quarantine, "rewrite.round",
                                                      round + 1, module.cell_count());
     if (entry == util::RoundEntry::Skip) {
-      ++stats.quarantined;
+      ++st.stats.quarantined;
       continue;
     }
     if (entry == util::RoundEntry::Halt) {
-      ++stats.halted;
+      ++st.stats.halted;
       break;
     }
-    ++stats.rounds;
+    ++st.stats.rounds;
     const obs::Span round_span("rewrite", "rewrite.round", "round",
                                static_cast<uint64_t>(round + 1));
-    const aig::AigMap blast = [&] {
-      const obs::Span s("rewrite", "rewrite.blast");
-      return aig::aigmap(module, index);
-    }();
-    if (stats.rounds == 1)
-      stats.aig_nodes = blast.aig.num_nodes();
-    {
-      const obs::Span s("rewrite", "rewrite.cuts");
-      enumerate_cuts(blast.aig, CutOptions{options.cut_limit}, cutset);
-    }
-    stats.cuts += cutset.arena.size();
+    setup_round(st);
 
-    // Round setup over the round-start state: reference counts, anchors, the
-    // root work list and the structural-key map.
-    {
-      const obs::Span setup_span("rewrite", "rewrite.setup");
-      // Whole-graph reference counts (fanins + outputs) for the candidate
-      // ranking's deref walks.
-      nfan.assign(blast.aig.num_nodes(), 0);
-      for (uint32_t n = 0; n < blast.aig.num_nodes(); ++n) {
-        if (!blast.aig.is_and(n))
-          continue;
-        ++nfan[aig::lit_node(blast.aig.fanin0(n))];
-        ++nfan[aig::lit_node(blast.aig.fanin1(n))];
-      }
-      for (size_t i = 0; i < blast.aig.num_outputs(); ++i)
-        ++nfan[aig::lit_node(blast.aig.output(static_cast<int>(i)))];
-      cone_scratch.resize(blast.aig.num_nodes());
-
-      // Anchors: the bit id is the deterministic tie-break here and in the
-      // group keys below (bit hashes are pointer-based and would leak
-      // allocator layout into the result).
-      anchors.fill(blast);
-
-      // Root work list: combinational cells whose every output bit is a live,
-      // canonically self-driven wire bit backed by an AND node.
-      roots.clear();
-      for (const auto& cptr : module.cells()) {
-        Cell* cell = cptr.get();
-        if (cell->type() == CellType::Dff)
-          continue;
-        RootWork work{cell, static_cast<uint32_t>(roots.raw.size()), 0};
-        bool ok = true, any_read = false;
-        for (const SigBit& raw : cell->port(cell->output_port())) {
-          const SigBit c = index.sigmap()(raw);
-          if (!c.is_wire() || index.driver(c) != cell) {
-            ok = false;
-            break;
-          }
-          const aig::Lit lit = blast.find(c);
-          if (lit == aig::kNoLit || !blast.aig.is_and(aig::lit_node(lit))) {
-            ok = false;
-            break;
-          }
-          if (index.fanout(c) > 0)
-            any_read = true;
-          roots.raw.push_back(raw);
-          roots.canon.push_back(c);
-          roots.lits.push_back(lit);
-        }
-        work.last = static_cast<uint32_t>(roots.raw.size());
-        const bool keep = ok && any_read && work.last != work.first;
-        if (keep && options.quarantine != nullptr &&
-            options.quarantine->contains("rewrite.eval", root_unit_id(roots, work))) {
-          // Quarantined root: never evaluated.
-          ++stats.quarantined;
-        } else if (keep) {
-          roots.roots.push_back(work);
-          continue;
-        }
-        roots.raw.resize(work.first); // drop the rejected root's bits
-        roots.canon.resize(work.first);
-        roots.lits.resize(work.first);
-      }
-      stats.roots_evaluated += roots.roots.size();
-
-      // Structural-key map over the round-start module (the notion shared
-      // with opt_merge and the fraig pre-merge): planned cells fold onto
-      // existing twins instead of duplicating them. The commit loop
-      // maintains it as commits materialize cells.
-      struct_map.reset(module.cell_count());
-      for (const auto& cptr : module.cells())
-        if (cptr->type() != CellType::Dff)
-          struct_map.insert(sweep::cell_structural_key(*cptr, index.sigmap()), cptr.get());
-    }
-
-    // --- one canonical loop: evaluate root i, then commit it -----------------
-    //
-    // Evaluation reads only the round-start state (index, blast, cuts,
-    // anchors). Commits add cells and wires to the module and write the
-    // round's journal, but the index follows them only when the journal is
-    // applied after the loop, so every root is evaluated against the same
-    // state however many roots before it committed.
-
-    // Round-scoped commit state: only commit_root below touches any of it.
-    std::unordered_set<Cell*> claimed;           // roots committed for removal
-    std::unordered_set<Cell*> counted_dead;      // MFFC cells already credited
-    std::unordered_map<Cell*, int> new_cell_pos; // cells materialized this round
-    opt::SweepJournal journal;
-    size_t positive_commits = 0, total_commits = 0, round_skipped = 0;
-
-    const auto evaluate_root = [&](const RootWork& work) {
-      RootEval eval;
-      // Mid-round halts come only from deadline/cancel — deterministic
-      // budgets arm the sticky flag at the round barrier above, and the
-      // "rewrite.eval" fault point fires in commit_root.
-      if (guard != nullptr && guard->poll()) {
-        eval.skipped = true;
-        return eval;
-      }
-      const obs::Span root_span("rewrite", "rewrite.eval", "root",
-                                obs::tracing_enabled() ? root_unit_id(roots, work) : 0);
-      const int root_pos = index.topo_position(work.cell);
-      // An anchor is wireable from this root's replacement (which takes the
-      // root's topo slot) only if its driver sits strictly before the root.
-      // Structurally identical cells strash to one node, so an anchor can
-      // sit anywhere in the netlist, including after the root.
-      const auto wireable = [&](const SigBit& bit) {
-        Cell* drv = index.driver(bit);
-        if (drv == work.cell)
-          return false;
-        if (!drv || drv->type() == CellType::Dff)
-          return true;
-        return index.topo_position(drv) < root_pos;
-      };
-      eval.bits.resize(work.last - work.first);
-      eval.complete = true;
-      for (size_t j = 0; j < eval.bits.size(); ++j) {
-        const aig::Lit root_lit = roots.lits[work.first + j];
-        const uint32_t node = aig::lit_node(root_lit);
-        BitCandidate best;
-        for (const Cut& cut : cutset.cuts(node)) {
-          BitCandidate cand;
-          cand.nleaves = cut.size;
-          bool usable = true;
-          aig::Lit leaf_lits[4];
-          for (size_t li = 0; li < cut.size; ++li) {
-            const SigBit* pos = anchors.find(aig::mk_lit(cut.leaves[li]));
-            const SigBit* a = pos != nullptr ? pos : anchors.find(aig::mk_lit(cut.leaves[li], true));
-            if (a == nullptr || !wireable(*a)) {
-              usable = false;
-              break;
-            }
-            cand.leaves[li].bit = *a;
-            cand.leaves[li].lit = aig::mk_lit(cut.leaves[li], pos == nullptr);
-            leaf_lits[li] = cand.leaves[li].lit;
-          }
-          if (!usable ||
-              !sim::cut_truth_table(blast.aig, root_lit, leaf_lits, cut.size, cand.tt,
-                                    cone_scratch))
-            continue;
-          cand.valid = true;
-          cand.npn_class = npn.class_id(cand.tt);
-          cand.prog = &library.program(cand.tt);
-          ++eval.candidates;
-
-          // Optimistic DAG-sharing: compose each op's AIG literal from
-          // strash probes; an anchored wireable bit of the right polarity is
-          // a reuse credit (validated again in the commit loop).
-          const GateProgram& prog = *cand.prog;
-          std::vector<aig::Lit> op_lits(prog.ops.size(), aig::kNoLit);
-          cand.op_reuse.assign(prog.ops.size(), SigBit());
-          const auto operand_lit = [&](const GateOperand& o) -> aig::Lit {
-            switch (o.kind) {
-            case GateOperand::Const0: return aig::kFalse;
-            case GateOperand::Const1: return aig::kTrue;
-            case GateOperand::Leaf: return leaf_lits[o.index];
-            case GateOperand::Node: return op_lits[o.index];
-            }
-            return aig::kNoLit;
-          };
-          for (size_t k = 0; k < prog.ops.size(); ++k) {
-            const GateOp& op = prog.ops[k];
-            aig::Lit lit = aig::kNoLit;
-            switch (op.type) {
-            case CellType::Not:
-              lit = aig::find_not(operand_lit(op.a));
-              break;
-            case CellType::And:
-              lit = blast.aig.find_and(operand_lit(op.a), operand_lit(op.b));
-              break;
-            case CellType::Or:
-              lit = blast.aig.find_or(operand_lit(op.a), operand_lit(op.b));
-              break;
-            case CellType::Xor:
-              lit = blast.aig.find_xor(operand_lit(op.a), operand_lit(op.b));
-              break;
-            case CellType::Mux:
-              // y = s ? t : e; the GateOp convention is y = s ? b : a.
-              lit = blast.aig.find_mux(operand_lit(op.s), operand_lit(op.b), operand_lit(op.a));
-              break;
-            default:
-              break;
-            }
-            op_lits[k] = lit;
-            if (lit != aig::kNoLit && lit != aig::kFalse && lit != aig::kTrue) {
-              const SigBit* a = anchors.find(lit);
-              if (a != nullptr && wireable(*a)) {
-                cand.op_reuse[k] = *a;
-                continue;
-              }
-            }
-            ++cand.new_ops;
-          }
-          // A candidate whose output resolves to the root's own literal
-          // reconstructs the existing implementation (or merges onto a twin
-          // fraig already handles): committing it could never shrink the
-          // graph, and it would shadow genuinely restructuring candidates.
-          aig::Lit out_lit = aig::kNoLit;
-          switch (prog.out.kind) {
-          case GateOperand::Const0: out_lit = aig::kFalse; break;
-          case GateOperand::Const1: out_lit = aig::kTrue; break;
-          case GateOperand::Leaf: out_lit = leaf_lits[prog.out.index]; break;
-          case GateOperand::Node: out_lit = op_lits[prog.out.index]; break;
-          }
-          if (out_lit == root_lit)
-            continue;
-          int build_cost = 0;
-          for (size_t k = 0; k < prog.ops.size(); ++k)
-            if (!cand.op_reuse[k].is_wire())
-              build_cost += gate_aig_cost(prog.ops[k]);
-          cand.gain_est =
-              freed_cone_nodes(blast.aig, node, leaf_lits, cut.size, nfan, cone_scratch) -
-              build_cost;
-          if (better_candidate(cand, best))
-            best = std::move(cand);
-        }
-        if (!best.valid) {
-          eval.complete = false;
-          break;
-        }
-        eval.bits[j] = std::move(best);
-      }
-      return eval;
-    };
-    // Commit one evaluated root. Runs for every root in strictly canonical
-    // order; every decision below reads only the loop's overlays and
-    // round-start snapshots, so the result is a pure function of the module.
-    const auto commit_root = [&](const RootWork& work, RootEval& eval) {
-      Cell* root = work.cell;
-      stats.candidates += eval.candidates;
-      // Fault point: one "rewrite.eval" event per evaluated root, in
-      // canonical order. A throw ends the loop, leaving the committed prefix.
-      if (!eval.skipped && util::faults_active() &&
-          util::fault_unknown("rewrite.eval", root_unit_id(roots, work)))
-        eval.skipped = true;
-      if (eval.skipped) {
-        ++round_skipped;
-        return;
-      }
-      if (eval.complete)
-        for (const BitCandidate& c : eval.bits)
-          classes_seen.insert(c.npn_class);
-      if (!eval.complete || claimed.count(root) || counted_dead.count(root))
-        return;
-      const int root_pos = index.topo_position(root);
-
-      // Re-validate against this round's earlier commits: a bit whose driver
-      // was already credited as dead must not be read (its death is priced
-      // into an earlier gain), and a round-new driver must sit before the
-      // root.
-      const auto driver_valid = [&](Cell* d) {
-        if (!d || d->type() == CellType::Dff)
-          return true;
-        if (counted_dead.count(d))
-          return false;
-        const auto it = new_cell_pos.find(d);
-        const int pos = it != new_cell_pos.end() ? it->second : index.topo_position(d);
-        return pos >= 0 && pos < root_pos;
-      };
-      bool rejected = false;
-      for (BitCandidate& cand : eval.bits) {
-        for (size_t li = 0; li < cand.nleaves && !rejected; ++li)
-          if (!driver_valid(index.driver(cand.leaves[li].bit)))
-            rejected = true;
-        if (rejected)
-          break;
-        for (size_t k = 0; k < cand.op_reuse.size(); ++k) {
-          SigBit& bit = cand.op_reuse[k];
-          if (bit.is_wire() && !driver_valid(index.driver(bit))) {
-            bit = SigBit(); // drop the credit; the op is materialized instead
-            ++cand.new_ops;
-          }
-        }
-      }
-      if (rejected)
-        return; // the next round re-evaluates against the updated netlist
-
-      // Group the output bits: members sharing (program, reuse pattern, mux
-      // selects) become one wide cell per non-reused op. std::map keys keep
-      // group order a pure function of the module.
-      std::map<std::vector<uint64_t>, GroupPlan> groups;
-      for (size_t j = 0; j < eval.bits.size(); ++j) {
-        const BitCandidate& cand = eval.bits[j];
-        std::vector<uint64_t> key{cand.tt};
-        uint64_t reuse_mask = 0;
-        for (size_t k = 0; k < cand.op_reuse.size(); ++k)
-          if (cand.op_reuse[k].is_wire())
-            reuse_mask |= 1ull << k;
-        key.push_back(reuse_mask);
-        // A Mux cell has a single select bit, so members only vectorize when
-        // their selects resolve identically: key on the concrete select bit
-        // (leaf select) or on the bits of the select cone's support
-        // (computed select — identical support bits give identical cones).
-        for (const GateOp& op : cand.prog->ops) {
-          if (op.type != CellType::Mux)
-            continue;
-          if (op.s.kind == GateOperand::Leaf) {
-            key.push_back(rtlil::bit_id(cand.leaves[op.s.index].bit));
-          } else if (op.s.kind == GateOperand::Node) {
-            const uint8_t support = tt_support(cand.prog->ops[op.s.index].tt);
-            for (uint8_t v = 0; v < 4; ++v)
-              if (support & (1u << v))
-                key.push_back(rtlil::bit_id(cand.leaves[v].bit));
-          }
-        }
-        GroupPlan& group = groups[std::move(key)];
-        group.prog = cand.prog;
-        group.members.push_back(j);
-      }
-
-      // Operand resolution once a group's earlier ops are decided. `m` is
-      // the member's position within the group (selects the lane of a
-      // Shared op's output vector).
-      const auto member_operand = [&](const GroupPlan& group, const GateOperand& o,
-                                      size_t j, size_t m) -> SigBit {
-        const BitCandidate& cand = eval.bits[j];
-        switch (o.kind) {
-        case GateOperand::Const0: return SigBit(State::S0);
-        case GateOperand::Const1: return SigBit(State::S1);
-        case GateOperand::Leaf: return cand.leaves[o.index].bit;
-        case GateOperand::Node: {
-          const OpPlan& src = group.ops[o.index];
-          return src.kind == OpPlan::Reused ? cand.op_reuse[o.index]
-                                            : src.shared_bits[m];
-        }
-        }
-        return SigBit(State::S0);
-      };
-
-      // Input ports of one materialized group op, shared verbatim by the
-      // structural-key dry probe and the real cell so the probed key can
-      // never diverge from the key of the cell actually built. An op whose
-      // operands are identical across the word (shared selector logic,
-      // typically) gets width 1.
-      struct OpPorts {
-        SigSpec a, b;
-        SigBit s;
-        int width = 0;
-      };
-      const auto build_op_ports = [&](const GroupPlan& group, const GateOp& op) {
-        OpPorts ports;
-        const bool needs_b = op.type != CellType::Not;
-        bool uniform = true;
-        for (size_t m = 0; m < group.members.size(); ++m) {
-          const SigBit ab = member_operand(group, op.a, group.members[m], m);
-          uniform = uniform && (m == 0 || ab == ports.a[0]);
-          ports.a.append(ab);
-          if (needs_b) {
-            const SigBit bb = member_operand(group, op.b, group.members[m], m);
-            uniform = uniform && (m == 0 || bb == ports.b[0]);
-            ports.b.append(bb);
-          }
-        }
-        ports.width = uniform ? 1 : static_cast<int>(group.members.size());
-        if (uniform) {
-          ports.a = SigSpec(ports.a[0]);
-          if (needs_b)
-            ports.b = SigSpec(ports.b[0]);
-        }
-        if (op.type == CellType::Mux)
-          ports.s = member_operand(group, op.s, group.members.front(), 0);
-        return ports;
-      };
-      const auto connect_op_ports = [](Cell& cell, const GateOp& op, const OpPorts& ports,
-                                       SigSpec y) {
-        cell.set_port(Port::A, ports.a);
-        if (op.type != CellType::Not)
-          cell.set_port(Port::B, ports.b);
-        if (op.type == CellType::Mux)
-          cell.set_port(Port::S, ports.s);
-        cell.set_port(Port::Y, std::move(y));
-        cell.infer_widths();
-      };
-
-      // Plan each group's ops: Reused (AIG credit), Shared (structural twin)
-      // or New. Ops whose operands reference a New op cannot be probed — no
-      // twin can exist for wires not yet created.
-      bool abort_plan = false;
-      size_t new_cells = 0, reused_ops = 0, shared_ops = 0;
-      std::unordered_set<Cell*> keep_alive;
-      for (auto& group_entry : groups) {
-        GroupPlan& group = group_entry.second;
-        const GateProgram& prog = *group.prog;
-        const BitCandidate& first = eval.bits[group.members.front()];
-        group.ops.resize(prog.ops.size());
-        for (size_t k = 0; k < prog.ops.size() && !abort_plan; ++k) {
-          if (first.op_reuse[k].is_wire()) {
-            group.ops[k].kind = OpPlan::Reused;
-            ++reused_ops;
-            continue;
-          }
-          const GateOp& op = prog.ops[k];
-          const auto resolvable = [&](const GateOperand& o) {
-            return o.kind != GateOperand::Node || group.ops[o.index].kind != OpPlan::New;
-          };
-          const bool needs_b = op.type != CellType::Not;
-          if (resolvable(op.a) && (!needs_b || resolvable(op.b)) &&
-              (op.type != CellType::Mux || resolvable(op.s))) {
-            // Dry probe with a detached cell: ports built by the same helper
-            // the materialization uses, no module registration.
-            const OpPorts ports = build_op_ports(group, op);
-            Cell temp(&module, "$rewrite_probe", op.type);
-            connect_op_ports(temp, op, ports,
-                             SigSpec(std::vector<SigBit>(
-                                 static_cast<size_t>(ports.width), SigBit(State::S0))));
-            Cell* twin = struct_map.find(sweep::cell_structural_key(temp, index.sigmap()));
-            if (twin != nullptr) {
-              if (twin == root) {
-                // The plan reproduces the root's own structure: a no-op
-                // rewrite that would only churn names. Abort.
-                abort_plan = true;
-                break;
-              }
-              bool twin_ok =
-                  !claimed.count(twin) && driver_valid(twin) &&
-                  sweep::cell_structurally_identical(temp, *twin, index.sigmap());
-              if (twin_ok && !new_cell_pos.count(twin)) {
-                for (const SigBit& raw : twin->port(twin->output_port())) {
-                  const SigBit c = index.sigmap()(raw);
-                  if (!c.is_wire() || index.driver(c) != twin) {
-                    twin_ok = false;
-                    break;
-                  }
-                }
-              }
-              if (twin_ok) {
-                group.ops[k].kind = OpPlan::Shared;
-                group.ops[k].shared_cell = twin;
-                std::vector<SigBit>& bits = group.ops[k].shared_bits;
-                for (const SigBit& raw : twin->port(twin->output_port()))
-                  bits.push_back(index.sigmap()(raw));
-                if (bits.size() == 1 && group.members.size() > 1)
-                  bits.assign(group.members.size(), bits[0]); // uniform op
-                keep_alive.insert(twin);
-                ++shared_ops;
-                continue;
-              }
-            }
-          }
-          group.ops[k].kind = OpPlan::New;
-          ++new_cells;
-        }
-        if (abort_plan)
-          break;
-      }
-      if (abort_plan) {
-        ++stats.plans_noop;
-        return;
-      }
-
-      // Gain in RTLIL cells: the root plus its predicted-dead cone against
-      // the cells actually materialized.
-      for (const BitCandidate& cand : eval.bits) {
-        for (size_t li = 0; li < cand.nleaves; ++li)
-          if (Cell* d = index.driver(cand.leaves[li].bit))
-            keep_alive.insert(d);
-        for (const SigBit& bit : cand.op_reuse)
-          if (bit.is_wire())
-            if (Cell* d = index.driver(bit))
-              keep_alive.insert(d);
-      }
-      const std::vector<Cell*> dead =
-          predicted_mffc(index, root, keep_alive, claimed, counted_dead);
-      const long gain = 1 + static_cast<long>(dead.size()) - static_cast<long>(new_cells);
-      // Cell-neutral commits reshape logic without freeing cells, which the
-      // fraig stage after them can often merge, but they must still shrink
-      // the AIG (the paper's area metric): the summed per-bit estimates gate
-      // out pure churn. Rounds whose commits are all cell-neutral end the
-      // sweep.
-      long plan_gain_est = 0;
-      for (const BitCandidate& cand : eval.bits)
-        plan_gain_est += cand.gain_est;
-      if (gain < 0 || (gain == 0 && plan_gain_est <= 0)) {
-        ++stats.plans_rejected;
-        return;
-      }
-
-      // --- materialize ----------------------------------------------------
-      // New cells take the root's topo position; journal append order is
-      // program order, which compact_topo's stable sort preserves, so
-      // intra-plan dependencies stay topologically valid.
-      const obs::Span commit_span("rewrite", "rewrite.commit", "root",
-                                  obs::tracing_enabled() ? root_unit_id(roots, work) : 0);
-      for (auto& group_entry : groups) {
-        GroupPlan& group = group_entry.second;
-        const GateProgram& prog = *group.prog;
-        for (size_t k = 0; k < prog.ops.size(); ++k) {
-          if (group.ops[k].kind != OpPlan::New)
-            continue;
-          const GateOp& op = prog.ops[k];
-          const OpPorts ports = build_op_ports(group, op);
-          rtlil::Wire* wire = module.new_wire(ports.width, "$rewrite");
-          Cell* cell = module.add_cell(op.type);
-          connect_op_ports(*cell, op, ports, SigSpec(wire));
-          journal.added.push_back({cell, root_pos});
-          new_cell_pos.emplace(cell, root_pos);
-          struct_map.insert(sweep::cell_structural_key(*cell, index.sigmap()), cell);
-          group.ops[k].kind = OpPlan::Shared;
-          group.ops[k].shared_cell = cell;
-          std::vector<SigBit>& bits = group.ops[k].shared_bits;
-          if (ports.width == 1)
-            bits.assign(group.members.size(), SigBit(wire, 0));
-          else
-            for (int i = 0; i < ports.width; ++i)
-              bits.emplace_back(wire, i);
-          ++stats.cells_added;
-        }
-      }
-
-      SigSpec lhs, rhs;
-      for (const auto& group_entry : groups) {
-        const GroupPlan& group = group_entry.second;
-        for (size_t m = 0; m < group.members.size(); ++m) {
-          const size_t j = group.members[m];
-          lhs.append(roots.raw[work.first + j]);
-          rhs.append(member_operand(group, group.prog->out, j, m));
-        }
-      }
-      journal.removed.push_back(root);
-      journal.connects.emplace_back(lhs, rhs);
-
-      // Per-commit gain histogram: fed from the commit loop, in canonical
-      // root order, from deterministic plan accounting.
-      static obs::Histogram& h_gain = obs::histogram("rewrite.gain");
-      h_gain.observe(static_cast<uint64_t>(gain));
-      claimed.insert(root);
-      for (Cell* c : dead)
-        counted_dead.insert(c);
-      ++total_commits;
-      if (gain > 0)
-        ++positive_commits;
-      ++stats.rewrites;
-      if (gain == 0)
-        ++stats.zero_gain_rewrites;
-      stats.gates_reused += reused_ops;
-      stats.cells_shared += shared_ops;
-      stats.predicted_dead += dead.size();
-    };
-
+    // One canonical loop: evaluate root i against the round-start tables,
+    // then plan and commit it against the overlays of the commits before
+    // it. The index follows the commits only when the journal is applied.
     bool faulted = false;
     try {
       const obs::Span s("rewrite", "rewrite.roots", "roots",
-                        static_cast<uint64_t>(roots.roots.size()));
-      for (const RootWork& work : roots.roots) {
-        RootEval eval = evaluate_root(work);
-        commit_root(work, eval);
+                        static_cast<uint64_t>(st.roots.roots.size()));
+      for (const RootWork& work : st.roots.roots) {
+        // Mid-round halts come only from deadline/cancel: deterministic
+        // budgets arm the sticky flag at the round barrier above.
+        const bool halted = guard != nullptr && guard->poll();
+        const bool complete = !halted && evaluate_root(st, work);
+        // Fault point: one "rewrite.eval" event per evaluated root, in
+        // canonical order. A throw ends the loop, leaving the committed prefix.
+        if (halted || (util::faults_active() &&
+                       util::fault_unknown("rewrite.eval", root_unit_id(st.roots, work)))) {
+          ++st.skipped;
+          continue;
+        }
+        if (!complete)
+          continue;
+        for (uint32_t j = 0; j < work.last - work.first; ++j)
+          st.class_seen[st.best[j].npn_class] = 1;
+        Plan plan;
+        if (plan_root(st, work, plan))
+          commit_plan(st, work, plan);
       }
     } catch (const util::FaultInjected& e) {
       // The committed prefix is already materialized and journaled. Injected
@@ -987,30 +986,31 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
       faulted = true;
       util::halt_on_fault(guard, e);
     }
-
+    st.blast = aig::AigMap(); // freed now, or two blasts would coexist in the next round
     if (!faulted) {
-      stats.skipped_roots += round_skipped;
-      if (guard != nullptr && round_skipped > 0)
-        guard->note_skipped_rewrites(round_skipped);
+      st.stats.skipped_roots += st.skipped;
+      if (guard != nullptr && st.skipped > 0)
+        guard->note_skipped_rewrites(st.skipped);
     }
-    if (!journal.empty()) {
+    if (!st.journal.empty()) {
       // Applied even on a faulted round: the committed prefix's cells and
       // connects are already in the module, and the index must follow them
       // for the post-halt consistency check.
       const obs::Span apply_span("rewrite", "rewrite.apply");
-      opt::apply_sweep_journal(module, index, journal);
-      journal.clear();
+      opt::apply_sweep_journal(module, st.index, st.journal);
+      st.journal.clear();
     }
     if (faulted) {
-      ++stats.halted;
+      ++st.stats.halted;
       break;
     }
-    if (total_commits == 0 || positive_commits == 0)
+    if (st.total_commits == 0 || st.positive_commits == 0)
       break; // idle round, or a zero-gain-only round (committed once, stop)
   }
 
-  stats.npn_classes = classes_seen.size();
-  if (options.check_index && !rtlil::index_consistent(module, index))
+  st.stats.npn_classes =
+      static_cast<size_t>(std::count(st.class_seen.begin(), st.class_seen.end(), 1));
+  if (options.check_index && !rtlil::index_consistent(module, st.index))
     throw std::logic_error("rewrite: incremental NetlistIndex diverged from rebuild");
 
   // Deterministic totals from the stats struct, published once per sweep.
@@ -1019,12 +1019,12 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
   static obs::Counter& m_rewrites = obs::counter("rewrite.rewrites");
   static obs::Counter& m_added = obs::counter("rewrite.cells_added");
   static obs::Counter& m_rejected = obs::counter("rewrite.plans_rejected");
-  m_rounds.add(stats.rounds);
-  m_roots.add(stats.roots_evaluated);
-  m_rewrites.add(stats.rewrites);
-  m_added.add(stats.cells_added);
-  m_rejected.add(stats.plans_rejected);
-  return stats;
+  m_rounds.add(st.stats.rounds);
+  m_roots.add(st.stats.roots_evaluated);
+  m_rewrites.add(st.stats.rewrites);
+  m_added.add(st.stats.cells_added);
+  m_rejected.add(st.stats.plans_rejected);
+  return st.stats;
 }
 
 } // namespace smartly::rewrite

@@ -31,12 +31,14 @@
 // all sharing credits. Cells the gain predicts dead are left for the stage's
 // opt_clean — a wrong prediction costs quality, never correctness.
 //
-// Each round runs on the calling thread as one loop over the roots in
-// canonical module-cell order: evaluate the root against the round-start
-// state (index, blast, cuts, anchors, which no commit touches before the
-// round's journal is applied), then commit it — selection, gain accounting
-// and journal writes all happen there. An injected fault in that loop leaves
-// the canonical prefix before it committed.
+// Each round runs on the calling thread in named phases over one round
+// state: setup builds the round-start tables (blast, cuts, anchors, root
+// list, structural-key map), then one loop over the roots in canonical
+// module-cell order evaluates each root against those tables (which no
+// commit touches before the round's journal is applied), plans it against
+// the overlays of the round's earlier commits (re-validation, grouping,
+// structural twins, gain gate) and commits it. An injected fault in that
+// loop leaves the canonical prefix before it committed.
 #pragma once
 
 #include "rtlil/module.hpp"

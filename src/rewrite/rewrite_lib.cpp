@@ -1,5 +1,7 @@
 #include "rewrite/rewrite_lib.hpp"
 
+#include "obs/trace.hpp"
+
 #include <algorithm>
 #include <limits>
 #include <memory>
@@ -284,7 +286,11 @@ RewriteLibrary::RewriteLibrary() : impl_(new Impl) {
 }
 
 const RewriteLibrary& RewriteLibrary::instance() {
-  static const RewriteLibrary lib;
+  // The first call builds the library and, through it, the NPN table.
+  static const RewriteLibrary lib = [] {
+    const obs::Span s("rewrite", "rewrite.library");
+    return RewriteLibrary();
+  }();
   return lib;
 }
 

@@ -60,8 +60,12 @@ struct GateProgram {
   TruthTable tt = 0;
 };
 
-/// Number of gates — the static replacement cost before sharing credits.
-inline size_t program_cost(const GateProgram& p) { return p.ops.size(); }
+/// Most gates a program takes, the size of the engine's per-op arrays. A
+/// Shannon tree over four variables takes at most 1 + 2 + 4 = 7 muxes plus
+/// one inverter of the last variable (inverters are explicit cells here,
+/// unlike AIG complement edges, and a shared subfunction is emitted once);
+/// min-cost decomposition never does worse, and 44 functions need all 8.
+constexpr size_t kMaxProgramOps = 8;
 
 /// Mask of the leaves `tt` depends on.
 uint8_t tt_support(TruthTable tt);
@@ -79,8 +83,7 @@ public:
   /// lookups are deterministic regardless of memoization order.
   const GateProgram& program(TruthTable tt) const;
 
-  /// Worst-case gate count over all 65536 functions (a Shannon tree over
-  /// four variables bounds it by 7; the decomposition forms push it lower).
+  /// Worst-case gate count over all 65536 functions: kMaxProgramOps.
   size_t max_cost() const;
 
 private:

@@ -99,8 +99,6 @@ bool cell_is_compare(CellType t) noexcept {
   }
 }
 
-bool cell_is_sequential(CellType t) noexcept { return t == CellType::Dff; }
-
 const char* port_name(Port p) noexcept {
   switch (p) {
   case Port::A: return "A";
@@ -122,7 +120,13 @@ const SigSpec& Cell::port(Port p) const {
   return ports_[static_cast<size_t>(p)];
 }
 
-void Cell::set_port(Port p, SigSpec sig) {
+void Cell::set_port(Port p, const SigSpec& sig) {
+  ports_[static_cast<size_t>(p)] = sig;
+  connected_[static_cast<size_t>(p)] = true;
+  ++port_version_;
+}
+
+void Cell::set_port(Port p, SigSpec&& sig) {
   ports_[static_cast<size_t>(p)] = std::move(sig);
   connected_[static_cast<size_t>(p)] = true;
   ++port_version_;
@@ -183,20 +187,6 @@ void Cell::check() const {
     require(port(Port::Q).size() == params_.width, "Q width mismatch");
     require(port(Port::Clk).size() == 1, "CLK must be 1 bit");
   }
-}
-
-uint64_t Cell::hash_structural() const noexcept {
-  uint64_t h = hash_mix(static_cast<uint64_t>(type_));
-  for (int i = 0; i < kPortCount; ++i) {
-    const Port p = static_cast<Port>(i);
-    if (p == Port::Y || p == Port::Q || !connected_[static_cast<size_t>(i)])
-      continue;
-    h = hash_combine(h, hash_combine(static_cast<uint64_t>(i), ports_[static_cast<size_t>(i)].hash()));
-  }
-  h = hash_combine(h, static_cast<uint64_t>(params_.a_signed) * 2 +
-                          static_cast<uint64_t>(params_.b_signed));
-  h = hash_combine(h, static_cast<uint64_t>(params_.y_width));
-  return h;
 }
 
 } // namespace smartly::rtlil

@@ -48,7 +48,6 @@ const char* cell_type_name(CellType t) noexcept;
 bool cell_is_unary(CellType t) noexcept;
 bool cell_is_binary(CellType t) noexcept;
 bool cell_is_compare(CellType t) noexcept;
-bool cell_is_sequential(CellType t) noexcept;
 
 /// Port identifiers (fixed vocabulary — cheaper than string keys).
 enum class Port : uint8_t { A = 0, B, S, Y, D, Q, Clk, Count_ };
@@ -97,14 +96,17 @@ public:
   /// within the module: the index of the cell's slot in per-cell tables.
   uint32_t id() const noexcept { return id_; }
   CellType type() const noexcept { return type_; }
-  void set_type(CellType t) noexcept { type_ = t; }
 
   CellParams& params() noexcept { return params_; }
   const CellParams& params() const noexcept { return params_; }
 
   bool has_port(Port p) const noexcept { return connected_[static_cast<size_t>(p)]; }
   const SigSpec& port(Port p) const;
-  void set_port(Port p, SigSpec sig);
+  /// Connect port `p`. An lvalue is copied into the port's storage, which
+  /// keeps its capacity, so a cell whose ports are reset over and over (a
+  /// probe) stops allocating once its ports are wide enough.
+  void set_port(Port p, const SigSpec& sig);
+  void set_port(Port p, SigSpec&& sig);
   /// Bumped by every set_port, so a cache keyed on the cell's connections
   /// (NetlistIndex's neighbour lists) notices in-place port edits.
   uint32_t port_version() const noexcept { return port_version_; }
@@ -129,8 +131,6 @@ public:
   /// Basic structural sanity (port widths consistent with params). Throws on
   /// violation; used by tests and after pass mutations.
   void check() const;
-
-  uint64_t hash_structural() const noexcept;
 
 private:
   Module* module_;

@@ -68,6 +68,8 @@ public:
 
   void append(const SigSpec& other);
   void append(SigBit bit) { bits_.push_back(bit); }
+  /// Drop every bit, keeping the storage for the next appends.
+  void clear() noexcept { bits_.clear(); }
 
   SigSpec extract(int offset, int length) const;
 

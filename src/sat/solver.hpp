@@ -90,11 +90,6 @@ public:
   /// Limit the number of conflicts for the next solve() calls (-1 = off).
   void set_conflict_budget(int64_t budget) noexcept { conflict_budget_ = budget; }
 
-  /// Limit the number of propagations for the next solve() calls (-1 = off).
-  /// Like the conflict budget this is an absolute threshold against the
-  /// cumulative stats() counter, so callers re-arm it per query.
-  void set_propagation_budget(int64_t budget) noexcept { propagation_budget_ = budget; }
-
   /// Install a callback polled periodically during search; returning true
   /// aborts the in-flight solve with Result::Unknown. Used for wall-clock
   /// deadlines and cooperative cancellation — both inherently
@@ -181,15 +176,11 @@ private:
   std::vector<LBool> model_;
 
   bool budgets_exhausted() const noexcept {
-    return (conflict_budget_ >= 0 &&
-            static_cast<int64_t>(stats_.conflicts) > conflict_budget_) ||
-           (propagation_budget_ >= 0 &&
-            static_cast<int64_t>(stats_.propagations) > propagation_budget_);
+    return conflict_budget_ >= 0 && static_cast<int64_t>(stats_.conflicts) > conflict_budget_;
   }
 
   bool ok_ = true;
   int64_t conflict_budget_ = -1;
-  int64_t propagation_budget_ = -1;
   std::function<bool()> interrupt_check_;
   bool interrupted_ = false;
   double max_learnts_ = 0;

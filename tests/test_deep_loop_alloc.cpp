@@ -1,8 +1,9 @@
 // Heap allocations of the deep loop's rounds: a fraig round whose classes
-// need no SAT call, and a rewrite round's setup, allocate a number of
-// blocks that does not grow with the number of classes or roots. A counting
-// global operator new sees every allocation the engines make; each check
-// compares two generated sizes of one netlist family.
+// need no SAT call, a rewrite round's setup, and the evaluation and
+// planning of rewrite roots that commit nothing allocate a number of blocks
+// that does not grow with the number of classes or roots. A counting global
+// operator new sees every allocation the engines make; each check compares
+// two generated sizes of one netlist family.
 #include "rewrite/rewrite_engine.hpp"
 #include "rtlil/module.hpp"
 #include "rtlil/topo.hpp"
@@ -93,6 +94,32 @@ std::unique_ptr<rtlil::Design> and_roots(size_t n) {
   return design;
 }
 
+/// `n` copies of y = (a & b) | (a & c) whose two products are output ports
+/// too. Each product's only cut rebuilds it, so its evaluation finds no
+/// candidate; the Or's best candidate, a & (b | c), adds two cells and frees
+/// only the Or, so the gain gate rejects its plan. Nothing commits.
+std::unique_ptr<rtlil::Design> shared_products(size_t n) {
+  auto design = std::make_unique<rtlil::Design>();
+  Module* m = design->add_module("top");
+  for (size_t i = 0; i < n; ++i) {
+    const std::string k = std::to_string(i);
+    Wire* a = m->add_wire("a" + k);
+    Wire* b = m->add_wire("b" + k);
+    Wire* c = m->add_wire("c" + k);
+    Wire* p = m->add_wire("p" + k);
+    Wire* q = m->add_wire("q" + k);
+    Wire* y = m->add_wire("y" + k);
+    for (Wire* in : {a, b, c})
+      m->set_port_input(in);
+    for (Wire* out : {p, q, y})
+      m->set_port_output(out);
+    m->connect(SigSpec(p), m->And(SigSpec(a), SigSpec(b)));
+    m->connect(SigSpec(q), m->And(SigSpec(a), SigSpec(c)));
+    m->connect(SigSpec(y), m->Or(SigSpec(p), SigSpec(q)));
+  }
+  return design;
+}
+
 } // namespace
 
 TEST(DeepLoopAlloc, FraigRoundWithoutSatCallsAllocatesPerRoundNotPerClass) {
@@ -145,4 +172,27 @@ TEST(DeepLoopAlloc, RewriteRoundSetupAllocatesPerRoundNotPerRoot) {
   const size_t large = allocations(800);
   EXPECT_LE(large, small + 24) << "rewrite_sweep made " << small << " allocations at 200 roots and "
                                << large << " at 800";
+}
+
+TEST(DeepLoopAlloc, RewriteEvaluationAllocatesPerRoundNotPerRoot) {
+  // Every root is evaluated and none commits, so the sweep is one round
+  // whose roots only evaluate and plan: its allocations are the round's
+  // tables plus a per-call constant, whatever the number of roots.
+  const auto allocations = [](size_t n) {
+    auto design = shared_products(n);
+    const size_t before = g_allocations;
+    const rewrite::RewriteStats stats = rewrite::rewrite_sweep(*design->top());
+    const size_t made = g_allocations - before;
+    EXPECT_EQ(stats.rounds, 1u);
+    EXPECT_EQ(stats.roots_evaluated, 3 * n);
+    EXPECT_EQ(stats.plans_rejected, n);
+    EXPECT_EQ(stats.rewrites, 0u);
+    EXPECT_EQ(stats.plans_noop, 0u);
+    return made;
+  };
+  allocations(8); // builds the NPN table and the rewrite library once
+  const size_t small = allocations(150);
+  const size_t large = allocations(600);
+  EXPECT_LE(large, small + 24) << "rewrite_sweep made " << small << " allocations at 450 roots and "
+                               << large << " at 1800";
 }

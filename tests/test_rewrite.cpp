@@ -335,7 +335,7 @@ TEST(RewriteLibrary, CostIsBounded) {
   // A plain Shannon tree over four variables costs at most 1 + 2 + 4 = 7
   // gates; a leaf inverter can add one more (inverters are explicit cells
   // here, unlike AIG complement edges).
-  EXPECT_LE(rewrite::RewriteLibrary::instance().max_cost(), 8u);
+  EXPECT_LE(rewrite::RewriteLibrary::instance().max_cost(), rewrite::kMaxProgramOps);
 }
 
 TEST(RewriteLibrary, TrivialFunctionsNeedNoGates) {
